@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test bench verify
+.PHONY: build vet test bench bench-e2e bench-gate verify
 
 build:
 	$(GO) build ./...
@@ -12,6 +12,30 @@ test:
 	$(GO) test ./...
 
 verify: build vet test
+
+# bench-e2e is the repository benchmark end to end (bench/README.md): the
+# harness self-tests, the four workloads in one process (≈ 90 s), then
+# the regression bounds of bench/spec.go against a saved parent result —
+# by default the definition-time baseline; point BENCH_PARENT (a path
+# relative to bench/ or absolute, or a comma-separated list of them) at
+# what the same command wrote on the parent commit. Fails on any "worse"
+# row.
+BENCH_PARENT ?= baseline/run-A.json
+bench-e2e:
+	cd bench && $(GO) test ./...
+	cd bench && $(GO) run . -workload all -seed 1 -out out/run.json
+	cd bench && $(GO) run . compare $(BENCH_PARENT) out/run.json
+
+# bench-gate is CI's short form: the paper's mesh on the sharded plane
+# with pacing on, five wall seconds, through the driver's entry point.
+# The run's last line is its verdict as JSON; fail unless it is correct
+# with nothing failed (no delivery valid past its bound, none twice,
+# conservation holds).
+bench-gate:
+	mkdir -p .bench_build
+	bash bench/run.sh --workload mesh_paced --seed 1 --seconds 5 --trace 0 | tee .bench_build/gate.out
+	tail -n 1 .bench_build/gate.out | grep -q '"correct":true'
+	tail -n 1 .bench_build/gate.out | grep -q '"failed":0[,}]'
 
 # bench emits the perf-trajectory file for this PR: every benchmark at a
 # fixed, comparable iteration count, with allocation stats, as the JSON

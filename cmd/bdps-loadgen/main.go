@@ -66,7 +66,7 @@ func main() {
 		subs    = flag.Int("subs", 1, "subscribers at the edge broker")
 		brokers = flag.Int("brokers", 3, "chain length (ingress → … → edge)")
 		shards  = flag.Int("shards", grt.GOMAXPROCS(0), "ingress worker shards per broker; 0 = classic single-threaded plane")
-		burst   = flag.Int("burst", 0, "egress burst cap (0 = default)")
+		burst   = flag.Int("burst", 0, "cap on an unpaced egress burst, in messages; paced links cut bursts by transfer time first (0 = default 32)")
 		sizeKB  = flag.Float64("size", 1, "emulated message size in KB")
 		payload = flag.Int("payload", 0, "payload bytes per message")
 		churn   = flag.Float64("churn", 0, "subscription churn: subscribe+unsubscribe flood pairs per second, sustained while publishing (0 = none)")

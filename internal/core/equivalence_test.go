@@ -313,3 +313,239 @@ func TestPopNextDrainEquivalence(t *testing.T) {
 		}
 	}
 }
+
+// refPopBurst is PopBurst as it stood before the burst cut existed (one
+// prune, one score sweep, heap-select exactly k, swap-remove the taken
+// slots in descending index order), retained verbatim as the ground
+// truth PopBurstWhile must reproduce whenever its cut never trips.
+func refPopBurst(q *Queue, s Strategy, now vtime.Millis, p Params, k int, out []*Entry) ([]*Entry, []Drop) {
+	drops := q.Prune(now, p)
+	if len(q.entries) == 0 || k <= 0 {
+		return out, drops
+	}
+	ctx := q.Context(now, p)
+	var score func(e *Entry) float64
+	switch s := s.(type) {
+	case MetricStrategy:
+		score = func(e *Entry) float64 { return s.Metric(e, ctx) }
+	case FIFO:
+		score = func(e *Entry) float64 { return -float64(e.Seq) }
+	case RL:
+		score = func(e *Entry) float64 { return -AvgRemainingLifetime(e, ctx.Now) }
+	default:
+		for ; k > 0 && len(q.entries) > 0; k-- {
+			i := s.Pick(q.entries, ctx)
+			if i < 0 || i >= len(q.entries) {
+				break
+			}
+			out = append(out, q.RemoveAt(i))
+		}
+		return out, drops
+	}
+	var h []burstItem
+	for i, e := range q.entries {
+		h = append(h, burstItem{score: score(e), seq: e.Seq, idx: i})
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		burstSiftDown(h, i)
+	}
+	if k > len(h) {
+		k = len(h)
+	}
+	var taken []int
+	for i := 0; i < k; i++ {
+		top := h[0]
+		out = append(out, q.entries[top.idx])
+		taken = append(taken, top.idx)
+		last := len(h) - 1
+		h[0] = h[last]
+		h = h[:last]
+		if len(h) > 0 {
+			burstSiftDown(h, 0)
+		}
+	}
+	for i := 1; i < len(taken); i++ {
+		for j := i; j > 0 && taken[j] > taken[j-1]; j-- {
+			taken[j], taken[j-1] = taken[j-1], taken[j]
+		}
+	}
+	for _, i := range taken {
+		q.RemoveAt(i)
+	}
+	return out, drops
+}
+
+// burstStrategies is the five built-in strategies plus one outside the
+// built-in score forms (Reference wraps Pick only), which sends
+// PopBurstWhile down its sequential-Pick fallback.
+var burstStrategies = []Strategy{FIFO{}, RL{}, MaxEB{}, MaxPC{}, MaxEBPC{R: 0.5}, Reference(MaxEB{})}
+
+func sameEntries(t *testing.T, trial int, what string, got, want []*Entry) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("trial %d: %s took %d entries, reference %d", trial, what, len(got), len(want))
+	}
+	for i := range got {
+		if got[i].MsgID != want[i].MsgID {
+			t.Fatalf("trial %d: %s rank %d is msg %d, reference %d", trial, what, i, got[i].MsgID, want[i].MsgID)
+		}
+	}
+}
+
+// TestPopBurstWhileUncutEquivalence: with a cut that never trips (and
+// with none at all, the PopBurst form), PopBurstWhile takes the old
+// PopBurst's entries in the old order, reports the same prune drops and
+// leaves the queue in the same slot order — over randomized queues, burst
+// sizes and instants, under all five strategies and the Pick fallback.
+// more sees every taken entry exactly once, in send order.
+func TestPopBurstWhileUncutEquivalence(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 600; trial++ {
+		s := burstStrategies[trial%len(burstStrategies)]
+		p := DefaultParams()
+		p.PD = randPD(r)
+		ref, cut, plain := NewQueue(70), NewQueue(70), NewQueue(70)
+		for i, n := 0, r.Intn(48); i < n; i++ {
+			e := randEntry(r, uint64(i))
+			at := vtime.Millis(i)
+			ref.Enqueue(e, at)
+			cut.Enqueue(clone(e), at)
+			plain.Enqueue(clone(e), at)
+		}
+		now := vtime.Millis(r.Float64() * 60 * vtime.Second)
+		for round := 0; round < 3; round++ {
+			k := r.Intn(20)
+			want, wantDrops := refPopBurst(ref, s, now, p, k, nil)
+			// Drops are a queue-owned buffer: compare before the next call.
+			var seen []*Entry
+			got, gotDrops := cut.PopBurstWhile(s, now, p, k, nil, func(e *Entry) bool {
+				seen = append(seen, e)
+				return true
+			})
+			sameDrops(t, trial, gotDrops, wantDrops)
+			sameEntries(t, trial, s.Name()+" PopBurstWhile", got, want)
+			sameEntries(t, trial, s.Name()+" more", seen, got)
+			sameOrder(t, trial, cut, ref)
+
+			got, gotDrops = plain.PopBurst(s, now, p, k, nil)
+			sameDrops(t, trial, gotDrops, wantDrops)
+			sameEntries(t, trial, s.Name()+" PopBurst", got, want)
+			sameOrder(t, trial, plain, ref)
+			now += vtime.Millis(r.Float64() * 10 * vtime.Second)
+		}
+	}
+}
+
+// TestPopBurstWhileCutAfterFirstIsPopNext: a cut that trips on the first
+// entry makes every call a single pick, and repeated calls at one instant
+// reproduce the PopNext sequence. Under FIFO (unique scores) and on the
+// Pick fallback the sequences are identical; RL and the metric strategies
+// tie (shared deadlines, saturated targets) and the two selections break
+// ties differently (earlier arrival vs lower slot), so there the per-rank
+// scores must match exactly. Entries past the cut stay queued.
+func TestPopBurstWhileCutAfterFirstIsPopNext(t *testing.T) {
+	p := DefaultParams()
+	now := vtime.Millis(5000)
+	const n = 64
+	for _, s := range burstStrategies {
+		seq, bur := burstQueue(n), burstQueue(n)
+		ctx := seq.Context(now, p)
+		for rank := 0; rank < n; rank++ {
+			want, _ := seq.PopNext(s, now, p)
+			calls := 0
+			got, _ := bur.PopBurstWhile(s, now, p, 32, nil, func(*Entry) bool {
+				calls++
+				return false
+			})
+			if want == nil || len(got) != 1 || calls != 1 {
+				t.Fatalf("%s rank %d: PopNext %v, PopBurstWhile took %d entries in %d calls of more",
+					s.Name(), rank, want, len(got), calls)
+			}
+			if bur.Len() != n-rank-1 || seq.Len() != bur.Len() {
+				t.Fatalf("%s rank %d: %d left queued, PopNext queue %d, want %d",
+					s.Name(), rank, bur.Len(), seq.Len(), n-rank-1)
+			}
+			switch s := s.(type) {
+			case MetricStrategy:
+				if gs, ws := s.Metric(got[0], ctx), s.Metric(want, ctx); !bitsEq(gs, ws) {
+					t.Fatalf("%s rank %d: score %g, PopNext %g", s.Name(), rank, gs, ws)
+				}
+			case RL:
+				if gl, wl := AvgRemainingLifetime(got[0], now), AvgRemainingLifetime(want, now); !bitsEq(gl, wl) {
+					t.Fatalf("RL rank %d: lifetime %g, PopNext %g", rank, gl, wl)
+				}
+			default:
+				if got[0].Seq != want.Seq {
+					t.Fatalf("%s rank %d: took seq %d, PopNext %d", s.Name(), rank, got[0].Seq, want.Seq)
+				}
+			}
+			got[0].Release()
+			want.Release()
+		}
+	}
+}
+
+// TestPopBurstWhileScratch pins what the doc comments promise about the
+// queue-owned buffers: the prune drops come back whether or not the cut
+// trips and are overwritten by the next call; taken holds the slots of
+// the last burst only; and a warm queue selects without allocating,
+// cut or uncut.
+func TestPopBurstWhileScratch(t *testing.T) {
+	p := DefaultParams()
+	q := burstQueue(40)
+	stale := GetEntry()
+	stale.SizeKB = 50
+	stale.Targets = append(stale.Targets, Target{Deadline: 10, Price: 1, Hops: 1, Rate: stats.Normal{Mean: 70, Sigma: 20}})
+	q.Enqueue(stale, 0)
+
+	stop := func(*Entry) bool { return false }
+	out, drops := q.PopBurstWhile(MaxEB{}, 5000, p, 8, nil, stop)
+	if len(out) != 1 || len(drops) != 1 || drops[0].Entry != stale || drops[0].Reason != DropExpired {
+		t.Fatalf("cut burst: %d entries, drops %v; want 1 entry and the expired one", len(out), drops)
+	}
+	if len(q.taken) != 1 || q.Len() != 39 {
+		t.Fatalf("cut burst: taken %v, %d queued; want one slot, 39 queued", q.taken, q.Len())
+	}
+	out, drops2 := q.PopBurstWhile(MaxEB{}, 5000, p, 8, out[:0], nil)
+	if len(out) != 8 || len(q.taken) != 8 || q.Len() != 31 {
+		t.Fatalf("uncut burst: %d entries, taken %v, %d queued; want 8, 8 slots, 31", len(out), q.taken, q.Len())
+	}
+	if len(drops2) != 0 {
+		t.Fatalf("second burst re-reported %d drops", len(drops2))
+	}
+	for i := 1; i < len(q.taken); i++ {
+		if q.taken[i] >= q.taken[i-1] {
+			t.Fatalf("taken %v not in descending slot order", q.taken)
+		}
+	}
+
+	// Warm scratch: a burst and the enqueues that refill it allocate
+	// nothing, whichever way the cut goes.
+	for _, more := range []func(*Entry) bool{nil, stop} {
+		buf := make([]*Entry, 0, 8)
+		allocs := testing.AllocsPerRun(50, func() {
+			got, _ := q.PopBurstWhile(MaxEB{}, 5000, p, 8, buf[:0], more)
+			for _, e := range got {
+				q.Enqueue(e, 5000)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("warm PopBurstWhile (cut=%v) allocates %.1f per burst", more != nil, allocs)
+		}
+	}
+}
+
+// BenchmarkPopBurstCut is the paced sender's shape: every call scores the
+// queue and takes one entry, the cut tripping at once.
+func BenchmarkPopBurstCut(b *testing.B) {
+	p := DefaultParams()
+	q := burstQueue(512)
+	stop := func(*Entry) bool { return false }
+	out := make([]*Entry, 0, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out, _ = q.PopBurstWhile(MaxEB{}, 5000, p, 32, out[:0], stop)
+		q.Enqueue(out[0], 5000)
+	}
+}

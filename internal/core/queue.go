@@ -23,7 +23,7 @@ import (
 type Queue struct {
 	// Mutex serializes owners that share one queue across goroutines:
 	// the sharded live data plane locks it around Enqueue on the ingress
-	// side and PopNext on the egress side (the per-queue stripe of its
+	// side and PopBurstWhile on the egress side (the per-queue stripe of its
 	// locking scheme). Single-threaded drivers — the simulator — never
 	// touch it.
 	sync.Mutex
@@ -43,7 +43,8 @@ type Queue struct {
 
 	// drops is the reusable Prune output buffer; see Prune.
 	drops []Drop
-	// burst and taken are PopBurst's reusable selection scratch.
+	// burst and taken are PopBurst's reusable selection scratch: the
+	// score heap, and the q.entries slots the last burst took.
 	burst []burstItem
 	taken []int
 
@@ -240,6 +241,19 @@ type burstItem struct {
 // The drops slice is a queue-owned buffer, valid until the next Prune,
 // PopNext or PopBurst call.
 func (q *Queue) PopBurst(s Strategy, now vtime.Millis, p Params, k int, out []*Entry) ([]*Entry, []Drop) {
+	return q.PopBurstWhile(s, now, p, k, out, nil)
+}
+
+// PopBurstWhile is PopBurst with a caller-defined cut: each selected
+// entry is handed to more, in send order, the moment it is taken, and
+// the burst ends with the first entry for which more reports false (or
+// at k, or when the queue empties). The first entry is always taken.
+// Entries past the cut are never popped: they stay queued, to be scored
+// again — against whatever has arrived since — at the next scheduling
+// instant. That is what lets an owner bound a burst by something other
+// than a count (the live sender bounds it by accumulated transfer time)
+// without giving up the single score sweep. A nil more never cuts.
+func (q *Queue) PopBurstWhile(s Strategy, now vtime.Millis, p Params, k int, out []*Entry, more func(*Entry) bool) ([]*Entry, []Drop) {
 	drops := q.Prune(now, p)
 	if len(q.entries) == 0 || k <= 0 {
 		return out, drops
@@ -260,12 +274,16 @@ func (q *Queue) PopBurst(s Strategy, now vtime.Millis, p Params, k int, out []*E
 			if i < 0 || i >= len(q.entries) {
 				break
 			}
-			out = append(out, q.RemoveAt(i))
+			e := q.RemoveAt(i)
+			out = append(out, e)
+			if more != nil && !more(e) {
+				break
+			}
 		}
 		return out, drops
 	}
 
-	// Score every entry once, heapify, pop the k best.
+	// Score every entry once, heapify, pop the best until k or the cut.
 	h := q.burst[:0]
 	for i, e := range q.entries {
 		h = append(h, burstItem{score: score(e), seq: e.Seq, idx: i})
@@ -280,8 +298,12 @@ func (q *Queue) PopBurst(s Strategy, now vtime.Millis, p Params, k int, out []*E
 	taken := q.taken[:0]
 	for i := 0; i < k; i++ {
 		top := h[0]
-		out = append(out, q.entries[top.idx])
+		e := q.entries[top.idx]
+		out = append(out, e)
 		taken = append(taken, top.idx)
+		if more != nil && !more(e) {
+			break
+		}
 		last := len(h) - 1
 		h[0] = h[last]
 		h = h[:last]

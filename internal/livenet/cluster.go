@@ -49,7 +49,9 @@ type ClusterConfig struct {
 	// that many ingress worker shards (see NodeConfig.Shards); 0 keeps
 	// the classic single-threaded plane.
 	Shards int
-	// Burst caps the egress burst size on the sharded plane (default 32).
+	// Burst caps an unpaced egress burst on the sharded plane (default
+	// 32; see NodeConfig.Burst — paced links cut their bursts by
+	// transfer time first).
 	Burst int
 
 	// LinkLoss, in standalone (no-plan) mode, injects one loss adversary

@@ -55,6 +55,46 @@ import (
 type Pacer struct {
 	Sampler runtime.Sampler
 	Stream  *stats.Stream
+
+	// timer is the owning sender goroutine's pacing timer: created by
+	// the first wait that actually has to sleep, reused by every later
+	// one, so an unpaced sender never allocates it and a paced one
+	// allocates it once.
+	timer *time.Timer
+}
+
+// wait sleeps one pacing delay — a transfer's sampled link time, already
+// scaled to wall time — and reports false when the node stopped first.
+// A delay that rounds to nothing costs a poll of the stop channel and no
+// timer. Only the sender goroutine that owns the Pacer may call it.
+func (p *Pacer) wait(d time.Duration, stopped <-chan struct{}) bool {
+	if d <= 0 {
+		select {
+		case <-stopped:
+			return false
+		default:
+			return true
+		}
+	}
+	if p.timer == nil {
+		p.timer = time.NewTimer(d)
+	} else {
+		p.timer.Reset(d)
+	}
+	select {
+	case <-p.timer.C:
+		return true
+	case <-stopped:
+		// Leave the timer stopped and its channel empty, so a Reset is
+		// safe whatever the runtime's timer-channel semantics.
+		if !p.timer.Stop() {
+			select {
+			case <-p.timer.C:
+			default:
+			}
+		}
+		return false
+	}
 }
 
 // NodeConfig assembles a live broker.
@@ -153,10 +193,15 @@ type NodeConfig struct {
 	// syscall pair per outbound frame. Any value ≥ 1 enables the
 	// high-throughput plane (shard.go): pooled zero-copy decoding,
 	// per-connection frame batching, that many parallel worker shards
-	// keyed by publication stream, and burst-paced writev egress.
+	// keyed by publication stream, and transfer-time-bounded writev
+	// egress bursts.
 	Shards int
-	// Burst caps how many messages a sender drains per egress burst in
-	// the sharded plane (default 32). Ignored when Shards == 0.
+	// Burst caps an unpaced egress burst on the sharded plane (default
+	// 32): how many messages a sender may take at one scheduling instant
+	// and flush with one writev while their transfer times add up to
+	// less than a timer can resolve. A paced link's burst ends sooner, at
+	// that transfer time (shard.go, paceQuantum). Ignored when
+	// Shards == 0.
 	Burst int
 }
 
@@ -1552,7 +1597,7 @@ func (n *Node) senderLoop(to msg.NodeID, pc *peerConn, wake chan struct{}, pacer
 		e.Release()
 
 		if ls != nil {
-			ok := n.sendReliable(to, pc, pacer, ls, m, sizeKB, dl)
+			ok := n.sendReliable(to, pc, &pacer, ls, m, sizeKB, dl)
 			n.busySenders.Add(-1)
 			if !ok {
 				return
@@ -1565,9 +1610,7 @@ func (n *Node) senderLoop(to msg.NodeID, pc *peerConn, wake chan struct{}, pacer
 		// paper's "tools of network measurement".
 		tx := sizeKB * pacer.Sampler.Sample(pacer.Stream) * n.cfg.TimeScale
 		start := time.Now()
-		select {
-		case <-time.After(vtime.ToDuration(tx)):
-		case <-n.stopped:
+		if !pacer.wait(vtime.ToDuration(tx), n.stopped) {
 			n.busySenders.Add(-1)
 			return
 		}

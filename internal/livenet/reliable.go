@@ -169,7 +169,7 @@ func (n *Node) accountChain(out *runtime.SendOutcome) {
 // chainTime charges one chain's link time: one rate sample per attempt,
 // then one for the duplicated copy — the simulator's draw order, on the
 // same per-link stream, so both backends consume identical sequences.
-func chainTime(out *runtime.SendOutcome, sizeKB float64, pacer Pacer) float64 {
+func chainTime(out *runtime.SendOutcome, sizeKB float64, pacer *Pacer) float64 {
 	var tx float64
 	for i := 0; i < out.Attempts; i++ {
 		tx += sizeKB * pacer.Sampler.Sample(pacer.Stream)
@@ -241,7 +241,7 @@ func (n *Node) writeChain(pc *peerConn, ls *linkSender, seq, base uint64, m *msg
 // immediate queued successor — against the link adversary and realizes
 // the resolved chains on the wire: the classic plane's counterpart of the
 // simulator's kick. It reports false when the node stopped mid-pacing.
-func (n *Node) sendReliable(to msg.NodeID, pc *peerConn, pacer Pacer, ls *linkSender, m *msg.Message, sizeKB float64, dl vtime.Millis) bool {
+func (n *Node) sendReliable(to msg.NodeID, pc *peerConn, pacer *Pacer, ls *linkSender, m *msg.Message, sizeKB float64, dl vtime.Millis) bool {
 	now := n.clock.Now()
 	seq := ls.next()
 	out := runtime.ResolveSend(ls.lm, ls.rp, seq, sizeKB, dl, now)
@@ -278,12 +278,8 @@ func (n *Node) sendReliable(to msg.NodeID, pc *peerConn, pacer Pacer, ls *linkSe
 		totalKB += size2 * float64(wireFrames(&out2))
 	}
 	start := time.Now()
-	if d := vtime.ToDuration(tx * n.cfg.TimeScale); d > 0 {
-		select {
-		case <-time.After(d):
-		case <-n.stopped:
-			return false
-		}
+	if !pacer.wait(vtime.ToDuration(tx*n.cfg.TimeScale), n.stopped) {
+		return false
 	}
 	n.accountChain(&out)
 	if m2 != nil {
@@ -310,12 +306,14 @@ func (n *Node) sendReliable(to msg.NodeID, pc *peerConn, pacer Pacer, ls *linkSe
 }
 
 // burstChain is one burst entry's resolved chain on the sharded plane.
+// swap marks a delivered chain the adversary reorders behind its
+// successor (never set on a chain that is itself such a successor).
 type burstChain struct {
 	m    *msg.Message
-	size float64
 	seq  uint64
 	base uint64
 	out  runtime.SendOutcome
+	swap bool
 }
 
 // wireMeta locates one chain's frames inside the assembled burst buffer,
@@ -325,33 +323,33 @@ type wireMeta struct {
 	deliver                  bool
 }
 
-// resolveBurst assigns link sequence numbers and resolves every burst
-// entry's send chain at one scheduling instant, charging one rate sample
-// per attempt (and per duplicated copy) — the pacing cost of the whole
-// exchange. It returns the summed link time and the wire volume in KB.
-func (n *Node) resolveBurst(ls *linkSender, entries []*core.Entry, pacer Pacer, now vtime.Millis) (tx, totalKB float64) {
-	ls.chains = ls.chains[:0]
-	for _, e := range entries {
-		m := e.Data.(*msg.Message)
-		seq := ls.next()
-		out := runtime.ResolveSend(ls.lm, ls.rp, seq, e.SizeKB, ls.rp.EffectiveDeadline(e.Targets, e.SizeKB), now)
-		tx += chainTime(&out, e.SizeKB, pacer)
-		totalKB += e.SizeKB * float64(wireFrames(&out))
-		ls.chains = append(ls.chains, burstChain{m: m, size: e.SizeKB, seq: seq, out: out})
-	}
-	return tx, totalKB
+// resolve takes one entry into the burst being selected (ls.chains, which
+// the sender resets per burst): it assigns the next link sequence number
+// and resolves the entry's send chain at the burst's scheduling instant,
+// charging one rate sample per attempt (and per duplicated copy), in send
+// order. It returns the chain's link time and wire volume in KB, and
+// whether the adversary reorders the chain behind its successor — the
+// simulator's pair granularity: the burst then owes the link one more
+// entry for it to swap with, whatever the transfer time already spent,
+// and that successor is not reordered in turn.
+func (ls *linkSender) resolve(e *core.Entry, pacer *Pacer, now vtime.Millis) (tx, kb float64, swap bool) {
+	seq := ls.next()
+	out := runtime.ResolveSend(ls.lm, ls.rp, seq, e.SizeKB, ls.rp.EffectiveDeadline(e.Targets, e.SizeKB), now)
+	successor := len(ls.chains) > 0 && ls.chains[len(ls.chains)-1].swap
+	swap = !successor && out.Deliver && ls.lm.Swap(seq, now)
+	ls.chains = append(ls.chains, burstChain{m: e.Data.(*msg.Message), seq: seq, out: out, swap: swap})
+	return chainTime(&out, e.SizeKB, pacer), e.SizeKB * float64(wireFrames(&out)), swap
 }
 
-// orderBurst computes the burst's wire delivery order — a delivered chain
-// swaps behind its immediate successor on the adversary's reorder
-// decision, the simulator's pair granularity — and stamps each chain's
-// base: the suffix-minimum of still-live sequences over that order, so
-// the receiver never waits for an abandoned frame.
-func orderBurst(ls *linkSender, now vtime.Millis) {
+// orderBurst computes the burst's wire delivery order — a chain marked
+// swap travels behind its immediate successor when the burst has one —
+// and stamps each chain's base: the suffix-minimum of still-live
+// sequences over that order, so the receiver never waits for an
+// abandoned frame.
+func orderBurst(ls *linkSender) {
 	ls.order = ls.order[:0]
 	for i := 0; i < len(ls.chains); {
-		c := &ls.chains[i]
-		if c.out.Deliver && i+1 < len(ls.chains) && ls.lm.Swap(c.seq, now) {
+		if ls.chains[i].swap && i+1 < len(ls.chains) {
 			ls.order = append(ls.order, i+1, i)
 			i += 2
 		} else {

@@ -30,12 +30,18 @@ import (
 //     enqueueing in parallel, synchronizing only on the per-queue locks
 //     and the striped dedup set inside the broker. Subscription floods
 //     still take the node lock exclusively, parking all workers.
-//   - Egress: each sender drains its link queue in bursts (PopNext per
-//     message, so per-queue deadline scheduling is untouched), sleeps
-//     one pacing delay for the whole burst — the sum of the sampled
-//     per-message transfer times, honoring the paper's per-KB link
-//     model at burst granularity — and flushes the burst with one
-//     writev.
+//   - Egress: each sender drains its link queue in bursts selected at
+//     one scheduling instant (core.Queue.PopBurstWhile: one score sweep,
+//     the strategy's send order). A burst is a unit of time, not of
+//     count: every entry taken charges its own sampled transfer time
+//     (size × rate, the paper's per-KB link model), and the burst ends
+//     as soon as that accumulated time is something a timer can resolve
+//     (paceQuantum) — or at the Burst cap. The sender sleeps the burst's
+//     transfer time, then flushes it with one writev. So a paced link
+//     sends one pick per transfer, as the simulator does, and whatever
+//     arrives during a transfer is scheduled against the backlog at the
+//     next pick; an unpaced link, whose transfer times never add up to
+//     the quantum, keeps bursting to the cap.
 type shard struct {
 	ch chan *inBatch
 }
@@ -43,6 +49,11 @@ type shard struct {
 const (
 	// defaultBurst caps the egress burst (NodeConfig.Burst default).
 	defaultBurst = 32
+	// paceQuantum is the shortest wall time a pacing sleep can be trusted
+	// to resolve: an egress burst stops growing once its accumulated
+	// transfer time reaches it, and a processing delay shorter than it
+	// is charged to the clock stamp instead of slept.
+	paceQuantum = time.Millisecond
 	// maxIngressBatch caps how many decoded messages a read loop
 	// accumulates before it must flush to the shard channels.
 	maxIngressBatch = 64
@@ -389,13 +400,20 @@ func (n *Node) shardWorker(s *shard) {
 // the worker reuses them across messages.
 func (n *Node) processSharded(proc *broker.Processor, m *msg.Message,
 	encBuf []byte, subs []*peerConn, wakes []chan struct{}) ([]byte, []*peerConn, []chan struct{}) {
-	// Processing delay, scaled like link delays.
-	if pd := n.b.Params().PD * n.cfg.TimeScale; pd > 0 {
-		if d := vtime.ToDuration(pd); d > 0 {
+	// Processing delay, scaled like link delays. A delay too short for a
+	// sleep to resolve is not slept — time.Sleep would round it up to
+	// the timer granularity and hold the whole shard for that long — but
+	// charged to the instant the message is processed at, which is what
+	// the simulator does with PD: a pure delay, serializing nothing.
+	now := n.clock.Now()
+	if pd := n.b.Params().PD; pd > 0 {
+		if d := vtime.ToDuration(pd * n.cfg.TimeScale); d >= paceQuantum {
 			time.Sleep(d)
+			now = n.clock.Now()
+		} else {
+			now += pd
 		}
 	}
-	now := n.clock.Now()
 	n.cnt.receptions.Add(1)
 	if n.sink != nil {
 		n.sink.Reception()
@@ -457,13 +475,14 @@ func (n *Node) processSharded(proc *broker.Processor, m *msg.Message,
 	return encBuf, subs, wakes
 }
 
-// senderLoopBatched drains one link's queue in bursts: pick up to Burst
-// entries by strategy (per-queue scheduling order untouched), sleep one
-// pacing delay for the whole burst, flush it with one writev. Injected
-// link outages park the loop until the link comes back up. A non-nil
-// linkSender routes each burst through the reliable channel: chains
-// resolved against the adversary, every attempt paced and written (lost
-// ones mangled), the whole burst still leaving in one syscall.
+// senderLoopBatched drains one link's queue in bursts: select entries by
+// strategy at one scheduling instant until their accumulated transfer
+// time reaches paceQuantum (or the Burst cap), sleep that transfer time,
+// flush the burst with one writev. Injected link outages park the loop
+// until the link comes back up. A non-nil linkSender routes each burst
+// through the reliable channel: chains resolved against the adversary as
+// the entries are selected, every attempt paced and written (lost ones
+// mangled), the whole burst still leaving in one syscall.
 func (n *Node) senderLoopBatched(to msg.NodeID, pc *peerConn, wake chan struct{}, pacer Pacer, ls *linkSender) {
 	defer n.wg.Done()
 	q := n.b.Queue(to)
@@ -473,6 +492,29 @@ func (n *Node) senderLoopBatched(to msg.NodeID, pc *peerConn, wake chan struct{}
 	lens := make([]int, 0, burst)
 	frames := make([][]byte, 0, burst)
 	var wv net.Buffers // reusable writev view over frames (consumed per burst)
+
+	// The burst being selected: its scheduling instant, and the link time
+	// (emulated ms) and wire volume (KB) of the entries taken so far.
+	// more is PopBurstWhile's cut — it charges each entry, in send order,
+	// one rate sample (on a lossy link: its whole resolved chain, one
+	// sample per attempt and per duplicated copy) and lets the burst
+	// grow only while the transfer time it adds up to is still below
+	// what a pacing sleep can resolve. Entries past the cut stay queued.
+	var (
+		now    vtime.Millis
+		tx, kb float64
+	)
+	more := func(e *core.Entry) bool {
+		etx, ekb, swap := e.SizeKB, e.SizeKB, false
+		if ls != nil {
+			etx, ekb, swap = ls.resolve(e, &pacer, now)
+		} else {
+			etx *= pacer.Sampler.Sample(pacer.Stream)
+		}
+		tx += etx
+		kb += ekb
+		return swap || vtime.ToDuration(tx*n.cfg.TimeScale) < paceQuantum
+	}
 	for {
 		n.mu.RLock()
 		down := n.linkDown[to]
@@ -486,14 +528,18 @@ func (n *Node) senderLoopBatched(to msg.NodeID, pc *peerConn, wake chan struct{}
 			}
 		}
 
-		// One scheduling instant for the whole burst: PopBurst scores
-		// every queued entry once at this now and heap-selects the k
-		// the strategy would send, in send order — O(n + k log n) where
-		// k sequential Picks would rescan the queue per message.
-		strategy, params, now := n.b.Strategy(), n.b.Params(), n.clock.Now()
+		// One scheduling instant for the whole burst: PopBurstWhile
+		// scores every queued entry once at this now and heap-selects
+		// what the strategy would send, in send order — O(n + k log n)
+		// where k sequential Picks would rescan the queue per message.
+		strategy, params := n.b.Strategy(), n.b.Params()
+		now, tx, kb = n.clock.Now(), 0, 0
+		if ls != nil {
+			ls.chains = ls.chains[:0]
+		}
 		q.Lock()
 		var drops []core.Drop
-		entries, drops = q.PopBurst(strategy, now, params, burst, entries[:0])
+		entries, drops = q.PopBurstWhile(strategy, now, params, burst, entries[:0], more)
 		n.accountDrops(drops)
 		if len(entries) > 0 {
 			n.egress.Add(-int64(len(entries)))
@@ -512,106 +558,79 @@ func (n *Node) senderLoopBatched(to msg.NodeID, pc *peerConn, wake chan struct{}
 			}
 		}
 
-		// One pacing sleep for the burst: Σ size·rate over the sampled
-		// per-message rates — the same total transfer time the classic
-		// plane would sleep across the burst, in one step. On a lossy
-		// link every resolved attempt (and duplicated copy) charges its
-		// own sample instead.
-		var tx, sizeSum float64
-		if ls != nil {
-			tx, sizeSum = n.resolveBurst(ls, entries, pacer, now)
-		} else {
-			for _, e := range entries {
-				tx += e.SizeKB * pacer.Sampler.Sample(pacer.Stream)
-				sizeSum += e.SizeKB
-			}
-		}
-		tx *= n.cfg.TimeScale
+		// The burst's transfer: Σ size·rate over the sampled rates, the
+		// link time the simulator would keep the link busy for.
 		start := time.Now()
-		if d := vtime.ToDuration(tx); d > 0 {
-			select {
-			case <-time.After(d):
-			case <-n.stopped:
-				// Stopped mid-transfer: the held burst dies with the
-				// node. A healthy run quiesces before Stop, so this
-				// only fires on crash/abort paths — charge the loss
-				// like the queue drain in Crash does.
-				if n.sink != nil {
-					n.sink.DroppedCrashed(len(entries))
-				}
-				for _, e := range entries {
-					releaseEntry(e)
-				}
-				n.busySenders.Add(-1)
-				return
+		if !pacer.wait(vtime.ToDuration(tx*n.cfg.TimeScale), n.stopped) {
+			// Stopped mid-transfer: the held burst dies with the node. A
+			// healthy run quiesces before Stop, so this only fires on
+			// crash/abort paths — charge the loss like the queue drain
+			// in Crash does.
+			if n.sink != nil {
+				n.sink.DroppedCrashed(len(entries))
 			}
+			for _, e := range entries {
+				releaseEntry(e)
+			}
+			n.busySenders.Add(-1)
+			return
 		}
 
 		if ls != nil {
-			orderBurst(ls, now)
+			orderBurst(ls)
 			for i := range ls.chains {
 				n.accountChain(&ls.chains[i].out)
 			}
 			n.writeBurstReliable(pc, ls)
-			for _, e := range entries {
-				releaseEntry(e)
-			}
-			if sizeSum > 0 {
-				elapsed := vtime.FromDuration(time.Since(start)) / n.cfg.TimeScale
-				n.mu.Lock()
-				if est := n.estimates[to]; est != nil {
-					est.Observe(elapsed / sizeSum)
-				}
-				n.mu.Unlock()
-			}
-			n.busySenders.Add(-1)
-			continue
-		}
-
-		frames = frames[:0]
-		lens = lens[:0]
-		ok := 0
-		for _, e := range entries {
-			m := e.Data.(*msg.Message)
-			b, err := msg.AppendMessageFrame(bufs[ok][:0], m)
-			if err != nil {
-				continue // oversized re-encode cannot happen for decoded frames
-			}
-			bufs[ok] = b
-			frames = append(frames, b)
-			lens = append(lens, len(b))
-			ok++
-		}
-		wv = net.Buffers(frames)
-		written, err := pc.writeBuffers(&wv)
-		if err == nil {
-			n.sentPeers.Add(int64(ok))
 		} else {
-			// Count the frames that fully left the node; the rest died
-			// at a dead (crashed or stopped) neighbor.
-			sent := 0
-			var cum int64
-			for _, l := range lens {
-				if cum+int64(l) > written {
-					break
+			frames = frames[:0]
+			lens = lens[:0]
+			ok := 0
+			for _, e := range entries {
+				m := e.Data.(*msg.Message)
+				b, err := msg.AppendMessageFrame(bufs[ok][:0], m)
+				if err != nil {
+					continue // oversized re-encode cannot happen for decoded frames
 				}
-				cum += int64(l)
-				sent++
+				bufs[ok] = b
+				frames = append(frames, b)
+				lens = append(lens, len(b))
+				ok++
 			}
-			n.sentPeers.Add(int64(sent))
-			if failed := ok - sent; failed > 0 && n.sink != nil {
-				n.sink.DroppedCrashed(failed)
+			wv = net.Buffers(frames)
+			written, err := pc.writeBuffers(&wv)
+			if err == nil {
+				n.sentPeers.Add(int64(ok))
+			} else {
+				// Count the frames that fully left the node; the rest died
+				// at a dead (crashed or stopped) neighbor.
+				sent := 0
+				var cum int64
+				for _, l := range lens {
+					if cum+int64(l) > written {
+						break
+					}
+					cum += int64(l)
+					sent++
+				}
+				n.sentPeers.Add(int64(sent))
+				if failed := ok - sent; failed > 0 && n.sink != nil {
+					n.sink.DroppedCrashed(failed)
+				}
 			}
 		}
 		for _, e := range entries {
 			releaseEntry(e)
 		}
 
-		if sizeSum > 0 {
+		// The measured rate of this transfer. Under pacing a burst is one
+		// transfer (or a handful too short to time apart), so the link
+		// estimate sees the per-transfer spread, not a per-burst mean.
+		if kb > 0 {
 			elapsed := vtime.FromDuration(time.Since(start)) / n.cfg.TimeScale
 			n.mu.Lock()
 			if est := n.estimates[to]; est != nil {
-				est.Observe(elapsed / sizeSum)
+				est.Observe(elapsed / kb)
 			}
 			n.mu.Unlock()
 		}

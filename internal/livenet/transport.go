@@ -372,6 +372,11 @@ func (d *deployment) Drain() error {
 // PeakQueue implements runtime.Deployment.
 func (d *deployment) PeakQueue() int { return d.cluster.PeakQueue() }
 
+// Cluster returns the deployed cluster, so a caller holding the
+// runtime.Deployment can read what the running nodes measured — link
+// estimates, per-node stats — beside what the plan believed.
+func (d *deployment) Cluster() *Cluster { return d.cluster }
+
 // Close implements runtime.Deployment.
 func (d *deployment) Close() error {
 	if d.churnStop != nil {

@@ -227,6 +227,81 @@ func TestCrossValidationLossExact(t *testing.T) {
 	}
 }
 
+// TestCrossValidationCongestedSharded holds the sharded plane to the
+// simulator where it used to part from it: under congestion. At 20
+// msg/min per ingress the 2→3 trunk is offered a 50 KB transfer (≈ 2.3
+// emulated s) every 1.5 s, so queues build and the scheduler decides
+// who meets a 10–30 s bound. A sender that pops a burst of queued
+// messages and sleeps their transfer times as one sum charges every
+// message of the burst the whole sum and schedules nothing that arrives
+// meanwhile — the live delivery rate then falls ≈ 0.5 below the
+// simulator's; pacing transfer by transfer, the two agree. The same run
+// checks the measurement side: each transfer is observed on its own, so
+// the trunk's link estimate recovers the configured rate's mean and its
+// spread (a per-burst mean would shrink the spread by √burst).
+func TestCrossValidationCongestedSharded(t *testing.T) {
+	if testing.Short() {
+		t.Skip("compressed-timescale live cluster run")
+	}
+	mk := func() runtime.Config {
+		cfg := crossValConfig(t)
+		cfg.Workload.RatePerMin = 20
+		return cfg
+	}
+	sim, err := runtime.Run(mk(), simnet.Transport{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := sim.DeliveryRate(); r < 0.2 || r > 0.9 {
+		t.Fatalf("sim delivery rate %.3f: the overlay is not congested enough to test anything", r)
+	}
+
+	lcfg := mk()
+	lcfg.LiveShards = 2
+	p, err := runtime.NewPlan(lcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dep, err := livenet.Transport{}.Deploy(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dep.Close()
+	p.AccountPublications()
+	if err := dep.Inject(p.Pubs); err != nil {
+		t.Fatal(err)
+	}
+	if err := dep.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	live := p.Metrics.Result()
+
+	if sim.Published != live.Published || sim.TotalTargets != live.TotalTargets {
+		t.Errorf("workload diverged: sim %d/%d, live %d/%d published/targets",
+			sim.Published, sim.TotalTargets, live.Published, live.TotalTargets)
+	}
+	if d := math.Abs(sim.DeliveryRate() - live.DeliveryRate()); d > 0.10 {
+		t.Errorf("delivery rates diverged by %.3f under congestion: sim %.3f, live %.3f",
+			d, sim.DeliveryRate(), live.DeliveryRate())
+	}
+
+	c := dep.(interface{ Cluster() *livenet.Cluster }).Cluster()
+	est, observed := c.Node(2).LinkEstimate(3)
+	t.Logf("delivery rate sim %.3f, live %.3f; trunk estimate %v against a configured N(45, 5²)", sim.DeliveryRate(), live.DeliveryRate(), est)
+	if !observed {
+		t.Fatal("broker 2 observed no transfer on the trunk")
+	}
+	// Configured N(45, 5) ms/KB. The mean carries the wall overhead of a
+	// transfer (timer overshoot, encode, write) on top; the spread would
+	// be ≈ 1–2 if observations were per-burst means.
+	if est.Mean < 42 || est.Mean > 55 {
+		t.Errorf("trunk estimate mean %.1f ms/KB, configured 45", est.Mean)
+	}
+	if est.Sigma < 3 || est.Sigma > 15 {
+		t.Errorf("trunk estimate spread %.1f ms/KB, configured 5", est.Sigma)
+	}
+}
+
 // diamondOverlay has two disjoint paths ingress→edge (0-1-3 and 0-2-3),
 // so K=2 multipath routing actually fans out.
 func diamondOverlay(t testing.TB) *topology.Overlay {
