@@ -26,16 +26,22 @@ bench-e2e:
 	cd bench && $(GO) run . -workload all -seed 1 -out out/run.json
 	cd bench && $(GO) run . compare $(BENCH_PARENT) out/run.json
 
-# bench-gate is CI's short form: the paper's mesh on the sharded plane
-# with pacing on, five wall seconds, through the driver's entry point.
-# The run's last line is its verdict as JSON; fail unless it is correct
-# with nothing failed (no delivery valid past its bound, none twice,
-# conservation holds).
+# bench-gate is CI's short form, through the driver's entry point: the
+# paper's mesh on the sharded plane with pacing on, five wall seconds;
+# then the simulator's grid at seed 1 for the full twenty — the only form
+# that checks bench/golden/sim_paper.seed1.json cell by cell, so a
+# changed scheduling decision fails here (≈ 20 s). A run's last line is
+# its verdict as JSON; fail unless it is correct with nothing failed (no
+# delivery valid past its bound, none twice, conservation holds, golden
+# ledger matched).
+GATED := mesh_paced:5 sim_paper:20
 bench-gate:
 	mkdir -p .bench_build
-	bash bench/run.sh --workload mesh_paced --seed 1 --seconds 5 --trace 0 | tee .bench_build/gate.out
-	tail -n 1 .bench_build/gate.out | grep -q '"correct":true'
-	tail -n 1 .bench_build/gate.out | grep -q '"failed":0[,}]'
+	set -e; for gated in $(GATED); do \
+		bash bench/run.sh --workload $${gated%:*} --seed 1 --seconds $${gated#*:} --trace 0 | tee .bench_build/gate.out; \
+		tail -n 1 .bench_build/gate.out | grep -q '"correct":true'; \
+		tail -n 1 .bench_build/gate.out | grep -q '"failed":0[,}]'; \
+	done
 
 # bench emits the perf-trajectory file for this PR: every benchmark at a
 # fixed, comparable iteration count, with allocation stats, as the JSON
@@ -62,7 +68,7 @@ bench-gate:
 #      log replay at restart, and the broker-side session-resume cycle
 #      (ring scan + deadline gate + frame assembly for a full ring).
 bench:
-	$(GO) test -json -run '^$$' -bench '^Benchmark(Figure|Ablation|Filter|Normal|Pick|Queue|Table|Routing|Topology|Dijkstra|Codec|Sim|Covers)' -benchmem -benchtime 100x . > BENCH_pr10.json
+	$(GO) test -json -run '^$$' -bench '^Benchmark(Figure|Ablation|Filter|Normal|Pick|Queue|Table|Layer|Routing|Topology|Dijkstra|Codec|Sim|Covers)' -benchmem -benchtime 100x . > BENCH_pr10.json
 	$(GO) test -json -run '^$$' -bench BenchmarkLiveThroughput -benchmem -benchtime 20000x . >> BENCH_pr10.json
 	$(GO) test -json -run '^$$' -bench '^BenchmarkIndexBuild$$' -benchmem -benchtime 1x . >> BENCH_pr10.json
 	$(GO) test -json -run '^$$' -bench '^BenchmarkChurn' -benchmem -benchtime 2s . >> BENCH_pr10.json

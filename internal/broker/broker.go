@@ -89,7 +89,6 @@ func New(cfg Config) (*Broker, error) {
 		b.seen.init()
 	}
 	b.proc.b = b
-	b.proc.subEpoch = make(map[msg.SubID]uint64)
 	return b, nil
 }
 
@@ -207,13 +206,49 @@ type Processor struct {
 	matchScratch filter.MatchScratch
 	grouper      routing.Grouper
 	res          Result
-	subEpoch     map[msg.SubID]uint64
+	seen         subStamps
 	epoch        uint64
 }
 
 // NewProcessor returns a Processor for concurrent use.
 func (b *Broker) NewProcessor() *Processor {
-	return &Processor{b: b, locked: true, subEpoch: make(map[msg.SubID]uint64)}
+	return &Processor{b: b, locked: true}
+}
+
+// denseSubs bounds the id-indexed stamp slice: subscription ids are
+// usually small and dense (populations number from zero); ids beyond it
+// (or negative) stamp a map instead of growing the slice without limit.
+const denseSubs = 1 << 12
+
+// subStamps is the within-message subscription dedup: an id is taken
+// when its stamp equals the processor's current epoch, so nothing is
+// cleared between messages.
+type subStamps struct {
+	dense  []uint64
+	sparse map[msg.SubID]uint64
+}
+
+// first stamps id with epoch and reports whether it was not yet stamped
+// with it.
+func (s *subStamps) first(id msg.SubID, epoch uint64) bool {
+	if id >= 0 && id < denseSubs {
+		if int(id) >= len(s.dense) {
+			s.dense = append(s.dense, make([]uint64, int(id)+1-len(s.dense))...)
+		}
+		if s.dense[id] == epoch {
+			return false
+		}
+		s.dense[id] = epoch
+		return true
+	}
+	if s.sparse[id] == epoch {
+		return false
+	}
+	if s.sparse == nil {
+		s.sparse = make(map[msg.SubID]uint64)
+	}
+	s.sparse[id] = epoch
+	return true
 }
 
 // Process handles one received message at the given time: deliver to
@@ -241,14 +276,11 @@ func (p *Processor) process(m *msg.Message, now vtime.Millis) Result {
 		}
 	}
 
-	if p.locked {
-		// Concurrent matchers share the table's counting index through a
-		// per-worker match scratch; table mutations (subscription floods)
-		// exclude them via the runtime's write lock.
-		p.matchBuf = b.table.MatchAppendWith(&p.matchScratch, m, p.matchBuf[:0])
-	} else {
-		p.matchBuf = b.table.MatchAppend(m, p.matchBuf[:0])
-	}
+	// Every processor matches through its own scratch, so concurrent ones
+	// share the table (and any counting index) without sharing mutable
+	// match state; table mutations (subscription floods) exclude them via
+	// the runtime's write lock.
+	p.matchBuf = b.table.MatchAppendWith(&p.matchScratch, m, p.matchBuf[:0])
 	matched := p.matchBuf
 	if len(matched) == 0 {
 		return *res
@@ -304,10 +336,9 @@ func (p *Processor) process(m *msg.Message, now vtime.Millis) Result {
 // through entry e (the subscription itself, or a group member folded
 // into it), once per message across multi-path duplicates.
 func (p *Processor) deliverLocal(m *msg.Message, e *routing.Entry, sub *msg.Subscription, now vtime.Millis, res *Result) {
-	if p.subEpoch[sub.ID] == p.epoch {
+	if !p.seen.first(sub.ID, p.epoch) {
 		return
 	}
-	p.subEpoch[sub.ID] = p.epoch
 	allowed, price := p.b.scenario.AllowedDelay(m, sub)
 	if e.Relaxed > allowed {
 		// Topology repair renegotiated this route's bound up to the
@@ -340,10 +371,9 @@ func (p *Processor) buildEntry(m *msg.Message, entries []*routing.Entry) *core.E
 	for _, re := range entries {
 		// Collapse multi-path duplicates of the same subscription within
 		// one next hop so EB does not double-count its benefit.
-		if p.subEpoch[re.Sub.ID] == p.epoch {
+		if !p.seen.first(re.Sub.ID, p.epoch) {
 			continue
 		}
-		p.subEpoch[re.Sub.ID] = p.epoch
 		allowed, price := b.scenario.AllowedDelay(m, re.Sub)
 		if re.Relaxed > allowed {
 			allowed = re.Relaxed

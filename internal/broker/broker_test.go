@@ -375,3 +375,29 @@ func TestProcessAggregatedMemberFanout(t *testing.T) {
 		t.Fatalf("deliveries after detach = %v, want 1 and 6 only", got)
 	}
 }
+
+// TestSubStampsDenseAndSparse: the within-message subscription dedup
+// answers the same for ids on the dense slice, past its limit and below
+// zero, across epochs, without clearing anything.
+func TestSubStampsDenseAndSparse(t *testing.T) {
+	var s subStamps
+	ids := []msg.SubID{0, 7, denseSubs - 1, denseSubs, denseSubs + 5, 1 << 30, -3}
+	for epoch := uint64(1); epoch <= 3; epoch++ {
+		for _, id := range ids {
+			if !s.first(id, epoch) {
+				t.Fatalf("epoch %d: id %d reported as already taken", epoch, id)
+			}
+		}
+		for _, id := range ids {
+			if s.first(id, epoch) {
+				t.Fatalf("epoch %d: id %d taken twice", epoch, id)
+			}
+		}
+	}
+	if len(s.dense) > denseSubs {
+		t.Fatalf("dense stamps grew to %d, limit %d", len(s.dense), denseSubs)
+	}
+	if len(s.sparse) != 4 {
+		t.Fatalf("sparse stamps hold %d ids, want the 4 outside [0, %d)", len(s.sparse), denseSubs)
+	}
+}

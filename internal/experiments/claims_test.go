@@ -210,7 +210,7 @@ func TestAblationLossShape(t *testing.T) {
 // on an uncongested pipeline where every on-time path is comfortably
 // feasible, so the ONLY way a delivery can run late is a retransmission
 // burning more slack than the path had to spare. The path-aware gate
-// (RetryPolicy.EffectiveDeadline: each retry must leave the downstream
+// (the hop-effective deadline of runtime.ResolveSend: each retry must leave the downstream
 // hops their SuccessTarget quantile) must then abandon some
 // retransmissions (DroppedDeadline > 0) and violate no bound at all
 // (LateDeliveries stays 0) — while blind retry on the identical adversary

@@ -142,6 +142,9 @@ func (n orNode) dnf() [][]Predicate {
 // models a wildcard subscription.
 type Filter struct {
 	root node
+	// prog is root lowered for table scans (program.go); set by
+	// newFilter, zero for wildcards and filters that do not qualify.
+	prog program
 }
 
 // Match reports whether the attributes satisfy the filter.
@@ -173,7 +176,7 @@ func (f *Filter) DNF() [][]Predicate {
 
 // NewPred builds a single-predicate filter.
 func NewPred(attr string, op Op, val Value) *Filter {
-	return &Filter{root: predNode{Predicate{Attr: attr, Op: op, Val: val}}}
+	return newFilter(predNode{Predicate{Attr: attr, Op: op, Val: val}})
 }
 
 // And combines filters conjunctively. Nil or wildcard operands are
@@ -210,7 +213,7 @@ func And(fs ...*Filter) *Filter {
 	case 0:
 		return &Filter{}
 	case 1:
-		return &Filter{root: kids[0]}
+		return newFilter(kids[0])
 	}
 	if flat {
 		preds := make([]Predicate, 0, nPreds)
@@ -222,9 +225,9 @@ func And(fs ...*Filter) *Filter {
 				preds = append(preds, k.preds...)
 			}
 		}
-		return &Filter{root: conjNode{preds: preds}}
+		return newFilter(conjNode{preds: preds})
 	}
-	return &Filter{root: andNode{kids: kids}}
+	return newFilter(andNode{kids: kids})
 }
 
 // Or combines filters disjunctively. A nil or wildcard operand makes the
@@ -245,9 +248,9 @@ func Or(fs ...*Filter) *Filter {
 	case 0:
 		return &Filter{}
 	case 1:
-		return &Filter{root: kids[0]}
+		return newFilter(kids[0])
 	}
-	return &Filter{root: orNode{kids: kids}}
+	return newFilter(orNode{kids: kids})
 }
 
 // Lt is shorthand for a numeric less-than predicate, the form the paper's

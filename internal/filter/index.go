@@ -541,6 +541,12 @@ type MatchScratch struct {
 
 	// visit bound once so Match passes a preallocated callback to Each.
 	visitor func(name string, v Value)
+
+	// The message resolved for program evaluation (program.go): numeric
+	// attributes by interned slot, stamped like everything else here.
+	attrs     []resolvedAttr
+	attrEpoch uint64
+	resolver  func(name string, v Value)
 }
 
 // Match returns the ids whose filters match the attributes, each at most

@@ -45,8 +45,7 @@ func ParseAppend(src string, preds []Predicate) (*Filter, []Predicate, error) {
 	if p.tok.kind != tokEOF {
 		return nil, p.preds, p.errorf("unexpected %q after expression", p.tok.text)
 	}
-	// A nil root is the canonical wildcard.
-	return &Filter{root: root}, p.preds, nil
+	return newFilter(root), p.preds, nil
 }
 
 type tokKind uint8

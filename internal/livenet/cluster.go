@@ -179,14 +179,7 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 			belief, _ := cfg.Overlay.Graph.Rate(arc[0], arc[1])
 			armLoss(arc[0], arc[1],
 				runtime.NewLossModel(cfg.Seed, i, *cfg.LinkLoss),
-				runtime.RetryPolicy{
-					Enabled:       !rel.NoRetry,
-					DeadlineAware: !rel.BlindRetry,
-					MaxAttempts:   rel.MaxAttempts,
-					SuccessTarget: rel.SuccessTarget,
-					Belief:        belief,
-					PD:            cfg.Params.PD,
-				})
+				runtime.NewRetryPolicy(rel, belief, cfg.Params.PD))
 		}
 	}
 	c := &Cluster{

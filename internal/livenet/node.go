@@ -1588,22 +1588,17 @@ func (n *Node) senderLoop(to msg.NodeID, pc *peerConn, wake chan struct{}, pacer
 				return
 			}
 		}
-		m := e.Data.(*msg.Message)
-		sizeKB := e.SizeKB
-		var dl vtime.Millis
 		if ls != nil {
-			dl = ls.rp.EffectiveDeadline(e.Targets, sizeKB)
-		}
-		e.Release()
-
-		if ls != nil {
-			ok := n.sendReliable(to, pc, &pacer, ls, m, sizeKB, dl)
+			ok := n.sendReliable(to, pc, &pacer, ls, e)
 			n.busySenders.Add(-1)
 			if !ok {
 				return
 			}
 			continue
 		}
+		m := e.Data.(*msg.Message)
+		sizeKB := e.SizeKB
+		e.Release()
 
 		// Pace the transfer to the sampled rate, measuring the wall time
 		// the transfer actually took — the live equivalent of the

@@ -240,11 +240,14 @@ func (n *Node) writeChain(pc *peerConn, ls *linkSender, seq, base uint64, m *msg
 // sendReliable plays one popped message — and, on a reorder decision, its
 // immediate queued successor — against the link adversary and realizes
 // the resolved chains on the wire: the classic plane's counterpart of the
-// simulator's kick. It reports false when the node stopped mid-pacing.
-func (n *Node) sendReliable(to msg.NodeID, pc *peerConn, pacer *Pacer, ls *linkSender, m *msg.Message, sizeKB float64, dl vtime.Millis) bool {
+// simulator's kick. It owns the popped entry (released once its chain is
+// resolved) and reports false when the node stopped mid-pacing.
+func (n *Node) sendReliable(to msg.NodeID, pc *peerConn, pacer *Pacer, ls *linkSender, e *core.Entry) bool {
 	now := n.clock.Now()
+	m, sizeKB := e.Data.(*msg.Message), e.SizeKB
 	seq := ls.next()
-	out := runtime.ResolveSend(ls.lm, ls.rp, seq, sizeKB, dl, now)
+	out := runtime.ResolveSend(ls.lm, ls.rp, seq, sizeKB, e.Targets, now)
+	e.Release()
 
 	// Reorder: the delivered head swaps behind its immediate successor
 	// when one is queued — the simulator's pair granularity.
@@ -262,10 +265,9 @@ func (n *Node) sendReliable(to msg.NodeID, pc *peerConn, pacer *Pacer, ls *linkS
 		if e2 != nil {
 			m2 = e2.Data.(*msg.Message)
 			size2 = e2.SizeKB
-			dl2 := ls.rp.EffectiveDeadline(e2.Targets, size2)
-			e2.Release()
 			seq2 = ls.next()
-			out2 = runtime.ResolveSend(ls.lm, ls.rp, seq2, size2, dl2, now)
+			out2 = runtime.ResolveSend(ls.lm, ls.rp, seq2, size2, e2.Targets, now)
+			e2.Release()
 		}
 	}
 
@@ -334,7 +336,7 @@ type wireMeta struct {
 // and that successor is not reordered in turn.
 func (ls *linkSender) resolve(e *core.Entry, pacer *Pacer, now vtime.Millis) (tx, kb float64, swap bool) {
 	seq := ls.next()
-	out := runtime.ResolveSend(ls.lm, ls.rp, seq, e.SizeKB, ls.rp.EffectiveDeadline(e.Targets, e.SizeKB), now)
+	out := runtime.ResolveSend(ls.lm, ls.rp, seq, e.SizeKB, e.Targets, now)
 	successor := len(ls.chains) > 0 && ls.chains[len(ls.chains)-1].swap
 	swap = !successor && out.Deliver && ls.lm.Swap(seq, now)
 	ls.chains = append(ls.chains, burstChain{m: e.Data.(*msg.Message), seq: seq, out: out, swap: swap})

@@ -42,8 +42,9 @@ func Build(ov *topology.Overlay, subs []*msg.Subscription, opts Options) (map[ms
 		}
 	}
 
-	tables := make(map[msg.NodeID]*Table, ov.Graph.N())
-	for id := 0; id < ov.Graph.N(); id++ {
+	nodes := ov.Graph.N()
+	tables := make(map[msg.NodeID]*Table, nodes)
+	for id := 0; id < nodes; id++ {
 		tables[msg.NodeID(id)] = NewTable(msg.NodeID(id))
 	}
 
@@ -57,32 +58,141 @@ func Build(ov *topology.Overlay, subs []*msg.Subscription, opts Options) (map[ms
 		k = 1
 	}
 
-	for _, src := range ov.Ingress {
+	// Subscriptions attached to one edge broker share their delivery paths
+	// and residual rates: route every (ingress, edge) pair once, counting
+	// what each table will receive — entries per ingress, distinct
+	// subscriptions, entries per subscription of an edge.
+	perEdge := make(map[msg.NodeID]int, len(ov.Edges))
+	for _, sub := range subs {
+		if !edgeSet[sub.Edge] {
+			return nil, fmt.Errorf("routing: subscription %d attaches to non-edge broker %d", sub.ID, sub.Edge)
+		}
+		perEdge[sub.Edge]++
+	}
+	routes := make([][][]route, len(ov.Ingress))    // [ingress index][edge id]
+	perSource := make([]int, nodes*len(ov.Ingress)) // [broker id][ingress index] → entries
+	subsAt := make([]int, nodes)
+	refCap := make(map[[2]msg.NodeID]int) // (broker, edge) → entries per subscription
+	var parts []stats.Normal
+	for si, src := range ov.Ingress {
+		routes[si] = make([][]route, nodes)
 		// One Dijkstra per ingress covers all single-path routes.
-		dist, prev := ov.Graph.ShortestPaths(src)
+		var dist []float64
+		var prev []msg.NodeID
+		if k == 1 {
+			dist, prev = ov.Graph.ShortestPaths(src)
+		}
 		for _, sub := range subs {
-			if !edgeSet[sub.Edge] {
-				return nil, fmt.Errorf("routing: subscription %d attaches to non-edge broker %d", sub.ID, sub.Edge)
+			edge := sub.Edge
+			if routes[si][edge] != nil {
+				continue
 			}
 			var paths [][]msg.NodeID
-			if k == 1 {
-				p, ok := pathVia(dist, prev, src, sub.Edge)
-				if !ok {
-					return nil, fmt.Errorf("routing: no path %d->%d for subscription %d", src, sub.Edge, sub.ID)
-				}
+			if k > 1 {
+				paths = ov.Graph.KShortestPaths(src, edge, k)
+			} else if p, ok := pathVia(dist, prev, src, edge); ok {
 				paths = [][]msg.NodeID{p}
-			} else {
-				paths = ov.Graph.KShortestPaths(src, sub.Edge, k)
-				if len(paths) == 0 {
-					return nil, fmt.Errorf("routing: no path %d->%d for subscription %d", src, sub.Edge, sub.ID)
+			}
+			if len(paths) == 0 {
+				return nil, fmt.Errorf("routing: no path %d->%d for subscription %d", src, edge, sub.ID)
+			}
+			rs := make([]route, len(paths))
+			for i, path := range paths {
+				rs[i], parts = newRoute(path, rates, parts)
+				for _, at := range path {
+					perSource[int(at)*len(ov.Ingress)+si] += perEdge[edge]
+					key := [2]msg.NodeID{at, edge}
+					if refCap[key] == 0 {
+						subsAt[at] += perEdge[edge]
+					}
+					refCap[key]++
 				}
 			}
-			for pathID, path := range paths {
-				installPath(tables, path, sub, src, pathID, rates)
+			routes[si][edge] = rs
+		}
+	}
+	for si := range routes {
+		for edge, rs := range routes[si] {
+			for _, r := range rs {
+				for i, at := range r.path {
+					r.refs[i] = refCap[[2]msg.NodeID{at, msg.NodeID(edge)}]
+				}
+			}
+		}
+	}
+
+	// Install in the historical Add order (ingress, subscription, path,
+	// position) into tables sized by the counts: a table's entries are
+	// carved from one slab (contiguous in scan order per ingress), its
+	// back-references from another, and no list grows.
+	slabs := make([]tableSlab, nodes)
+	for at := range slabs {
+		counts := perSource[at*len(ov.Ingress) : (at+1)*len(ov.Ingress)]
+		total := 0
+		for _, c := range counts {
+			total += c
+		}
+		if total == 0 {
+			continue
+		}
+		slabs[at] = tableSlab{entries: make([]Entry, 0, total), refs: make([]entryRef, 0, total)}
+		t := tables[msg.NodeID(at)]
+		t.bySub = make(map[msg.SubID][]entryRef, subsAt[at])
+		for si, c := range counts {
+			if c > 0 {
+				t.bySource[ov.Ingress[si]] = &sourceState{entries: make([]*Entry, 0, c)}
+			}
+		}
+	}
+	for si, src := range ov.Ingress {
+		for _, sub := range subs {
+			for pathID, r := range routes[si][sub.Edge] {
+				for i, at := range r.path {
+					slab := &slabs[at]
+					slab.entries = append(slab.entries, Entry{})
+					e := &slab.entries[len(slab.entries)-1]
+					e.set(r.path, i, sub, src, pathID, r.rate[i])
+					tables[at].add(e, slab, r.refs[i])
+				}
 			}
 		}
 	}
 	return tables, nil
+}
+
+// route is one delivery path of a bulk build, with what the table at
+// each position needs to know: rate[i] is the believed rate of the
+// residual path path[i..end], refs[i] the number of entries one
+// subscription of the path's edge holds in that table (over all
+// ingresses and paths).
+type route struct {
+	path []msg.NodeID
+	rate []stats.Normal
+	refs []int
+}
+
+// newRoute computes a path's residual rates through the caller's link
+// scratch (returned grown). Each position sums its own suffix of links
+// front to back — SumNormal's order, the one EntryAt uses: a running
+// suffix sum would round differently.
+func newRoute(path []msg.NodeID, rates RateFunc, parts []stats.Normal) (route, []stats.Normal) {
+	parts = parts[:0]
+	for j := 0; j+1 < len(path); j++ {
+		parts = append(parts, rates(path[j], path[j+1]))
+	}
+	r := route{path: path, rate: make([]stats.Normal, len(path)), refs: make([]int, len(path))}
+	for i := range parts {
+		r.rate[i] = stats.SumNormal(parts[i:]...)
+	}
+	return r, parts
+}
+
+// tableSlab is one table's exact-size backing store during a bulk build
+// (see Build): the entries themselves, and the back-reference slots of
+// all its subscriptions.
+type tableSlab struct {
+	entries []Entry
+	refs    []entryRef
 }
 
 // Installer installs subscriptions into a table set after the bulk
@@ -265,20 +375,23 @@ func installPath(tables map[msg.NodeID]*Table, path []msg.NodeID, sub *msg.Subsc
 // distributions. Static table builds and the live overlay's dynamic
 // subscription floods share this one definition.
 func EntryAt(path []msg.NodeID, i int, sub *msg.Subscription, src msg.NodeID, pathID int, rates RateFunc) *Entry {
-	l := len(path)
-	e := &Entry{Sub: sub, Source: src, PathID: pathID}
-	if i == l-1 {
-		e.Next = msg.None
-		e.Hops = 0
-		e.Rate = stats.Normal{}
-	} else {
-		e.Next = path[i+1]
-		e.Hops = l - 1 - i
-		parts := make([]stats.Normal, 0, l-1-i)
-		for j := i; j < l-1; j++ {
-			parts = append(parts, rates(path[j], path[j+1]))
-		}
-		e.Rate = stats.SumNormal(parts...)
+	// Paths are a few hops: the links' distributions fit the stack.
+	var buf [16]stats.Normal
+	parts := buf[:0]
+	for j := i; j+1 < len(path); j++ {
+		parts = append(parts, rates(path[j], path[j+1]))
 	}
+	e := new(Entry)
+	e.set(path, i, sub, src, pathID, stats.SumNormal(parts...))
 	return e
+}
+
+// set fills the entry for position i of a delivery path whose residual
+// path path[i..end] has the given believed rate (zero at the edge).
+func (e *Entry) set(path []msg.NodeID, i int, sub *msg.Subscription, src msg.NodeID, pathID int, rate stats.Normal) {
+	*e = Entry{Sub: sub, Source: src, Next: msg.None, PathID: pathID, Rate: rate}
+	if last := len(path) - 1; i < last {
+		e.Next = path[i+1]
+		e.Hops = last - i
+	}
 }

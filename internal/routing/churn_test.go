@@ -169,11 +169,20 @@ func TestInstallRemoveSubAll(t *testing.T) {
 // under -race: matchers holding the read lock (each with private
 // scratch, as sharded live workers do) run concurrently with a mutator
 // that takes the write lock to churn subscriptions. Every match must
-// return a consistent result for the population it observed.
+// return a consistent result for the population it observed — through
+// the counting index, and through the program scan of a table without
+// one (what plan-deployed live brokers run on their shard workers).
 func TestMatchAppendWithConcurrentMutation(t *testing.T) {
+	t.Run("indexed", func(t *testing.T) { matchDuringMutation(t, true) })
+	t.Run("scan", func(t *testing.T) { matchDuringMutation(t, false) })
+}
+
+func matchDuringMutation(t *testing.T, indexed bool) {
 	var mu sync.RWMutex
 	tb := NewTable(0)
-	tb.EnableIndex()
+	if indexed {
+		tb.EnableIndex()
+	}
 	// Static population that must always match.
 	static := churnSub(0, 5, "A1 < 100")
 	tb.Add(&Entry{Sub: static, Source: 0, Next: 5})
@@ -213,7 +222,13 @@ func TestMatchAppendWithConcurrentMutation(t *testing.T) {
 	// Mutator: churn 5000 subscribe/unsubscribe pairs through the table.
 	for i := 0; i < 5000; i++ {
 		id := msg.SubID(1 + i%37)
-		s := churnSub(id, 5, fmt.Sprintf("A1 < %d", i%100))
+		src := fmt.Sprintf("A1 < %d", i%100)
+		if i%500 == 0 {
+			// A filter on a never-seen attribute: its name is interned
+			// while the matchers resolve messages against the same table.
+			src = fmt.Sprintf("A1 < %d && fresh%d_%v >= 0", i%100, i, indexed)
+		}
+		s := churnSub(id, 5, src)
 		mu.Lock()
 		if tb.RemoveSub(id) == 0 {
 			tb.Add(&Entry{Sub: s, Source: 0, Next: 5})

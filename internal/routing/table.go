@@ -109,6 +109,10 @@ type Table struct {
 	// indexed is set by EnableIndex: every source keeps a counting index
 	// that mutations update incrementally.
 	indexed bool
+
+	// scratch backs the serial MatchAppend entry point; allocated on first
+	// use, since brokers match through their own.
+	scratch *filter.MatchScratch
 }
 
 // sourceState is one ingress's entry list. Slots are positional — the
@@ -141,7 +145,12 @@ func (t *Table) Broker() msg.NodeID { return t.broker }
 
 // Add installs an entry, updating the source's counting index in place
 // when one is enabled (amortized sublinear; see filter.Index.Add).
-func (t *Table) Add(e *Entry) {
+func (t *Table) Add(e *Entry) { t.add(e, nil, 0) }
+
+// add is Add; a bulk build that counted first (Build) passes the table's
+// slab, and a subscription's first entry here then takes its refCap
+// back-reference slots from it instead of growing a slice of its own.
+func (t *Table) add(e *Entry, slab *tableSlab, refCap int) {
 	st := t.bySource[e.Source]
 	if st == nil {
 		st = &sourceState{}
@@ -154,7 +163,13 @@ func (t *Table) Add(e *Entry) {
 	st.entries = append(st.entries, e)
 	st.live++
 	t.size++
-	t.bySub[e.Sub.ID] = append(t.bySub[e.Sub.ID], entryRef{src: e.Source, pos: pos})
+	refs := t.bySub[e.Sub.ID]
+	if refs == nil && slab != nil {
+		n := len(slab.refs)
+		slab.refs = slab.refs[:n+refCap]
+		refs = slab.refs[n : n : n+refCap]
+	}
+	t.bySub[e.Sub.ID] = append(refs, entryRef{src: e.Source, pos: pos})
 	if st.ix != nil {
 		st.ix.Add(pos, e.Sub.Filter)
 	}
@@ -289,24 +304,21 @@ func (t *Table) Match(m *msg.Message) []*Entry { return t.MatchAppend(m, nil) }
 // scratch buffer matches without allocating. The attribute set is passed
 // by pointer throughout to avoid boxing it into an interface per filter
 // evaluation — the dominant allocation of the pre-optimization broker.
-// It requires exclusive use of the table (the index-owned match scratch);
-// concurrent matchers use MatchAppendWith.
+// It requires exclusive use of the table (it matches through the
+// table-owned scratch); concurrent matchers use MatchAppendWith.
 func (t *Table) MatchAppend(m *msg.Message, buf []*Entry) []*Entry {
-	st := t.bySource[m.Ingress]
-	if st == nil {
-		return buf
+	if t.scratch == nil {
+		t.scratch = new(filter.MatchScratch)
 	}
-	if st.ix != nil {
-		return appendIndexed(st, st.ix.Match(&m.Attrs), buf)
-	}
-	return appendLinear(st, m, buf)
+	return t.MatchAppendWith(t.scratch, m, buf)
 }
 
 // MatchAppendWith is MatchAppend through a caller-owned match scratch:
 // any number of matchers may run concurrently against one table — the
 // sharded live plane runs one per ingress worker under the node's read
-// lock — as long as mutations hold the write lock. Falls back to the
-// linear scan when the index is off.
+// lock — as long as mutations hold the write lock. With the index off it
+// scans the source's entries, which touches only the scratch and
+// immutable entry state.
 func (t *Table) MatchAppendWith(s *filter.MatchScratch, m *msg.Message, buf []*Entry) []*Entry {
 	st := t.bySource[m.Ingress]
 	if st == nil {
@@ -315,7 +327,7 @@ func (t *Table) MatchAppendWith(s *filter.MatchScratch, m *msg.Message, buf []*E
 	if st.ix != nil {
 		return appendIndexed(st, st.ix.MatchWith(s, &m.Attrs), buf)
 	}
-	return appendLinear(st, m, buf)
+	return appendLinear(st, s, m, buf)
 }
 
 // appendIndexed resolves index positions to entries in first-add order.
@@ -331,24 +343,19 @@ func appendIndexed(st *sourceState, ids []int32, buf []*Entry) []*Entry {
 	return buf
 }
 
-func appendLinear(st *sourceState, m *msg.Message, buf []*Entry) []*Entry {
+// appendLinear scans one source's entries in slot order: the message's
+// attributes are resolved into the scratch once, then every entry's
+// filter evaluates its program against them (filter.MatchResolved; the
+// program belongs to the subscription's filter, shared by all its
+// entries).
+func appendLinear(st *sourceState, s *filter.MatchScratch, m *msg.Message, buf []*Entry) []*Entry {
+	s.Resolve(&m.Attrs)
 	for _, e := range st.entries {
-		if e != nil && e.Sub.Filter.Match(&m.Attrs) {
+		if e != nil && e.Sub.Filter.MatchResolved(s, &m.Attrs) {
 			buf = append(buf, e)
 		}
 	}
 	return buf
-}
-
-// MatchAppendLinear is MatchAppend restricted to the stateless linear
-// scan, which touches only immutable entry state. Retained for
-// baselines and benchmarks; the concurrent fast path is MatchAppendWith.
-func (t *Table) MatchAppendLinear(m *msg.Message, buf []*Entry) []*Entry {
-	st := t.bySource[m.Ingress]
-	if st == nil {
-		return buf
-	}
-	return appendLinear(st, m, buf)
 }
 
 // Entries returns all live entries for an ingress, for tests and

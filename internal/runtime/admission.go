@@ -4,7 +4,9 @@ import (
 	"math"
 	"sort"
 
+	"bdps/internal/filter"
 	"bdps/internal/msg"
+	"bdps/internal/routing"
 	"bdps/internal/stats"
 	"bdps/internal/vtime"
 	"bdps/internal/workload"
@@ -104,6 +106,9 @@ type admission struct {
 	// work, so each publication's fan of transmissions is spread over
 	// this many concurrent servers.
 	parallel float64
+	// scratch and matched are the sweep's reusable match state.
+	scratch filter.MatchScratch
+	matched []*routing.Entry
 }
 
 // newAdmission characterizes every ingress: a BFS over the overlay from
@@ -229,13 +234,17 @@ func (a *admission) decide(m *msg.Message) bool {
 	// link-seconds of work, not one.
 	fan := 1
 	if tbl := a.p.Tables[m.Ingress]; tbl != nil {
-		if n := len(tbl.Match(m)); n > fan {
+		a.matched = tbl.MatchAppendWith(&a.scratch, m, a.matched[:0])
+		if n := len(a.matched); n > fan {
 			fan = n
 		}
 	}
-	for _, sub := range a.active {
-		if sub.Filter.Match(&m.Attrs) {
-			fan++
+	if len(a.active) > 0 {
+		a.scratch.Resolve(&m.Attrs)
+		for _, sub := range a.active {
+			if sub.Filter.MatchResolved(&a.scratch, &m.Attrs) {
+				fan++
+			}
 		}
 	}
 	// Each matched flow travels ~worst.links hops, so the aggregate

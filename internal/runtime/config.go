@@ -97,8 +97,17 @@ type Config struct {
 	// fairness in the Result). Costs one map update per delivery.
 	PerSubscriber bool
 
-	// IndexedMatch builds the counting-index fast path on every broker's
-	// subscription table. Semantically identical to the linear scan.
+	// IndexedMatch builds the counting index on every broker's
+	// subscription table. Semantically identical to the table scan. It is
+	// not a speed switch at the paper's scale: on the 160-entry tables of
+	// sim_paper (bench/, seed 1, measured before the scan evaluated filter
+	// programs) the index left msgs_per_s flat (22.9 k vs 22.6 k) and cost
+	// setup_s 17 → 57 ms, allocs_per_msg 28 → 58 and state_heap_mb 0.65 →
+	// 1.26; since then the scan itself is ~2.5× faster than it was
+	// (BenchmarkLayer/scan-160 vs BenchmarkTableMatchIndexed). What the
+	// index buys is sublinear matching on tables of thousands of entries
+	// and incremental upkeep under subscription churn — the live overlay's
+	// content populations (fanout_match), not the simulator's grid.
 	IndexedMatch bool
 
 	// Aggregate enables covering-based subscription aggregation: a

@@ -98,7 +98,8 @@ func (lm *LossModel) Swap(seq uint64, now vtime.Millis) bool {
 
 // RetryPolicy is the retransmission policy one link's sender applies,
 // derived from Config.Reliability plus the link's rate belief — the same
-// inputs on both backends.
+// inputs on both backends. Build deadline-aware policies with
+// NewRetryPolicy, which also fixes the quantile their deadlines use.
 type RetryPolicy struct {
 	// Enabled: retransmit at all (false = the loss-no-retry arm).
 	Enabled bool
@@ -113,11 +114,31 @@ type RetryPolicy struct {
 	Belief stats.Normal
 	// PD is the per-hop processing delay the admission math charges.
 	PD vtime.Millis
+
+	// z is Φ⁻¹(SuccessTarget), the standard quantile effectiveDeadline
+	// scales every downstream sigma by; NewRetryPolicy computes it once
+	// per link instead of once per target per frame.
+	z float64
+}
+
+// NewRetryPolicy derives one link's retransmission policy from a
+// (defaulted) reliability config, the link's rate belief and the per-hop
+// processing delay.
+func NewRetryPolicy(rel Reliability, belief stats.Normal, pd vtime.Millis) RetryPolicy {
+	return RetryPolicy{
+		Enabled:       !rel.NoRetry,
+		DeadlineAware: !rel.BlindRetry,
+		MaxAttempts:   rel.MaxAttempts,
+		SuccessTarget: rel.SuccessTarget,
+		Belief:        belief,
+		PD:            pd,
+		z:             stats.StdNormalQuantile(rel.SuccessTarget),
+	}
 }
 
 // Admit decides whether transmission number `attempt` (0-based; ≥ 1 means
 // a retransmission) may be scheduled for a frame of sizeKB due at
-// `deadline` — the hop-effective deadline from EffectiveDeadline, not the
+// `deadline` — the hop-effective deadline from effectiveDeadline, not the
 // raw end-to-end one. Deadline-aware mode replays the paper's admission
 // CDF (renegotiateBound with a single link and no relaxation): after
 // charging the transmissions already spent at this link's expected rate,
@@ -139,7 +160,7 @@ func (rp RetryPolicy) Admit(attempt int, sizeKB float64, deadline, now vtime.Mil
 	return verdict == boundKept
 }
 
-// EffectiveDeadline tightens a frame's end-to-end deadlines into the
+// effectiveDeadline tightens a frame's end-to-end deadlines into the
 // latest instant at which THIS hop's transfer may complete while some
 // target remains worth serving: per target, the residual path beyond this
 // link — estimated by peeling the link's own belief out of the target's
@@ -150,18 +171,21 @@ func (rp RetryPolicy) Admit(attempt int, sizeKB float64, deadline, now vtime.Mil
 // worth scheduling while any subscriber can still be reached in time.
 // Gating retries on this hop-effective deadline is what keeps an admitted
 // retry from stranding the message one hop later: slack the downstream
-// path needs is never spent re-sending here.
-func (rp RetryPolicy) EffectiveDeadline(targets []core.Target, sizeKB float64) vtime.Millis {
+// path needs is never spent re-sending here. ResolveSend is the one
+// caller: the value only matters once a transmission has been lost.
+func (rp RetryPolicy) effectiveDeadline(targets []core.Target, sizeKB float64) vtime.Millis {
 	if !rp.DeadlineAware || len(targets) == 0 {
 		return vtime.Inf
 	}
 	best := math.Inf(-1)
 	for _, t := range targets {
-		down := stats.Normal{
-			Mean:  math.Max(0, t.Rate.Mean-rp.Belief.Mean),
-			Sigma: math.Sqrt(math.Max(0, t.Rate.Sigma*t.Rate.Sigma-rp.Belief.Sigma*rp.Belief.Sigma)),
+		// The downstream path's SuccessTarget quantile, Mean + Sigma·z
+		// (a deterministic path, Sigma 0, is its mean whatever z is).
+		q := math.Max(0, t.Rate.Mean-rp.Belief.Mean)
+		if sigma := math.Sqrt(math.Max(0, t.Rate.Sigma*t.Rate.Sigma-rp.Belief.Sigma*rp.Belief.Sigma)); sigma != 0 {
+			q += sigma * rp.z
 		}
-		need := float64(t.Hops-1)*float64(rp.PD) + sizeKB*down.Quantile(rp.SuccessTarget)
+		need := float64(t.Hops-1)*float64(rp.PD) + sizeKB*q
 		if need < 0 {
 			need = 0
 		}
@@ -194,23 +218,31 @@ type SendOutcome struct {
 // adversary: transmit, and on a loss retransmit immediately if the policy
 // admits it, else abandon. Both backends call this with identical
 // arguments, which is what makes the loss counters agree exactly.
+// targets are the popped entry's (still owned by the caller: resolve
+// before releasing it); the hop-effective deadline that gates
+// retransmissions is derived from them at the frame's first loss, so a
+// clean link — or a frame the adversary spares — never pays for it.
 //
 // The caller charges link time for Attempts transmissions (+1 when Dup),
 // drawing rate samples in that order from the link's stream, and accounts
 // Losses as FrameLost, Retransmits as Retransmit, and an abandoned frame
 // as DroppedDeadline.
-func ResolveSend(lm *LossModel, rp RetryPolicy, seq uint64, sizeKB float64, deadline, now vtime.Millis) SendOutcome {
+func ResolveSend(lm *LossModel, rp RetryPolicy, seq uint64, sizeKB float64, targets []core.Target, now vtime.Millis) SendOutcome {
 	out := SendOutcome{}
 	if lm == nil {
 		out.Attempts, out.Deliver = 1, true
 		return out
 	}
+	var deadline vtime.Millis
 	for attempt := 0; ; attempt++ {
 		out.Attempts++
 		if !lm.Lose(seq, attempt, now) {
 			out.Deliver = true
 			out.Dup = lm.Duplicate(seq, now)
 			return out
+		}
+		if out.Losses == 0 {
+			deadline = rp.effectiveDeadline(targets, sizeKB)
 		}
 		out.Losses++
 		if !rp.Admit(attempt+1, sizeKB, deadline, now) {
@@ -325,13 +357,5 @@ func (p *Plan) LossModel(l Link) *LossModel {
 // RetryPolicy derives one link's retransmission policy from the run's
 // reliability config and the link's rate belief.
 func (p *Plan) RetryPolicy(l Link) RetryPolicy {
-	rel := p.Cfg.Reliability
-	return RetryPolicy{
-		Enabled:       !rel.NoRetry,
-		DeadlineAware: !rel.BlindRetry,
-		MaxAttempts:   rel.MaxAttempts,
-		SuccessTarget: rel.SuccessTarget,
-		Belief:        p.Beliefs(l.From, l.To),
-		PD:            p.Cfg.Params.PD,
-	}
+	return NewRetryPolicy(p.Cfg.Reliability, p.Beliefs(l.From, l.To), p.Cfg.Params.PD)
 }

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"bdps/internal/broker"
+	"bdps/internal/filter"
 	"bdps/internal/metrics"
 	"bdps/internal/msg"
 	"bdps/internal/routing"
@@ -445,9 +446,10 @@ func (p *Plan) LinkStream(l Link) *stats.Stream {
 // pub/sub system has; publish-time accounting is the deterministic
 // ground truth both backends share.)
 func (p *Plan) AccountPublications() {
+	var scratch filter.MatchScratch
 	if len(p.SubEvents) == 0 {
 		for _, m := range p.Pubs {
-			p.accountOne(m, nil)
+			p.accountOne(&scratch, m, nil)
 		}
 		return
 	}
@@ -467,31 +469,33 @@ func (p *Plan) AccountPublications() {
 			}
 			ei++
 		}
-		p.accountOne(m, active)
+		p.accountOne(&scratch, m, active)
 	}
 }
 
 // accountOne records one publication's interested count over the static
-// population plus the currently active churn subscribers.
-func (p *Plan) accountOne(m *msg.Message, churners map[msg.SubID]*msg.Subscription) {
+// population plus the currently active churn subscribers, through the
+// sweep's match scratch.
+func (p *Plan) accountOne(scratch *filter.MatchScratch, m *msg.Message, churners map[msg.SubID]*msg.Subscription) {
 	if p.Cfg.PerSubscriber {
+		scratch.Resolve(&m.Attrs)
 		var interested []int32
 		for _, s := range p.Subs {
-			if s.Filter.Match(&m.Attrs) {
+			if s.Filter.MatchResolved(scratch, &m.Attrs) {
 				interested = append(interested, int32(s.ID))
 			}
 		}
 		for _, s := range churners {
-			if s.Filter.Match(&m.Attrs) {
+			if s.Filter.MatchResolved(scratch, &m.Attrs) {
 				interested = append(interested, int32(s.ID))
 			}
 		}
 		p.Metrics.PublishedToAt(interested, m.Published)
 		return
 	}
-	n := workload.Interested(p.Subs, m)
+	n := workload.Interested(scratch, p.Subs, m) // leaves m resolved in scratch
 	for _, s := range churners {
-		if s.Filter.Match(&m.Attrs) {
+		if s.Filter.MatchResolved(scratch, &m.Attrs) {
 			n++
 		}
 	}

@@ -12,6 +12,7 @@
 package simnet
 
 import (
+	"slices"
 	"sync"
 
 	"bdps/internal/broker"
@@ -138,15 +139,20 @@ func (s *simSession) record(published, allowed vtime.Millis) {
 // use Run; tests use New + Engine for finer control. It implements
 // runtime.Deployment.
 type Network struct {
-	Engine    *sim.Engine
-	Overlay   *topology.Overlay
-	Brokers   map[msg.NodeID]*broker.Broker
+	Engine  *sim.Engine
+	Overlay *topology.Overlay
+	// Brokers is indexed by broker id, like every per-broker slice below:
+	// a plan's brokers are the overlay graph's nodes 0..N-1, and the
+	// per-reception path reads these on every event.
+	Brokers   []*broker.Broker
 	Collector *metrics.Collector
 
-	cfg    Config
-	subs   []*msg.Subscription
-	links  map[msg.NodeID]map[msg.NodeID]*link
-	dead   map[msg.NodeID]bool
+	cfg  Config
+	subs []*msg.Subscription
+	// links[from] lists the links leaving one broker (a handful: the
+	// node's degree), searched by far end.
+	links  [][]*link
+	dead   []bool
 	tracer trace.Tracer
 
 	// Crash-restart durability: the plan (whose broker/table maps a
@@ -155,7 +161,7 @@ type Network struct {
 	// broker's WAL, and the suspended subscriber sessions.
 	p        *runtime.Plan
 	det      *runtime.FailureDetector
-	epochs   map[msg.NodeID]uint32
+	epochs   []uint32
 	walSnaps map[msg.NodeID][]durable.Entry
 	sessions map[msg.SubID]*simSession
 }
@@ -164,23 +170,27 @@ type Network struct {
 // samplers and streams, the plan's brokers, and the fault schedule as
 // timed events.
 func deploy(p *runtime.Plan) (*Network, error) {
+	nodes := p.Overlay.Graph.N()
 	n := &Network{
 		Engine:    sim.New(),
 		Overlay:   p.Overlay,
-		Brokers:   p.Brokers,
+		Brokers:   make([]*broker.Broker, nodes),
 		Collector: p.Metrics,
 		cfg:       p.Cfg,
 		subs:      p.Subs,
-		links:     make(map[msg.NodeID]map[msg.NodeID]*link),
-		dead:      make(map[msg.NodeID]bool),
+		links:     make([][]*link, nodes),
+		dead:      make([]bool, nodes),
 		tracer:    p.Cfg.Tracer,
 		p:         p,
-		epochs:    make(map[msg.NodeID]uint32),
+		epochs:    make([]uint32, nodes),
 		walSnaps:  make(map[msg.NodeID][]durable.Entry),
 		sessions:  make(map[msg.SubID]*simSession),
 	}
 	if n.tracer == nil {
 		n.tracer = trace.Nop{}
+	}
+	for id, b := range p.Brokers {
+		n.Brokers[id] = b
 	}
 	for _, pl := range p.Links {
 		l := &link{
@@ -193,10 +203,7 @@ func deploy(p *runtime.Plan) (*Network, error) {
 			recv:    runtime.NewRecvState(p.Cfg.Reliability.Window),
 		}
 		l.onDone = func() { n.linkDone(l) }
-		if n.links[pl.From] == nil {
-			n.links[pl.From] = make(map[msg.NodeID]*link)
-		}
-		n.links[pl.From][pl.To] = l
+		n.links[pl.From] = append(n.links[pl.From], l)
 	}
 
 	// Subscription churn becomes timed events mutating the routing
@@ -268,7 +275,7 @@ func deploy(p *runtime.Plan) (*Network, error) {
 	for _, f := range p.Cfg.Faults {
 		switch f := f.(type) {
 		case LinkDown:
-			l := n.links[f.From][f.To]
+			l := n.link(f.From, f.To)
 			n.Engine.At(f.Start, func() { l.down = true })
 			n.Engine.At(f.End, func() {
 				l.down = false
@@ -320,7 +327,7 @@ func deploy(p *runtime.Plan) (*Network, error) {
 // links themselves — exactly the watermarks a live WAL restores, so
 // neighbor dedup state never mistakes a post-restart frame for a replay.
 func (n *Network) restartBroker(id msg.NodeID) {
-	delete(n.dead, id)
+	n.dead[id] = false
 	n.epochs[id]++
 	subs, err := n.p.RestartBroker(id, n.walSnaps[id])
 	if err != nil {
@@ -330,12 +337,15 @@ func (n *Network) restartBroker(id msg.NodeID) {
 		n.dead[id] = true
 		return
 	}
+	n.Brokers[id] = n.p.Brokers[id]
 	if subs > 0 {
 		n.Collector.SubReplayed(subs)
 	}
-	for _, lm := range n.links {
-		if l, ok := lm[id]; ok {
-			l.recv = runtime.NewRecvState(n.cfg.Reliability.Window)
+	for _, out := range n.links {
+		for _, l := range out {
+			if l.to == id {
+				l.recv = runtime.NewRecvState(n.cfg.Reliability.Window)
+			}
 		}
 	}
 	if n.det != nil {
@@ -525,23 +535,38 @@ func (n *Network) process(m *msg.Message, at msg.NodeID) {
 	}
 }
 
+// link returns the directed link between two brokers, or nil.
+func (n *Network) link(from, to msg.NodeID) *link {
+	for _, l := range n.links[from] {
+		if l.to == to {
+			return l
+		}
+	}
+	return nil
+}
+
 // kick starts a transmission on the (from → to) link if it is idle, up,
 // and work is queued. Each completion re-kicks, draining the queue.
-//
-// One kick plays one transfer against the link's loss adversary: the
-// head frame's whole send chain (losses retried head-of-line, each
-// attempt charging link time again) plus, on a reorder decision, the
-// next queued frame swapped in front of it. Only surviving frames travel;
-// lost attempts consume time and nothing else — exactly what the live
-// shim does with mangled FrameDataDrop writes.
 func (n *Network) kick(from, to msg.NodeID) {
-	l := n.links[from][to]
-	if l == nil || l.busy || l.down || n.dead[from] {
+	if l := n.link(from, to); l != nil {
+		n.send(l)
+	}
+}
+
+// send plays one transfer against the link's loss adversary: the head
+// frame's whole send chain (losses retried head-of-line, each attempt
+// charging link time again) plus, on a reorder decision, the next queued
+// frame swapped in front of it. Only surviving frames travel; lost
+// attempts consume time and nothing else — exactly what the live shim
+// does with mangled FrameDataDrop writes.
+func (n *Network) send(l *link) {
+	from, to := l.from, l.to
+	if l.busy || l.down || n.dead[from] {
 		return
 	}
 	b := n.Brokers[from]
 	now := n.Engine.Now()
-	pop := func() (*msg.Message, float64, vtime.Millis, bool) {
+	pop := func() *core.Entry {
 		e, drops := b.Queue(to).PopNext(b.Strategy(), now, b.Params())
 		for _, d := range drops {
 			reason := "expired"
@@ -558,25 +583,22 @@ func (n *Network) kick(from, to msg.NodeID) {
 			}
 			d.Entry.Release()
 		}
-		if e == nil {
-			return nil, 0, 0, false
-		}
-		m := e.Data.(*msg.Message)
-		size := e.SizeKB
-		dl := l.retry.EffectiveDeadline(e.Targets, size)
-		e.Release()
-		return m, size, dl, true
+		return e
 	}
 	var tx float64
 	frames := l.frames[:0]
-	// addChain resolves one message's send chain, charges its link time
-	// and appends its surviving frames. Sample order (one draw per
-	// attempt, then one for a duplicate) is the cross-backend contract.
-	addChain := func(m *msg.Message, size float64, dl vtime.Millis) bool {
+	// addChain resolves one popped entry's send chain (its targets gate
+	// any retransmission, so the entry goes back to the pool only after),
+	// charges its link time and appends its surviving frames. Sample order
+	// (one draw per attempt, then one for a duplicate) is the
+	// cross-backend contract.
+	addChain := func(e *core.Entry) bool {
+		m, size := e.Data.(*msg.Message), e.SizeKB
 		l.seq++
 		n.tracer.Emit(trace.Event{T: now, Kind: trace.Send,
 			MsgID: uint64(m.ID), Broker: int32(from), Peer: int32(to)})
-		out := runtime.ResolveSend(l.lm, l.retry, l.seq, size, dl, now)
+		out := runtime.ResolveSend(l.lm, l.retry, l.seq, size, e.Targets, now)
+		e.Release()
 		for i := 0; i < out.Attempts; i++ {
 			tx += size * l.sampler.Sample(l.stream)
 		}
@@ -600,20 +622,20 @@ func (n *Network) kick(from, to msg.NodeID) {
 		}
 		return true
 	}
-	m, size, dl, ok := pop()
-	if !ok {
+	e := pop()
+	if e == nil {
 		return
 	}
 	headSeq := l.seq + 1
-	if addChain(m, size, dl) && l.lm.Swap(headSeq, now) {
+	if addChain(e) && l.lm.Swap(headSeq, now) {
 		// Reorder: the delivered head frame swaps behind its successor.
-		if m2, size2, dl2, ok2 := pop(); ok2 {
+		if e2 := pop(); e2 != nil {
 			split := len(frames)
-			if addChain(m2, size2, dl2) {
-				rotated := make([]simFrame, 0, len(frames))
-				rotated = append(rotated, frames[split:]...)
-				rotated = append(rotated, frames[:split]...)
-				frames = rotated
+			if addChain(e2) {
+				// Rotate the successor's frames in front, in place.
+				slices.Reverse(frames[:split])
+				slices.Reverse(frames[split:])
+				slices.Reverse(frames)
 			}
 		}
 	}
@@ -663,7 +685,7 @@ func (n *Network) linkDone(l *link) {
 	}
 	l.scratch = deliver[:0]
 	l.frames = l.frames[:0]
-	n.kick(l.from, l.to)
+	n.send(l)
 }
 
 // Run executes one configuration on the discrete-event backend through

@@ -280,12 +280,14 @@ func (p *Publisher) Next() (*msg.Message, bool) {
 }
 
 // Interested counts the subscriptions whose filters match the message —
-// the tsᵢ term of eq. (1).
-func Interested(subs []*msg.Subscription, m *msg.Message) int {
+// the tsᵢ term of eq. (1). The message is resolved into the caller's
+// scratch once and every filter evaluates its program against it, as a
+// table scan does.
+func Interested(s *filter.MatchScratch, subs []*msg.Subscription, m *msg.Message) int {
+	s.Resolve(&m.Attrs)
 	n := 0
-	for _, s := range subs {
-		// &m.Attrs: interface-box the pointer, not a per-call heap copy.
-		if s.Filter.Match(&m.Attrs) {
+	for _, sub := range subs {
+		if sub.Filter.MatchResolved(s, &m.Attrs) {
 			n++
 		}
 	}

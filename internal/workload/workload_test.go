@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"bdps/internal/filter"
 	"bdps/internal/msg"
 	"bdps/internal/vtime"
 )
@@ -94,12 +95,13 @@ func TestMatchProbabilityNearQuarter(t *testing.T) {
 		10, 11, 12, 13, 14, 15})
 	pub := c.NewPublisher(0, 0)
 	total, matched := 0, 0
+	var scratch filter.MatchScratch
 	for i := 0; i < 2000; i++ {
 		m, ok := pub.Next()
 		if !ok {
 			break
 		}
-		matched += Interested(subs, m)
+		matched += Interested(&scratch, subs, m)
 		total += len(subs)
 	}
 	frac := float64(matched) / float64(total)
@@ -239,12 +241,13 @@ func TestHotspotSkewsInterest(t *testing.T) {
 	avgInterest := func(c Config) float64 {
 		pub := c.NewPublisher(0, 0)
 		total, n := 0, 0
+		var scratch filter.MatchScratch
 		for i := 0; i < 1500; i++ {
 			m, ok := pub.Next()
 			if !ok {
 				break
 			}
-			total += Interested(subs, m)
+			total += Interested(&scratch, subs, m)
 			n++
 		}
 		return float64(total) / float64(n)
