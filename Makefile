@@ -27,7 +27,7 @@ bench-e2e:
 	cd bench && $(GO) run . compare $(BENCH_PARENT) out/run.json
 
 # bench-gate is CI's short form, through the driver's entry point: the
-# paper's mesh on the sharded plane with pacing on, five wall seconds;
+# paper's mesh on the live plane with pacing on, five wall seconds;
 # then the simulator's grid at seed 1 for the full twenty — the only form
 # that checks bench/golden/sim_paper.seed1.json cell by cell, so a
 # changed scheduling decision fails here (≈ 20 s). A run's last line is
@@ -47,7 +47,7 @@ bench-gate:
 # fixed, comparable iteration count, with allocation stats, as the JSON
 # stream go test produces with -json. Five passes:
 #   1. the steady families at 100x (figures, ablations, micro-benches);
-#   2. the live-throughput pair at sustained scale (legacy vs sharded);
+#   2. live throughput at sustained scale;
 #   3. the index-build sweep at 1x — one full build per size is the
 #      measurement, and the quadratic re-sort baseline at 100k is the
 #      before number the churn rework is judged against;
@@ -66,7 +66,7 @@ bench-gate:
 #      share and bounded peak queue reported alongside msgs/sec);
 #   9. the durability benches: WAL append on the admission path, full
 #      log replay at restart, and the broker-side session-resume cycle
-#      (ring scan + deadline gate + frame assembly for a full ring).
+#      (ring scan + deadline gate + frame writes for a full ring).
 bench:
 	$(GO) test -json -run '^$$' -bench '^Benchmark(Figure|Ablation|Filter|Normal|Pick|Queue|Table|Layer|Routing|Topology|Dijkstra|Codec|Sim|Covers)' -benchmem -benchtime 100x . > BENCH_pr10.json
 	$(GO) test -json -run '^$$' -bench BenchmarkLiveThroughput -benchmem -benchtime 20000x . >> BENCH_pr10.json

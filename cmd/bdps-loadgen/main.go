@@ -5,11 +5,6 @@
 // delay off, so the measurement isolates the transport itself — decode,
 // match, enqueue, schedule, encode, socket writes.
 //
-// With -compare it benchmarks the classic single-threaded plane and the
-// sharded zero-copy plane back to back on the same workload:
-//
-//	bdps-loadgen -compare -n 20000
-//
 // Fault flags turn the run into a robustness smoke at full rate: crash
 // a broker or take a link down mid-measurement (offsets are wall time
 // from the first publish) with heartbeat failure detection on, and the
@@ -65,13 +60,12 @@ func main() {
 		pubs    = flag.Int("pubs", 4, "publishing clients (distinct streams)")
 		subs    = flag.Int("subs", 1, "subscribers at the edge broker")
 		brokers = flag.Int("brokers", 3, "chain length (ingress → … → edge)")
-		shards  = flag.Int("shards", grt.GOMAXPROCS(0), "ingress worker shards per broker; 0 = classic single-threaded plane")
+		shards  = flag.Int("shards", grt.GOMAXPROCS(0), "ingress workers per broker (0 = 1)")
 		burst   = flag.Int("burst", 0, "cap on an unpaced egress burst, in messages; paced links cut bursts by transfer time first (0 = default 32)")
 		sizeKB  = flag.Float64("size", 1, "emulated message size in KB")
 		payload = flag.Int("payload", 0, "payload bytes per message")
 		churn   = flag.Float64("churn", 0, "subscription churn: subscribe+unsubscribe flood pairs per second, sustained while publishing (0 = none)")
 		agg     = flag.Bool("aggregate", false, "covering-based subscription aggregation: churn subscriptions covered by a resident filter stop flooding the overlay")
-		compare = flag.Bool("compare", false, "run the classic plane, then the sharded plane, and report the speedup")
 
 		killBroker = flag.Int("kill-broker", -1, "crash this broker mid-measurement (-1 = no fault)")
 		killAt     = flag.Duration("kill-at", 200*time.Millisecond, "wall time after the first publish at which -kill-broker strikes")
@@ -120,37 +114,16 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if *compare {
-		legacy := cfg
-		legacy.shards = 0
-		before := must(run(legacy))
-		report("classic", legacy, before)
-		after := must(run(cfg))
-		report(fmt.Sprintf("sharded(%d)", cfg.shards), cfg, after)
-		fmt.Printf("speedup: %.2fx msgs/sec, %.1fx fewer allocs/msg\n",
-			after.msgsPerSec/before.msgsPerSec, before.allocsPerMsg/after.allocsPerMsg)
-		return
-	}
-	report(planeName(cfg.shards), cfg, must(run(cfg)))
-}
-
-func planeName(shards int) string {
-	if shards == 0 {
-		return "classic"
-	}
-	return fmt.Sprintf("sharded(%d)", shards)
-}
-
-func must(r result, err error) result {
+	r, err := run(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	return r
+	report(cfg, r)
 }
 
-func report(plane string, cfg loadCfg, r result) {
-	fmt.Printf("%-11s %8d msgs in %8.3fs  %9.0f msgs/sec  %6.1f allocs/msg  %8.1f B/msg  (deliveries %d, receptions %d)",
-		plane, cfg.n, r.elapsed.Seconds(), r.msgsPerSec, r.allocsPerMsg, r.bytesPerMsg, r.deliveries, r.receptions)
+func report(cfg loadCfg, r result) {
+	fmt.Printf("workers=%-3d %8d msgs in %8.3fs  %9.0f msgs/sec  %6.1f allocs/msg  %8.1f B/msg  (deliveries %d, receptions %d)",
+		max(cfg.shards, 1), cfg.n, r.elapsed.Seconds(), r.msgsPerSec, r.allocsPerMsg, r.bytesPerMsg, r.deliveries, r.receptions)
 	if cfg.churn > 0 {
 		fmt.Printf("  churn %.0f sub+unsub/sec", r.churnPerSec)
 	}

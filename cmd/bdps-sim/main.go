@@ -88,7 +88,7 @@ func run(args []string) error {
 
 		backend    = fs.String("backend", "sim", "runtime backend: sim (discrete-event) or live (loopback TCP overlay)")
 		timescale  = fs.Float64("timescale", 0.001, "live backend: wall seconds per emulated second")
-		liveShards = fs.Int("live-shards", 0, "live backend: ingress worker shards per broker (0 = single-threaded plane)")
+		liveShards = fs.Int("live-shards", 0, "live backend: ingress workers per broker (0 = 1)")
 
 		scenario = fs.String("scenario", "psd", "psd, ssd or both (single mode)")
 		strategy = fs.String("strategy", "eb", "fifo, rl, eb, pc, ebpc[:r] (single mode)")

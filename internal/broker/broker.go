@@ -6,8 +6,7 @@
 // queues.
 //
 // Process runs in two regimes. The serial regime — Broker.Process — is
-// what the simulator and the single-threaded live path use: one caller
-// at a time, no locking. The concurrent regime hands each worker its own
+// what the simulator uses: one caller at a time, no locking. The concurrent regime hands each worker its own
 // Processor (per-worker match/grouping scratch); Processors from one
 // broker may run in parallel for independent publication streams,
 // synchronizing only where state is genuinely shared — per-queue locks
@@ -122,11 +121,6 @@ func (b *Broker) Queue(next msg.NodeID) *core.Queue {
 	}
 	return q
 }
-
-// Queues exposes the instantiated output queues (diagnostics). The map
-// is a snapshot-free view: callers that may race queue creation use
-// EachQueue instead.
-func (b *Broker) Queues() map[msg.NodeID]*core.Queue { return b.queues }
 
 // EachQueue calls fn for every instantiated queue under the map lock,
 // safe against concurrent queue creation. fn must not call back into

@@ -22,7 +22,7 @@ import (
 // has seen.
 type Queue struct {
 	// Mutex serializes owners that share one queue across goroutines:
-	// the sharded live data plane locks it around Enqueue on the ingress
+	// the live data path locks it around Enqueue on the ingress
 	// side and PopBurstWhile on the egress side (the per-queue stripe of its
 	// locking scheme). Single-threaded drivers — the simulator — never
 	// touch it.

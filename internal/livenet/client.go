@@ -213,34 +213,23 @@ func (s *Subscriber) readLoop() {
 		if err != nil {
 			return
 		}
-		// Sessionful deliveries arrive as FrameData carrying the
-		// session sequence; the cursor suppresses anything already
-		// received (replays overlapping the pre-disconnect tail).
-		// Plain FrameMessage deliveries (sharded plane) pass through
-		// unsequenced.
-		var seq uint64
-		switch ft {
-		case msg.FrameMessage:
-		case msg.FrameData:
-			var derr error
-			var mb []byte
-			seq, _, _, mb, derr = msg.DecodeDataHeader(body)
-			if derr != nil || seq <= s.lastSeq.Load() {
-				continue
-			}
-			body = mb
-		default:
+		// Deliveries arrive as FrameData carrying the session sequence;
+		// the cursor suppresses anything already received (replays
+		// overlapping the pre-disconnect tail).
+		if ft != msg.FrameData {
+			continue
+		}
+		seq, _, _, mb, derr := msg.DecodeDataHeader(body)
+		if derr != nil || seq <= s.lastSeq.Load() {
 			continue
 		}
 		m := new(msg.Message)
 		// fb stays owned by this loop (nil frame): payloads are copied
 		// out because the consumer may hold the message indefinitely.
-		if _, err := dec.DecodeMessageInto(m, body, nil); err != nil {
+		if _, err := dec.DecodeMessageInto(m, mb, nil); err != nil {
 			continue
 		}
-		if seq > 0 {
-			s.lastSeq.Store(seq)
-		}
+		s.lastSeq.Store(seq)
 		select {
 		case s.ch <- m:
 		case <-s.done:

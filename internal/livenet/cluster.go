@@ -45,13 +45,12 @@ type ClusterConfig struct {
 	// node (static mode takes it from the plan's config instead).
 	Aggregate bool
 
-	// Shards ≥ 1 runs every node on the high-throughput data plane with
-	// that many ingress worker shards (see NodeConfig.Shards); 0 keeps
-	// the classic single-threaded plane.
+	// Shards is every node's number of ingress workers (0 = 1; see
+	// NodeConfig.Shards).
 	Shards int
-	// Burst caps an unpaced egress burst on the sharded plane (default
-	// 32; see NodeConfig.Burst — paced links cut their bursts by
-	// transfer time first).
+	// Burst caps an unpaced egress burst (default 32; see
+	// NodeConfig.Burst — paced links cut their bursts by transfer time
+	// first).
 	Burst int
 
 	// LinkLoss, in standalone (no-plan) mode, injects one loss adversary
@@ -63,8 +62,8 @@ type ClusterConfig struct {
 	// mode takes it from the plan's config).
 	Reliability runtime.Reliability
 
-	// MaxEgress bounds every node's total output-queue occupancy on the
-	// sharded plane (see NodeConfig.MaxEgress); 0 disables backpressure.
+	// MaxEgress bounds every node's total output-queue occupancy (see
+	// NodeConfig.MaxEgress); 0 disables backpressure.
 	MaxEgress int
 	// Admission enables node-local online admission control on every
 	// node in standalone mode (see NodeConfig.Admission). Plan

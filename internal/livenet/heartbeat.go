@@ -190,7 +190,7 @@ func (n *Node) PeerLiveness(peer msg.NodeID) (lastHeard vtime.Millis, dead bool)
 }
 
 // MutateTable runs fn with the node's routing-table write lock held,
-// excluding every concurrent matcher on both data planes. The topology
+// excluding every concurrent matcher. The topology
 // repairer applies its table deltas through it.
 func (n *Node) MutateTable(fn func()) {
 	n.mu.Lock()

@@ -16,11 +16,10 @@ import (
 
 // TestClusterStopNoGoroutineLeak pins the shutdown path: start a
 // cluster, run traffic through it, stop it, and require the goroutine
-// count to return to baseline. A leaked accept loop, reader, sender —
-// or, with shards enabled, dispatcher worker — shows up here as a
-// stuck surplus.
+// count to return to baseline. A leaked accept loop, reader, sender or
+// shard worker shows up here as a stuck surplus.
 func TestClusterStopNoGoroutineLeak(t *testing.T) {
-	for _, shards := range []int{0, 4} {
+	for _, shards := range []int{4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			testClusterStopNoGoroutineLeak(t, shards)
 		})

@@ -13,7 +13,7 @@ import (
 )
 
 // tinyOverlay: 0 (ingress) — 1 — 2 (edge), fast emulation.
-func tinyOverlay(t *testing.T) *topology.Overlay {
+func tinyOverlay(t testing.TB) *topology.Overlay {
 	t.Helper()
 	g := topology.NewGraph(3)
 	if err := g.AddLink(0, 1, stats.Normal{Mean: 50, Sigma: 5}); err != nil {

@@ -158,8 +158,8 @@ type NodeConfig struct {
 	OnPeerEvent func(PeerEvent)
 
 	// MaxEgress bounds the node's total output-queue occupancy (entries
-	// across all links) on the sharded plane: when reached, connection
-	// read loops stop dispatching message batches until senders drain the
+	// across all links): when reached, connection read loops stop
+	// dispatching message batches until senders drain the
 	// backlog, which fills the kernel socket buffers and pushes back on
 	// the TCP senders — end-to-end backpressure instead of unbounded
 	// queue growth behind a slow link. 0 disables the gate.
@@ -187,21 +187,14 @@ type NodeConfig struct {
 	// when StateDir recovery supplies one (recovered epoch + 1 wins).
 	Epoch uint32
 
-	// Shards selects the ingress data plane. 0 keeps the classic
-	// single-threaded path: every frame decoded with fresh allocations
-	// and processed inline in its connection's read loop, one write
-	// syscall pair per outbound frame. Any value ≥ 1 enables the
-	// high-throughput plane (shard.go): pooled zero-copy decoding,
-	// per-connection frame batching, that many parallel worker shards
-	// keyed by publication stream, and transfer-time-bounded writev
-	// egress bursts.
+	// Shards is the number of ingress workers (0 = 1): parallel shards of
+	// the data path (shard.go), keyed by publication stream.
 	Shards int
-	// Burst caps an unpaced egress burst on the sharded plane (default
-	// 32): how many messages a sender may take at one scheduling instant
-	// and flush with one writev while their transfer times add up to
-	// less than a timer can resolve. A paced link's burst ends sooner, at
-	// that transfer time (shard.go, paceQuantum). Ignored when
-	// Shards == 0.
+	// Burst caps an unpaced egress burst (default 32): how many messages
+	// a sender may take at one scheduling instant and flush with one
+	// writev while their transfer times add up to less than a timer can
+	// resolve. A paced link's burst ends sooner, at that transfer time
+	// (shard.go, paceQuantum).
 	Burst int
 }
 
@@ -236,14 +229,16 @@ type Node struct {
 	// checkpoints can snapshot the send watermarks (guarded by mu).
 	linkSenders map[msg.NodeID]*linkSender
 
-	// sessions holds per-subscriber resumable delivery state: the
-	// session's delivery sequence numbers and a bounded replay ring
-	// (guarded by mu; see session.go).
+	// sessions holds per-subscriber resumable delivery state — the
+	// attached connection, the delivery sequence numbers and a bounded
+	// replay ring (session.go) — for every locally attached subscriber
+	// and every plan-mode suspended subscription. The map is guarded by
+	// mu and written only with it held exclusively; each session's own
+	// state is under the session's lock.
 	sessions map[msg.SubID]*session
 
-	// mu guards the mutable routing-side state below. The classic data
-	// plane takes it exclusively around every receive; sharded workers
-	// hold it shared while processing (broker.Processor synchronizes the
+	// mu guards the mutable routing-side state below. Shard workers hold
+	// it shared while processing (broker.Processor synchronizes the
 	// genuinely shared scheduling state on finer locks) so that
 	// subscription floods — which mutate the table — still exclude them.
 	mu sync.RWMutex
@@ -264,8 +259,6 @@ type Node struct {
 	// faults; the sender parks until the link comes back up.
 	linkDown  map[msg.NodeID]bool
 	estimates map[msg.NodeID]*stats.WelfordEstimator
-	// local subscriber connections by subscription id
-	locals map[msg.SubID]*subConn
 	// flood dedup; removed subscriptions leave a tombstone so a late
 	// subscribe flood cannot resurrect them. The tombstone set is
 	// generation-bounded (see tombstones) so sustained churn cannot leak
@@ -282,7 +275,7 @@ type Node struct {
 	lastHeard map[msg.NodeID]vtime.Millis
 	peerState map[msg.NodeID]int
 
-	// Sharded data plane (nil when Shards == 0); see shard.go.
+	// Ingress workers and the egress burst cap; see shard.go.
 	shards []*shard
 	burst  int
 	// nlinks is the number of outgoing overlay links — the worst-case
@@ -295,7 +288,7 @@ type Node struct {
 	// egress tracks the node's total output-queue occupancy (entries
 	// across all link queues): raised when Process enqueues, lowered
 	// when a sender pops or a drop/shed/crash path consumes an entry.
-	// The sharded read loops gate on it (MaxEgress) and standalone
+	// The read loops gate on it (MaxEgress) and standalone
 	// admission consults it as the node's load signal.
 	egress atomic.Int64
 
@@ -457,11 +450,6 @@ func (p *peerConn) writeBuffers(bufs *net.Buffers) (int64, error) {
 	return bufs.WriteTo(p.conn)
 }
 
-type subConn struct {
-	sub  *msg.Subscription
-	peer *peerConn
-}
-
 // tombstoneLimit bounds each tombstone generation. Total tombstone
 // memory is at most two generations; a subscribe flood older than the
 // last ~2·tombstoneLimit unsubscribes can in principle resurrect a
@@ -563,7 +551,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		wake:        make(map[msg.NodeID]chan struct{}),
 		linkDown:    make(map[msg.NodeID]bool),
 		estimates:   make(map[msg.NodeID]*stats.WelfordEstimator),
-		locals:      make(map[msg.SubID]*subConn),
 		seenSubs:    make(map[msg.SubID]bool),
 		peers:       make(map[msg.NodeID]*peerConn),
 		inbound:     make(map[net.Conn]struct{}),
@@ -599,18 +586,13 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		}
 	}
 	n.nlinks = int32(len(cfg.Overlay.Graph.Neighbors(cfg.ID)))
-	if cfg.Shards > 0 {
-		n.burst = cfg.Burst
-		if n.burst <= 0 {
-			n.burst = defaultBurst
-		}
-		n.startShards(cfg.Shards)
+	n.burst = cfg.Burst
+	if n.burst <= 0 {
+		n.burst = defaultBurst
 	}
+	n.startShards(max(cfg.Shards, 1))
 	return n, nil
 }
-
-// sharded reports whether the high-throughput data plane is on.
-func (n *Node) sharded() bool { return len(n.shards) > 0 }
 
 // ID returns the broker id.
 func (n *Node) ID() msg.NodeID { return n.cfg.ID }
@@ -813,11 +795,7 @@ func (n *Node) ConnectPeers(addrs map[msg.NodeID]string) error {
 		}
 
 		n.wg.Add(1)
-		if n.sharded() {
-			go n.senderLoopBatched(e.To, pc, wake, pacer, ls)
-		} else {
-			go n.senderLoop(e.To, pc, wake, pacer, ls)
-		}
+		go n.senderLoop(e.To, pc, wake, pacer, ls)
 	}
 	n.startHeartbeats()
 	return nil
@@ -883,9 +861,6 @@ func (n *Node) Stop() {
 		n.mu.Lock()
 		for _, p := range n.peers {
 			p.conn.Close()
-		}
-		for _, s := range n.locals {
-			s.peer.conn.Close()
 		}
 		for conn := range n.inbound {
 			conn.Close()
@@ -976,20 +951,15 @@ func releaseEntry(e *core.Entry) {
 
 // PeakQueue returns the largest occupancy any output queue reached.
 func (n *Node) PeakQueue() int {
-	if n.sharded() {
-		peak := 0
-		n.b.EachQueue(func(_ msg.NodeID, q *core.Queue) {
-			q.Lock()
-			if p := q.Peak(); p > peak {
-				peak = p
-			}
-			q.Unlock()
-		})
-		return peak
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.b.PeakQueue()
+	peak := 0
+	n.b.EachQueue(func(_ msg.NodeID, q *core.Queue) {
+		q.Lock()
+		if p := q.Peak(); p > peak {
+			peak = p
+		}
+		q.Unlock()
+	})
+	return peak
 }
 
 // SetLinkDown injects (or lifts) a link outage on the outgoing link to a
@@ -1023,19 +993,11 @@ func (n *Node) load() load {
 		busy:      int(n.busySenders.Load()),
 		inflight:  int(n.inflight.Load()),
 	}
-	if n.sharded() {
-		n.b.EachQueue(func(_ msg.NodeID, q *core.Queue) {
-			q.Lock()
-			s.queued += q.Len()
-			q.Unlock()
-		})
-		return s
-	}
-	n.mu.Lock()
-	for _, q := range n.b.Queues() {
+	n.b.EachQueue(func(_ msg.NodeID, q *core.Queue) {
+		q.Lock()
 		s.queued += q.Len()
-	}
-	n.mu.Unlock()
+		q.Unlock()
+	})
 	return s
 }
 
@@ -1068,137 +1030,6 @@ func (n *Node) acceptLoop() {
 	}
 }
 
-// readLoop consumes frames from one inbound connection.
-func (n *Node) readLoop(conn net.Conn) {
-	defer n.wg.Done()
-	defer func() {
-		conn.Close()
-		n.mu.Lock()
-		delete(n.inbound, conn)
-		n.mu.Unlock()
-	}()
-
-	ft, body, err := msg.ReadFrame(conn)
-	if err != nil || ft != msg.FrameHello {
-		return
-	}
-	role, peerID, peerEpoch, err := msg.DecodeHello(body)
-	if err != nil {
-		return
-	}
-	if role != msg.RoleBroker {
-		peerID = msg.None // client hellos carry a client id, not a broker's
-	} else {
-		n.observeEpoch(peerID, peerEpoch)
-	}
-	peer := &peerConn{conn: conn}
-	if n.sharded() {
-		n.readLoopSharded(conn, role, peerID, peer)
-		return
-	}
-
-	// rl is the reliable-channel receiving state of this link, created
-	// lazily on the first data frame (clean links never pay for it).
-	var rl *recvLink
-	for {
-		ft, body, err := msg.ReadFrame(conn)
-		if err != nil {
-			return
-		}
-		switch ft {
-		case msg.FrameMessage:
-			m, err := msg.DecodeMessage(body)
-			if err != nil {
-				continue // tolerate one corrupt frame; connection survives
-			}
-			if role == msg.RolePublisher && m.Ingress != n.cfg.ID {
-				// Publishers must publish through their ingress broker.
-				continue
-			}
-			if role == msg.RolePublisher && !n.admitPub() {
-				// Rejected at the door: the frame still counts as accepted
-				// (quiescence compares recvPubs against injected frames).
-				n.recvPubs.Add(1)
-				continue
-			}
-			// inflight rises before the receive counters so a quiescence
-			// poll can never observe the counters settled while this
-			// message is still about to be processed.
-			n.inflight.Add(1)
-			switch role {
-			case msg.RolePublisher:
-				n.recvPubs.Add(1)
-			case msg.RoleBroker:
-				n.recvPeers.Add(1)
-			}
-			n.receive(m)
-			n.inflight.Add(-1)
-		case msg.FrameData:
-			if role != msg.RoleBroker {
-				continue
-			}
-			seq, base, fepoch, mb, derr := msg.DecodeDataHeader(body)
-			if derr != nil {
-				continue
-			}
-			if n.rejectStale(peerID, fepoch) {
-				// Sent by a dead incarnation: counted toward the wire
-				// totals (like a mangled drop), never processed.
-				n.recvPeers.Add(1)
-				continue
-			}
-			m, derr := msg.DecodeMessage(mb)
-			if derr != nil {
-				continue
-			}
-			n.inflight.Add(1)
-			n.recvPeers.Add(1)
-			if rl == nil {
-				rl = n.newRecvLink(peer)
-			}
-			for _, dm := range rl.accept(n, seq, base, m) {
-				n.receive(dm)
-				n.inflight.Add(-1)
-			}
-		case msg.FrameDataDrop:
-			// The loss shim's mangled write: counted so the wire totals
-			// balance, never processed.
-			if role == msg.RoleBroker {
-				n.recvPeers.Add(1)
-			}
-		case msg.FrameSubscribe:
-			s, err := msg.DecodeSubscription(body)
-			if err != nil {
-				continue
-			}
-			var from *peerConn
-			if role == msg.RoleSubscriber {
-				from = peer
-			}
-			n.handleSubscribe(s, from)
-		case msg.FrameUnsubscribe:
-			id, err := msg.DecodeUnsubscribe(body)
-			if err != nil {
-				continue
-			}
-			n.handleUnsubscribe(id)
-		case msg.FrameHeartbeat:
-			if from, e, err := msg.DecodeHeartbeat(body); err == nil {
-				n.observeEpoch(from, e)
-				n.heartbeatReceived(from)
-			}
-		case msg.FrameResume:
-			if role == msg.RoleSubscriber {
-				if sub, lastSeq, derr := msg.DecodeResume(body); derr == nil {
-					n.handleResume(sub, lastSeq, peer)
-				}
-			}
-		case msg.FrameAck, msg.FrameHello:
-			// Ignored.
-		}
-	}
-}
-
 // handleSubscribe installs a subscription (local conn non-nil when the
 // subscriber is attached here) and floods it to neighbors once.
 // Pre-installed plan subscriptions only register the local connection.
@@ -1220,8 +1051,9 @@ func (n *Node) handleSubscribe(s *msg.Subscription, local *peerConn) {
 	}
 	first := !n.seenSubs[s.ID]
 	n.seenSubs[s.ID] = true
+	var sess *session
 	if local != nil && s.Edge == n.cfg.ID {
-		n.locals[s.ID] = &subConn{sub: s, peer: local}
+		sess = n.sessionFor(s, local, 0)
 	}
 	flood := first
 	if first {
@@ -1261,6 +1093,9 @@ func (n *Node) handleSubscribe(s *msg.Subscription, local *peerConn) {
 	}
 	n.mu.Unlock()
 
+	if sess != nil {
+		sess.attach(local) // a re-subscribe moves the session to the new connection
+	}
 	if !flood {
 		return
 	}
@@ -1292,7 +1127,6 @@ func (n *Node) handleUnsubscribe(id msg.SubID) {
 	// Forget the flood-dedup entry too: under sustained churn seenSubs
 	// would otherwise grow one entry per subscription ever seen.
 	delete(n.seenSubs, id)
-	delete(n.locals, id)
 	delete(n.sessions, id)
 	if n.store != nil {
 		_ = n.store.RemoveSub(id)
@@ -1416,89 +1250,8 @@ func (n *Node) installRoutes(s *msg.Subscription) {
 	n.installer.InstallAt(n.cfg.ID, n.table, s)
 }
 
-// receive handles one message arrival: processing delay, then the shared
-// broker logic — match, deliver locally, enqueue toward next hops — and
-// finally the wire side-effects (subscriber frames, sender wake-ups).
-func (n *Node) receive(m *msg.Message) {
-	// Processing delay, scaled like link delays.
-	if pd := n.b.Params().PD * n.cfg.TimeScale; pd > 0 {
-		time.Sleep(vtime.ToDuration(pd))
-	}
-	now := n.clock.Now()
-
-	n.mu.Lock()
-	n.cnt.receptions.Add(1)
-	if n.sink != nil {
-		n.sink.Reception()
-	}
-	res := n.b.Process(m, now)
-	if res.Duplicate {
-		n.cnt.duplicates.Add(1)
-		n.mu.Unlock()
-		return
-	}
-	// res aliases broker-owned scratch that the next Process overwrites,
-	// so it is consumed in full before releasing the lock.
-	n.accountResult(&res)
-	var wakes []chan struct{}
-	// Local deliveries travel as per-session FrameData frames (sequence
-	// numbers + bounded replay ring) so a disconnected subscriber can
-	// resume exactly-once; the frames are assembled under the lock (the
-	// session state lives there) and written after it.
-	type localOut struct {
-		pc    *peerConn
-		frame []byte
-	}
-	var outs []localOut
-	var body []byte
-	epoch := n.epoch.Load()
-	for _, d := range res.Deliveries {
-		sc, attached := n.locals[d.SubID]
-		sess, tracked := n.sessions[d.SubID]
-		if !attached && !tracked {
-			continue
-		}
-		if !attached {
-			// Plan-mode suspended session: retain sequence and deadline
-			// data for the resume accounting; there is no wire to frame
-			// the delivery for.
-			sess.record(epoch, nil, m.Published, d.Allowed)
-			continue
-		}
-		if body == nil {
-			b, err := msg.AppendMessage(nil, m)
-			if err != nil {
-				break
-			}
-			body = b
-		}
-		sess = n.session(sc.sub)
-		if f := sess.record(epoch, body, m.Published, d.Allowed); f != nil {
-			outs = append(outs, localOut{pc: sc.peer, frame: f})
-		}
-	}
-	for _, hop := range res.EnqueuedHops {
-		wakes = append(wakes, n.wake[hop])
-	}
-	n.mu.Unlock()
-
-	for _, o := range outs {
-		_ = o.pc.writeBuf(o.frame)
-	}
-	for _, w := range wakes {
-		if w == nil {
-			continue
-		}
-		select {
-		case w <- struct{}{}:
-		default:
-		}
-	}
-}
-
 // accountResult charges a Process result's deliveries and arrival
-// drops to the node counters and the metrics sink — shared by both
-// data planes so their accounting cannot drift apart.
+// drops to the node counters and the metrics sink.
 func (n *Node) accountResult(res *broker.Result) {
 	for _, d := range res.Deliveries {
 		n.cnt.deliveries.Add(1)
@@ -1550,85 +1303,6 @@ func (n *Node) accountDrops(drops []core.Drop) {
 			}
 		}
 		releaseEntry(d.Entry)
-	}
-}
-
-// senderLoop drains one link's queue: pick by strategy, pace to the
-// emulated link speed, write the frame. Injected link outages park the
-// loop until the link comes back up. A non-nil linkSender routes the
-// message through the reliable channel (sendReliable) instead of the
-// plain single-frame write.
-func (n *Node) senderLoop(to msg.NodeID, pc *peerConn, wake chan struct{}, pacer Pacer, ls *linkSender) {
-	defer n.wg.Done()
-	for {
-		n.mu.Lock()
-		if n.linkDown[to] {
-			n.mu.Unlock()
-			select {
-			case <-wake:
-				continue
-			case <-n.stopped:
-				return
-			}
-		}
-		q := n.b.Queue(to)
-		e, drops := q.PopNext(n.b.Strategy(), n.clock.Now(), n.b.Params())
-		n.accountDrops(drops)
-		if e != nil {
-			n.egress.Add(-1)
-			n.busySenders.Add(1)
-		}
-		n.mu.Unlock()
-
-		if e == nil {
-			select {
-			case <-wake:
-				continue
-			case <-n.stopped:
-				return
-			}
-		}
-		if ls != nil {
-			ok := n.sendReliable(to, pc, &pacer, ls, e)
-			n.busySenders.Add(-1)
-			if !ok {
-				return
-			}
-			continue
-		}
-		m := e.Data.(*msg.Message)
-		sizeKB := e.SizeKB
-		e.Release()
-
-		// Pace the transfer to the sampled rate, measuring the wall time
-		// the transfer actually took — the live equivalent of the
-		// paper's "tools of network measurement".
-		tx := sizeKB * pacer.Sampler.Sample(pacer.Stream) * n.cfg.TimeScale
-		start := time.Now()
-		if !pacer.wait(vtime.ToDuration(tx), n.stopped) {
-			n.busySenders.Add(-1)
-			return
-		}
-		body, err := msg.AppendMessage(nil, m)
-		if err == nil {
-			if pc.writeFrame(msg.FrameMessage, body) == nil {
-				n.sentPeers.Add(1)
-			} else if n.sink != nil {
-				// A failed peer write means the message died at a dead
-				// (crashed or stopped) neighbor.
-				n.sink.DroppedCrashed(1)
-			}
-		}
-
-		if sizeKB > 0 {
-			elapsed := vtime.FromDuration(time.Since(start)) / n.cfg.TimeScale
-			n.mu.Lock()
-			if est := n.estimates[to]; est != nil {
-				est.Observe(elapsed / sizeKB)
-			}
-			n.mu.Unlock()
-		}
-		n.busySenders.Add(-1)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"bdps/internal/core"
 	"bdps/internal/msg"
@@ -38,9 +37,8 @@ type linkSender struct {
 	// link's send watermark without stopping the sender.
 	seq  atomic.Uint64
 	retx *retxBuf
-	enc  []byte
 
-	// Sharded-plane burst scratch (owned by the sender goroutine).
+	// Burst scratch (owned by the sender goroutine).
 	chains []burstChain
 	order  []int
 	metas  []wireMeta
@@ -191,123 +189,7 @@ func wireFrames(out *runtime.SendOutcome) int {
 	return k
 }
 
-// writeChain realizes one resolved chain on the classic plane: encode
-// once, buffer for retransmission, then write every attempt — lost ones
-// with the type byte mangled to FrameDataDrop, retransmissions re-read
-// from the buffer, the delivering attempt as FrameData, the duplicated
-// copy once more. Every successful write counts toward the quiescence
-// totals (the receiver counts drops too); only a failed delivering write
-// kills the message (charged to the dead neighbor, like the plain path).
-func (n *Node) writeChain(pc *peerConn, ls *linkSender, seq, base uint64, m *msg.Message, out *runtime.SendOutcome) {
-	frame, err := msg.AppendDataFrame(ls.enc[:0], seq, base, n.epoch.Load(), m)
-	ls.enc = frame[:0]
-	if err != nil {
-		return // oversized re-encode cannot happen for decoded frames
-	}
-	ls.retx.add(seq, frame)
-	wire := ls.retx.get(seq)
-	if wire == nil {
-		wire = frame // evicted already (window 1): send the scratch copy
-	}
-	ty := msg.DataFrameType(0)
-	drops := out.Attempts - 1
-	if !out.Deliver {
-		drops = out.Attempts
-	}
-	for i := 0; i < drops; i++ {
-		wire[ty] = msg.FrameDataDrop
-		if pc.writeBuf(wire) == nil {
-			n.sentPeers.Add(1)
-		}
-	}
-	if !out.Deliver {
-		return
-	}
-	wire[ty] = msg.FrameData
-	if pc.writeBuf(wire) != nil {
-		// The message died at a dead (crashed or stopped) neighbor.
-		if n.sink != nil {
-			n.sink.DroppedCrashed(1)
-		}
-		return
-	}
-	n.sentPeers.Add(1)
-	if out.Dup && pc.writeBuf(wire) == nil {
-		n.sentPeers.Add(1)
-	}
-}
-
-// sendReliable plays one popped message — and, on a reorder decision, its
-// immediate queued successor — against the link adversary and realizes
-// the resolved chains on the wire: the classic plane's counterpart of the
-// simulator's kick. It owns the popped entry (released once its chain is
-// resolved) and reports false when the node stopped mid-pacing.
-func (n *Node) sendReliable(to msg.NodeID, pc *peerConn, pacer *Pacer, ls *linkSender, e *core.Entry) bool {
-	now := n.clock.Now()
-	m, sizeKB := e.Data.(*msg.Message), e.SizeKB
-	seq := ls.next()
-	out := runtime.ResolveSend(ls.lm, ls.rp, seq, sizeKB, e.Targets, now)
-	e.Release()
-
-	// Reorder: the delivered head swaps behind its immediate successor
-	// when one is queued — the simulator's pair granularity.
-	var (
-		m2    *msg.Message
-		size2 float64
-		seq2  uint64
-		out2  runtime.SendOutcome
-	)
-	if out.Deliver && ls.lm.Swap(seq, now) {
-		n.mu.Lock()
-		e2, drops := n.b.Queue(to).PopNext(n.b.Strategy(), now, n.b.Params())
-		n.accountDrops(drops)
-		n.mu.Unlock()
-		if e2 != nil {
-			m2 = e2.Data.(*msg.Message)
-			size2 = e2.SizeKB
-			seq2 = ls.next()
-			out2 = runtime.ResolveSend(ls.lm, ls.rp, seq2, size2, e2.Targets, now)
-			e2.Release()
-		}
-	}
-
-	// One pacing sleep for the whole exchange: every attempt and every
-	// duplicated copy charges a fresh rate sample.
-	tx := chainTime(&out, sizeKB, pacer)
-	totalKB := sizeKB * float64(wireFrames(&out))
-	if m2 != nil {
-		tx += chainTime(&out2, size2, pacer)
-		totalKB += size2 * float64(wireFrames(&out2))
-	}
-	start := time.Now()
-	if !pacer.wait(vtime.ToDuration(tx*n.cfg.TimeScale), n.stopped) {
-		return false
-	}
-	n.accountChain(&out)
-	if m2 != nil {
-		n.accountChain(&out2)
-	}
-	// Delivery order: the swapped-in successor's frames travel first.
-	// base is the lowest still-live sequence at each write (the suffix
-	// minimum over the delivery order), so the receiver never waits for
-	// an abandoned frame.
-	if m2 != nil {
-		n.writeChain(pc, ls, seq2, seq, m2, &out2)
-	}
-	n.writeChain(pc, ls, seq, seq, m, &out)
-
-	if totalKB > 0 {
-		elapsed := vtime.FromDuration(time.Since(start)) / n.cfg.TimeScale
-		n.mu.Lock()
-		if est := n.estimates[to]; est != nil {
-			est.Observe(elapsed / totalKB)
-		}
-		n.mu.Unlock()
-	}
-	return true
-}
-
-// burstChain is one burst entry's resolved chain on the sharded plane.
+// burstChain is one burst entry's resolved chain.
 // swap marks a delivered chain the adversary reorders behind its
 // successor (never set on a chain that is itself such a successor).
 type burstChain struct {

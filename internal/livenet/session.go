@@ -1,17 +1,19 @@
 package livenet
 
 import (
+	"sync"
+
 	"bdps/internal/msg"
 	"bdps/internal/runtime"
 	"bdps/internal/vtime"
 )
 
 // This file is the broker side of resumable client sessions. Every
-// local delivery on the classic data plane travels to the subscriber as
-// a FrameData frame carrying a per-session delivery sequence number,
-// and is retained — encoded — in a bounded replay ring. A subscriber
-// that loses its connection (client crash, edge network blip) redials
-// and sends a FrameResume with its resume token (subscription id + last
+// local delivery travels to the subscriber as a FrameData frame carrying
+// a per-session delivery sequence number, and is retained — as the
+// finished wire frame — in a bounded replay ring. A subscriber that
+// loses its connection (client crash, edge network blip) redials and
+// sends a FrameResume with its resume token (subscription id + last
 // delivered sequence); the broker reattaches the connection and replays
 // the ring entries past the token through the deadline gate: a retained
 // delivery whose bound has already expired is dropped as
@@ -37,84 +39,141 @@ func (n *Node) tableSub(id msg.SubID) *msg.Subscription {
 }
 
 // sessDelivery is one retained delivery: its session sequence, the
-// deadline data the resume gate needs, and the encoded message body.
+// deadline data the resume gate needs, and the finished FrameData wire
+// frame (empty when the delivery was recorded without a wire). The
+// node's epoch is fixed for its lifetime, so a retained frame never
+// needs re-assembly; the slot's frame storage is reused when the ring
+// wraps.
 type sessDelivery struct {
 	seq       uint64
 	published vtime.Millis
 	allowed   vtime.Millis
-	body      []byte
+	frame     []byte
 }
 
-// session is one subscriber's resumable delivery state (guarded by the
-// node's mu). lastAck is the plan-mode resume token: the sequence last
-// delivered before a scheduled suspension (real clients carry their
-// token themselves).
+// session is one subscriber's resumable delivery state. mu orders a
+// session's deliveries against its resume: sequence assignment, the
+// ring write and the wire write of one delivery happen under it, and so
+// does a resume's reattach-and-replay — a live delivery can never reach
+// the subscriber ahead of the replayed sequences below it.
 type session struct {
-	sub     *msg.Subscription
-	seq     uint64 // last assigned delivery sequence
+	sub *msg.Subscription
+
+	mu sync.Mutex
+	// peer is the attached subscriber connection; nil for a plan-mode
+	// session (SessionSuspend), which has no wire and retains sequence
+	// and deadline data only.
+	peer *peerConn
+	seq  uint64 // last assigned delivery sequence
+	// lastAck is the plan-mode resume token: the sequence last delivered
+	// before a scheduled suspension (real clients carry their token
+	// themselves).
 	lastAck uint64
-	ring    []sessDelivery
-	limit   int
+	// ring grows to sessionRingDefault slots, then wraps: head is the
+	// oldest retained delivery.
+	ring []sessDelivery
+	head int
 }
 
-// session returns (creating on first use) the resumable session of one
-// locally attached subscription. Caller holds n.mu.
-func (n *Node) session(sub *msg.Subscription) *session {
+// sessionFor returns the subscription's session, creating it — attached
+// to peer, numbering deliveries from seq+1 — on first use. Caller holds
+// n.mu exclusively: shard workers read the map under the shared lock.
+func (n *Node) sessionFor(sub *msg.Subscription, peer *peerConn, seq uint64) *session {
 	s, ok := n.sessions[sub.ID]
 	if !ok {
-		s = &session{sub: sub, limit: sessionRingDefault}
+		s = &session{sub: sub, peer: peer, seq: seq}
 		n.sessions[sub.ID] = s
 	}
 	return s
 }
 
-// frame assembles the FrameData wire frame of one retained delivery
-// (nil for body-less plan-mode entries).
-func (s *sessDelivery) frame(epoch uint32) []byte {
-	if s.body == nil {
-		return nil
-	}
-	f := msg.BeginFrame(nil, msg.FrameData)
-	f = msg.AppendDataHeader(f, s.seq, s.seq, epoch)
-	f = append(f, s.body...)
-	if msg.EndFrame(f, 0) != nil {
-		return nil // bounded by the decoded frame it re-encodes
-	}
-	return f
+// attach points the session at a (new) subscriber connection.
+func (s *session) attach(peer *peerConn) {
+	s.mu.Lock()
+	s.peer = peer
+	s.mu.Unlock()
 }
 
-// record assigns the next delivery sequence, retains the delivery in
-// the replay ring, and returns the assembled wire frame. Caller holds
-// n.mu; body is copied (callers reuse their encode scratch). A nil body
-// records sequence and deadline data only — a plan-mode session with no
-// real subscriber behind it has no wire to rewrite to — and returns no
-// frame.
-func (s *session) record(epoch uint32, body []byte, published, allowed vtime.Millis) []byte {
+// deliver assigns the next delivery sequence, retains the delivery in
+// the ring and writes it to the attached subscriber. frame is the
+// message's finished FrameData frame with zero sequence fields (callers
+// reuse their encode scratch): it is copied into the ring slot and the
+// session's sequence stamped into the copy, which is what goes on the
+// wire. A session without a wire records sequence and deadline only.
+func (s *session) deliver(frame []byte, published, allowed vtime.Millis) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.seq++
-	d := sessDelivery{seq: s.seq, published: published, allowed: allowed}
-	if body != nil {
-		d.body = append([]byte(nil), body...)
-	}
-	if len(s.ring) >= s.limit {
-		copy(s.ring, s.ring[1:])
-		s.ring[len(s.ring)-1] = d
+	var d *sessDelivery
+	if len(s.ring) < sessionRingDefault {
+		s.ring = append(s.ring, sessDelivery{})
+		d = &s.ring[len(s.ring)-1]
 	} else {
-		s.ring = append(s.ring, d)
+		d = &s.ring[s.head]
+		s.head = (s.head + 1) % len(s.ring)
 	}
-	if d.body == nil {
-		return nil
+	d.seq, d.published, d.allowed, d.frame = s.seq, published, allowed, d.frame[:0]
+	if s.peer == nil || frame == nil {
+		return
 	}
-	return d.frame(epoch)
+	d.frame = append(d.frame, frame...)
+	msg.PutDataSeq(d.frame, s.seq, s.seq)
+	_ = s.peer.writeBuf(d.frame) // dead subscribers are fine
+}
+
+// replay walks the retained deliveries past the resume token, oldest
+// first, through the deadline gate: at the edge the residual path is the
+// local client connection — zero modeled delay, σ = 0 — so the admission
+// CDF degenerates to "slack ≥ 0". A delivery whose bound still holds is
+// written to `to` and counted replayed; an expired one is counted
+// instead of arriving late. A nil `to` (plan mode) does the accounting
+// without any wire writes. Caller holds s.mu.
+func (s *session) replay(to *peerConn, after uint64, now vtime.Millis) (replayed, expired int) {
+	dead := false
+	for i := range s.ring {
+		d := &s.ring[(s.head+i)%len(s.ring)]
+		if d.seq <= after {
+			continue // already delivered before the disconnect
+		}
+		if d.allowed <= 0 || now-d.published > d.allowed {
+			expired++
+			continue
+		}
+		if to != nil {
+			if len(d.frame) == 0 {
+				continue // recorded without a wire: nothing to send
+			}
+			// A failed write means the reconnect died already; the next
+			// resume replays.
+			dead = dead || to.writeBuf(d.frame) != nil
+		}
+		replayed++
+	}
+	return replayed, expired
+}
+
+// accountResume charges one session resume to the node counters and the
+// metrics sink.
+func (n *Node) accountResume(replayed, expired int) {
+	n.cnt.sessionsResumed.Add(1)
+	n.cnt.droppedDeadline.Add(int64(expired))
+	n.cnt.msgsReplayed.Add(int64(replayed))
+	if n.sink == nil {
+		return
+	}
+	n.sink.SessionResumed(1)
+	if expired > 0 {
+		n.sink.DroppedDeadline(expired)
+	}
+	if replayed > 0 {
+		n.sink.MsgReplayed(replayed)
+	}
 }
 
 // handleResume reattaches a reconnected subscriber and replays the
-// retained deliveries past its resume token. The deadline gate: at the
-// edge the residual path is the local client connection — zero modeled
-// delay, σ = 0 — so the admission CDF degenerates to "slack ≥ 0": a
-// retained delivery is replayed only while its bound still holds, and
-// expired ones are charged to DroppedDeadline instead of arriving late.
+// retained deliveries past its resume token, holding the session lock
+// across both so no live delivery overtakes the replay.
 func (n *Node) handleResume(id msg.SubID, lastSeq uint64, peer *peerConn) {
-	now := n.clock.Now()
 	n.mu.Lock()
 	sess, ok := n.sessions[id]
 	if !ok {
@@ -129,47 +188,15 @@ func (n *Node) handleResume(id msg.SubID, lastSeq uint64, peer *peerConn) {
 			n.mu.Unlock()
 			return // unknown subscription: nothing to reattach or replay
 		}
-		sess = &session{sub: sub, seq: lastSeq, limit: sessionRingDefault}
-		n.sessions[id] = sess
-	}
-	n.locals[id] = &subConn{sub: sess.sub, peer: peer}
-	n.cnt.sessionsResumed.Add(1)
-	if n.sink != nil {
-		n.sink.SessionResumed(1)
-	}
-	epoch := n.epoch.Load()
-	var frames [][]byte
-	expired := 0
-	for i := range sess.ring {
-		d := &sess.ring[i]
-		if d.seq <= lastSeq {
-			continue // already delivered before the disconnect
-		}
-		if d.allowed <= 0 || now-d.published > d.allowed {
-			expired++
-			continue
-		}
-		if f := d.frame(epoch); f != nil {
-			frames = append(frames, f)
-		}
-	}
-	if expired > 0 {
-		n.cnt.droppedDeadline.Add(int64(expired))
-		if n.sink != nil {
-			n.sink.DroppedDeadline(expired)
-		}
-	}
-	n.cnt.msgsReplayed.Add(int64(len(frames)))
-	if n.sink != nil && len(frames) > 0 {
-		n.sink.MsgReplayed(len(frames))
+		sess = n.sessionFor(sub, peer, lastSeq)
 	}
 	n.mu.Unlock()
 
-	for _, f := range frames {
-		if peer.writeBuf(f) != nil {
-			return // the reconnect died already; the next resume replays
-		}
-	}
+	sess.mu.Lock()
+	sess.peer = peer
+	replayed, expired := sess.replay(peer, lastSeq, n.clock.Now())
+	sess.mu.Unlock()
+	n.accountResume(replayed, expired)
 }
 
 // SessionSuspend begins broker-side delivery retention for one static
@@ -178,9 +205,11 @@ func (n *Node) handleResume(id msg.SubID, lastSeq uint64, peer *peerConn) {
 // sequence becomes the resume token SessionResume gates against.
 func (n *Node) SessionSuspend(sub *msg.Subscription) {
 	n.mu.Lock()
-	s := n.session(sub)
-	s.lastAck = s.seq
+	s := n.sessionFor(sub, nil, 0)
 	n.mu.Unlock()
+	s.mu.Lock()
+	s.lastAck = s.seq
+	s.mu.Unlock()
 }
 
 // SessionResume ends a plan-mode session outage with the accounting a
@@ -190,38 +219,19 @@ func (n *Node) SessionSuspend(sub *msg.Subscription) {
 // The session is dropped afterwards: retention restarts fresh at the
 // next suspension.
 func (n *Node) SessionResume(id msg.SubID) {
-	now := n.clock.Now()
 	n.mu.Lock()
-	defer n.mu.Unlock()
 	sess, ok := n.sessions[id]
 	if !ok {
+		n.mu.Unlock()
 		return
 	}
-	n.cnt.sessionsResumed.Add(1)
-	if n.sink != nil {
-		n.sink.SessionResumed(1)
+	sess.mu.Lock()
+	replayed, expired := sess.replay(nil, sess.lastAck, n.clock.Now())
+	wired := sess.peer != nil
+	sess.mu.Unlock()
+	if !wired {
+		delete(n.sessions, id)
 	}
-	replayed, expired := 0, 0
-	for i := range sess.ring {
-		d := &sess.ring[i]
-		if d.seq <= sess.lastAck {
-			continue
-		}
-		if d.allowed <= 0 || now-d.published > d.allowed {
-			expired++
-			continue
-		}
-		replayed++
-	}
-	if expired > 0 {
-		n.cnt.droppedDeadline.Add(int64(expired))
-		if n.sink != nil {
-			n.sink.DroppedDeadline(expired)
-		}
-	}
-	n.cnt.msgsReplayed.Add(int64(replayed))
-	if n.sink != nil && replayed > 0 {
-		n.sink.MsgReplayed(replayed)
-	}
-	delete(n.sessions, id)
+	n.mu.Unlock()
+	n.accountResume(replayed, expired)
 }

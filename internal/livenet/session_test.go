@@ -1,6 +1,8 @@
 package livenet
 
 import (
+	"fmt"
+	"net"
 	grt "runtime"
 	"testing"
 	"time"
@@ -33,6 +35,51 @@ func collectDeliveries(t *testing.T, s *Subscriber, ids map[msg.ID]bool, want in
 	}
 }
 
+// atShards runs a session test at one ingress worker and at four.
+func atShards(t *testing.T, test func(t *testing.T, shards int)) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { test(t, shards) })
+	}
+}
+
+// resumeSeqs reattaches a session over a bare connection — hello, then
+// the resume token — and returns the session sequence of every FrameData
+// the broker sends until `last` arrives.
+func resumeSeqs(t *testing.T, addr string, tok ResumeToken, last uint64) []uint64 {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	hello := msg.AppendHello(nil, msg.RoleSubscriber, msg.NodeID(tok.Sub), 0)
+	if err := msg.WriteFrame(conn, msg.FrameHello, hello); err != nil {
+		t.Fatal(err)
+	}
+	if err := msg.WriteFrame(conn, msg.FrameResume, msg.AppendResume(nil, tok.Sub, tok.LastSeq)); err != nil {
+		t.Fatal(err)
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	var seqs []uint64
+	for {
+		ft, body, err := msg.ReadFrame(conn)
+		if err != nil {
+			t.Fatalf("after %d resumed frames (want up to seq %d): %v", len(seqs), last, err)
+		}
+		if ft != msg.FrameData {
+			continue
+		}
+		seq, _, _, _, err := msg.DecodeDataHeader(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seqs = append(seqs, seq)
+		if seq >= last {
+			return seqs
+		}
+	}
+}
+
 // TestSessionResumeUnderLoss is the client-facing half of session
 // resumption, on a lossy network: a real subscriber receives a prefix of
 // the stream, drops its connection mid-run while publications continue
@@ -40,8 +87,12 @@ func collectDeliveries(t *testing.T, s *Subscriber, ids map[msg.ID]bool, want in
 // resume token. The edge broker replays the retained window and the
 // client's cursor dedups the seam — across the whole run every published
 // message arrives exactly once, none past its bound, and the cluster
-// shuts down without leaking a goroutine.
-func TestSessionResumeUnderLoss(t *testing.T) {
+// shuts down without leaking a goroutine. A second resume, taken while
+// publications keep arriving, must see the replayed window and the live
+// deliveries behind it as one gapless run of session sequences.
+func TestSessionResumeUnderLoss(t *testing.T) { atShards(t, testSessionResumeUnderLoss) }
+
+func testSessionResumeUnderLoss(t *testing.T, shards int) {
 	baseline := grt.NumGoroutine()
 
 	c, err := StartCluster(ClusterConfig{
@@ -50,6 +101,7 @@ func TestSessionResumeUnderLoss(t *testing.T) {
 		Strategy:  core.MaxEB{},
 		TimeScale: 0.002,
 		Seed:      1,
+		Shards:    shards,
 		// The same deterministic adversary the crossval tests use: every
 		// arc drops a fifth of its frames and duplicates a twentieth; the
 		// reliable channel retransmits and dedups underneath the session.
@@ -106,14 +158,41 @@ func TestSessionResumeUnderLoss(t *testing.T) {
 	// The resumed session keeps receiving live traffic after the replay.
 	publish(5)
 	collectDeliveries(t, r, got, 25, 10*time.Second)
+
+	// Drop again and resume mid-stream: publications keep arriving while
+	// the broker reattaches and replays, so live deliveries race the
+	// replay for the new connection. The subscriber must see every
+	// sequence past its token exactly once, in order — a live frame that
+	// overtook the replay would show up here as a jump and a step back.
+	tok = r.Token()
 	r.Close()
+	const during = 60 // well inside the ring window
+	half := make(chan struct{})
+	go func() {
+		for i := 0; i < during; i++ {
+			if i == during/2 {
+				close(half)
+			}
+			if _, err := p.Publish(0, attrs, 1, 5*vtime.Minute, nil); err != nil {
+				t.Error(err)
+				return
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}()
+	<-half
+	for i, seq := range resumeSeqs(t, c.Addr(2), tok, tok.LastSeq+during) {
+		if want := tok.LastSeq + 1 + uint64(i); seq != want {
+			t.Fatalf("resumed frame %d carries session sequence %d, want %d: replay and live deliveries must form one gapless run", i, seq, want)
+		}
+	}
 
 	total := c.TotalStats()
 	if total.MsgsReplayed == 0 {
 		t.Error("edge broker replayed nothing: deliveries during the outage should come from the ring")
 	}
-	if total.SessionsResumed != 1 {
-		t.Errorf("sessions resumed = %d, want 1", total.SessionsResumed)
+	if total.SessionsResumed != 2 {
+		t.Errorf("sessions resumed = %d, want 2", total.SessionsResumed)
 	}
 	if total.FramesLost == 0 {
 		t.Error("adversary lost nothing: the loss path was not exercised")
@@ -139,12 +218,17 @@ func TestSessionResumeUnderLoss(t *testing.T) {
 // incarnation. The recovered routing table must keep matching without
 // any re-subscription, and the seam stays exactly-once.
 func TestSessionResumeAcrossBrokerRestart(t *testing.T) {
+	atShards(t, testSessionResumeAcrossBrokerRestart)
+}
+
+func testSessionResumeAcrossBrokerRestart(t *testing.T, shards int) {
 	c, err := StartCluster(ClusterConfig{
 		Overlay:   tinyOverlay(t),
 		Scenario:  msg.PSD,
 		Strategy:  core.MaxEB{},
 		TimeScale: 0.002,
 		Seed:      1,
+		Shards:    shards,
 		StateRoot: t.TempDir(),
 	})
 	if err != nil {
@@ -217,7 +301,9 @@ func TestSessionResumeAcrossBrokerRestart(t *testing.T) {
 // strictly rising incarnation epoch, and deliver the round's traffic
 // exactly once; after the final Stop the goroutine count returns to the
 // pre-cluster baseline — five rebirths leak nothing.
-func TestRestartResumeSoak(t *testing.T) {
+func TestRestartResumeSoak(t *testing.T) { atShards(t, testRestartResumeSoak) }
+
+func testRestartResumeSoak(t *testing.T, shards int) {
 	baseline := grt.NumGoroutine()
 
 	c, err := StartCluster(ClusterConfig{
@@ -226,6 +312,7 @@ func TestRestartResumeSoak(t *testing.T) {
 		Strategy:  core.MaxEB{},
 		TimeScale: 0.002,
 		Seed:      1,
+		Shards:    shards,
 		StateRoot: t.TempDir(),
 	})
 	if err != nil {
@@ -298,13 +385,16 @@ func TestRestartResumeSoak(t *testing.T) {
 // TestSessionRingBounded pins the replay ring's memory bound: with far
 // more deliveries retained than SessionRingLimit, a resume replays only
 // the newest window — never an unbounded backlog.
-func TestSessionRingBounded(t *testing.T) {
+func TestSessionRingBounded(t *testing.T) { atShards(t, testSessionRingBounded) }
+
+func testSessionRingBounded(t *testing.T, shards int) {
 	c, err := StartCluster(ClusterConfig{
 		Overlay:   tinyOverlay(t),
 		Scenario:  msg.PSD,
 		Strategy:  core.MaxEB{},
 		TimeScale: 1e-9, // pacing off: this is a volume test
 		Seed:      1,
+		Shards:    shards,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -12,11 +12,9 @@ import (
 	"bdps/internal/vtime"
 )
 
-// This file is the high-throughput live data plane (NodeConfig.Shards
-// ≥ 1). The classic plane (node.go) decodes every frame with fresh
-// allocations, funnels all processing through one node-wide lock, and
-// pays two write syscalls per outbound frame; this one is built to
-// scale with cores and to amortize every per-message cost:
+// This file is the node's data path — every message takes it, whatever
+// the worker count — built to scale with cores and to amortize every
+// per-message cost:
 //
 //   - Ingress: each connection's read loop decodes frames zero-copy
 //     into pooled messages and accumulates them into per-shard batches,
@@ -24,12 +22,13 @@ import (
 //     runs dry (or a batch cap is hit). A message's shard is keyed by
 //     its publication stream (the publisher id), so one stream is
 //     always processed by one worker, in arrival order — per-stream
-//     delivery order is exactly the single-threaded plane's.
+//     delivery order is what a single worker would produce.
 //   - Processing: each shard worker drives its own broker.Processor;
 //     workers for independent streams run broker matching and
 //     enqueueing in parallel, synchronizing only on the per-queue locks
 //     and the striped dedup set inside the broker. Subscription floods
-//     still take the node lock exclusively, parking all workers.
+//     still take the node lock exclusively, parking all workers. Local
+//     deliveries leave through the subscriber's session (session.go).
 //   - Egress: each sender drains its link queue in bursts selected at
 //     one scheduling instant (core.Queue.PopBurstWhile: one score sweep,
 //     the strategy's send order). A burst is a unit of time, not of
@@ -101,12 +100,36 @@ func (n *Node) startShards(k int) {
 	}
 }
 
-// readLoopSharded consumes frames from one inbound connection on the
-// sharded plane. Message frames decode zero-copy into pooled messages
-// and batch toward the shard workers; control frames (subscribe,
-// unsubscribe) flush pending batches first so control never overtakes
-// the data queued behind it, then run inline like the classic plane.
-func (n *Node) readLoopSharded(conn net.Conn, role byte, peerID msg.NodeID, peer *peerConn) {
+// readLoop consumes frames from one inbound connection: the hello
+// handshake, then message frames decoded zero-copy into pooled messages
+// and batched toward the shard workers. Control frames (subscribe,
+// unsubscribe, resume) first wait until the workers have processed
+// everything this connection dispatched, so control never overtakes the
+// data queued ahead of it, then run inline.
+func (n *Node) readLoop(conn net.Conn) {
+	defer n.wg.Done()
+	defer func() {
+		conn.Close()
+		n.mu.Lock()
+		delete(n.inbound, conn)
+		n.mu.Unlock()
+	}()
+
+	ft, body, err := msg.ReadFrame(conn)
+	if err != nil || ft != msg.FrameHello {
+		return
+	}
+	role, peerID, peerEpoch, err := msg.DecodeHello(body)
+	if err != nil {
+		return
+	}
+	if role != msg.RoleBroker {
+		peerID = msg.None // client hellos carry a client id, not a broker's
+	} else {
+		n.observeEpoch(peerID, peerEpoch)
+	}
+	peer := &peerConn{conn: conn}
+
 	fr := msg.NewFrameReader(conn)
 	var dec msg.Decoder
 	pend := make([]*inBatch, len(n.shards))
@@ -118,6 +141,18 @@ func (n *Node) readLoopSharded(conn net.Conn, role byte, peerID msg.NodeID, peer
 	// yet fully processed by their workers; control frames wait for it
 	// to reach zero so they cannot overtake the data queued behind them.
 	var outstanding atomic.Int32
+
+	// stage appends one accepted message to its shard's pending batch.
+	stage := func(m *msg.Message) {
+		si := int(uint32(m.Publisher)) % len(n.shards)
+		b := pend[si]
+		if b == nil {
+			b = getBatch(&outstanding)
+			pend[si] = b
+		}
+		b.msgs = append(b.msgs, m)
+		pending++
+	}
 
 	// flush hands every pending batch to its shard, blocking when a
 	// shard is saturated (backpressure). It reports false on shutdown.
@@ -173,7 +208,7 @@ func (n *Node) readLoopSharded(conn net.Conn, role byte, peerID msg.NodeID, peer
 
 	// drain additionally waits until the workers have processed every
 	// batch this connection dispatched — the per-connection ordering
-	// barrier the classic plane gets for free from inline processing.
+	// barrier control frames run behind.
 	drain := func() bool {
 		if !flush() {
 			return false
@@ -196,6 +231,8 @@ func (n *Node) readLoopSharded(conn net.Conn, role byte, peerID msg.NodeID, peer
 			fb.Release()
 			return
 		}
+		// Every case — accepted, skipped or ignored — falls through to the
+		// idle flush below the switch.
 		switch ft {
 		case msg.FrameMessage:
 			m := msg.GetMessage()
@@ -203,43 +240,23 @@ func (n *Node) readLoopSharded(conn net.Conn, role byte, peerID msg.NodeID, peer
 			if !took {
 				fb.Release()
 			}
-			// Every skip path below must still honor the idle-flush: if the
-			// connection's trailing frames are all skipped, earlier accepted
-			// messages would otherwise park in pend until the connection
-			// closes.
 			if derr != nil {
 				m.Release() // tolerate one corrupt frame; connection survives
-				if fr.Buffered() == 0 && !flush() {
-					return
-				}
-				continue
+				break
 			}
 			if role == msg.RolePublisher && m.Ingress != n.cfg.ID {
 				// Publishers must publish through their ingress broker.
 				m.Release()
-				if fr.Buffered() == 0 && !flush() {
-					return
-				}
-				continue
+				break
 			}
 			if role == msg.RolePublisher && !n.admitPub() {
 				// Rejected at the door: the frame still counts as accepted
 				// (quiescence compares recvPubs against injected frames).
 				n.recvPubs.Add(1)
 				m.Release()
-				if fr.Buffered() == 0 && !flush() {
-					return
-				}
-				continue
+				break
 			}
-			si := int(uint32(m.Publisher)) % len(n.shards)
-			b := pend[si]
-			if b == nil {
-				b = getBatch(&outstanding)
-				pend[si] = b
-			}
-			b.msgs = append(b.msgs, m)
-			pending++
+			stage(m)
 			// inflight rises before the receive counters so a quiescence
 			// poll can never observe the counters settled while this
 			// message still awaits its worker.
@@ -250,30 +267,22 @@ func (n *Node) readLoopSharded(conn net.Conn, role byte, peerID msg.NodeID, peer
 			case msg.RoleBroker:
 				n.recvPeers.Add(1)
 			}
-			if pending >= maxIngressBatch || fr.Buffered() == 0 {
-				if !flush() {
-					return
-				}
-			}
 		case msg.FrameData:
 			if role != msg.RoleBroker {
 				fb.Release()
-				continue
+				break
 			}
 			seq, base, fepoch, mb, derr := msg.DecodeDataHeader(body)
 			if derr != nil {
 				fb.Release()
-				continue
+				break
 			}
 			if n.rejectStale(peerID, fepoch) {
 				// Sent by a dead incarnation: counted toward the wire
 				// totals (like a mangled drop), never processed.
 				fb.Release()
 				n.recvPeers.Add(1)
-				if fr.Buffered() == 0 && !flush() {
-					return
-				}
-				continue
+				break
 			}
 			m := msg.GetMessage()
 			took, derr := dec.DecodeMessageInto(m, mb, fb)
@@ -282,7 +291,7 @@ func (n *Node) readLoopSharded(conn net.Conn, role byte, peerID msg.NodeID, peer
 			}
 			if derr != nil {
 				m.Release()
-				continue
+				break
 			}
 			// inflight covers the frame from here until its worker (or the
 			// dedup/reorder state) consumes it — a frame parked in the
@@ -295,21 +304,9 @@ func (n *Node) readLoopSharded(conn net.Conn, role byte, peerID msg.NodeID, peer
 			}
 			// Messages come back in restored FIFO order and batch toward
 			// the shard workers in that order, preserving the per-stream
-			// delivery ordering the sharded plane guarantees.
+			// delivery ordering.
 			for _, dm := range rl.accept(n, seq, base, m) {
-				si := int(uint32(dm.Publisher)) % len(n.shards)
-				b := pend[si]
-				if b == nil {
-					b = getBatch(&outstanding)
-					pend[si] = b
-				}
-				b.msgs = append(b.msgs, dm)
-				pending++
-			}
-			if pending >= maxIngressBatch || fr.Buffered() == 0 {
-				if !flush() {
-					return
-				}
+				stage(dm)
 			}
 		case msg.FrameDataDrop:
 			// The loss shim's mangled write: counted so the wire totals
@@ -318,14 +315,11 @@ func (n *Node) readLoopSharded(conn net.Conn, role byte, peerID msg.NodeID, peer
 			if role == msg.RoleBroker {
 				n.recvPeers.Add(1)
 			}
-			if fr.Buffered() == 0 && !flush() {
-				return
-			}
 		case msg.FrameSubscribe:
 			s, derr := msg.DecodeSubscription(body)
 			fb.Release()
 			if derr != nil {
-				continue
+				break
 			}
 			if !drain() {
 				return
@@ -339,31 +333,39 @@ func (n *Node) readLoopSharded(conn net.Conn, role byte, peerID msg.NodeID, peer
 			id, derr := msg.DecodeUnsubscribe(body)
 			fb.Release()
 			if derr != nil {
-				continue
+				break
 			}
 			if !drain() {
 				return
 			}
 			n.handleUnsubscribe(id)
-		case msg.FrameHeartbeat:
-			from, fepoch, derr := msg.DecodeHeartbeat(body)
+		case msg.FrameResume:
+			sub, lastSeq, derr := msg.DecodeResume(body)
 			fb.Release()
-			// A heartbeat behind the last data frame defeats the
-			// Buffered()==0 idle-flush heuristic above: without this flush
-			// the tail batch parks in pend until the next data frame,
-			// which after a crash upstream may never come.
-			if !flush() {
+			if derr != nil || role != msg.RoleSubscriber {
+				break
+			}
+			if !drain() {
 				return
 			}
-			if derr == nil {
-				// Liveness bookkeeping only — no quiescence counters, no
-				// ordering barrier: heartbeats are control-plane noise the
-				// data plane must not feel.
+			n.handleResume(sub, lastSeq, peer)
+		case msg.FrameHeartbeat:
+			// Liveness bookkeeping only — no quiescence counters, no
+			// ordering barrier: heartbeats are control-plane noise the
+			// data plane must not feel.
+			if from, fepoch, derr := msg.DecodeHeartbeat(body); derr == nil {
 				n.observeEpoch(from, fepoch)
 				n.heartbeatReceived(from)
 			}
+			fb.Release()
 		default:
 			fb.Release() // FrameAck, FrameHello: ignored
+		}
+		// The idle flush: dispatch what has accumulated once the batch cap
+		// is reached or the connection's buffer runs dry — the next Next
+		// would block, and with a crash upstream the frame that would
+		// otherwise trigger the flush may never come.
+		if pending >= maxIngressBatch || fr.Buffered() == 0 {
 			if !flush() {
 				return
 			}
@@ -371,35 +373,42 @@ func (n *Node) readLoopSharded(conn net.Conn, role byte, peerID msg.NodeID, peer
 	}
 }
 
-// shardWorker processes its shard's batches with a private
-// broker.Processor and reusable encode scratch.
+// worker is one shard worker's private state: its broker.Processor and
+// the scratch process reuses across messages.
+type worker struct {
+	proc  *broker.Processor
+	enc   []byte
+	outs  []sessOut
+	wakes []chan struct{}
+}
+
+// sessOut is one local delivery bound for a session.
+type sessOut struct {
+	sess    *session
+	allowed vtime.Millis
+}
+
+// shardWorker processes its shard's batches.
 func (n *Node) shardWorker(s *shard) {
 	defer n.wg.Done()
-	proc := n.b.NewProcessor()
-	var (
-		encBuf []byte
-		subs   []*peerConn
-		wakes  []chan struct{}
-	)
+	w := &worker{proc: n.b.NewProcessor()}
 	for {
 		select {
 		case <-n.stopped:
 			return
 		case b := <-s.ch:
 			for _, m := range b.msgs {
-				encBuf, subs, wakes = n.processSharded(proc, m, encBuf, subs, wakes)
+				n.process(w, m)
 			}
 			b.release()
 		}
 	}
 }
 
-// processSharded is the sharded plane's counterpart of Node.receive:
-// one message through the shared broker logic, then the wire
-// side-effects. The scratch slices are threaded through and returned so
-// the worker reuses them across messages.
-func (n *Node) processSharded(proc *broker.Processor, m *msg.Message,
-	encBuf []byte, subs []*peerConn, wakes []chan struct{}) ([]byte, []*peerConn, []chan struct{}) {
+// process handles one message arrival: processing delay, then the shared
+// broker logic — match, deliver locally, enqueue toward next hops — and
+// finally the wire side-effects (session deliveries, sender wake-ups).
+func (n *Node) process(w *worker, m *msg.Message) {
 	// Processing delay, scaled like link delays. A delay too short for a
 	// sleep to resolve is not slept — time.Sleep would round it up to
 	// the timer granularity and hold the whole shard for that long — but
@@ -426,19 +435,19 @@ func (n *Node) processSharded(proc *broker.Processor, m *msg.Message,
 	links := n.nlinks
 	m.Retain(links)
 
-	subs = subs[:0]
-	wakes = wakes[:0]
+	w.outs = w.outs[:0]
+	w.wakes = w.wakes[:0]
 	n.mu.RLock()
-	res := proc.Process(m, now)
+	res := w.proc.Process(m, now)
 	if !res.Duplicate {
 		for _, d := range res.Deliveries {
-			if sc, ok := n.locals[d.SubID]; ok {
-				subs = append(subs, sc.peer)
+			if sess := n.sessions[d.SubID]; sess != nil {
+				w.outs = append(w.outs, sessOut{sess, d.Allowed})
 			}
 		}
 		for _, hop := range res.EnqueuedHops {
 			if wk := n.wake[hop]; wk != nil {
-				wakes = append(wakes, wk)
+				w.wakes = append(w.wakes, wk)
 			}
 		}
 	}
@@ -449,22 +458,25 @@ func (n *Node) processSharded(proc *broker.Processor, m *msg.Message,
 		m.ReleaseN(links + 1)
 		n.dispatched.Add(-1)
 		n.inflight.Add(-1)
-		return encBuf, subs, wakes
+		return
 	}
 	n.accountResult(&res)
-	if len(subs) > 0 {
-		var err error
-		encBuf, err = msg.AppendMessageFrame(encBuf[:0], m)
-		if err == nil {
-			for _, pc := range subs {
-				_ = pc.writeBuf(encBuf) // dead subscribers are fine
-			}
+	if len(w.outs) > 0 {
+		// One encode per message, sequence fields zero: each session
+		// stamps its own into its ring copy.
+		frame, err := msg.AppendDataFrame(w.enc[:0], 0, 0, n.epoch.Load(), m)
+		w.enc = frame[:0]
+		if err != nil {
+			frame = nil // recorded, never written
+		}
+		for _, o := range w.outs {
+			o.sess.deliver(frame, m.Published, o.allowed)
 		}
 	}
 	// Drop the unused link references and the decode reference; queue
 	// entries keep theirs until their sender (or a drop path) releases.
 	m.ReleaseN(links - int32(len(res.EnqueuedHops)) + 1)
-	for _, wk := range wakes {
+	for _, wk := range w.wakes {
 		select {
 		case wk <- struct{}{}:
 		default:
@@ -472,10 +484,9 @@ func (n *Node) processSharded(proc *broker.Processor, m *msg.Message,
 	}
 	n.dispatched.Add(-1)
 	n.inflight.Add(-1)
-	return encBuf, subs, wakes
 }
 
-// senderLoopBatched drains one link's queue in bursts: select entries by
+// senderLoop drains one link's queue in bursts: select entries by
 // strategy at one scheduling instant until their accumulated transfer
 // time reaches paceQuantum (or the Burst cap), sleep that transfer time,
 // flush the burst with one writev. Injected link outages park the loop
@@ -483,7 +494,7 @@ func (n *Node) processSharded(proc *broker.Processor, m *msg.Message,
 // through the reliable channel: chains resolved against the adversary as
 // the entries are selected, every attempt paced and written (lost ones
 // mangled), the whole burst still leaving in one syscall.
-func (n *Node) senderLoopBatched(to msg.NodeID, pc *peerConn, wake chan struct{}, pacer Pacer, ls *linkSender) {
+func (n *Node) senderLoop(to msg.NodeID, pc *peerConn, wake chan struct{}, pacer Pacer, ls *linkSender) {
 	defer n.wg.Done()
 	q := n.b.Queue(to)
 	burst := n.burst
@@ -543,9 +554,9 @@ func (n *Node) senderLoopBatched(to msg.NodeID, pc *peerConn, wake chan struct{}
 		n.accountDrops(drops)
 		if len(entries) > 0 {
 			n.egress.Add(-int64(len(entries)))
-			// Set inside the pop critical section, like the classic
-			// plane, so a quiescence poll cannot see the queue empty
-			// before the transfer is visible as in-progress.
+			// Set inside the pop critical section, so a quiescence poll
+			// cannot see the queue empty before the transfer is visible
+			// as in-progress.
 			n.busySenders.Add(1)
 		}
 		q.Unlock()

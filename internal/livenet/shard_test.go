@@ -2,6 +2,7 @@ package livenet
 
 import (
 	"fmt"
+	"net"
 	"testing"
 	"time"
 
@@ -72,14 +73,14 @@ func runOrderedWorkload(t *testing.T, shards, perPub int) map[msg.NodeID][]uint3
 }
 
 // TestShardedPerStreamOrderMatchesSerial is the sharded ingress's
-// correctness pin: with shards enabled, every message must still be
+// correctness pin: with several workers, every message must still be
 // delivered exactly once and each publication stream must arrive at the
-// subscriber in publication order — exactly what the single-threaded
-// plane guarantees. Run with -race this also exercises the concurrent
+// subscriber in publication order — exactly what a single worker
+// guarantees. Run with -race this also exercises the concurrent
 // Processor/queue/dedup paths.
 func TestShardedPerStreamOrderMatchesSerial(t *testing.T) {
 	const perPub = 40
-	for _, shards := range []int{0, 4} {
+	for _, shards := range []int{4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			got := runOrderedWorkload(t, shards, perPub)
 			if len(got) != 2 {
@@ -145,5 +146,59 @@ func TestShardedPayloadDelivery(t *testing.T) {
 	}
 	if string(m.Payload) != string(payload) {
 		t.Fatalf("payload corrupted: %q", m.Payload)
+	}
+}
+
+// TestReadLoopFlushesBehindSkippedFrame pins the idle flush on the skip
+// paths: two valid messages and a trailing corrupt data frame arrive in
+// one write on a link that carries no heartbeats. The read loop skips
+// the corrupt frame and then blocks on an empty socket — the two
+// accepted messages must have been dispatched before it does, not parked
+// in the pending batch until the connection closes.
+func TestReadLoopFlushesBehindSkippedFrame(t *testing.T) {
+	c := startTinyCluster(t, msg.PSD)
+	defer c.Stop()
+
+	sub := &msg.Subscription{ID: 1, Edge: 2, Filter: &filter.Filter{}}
+	s, err := DialSubscriber(c.Addr(2), sub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	time.Sleep(100 * time.Millisecond) // subscription flood
+
+	// A bare broker link into the edge, standing in for broker 1.
+	conn, err := net.Dial("tcp", c.Addr(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := msg.WriteFrame(conn, msg.FrameHello, msg.AppendHello(nil, msg.RoleBroker, 1, 0)); err != nil {
+		t.Fatal(err)
+	}
+	var wire []byte
+	for i := uint32(0); i < 2; i++ {
+		wire, err = msg.AppendMessageFrame(wire, &msg.Message{
+			ID: msg.MakeID(0, i), Publisher: 0, Ingress: 0,
+			Published: c.Clock().Now(), Allowed: 60 * vtime.Second, SizeKB: 1,
+			Attrs: msg.NumAttrs(map[string]float64{"A1": 1}),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	wire = msg.BeginFrame(wire, msg.FrameData)
+	corrupt := len(wire) - 8
+	wire = append(wire, "short"...) // no room for the seq/base/epoch prefix
+	if err := msg.EndFrame(wire, corrupt); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(wire); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := s.Receive(2 * time.Second); err != nil {
+			t.Fatalf("message %d of 2 queued ahead of a skipped frame: %v", i+1, err)
+		}
 	}
 }

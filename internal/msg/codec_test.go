@@ -354,6 +354,24 @@ func TestDataHeaderEpoch(t *testing.T) {
 	if _, _, _, _, err := DecodeDataHeader(AppendDataHeader(nil, 3, 9, 0)); err == nil {
 		t.Error("base above seq should fail")
 	}
+	// A frame encoded once and stamped afterwards decodes to the stamped
+	// sequence with epoch and message untouched.
+	frame, err := AppendDataFrame(nil, 0, 0, 2, &Message{ID: 77})
+	if err != nil {
+		t.Fatal(err)
+	}
+	PutDataSeq(frame, 9, 5)
+	ft, fbody, err := ReadFrame(bytes.NewReader(frame))
+	if err != nil || ft != FrameData {
+		t.Fatalf("stamped frame: type %d err %v", ft, err)
+	}
+	seq, base, epoch, rest, err = DecodeDataHeader(fbody)
+	if err != nil || seq != 9 || base != 5 || epoch != 2 {
+		t.Errorf("stamped header: seq=%d base=%d epoch=%d err=%v", seq, base, epoch, err)
+	}
+	if m, err := DecodeMessage(rest); err != nil || m.ID != 77 {
+		t.Errorf("stamped frame's message: %v err %v", m, err)
+	}
 }
 
 func TestReadFrameHugeBodyRejected(t *testing.T) {

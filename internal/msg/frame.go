@@ -170,6 +170,14 @@ func AppendDataFrame(dst []byte, seq, base uint64, epoch uint32, m *Message) ([]
 	return dst, nil
 }
 
+// PutDataSeq overwrites the seq and base fields of a complete FrameData
+// frame assembled at offset 0, so a frame encoded once can be stamped
+// with a per-receiver sequence in each receiver's copy.
+func PutDataSeq(frame []byte, seq, base uint64) {
+	binary.BigEndian.PutUint64(frame[frameHdrLen:], seq)
+	binary.BigEndian.PutUint64(frame[frameHdrLen+8:], base)
+}
+
 // DataFrameType returns the offset of the frame-type byte within a frame
 // assembled at `start` — the byte the loss shim mangles to turn a
 // FrameData into a FrameDataDrop without reassembling the burst.

@@ -126,10 +126,9 @@ type Config struct {
 	// ~0.002. The simulator ignores it (virtual time costs nothing).
 	TimeScale float64
 
-	// LiveShards ≥ 1 runs every live broker on the sharded
-	// high-throughput data plane with that many ingress workers; 0 keeps
-	// the classic single-threaded plane. The simulator ignores it
-	// (scheduling semantics are identical either way).
+	// LiveShards is every live broker's number of ingress workers
+	// (0 = 1). The simulator ignores it (scheduling semantics are
+	// identical either way).
 	LiveShards int
 
 	// Recovery configures the self-healing control plane: failure

@@ -159,11 +159,6 @@ func TestSimRestartRecoversDelivery(t *testing.T) {
 // — subscriptions reinstalled from the log, sessions resumed, messages
 // replayed, deadline drops and stale-epoch rejections — and land in the
 // same delivery band.
-//
-// The live run uses the classic data plane: client session replay rings
-// are a classic-plane feature (the sharded plane's local handoff writes
-// message frames straight to the subscriber, bypassing per-session
-// sequencing).
 func TestRestartResumeCrossValidation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compressed-timescale live cluster run")

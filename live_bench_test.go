@@ -22,17 +22,10 @@ import (
 // end to end (injection through cluster quiescence, every message
 // delivered to a subscriber); msgs/sec and allocs/op (the whole
 // pipeline, all goroutines) are the headline numbers.
-//
-// The sub-benchmarks are the before/after pair of PR 4:
-//
-//	legacy  — the pre-PR single-threaded plane (per-frame allocation,
-//	          one node-wide lock, two write syscalls per frame)
-//	sharded — the zero-copy, sharded, batched-writev plane
 func BenchmarkLiveThroughput(b *testing.B) {
-	b.Run("legacy", func(b *testing.B) { benchmarkLiveThroughput(b, 0) })
-	// One shard per core, the deployment guidance: extra workers on a
-	// starved box only add scheduler churn.
-	b.Run("sharded", func(b *testing.B) { benchmarkLiveThroughput(b, grt.GOMAXPROCS(0)) })
+	// One ingress worker per core, the deployment guidance: extra
+	// workers on a starved box only add scheduler churn.
+	benchmarkLiveThroughput(b, grt.GOMAXPROCS(0))
 }
 
 // benchChainOverlay is a three-broker chain: ingress 0 → 1 → 2 edge,
