@@ -1,0 +1,357 @@
+package livenet
+
+import (
+	"bdps/internal/durable"
+	"bdps/internal/msg"
+	"bdps/internal/routing"
+	"bdps/internal/stats"
+)
+
+// This file is the node's control path: subscription admission and
+// retraction (flooding, covering aggregation, tombstones) and the
+// durable record of the routing state they produce (WAL append, recovery
+// at start, checkpoints).
+
+// tombstoneLimit bounds each tombstone generation. Total tombstone
+// memory is at most two generations; a subscribe flood older than the
+// last ~2·tombstoneLimit unsubscribes can in principle resurrect a
+// subscription — the same eventual-consistency window any bounded
+// anti-entropy state has — instead of the set growing without limit
+// under a million-user churn soak.
+const tombstoneLimit = 1 << 16
+
+// tombstones is a generation-bounded set of unsubscribed ids: inserts go
+// to the current generation; when it fills, the previous generation is
+// dropped. Membership checks consult both.
+type tombstones struct {
+	limit     int // generation capacity; defaults to tombstoneLimit
+	cur, prev map[msg.SubID]struct{}
+}
+
+func (t *tombstones) add(id msg.SubID) {
+	if t.limit == 0 {
+		t.limit = tombstoneLimit
+	}
+	if t.cur == nil {
+		t.cur = make(map[msg.SubID]struct{})
+	}
+	if len(t.cur) >= t.limit {
+		t.prev = t.cur
+		t.cur = make(map[msg.SubID]struct{}, t.limit)
+	}
+	t.cur[id] = struct{}{}
+}
+
+func (t *tombstones) has(id msg.SubID) bool {
+	if _, ok := t.cur[id]; ok {
+		return true
+	}
+	_, ok := t.prev[id]
+	return ok
+}
+
+// len reports the retained tombstone count (both generations).
+func (t *tombstones) len() int { return len(t.cur) + len(t.prev) }
+
+// openStore opens the durable store under cfg.StateDir and, when it
+// holds recorded state, turns this node into a restarted incarnation:
+// epoch = recorded + 1. Dynamic (plan-less) nodes reinstall the
+// recovered routing entries immediately; plan deployments replay them
+// through the transport's repair engine instead (Restarted).
+func (n *Node) openStore() error {
+	st, err := durable.Open(n.cfg.StateDir)
+	if err != nil {
+		return err
+	}
+	n.store = st
+	if st.Empty() {
+		return st.SetEpoch(n.cfg.Epoch)
+	}
+	n.recovered = st.State()
+	n.restarted = true
+	n.epoch.Store(n.recovered.Epoch + 1)
+	if err := st.SetEpoch(n.epoch.Load()); err != nil {
+		return err
+	}
+	if n.cfg.Broker == nil {
+		for _, e := range n.recovered.Entries {
+			n.table.Add(&routing.Entry{
+				Sub: e.Sub, Source: e.Source, Next: e.Next,
+				Hops: e.Hops, PathID: e.PathID,
+				Rate:    stats.Normal{Mean: e.RateMean, Sigma: e.RateSigma},
+				Relaxed: e.Relaxed,
+			})
+			n.seenSubs[e.Sub.ID] = true
+		}
+	}
+	return nil
+}
+
+// logSub appends every routing entry the table currently holds for one
+// subscription to the WAL (n.mu held). The scan is linear in the table
+// — dynamic admissions are control-plane rare next to data traffic.
+func (n *Node) logSub(id msg.SubID) {
+	if n.store == nil {
+		return
+	}
+	for _, src := range n.table.Sources() {
+		for _, e := range n.table.Entries(src) {
+			if e.Sub.ID != id {
+				continue
+			}
+			_ = n.store.AppendEntry(durable.Entry{
+				Sub: e.Sub, Source: e.Source, Next: e.Next,
+				Hops: e.Hops, PathID: e.PathID,
+				RateMean: e.Rate.Mean, RateSigma: e.Rate.Sigma,
+				Relaxed: e.Relaxed,
+			})
+		}
+	}
+}
+
+// CheckpointTable snapshots the node's full durable state — epoch,
+// every live routing entry and the reliable links' send watermarks —
+// into the store, truncating the incremental log. No-op without a
+// StateDir.
+func (n *Node) CheckpointTable() error {
+	if n.store == nil {
+		return nil
+	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	st := durable.State{Epoch: n.epoch.Load(), Marks: make(map[msg.NodeID]uint64)}
+	for _, src := range n.table.Sources() {
+		for _, e := range n.table.Entries(src) {
+			st.Entries = append(st.Entries, durable.Entry{
+				Sub: e.Sub, Source: e.Source, Next: e.Next,
+				Hops: e.Hops, PathID: e.PathID,
+				RateMean: e.Rate.Mean, RateSigma: e.Rate.Sigma,
+				Relaxed: e.Relaxed,
+			})
+		}
+	}
+	for to, ls := range n.linkSenders {
+		st.Marks[to] = ls.seq.Load()
+	}
+	return n.store.Reset(st)
+}
+
+// handleSubscribe installs a subscription (local conn non-nil when the
+// subscriber is attached here) and floods it to neighbors once.
+// Pre-installed plan subscriptions only register the local connection.
+// With aggregation on, the subscription's edge broker — the one place
+// that sees the concrete subscription first — classifies it against the
+// resident canonical filters and suppresses the flood when one with
+// identical delivery terms already covers it (the covering chain's
+// forwarded root carries the upstream traffic).
+func (n *Node) handleSubscribe(s *msg.Subscription, local *peerConn) {
+	n.mu.Lock()
+	if n.removedSubs.has(s.ID) {
+		// Tombstoned: a subscribe flood racing its own unsubscribe.
+		n.mu.Unlock()
+		return
+	}
+	if n.seenSubs[s.ID] && local == nil {
+		n.mu.Unlock()
+		return
+	}
+	first := !n.seenSubs[s.ID]
+	n.seenSubs[s.ID] = true
+	var sess *session
+	if local != nil && s.Edge == n.cfg.ID {
+		sess = n.sessionFor(s, local, 0)
+	}
+	flood := first
+	if first {
+		if n.agg != nil && s.Edge == n.cfg.ID {
+			switch kind, rep := n.agg.Admit(s); kind {
+			case routing.AdmitForward:
+				n.installRoutes(s)
+			case routing.AdmitMember:
+				// Exact duplicate: fold into the representative's local
+				// entries; delivery fans out to the group's members.
+				n.table.Attach(rep.ID, s)
+				flood = false
+			case routing.AdmitCovered:
+				// Properly covered: local delivery entries only (the edge
+				// is terminal on every path to it), upstream traffic rides
+				// the covering chain's forwarded root.
+				n.installRoutes(s)
+				n.table.AddRef(rep.ID)
+				flood = false
+			}
+			if !flood {
+				n.cnt.floodsSuppressed.Add(1)
+				if n.sink != nil {
+					n.sink.FloodSuppressed(1)
+				}
+			}
+		} else {
+			n.installRoutes(s)
+		}
+		n.logSub(s.ID) // durable admission record (no-op without a store)
+	}
+	peers := make([]*peerConn, 0, len(n.peers))
+	if flood {
+		for _, p := range n.peers {
+			peers = append(peers, p)
+		}
+	}
+	n.mu.Unlock()
+
+	if sess != nil {
+		sess.attach(local) // a re-subscribe moves the session to the new connection
+	}
+	if !flood {
+		return
+	}
+	body, err := msg.AppendSubscription(nil, s)
+	if err != nil {
+		return
+	}
+	for _, p := range peers {
+		_ = p.writeFrame(msg.FrameSubscribe, body) // dead peers are fine
+	}
+}
+
+// handleUnsubscribe removes a subscription's routing state and floods the
+// removal across the overlay once. A tombstone prevents resurrection by
+// late subscribe floods. With aggregation on, the owning edge broker
+// realizes the retraction instead: member/covered departures never
+// flooded so they never unsubscribe remotely, and a departing
+// representative first floods whatever re-exposes its coverage
+// (promotion hand-off or re-exposed representatives) so the peers'
+// coverage stays gapless — subscribe frames precede the unsubscribe on
+// every per-peer TCP stream.
+func (n *Node) handleUnsubscribe(id msg.SubID) {
+	n.mu.Lock()
+	if n.removedSubs.has(id) {
+		n.mu.Unlock()
+		return
+	}
+	n.removedSubs.add(id)
+	// Forget the flood-dedup entry too: under sustained churn seenSubs
+	// would otherwise grow one entry per subscription ever seen.
+	delete(n.seenSubs, id)
+	delete(n.sessions, id)
+	if n.store != nil {
+		_ = n.store.RemoveSub(id)
+	}
+
+	var types []byte
+	var frames [][]byte
+	unsubscribe := true
+	if n.agg != nil {
+		if ret, ok := n.agg.Remove(id); ok {
+			unsubscribe = n.retractOwned(id, ret, &types, &frames)
+		} else {
+			// Not ours: a remote copy of a forwarded subscription.
+			n.table.RemoveSub(id)
+		}
+	} else {
+		n.table.RemoveSub(id)
+	}
+	if unsubscribe {
+		types = append(types, msg.FrameUnsubscribe)
+		frames = append(frames, msg.AppendUnsubscribe(nil, id))
+	}
+	var peers []*peerConn
+	if len(frames) > 0 {
+		peers = make([]*peerConn, 0, len(n.peers))
+		for _, p := range n.peers {
+			peers = append(peers, p)
+		}
+	}
+	n.mu.Unlock()
+
+	for i, body := range frames {
+		for _, p := range peers {
+			_ = p.writeFrame(types[i], body)
+		}
+	}
+}
+
+// retractOwned realizes an owner-side retraction on the local table and
+// appends the subscribe floods it requires (promotion hand-off,
+// re-exposed representatives) to types/frames. It reports whether the
+// unsubscribe itself must still flood: only representatives ever
+// installed remote state, so member and covered departures stay local.
+// Called with n.mu held.
+func (n *Node) retractOwned(id msg.SubID, ret routing.Retraction, types *[]byte, frames *[][]byte) bool {
+	push := func(s *msg.Subscription) {
+		body, err := msg.AppendSubscription(nil, s)
+		if err != nil {
+			return
+		}
+		*types = append(*types, msg.FrameSubscribe)
+		*frames = append(*frames, body)
+	}
+	reexpose := func(s *msg.Subscription) {
+		switch kind, rep := n.agg.Reexpose(s); kind {
+		case routing.AdmitForward:
+			// Its local entries survived under the departing coverer;
+			// only the peers must install theirs now.
+			push(s)
+		case routing.AdmitCovered:
+			n.table.AddRef(rep.ID)
+		}
+	}
+	switch ret.Kind {
+	case routing.RetractMember:
+		n.table.Detach(ret.Rep.ID, id)
+		return false
+	case routing.RetractCovered:
+		// Covered canonicals never flooded, so their departure is a
+		// purely local affair whatever shape it takes.
+		if ret.Promoted != nil {
+			// The last exact duplicate inherits the local entries in
+			// place (the filter is identical).
+			n.table.Promote(id)
+			return false
+		}
+		n.table.RemoveSub(id)
+		n.table.DropRef(ret.Rep.ID)
+		for _, s := range ret.Reexposed {
+			// By transitivity the departing filter's own coverer covers
+			// them too, so these normally re-cover without flooding; the
+			// cycle guard can still force one to forward.
+			reexpose(s)
+		}
+		return false
+	}
+	if ret.Promoted != nil {
+		// The last exact duplicate inherits the entries in place (the
+		// filter is identical); peers swap the entries' identity via the
+		// subscribe-then-unsubscribe flood pair.
+		n.table.Promote(id)
+		push(ret.Promoted)
+		return true
+	}
+	n.table.RemoveSub(id)
+	for _, s := range ret.Reexposed {
+		reexpose(s)
+	}
+	return true
+}
+
+// Subscribe injects a subscription at this broker exactly as if a
+// subscriber client had sent it — routing entries install here and the
+// subscription floods across the overlay. The runtime's live churn
+// driver uses it to realize a plan's subscribe events at the
+// subscription's edge broker.
+func (n *Node) Subscribe(s *msg.Subscription) { n.handleSubscribe(s, nil) }
+
+// Unsubscribe injects a subscription withdrawal at this broker: routing
+// state is removed, a bounded tombstone guards against late subscribe
+// floods, and the removal floods across the overlay.
+func (n *Node) Unsubscribe(id msg.SubID) { n.handleUnsubscribe(id) }
+
+// installRoutes computes this broker's routing entries for one
+// dynamically flooded subscription: for each ingress, the deterministic
+// min-mean path — or the K shortest paths when Multipath is on — using
+// the same path-entry definition as static routing builds (n.mu held).
+// The installer's per-ingress Dijkstra cache makes each flood cost path
+// reconstruction, not a shortest-path computation under the write lock.
+func (n *Node) installRoutes(s *msg.Subscription) {
+	n.installer.InstallAt(n.cfg.ID, n.table, s)
+}

@@ -1,0 +1,270 @@
+package livenet
+
+import (
+	"fmt"
+	"net"
+	"sync"
+	"time"
+
+	"bdps/internal/msg"
+	"bdps/internal/runtime"
+	"bdps/internal/stats"
+)
+
+// This file is the node's link layer: the connections to and from
+// neighbor brokers and clients — listening and the accept loop, dialing
+// and re-dialing overlay links, framed writes, incarnation epochs, and
+// injected link outages.
+
+type peerConn struct {
+	mu   sync.Mutex
+	conn net.Conn
+}
+
+func (p *peerConn) writeFrame(frameType byte, body []byte) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if err := p.conn.SetWriteDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		return err
+	}
+	return msg.WriteFrame(p.conn, frameType, body)
+}
+
+// writeBuf writes one preassembled frame (header + body in one buffer)
+// with a single syscall.
+func (p *peerConn) writeBuf(frame []byte) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if err := p.conn.SetWriteDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		return err
+	}
+	_, err := p.conn.Write(frame)
+	return err
+}
+
+// writeBuffers flushes a whole burst of preassembled frames with
+// writev, returning the bytes written (for partial-failure accounting).
+// WriteTo consumes *bufs (the slice header advances and elements are
+// re-sliced); the caller passes a long-lived scratch it rebuilds per
+// burst, so nothing escapes per call.
+func (p *peerConn) writeBuffers(bufs *net.Buffers) (int64, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if err := p.conn.SetWriteDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		return 0, err
+	}
+	return bufs.WriteTo(p.conn)
+}
+
+// observeEpoch raises the recorded incarnation epoch of a neighbor
+// broker (Hello and heartbeat frames announce it).
+func (n *Node) observeEpoch(peer msg.NodeID, e uint32) {
+	if peer == msg.None {
+		return
+	}
+	n.epochMu.Lock()
+	if e > n.peerEpochs[peer] {
+		n.peerEpochs[peer] = e
+	}
+	n.epochMu.Unlock()
+}
+
+// rejectStale reports whether a data frame from a neighbor carries an
+// epoch older than the newest that neighbor announced — a frame sent by
+// a dead incarnation, counted and discarded by the caller.
+func (n *Node) rejectStale(peer msg.NodeID, e uint32) bool {
+	if peer == msg.None {
+		return false
+	}
+	n.epochMu.Lock()
+	stale := e < n.peerEpochs[peer]
+	n.epochMu.Unlock()
+	if stale {
+		n.cnt.staleEpoch.Add(1)
+		if n.sink != nil {
+			n.sink.StaleEpoch(1)
+		}
+	}
+	return stale
+}
+
+// Listen binds the node's TCP listener and starts accepting connections.
+// It returns the bound address (useful with ":0").
+func (n *Node) Listen(addr string) (string, error) {
+	l, err := net.Listen("tcp", addr)
+	if err != nil {
+		return "", err
+	}
+	n.listener = l
+	n.wg.Add(1)
+	go n.acceptLoop()
+	return l.Addr().String(), nil
+}
+
+// acceptLoop accepts inbound connections (brokers, publishers,
+// subscribers) and spawns a reader per connection.
+func (n *Node) acceptLoop() {
+	defer n.wg.Done()
+	for {
+		conn, err := n.listener.Accept()
+		if err != nil {
+			select {
+			case <-n.stopped:
+				return
+			default:
+				continue
+			}
+		}
+		n.mu.Lock()
+		select {
+		case <-n.stopped:
+			n.mu.Unlock()
+			conn.Close()
+			return
+		default:
+		}
+		n.inbound[conn] = struct{}{}
+		n.mu.Unlock()
+		n.wg.Add(1)
+		go n.readLoop(conn)
+	}
+}
+
+// ConnectPeers dials every overlay neighbor at the given addresses and
+// starts one sender goroutine per link. Addresses of non-neighbors are
+// ignored.
+func (n *Node) ConnectPeers(addrs map[msg.NodeID]string) error {
+	for _, e := range n.cfg.Overlay.Graph.Neighbors(n.cfg.ID) {
+		addr, ok := addrs[e.To]
+		if !ok {
+			return fmt.Errorf("livenet: broker %d: no address for neighbor %d", n.cfg.ID, e.To)
+		}
+		conn, err := dialRetry(addr, 40, 50*time.Millisecond)
+		if err != nil {
+			return fmt.Errorf("livenet: broker %d dialing %d: %w", n.cfg.ID, e.To, err)
+		}
+		hello := msg.AppendHello(nil, msg.RoleBroker, n.cfg.ID, n.epoch.Load())
+		if err := msg.WriteFrame(conn, msg.FrameHello, hello); err != nil {
+			conn.Close()
+			return err
+		}
+		pacer, ok := n.cfg.Pacers[e.To]
+		if !ok {
+			pacer = Pacer{
+				Sampler: runtime.NewSampler(runtime.LinkNormal, e.Rate, 1),
+				Stream:  stats.DeriveN(n.cfg.Seed, "livenet/link", int(n.cfg.ID)<<16|int(uint16(e.To))),
+			}
+		}
+		pc := &peerConn{conn: conn}
+		n.mu.Lock()
+		n.peers[e.To] = pc
+		wake := make(chan struct{}, 1)
+		n.wake[e.To] = wake
+		n.estimates[e.To] = &stats.WelfordEstimator{Prior: e.Rate}
+		n.mu.Unlock()
+
+		// A link facing an injected loss adversary runs the reliable
+		// channel: sequence numbers, a bounded retransmit buffer, and an
+		// ack loop reading the cumulative acks the peer sends back on
+		// this connection (nothing else ever reads a dialed link).
+		var ls *linkSender
+		if lm := n.cfg.Loss[e.To]; lm != nil {
+			ls = newLinkSender(lm, n.cfg.Retry[e.To], n.cfg.RetxWindow)
+			// A restarted incarnation resumes the link sequence from the
+			// checkpointed watermark so the receiver's dedup window never
+			// sees a replayed sequence number as fresh.
+			if mark, ok := n.recovered.Marks[e.To]; ok {
+				ls.seq.Store(mark)
+			}
+			n.mu.Lock()
+			n.linkSenders[e.To] = ls
+			n.mu.Unlock()
+			n.wg.Add(1)
+			go n.ackLoop(conn, ls.retx)
+		}
+
+		n.wg.Add(1)
+		go n.senderLoop(e.To, pc, wake, pacer, ls)
+	}
+	n.startHeartbeats()
+	return nil
+}
+
+// ReconnectPeer re-dials one overlay neighbor at a new address — a
+// crashed peer reborn on a fresh port — and swaps the link's connection
+// in place: the sender goroutine, pacer, reliable-channel state and
+// per-link counters all survive, only the wire underneath changes. The
+// old connection is closed (its ack reader exits on the dead socket)
+// and, on a reliable link, a new ack reader is started for the new one.
+func (n *Node) ReconnectPeer(to msg.NodeID, addr string) error {
+	conn, err := dialRetry(addr, 40, 50*time.Millisecond)
+	if err != nil {
+		return fmt.Errorf("livenet: broker %d re-dialing %d: %w", n.cfg.ID, to, err)
+	}
+	hello := msg.AppendHello(nil, msg.RoleBroker, n.cfg.ID, n.epoch.Load())
+	if err := msg.WriteFrame(conn, msg.FrameHello, hello); err != nil {
+		conn.Close()
+		return err
+	}
+	n.mu.Lock()
+	pc := n.peers[to]
+	ls := n.linkSenders[to]
+	n.mu.Unlock()
+	if pc == nil {
+		conn.Close()
+		return fmt.Errorf("livenet: broker %d has no link to %d", n.cfg.ID, to)
+	}
+	pc.mu.Lock()
+	old := pc.conn
+	pc.conn = conn
+	pc.mu.Unlock()
+	old.Close()
+	if ls != nil {
+		n.wg.Add(1)
+		go n.ackLoop(conn, ls.retx)
+	}
+	return nil
+}
+
+func dialRetry(addr string, attempts int, backoff time.Duration) (net.Conn, error) {
+	var lastErr error
+	for i := 0; i < attempts; i++ {
+		conn, err := net.DialTimeout("tcp", addr, time.Second)
+		if err == nil {
+			return conn, nil
+		}
+		lastErr = err
+		time.Sleep(backoff)
+	}
+	return nil, lastErr
+}
+
+// SetLinkDown injects (or lifts) a link outage on the outgoing link to a
+// neighbor: while down, the sender starts no new transfers (an in-flight
+// transfer finishes, as in the simulator's fault model).
+func (n *Node) SetLinkDown(to msg.NodeID, down bool) {
+	n.mu.Lock()
+	n.linkDown[to] = down
+	wake := n.wake[to]
+	n.mu.Unlock()
+	if !down && wake != nil {
+		select {
+		case wake <- struct{}{}:
+		default:
+		}
+	}
+}
+
+// LinkEstimate returns the measured per-KB rate estimate for the link to
+// a neighbor (emulated milliseconds per KB), and whether any transfers
+// have been observed yet. Before enough observations it returns the
+// configured prior.
+func (n *Node) LinkEstimate(to msg.NodeID) (stats.Normal, bool) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	est, ok := n.estimates[to]
+	if !ok {
+		return stats.Normal{}, false
+	}
+	return est.Estimate(), est.Count() > 0
+}

@@ -36,7 +36,6 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"bdps/internal/broker"
 	"bdps/internal/core"
@@ -48,54 +47,6 @@ import (
 	"bdps/internal/topology"
 	"bdps/internal/vtime"
 )
-
-// Pacer paces one outgoing link: a per-transfer rate sampler and the
-// random stream feeding it. Plan deployments pass the plan's samplers so
-// live links draw the same rate sequences the simulator would.
-type Pacer struct {
-	Sampler runtime.Sampler
-	Stream  *stats.Stream
-
-	// timer is the owning sender goroutine's pacing timer: created by
-	// the first wait that actually has to sleep, reused by every later
-	// one, so an unpaced sender never allocates it and a paced one
-	// allocates it once.
-	timer *time.Timer
-}
-
-// wait sleeps one pacing delay — a transfer's sampled link time, already
-// scaled to wall time — and reports false when the node stopped first.
-// A delay that rounds to nothing costs a poll of the stop channel and no
-// timer. Only the sender goroutine that owns the Pacer may call it.
-func (p *Pacer) wait(d time.Duration, stopped <-chan struct{}) bool {
-	if d <= 0 {
-		select {
-		case <-stopped:
-			return false
-		default:
-			return true
-		}
-	}
-	if p.timer == nil {
-		p.timer = time.NewTimer(d)
-	} else {
-		p.timer.Reset(d)
-	}
-	select {
-	case <-p.timer.C:
-		return true
-	case <-stopped:
-		// Leave the timer stopped and its channel empty, so a Reset is
-		// safe whatever the runtime's timer-channel semantics.
-		if !p.timer.Stop() {
-			select {
-			case <-p.timer.C:
-			default:
-			}
-		}
-		return false
-	}
-}
 
 // NodeConfig assembles a live broker.
 type NodeConfig struct {
@@ -410,87 +361,6 @@ func (c *counters) snapshot() Stats {
 	}
 }
 
-type peerConn struct {
-	mu   sync.Mutex
-	conn net.Conn
-}
-
-func (p *peerConn) writeFrame(frameType byte, body []byte) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if err := p.conn.SetWriteDeadline(time.Now().Add(10 * time.Second)); err != nil {
-		return err
-	}
-	return msg.WriteFrame(p.conn, frameType, body)
-}
-
-// writeBuf writes one preassembled frame (header + body in one buffer)
-// with a single syscall.
-func (p *peerConn) writeBuf(frame []byte) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if err := p.conn.SetWriteDeadline(time.Now().Add(10 * time.Second)); err != nil {
-		return err
-	}
-	_, err := p.conn.Write(frame)
-	return err
-}
-
-// writeBuffers flushes a whole burst of preassembled frames with
-// writev, returning the bytes written (for partial-failure accounting).
-// WriteTo consumes *bufs (the slice header advances and elements are
-// re-sliced); the caller passes a long-lived scratch it rebuilds per
-// burst, so nothing escapes per call.
-func (p *peerConn) writeBuffers(bufs *net.Buffers) (int64, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if err := p.conn.SetWriteDeadline(time.Now().Add(10 * time.Second)); err != nil {
-		return 0, err
-	}
-	return bufs.WriteTo(p.conn)
-}
-
-// tombstoneLimit bounds each tombstone generation. Total tombstone
-// memory is at most two generations; a subscribe flood older than the
-// last ~2·tombstoneLimit unsubscribes can in principle resurrect a
-// subscription — the same eventual-consistency window any bounded
-// anti-entropy state has — instead of the set growing without limit
-// under a million-user churn soak.
-const tombstoneLimit = 1 << 16
-
-// tombstones is a generation-bounded set of unsubscribed ids: inserts go
-// to the current generation; when it fills, the previous generation is
-// dropped. Membership checks consult both.
-type tombstones struct {
-	limit     int // generation capacity; defaults to tombstoneLimit
-	cur, prev map[msg.SubID]struct{}
-}
-
-func (t *tombstones) add(id msg.SubID) {
-	if t.limit == 0 {
-		t.limit = tombstoneLimit
-	}
-	if t.cur == nil {
-		t.cur = make(map[msg.SubID]struct{})
-	}
-	if len(t.cur) >= t.limit {
-		t.prev = t.cur
-		t.cur = make(map[msg.SubID]struct{}, t.limit)
-	}
-	t.cur[id] = struct{}{}
-}
-
-func (t *tombstones) has(id msg.SubID) bool {
-	if _, ok := t.cur[id]; ok {
-		return true
-	}
-	_, ok := t.prev[id]
-	return ok
-}
-
-// len reports the retained tombstone count (both generations).
-func (t *tombstones) len() int { return len(t.cur) + len(t.prev) }
-
 // NewNode validates the configuration and builds a node.
 func NewNode(cfg NodeConfig) (*Node, error) {
 	if cfg.Overlay == nil {
@@ -604,89 +474,6 @@ func (n *Node) Epoch() uint32 { return n.epoch.Load() }
 // durable state, and returns that state (zero otherwise).
 func (n *Node) Restarted() (durable.State, bool) { return n.recovered, n.restarted }
 
-// openStore opens the durable store under cfg.StateDir and, when it
-// holds recorded state, turns this node into a restarted incarnation:
-// epoch = recorded + 1. Dynamic (plan-less) nodes reinstall the
-// recovered routing entries immediately; plan deployments replay them
-// through the transport's repair engine instead (Restarted).
-func (n *Node) openStore() error {
-	st, err := durable.Open(n.cfg.StateDir)
-	if err != nil {
-		return err
-	}
-	n.store = st
-	if st.Empty() {
-		return st.SetEpoch(n.cfg.Epoch)
-	}
-	n.recovered = st.State()
-	n.restarted = true
-	n.epoch.Store(n.recovered.Epoch + 1)
-	if err := st.SetEpoch(n.epoch.Load()); err != nil {
-		return err
-	}
-	if n.cfg.Broker == nil {
-		for _, e := range n.recovered.Entries {
-			n.table.Add(&routing.Entry{
-				Sub: e.Sub, Source: e.Source, Next: e.Next,
-				Hops: e.Hops, PathID: e.PathID,
-				Rate:    stats.Normal{Mean: e.RateMean, Sigma: e.RateSigma},
-				Relaxed: e.Relaxed,
-			})
-			n.seenSubs[e.Sub.ID] = true
-		}
-	}
-	return nil
-}
-
-// logSub appends every routing entry the table currently holds for one
-// subscription to the WAL (n.mu held). The scan is linear in the table
-// — dynamic admissions are control-plane rare next to data traffic.
-func (n *Node) logSub(id msg.SubID) {
-	if n.store == nil {
-		return
-	}
-	for _, src := range n.table.Sources() {
-		for _, e := range n.table.Entries(src) {
-			if e.Sub.ID != id {
-				continue
-			}
-			_ = n.store.AppendEntry(durable.Entry{
-				Sub: e.Sub, Source: e.Source, Next: e.Next,
-				Hops: e.Hops, PathID: e.PathID,
-				RateMean: e.Rate.Mean, RateSigma: e.Rate.Sigma,
-				Relaxed: e.Relaxed,
-			})
-		}
-	}
-}
-
-// CheckpointTable snapshots the node's full durable state — epoch,
-// every live routing entry and the reliable links' send watermarks —
-// into the store, truncating the incremental log. No-op without a
-// StateDir.
-func (n *Node) CheckpointTable() error {
-	if n.store == nil {
-		return nil
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	st := durable.State{Epoch: n.epoch.Load(), Marks: make(map[msg.NodeID]uint64)}
-	for _, src := range n.table.Sources() {
-		for _, e := range n.table.Entries(src) {
-			st.Entries = append(st.Entries, durable.Entry{
-				Sub: e.Sub, Source: e.Source, Next: e.Next,
-				Hops: e.Hops, PathID: e.PathID,
-				RateMean: e.Rate.Mean, RateSigma: e.Rate.Sigma,
-				Relaxed: e.Relaxed,
-			})
-		}
-	}
-	for to, ls := range n.linkSenders {
-		st.Marks[to] = ls.seq.Load()
-	}
-	return n.store.Reset(st)
-}
-
 // Drain shuts the node down gracefully for a planned restart: the
 // routing table and send watermarks are checkpointed first, so the next
 // incarnation warm-rejoins from an exact snapshot instead of the
@@ -694,160 +481,6 @@ func (n *Node) CheckpointTable() error {
 func (n *Node) Drain() {
 	_ = n.CheckpointTable()
 	n.Stop()
-}
-
-// observeEpoch raises the recorded incarnation epoch of a neighbor
-// broker (Hello and heartbeat frames announce it).
-func (n *Node) observeEpoch(peer msg.NodeID, e uint32) {
-	if peer == msg.None {
-		return
-	}
-	n.epochMu.Lock()
-	if e > n.peerEpochs[peer] {
-		n.peerEpochs[peer] = e
-	}
-	n.epochMu.Unlock()
-}
-
-// rejectStale reports whether a data frame from a neighbor carries an
-// epoch older than the newest that neighbor announced — a frame sent by
-// a dead incarnation, counted and discarded by the caller.
-func (n *Node) rejectStale(peer msg.NodeID, e uint32) bool {
-	if peer == msg.None {
-		return false
-	}
-	n.epochMu.Lock()
-	stale := e < n.peerEpochs[peer]
-	n.epochMu.Unlock()
-	if stale {
-		n.cnt.staleEpoch.Add(1)
-		if n.sink != nil {
-			n.sink.StaleEpoch(1)
-		}
-	}
-	return stale
-}
-
-// Listen binds the node's TCP listener and starts accepting connections.
-// It returns the bound address (useful with ":0").
-func (n *Node) Listen(addr string) (string, error) {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", err
-	}
-	n.listener = l
-	n.wg.Add(1)
-	go n.acceptLoop()
-	return l.Addr().String(), nil
-}
-
-// ConnectPeers dials every overlay neighbor at the given addresses and
-// starts one sender goroutine per link. Addresses of non-neighbors are
-// ignored.
-func (n *Node) ConnectPeers(addrs map[msg.NodeID]string) error {
-	for _, e := range n.cfg.Overlay.Graph.Neighbors(n.cfg.ID) {
-		addr, ok := addrs[e.To]
-		if !ok {
-			return fmt.Errorf("livenet: broker %d: no address for neighbor %d", n.cfg.ID, e.To)
-		}
-		conn, err := dialRetry(addr, 40, 50*time.Millisecond)
-		if err != nil {
-			return fmt.Errorf("livenet: broker %d dialing %d: %w", n.cfg.ID, e.To, err)
-		}
-		hello := msg.AppendHello(nil, msg.RoleBroker, n.cfg.ID, n.epoch.Load())
-		if err := msg.WriteFrame(conn, msg.FrameHello, hello); err != nil {
-			conn.Close()
-			return err
-		}
-		pacer, ok := n.cfg.Pacers[e.To]
-		if !ok {
-			pacer = Pacer{
-				Sampler: runtime.NewSampler(runtime.LinkNormal, e.Rate, 1),
-				Stream:  stats.DeriveN(n.cfg.Seed, "livenet/link", int(n.cfg.ID)<<16|int(uint16(e.To))),
-			}
-		}
-		pc := &peerConn{conn: conn}
-		n.mu.Lock()
-		n.peers[e.To] = pc
-		wake := make(chan struct{}, 1)
-		n.wake[e.To] = wake
-		n.estimates[e.To] = &stats.WelfordEstimator{Prior: e.Rate}
-		n.mu.Unlock()
-
-		// A link facing an injected loss adversary runs the reliable
-		// channel: sequence numbers, a bounded retransmit buffer, and an
-		// ack loop reading the cumulative acks the peer sends back on
-		// this connection (nothing else ever reads a dialed link).
-		var ls *linkSender
-		if lm := n.cfg.Loss[e.To]; lm != nil {
-			ls = newLinkSender(lm, n.cfg.Retry[e.To], n.cfg.RetxWindow)
-			// A restarted incarnation resumes the link sequence from the
-			// checkpointed watermark so the receiver's dedup window never
-			// sees a replayed sequence number as fresh.
-			if mark, ok := n.recovered.Marks[e.To]; ok {
-				ls.seq.Store(mark)
-			}
-			n.mu.Lock()
-			n.linkSenders[e.To] = ls
-			n.mu.Unlock()
-			n.wg.Add(1)
-			go n.ackLoop(conn, ls.retx)
-		}
-
-		n.wg.Add(1)
-		go n.senderLoop(e.To, pc, wake, pacer, ls)
-	}
-	n.startHeartbeats()
-	return nil
-}
-
-// ReconnectPeer re-dials one overlay neighbor at a new address — a
-// crashed peer reborn on a fresh port — and swaps the link's connection
-// in place: the sender goroutine, pacer, reliable-channel state and
-// per-link counters all survive, only the wire underneath changes. The
-// old connection is closed (its ack reader exits on the dead socket)
-// and, on a reliable link, a new ack reader is started for the new one.
-func (n *Node) ReconnectPeer(to msg.NodeID, addr string) error {
-	conn, err := dialRetry(addr, 40, 50*time.Millisecond)
-	if err != nil {
-		return fmt.Errorf("livenet: broker %d re-dialing %d: %w", n.cfg.ID, to, err)
-	}
-	hello := msg.AppendHello(nil, msg.RoleBroker, n.cfg.ID, n.epoch.Load())
-	if err := msg.WriteFrame(conn, msg.FrameHello, hello); err != nil {
-		conn.Close()
-		return err
-	}
-	n.mu.Lock()
-	pc := n.peers[to]
-	ls := n.linkSenders[to]
-	n.mu.Unlock()
-	if pc == nil {
-		conn.Close()
-		return fmt.Errorf("livenet: broker %d has no link to %d", n.cfg.ID, to)
-	}
-	pc.mu.Lock()
-	old := pc.conn
-	pc.conn = conn
-	pc.mu.Unlock()
-	old.Close()
-	if ls != nil {
-		n.wg.Add(1)
-		go n.ackLoop(conn, ls.retx)
-	}
-	return nil
-}
-
-func dialRetry(addr string, attempts int, backoff time.Duration) (net.Conn, error) {
-	var lastErr error
-	for i := 0; i < attempts; i++ {
-		conn, err := net.DialTimeout("tcp", addr, time.Second)
-		if err == nil {
-			return conn, nil
-		}
-		lastErr = err
-		time.Sleep(backoff)
-	}
-	return nil, lastErr
 }
 
 // Stop shuts the node down: listener, peer connections and sender
@@ -922,33 +555,6 @@ func (n *Node) Crash() {
 	}
 }
 
-// admitPub is the node-local admission gate for standalone (plan-less)
-// deployments: a publisher message is turned away while the node's
-// total output backlog — queued entries plus messages still in flight
-// toward the shard workers, which would otherwise hide a channel's
-// worth of backlog from the door — sits at or beyond the configured
-// queue threshold. The live analogue of the plan-side saturation
-// rejection; always true when node-local admission is off.
-func (n *Node) admitPub() bool {
-	if !n.cfg.Admission.Enabled {
-		return true
-	}
-	if n.egress.Load()+int64(n.inflight.Load()) >= int64(n.cfg.Admission.MaxQueue) {
-		n.cnt.pubsRejected.Add(1)
-		return false
-	}
-	return true
-}
-
-// releaseEntry returns a consumed queue entry — and the reference it
-// holds on its (possibly pooled) message — to their pools.
-func releaseEntry(e *core.Entry) {
-	if m, ok := e.Data.(*msg.Message); ok {
-		m.Release()
-	}
-	e.Release()
-}
-
 // PeakQueue returns the largest occupancy any output queue reached.
 func (n *Node) PeakQueue() int {
 	peak := 0
@@ -960,22 +566,6 @@ func (n *Node) PeakQueue() int {
 		q.Unlock()
 	})
 	return peak
-}
-
-// SetLinkDown injects (or lifts) a link outage on the outgoing link to a
-// neighbor: while down, the sender starts no new transfers (an in-flight
-// transfer finishes, as in the simulator's fault model).
-func (n *Node) SetLinkDown(to msg.NodeID, down bool) {
-	n.mu.Lock()
-	n.linkDown[to] = down
-	wake := n.wake[to]
-	n.mu.Unlock()
-	if !down && wake != nil {
-		select {
-		case wake <- struct{}{}:
-		default:
-		}
-	}
 }
 
 // load is one node's quiescence snapshot (see Cluster.Quiescent).
@@ -999,323 +589,4 @@ func (n *Node) load() load {
 		q.Unlock()
 	})
 	return s
-}
-
-// acceptLoop accepts inbound connections (brokers, publishers,
-// subscribers) and spawns a reader per connection.
-func (n *Node) acceptLoop() {
-	defer n.wg.Done()
-	for {
-		conn, err := n.listener.Accept()
-		if err != nil {
-			select {
-			case <-n.stopped:
-				return
-			default:
-				continue
-			}
-		}
-		n.mu.Lock()
-		select {
-		case <-n.stopped:
-			n.mu.Unlock()
-			conn.Close()
-			return
-		default:
-		}
-		n.inbound[conn] = struct{}{}
-		n.mu.Unlock()
-		n.wg.Add(1)
-		go n.readLoop(conn)
-	}
-}
-
-// handleSubscribe installs a subscription (local conn non-nil when the
-// subscriber is attached here) and floods it to neighbors once.
-// Pre-installed plan subscriptions only register the local connection.
-// With aggregation on, the subscription's edge broker — the one place
-// that sees the concrete subscription first — classifies it against the
-// resident canonical filters and suppresses the flood when one with
-// identical delivery terms already covers it (the covering chain's
-// forwarded root carries the upstream traffic).
-func (n *Node) handleSubscribe(s *msg.Subscription, local *peerConn) {
-	n.mu.Lock()
-	if n.removedSubs.has(s.ID) {
-		// Tombstoned: a subscribe flood racing its own unsubscribe.
-		n.mu.Unlock()
-		return
-	}
-	if n.seenSubs[s.ID] && local == nil {
-		n.mu.Unlock()
-		return
-	}
-	first := !n.seenSubs[s.ID]
-	n.seenSubs[s.ID] = true
-	var sess *session
-	if local != nil && s.Edge == n.cfg.ID {
-		sess = n.sessionFor(s, local, 0)
-	}
-	flood := first
-	if first {
-		if n.agg != nil && s.Edge == n.cfg.ID {
-			switch kind, rep := n.agg.Admit(s); kind {
-			case routing.AdmitForward:
-				n.installRoutes(s)
-			case routing.AdmitMember:
-				// Exact duplicate: fold into the representative's local
-				// entries; delivery fans out to the group's members.
-				n.table.Attach(rep.ID, s)
-				flood = false
-			case routing.AdmitCovered:
-				// Properly covered: local delivery entries only (the edge
-				// is terminal on every path to it), upstream traffic rides
-				// the covering chain's forwarded root.
-				n.installRoutes(s)
-				n.table.AddRef(rep.ID)
-				flood = false
-			}
-			if !flood {
-				n.cnt.floodsSuppressed.Add(1)
-				if n.sink != nil {
-					n.sink.FloodSuppressed(1)
-				}
-			}
-		} else {
-			n.installRoutes(s)
-		}
-		n.logSub(s.ID) // durable admission record (no-op without a store)
-	}
-	peers := make([]*peerConn, 0, len(n.peers))
-	if flood {
-		for _, p := range n.peers {
-			peers = append(peers, p)
-		}
-	}
-	n.mu.Unlock()
-
-	if sess != nil {
-		sess.attach(local) // a re-subscribe moves the session to the new connection
-	}
-	if !flood {
-		return
-	}
-	body, err := msg.AppendSubscription(nil, s)
-	if err != nil {
-		return
-	}
-	for _, p := range peers {
-		_ = p.writeFrame(msg.FrameSubscribe, body) // dead peers are fine
-	}
-}
-
-// handleUnsubscribe removes a subscription's routing state and floods the
-// removal across the overlay once. A tombstone prevents resurrection by
-// late subscribe floods. With aggregation on, the owning edge broker
-// realizes the retraction instead: member/covered departures never
-// flooded so they never unsubscribe remotely, and a departing
-// representative first floods whatever re-exposes its coverage
-// (promotion hand-off or re-exposed representatives) so the peers'
-// coverage stays gapless — subscribe frames precede the unsubscribe on
-// every per-peer TCP stream.
-func (n *Node) handleUnsubscribe(id msg.SubID) {
-	n.mu.Lock()
-	if n.removedSubs.has(id) {
-		n.mu.Unlock()
-		return
-	}
-	n.removedSubs.add(id)
-	// Forget the flood-dedup entry too: under sustained churn seenSubs
-	// would otherwise grow one entry per subscription ever seen.
-	delete(n.seenSubs, id)
-	delete(n.sessions, id)
-	if n.store != nil {
-		_ = n.store.RemoveSub(id)
-	}
-
-	var types []byte
-	var frames [][]byte
-	unsubscribe := true
-	if n.agg != nil {
-		if ret, ok := n.agg.Remove(id); ok {
-			unsubscribe = n.retractOwned(id, ret, &types, &frames)
-		} else {
-			// Not ours: a remote copy of a forwarded subscription.
-			n.table.RemoveSub(id)
-		}
-	} else {
-		n.table.RemoveSub(id)
-	}
-	if unsubscribe {
-		types = append(types, msg.FrameUnsubscribe)
-		frames = append(frames, msg.AppendUnsubscribe(nil, id))
-	}
-	var peers []*peerConn
-	if len(frames) > 0 {
-		peers = make([]*peerConn, 0, len(n.peers))
-		for _, p := range n.peers {
-			peers = append(peers, p)
-		}
-	}
-	n.mu.Unlock()
-
-	for i, body := range frames {
-		for _, p := range peers {
-			_ = p.writeFrame(types[i], body)
-		}
-	}
-}
-
-// retractOwned realizes an owner-side retraction on the local table and
-// appends the subscribe floods it requires (promotion hand-off,
-// re-exposed representatives) to types/frames. It reports whether the
-// unsubscribe itself must still flood: only representatives ever
-// installed remote state, so member and covered departures stay local.
-// Called with n.mu held.
-func (n *Node) retractOwned(id msg.SubID, ret routing.Retraction, types *[]byte, frames *[][]byte) bool {
-	push := func(s *msg.Subscription) {
-		body, err := msg.AppendSubscription(nil, s)
-		if err != nil {
-			return
-		}
-		*types = append(*types, msg.FrameSubscribe)
-		*frames = append(*frames, body)
-	}
-	reexpose := func(s *msg.Subscription) {
-		switch kind, rep := n.agg.Reexpose(s); kind {
-		case routing.AdmitForward:
-			// Its local entries survived under the departing coverer;
-			// only the peers must install theirs now.
-			push(s)
-		case routing.AdmitCovered:
-			n.table.AddRef(rep.ID)
-		}
-	}
-	switch ret.Kind {
-	case routing.RetractMember:
-		n.table.Detach(ret.Rep.ID, id)
-		return false
-	case routing.RetractCovered:
-		// Covered canonicals never flooded, so their departure is a
-		// purely local affair whatever shape it takes.
-		if ret.Promoted != nil {
-			// The last exact duplicate inherits the local entries in
-			// place (the filter is identical).
-			n.table.Promote(id)
-			return false
-		}
-		n.table.RemoveSub(id)
-		n.table.DropRef(ret.Rep.ID)
-		for _, s := range ret.Reexposed {
-			// By transitivity the departing filter's own coverer covers
-			// them too, so these normally re-cover without flooding; the
-			// cycle guard can still force one to forward.
-			reexpose(s)
-		}
-		return false
-	}
-	if ret.Promoted != nil {
-		// The last exact duplicate inherits the entries in place (the
-		// filter is identical); peers swap the entries' identity via the
-		// subscribe-then-unsubscribe flood pair.
-		n.table.Promote(id)
-		push(ret.Promoted)
-		return true
-	}
-	n.table.RemoveSub(id)
-	for _, s := range ret.Reexposed {
-		reexpose(s)
-	}
-	return true
-}
-
-// Subscribe injects a subscription at this broker exactly as if a
-// subscriber client had sent it — routing entries install here and the
-// subscription floods across the overlay. The runtime's live churn
-// driver uses it to realize a plan's subscribe events at the
-// subscription's edge broker.
-func (n *Node) Subscribe(s *msg.Subscription) { n.handleSubscribe(s, nil) }
-
-// Unsubscribe injects a subscription withdrawal at this broker: routing
-// state is removed, a bounded tombstone guards against late subscribe
-// floods, and the removal floods across the overlay.
-func (n *Node) Unsubscribe(id msg.SubID) { n.handleUnsubscribe(id) }
-
-// installRoutes computes this broker's routing entries for one
-// dynamically flooded subscription: for each ingress, the deterministic
-// min-mean path — or the K shortest paths when Multipath is on — using
-// the same path-entry definition as static routing builds (n.mu held).
-// The installer's per-ingress Dijkstra cache makes each flood cost path
-// reconstruction, not a shortest-path computation under the write lock.
-func (n *Node) installRoutes(s *msg.Subscription) {
-	n.installer.InstallAt(n.cfg.ID, n.table, s)
-}
-
-// accountResult charges a Process result's deliveries and arrival
-// drops to the node counters and the metrics sink.
-func (n *Node) accountResult(res *broker.Result) {
-	for _, d := range res.Deliveries {
-		n.cnt.deliveries.Add(1)
-		if d.Valid {
-			n.cnt.validDeliver.Add(1)
-		}
-		if n.sink != nil {
-			n.sink.DeliveredAt(int32(d.SubID), d.Price, d.Published, d.Latency, d.Valid)
-		}
-	}
-	if res.ArrivalDrops > 0 {
-		n.cnt.dropsArrival.Add(int64(res.ArrivalDrops))
-		if n.sink != nil {
-			n.sink.DroppedOnArrival(res.ArrivalDrops)
-		}
-	}
-	// Net occupancy change of this Process call: entries enqueued minus
-	// entries the pressure threshold shed back out.
-	if d := len(res.EnqueuedHops) - len(res.Shed); d != 0 {
-		n.egress.Add(int64(d))
-	}
-	if len(res.Shed) > 0 {
-		n.cnt.dropsShed.Add(int64(len(res.Shed)))
-		if n.sink != nil {
-			n.sink.DroppedShed(len(res.Shed))
-		}
-		for _, e := range res.Shed {
-			releaseEntry(e)
-		}
-	}
-}
-
-// accountDrops charges pruned entries to the drop counters and releases
-// them (and their message references) back to the pools.
-func (n *Node) accountDrops(drops []core.Drop) {
-	if len(drops) > 0 {
-		n.egress.Add(-int64(len(drops)))
-	}
-	for _, d := range drops {
-		if d.Reason == core.DropExpired {
-			n.cnt.dropsExpired.Add(1)
-			if n.sink != nil {
-				n.sink.DroppedExpired(1)
-			}
-		} else {
-			n.cnt.dropsHopeless.Add(1)
-			if n.sink != nil {
-				n.sink.DroppedHopeless(1)
-			}
-		}
-		releaseEntry(d.Entry)
-	}
-}
-
-// LinkEstimate returns the measured per-KB rate estimate for the link to
-// a neighbor (emulated milliseconds per KB), and whether any transfers
-// have been observed yet. Before enough observations it returns the
-// configured prior.
-func (n *Node) LinkEstimate(to msg.NodeID) (stats.Normal, bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	est, ok := n.estimates[to]
-	if !ok {
-		return stats.Normal{}, false
-	}
-	return est.Estimate(), est.Count() > 0
 }

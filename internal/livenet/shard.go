@@ -9,6 +9,8 @@ import (
 	"bdps/internal/broker"
 	"bdps/internal/core"
 	"bdps/internal/msg"
+	"bdps/internal/runtime"
+	"bdps/internal/stats"
 	"bdps/internal/vtime"
 )
 
@@ -373,6 +375,24 @@ func (n *Node) readLoop(conn net.Conn) {
 	}
 }
 
+// admitPub is the node-local admission gate for standalone (plan-less)
+// deployments: a publisher message is turned away while the node's
+// total output backlog — queued entries plus messages still in flight
+// toward the shard workers, which would otherwise hide a channel's
+// worth of backlog from the door — sits at or beyond the configured
+// queue threshold. The live analogue of the plan-side saturation
+// rejection; always true when node-local admission is off.
+func (n *Node) admitPub() bool {
+	if !n.cfg.Admission.Enabled {
+		return true
+	}
+	if n.egress.Load()+int64(n.inflight.Load()) >= int64(n.cfg.Admission.MaxQueue) {
+		n.cnt.pubsRejected.Add(1)
+		return false
+	}
+	return true
+}
+
 // worker is one shard worker's private state: its broker.Processor and
 // the scratch process reuses across messages.
 type worker struct {
@@ -484,6 +504,88 @@ func (n *Node) process(w *worker, m *msg.Message) {
 	}
 	n.dispatched.Add(-1)
 	n.inflight.Add(-1)
+}
+
+// accountResult charges a Process result's deliveries and arrival
+// drops to the node counters and the metrics sink.
+func (n *Node) accountResult(res *broker.Result) {
+	for _, d := range res.Deliveries {
+		n.cnt.deliveries.Add(1)
+		if d.Valid {
+			n.cnt.validDeliver.Add(1)
+		}
+		if n.sink != nil {
+			n.sink.DeliveredAt(int32(d.SubID), d.Price, d.Published, d.Latency, d.Valid)
+		}
+	}
+	if res.ArrivalDrops > 0 {
+		n.cnt.dropsArrival.Add(int64(res.ArrivalDrops))
+		if n.sink != nil {
+			n.sink.DroppedOnArrival(res.ArrivalDrops)
+		}
+	}
+	// Net occupancy change of this Process call: entries enqueued minus
+	// entries the pressure threshold shed back out.
+	if d := len(res.EnqueuedHops) - len(res.Shed); d != 0 {
+		n.egress.Add(int64(d))
+	}
+	if len(res.Shed) > 0 {
+		n.cnt.dropsShed.Add(int64(len(res.Shed)))
+		if n.sink != nil {
+			n.sink.DroppedShed(len(res.Shed))
+		}
+		for _, e := range res.Shed {
+			releaseEntry(e)
+		}
+	}
+}
+
+// Pacer paces one outgoing link: a per-transfer rate sampler and the
+// random stream feeding it. Plan deployments pass the plan's samplers so
+// live links draw the same rate sequences the simulator would.
+type Pacer struct {
+	Sampler runtime.Sampler
+	Stream  *stats.Stream
+
+	// timer is the owning sender goroutine's pacing timer: created by
+	// the first wait that actually has to sleep, reused by every later
+	// one, so an unpaced sender never allocates it and a paced one
+	// allocates it once.
+	timer *time.Timer
+}
+
+// wait sleeps one pacing delay — a transfer's sampled link time, already
+// scaled to wall time — and reports false when the node stopped first.
+// A delay that rounds to nothing costs a poll of the stop channel and no
+// timer. Only the sender goroutine that owns the Pacer may call it.
+func (p *Pacer) wait(d time.Duration, stopped <-chan struct{}) bool {
+	if d <= 0 {
+		select {
+		case <-stopped:
+			return false
+		default:
+			return true
+		}
+	}
+	if p.timer == nil {
+		p.timer = time.NewTimer(d)
+	} else {
+		p.timer.Reset(d)
+	}
+	select {
+	case <-p.timer.C:
+		return true
+	case <-stopped:
+		// Leave the timer stopped and its channel empty, so a Reset is
+		// safe whatever the runtime's timer-channel semantics.
+		if !p.timer.Stop() {
+			select {
+			case <-p.timer.C:
+			default:
+			}
+		}
+		return false
+	}
 }
 
 // senderLoop drains one link's queue in bursts: select entries by
@@ -647,4 +749,35 @@ func (n *Node) senderLoop(to msg.NodeID, pc *peerConn, wake chan struct{}, pacer
 		}
 		n.busySenders.Add(-1)
 	}
+}
+
+// accountDrops charges pruned entries to the drop counters and releases
+// them (and their message references) back to the pools.
+func (n *Node) accountDrops(drops []core.Drop) {
+	if len(drops) > 0 {
+		n.egress.Add(-int64(len(drops)))
+	}
+	for _, d := range drops {
+		if d.Reason == core.DropExpired {
+			n.cnt.dropsExpired.Add(1)
+			if n.sink != nil {
+				n.sink.DroppedExpired(1)
+			}
+		} else {
+			n.cnt.dropsHopeless.Add(1)
+			if n.sink != nil {
+				n.sink.DroppedHopeless(1)
+			}
+		}
+		releaseEntry(d.Entry)
+	}
+}
+
+// releaseEntry returns a consumed queue entry — and the reference it
+// holds on its (possibly pooled) message — to their pools.
+func releaseEntry(e *core.Entry) {
+	if m, ok := e.Data.(*msg.Message); ok {
+		m.Release()
+	}
+	e.Release()
 }
