@@ -1,7 +1,6 @@
 package livenet
 
 import (
-	"fmt"
 	grt "runtime"
 	"testing"
 	"time"
@@ -19,11 +18,7 @@ import (
 // count to return to baseline. A leaked accept loop, reader, sender or
 // shard worker shows up here as a stuck surplus.
 func TestClusterStopNoGoroutineLeak(t *testing.T) {
-	for _, shards := range []int{4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			testClusterStopNoGoroutineLeak(t, shards)
-		})
-	}
+	t.Run("shards=4", func(t *testing.T) { testClusterStopNoGoroutineLeak(t, 4) })
 }
 
 func testClusterStopNoGoroutineLeak(t *testing.T, shards int) {

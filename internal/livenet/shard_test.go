@@ -1,7 +1,6 @@
 package livenet
 
 import (
-	"fmt"
 	"net"
 	"testing"
 	"time"
@@ -80,25 +79,23 @@ func runOrderedWorkload(t *testing.T, shards, perPub int) map[msg.NodeID][]uint3
 // Processor/queue/dedup paths.
 func TestShardedPerStreamOrderMatchesSerial(t *testing.T) {
 	const perPub = 40
-	for _, shards := range []int{4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			got := runOrderedWorkload(t, shards, perPub)
-			if len(got) != 2 {
-				t.Fatalf("deliveries from %d publishers, want 2", len(got))
+	t.Run("shards=4", func(t *testing.T) {
+		got := runOrderedWorkload(t, 4, perPub)
+		if len(got) != 2 {
+			t.Fatalf("deliveries from %d publishers, want 2", len(got))
+		}
+		for pub, seqs := range got {
+			if len(seqs) != perPub {
+				t.Errorf("publisher %d: %d deliveries, want %d", pub, len(seqs), perPub)
 			}
-			for pub, seqs := range got {
-				if len(seqs) != perPub {
-					t.Errorf("publisher %d: %d deliveries, want %d", pub, len(seqs), perPub)
-				}
-				for i := 1; i < len(seqs); i++ {
-					if seqs[i] <= seqs[i-1] {
-						t.Fatalf("publisher %d: stream reordered at %d: %d after %d",
-							pub, i, seqs[i], seqs[i-1])
-					}
+			for i := 1; i < len(seqs); i++ {
+				if seqs[i] <= seqs[i-1] {
+					t.Fatalf("publisher %d: stream reordered at %d: %d after %d",
+						pub, i, seqs[i], seqs[i-1])
 				}
 			}
-		})
-	}
+		}
+	})
 }
 
 // TestShardedPayloadDelivery pins the zero-copy path end to end: a

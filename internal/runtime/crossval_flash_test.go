@@ -1,7 +1,6 @@
 package runtime_test
 
 import (
-	"fmt"
 	"math"
 	"testing"
 
@@ -43,54 +42,52 @@ func TestCrossValFlashCrowdAdmission(t *testing.T) {
 		t.Fatal("flash crowd should drive rejections on the crossval plan")
 	}
 
-	for _, shards := range []int{4} {
-		t.Run(fmt.Sprintf("liveShards=%d", shards), func(t *testing.T) {
-			lcfg := mk()
-			lcfg.LiveShards = shards
-			live, err := runtime.Run(lcfg, livenet.Transport{})
-			if err != nil {
-				t.Fatal(err)
+	t.Run("liveShards=4", func(t *testing.T) {
+		lcfg := mk()
+		lcfg.LiveShards = 4
+		live, err := runtime.Run(lcfg, livenet.Transport{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The admission ledger is decided before either backend runs:
+		// exact agreement, not statistical.
+		for _, c := range []struct {
+			name      string
+			sim, live int
+		}{
+			{"Published", sim.Published, live.Published},
+			{"TotalTargets", sim.TotalTargets, live.TotalTargets},
+			{"PubsAdmitted", sim.PubsAdmitted, live.PubsAdmitted},
+			{"PubsRelaxed", sim.PubsRelaxed, live.PubsRelaxed},
+			{"PubsRejected", sim.PubsRejected, live.PubsRejected},
+			{"SubsRejected", sim.SubsRejected, live.SubsRejected},
+		} {
+			if c.sim != c.live {
+				t.Errorf("%s diverged: sim %d, live %d", c.name, c.sim, c.live)
 			}
-			// The admission ledger is decided before either backend runs:
-			// exact agreement, not statistical.
-			for _, c := range []struct {
-				name      string
-				sim, live int
-			}{
-				{"Published", sim.Published, live.Published},
-				{"TotalTargets", sim.TotalTargets, live.TotalTargets},
-				{"PubsAdmitted", sim.PubsAdmitted, live.PubsAdmitted},
-				{"PubsRelaxed", sim.PubsRelaxed, live.PubsRelaxed},
-				{"PubsRejected", sim.PubsRejected, live.PubsRejected},
-				{"SubsRejected", sim.SubsRejected, live.SubsRejected},
-			} {
-				if c.sim != c.live {
-					t.Errorf("%s diverged: sim %d, live %d", c.name, c.sim, c.live)
-				}
+		}
+		if live.ValidDeliveries == 0 {
+			t.Fatal("live flash-crowd run delivered nothing")
+		}
+		if ratio := float64(live.Receptions) / float64(sim.Receptions); ratio < 0.7 || ratio > 1.3 {
+			t.Errorf("receptions diverged: sim %d, live %d", sim.Receptions, live.Receptions)
+		}
+		if d := math.Abs(sim.DeliveryRate() - live.DeliveryRate()); d > 0.15 {
+			t.Errorf("delivery rates diverged by %.3f: sim %.3f, live %.3f",
+				d, sim.DeliveryRate(), live.DeliveryRate())
+		}
+		if len(sim.Timeline) == 0 || len(live.Timeline) == 0 {
+			t.Fatalf("timelines missing: sim %d buckets, live %d", len(sim.Timeline), len(live.Timeline))
+		}
+		n := len(sim.Timeline)
+		if len(live.Timeline) < n {
+			n = len(live.Timeline)
+		}
+		for i := 0; i < n; i++ {
+			if d := math.Abs(sim.Timeline[i].Rate() - live.Timeline[i].Rate()); d > 0.15 {
+				t.Errorf("timeline bucket %d diverged by %.3f: sim %.3f, live %.3f",
+					i, d, sim.Timeline[i].Rate(), live.Timeline[i].Rate())
 			}
-			if live.ValidDeliveries == 0 {
-				t.Fatal("live flash-crowd run delivered nothing")
-			}
-			if ratio := float64(live.Receptions) / float64(sim.Receptions); ratio < 0.7 || ratio > 1.3 {
-				t.Errorf("receptions diverged: sim %d, live %d", sim.Receptions, live.Receptions)
-			}
-			if d := math.Abs(sim.DeliveryRate() - live.DeliveryRate()); d > 0.15 {
-				t.Errorf("delivery rates diverged by %.3f: sim %.3f, live %.3f",
-					d, sim.DeliveryRate(), live.DeliveryRate())
-			}
-			if len(sim.Timeline) == 0 || len(live.Timeline) == 0 {
-				t.Fatalf("timelines missing: sim %d buckets, live %d", len(sim.Timeline), len(live.Timeline))
-			}
-			n := len(sim.Timeline)
-			if len(live.Timeline) < n {
-				n = len(live.Timeline)
-			}
-			for i := 0; i < n; i++ {
-				if d := math.Abs(sim.Timeline[i].Rate() - live.Timeline[i].Rate()); d > 0.15 {
-					t.Errorf("timeline bucket %d diverged by %.3f: sim %.3f, live %.3f",
-						i, d, sim.Timeline[i].Rate(), live.Timeline[i].Rate())
-				}
-			}
-		})
-	}
+		}
+	})
 }

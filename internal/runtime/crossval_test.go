@@ -75,47 +75,45 @@ func TestCrossValidationSimVsLive(t *testing.T) {
 		t.Errorf("backend = %q, want sim", sim.Backend)
 	}
 
-	for _, shards := range []int{4} {
-		t.Run(fmt.Sprintf("liveShards=%d", shards), func(t *testing.T) {
-			lcfg := crossValConfig(t)
-			lcfg.Overlay = cfg.Overlay // plans may share an overlay across runs
-			lcfg.LiveShards = shards
-			live, err := runtime.Run(lcfg, livenet.Transport{})
-			if err != nil {
-				t.Fatal(err)
-			}
+	t.Run("liveShards=4", func(t *testing.T) {
+		lcfg := crossValConfig(t)
+		lcfg.Overlay = cfg.Overlay // plans may share an overlay across runs
+		lcfg.LiveShards = 4
+		live, err := runtime.Run(lcfg, livenet.Transport{})
+		if err != nil {
+			t.Fatal(err)
+		}
 
-			if live.Backend != "live" {
-				t.Errorf("backend = %q, want live", live.Backend)
-			}
-			if sim.Published != live.Published {
-				t.Errorf("published diverged: sim %d, live %d (same plan must inject the same workload)",
-					sim.Published, live.Published)
-			}
-			if sim.TotalTargets != live.TotalTargets {
-				t.Errorf("targets diverged: sim %d, live %d", sim.TotalTargets, live.TotalTargets)
-			}
-			if live.ValidDeliveries == 0 {
-				t.Fatal("live run delivered nothing")
-			}
+		if live.Backend != "live" {
+			t.Errorf("backend = %q, want live", live.Backend)
+		}
+		if sim.Published != live.Published {
+			t.Errorf("published diverged: sim %d, live %d (same plan must inject the same workload)",
+				sim.Published, live.Published)
+		}
+		if sim.TotalTargets != live.TotalTargets {
+			t.Errorf("targets diverged: sim %d, live %d", sim.TotalTargets, live.TotalTargets)
+		}
+		if live.ValidDeliveries == 0 {
+			t.Fatal("live run delivered nothing")
+		}
 
-			// Delivery rates must agree within a tolerance band: the live
-			// run pays real scheduling and TCP overheads (inflated by the
-			// time compression), so it may lag the simulator slightly,
-			// never match it bit for bit.
-			simRate, liveRate := sim.DeliveryRate(), live.DeliveryRate()
-			if d := math.Abs(simRate - liveRate); d > 0.15 {
-				t.Errorf("delivery rates diverged by %.3f: sim %.3f, live %.3f", d, simRate, liveRate)
-			}
-			// Routing is identical (same plan tables), so traffic volumes
-			// agree up to early drops.
-			rr := float64(live.Receptions) / float64(sim.Receptions)
-			if rr < 0.7 || rr > 1.3 {
-				t.Errorf("receptions diverged: sim %d, live %d (ratio %.2f)",
-					sim.Receptions, live.Receptions, rr)
-			}
-		})
-	}
+		// Delivery rates must agree within a tolerance band: the live
+		// run pays real scheduling and TCP overheads (inflated by the
+		// time compression), so it may lag the simulator slightly,
+		// never match it bit for bit.
+		simRate, liveRate := sim.DeliveryRate(), live.DeliveryRate()
+		if d := math.Abs(simRate - liveRate); d > 0.15 {
+			t.Errorf("delivery rates diverged by %.3f: sim %.3f, live %.3f", d, simRate, liveRate)
+		}
+		// Routing is identical (same plan tables), so traffic volumes
+		// agree up to early drops.
+		rr := float64(live.Receptions) / float64(sim.Receptions)
+		if rr < 0.7 || rr > 1.3 {
+			t.Errorf("receptions diverged: sim %d, live %d (ratio %.2f)",
+				sim.Receptions, live.Receptions, rr)
+		}
+	})
 }
 
 // TestCrossValidationLossExact is the lossy-network headline check: under
