@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test bench bench-e2e bench-gate verify
+.PHONY: build vet test bench-e2e bench-gate verify
 
 build:
 	$(GO) build ./...
@@ -42,42 +42,3 @@ bench-gate:
 		tail -n 1 .bench_build/gate.out | grep -q '"correct":true'; \
 		tail -n 1 .bench_build/gate.out | grep -q '"failed":0[,}]'; \
 	done
-
-# bench emits the perf-trajectory file for this PR: every benchmark at a
-# fixed, comparable iteration count, with allocation stats, as the JSON
-# stream go test produces with -json. Five passes:
-#   1. the steady families at 100x (figures, ablations, micro-benches);
-#   2. live throughput at sustained scale;
-#   3. the index-build sweep at 1x — one full build per size is the
-#      measurement, and the quadratic re-sort baseline at 100k is the
-#      before number the churn rework is judged against;
-#   4. the churn benches on a clock budget, so the churn-while-matching
-#      run sustains its background flood long enough to mean something;
-#   5. the recovery benches: time from confirmed-dead arc to repaired
-#      routing (detour reroute, and a full layered-topology repair);
-#   6. the reliable-channel benches: retransmit-buffer cycle/eviction and
-#      receiver dedup/reorder healing — the per-frame tax a lossy link pays;
-#   7. the aggregation tentpole at 1x — one flat and one aggregated
-#      million-subscription build per iteration IS the measurement, and
-#      the bench itself asserts the 5x entry/flood shrink;
-#   8. the overload benches: the plan-side admission sweep, steady-state
-#      worst-first shedding, and the flash-crowd throughput pair
-#      (unprotected vs admission+shed+backpressure, with the rejected
-#      share and bounded peak queue reported alongside msgs/sec);
-#   9. the durability benches: WAL append on the admission path, full
-#      log replay at restart, and the broker-side session-resume cycle
-#      (ring scan + deadline gate + frame writes for a full ring).
-bench:
-	$(GO) test -json -run '^$$' -bench '^Benchmark(Figure|Ablation|Filter|Normal|Pick|Queue|Table|Layer|Routing|Topology|Dijkstra|Codec|Sim|Covers)' -benchmem -benchtime 100x . > BENCH_pr10.json
-	$(GO) test -json -run '^$$' -bench BenchmarkLiveThroughput -benchmem -benchtime 20000x . >> BENCH_pr10.json
-	$(GO) test -json -run '^$$' -bench '^BenchmarkIndexBuild$$' -benchmem -benchtime 1x . >> BENCH_pr10.json
-	$(GO) test -json -run '^$$' -bench '^BenchmarkChurn' -benchmem -benchtime 2s . >> BENCH_pr10.json
-	$(GO) test -json -run '^$$' -bench '^BenchmarkRecovery' -benchmem -benchtime 100x ./internal/runtime/ >> BENCH_pr10.json
-	$(GO) test -json -run '^$$' -bench '^BenchmarkRetransmit$$' -benchmem -benchtime 10000x ./internal/livenet/ >> BENCH_pr10.json
-	$(GO) test -json -run '^$$' -bench '^BenchmarkAggregation1M$$' -benchmem -benchtime 1x . >> BENCH_pr10.json
-	$(GO) test -json -run '^$$' -bench '^BenchmarkAdmission$$' -benchmem -benchtime 100x ./internal/runtime/ >> BENCH_pr10.json
-	$(GO) test -json -run '^$$' -bench '^BenchmarkShedWorst$$' -benchmem -benchtime 1000x ./internal/core/ >> BENCH_pr10.json
-	$(GO) test -json -run '^$$' -bench '^BenchmarkFlashCrowdThroughput' -benchmem -benchtime 20000x . >> BENCH_pr10.json
-	$(GO) test -json -run '^$$' -bench '^Benchmark(WALAppend|LogReplay)$$' -benchmem -benchtime 1000x ./internal/durable/ >> BENCH_pr10.json
-	$(GO) test -json -run '^$$' -bench '^BenchmarkSessionResume$$' -benchmem -benchtime 1000x ./internal/livenet/ >> BENCH_pr10.json
-	@grep -o '"Output":"Benchmark[^"]*ns/op[^"]*"' BENCH_pr10.json | head -80 || true

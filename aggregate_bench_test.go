@@ -1,8 +1,8 @@
 // Aggregation benchmarks: the covering relation on its hot path, the
 // million-subscription before/after for table size and flood traffic,
-// and churn through the aggregated driver. BenchmarkAggregation1M runs
-// at -benchtime 1x in `make bench` (one build per side IS the
-// measurement); the churn pair rides the 2s BenchmarkChurn pass.
+// and churn through the aggregated driver. Run BenchmarkAggregation1M
+// at -benchtime 1x (one build per side IS the measurement); the churn
+// pair belongs with BenchmarkChurn at -benchtime 2s.
 package bdps
 
 import (

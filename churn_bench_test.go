@@ -3,8 +3,9 @@
 // bulk build (quadratic) with the incremental tail-merge Add and the
 // AddBatch bulk path (near-linear); BenchmarkChurn measures sustained
 // subscribe/unsubscribe mutation on an indexed routing table, alone and
-// concurrent with matching. These run at -benchtime 1x in `make bench`
-// (one build of each size is the measurement; see Makefile).
+// concurrent with matching. Run BenchmarkIndexBuild at -benchtime 1x
+// (one build of each size is the measurement) and BenchmarkChurn on a
+// clock budget (-benchtime 2s), so the background flood is sustained.
 package bdps
 
 import (

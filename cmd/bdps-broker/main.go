@@ -158,7 +158,7 @@ func run(args []string) error {
 	}
 	s := node.Stats()
 	fmt.Printf("broker %d: receptions=%d deliveries=%d valid=%d drops(exp=%d hopeless=%d arrival=%d)\n",
-		*id, s.Receptions, s.Deliveries, s.ValidDeliver,
+		*id, s.Receptions, s.Deliveries, s.ValidDeliveries,
 		s.DropsExpired, s.DropsHopeless, s.DropsArrival)
 	return nil
 }

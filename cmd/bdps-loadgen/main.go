@@ -135,6 +135,9 @@ func report(cfg loadCfg, r result) {
 		if r.sendFailed > 0 {
 			fmt.Printf("  %d sends lost to crash", r.sendFailed)
 		}
+		if r.link.DropsCrashed > 0 {
+			fmt.Printf("  %d queued or in-flight lost to crash", r.link.DropsCrashed)
+		}
 	}
 	if cfg.restartAt > 0 {
 		fmt.Printf("  restart replayed-subs %d  stale-epoch %d", r.replayedSubs, r.link.StaleEpochFrames)
@@ -168,17 +171,17 @@ func overloadReport(r result) {
 	for _, b := range r.brokers {
 		att := 100.0
 		if b.stats.Deliveries > 0 {
-			att = 100 * float64(b.stats.ValidDeliver) / float64(b.stats.Deliveries)
+			att = 100 * float64(b.stats.ValidDeliveries) / float64(b.stats.Deliveries)
 		}
 		fmt.Printf("  %-6d %11d %10d %7.1f%% %7d %6d %9d\n",
-			b.id, b.stats.Deliveries, b.stats.ValidDeliver, att,
+			b.id, b.stats.Deliveries, b.stats.ValidDeliveries, att,
 			b.peak, b.stats.DropsShed, b.stats.PubsRejected)
 	}
 	att := 100.0
 	if t.Deliveries > 0 {
-		att = 100 * float64(t.ValidDeliver) / float64(t.Deliveries)
+		att = 100 * float64(t.ValidDeliveries) / float64(t.Deliveries)
 	}
-	fmt.Printf("  %-6s %11d %10d %7.1f%%\n", "total", t.Deliveries, t.ValidDeliver, att)
+	fmt.Printf("  %-6s %11d %10d %7.1f%%\n", "total", t.Deliveries, t.ValidDeliveries, att)
 }
 
 type loadCfg struct {

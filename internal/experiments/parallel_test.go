@@ -308,9 +308,11 @@ func TestRunAllDeterministicError(t *testing.T) {
 // TestMeanBySeed pins the grouping arithmetic: seeds innermost, one
 // averaged result per point.
 func TestMeanBySeed(t *testing.T) {
-	got := meanBySeed([]metrics.Result{
-		{Published: 10}, {Published: 20}, {Published: 30}, {Published: 40},
-	}, 2)
+	rs := make([]metrics.Result, 4)
+	for i := range rs {
+		rs[i].Published = 10 * (i + 1)
+	}
+	got := meanBySeed(rs, 2)
 	if len(got) != 2 || got[0].Published != 15 || got[1].Published != 35 {
 		t.Errorf("meanBySeed = %+v", got)
 	}

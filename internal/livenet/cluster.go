@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"bdps/internal/core"
+	"bdps/internal/metrics"
 	"bdps/internal/msg"
 	"bdps/internal/runtime"
 	"bdps/internal/topology"
@@ -364,24 +365,11 @@ func (c *Cluster) TotalStats() Stats {
 	var total Stats
 	for _, n := range c.snapshotNodes() {
 		s := n.Stats()
-		total.Receptions += s.Receptions
+		for _, info := range metrics.Counters {
+			*info.Field(&total.Ledger) += *info.Field(&s.Ledger)
+		}
 		total.Deliveries += s.Deliveries
 		total.ValidDeliver += s.ValidDeliver
-		total.DropsExpired += s.DropsExpired
-		total.DropsHopeless += s.DropsHopeless
-		total.DropsArrival += s.DropsArrival
-		total.Duplicates += s.Duplicates
-		total.FramesLost += s.FramesLost
-		total.Retransmits += s.Retransmits
-		total.DupsSuppressed += s.DupsSuppressed
-		total.ReorderedHealed += s.ReorderedHealed
-		total.DroppedDeadline += s.DroppedDeadline
-		total.FloodsSuppressed += s.FloodsSuppressed
-		total.DropsShed += s.DropsShed
-		total.PubsRejected += s.PubsRejected
-		total.StaleEpochFrames += s.StaleEpochFrames
-		total.SessionsResumed += s.SessionsResumed
-		total.MsgsReplayed += s.MsgsReplayed
 	}
 	return total
 }

@@ -2,6 +2,7 @@ package livenet
 
 import (
 	"bdps/internal/durable"
+	"bdps/internal/metrics"
 	"bdps/internal/msg"
 	"bdps/internal/routing"
 	"bdps/internal/stats"
@@ -181,10 +182,7 @@ func (n *Node) handleSubscribe(s *msg.Subscription, local *peerConn) {
 				flood = false
 			}
 			if !flood {
-				n.cnt.floodsSuppressed.Add(1)
-				if n.sink != nil {
-					n.sink.FloodSuppressed(1)
-				}
+				n.count(metrics.FloodsSuppressed, 1)
 			}
 		} else {
 			n.installRoutes(s)

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"bdps/internal/metrics"
 	"bdps/internal/msg"
 	"bdps/internal/runtime"
 	"bdps/internal/stats"
@@ -80,10 +81,7 @@ func (n *Node) rejectStale(peer msg.NodeID, e uint32) bool {
 	stale := e < n.peerEpochs[peer]
 	n.epochMu.Unlock()
 	if stale {
-		n.cnt.staleEpoch.Add(1)
-		if n.sink != nil {
-			n.sink.StaleEpoch(1)
-		}
+		n.count(metrics.StaleEpochFrames, 1)
 	}
 	return stale
 }

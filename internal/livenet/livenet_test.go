@@ -1,6 +1,8 @@
 package livenet
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -188,8 +190,8 @@ func TestLiveStatsAccumulate(t *testing.T) {
 	if total.Receptions != 9 {
 		t.Errorf("receptions = %d, want 9", total.Receptions)
 	}
-	if total.ValidDeliver != 3 {
-		t.Errorf("valid deliveries = %d, want 3", total.ValidDeliver)
+	if total.ValidDeliveries != 3 {
+		t.Errorf("valid deliveries = %d, want 3", total.ValidDeliveries)
 	}
 }
 
@@ -280,6 +282,66 @@ func TestLiveBrokerCrashDoesNotWedgeOthers(t *testing.T) {
 	case <-done:
 	case <-time.After(5 * time.Second):
 		t.Fatal("Stop deadlocked after broker crash")
+	}
+}
+
+// TestStandaloneCrashAccountsQueuedLosses: on a cluster with no plan and
+// no sink, what a crash destroys must still land in the node's own
+// ledger and on /metrics. Eight 10 KB messages pile up at the middle
+// broker behind a link paced at ≈ 2 s per transfer (one held
+// mid-transfer, seven queued); crashing the broker charges all eight.
+func TestStandaloneCrashAccountsQueuedLosses(t *testing.T) {
+	g := topology.NewGraph(3)
+	if err := g.AddLink(0, 1, stats.Normal{Mean: 0.01, Sigma: 0.001}); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.AddLink(1, 2, stats.Normal{Mean: 200, Sigma: 2}); err != nil {
+		t.Fatal(err)
+	}
+	c, err := StartCluster(ClusterConfig{
+		Overlay:   &topology.Overlay{Graph: g, Ingress: []msg.NodeID{0}, Edges: []msg.NodeID{2}},
+		Scenario:  msg.PSD,
+		Strategy:  core.MaxEB{},
+		TimeScale: 1,
+		Seed:      1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Stop)
+	s, err := DialSubscriber(c.Addr(2), &msg.Subscription{ID: 1, Edge: 2, Filter: &filter.Filter{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	time.Sleep(100 * time.Millisecond)
+	p, err := DialPublisher(c.Addr(0), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+
+	const k = 8
+	for i := 0; i < k; i++ {
+		if _, err := p.Publish(0, msg.NumAttrs(map[string]float64{"A1": 1}), 10, 10*vtime.Minute, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mid := c.Nodes[1]
+	deadline := time.Now().Add(5 * time.Second)
+	for mid.egress.Load() != k-1 || mid.busySenders.Load() != 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("backlog never formed at the middle broker:\n%s", c.LoadReport())
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	mid.Crash()
+	if got := mid.Stats().DropsCrashed; got != k {
+		t.Errorf("Stats().DropsCrashed = %d, want %d (%d queued + 1 mid-transfer)", got, k, k-1)
+	}
+	if want := fmt.Sprintf("bdps_drops_crashed_total %d\n", k); !strings.Contains(c.RenderMetrics(), want) {
+		t.Errorf("/metrics missing %q", want)
 	}
 }
 

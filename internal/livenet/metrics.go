@@ -8,6 +8,7 @@ import (
 	"strings"
 	"time"
 
+	"bdps/internal/metrics"
 	"bdps/internal/msg"
 )
 
@@ -47,9 +48,10 @@ func (c *Cluster) ServeMetrics(addr string) (*MetricsServer, error) {
 	return ms, nil
 }
 
-// RenderMetrics renders the exposition text: cluster-wide totals, then
-// per-broker gauges for the load signals an operator watches during an
-// overload (queue occupancy, peak queue, shed and rejection counts).
+// RenderMetrics renders the exposition text: the cluster-wide total of
+// every ledger counter (bdps_<name>_total, one per metrics.Counters row),
+// then per-broker gauges for the load signals an operator watches during
+// an overload (queue occupancy, peak queue, liveness).
 func (c *Cluster) RenderMetrics() string {
 	var b strings.Builder
 	t := c.TotalStats()
@@ -57,18 +59,10 @@ func (c *Cluster) RenderMetrics() string {
 		fmt.Fprintf(&b, "# HELP bdps_%s %s\n# TYPE bdps_%s counter\nbdps_%s %d\n",
 			name, help, name, name, v)
 	}
-	counter("receptions_total", "Messages received by brokers.", t.Receptions)
 	counter("deliveries_total", "Messages delivered to subscribers.", t.Deliveries)
-	counter("deliveries_valid_total", "Deliveries within their delay bound.", t.ValidDeliver)
-	counter("drops_expired_total", "Queue entries dropped past their deadline.", t.DropsExpired)
-	counter("drops_hopeless_total", "Queue entries dropped as unmeetable.", t.DropsHopeless)
-	counter("drops_arrival_total", "Messages dropped on arrival.", t.DropsArrival)
-	counter("drops_shed_total", "Queue entries shed under pressure (worst first).", t.DropsShed)
-	counter("pubs_rejected_total", "Publications rejected by admission control.", t.PubsRejected)
-	counter("duplicates_total", "Duplicate receptions suppressed.", t.Duplicates)
-	counter("frames_lost_total", "Wire frames lost to the injected adversary.", t.FramesLost)
-	counter("retransmits_total", "Frames retransmitted by the reliable channel.", t.Retransmits)
-	counter("floods_suppressed_total", "Subscribe floods covered by aggregation.", t.FloodsSuppressed)
+	for _, info := range metrics.Counters {
+		counter(info.Name+"_total", info.Help, *info.Field(&t.Ledger))
+	}
 
 	fmt.Fprintf(&b, "# HELP bdps_queue_depth Current output-queue occupancy per broker.\n# TYPE bdps_queue_depth gauge\n")
 	for _, id := range c.nodeIDs() {

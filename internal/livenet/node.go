@@ -40,6 +40,7 @@ import (
 	"bdps/internal/broker"
 	"bdps/internal/core"
 	"bdps/internal/durable"
+	"bdps/internal/metrics"
 	"bdps/internal/msg"
 	"bdps/internal/routing"
 	"bdps/internal/runtime"
@@ -217,8 +218,9 @@ type Node struct {
 	// reason.
 	seenSubs    map[msg.SubID]bool
 	removedSubs tombstones
-	// statistics (atomic: updated by concurrent shard workers)
-	cnt counters
+	// cnt is the node's ledger, indexed by counter id (atomic: updated
+	// by concurrent shard workers and senders); see count.
+	cnt [metrics.NumCounters]atomic.Int64
 
 	// Heartbeat liveness state (heartbeat.go), under its own lock so
 	// probe bookkeeping never contends with the data plane.
@@ -269,96 +271,16 @@ type Node struct {
 	wg       sync.WaitGroup
 }
 
-// Stats counts a live node's activity (retrieved via Node.Stats).
+// Stats is a snapshot of a live node's ledger counters (Node.Stats), or
+// their sum over a cluster (Cluster.TotalStats). Publication-side and
+// plan-side rows (Published, PubsAdmitted, Detections…) are counted by
+// the run driver, not by nodes, and read zero here.
 type Stats struct {
-	Receptions    int
-	Deliveries    int
-	ValidDeliver  int
-	DropsExpired  int
-	DropsHopeless int
-	DropsArrival  int
-	Duplicates    int
-
-	// Reliable-channel counters (zero on clean links): wire frames the
-	// injected adversary dropped, retransmissions the policy admitted,
-	// duplicates and reorderings the receiving ends healed, and messages
-	// abandoned because no retry could still meet their bound.
-	FramesLost      int
-	Retransmits     int
-	DupsSuppressed  int
-	ReorderedHealed int
-	DroppedDeadline int
-
-	// FloodsSuppressed counts subscribe floods this node avoided because
-	// a resident covering filter already carried the newcomer's traffic.
-	FloodsSuppressed int
-
-	// Overload-protection counters: queue entries evicted by
-	// pressure-triggered worst-first shedding, and publisher messages
-	// turned away by node-local admission control (standalone mode).
-	DropsShed    int
-	PubsRejected int
-
-	// Crash-restart counters: data frames rejected because a newer
-	// incarnation of the sending broker announced itself, subscriber
-	// sessions resumed after a reattach, and messages replayed to
-	// resumed sessions through the deadline gate.
-	StaleEpochFrames int
-	SessionsResumed  int
-	MsgsReplayed     int
-}
-
-// counters is the atomic backing of Stats.
-type counters struct {
-	receptions    atomic.Int64
-	deliveries    atomic.Int64
-	validDeliver  atomic.Int64
-	dropsExpired  atomic.Int64
-	dropsHopeless atomic.Int64
-	dropsArrival  atomic.Int64
-	duplicates    atomic.Int64
-
-	framesLost      atomic.Int64
-	retransmits     atomic.Int64
-	dupsSuppressed  atomic.Int64
-	reorderedHealed atomic.Int64
-	droppedDeadline atomic.Int64
-
-	floodsSuppressed atomic.Int64
-
-	dropsShed    atomic.Int64
-	pubsRejected atomic.Int64
-
-	staleEpoch      atomic.Int64
-	sessionsResumed atomic.Int64
-	msgsReplayed    atomic.Int64
-}
-
-func (c *counters) snapshot() Stats {
-	return Stats{
-		Receptions:    int(c.receptions.Load()),
-		Deliveries:    int(c.deliveries.Load()),
-		ValidDeliver:  int(c.validDeliver.Load()),
-		DropsExpired:  int(c.dropsExpired.Load()),
-		DropsHopeless: int(c.dropsHopeless.Load()),
-		DropsArrival:  int(c.dropsArrival.Load()),
-		Duplicates:    int(c.duplicates.Load()),
-
-		FramesLost:      int(c.framesLost.Load()),
-		Retransmits:     int(c.retransmits.Load()),
-		DupsSuppressed:  int(c.dupsSuppressed.Load()),
-		ReorderedHealed: int(c.reorderedHealed.Load()),
-		DroppedDeadline: int(c.droppedDeadline.Load()),
-
-		FloodsSuppressed: int(c.floodsSuppressed.Load()),
-
-		DropsShed:    int(c.dropsShed.Load()),
-		PubsRejected: int(c.pubsRejected.Load()),
-
-		StaleEpochFrames: int(c.staleEpoch.Load()),
-		SessionsResumed:  int(c.sessionsResumed.Load()),
-		MsgsReplayed:     int(c.msgsReplayed.Load()),
-	}
+	metrics.Ledger
+	// Deliveries is ValidDeliveries + LateDeliveries, and ValidDeliver
+	// repeats ValidDeliveries under the name the repository benchmark
+	// reads.
+	Deliveries, ValidDeliver int
 }
 
 // NewNode validates the configuration and builds a node.
@@ -506,8 +428,26 @@ func (n *Node) Stop() {
 	}
 }
 
+// count adds k to one ledger counter: on the node, and on the
+// deployment's sink when there is one. Deliveries are the exception
+// (accountResult): the sink derives their counts from DeliveredAt.
+func (n *Node) count(id metrics.Counter, k int) {
+	n.cnt[id].Add(int64(k))
+	if n.sink != nil {
+		n.sink.Count(id, k)
+	}
+}
+
 // Stats returns a snapshot of the node's counters.
-func (n *Node) Stats() Stats { return n.cnt.snapshot() }
+func (n *Node) Stats() Stats {
+	var s Stats
+	for id, info := range metrics.Counters {
+		*info.Field(&s.Ledger) = int(n.cnt[id].Load())
+	}
+	s.Deliveries = s.ValidDeliveries + s.LateDeliveries
+	s.ValidDeliver = s.ValidDeliveries
+	return s
+}
 
 // AggregatedEntries reports how many of this node's live routing entries
 // currently stand for more than one concrete subscription (the
@@ -549,9 +489,7 @@ func (n *Node) Crash() {
 	n.mu.Unlock()
 	if lost > 0 {
 		n.egress.Add(-int64(lost))
-		if n.sink != nil {
-			n.sink.DroppedCrashed(lost)
-		}
+		n.count(metrics.DropsCrashed, lost)
 	}
 }
 

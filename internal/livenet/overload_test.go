@@ -13,6 +13,7 @@ import (
 
 	"bdps/internal/core"
 	"bdps/internal/filter"
+	"bdps/internal/metrics"
 	"bdps/internal/msg"
 	"bdps/internal/runtime"
 	"bdps/internal/vtime"
@@ -140,6 +141,11 @@ func TestMetricsEndpoint(t *testing.T) {
 		"# TYPE bdps_deliveries_total counter",
 	} {
 		if !strings.Contains(text, want) {
+			t.Errorf("metrics output missing %q", want)
+		}
+	}
+	for _, info := range metrics.Counters {
+		if want := "# TYPE bdps_" + info.Name + "_total counter\n"; !strings.Contains(text, want) {
 			t.Errorf("metrics output missing %q", want)
 		}
 	}

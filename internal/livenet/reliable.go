@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"bdps/internal/core"
+	"bdps/internal/metrics"
 	"bdps/internal/msg"
 	"bdps/internal/runtime"
 	"bdps/internal/vtime"
@@ -145,22 +146,13 @@ func (n *Node) ackLoop(conn net.Conn, rb *retxBuf) {
 // backends must agree on exactly.
 func (n *Node) accountChain(out *runtime.SendOutcome) {
 	if out.Losses > 0 {
-		n.cnt.framesLost.Add(int64(out.Losses))
-		if n.sink != nil {
-			n.sink.FrameLost(out.Losses)
-		}
+		n.count(metrics.FramesLost, out.Losses)
 	}
 	if out.Retransmits > 0 {
-		n.cnt.retransmits.Add(int64(out.Retransmits))
-		if n.sink != nil {
-			n.sink.Retransmit(out.Retransmits)
-		}
+		n.count(metrics.Retransmits, out.Retransmits)
 	}
 	if !out.Deliver {
-		n.cnt.droppedDeadline.Add(1)
-		if n.sink != nil {
-			n.sink.DroppedDeadline(1)
-		}
+		n.count(metrics.DroppedDeadline, 1)
 	}
 }
 
@@ -319,8 +311,8 @@ func (n *Node) writeBurstReliable(pc *peerConn, ls *linkSender) {
 		}
 	}
 	n.sentPeers.Add(sent)
-	if lost > 0 && n.sink != nil {
-		n.sink.DroppedCrashed(lost)
+	if lost > 0 {
+		n.count(metrics.DropsCrashed, lost)
 	}
 }
 
@@ -353,18 +345,12 @@ func (rl *recvLink) accept(n *Node, seq, base uint64, m *msg.Message) []*msg.Mes
 	out, dup, healed := rl.rs.Accept(seq, base, m, rl.deliver[:0])
 	rl.deliver = out
 	if dup {
-		n.cnt.dupsSuppressed.Add(1)
-		if n.sink != nil {
-			n.sink.DupSuppressed(1)
-		}
+		n.count(metrics.DupsSuppressed, 1)
 		m.Release()
 		n.inflight.Add(-1)
 	}
 	if healed > 0 {
-		n.cnt.reorderedHealed.Add(int64(healed))
-		if n.sink != nil {
-			n.sink.ReorderHealed(healed)
-		}
+		n.count(metrics.ReorderedHealed, healed)
 	}
 	rl.since++
 	if rl.since >= rl.every {

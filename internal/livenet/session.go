@@ -3,6 +3,7 @@ package livenet
 import (
 	"sync"
 
+	"bdps/internal/metrics"
 	"bdps/internal/msg"
 	"bdps/internal/runtime"
 	"bdps/internal/vtime"
@@ -155,19 +156,9 @@ func (s *session) replay(to *peerConn, after uint64, now vtime.Millis) (replayed
 // accountResume charges one session resume to the node counters and the
 // metrics sink.
 func (n *Node) accountResume(replayed, expired int) {
-	n.cnt.sessionsResumed.Add(1)
-	n.cnt.droppedDeadline.Add(int64(expired))
-	n.cnt.msgsReplayed.Add(int64(replayed))
-	if n.sink == nil {
-		return
-	}
-	n.sink.SessionResumed(1)
-	if expired > 0 {
-		n.sink.DroppedDeadline(expired)
-	}
-	if replayed > 0 {
-		n.sink.MsgReplayed(replayed)
-	}
+	n.count(metrics.SessionsResumed, 1)
+	n.count(metrics.DroppedDeadline, expired)
+	n.count(metrics.ReplayedMsgs, replayed)
 }
 
 // handleResume reattaches a reconnected subscriber and replays the

@@ -61,7 +61,7 @@ func BenchmarkSessionResume(b *testing.B) {
 				n.handleResume(sub.ID, token, peer)
 			}
 			b.StopTimer()
-			if got, want := n.Stats().MsgsReplayed, b.N*sessionRingDefault/2; got != want {
+			if got, want := n.Stats().ReplayedMsgs, b.N*sessionRingDefault/2; got != want {
 				b.Fatalf("replayed %d, want %d", got, want)
 			}
 		})

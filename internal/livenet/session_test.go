@@ -188,7 +188,7 @@ func testSessionResumeUnderLoss(t *testing.T, shards int) {
 	}
 
 	total := c.TotalStats()
-	if total.MsgsReplayed == 0 {
+	if total.ReplayedMsgs == 0 {
 		t.Error("edge broker replayed nothing: deliveries during the outage should come from the ring")
 	}
 	if total.SessionsResumed != 2 {
@@ -452,7 +452,7 @@ func testSessionRingBounded(t *testing.T, shards int) {
 	if got < runtime.SessionRingLimit/2 {
 		t.Errorf("resume replayed only %d messages, want a full-ish ring (limit %d)", got, runtime.SessionRingLimit)
 	}
-	if n := c.Node(2).Stats().MsgsReplayed; n != got {
+	if n := c.Node(2).Stats().ReplayedMsgs; n != got {
 		t.Errorf("broker counted %d replays, client saw %d", n, got)
 	}
 }

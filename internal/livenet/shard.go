@@ -8,6 +8,7 @@ import (
 
 	"bdps/internal/broker"
 	"bdps/internal/core"
+	"bdps/internal/metrics"
 	"bdps/internal/msg"
 	"bdps/internal/runtime"
 	"bdps/internal/stats"
@@ -387,7 +388,7 @@ func (n *Node) admitPub() bool {
 		return true
 	}
 	if n.egress.Load()+int64(n.inflight.Load()) >= int64(n.cfg.Admission.MaxQueue) {
-		n.cnt.pubsRejected.Add(1)
+		n.count(metrics.PubsRejected, 1)
 		return false
 	}
 	return true
@@ -443,10 +444,7 @@ func (n *Node) process(w *worker, m *msg.Message) {
 			now += pd
 		}
 	}
-	n.cnt.receptions.Add(1)
-	if n.sink != nil {
-		n.sink.Reception()
-	}
+	n.count(metrics.Receptions, 1)
 
 	// The message may enter up to nlinks output queues, whose senders
 	// release their references concurrently the moment Process enqueues;
@@ -474,7 +472,7 @@ func (n *Node) process(w *worker, m *msg.Message) {
 	n.mu.RUnlock()
 
 	if res.Duplicate {
-		n.cnt.duplicates.Add(1)
+		n.count(metrics.Duplicates, 1)
 		m.ReleaseN(links + 1)
 		n.dispatched.Add(-1)
 		n.inflight.Add(-1)
@@ -507,22 +505,21 @@ func (n *Node) process(w *worker, m *msg.Message) {
 }
 
 // accountResult charges a Process result's deliveries and arrival
-// drops to the node counters and the metrics sink.
+// drops to the node counters and the metrics sink. Deliveries bypass
+// count: the sink's DeliveredAt does its own valid/late counting.
 func (n *Node) accountResult(res *broker.Result) {
 	for _, d := range res.Deliveries {
-		n.cnt.deliveries.Add(1)
 		if d.Valid {
-			n.cnt.validDeliver.Add(1)
+			n.cnt[metrics.ValidDeliveries].Add(1)
+		} else {
+			n.cnt[metrics.LateDeliveries].Add(1)
 		}
 		if n.sink != nil {
 			n.sink.DeliveredAt(int32(d.SubID), d.Price, d.Published, d.Latency, d.Valid)
 		}
 	}
 	if res.ArrivalDrops > 0 {
-		n.cnt.dropsArrival.Add(int64(res.ArrivalDrops))
-		if n.sink != nil {
-			n.sink.DroppedOnArrival(res.ArrivalDrops)
-		}
+		n.count(metrics.DropsArrival, res.ArrivalDrops)
 	}
 	// Net occupancy change of this Process call: entries enqueued minus
 	// entries the pressure threshold shed back out.
@@ -530,10 +527,7 @@ func (n *Node) accountResult(res *broker.Result) {
 		n.egress.Add(int64(d))
 	}
 	if len(res.Shed) > 0 {
-		n.cnt.dropsShed.Add(int64(len(res.Shed)))
-		if n.sink != nil {
-			n.sink.DroppedShed(len(res.Shed))
-		}
+		n.count(metrics.DropsShed, len(res.Shed))
 		for _, e := range res.Shed {
 			releaseEntry(e)
 		}
@@ -679,9 +673,7 @@ func (n *Node) senderLoop(to msg.NodeID, pc *peerConn, wake chan struct{}, pacer
 			// healthy run quiesces before Stop, so this only fires on
 			// crash/abort paths — charge the loss like the queue drain
 			// in Crash does.
-			if n.sink != nil {
-				n.sink.DroppedCrashed(len(entries))
-			}
+			n.count(metrics.DropsCrashed, len(entries))
 			for _, e := range entries {
 				releaseEntry(e)
 			}
@@ -727,8 +719,8 @@ func (n *Node) senderLoop(to msg.NodeID, pc *peerConn, wake chan struct{}, pacer
 					sent++
 				}
 				n.sentPeers.Add(int64(sent))
-				if failed := ok - sent; failed > 0 && n.sink != nil {
-					n.sink.DroppedCrashed(failed)
+				if failed := ok - sent; failed > 0 {
+					n.count(metrics.DropsCrashed, failed)
 				}
 			}
 		}
@@ -759,15 +751,9 @@ func (n *Node) accountDrops(drops []core.Drop) {
 	}
 	for _, d := range drops {
 		if d.Reason == core.DropExpired {
-			n.cnt.dropsExpired.Add(1)
-			if n.sink != nil {
-				n.sink.DroppedExpired(1)
-			}
+			n.count(metrics.DropsExpired, 1)
 		} else {
-			n.cnt.dropsHopeless.Add(1)
-			if n.sink != nil {
-				n.sink.DroppedHopeless(1)
-			}
+			n.count(metrics.DropsHopeless, 1)
 		}
 		releaseEntry(d.Entry)
 	}

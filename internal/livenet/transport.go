@@ -6,6 +6,7 @@ import (
 	"sort"
 	"time"
 
+	"bdps/internal/metrics"
 	"bdps/internal/msg"
 	"bdps/internal/runtime"
 	"bdps/internal/vtime"
@@ -204,7 +205,7 @@ func (d *deployment) Inject(pubs []*msg.Message) error {
 				// it the publisher connection) down mid-run; the
 				// simulator charges such publications to the crash, so
 				// the live run does too instead of aborting.
-				d.sink.DroppedCrashed(1)
+				d.sink.Count(metrics.DropsCrashed, 1)
 				continue
 			}
 			return fmt.Errorf("livenet: injecting message %d: %w", m.ID, err)
@@ -277,7 +278,7 @@ func (d *deployment) restartBroker(id msg.NodeID) {
 				subs[e.Sub.ID] = true
 			}
 			if len(subs) > 0 {
-				d.sink.SubReplayed(len(subs))
+				d.sink.Count(metrics.RestartReplayedSubs, len(subs))
 			}
 		}
 		if d.det != nil {

@@ -14,57 +14,15 @@ import (
 
 // Collector accumulates one simulation run's metrics. It is not
 // goroutine-safe: the simulator is single-threaded by construction, and
-// the live runtime keeps one collector per node.
+// the live runtime feeds one shared collector through a
+// runtime.LockedSink.
 type Collector struct {
-	published    int
-	totalTargets int // Σ tsᵢ: interested subscribers over published messages
-	receptions   int // the paper's "message number"
-
-	validDeliveries int // Σ dsᵢ
-	lateDeliveries  int
-	earning         float64
-
-	dropsExpired  int // queue drops: all deadlines passed
-	dropsHopeless int // queue drops: ε-detection (§5.4)
-	dropsArrival  int // dropped at arrival processing (not viable / no match)
-	dropsCrashed  int // lost to injected broker crashes
-
+	counts  [NumCounters]int
+	earning float64
 	latency stats.Summary // valid deliveries only, ms
 
-	// Recovery counters (self-healing control plane).
-	detections       int           // confirmed failure detections (per dead arc)
 	detectionLatency stats.Summary // fault → confirmed detection, ms
-	reroutedPaths    int           // (ingress, subscription) pairs moved to a new path
-	boundsKept       int           // renegotiation: old bound still feasible
-	boundsRelaxed    int           // renegotiation: relaxed to cheapest feasible bound
-	boundsRejected   int           // renegotiation: no feasible bound on any surviving path
-	refloodedSubs    int           // subscriptions re-flooded onto surviving routes
-
-	// Reliable-channel counters (lossy-network resilience).
-	framesLost      int // transmissions the link adversary dropped
-	retransmits     int // re-sends scheduled after a loss
-	dupsSuppressed  int // duplicate frames discarded by per-link dedup
-	reorderedHealed int // out-of-order frames restored to FIFO order
-	droppedDeadline int // retransmissions abandoned: remaining slack too small
-
-	// Covering-aggregation counters.
-	floodsSuppressed  int // subscribe floods avoided by a covering filter
-	aggregatedEntries int // live entries standing for >1 subscription (end-of-run)
-
-	// Overload-protection counters (online admission control + shedding).
-	pubsAdmitted int // publications admitted with their bound intact
-	pubsRelaxed  int // publications admitted under a relaxed bound
-	pubsRejected int // publications refused at the ingress
-	subsRejected int // subscription floods refused (bound unmeetable)
-	dropsShed    int // queue entries evicted by pressure shedding
-	boundLedger  map[int]*boundCounts
-
-	// Crash-restart recovery counters (durable broker state + session
-	// resumption).
-	restartReplayedSubs int // routing entries reinstalled from a restarted broker's log
-	sessionsResumed     int // subscriber sessions reattached via resume token
-	replayedMsgs        int // retained deliveries replayed to resumed sessions
-	staleEpochFrames    int // data frames rejected as a dead incarnation's
+	boundLedger      map[int]*boundCounts
 
 	// Delivery timeline: targets and valid deliveries bucketed by the
 	// message's publication instant (enabled by EnableTimeline).
@@ -76,6 +34,10 @@ type Collector struct {
 	subExpected map[int32]int
 	subValid    map[int32]int
 }
+
+// Count adds n to one ledger counter — the entry point for every count
+// that is only a count (see Counters for the list).
+func (c *Collector) Count(id Counter, n int) { c.counts[id] += n }
 
 // EnableTimeline arms publication-time bucketing of targets and valid
 // deliveries with the given bucket width — the delivery-rate-over-time
@@ -101,27 +63,21 @@ func (c *Collector) bucketAt(published vtime.Millis) int {
 	return i
 }
 
-// Published records a published message and its interested-subscriber
-// count tsᵢ.
-func (c *Collector) Published(interested int) {
-	c.published++
-	c.totalTargets += interested
-}
-
-// PublishedAt is Published with the publication instant, feeding the
-// delivery timeline when one is enabled.
+// PublishedAt records a published message, its interested-subscriber
+// count tsᵢ and its publication instant (which feeds the delivery
+// timeline when one is enabled).
 func (c *Collector) PublishedAt(interested int, at vtime.Millis) {
-	c.Published(interested)
+	c.counts[Published]++
+	c.counts[TotalTargets] += interested
 	if i := c.bucketAt(at); i >= 0 {
 		c.tlTargets[i] += interested
 	}
 }
 
-// PublishedTo additionally attributes the expectation to each interested
-// subscriber for fairness accounting. Call instead of Published when
-// per-subscriber metrics are wanted.
-func (c *Collector) PublishedTo(interested []int32) {
-	c.Published(len(interested))
+// PublishedToAt is PublishedAt that additionally attributes the
+// expectation to each interested subscriber for fairness accounting.
+func (c *Collector) PublishedToAt(interested []int32, at vtime.Millis) {
+	c.PublishedAt(len(interested), at)
 	if c.subExpected == nil {
 		c.subExpected = make(map[int32]int)
 	}
@@ -130,39 +86,16 @@ func (c *Collector) PublishedTo(interested []int32) {
 	}
 }
 
-// PublishedToAt is PublishedTo with the publication instant for the
-// delivery timeline.
-func (c *Collector) PublishedToAt(interested []int32, at vtime.Millis) {
-	c.PublishedTo(interested)
-	if i := c.bucketAt(at); i >= 0 {
-		c.tlTargets[i] += len(interested)
-	}
-}
-
-// Reception records one message received by a broker.
-func (c *Collector) Reception() { c.receptions++ }
-
-// Delivered records a delivery to one subscriber. Valid deliveries add
-// price to the earning and the latency sample.
-func (c *Collector) Delivered(price float64, latency vtime.Millis, valid bool) {
-	c.DeliveredTo(-1, price, latency, valid)
-}
-
-// DeliveredTo is Delivered with subscriber attribution (id < 0 skips the
-// per-subscriber accounting).
-func (c *Collector) DeliveredTo(subID int32, price float64, latency vtime.Millis, valid bool) {
-	c.DeliveredAt(subID, price, -1, latency, valid)
-}
-
-// DeliveredAt is DeliveredTo with the message's publication instant, so
-// valid deliveries land in the delivery timeline (published < 0 skips
-// the bucketing).
+// DeliveredAt records a delivery to one subscriber. Valid deliveries add
+// price to the earning, the latency sample, the delivery timeline
+// bucket of the message's publication instant (published < 0 skips the
+// bucketing) and the subscriber's fairness tally (subID < 0 skips it).
 func (c *Collector) DeliveredAt(subID int32, price float64, published, latency vtime.Millis, valid bool) {
 	if !valid {
-		c.lateDeliveries++
+		c.counts[LateDeliveries]++
 		return
 	}
-	c.validDeliveries++
+	c.counts[ValidDeliveries]++
 	c.earning += price
 	c.latency.Add(latency)
 	if i := c.bucketAt(published); i >= 0 {
@@ -176,63 +109,12 @@ func (c *Collector) DeliveredAt(subID int32, price float64, published, latency v
 	}
 }
 
-// DroppedExpired counts queue entries pruned after full expiry.
-func (c *Collector) DroppedExpired(n int) { c.dropsExpired += n }
-
-// DroppedHopeless counts queue entries pruned by ε-detection.
-func (c *Collector) DroppedHopeless(n int) { c.dropsHopeless += n }
-
-// DroppedOnArrival counts forwarding intents discarded during arrival
-// processing (expired or hopeless before ever being queued).
-func (c *Collector) DroppedOnArrival(n int) { c.dropsArrival += n }
-
-// DroppedCrashed counts messages lost to injected broker crashes.
-func (c *Collector) DroppedCrashed(n int) { c.dropsCrashed += n }
-
 // Detection records one confirmed failure detection (one dead directed
 // arc) and its detection latency: fault instant → confirmed-dead.
 func (c *Collector) Detection(latency vtime.Millis) {
-	c.detections++
+	c.counts[Detections]++
 	c.detectionLatency.Add(latency)
 }
-
-// Rerouted counts (ingress, subscription) pairs topology repair moved
-// onto a new surviving path.
-func (c *Collector) Rerouted(n int) { c.reroutedPaths += n }
-
-// Renegotiated records the outcome counts of one repair pass's online
-// admission replay: bounds kept as-is, relaxed to the cheapest feasible
-// value, and rejected outright.
-func (c *Collector) Renegotiated(kept, relaxed, rejected int) {
-	c.boundsKept += kept
-	c.boundsRelaxed += relaxed
-	c.boundsRejected += rejected
-}
-
-// Reflooded counts subscriptions re-flooded onto surviving routes after
-// a repair.
-func (c *Collector) Reflooded(n int) { c.refloodedSubs += n }
-
-// FrameLost counts transmissions dropped by the injected link adversary.
-func (c *Collector) FrameLost(n int) { c.framesLost += n }
-
-// Retransmit counts re-sends the reliable channel scheduled after losses.
-func (c *Collector) Retransmit(n int) { c.retransmits += n }
-
-// DupSuppressed counts duplicate frames per-link dedup discarded.
-func (c *Collector) DupSuppressed(n int) { c.dupsSuppressed += n }
-
-// ReorderHealed counts out-of-order frames buffered and later released in
-// FIFO order.
-func (c *Collector) ReorderHealed(n int) { c.reorderedHealed += n }
-
-// DroppedDeadline counts retransmissions abandoned because the entry's
-// remaining slack no longer admitted the extra transmission.
-func (c *Collector) DroppedDeadline(n int) { c.droppedDeadline += n }
-
-// FloodSuppressed counts subscribe floods a covering filter made
-// unnecessary.
-func (c *Collector) FloodSuppressed(n int) { c.floodsSuppressed += n }
 
 // boundCounts is one bucket of the per-bound admission ledger.
 type boundCounts struct{ admitted, relaxed, rejected int }
@@ -259,90 +141,33 @@ func (c *Collector) boundAt(bound vtime.Millis) *boundCounts {
 // PubAdmitted records a publication that passed admission with its
 // bound intact.
 func (c *Collector) PubAdmitted(bound vtime.Millis) {
-	c.pubsAdmitted++
+	c.counts[PubsAdmitted]++
 	c.boundAt(bound).admitted++
 }
 
 // PubRelaxed records a publication admitted under a relaxed bound.
 func (c *Collector) PubRelaxed(bound vtime.Millis) {
-	c.pubsRelaxed++
+	c.counts[PubsRelaxed]++
 	c.boundAt(bound).relaxed++
 }
 
 // PubRejected records a publication refused at the ingress: no
 // admissible bound within the relax cap under the current load.
 func (c *Collector) PubRejected(bound vtime.Millis) {
-	c.pubsRejected++
+	c.counts[PubsRejected]++
 	c.boundAt(bound).rejected++
 }
-
-// SubRejected counts subscription floods refused by admission control.
-func (c *Collector) SubRejected(n int) { c.subsRejected += n }
-
-// DroppedShed counts queue entries evicted by pressure-triggered
-// worst-first shedding.
-func (c *Collector) DroppedShed(n int) { c.dropsShed += n }
-
-// SubReplayed counts routing entries a restarted broker reinstalled
-// from its durable log.
-func (c *Collector) SubReplayed(n int) { c.restartReplayedSubs += n }
-
-// SessionResumed counts subscriber sessions reattached via resume token.
-func (c *Collector) SessionResumed(n int) { c.sessionsResumed += n }
-
-// MsgReplayed counts retained deliveries replayed to resumed sessions
-// (only those whose bounds still held; expired replays are
-// DroppedDeadline).
-func (c *Collector) MsgReplayed(n int) { c.replayedMsgs += n }
-
-// StaleEpoch counts data frames rejected because they carried a dead
-// broker incarnation's epoch.
-func (c *Collector) StaleEpoch(n int) { c.staleEpochFrames += n }
 
 // AggregatedEntries records the end-of-run count of live routing entries
 // standing for more than one subscription (stamped by the run driver
 // from a table scan).
-func (c *Collector) AggregatedEntries(n int) { c.aggregatedEntries = n }
+func (c *Collector) AggregatedEntries(n int) { c.counts[AggregatedEntries] = n }
 
 // Result freezes a collector into the run summary.
 func (c *Collector) Result() Result {
-	r := Result{
-		Published:       c.published,
-		TotalTargets:    c.totalTargets,
-		Receptions:      c.receptions,
-		ValidDeliveries: c.validDeliveries,
-		LateDeliveries:  c.lateDeliveries,
-		Earning:         c.earning,
-		DropsExpired:    c.dropsExpired,
-		DropsHopeless:   c.dropsHopeless,
-		DropsArrival:    c.dropsArrival,
-		DropsCrashed:    c.dropsCrashed,
-		Fairness:        c.fairness(),
-		Detections:      c.detections,
-		ReroutedPaths:   c.reroutedPaths,
-		BoundsKept:      c.boundsKept,
-		BoundsRelaxed:   c.boundsRelaxed,
-		BoundsRejected:  c.boundsRejected,
-		RefloodedSubs:   c.refloodedSubs,
-		FramesLost:      c.framesLost,
-		Retransmits:     c.retransmits,
-		DupsSuppressed:  c.dupsSuppressed,
-		ReorderedHealed: c.reorderedHealed,
-		DroppedDeadline: c.droppedDeadline,
-
-		FloodsSuppressed:  c.floodsSuppressed,
-		AggregatedEntries: c.aggregatedEntries,
-
-		PubsAdmitted: c.pubsAdmitted,
-		PubsRelaxed:  c.pubsRelaxed,
-		PubsRejected: c.pubsRejected,
-		SubsRejected: c.subsRejected,
-		DropsShed:    c.dropsShed,
-
-		RestartReplayedSubs: c.restartReplayedSubs,
-		SessionsResumed:     c.sessionsResumed,
-		ReplayedMsgs:        c.replayedMsgs,
-		StaleEpochFrames:    c.staleEpochFrames,
+	r := Result{Earning: c.earning, Fairness: c.fairness()}
+	for id, info := range Counters {
+		*info.Field(&r.Ledger) = c.counts[id]
 	}
 	if len(c.boundLedger) > 0 {
 		r.BoundLedger = make([]BoundAdmissions, 0, len(c.boundLedger))
@@ -405,7 +230,9 @@ func (c *Collector) fairness() float64 {
 	return sum * sum / (float64(n) * sumSq)
 }
 
-// Result is the immutable outcome of one run.
+// Result is the immutable outcome of one run: the ledger counters
+// (embedded, so r.Published, r.DropsExpired… read as before) plus what is
+// not a count.
 type Result struct {
 	Label    string // run identification (strategy, scenario, rate…)
 	Seed     uint64
@@ -413,18 +240,9 @@ type Result struct {
 	Scenario string
 	Backend  string // which runtime transport carried the run ("sim", "live")
 
-	Published    int
-	TotalTargets int
-	Receptions   int
+	Ledger
 
-	ValidDeliveries int
-	LateDeliveries  int
-	Earning         float64
-
-	DropsExpired  int
-	DropsHopeless int
-	DropsArrival  int
-	DropsCrashed  int
+	Earning float64
 
 	// Fairness is Jain's index over per-subscriber delivery ratios, or 0
 	// when per-subscriber accounting was off.
@@ -437,47 +255,13 @@ type Result struct {
 
 	PeakQueue int
 
-	// Recovery counters (self-healing control plane); all zero on runs
-	// without failure detection.
-	Detections         int
+	// DetectionLatencyMs is the mean fault → confirmed-detection latency
+	// (0 on runs without failure detection).
 	DetectionLatencyMs float64
-	ReroutedPaths      int
-	BoundsKept         int
-	BoundsRelaxed      int
-	BoundsRejected     int
-	RefloodedSubs      int
 
-	// Reliable-channel counters (lossy-network resilience); all zero on
-	// runs without an injected link adversary.
-	FramesLost      int
-	Retransmits     int
-	DupsSuppressed  int
-	ReorderedHealed int
-	DroppedDeadline int
-
-	// Covering-aggregation counters; all zero on runs without
-	// aggregation.
-	FloodsSuppressed  int
-	AggregatedEntries int
-
-	// SLO ledger (overload protection); all zero on runs without
-	// admission control or shedding. Published and TotalTargets count
-	// only admitted traffic: offered load = Published + PubsRejected.
-	PubsAdmitted int
-	PubsRelaxed  int
-	PubsRejected int
-	SubsRejected int
-	DropsShed    int
 	// BoundLedger breaks the admission decisions down by applicable
 	// bound (bucketed to whole seconds), sorted by bound.
 	BoundLedger []BoundAdmissions
-
-	// Crash-restart recovery ledger (durable broker state + warm rejoin
-	// + session resumption); all zero on runs without broker restarts.
-	RestartReplayedSubs int
-	SessionsResumed     int
-	ReplayedMsgs        int
-	StaleEpochFrames    int
 
 	// Timeline is the delivery-over-time histogram (publication-time
 	// buckets); nil unless the run enabled one.
@@ -578,46 +362,16 @@ func Mean(rs []Result) Result {
 	}
 	out := rs[0]
 	n := float64(len(rs))
-	var pub, tgt, rec, valid, late, de, dh, da, dc, peak float64
-	var earn, lm, l50, l95, lmax, fair float64
-	var det, detLat, rerouted, kept, relaxed, rejected, reflooded float64
-	var lost, retx, dups, reord, ddl float64
-	var floodSup, aggEnt float64
-	var padm, prel, prej, srej, shed float64
-	var rsubs, sres, rmsgs, stale float64
+	round := func(x float64) int { return int(x/n + 0.5) }
+	for _, info := range Counters {
+		var sum float64
+		for i := range rs {
+			sum += float64(*info.Field(&rs[i].Ledger))
+		}
+		*info.Field(&out.Ledger) = round(sum)
+	}
+	var peak, earn, lm, l50, l95, lmax, fair, detLat float64
 	for _, r := range rs {
-		rsubs += float64(r.RestartReplayedSubs)
-		sres += float64(r.SessionsResumed)
-		rmsgs += float64(r.ReplayedMsgs)
-		stale += float64(r.StaleEpochFrames)
-		padm += float64(r.PubsAdmitted)
-		prel += float64(r.PubsRelaxed)
-		prej += float64(r.PubsRejected)
-		srej += float64(r.SubsRejected)
-		shed += float64(r.DropsShed)
-		floodSup += float64(r.FloodsSuppressed)
-		aggEnt += float64(r.AggregatedEntries)
-		lost += float64(r.FramesLost)
-		retx += float64(r.Retransmits)
-		dups += float64(r.DupsSuppressed)
-		reord += float64(r.ReorderedHealed)
-		ddl += float64(r.DroppedDeadline)
-		det += float64(r.Detections)
-		detLat += r.DetectionLatencyMs
-		rerouted += float64(r.ReroutedPaths)
-		kept += float64(r.BoundsKept)
-		relaxed += float64(r.BoundsRelaxed)
-		rejected += float64(r.BoundsRejected)
-		reflooded += float64(r.RefloodedSubs)
-		pub += float64(r.Published)
-		tgt += float64(r.TotalTargets)
-		rec += float64(r.Receptions)
-		valid += float64(r.ValidDeliveries)
-		late += float64(r.LateDeliveries)
-		de += float64(r.DropsExpired)
-		dh += float64(r.DropsHopeless)
-		da += float64(r.DropsArrival)
-		dc += float64(r.DropsCrashed)
 		peak += float64(r.PeakQueue)
 		earn += r.Earning
 		lm += r.LatencyMeanMs
@@ -625,17 +379,8 @@ func Mean(rs []Result) Result {
 		l95 += r.LatencyP95Ms
 		lmax += r.LatencyMaxMs
 		fair += r.Fairness
+		detLat += r.DetectionLatencyMs
 	}
-	round := func(x float64) int { return int(x/n + 0.5) }
-	out.Published = round(pub)
-	out.TotalTargets = round(tgt)
-	out.Receptions = round(rec)
-	out.ValidDeliveries = round(valid)
-	out.LateDeliveries = round(late)
-	out.DropsExpired = round(de)
-	out.DropsHopeless = round(dh)
-	out.DropsArrival = round(da)
-	out.DropsCrashed = round(dc)
 	out.PeakQueue = round(peak)
 	out.Earning = earn / n
 	out.Fairness = fair / n
@@ -643,29 +388,7 @@ func Mean(rs []Result) Result {
 	out.LatencyP50Ms = l50 / n
 	out.LatencyP95Ms = l95 / n
 	out.LatencyMaxMs = lmax / n
-	out.Detections = round(det)
 	out.DetectionLatencyMs = detLat / n
-	out.ReroutedPaths = round(rerouted)
-	out.BoundsKept = round(kept)
-	out.BoundsRelaxed = round(relaxed)
-	out.BoundsRejected = round(rejected)
-	out.RefloodedSubs = round(reflooded)
-	out.FramesLost = round(lost)
-	out.Retransmits = round(retx)
-	out.DupsSuppressed = round(dups)
-	out.ReorderedHealed = round(reord)
-	out.DroppedDeadline = round(ddl)
-	out.FloodsSuppressed = round(floodSup)
-	out.AggregatedEntries = round(aggEnt)
-	out.PubsAdmitted = round(padm)
-	out.PubsRelaxed = round(prel)
-	out.PubsRejected = round(prej)
-	out.SubsRejected = round(srej)
-	out.DropsShed = round(shed)
-	out.RestartReplayedSubs = round(rsubs)
-	out.SessionsResumed = round(sres)
-	out.ReplayedMsgs = round(rmsgs)
-	out.StaleEpochFrames = round(stale)
 	out.BoundLedger = meanBoundLedger(rs)
 	out.Timeline = meanTimeline(rs)
 	return out

@@ -2,23 +2,22 @@ package metrics
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
 
 func TestCollectorBasics(t *testing.T) {
 	var c Collector
-	c.Published(4)
-	c.Published(2)
-	c.Reception()
-	c.Reception()
-	c.Reception()
-	c.Delivered(3, 1500, true)
-	c.Delivered(2, 2500, true)
-	c.Delivered(1, 9000, false)
-	c.DroppedExpired(2)
-	c.DroppedHopeless(1)
-	c.DroppedOnArrival(3)
+	c.PublishedAt(4, 0)
+	c.PublishedAt(2, 0)
+	c.Count(Receptions, 3)
+	c.DeliveredAt(-1, 3, -1, 1500, true)
+	c.DeliveredAt(-1, 2, -1, 2500, true)
+	c.DeliveredAt(-1, 1, -1, 9000, false)
+	c.Count(DropsExpired, 2)
+	c.Count(DropsHopeless, 1)
+	c.Count(DropsArrival, 3)
 
 	r := c.Result()
 	if r.Published != 2 || r.TotalTargets != 6 || r.Receptions != 3 {
@@ -42,7 +41,7 @@ func TestCollectorBasics(t *testing.T) {
 }
 
 func TestResultDerivedMetrics(t *testing.T) {
-	r := Result{Receptions: 123400, Earning: 5600}
+	r := Result{Ledger: Ledger{Receptions: 123400}, Earning: 5600}
 	if r.MessageNumberK() != 123.4 {
 		t.Errorf("MessageNumberK = %v", r.MessageNumberK())
 	}
@@ -56,32 +55,64 @@ func TestResultDerivedMetrics(t *testing.T) {
 }
 
 func TestResultString(t *testing.T) {
-	r := Result{Label: "SSD/EB rate=10", ValidDeliveries: 5, TotalTargets: 10}
+	r := Result{Label: "SSD/EB rate=10", Ledger: Ledger{ValidDeliveries: 5, TotalTargets: 10}}
 	s := r.String()
 	if !strings.Contains(s, "SSD/EB") || !strings.Contains(s, "50.0%") {
 		t.Errorf("String = %q", s)
 	}
 }
 
+// TestCountersCoverLedger keeps the three declarations of a counter —
+// id, Ledger field, Counters row — in step: a field added without its
+// id and row (or a row pointing at the wrong field) fails here.
+func TestCountersCoverLedger(t *testing.T) {
+	var l Ledger
+	v := reflect.ValueOf(&l).Elem()
+	if v.NumField() != int(NumCounters) {
+		t.Fatalf("Ledger has %d fields, NumCounters is %d", v.NumField(), NumCounters)
+	}
+	names := make(map[string]bool)
+	for id, info := range Counters {
+		f := v.Type().Field(id)
+		if f.Type.Kind() != reflect.Int {
+			t.Errorf("Ledger.%s is %s, want int", f.Name, f.Type)
+		}
+		if info.Field == nil {
+			t.Fatalf("counter %d (Ledger.%s) has no table row", id, f.Name)
+		}
+		if got, want := info.Field(&l), v.Field(id).Addr().Interface().(*int); got != want {
+			t.Errorf("row %d (%q) does not point at field %d (Ledger.%s)", id, info.Name, id, f.Name)
+		}
+		if info.Name == "" || info.Help == "" || names[info.Name] {
+			t.Errorf("row %d (Ledger.%s): name %q empty or repeated, or help empty", id, f.Name, info.Name)
+		}
+		names[info.Name] = true
+	}
+}
+
 func TestMean(t *testing.T) {
 	rs := []Result{
-		{Label: "x", Published: 100, TotalTargets: 400, ValidDeliveries: 100,
-			Receptions: 1000, Earning: 200, LatencyMeanMs: 10, PeakQueue: 5},
-		{Label: "y", Published: 200, TotalTargets: 600, ValidDeliveries: 200,
-			Receptions: 2000, Earning: 400, LatencyMeanMs: 30, PeakQueue: 15},
+		{Label: "x", Earning: 200, LatencyMeanMs: 10, PeakQueue: 5},
+		{Label: "y", Earning: 400, LatencyMeanMs: 30, PeakQueue: 15},
+	}
+	for _, info := range Counters {
+		*info.Field(&rs[0].Ledger) = 10
+		*info.Field(&rs[1].Ledger) = 20
 	}
 	m := Mean(rs)
 	if m.Label != "x" {
 		t.Error("label should come from the first result")
 	}
-	if m.Published != 150 || m.TotalTargets != 500 || m.ValidDeliveries != 150 {
-		t.Errorf("averaged counts wrong: %+v", m)
+	for _, info := range Counters {
+		if got := *info.Field(&m.Ledger); got != 15 {
+			t.Errorf("mean %s = %d, want 15", info.Name, got)
+		}
 	}
-	if m.Receptions != 1500 || m.Earning != 300 || m.LatencyMeanMs != 20 || m.PeakQueue != 10 {
+	if m.Earning != 300 || m.LatencyMeanMs != 20 || m.PeakQueue != 10 {
 		t.Errorf("averaged values wrong: %+v", m)
 	}
-	if got := m.DeliveryRate(); math.Abs(got-0.3) > 1e-12 {
-		t.Errorf("mean delivery rate = %v, want 0.3", got)
+	if got := m.DeliveryRate(); math.Abs(got-1) > 1e-12 {
+		t.Errorf("mean delivery rate = %v, want 1 (15 valid of 15 targets)", got)
 	}
 }
 
@@ -93,7 +124,7 @@ func TestMeanEmpty(t *testing.T) {
 }
 
 func TestMeanSingle(t *testing.T) {
-	r := Result{Published: 7, Earning: 3.5}
+	r := Result{Ledger: Ledger{Published: 7}, Earning: 3.5}
 	if m := Mean([]Result{r}); m.Published != 7 || m.Earning != 3.5 {
 		t.Error("Mean of one result should be itself")
 	}

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"bdps/internal/filter"
+	"bdps/internal/metrics"
 	"bdps/internal/msg"
 	"bdps/internal/routing"
 	"bdps/internal/stats"
@@ -398,6 +399,6 @@ func (p *Plan) admitWorkload() {
 		p.SubEvents = events
 	}
 	if subsRejected > 0 {
-		p.Metrics.SubRejected(subsRejected)
+		p.Metrics.Count(metrics.SubsRejected, subsRejected)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"bdps/internal/livenet"
+	"bdps/internal/metrics"
 	"bdps/internal/runtime"
 	"bdps/internal/simnet"
 	"bdps/internal/vtime"
@@ -51,21 +52,8 @@ func TestCrossValFlashCrowdAdmission(t *testing.T) {
 		}
 		// The admission ledger is decided before either backend runs:
 		// exact agreement, not statistical.
-		for _, c := range []struct {
-			name      string
-			sim, live int
-		}{
-			{"Published", sim.Published, live.Published},
-			{"TotalTargets", sim.TotalTargets, live.TotalTargets},
-			{"PubsAdmitted", sim.PubsAdmitted, live.PubsAdmitted},
-			{"PubsRelaxed", sim.PubsRelaxed, live.PubsRelaxed},
-			{"PubsRejected", sim.PubsRejected, live.PubsRejected},
-			{"SubsRejected", sim.SubsRejected, live.SubsRejected},
-		} {
-			if c.sim != c.live {
-				t.Errorf("%s diverged: sim %d, live %d", c.name, c.sim, c.live)
-			}
-		}
+		sameCounters(t, sim, live, metrics.Published, metrics.TotalTargets,
+			metrics.PubsAdmitted, metrics.PubsRelaxed, metrics.PubsRejected, metrics.SubsRejected)
 		if live.ValidDeliveries == 0 {
 			t.Fatal("live flash-crowd run delivered nothing")
 		}

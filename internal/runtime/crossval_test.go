@@ -7,6 +7,7 @@ import (
 
 	"bdps/internal/core"
 	"bdps/internal/livenet"
+	"bdps/internal/metrics"
 	"bdps/internal/msg"
 	"bdps/internal/runtime"
 	"bdps/internal/simnet"
@@ -183,18 +184,8 @@ func TestCrossValidationLossExact(t *testing.T) {
 					}
 					// The exact-agreement set: counters that are pure
 					// functions of (seed, link index, seq, attempt).
-					if sim.FramesLost != live.FramesLost {
-						t.Errorf("FramesLost diverged: sim %d, live %d", sim.FramesLost, live.FramesLost)
-					}
-					if sim.Retransmits != live.Retransmits {
-						t.Errorf("Retransmits diverged: sim %d, live %d", sim.Retransmits, live.Retransmits)
-					}
-					if sim.DupsSuppressed != live.DupsSuppressed {
-						t.Errorf("DupsSuppressed diverged: sim %d, live %d", sim.DupsSuppressed, live.DupsSuppressed)
-					}
-					if sim.DroppedDeadline != live.DroppedDeadline {
-						t.Errorf("DroppedDeadline diverged: sim %d, live %d", sim.DroppedDeadline, live.DroppedDeadline)
-					}
+					sameCounters(t, sim, live, metrics.FramesLost, metrics.Retransmits,
+						metrics.DupsSuppressed, metrics.DroppedDeadline)
 					// Retransmission heals the loss: the delivery-side story
 					// stays statistically aligned, as in the lossless check.
 					if sim.Published != live.Published {
@@ -389,5 +380,17 @@ func TestLiveBrokerCrashViaRuntime(t *testing.T) {
 	if broken.ValidDeliveries >= healthy.ValidDeliveries {
 		t.Errorf("crash should reduce deliveries: %d vs healthy %d",
 			broken.ValidDeliveries, healthy.ValidDeliveries)
+	}
+}
+
+// sameCounters fails the test for every listed ledger counter on which
+// the two backends disagree — the exact-agreement half of a crossval.
+func sameCounters(t *testing.T, sim, live runtime.Result, ids ...metrics.Counter) {
+	t.Helper()
+	for _, id := range ids {
+		info := metrics.Counters[id]
+		if s, l := *info.Field(&sim.Ledger), *info.Field(&live.Ledger); s != l {
+			t.Errorf("%s diverged: sim %d, live %d", info.Name, s, l)
+		}
 	}
 }

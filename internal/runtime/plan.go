@@ -153,7 +153,7 @@ func NewPlan(cfg Config) (*Plan, error) {
 		tables, p.Agg, err = routing.BuildAggregated(ov, p.Subs, routing.Options{
 			Rates:     p.Beliefs,
 			Multipath: cfg.Multipath,
-		}, p.Metrics.FloodSuppressed)
+		}, func(n int) { p.Metrics.Count(metrics.FloodsSuppressed, n) })
 	} else {
 		tables, err = routing.Build(ov, p.Subs, routing.Options{
 			Rates:     p.Beliefs,

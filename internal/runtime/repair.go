@@ -4,6 +4,7 @@ import (
 	"sort"
 	"sync"
 
+	"bdps/internal/metrics"
 	"bdps/internal/msg"
 	"bdps/internal/routing"
 	"bdps/internal/stats"
@@ -251,13 +252,13 @@ func (d *FailureDetector) repair() {
 
 	d.prev = next
 	if rerouted > 0 {
-		d.sink.Rerouted(rerouted)
+		d.sink.Count(metrics.ReroutedPaths, rerouted)
 	}
-	if kept+relaxed+rejected > 0 {
-		d.sink.Renegotiated(kept, relaxed, rejected)
-	}
+	d.sink.Count(metrics.BoundsKept, kept)
+	d.sink.Count(metrics.BoundsRelaxed, relaxed)
+	d.sink.Count(metrics.BoundsRejected, rejected)
 	if reflooded > 0 {
-		d.sink.Reflooded(reflooded)
+		d.sink.Count(metrics.RefloodedSubs, reflooded)
 	}
 }
 

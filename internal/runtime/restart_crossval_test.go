@@ -6,6 +6,7 @@ import (
 
 	"bdps/internal/core"
 	"bdps/internal/livenet"
+	"bdps/internal/metrics"
 	"bdps/internal/msg"
 	"bdps/internal/runtime"
 	"bdps/internal/simnet"
@@ -187,47 +188,29 @@ func TestRestartResumeCrossValidation(t *testing.T) {
 	}
 
 	// The recovery ledger is a deterministic function of the plan on both
-	// backends: exact equality, not bands.
-	if sim.RestartReplayedSubs != live.RestartReplayedSubs {
-		t.Errorf("replayed subs diverged: sim %d, live %d", sim.RestartReplayedSubs, live.RestartReplayedSubs)
-	}
+	// backends: exact equality, not bands. Detection and repair walk the
+	// same plan state (the crash is seen as broker 2's outgoing arcs, the
+	// restart as one warm rejoin), and the workload is one workload.
+	sameCounters(t, sim, live,
+		metrics.RestartReplayedSubs, metrics.SessionsResumed, metrics.ReplayedMsgs,
+		metrics.DroppedDeadline, metrics.StaleEpochFrames,
+		metrics.Detections, metrics.ReroutedPaths, metrics.RefloodedSubs,
+		metrics.Published, metrics.TotalTargets)
 	if sim.RestartReplayedSubs != 2*10 {
 		t.Errorf("replayed subs = %d, want 20 (every sub in broker 2's log)", sim.RestartReplayedSubs)
 	}
-	if sim.SessionsResumed != 1 || live.SessionsResumed != 1 {
-		t.Errorf("sessions resumed diverged: sim %d, live %d, want 1 each",
-			sim.SessionsResumed, live.SessionsResumed)
-	}
-	if sim.ReplayedMsgs != live.ReplayedMsgs {
-		t.Errorf("replayed messages diverged: sim %d, live %d", sim.ReplayedMsgs, live.ReplayedMsgs)
+	if sim.SessionsResumed != 1 {
+		t.Errorf("sessions resumed = %d, want 1", sim.SessionsResumed)
 	}
 	if sim.ReplayedMsgs == 0 {
 		t.Error("resume replayed nothing despite deliveries during the session outage")
 	}
-	if sim.DroppedDeadline != 0 || live.DroppedDeadline != 0 {
-		t.Errorf("deadline drops diverged from proof: sim %d, live %d, want 0 each",
-			sim.DroppedDeadline, live.DroppedDeadline)
-	}
-	if sim.StaleEpochFrames != 0 || live.StaleEpochFrames != 0 {
-		t.Errorf("stale-epoch frames diverged from proof: sim %d, live %d, want 0 each",
-			sim.StaleEpochFrames, live.StaleEpochFrames)
+	if sim.DroppedDeadline != 0 || sim.StaleEpochFrames != 0 {
+		t.Errorf("deadline drops %d, stale-epoch frames %d: the proof wants 0 of each",
+			sim.DroppedDeadline, sim.StaleEpochFrames)
 	}
 
-	// Detection and repair walk the same plan state: the crash is seen as
-	// broker 2's outgoing arcs, the restart as one warm rejoin.
-	if sim.Detections != live.Detections {
-		t.Errorf("detections diverged: sim %d, live %d", sim.Detections, live.Detections)
-	}
-	if sim.ReroutedPaths != live.ReroutedPaths || sim.RefloodedSubs != live.RefloodedSubs {
-		t.Errorf("repair diverged: sim rerouted %d reflooded %d, live %d and %d",
-			sim.ReroutedPaths, sim.RefloodedSubs, live.ReroutedPaths, live.RefloodedSubs)
-	}
-
-	// Workload identity and the delivery band.
-	if sim.Published != live.Published || sim.TotalTargets != live.TotalTargets {
-		t.Errorf("workload diverged: sim %d/%d, live %d/%d (published/targets)",
-			sim.Published, sim.TotalTargets, live.Published, live.TotalTargets)
-	}
+	// The delivery band.
 	if d := math.Abs(sim.DeliveryRate() - live.DeliveryRate()); d > 0.15 {
 		t.Errorf("delivery rates diverged by %.3f: sim %.3f, live %.3f",
 			d, sim.DeliveryRate(), live.DeliveryRate())

@@ -3,57 +3,23 @@ package runtime
 import (
 	"sync"
 
+	"bdps/internal/metrics"
 	"bdps/internal/vtime"
 )
 
 // Sink receives the delivery-side metric events a deployment produces
 // while running. *metrics.Collector implements it; publication-side
-// accounting (Published, PublishedTo) stays with the Run driver, which
-// performs it once before injection on every backend.
+// accounting (PublishedAt, PublishedToAt) stays with the Run driver,
+// which performs it once before injection on every backend.
 type Sink interface {
-	Reception()
-	DeliveredTo(subID int32, price float64, latency vtime.Millis, valid bool)
-	// DeliveredAt is DeliveredTo with the message's publication instant,
-	// feeding the delivery-rate timeline; published < 0 skips the timeline.
+	// Count adds n to one ledger counter (metrics.Counters lists them).
+	Count(id metrics.Counter, n int)
+	// DeliveredAt records one delivery with the message's publication
+	// instant, feeding the delivery-rate timeline; published < 0 skips
+	// the timeline.
 	DeliveredAt(subID int32, price float64, published, latency vtime.Millis, valid bool)
-	DroppedExpired(n int)
-	DroppedHopeless(n int)
-	DroppedOnArrival(n int)
-	DroppedCrashed(n int)
-
-	// Recovery accounting, fed by the failure detector and topology
-	// repairer on both backends.
+	// Detection records one confirmed failure detection and its latency.
 	Detection(latency vtime.Millis)
-	Rerouted(n int)
-	Renegotiated(kept, relaxed, rejected int)
-	Reflooded(n int)
-
-	// Reliable-channel accounting, fed by the per-link loss adversary and
-	// the retransmission/dedup machinery on both backends.
-	FrameLost(n int)
-	Retransmit(n int)
-	DupSuppressed(n int)
-	ReorderHealed(n int)
-	DroppedDeadline(n int)
-
-	// Covering-aggregation accounting: subscribe floods a resident
-	// covering filter made unnecessary (the simulator's aggregation
-	// driver and the live owner nodes both feed it).
-	FloodSuppressed(n int)
-
-	// Overload-protection accounting: queue entries evicted by
-	// pressure-triggered worst-first shedding (see core.Queue.ShedWorst).
-	DroppedShed(n int)
-
-	// Crash-restart accounting, fed by durable recovery on both
-	// backends: routing entries a restarted broker reinstalled from its
-	// log, subscriber sessions resumed, messages replayed to resumed
-	// sessions, and data frames rejected for carrying a dead
-	// incarnation's epoch.
-	SubReplayed(n int)
-	SessionResumed(n int)
-	MsgReplayed(n int)
-	StaleEpoch(n int)
 }
 
 // LockedSink serializes a Sink for concurrent backends. The simulator
@@ -68,40 +34,10 @@ type LockedSink struct {
 // Locked wraps s in a mutex.
 func Locked(s Sink) *LockedSink { return &LockedSink{s: s} }
 
-func (l *LockedSink) Reception() {
+func (l *LockedSink) Count(id metrics.Counter, n int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.s.Reception()
-}
-
-func (l *LockedSink) DeliveredTo(subID int32, price float64, latency vtime.Millis, valid bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.s.DeliveredTo(subID, price, latency, valid)
-}
-
-func (l *LockedSink) DroppedExpired(n int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.s.DroppedExpired(n)
-}
-
-func (l *LockedSink) DroppedHopeless(n int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.s.DroppedHopeless(n)
-}
-
-func (l *LockedSink) DroppedOnArrival(n int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.s.DroppedOnArrival(n)
-}
-
-func (l *LockedSink) DroppedCrashed(n int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.s.DroppedCrashed(n)
+	l.s.Count(id, n)
 }
 
 func (l *LockedSink) DeliveredAt(subID int32, price float64, published, latency vtime.Millis, valid bool) {
@@ -114,88 +50,4 @@ func (l *LockedSink) Detection(latency vtime.Millis) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.s.Detection(latency)
-}
-
-func (l *LockedSink) Rerouted(n int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.s.Rerouted(n)
-}
-
-func (l *LockedSink) Renegotiated(kept, relaxed, rejected int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.s.Renegotiated(kept, relaxed, rejected)
-}
-
-func (l *LockedSink) Reflooded(n int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.s.Reflooded(n)
-}
-
-func (l *LockedSink) FrameLost(n int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.s.FrameLost(n)
-}
-
-func (l *LockedSink) Retransmit(n int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.s.Retransmit(n)
-}
-
-func (l *LockedSink) DupSuppressed(n int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.s.DupSuppressed(n)
-}
-
-func (l *LockedSink) ReorderHealed(n int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.s.ReorderHealed(n)
-}
-
-func (l *LockedSink) DroppedDeadline(n int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.s.DroppedDeadline(n)
-}
-
-func (l *LockedSink) FloodSuppressed(n int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.s.FloodSuppressed(n)
-}
-
-func (l *LockedSink) DroppedShed(n int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.s.DroppedShed(n)
-}
-
-func (l *LockedSink) SubReplayed(n int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.s.SubReplayed(n)
-}
-
-func (l *LockedSink) SessionResumed(n int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.s.SessionResumed(n)
-}
-
-func (l *LockedSink) MsgReplayed(n int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.s.MsgReplayed(n)
-}
-
-func (l *LockedSink) StaleEpoch(n int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.s.StaleEpoch(n)
 }

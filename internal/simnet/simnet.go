@@ -339,7 +339,7 @@ func (n *Network) restartBroker(id msg.NodeID) {
 	}
 	n.Brokers[id] = n.p.Brokers[id]
 	if subs > 0 {
-		n.Collector.SubReplayed(subs)
+		n.Collector.Count(metrics.RestartReplayedSubs, subs)
 	}
 	for _, out := range n.links {
 		for _, l := range out {
@@ -363,7 +363,7 @@ func (n *Network) resumeSession(id msg.SubID) {
 		return
 	}
 	now := n.Engine.Now()
-	n.Collector.SessionResumed(1)
+	n.Collector.Count(metrics.SessionsResumed, 1)
 	replayed, expired := 0, 0
 	for _, d := range s.ring {
 		if d.seq <= s.lastAck {
@@ -376,10 +376,10 @@ func (n *Network) resumeSession(id msg.SubID) {
 		replayed++
 	}
 	if expired > 0 {
-		n.Collector.DroppedDeadline(expired)
+		n.Collector.Count(metrics.DroppedDeadline, expired)
 	}
 	if replayed > 0 {
-		n.Collector.MsgReplayed(replayed)
+		n.Collector.Count(metrics.ReplayedMsgs, replayed)
 	}
 	delete(n.sessions, id)
 }
@@ -483,12 +483,12 @@ func (n *Network) inject(m *msg.Message) {
 // Arrivals at crashed brokers are lost.
 func (n *Network) arrive(m *msg.Message, at msg.NodeID) {
 	if n.dead[at] {
-		n.Collector.DroppedCrashed(1)
+		n.Collector.Count(metrics.DropsCrashed, 1)
 		n.tracer.Emit(trace.Event{T: n.Engine.Now(), Kind: trace.Drop,
 			MsgID: uint64(m.ID), Broker: int32(at), Note: "crashed"})
 		return
 	}
-	n.Collector.Reception()
+	n.Collector.Count(metrics.Receptions, 1)
 	n.tracer.Emit(trace.Event{T: n.Engine.Now(), Kind: trace.Arrive,
 		MsgID: uint64(m.ID), Broker: int32(at)})
 	ev := procPool.Get().(*procEvent)
@@ -499,7 +499,7 @@ func (n *Network) arrive(m *msg.Message, at msg.NodeID) {
 // process runs the broker logic and kicks any links that gained work.
 func (n *Network) process(m *msg.Message, at msg.NodeID) {
 	if n.dead[at] {
-		n.Collector.DroppedCrashed(1)
+		n.Collector.Count(metrics.DropsCrashed, 1)
 		return
 	}
 	b := n.Brokers[at]
@@ -515,13 +515,13 @@ func (n *Network) process(m *msg.Message, at msg.NodeID) {
 		}
 	}
 	if res.ArrivalDrops > 0 {
-		n.Collector.DroppedOnArrival(res.ArrivalDrops)
+		n.Collector.Count(metrics.DropsArrival, res.ArrivalDrops)
 	}
 	if len(res.Shed) > 0 {
 		// Pressure shedding: the broker evicted its worst-scored entries
 		// while enqueuing; account and release them here (entry ownership
 		// stays with the network, as with queue-drop accounting in kick).
-		n.Collector.DroppedShed(len(res.Shed))
+		n.Collector.Count(metrics.DropsShed, len(res.Shed))
 		for _, e := range res.Shed {
 			n.tracer.Emit(trace.Event{T: n.Engine.Now(), Kind: trace.Drop,
 				MsgID: e.MsgID, Broker: int32(at), Note: "shed"})
@@ -577,9 +577,9 @@ func (n *Network) send(l *link) {
 				MsgID: d.Entry.MsgID, Broker: int32(from), Note: reason})
 			switch d.Reason {
 			case core.DropExpired:
-				n.Collector.DroppedExpired(1)
+				n.Collector.Count(metrics.DropsExpired, 1)
 			case core.DropHopeless:
-				n.Collector.DroppedHopeless(1)
+				n.Collector.Count(metrics.DropsHopeless, 1)
 			}
 			d.Entry.Release()
 		}
@@ -603,13 +603,13 @@ func (n *Network) send(l *link) {
 			tx += size * l.sampler.Sample(l.stream)
 		}
 		if out.Losses > 0 {
-			n.Collector.FrameLost(out.Losses)
+			n.Collector.Count(metrics.FramesLost, out.Losses)
 		}
 		if out.Retransmits > 0 {
-			n.Collector.Retransmit(out.Retransmits)
+			n.Collector.Count(metrics.Retransmits, out.Retransmits)
 		}
 		if !out.Deliver {
-			n.Collector.DroppedDeadline(1)
+			n.Collector.Count(metrics.DroppedDeadline, 1)
 			n.tracer.Emit(trace.Event{T: now, Kind: trace.Drop,
 				MsgID: uint64(m.ID), Broker: int32(from), Note: "deadline-retx"})
 			return false
@@ -667,17 +667,17 @@ func (n *Network) linkDone(l *link) {
 			// restarted: it carries a dead incarnation's epoch, and the
 			// receiver discards it exactly as a live node rejects stale
 			// frames from a reborn neighbor.
-			n.Collector.StaleEpoch(1)
+			n.Collector.Count(metrics.StaleEpochFrames, 1)
 			continue
 		}
 		var dup bool
 		var healed int
 		deliver, dup, healed = l.recv.Accept(f.seq, f.base, f.m, deliver[:0])
 		if dup {
-			n.Collector.DupSuppressed(1)
+			n.Collector.Count(metrics.DupsSuppressed, 1)
 		}
 		if healed > 0 {
-			n.Collector.ReorderHealed(healed)
+			n.Collector.Count(metrics.ReorderedHealed, healed)
 		}
 		for _, m := range deliver {
 			n.arrive(m, l.to)
