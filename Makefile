@@ -27,14 +27,18 @@ bench-e2e:
 	cd bench && $(GO) run . compare $(BENCH_PARENT) out/run.json
 
 # bench-gate is CI's short form, through the driver's entry point: the
-# paper's mesh on the live plane with pacing on, five wall seconds;
-# then the simulator's grid at seed 1 for the full twenty — the only form
-# that checks bench/golden/sim_paper.seed1.json cell by cell, so a
-# changed scheduling decision fails here (≈ 20 s). A run's last line is
-# its verdict as JSON; fail unless it is correct with nothing failed (no
-# delivery valid past its bound, none twice, conservation holds, golden
-# ledger matched).
-GATED := mesh_paced:5 sim_paper:20
+# paper's mesh on the live plane with pacing on, five wall seconds; the
+# content fan-out for five (≈ 10 s with its 10 000-subscription set-up) —
+# its `correct` holds the content deliveries to the publications'
+# reference match counts, computed from the subscription specs, while
+# subscriptions come and go: the only end-to-end check of filter.Index
+# beside table writes; then the simulator's grid at seed 1 for the full
+# twenty — the only form that checks bench/golden/sim_paper.seed1.json
+# cell by cell, so a changed scheduling decision fails here (≈ 20 s). A
+# run's last line is its verdict as JSON; fail unless it is correct with
+# nothing failed (no delivery valid past its bound, none twice,
+# conservation holds, match counts and golden ledger matched).
+GATED := mesh_paced:5 fanout_match:5 sim_paper:20
 bench-gate:
 	mkdir -p .bench_build
 	set -e; for gated in $(GATED); do \

@@ -370,6 +370,51 @@ func BenchmarkLayer(b *testing.B) {
 // index (runtime.Config.IndexedMatch).
 func BenchmarkTableMatchIndexed(b *testing.B) { benchTableMatch(b, true) }
 
+// BenchmarkIndexMatch is one filter.Index match over 10 000
+// subscriptions of each shape the index posts differently, on uniform
+// publications: fanout (the fanout_match workload's "A1 > a && A1 < a+w
+// && A2 < b", posted under the range), paper ("A1 < x && A2 < y", every
+// predicate counted) and equality ("K == k && A2 < b", posted under the
+// equality). matches/op says how much of the cost is the answer.
+func BenchmarkIndexMatch(b *testing.B) {
+	const n = 10_000
+	s := stats.NewStream(7)
+	fanout := make([]*filter.Filter, n)
+	equality := make([]*filter.Filter, n)
+	for i := range fanout {
+		a := s.Uniform(0, 9.96)
+		fanout[i] = filter.And(filter.Gt("A1", a), filter.Lt("A1", a+0.04), filter.Lt("A2", s.Uniform(0, 10)))
+		equality[i] = filter.And(filter.Eq("K", filter.Num(float64(i%500))), filter.Lt("A2", s.Uniform(0, 10)))
+	}
+	msgs := make([]msg.AttrSet, 512)
+	for i := range msgs {
+		msgs[i] = msg.NumAttrs(map[string]float64{
+			"A1": s.Uniform(0, 10), "A2": s.Uniform(0, 10), "K": float64(s.IntN(500)),
+		})
+	}
+	for _, tc := range []struct {
+		name    string
+		filters []*filter.Filter
+	}{{"fanout-10k", fanout}, {"paper-10k", paperFilters(n)}, {"equality-10k", equality}} {
+		b.Run(tc.name, func(b *testing.B) {
+			ids := make([]int32, n)
+			for i := range ids {
+				ids[i] = int32(i)
+			}
+			ix := filter.NewIndex()
+			ix.AddBatch(ids, tc.filters)
+			var scratch filter.MatchScratch
+			matched := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				matched += len(ix.MatchWith(&scratch, &msgs[i%len(msgs)]))
+			}
+			b.ReportMetric(float64(matched)/float64(b.N), "matches/op")
+		})
+	}
+}
+
 func BenchmarkRoutingBuild(b *testing.B) {
 	ov, err := topology.BuildLayered(topology.LayeredConfig{Seed: 1})
 	if err != nil {

@@ -19,7 +19,7 @@ func (n predNode) match(a Attrs) bool {
 	return ok && n.p.MatchValue(v)
 }
 
-func (n predNode) str(b *strings.Builder, _ byte) { b.WriteString(n.p.String()) }
+func (n predNode) str(b *strings.Builder, _ byte) { n.p.appendTo(b) }
 
 func (n predNode) dnf() [][]Predicate { return [][]Predicate{{n.p}} }
 
@@ -48,7 +48,7 @@ func (n conjNode) str(b *strings.Builder, parenCtx byte) {
 		if i > 0 {
 			b.WriteString(" && ")
 		}
-		b.WriteString(n.preds[i].String())
+		n.preds[i].appendTo(b)
 	}
 	if parenCtx == 'p' {
 		b.WriteByte(')')

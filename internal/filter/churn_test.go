@@ -204,7 +204,16 @@ func TestIndexMatchWithConcurrent(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		ix.Add(int32(i), MustParse(fmt.Sprintf("A1 < %d && A2 < %d", i%20, (i*7)%20)))
 	}
+	// Conjunctions posted under an access predicate evaluate their filter
+	// against the scratch's resolved message: that state is per matcher too.
+	for i := 200; i < 400; i++ {
+		ix.Add(int32(i), MustParse(fmt.Sprintf("A1 > %d && A1 < %d.5 && A2 < %d", i%10, i%10+1, (i*7)%20)))
+		ix.Add(int32(i+200), MustParse(fmt.Sprintf("A1 == %d && A2 != %d", i%10, i%7)))
+	}
 	want := append([]int32(nil), ix.Match(iattrs("A1", 5.0, "A2", 5.0))...)
+	if len(want) < 60 {
+		t.Fatalf("only %d ids match: the access-posted filters are not exercised", len(want))
+	}
 
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)

@@ -1,7 +1,9 @@
 package filter
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -312,5 +314,48 @@ func TestValueString(t *testing.T) {
 	}
 	if Str("hi").String() != `"hi"` {
 		t.Errorf("Str render: %q", Str("hi").String())
+	}
+}
+
+// TestPredicateStringMatchesFmt: the builder rendering must stay
+// byte-identical to the fmt form it replaced — canonical renderings key
+// CoverIndex and cross the wire.
+func TestPredicateStringMatchesFmt(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	nums := []float64{
+		0, math.Copysign(0, -1), 1, -1, 0.1, 1e21, 1e20, 1e-7, 123456789.125, 5e-324,
+		math.MaxFloat64, math.Inf(1), math.Inf(-1), math.NaN(), 1 << 53, 0.30000000000000004,
+	}
+	strs := []string{"", "x", "it's", `say "hi"`, `back\slash`, "tab\there", "naïve", "日本語", "\x00\xff", "a b"}
+	attrs := []string{"A1", "price", "", "weird attr", "ünï"}
+	check := func(p Predicate) {
+		t.Helper()
+		want := fmt.Sprintf("%s %s %s", p.Attr, p.Op, p.Val)
+		if got := p.String(); got != want {
+			t.Fatalf("String() = %q, fmt form %q", got, want)
+		}
+		if got := NewPred(p.Attr, p.Op, p.Val).String(); got != want {
+			t.Fatalf("filter String() = %q, fmt form %q", got, want)
+		}
+		if got, want := And(NewPred(p.Attr, p.Op, p.Val), Lt("z", 1)).String(), want+" && z < 1"; got != want {
+			t.Fatalf("conjunction String() = %q, want %q", got, want)
+		}
+	}
+	for op := LT; op <= NE+1; op++ { // one past NE: the Op(%d) form
+		for _, attr := range attrs {
+			for _, x := range nums {
+				check(Predicate{Attr: attr, Op: op, Val: Num(x)})
+			}
+			for _, s := range strs {
+				check(Predicate{Attr: attr, Op: op, Val: Str(s)})
+			}
+		}
+	}
+	for i := 0; i < 2000; i++ {
+		x := math.Float64frombits(r.Uint64())
+		if i%2 == 0 {
+			x = (r.Float64() - 0.5) * math.Pow(10, float64(r.Intn(40)-20))
+		}
+		check(Predicate{Attr: attrs[r.Intn(len(attrs))], Op: Op(r.Intn(6)), Val: Num(x)})
 	}
 }

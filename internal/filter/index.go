@@ -1,6 +1,10 @@
 package filter
 
-import "sort"
+import (
+	"math"
+	"slices"
+	"sort"
+)
 
 // Iterable is the attribute interface the index needs: lookup plus
 // iteration over all attributes.
@@ -12,27 +16,60 @@ type Iterable interface {
 
 // Index is a predicate-counting matching index over a set of filters —
 // the classic content-based pub/sub matching structure (Siena's counting
-// algorithm): each conjunction's numeric predicates are indexed per
-// attribute in sorted order, a message's attributes select satisfied
-// predicates by binary search, and a conjunction matches when its
-// satisfied count reaches its predicate count.
+// algorithm), with one rule: a conjunction is *posted* under a subset of
+// its predicates, a message's attributes select the satisfied postings,
+// and the conjunction is a match when its satisfied count reaches the
+// number posted (conjState.needed). When every predicate was posted the
+// completed count is the proof; when only some were, the index keeps
+// the conjunction's owning filter beside it (Index.verify) and the
+// filter is evaluated whole (MatchResolved, after one lazy Resolve of
+// the message per match) before the id is emitted.
 //
-// Filters whose DNF contains non-indexable predicates (NE, string
-// inequalities) fall back to a linear list, so Match is always equivalent
-// to evaluating every filter directly.
+// Which subset: a conjunction's *access predicate* when it has a
+// selective one, else all of them.
+//
+//   - An equality (numeric or string) is posted alone, in a hash map per
+//     attribute: a message value selects exactly the conjunctions that
+//     name it.
+//   - Else the narrowest finite two-sided numeric range the conjunction
+//     puts on one attribute ("A1 > a && A1 < a+w") is posted alone, by
+//     its lower bound, in that attribute's list for the range's *width
+//     class* e = Frexp(hi−lo), clamped to ±ivMaxExp. Every range of
+//     class e is narrower than 2^e, so the ranges of the class that
+//     contain x have their lower bound in [x − 2^e, x]: one binary
+//     search per class, then at most about twice the ranges that really
+//     hold x. Classes keep one wide range among ten thousand narrow ones
+//     from widening everyone's window. Strictness of the bounds, and
+//     whatever else rides beside an access predicate (!=, string
+//     inequalities, further ranges), is settled by the whole-filter
+//     evaluation and needs no list of its own.
+//   - A conjunction with neither — the paper's "A1 < x && A2 < y" — has
+//     every predicate posted in per-(attribute, operator) sorted lists
+//     and is proved by the count alone. This is the part that stays
+//     linear in the table, by nature: a one-sided predicate is true for
+//     about half of any population, so half of each list is bumped to
+//     find the few conjunctions whose every predicate holds. Posting
+//     such conjunctions under one predicate instead does not pay (the
+//     first prototype did, and doubled BenchmarkChurnMatch/quiet): it
+//     trades two array bumps per candidate for three dependent cache
+//     misses evaluating the filter, over the same half of the table.
+//
+// Filters with a conjunction that has no access predicate and holds a
+// predicate the lists cannot count (!=, a string inequality, a NaN
+// bound) fall back to a linear list, so Match is always equivalent to
+// evaluating every filter directly — including on NaN attribute values,
+// which Value.compare places neither below nor above any bound.
 //
 // The index is built for churn: the subscription population it serves is
 // expected to mutate continuously, so every mutation is incremental and
 // sublinear.
 //
-//   - Add inserts each predicate into a small unsorted tail behind its
-//     attribute's sorted run; a tail is merged into its run only when it
-//     outgrows √n (amortized o(n) per insert — the previous
-//     implementation re-sorted every bound list of every operator on
-//     every Add, an O(S·P log P) bulk build). Only the lists a predicate
-//     actually lands in are ever touched: an Add on attribute "a" never
-//     re-sorts attribute "b", and wildcard or fallback adds touch no
-//     bound list at all.
+//   - Add inserts each posted predicate into a small unsorted tail
+//     behind its list's sorted run; a tail is merged into its run only
+//     when it outgrows √n (amortized o(n) per insert). Only the lists a
+//     predicate actually lands in are ever touched: an Add on attribute
+//     "a" never re-sorts attribute "b", and wildcard or fallback adds
+//     touch no list at all.
 //   - Remove(id) tombstones the id's conjunctions through per-id
 //     back-references (id → conjunction indices) without touching the
 //     predicate lists; the lists are compacted in one O(P) sweep only
@@ -49,6 +86,14 @@ type Iterable interface {
 // contract and is allocation-free in steady state.
 type Index struct {
 	conjs []conjState
+	// verify is nil until a conjunction is posted under fewer predicates
+	// than it has, and parallel to conjs from then on: verify[ci] is the
+	// owning filter of such a conjunction — a completed count only
+	// nominates it, and the filter is evaluated before the id is emitted —
+	// and nil where the count is the proof. (Beside conjs, not in it: the
+	// slab of a paper-form population stays pointer-free, which the
+	// collector neither scans nor sweeps for.)
+	verify []*Filter
 	// wild lists the ids of zero-predicate (wildcard) conjunctions in
 	// add order; they match every message. wildDead tombstones removed
 	// slots (the list compacts when dead outnumber live).
@@ -62,6 +107,10 @@ type Index struct {
 	ge map[string]*boundList // pred: v >= bound (satisfied: bound <= v)
 	eq map[string]map[float64][]int32
 	se map[string]map[string][]int32 // string equality
+	// iv holds the two-sided ranges posted as access predicates: per
+	// attribute, one list of lower bounds per width class. Made on the
+	// first range (most tables never see one).
+	iv map[string][]*ivClass
 
 	fallback     []fallbackFilter
 	deadFallback int
@@ -91,10 +140,13 @@ type Index struct {
 // negative) use the map fallback instead of a multi-megabyte slice.
 const denseLimit = 1 << 20
 
+// conjState is one posted conjunction. needed is the number of its
+// predicates that were posted; Remove zeroes it, and a count — which
+// starts at one — never completes at zero, so tombstoned conjunctions
+// keep counting but never emit.
 type conjState struct {
 	id     int32 // caller's id for the owning filter
 	needed int32
-	dead   bool
 }
 
 // idState is one id's back-references into the index structures, so
@@ -116,6 +168,21 @@ type boundList struct {
 	tailBounds []float64
 	tailConj   []int32
 }
+
+// ivClass is one attribute's ranges of one width class, listed by lower
+// bound: every range in it is narrower than span, a power of two —
+// except that the top class (2^ivMaxExp and everything wider) has span
+// +Inf, and the bottom one takes everything narrower, empty ranges
+// included.
+type ivClass struct {
+	boundList
+	span float64
+}
+
+// ivMaxExp clamps the width classes: 2^±40 spans twenty-four decimal
+// orders of magnitude around 1, and bounds the classes an attribute can
+// grow to 81 whatever widths remote subscribers choose.
+const ivMaxExp = 40
 
 type fallbackFilter struct {
 	id int32
@@ -195,7 +262,7 @@ func (ix *Index) addOne(id int32, f *Filter, batch bool) {
 	}
 	dnf := f.DNF()
 	for _, conj := range dnf {
-		if !indexable(conj) {
+		if !countable(conj) && accessOf(conj).kind == accessNone {
 			// Linear fallback evaluates the whole filter once; again no
 			// bound list is touched.
 			st.fallbacks = append(st.fallbacks, int32(len(ix.fallback)))
@@ -205,30 +272,156 @@ func (ix *Index) addOne(id int32, f *Filter, batch bool) {
 	}
 	for _, conj := range dnf {
 		ci := int32(len(ix.conjs))
-		ix.conjs = append(ix.conjs, conjState{id: id, needed: int32(len(conj))})
-		st.conjs = append(st.conjs, ci)
-		ix.liveConjs++
-		for _, p := range conj {
-			switch {
-			case p.Val.Kind == String:
-				m := ix.se[p.Attr]
-				if m == nil {
-					m = make(map[string][]int32)
-					ix.se[p.Attr] = m
-				}
-				m[p.Val.Str] = append(m[p.Val.Str], ci)
-			case p.Op == EQ:
-				m := ix.eq[p.Attr]
-				if m == nil {
-					m = make(map[float64][]int32)
-					ix.eq[p.Attr] = m
-				}
-				m[p.Val.Num] = append(m[p.Val.Num], ci)
-			default:
-				ix.insert(ix.opMap(p.Op), p.Attr, p.Val.Num, ci, batch)
+		c := conjState{id: id, needed: 1}
+		var verify *Filter
+		switch acc := accessOf(conj); acc.kind {
+		case accessEq:
+			ix.postEq(&conj[acc.pred], ci)
+			if len(conj) > 1 {
+				verify = f
+			}
+		case accessRange:
+			// The window a class searches over-selects (and ignores
+			// strictness), so a range is always verified.
+			ix.postRange(conj[acc.pred].Attr, acc.lo, acc.width, ci, batch)
+			verify = f
+		default:
+			// Numeric inequalities only: an equality would have been the
+			// access predicate, anything else sent the filter to fallback.
+			c.needed = int32(len(conj))
+			for i := range conj {
+				ix.insert(ix.opMap(conj[i].Op), conj[i].Attr, conj[i].Val.Num, ci, batch)
 			}
 		}
+		if verify != nil && ix.verify == nil {
+			ix.verify = make([]*Filter, len(ix.conjs), cap(ix.conjs))
+		}
+		if ix.verify != nil {
+			ix.verify = append(ix.verify, verify)
+		}
+		ix.conjs = append(ix.conjs, c)
+		st.conjs = append(st.conjs, ci)
+		ix.liveConjs++
 	}
+}
+
+// access is a conjunction's access predicate: the one posting that
+// stands for it in the index.
+type access struct {
+	kind  accessKind
+	pred  int     // accessEq: the equality; accessRange: a predicate on the attribute
+	lo    float64 // accessRange: the range's lower bound …
+	width float64 // … and hi − lo (negative when no value satisfies it)
+}
+
+type accessKind uint8
+
+const (
+	accessNone  accessKind = iota // no selective predicate: post and count them all
+	accessEq                      // an equality, posted alone
+	accessRange                   // the narrowest finite two-sided range, posted alone
+)
+
+// accessOf picks a conjunction's access predicate: its first equality,
+// else the narrowest range that bounds one numeric attribute from both
+// sides with finite bounds. One-sided conjunctions have none.
+func accessOf(conj []Predicate) access {
+	for i := range conj {
+		if conj[i].Op == EQ && !nanBound(&conj[i]) {
+			return access{kind: accessEq, pred: i}
+		}
+	}
+	best := access{width: math.Inf(1)}
+	for i := range conj {
+		p := &conj[i]
+		if p.Val.Kind != Number || (p.Op != GT && p.Op != GE) {
+			continue
+		}
+		// The tightest bounds the conjunction puts on p's attribute. A
+		// NaN bound makes the width NaN, which is never the narrowest.
+		lo, hi := math.Inf(-1), math.Inf(1)
+		for j := range conj {
+			q := &conj[j]
+			if q.Attr != p.Attr || q.Val.Kind != Number {
+				continue
+			}
+			switch q.Op {
+			case GT, GE:
+				lo = max(lo, q.Val.Num)
+			case LT, LE:
+				hi = min(hi, q.Val.Num)
+			}
+		}
+		if w := hi - lo; w < best.width {
+			best = access{kind: accessRange, pred: i, lo: lo, width: w}
+		}
+	}
+	return best
+}
+
+// nanBound reports a numeric predicate whose bound is NaN. Value.compare
+// makes such a bound equal to every number, which no sorted list or hash
+// map can express.
+func nanBound(p *Predicate) bool { return p.Val.Kind == Number && p.Val.Num != p.Val.Num }
+
+// countable reports whether every predicate of a conjunction can be
+// posted in the counting lists.
+func countable(conj []Predicate) bool {
+	for i := range conj {
+		p := &conj[i]
+		if p.Op == NE || (p.Val.Kind == String && p.Op != EQ) || nanBound(p) {
+			return false
+		}
+	}
+	return true
+}
+
+// postEq posts an equality predicate under its value.
+func (ix *Index) postEq(p *Predicate, ci int32) {
+	if p.Val.Kind == String {
+		m := ix.se[p.Attr]
+		if m == nil {
+			m = make(map[string][]int32)
+			ix.se[p.Attr] = m
+		}
+		m[p.Val.Str] = append(m[p.Val.Str], ci)
+		return
+	}
+	m := ix.eq[p.Attr]
+	if m == nil {
+		m = make(map[float64][]int32)
+		ix.eq[p.Attr] = m
+	}
+	m[p.Val.Num] = append(m[p.Val.Num], ci)
+}
+
+// postRange posts a two-sided range by its lower bound in the
+// attribute's list for the range's width class.
+func (ix *Index) postRange(attr string, lo, width float64, ci int32, batch bool) {
+	exp := -ivMaxExp // empty and zero-width ranges: the narrowest class
+	if width > 0 {
+		_, exp = math.Frexp(width) // width = f·2^exp, f ∈ [½, 1)
+		exp = min(max(exp, -ivMaxExp), ivMaxExp)
+	}
+	span := math.Ldexp(1, exp)
+	if exp == ivMaxExp {
+		span = math.Inf(1)
+	}
+	var c *ivClass
+	for _, k := range ix.iv[attr] {
+		if k.span == span {
+			c = k
+			break
+		}
+	}
+	if c == nil {
+		c = &ivClass{span: span}
+		if ix.iv == nil {
+			ix.iv = make(map[string][]*ivClass)
+		}
+		ix.iv[attr] = append(ix.iv[attr], c)
+	}
+	c.add(ix, lo, ci, batch)
 }
 
 // opMap returns the bound-list map for an inequality operator.
@@ -246,15 +439,21 @@ func (ix *Index) opMap(op Op) map[string]*boundList {
 	panic("filter: not an indexable inequality op")
 }
 
-// insert appends one predicate to the list's tail, merging when the tail
-// outgrows √(run length) — unless the caller batches, in which case the
-// merge is deferred to Flush.
+// insert posts one inequality predicate in its (attribute, operator)
+// list.
 func (ix *Index) insert(m map[string]*boundList, attr string, bound float64, ci int32, batch bool) {
 	bl := m[attr]
 	if bl == nil {
 		bl = &boundList{}
 		m[attr] = bl
 	}
+	bl.add(ix, bound, ci, batch)
+}
+
+// add appends one posting to the list's tail, merging when the tail
+// outgrows √(run length) — unless the caller batches, in which case the
+// merge is deferred to Flush.
+func (bl *boundList) add(ix *Index, bound float64, ci int32, batch bool) {
 	bl.tailBounds = append(bl.tailBounds, bound)
 	bl.tailConj = append(bl.tailConj, ci)
 	if !batch && bl.tailOverflow() {
@@ -313,6 +512,11 @@ func (ix *Index) Flush() {
 			bl.merge(ix)
 		}
 	}
+	for _, classes := range ix.iv {
+		for _, c := range classes {
+			c.merge(ix)
+		}
+	}
 }
 
 // Remove deletes every registration of an id — indexed conjunctions,
@@ -327,7 +531,10 @@ func (ix *Index) Remove(id int32) bool {
 	}
 	delete(ix.known, id)
 	for _, ci := range st.conjs {
-		ix.conjs[ci].dead = true
+		ix.conjs[ci].needed = 0
+		if ix.verify != nil {
+			ix.verify[ci] = nil
+		}
 		ix.liveConjs--
 		ix.deadConjs++
 	}
@@ -414,35 +621,36 @@ func (ix *Index) compact() {
 	remap := make([]int32, len(ix.conjs))
 	live := int32(0)
 	for i := range ix.conjs {
-		if ix.conjs[i].dead {
+		if ix.conjs[i].needed == 0 {
 			remap[i] = -1
 			continue
 		}
 		remap[i] = live
 		ix.conjs[live] = ix.conjs[i]
+		if ix.verify != nil {
+			ix.verify[live] = ix.verify[i]
+		}
 		live++
 	}
 	ix.conjs = ix.conjs[:live]
+	if ix.verify != nil {
+		clear(ix.verify[live:])
+		ix.verify = ix.verify[:live]
+	}
 
 	for _, m := range []map[string]*boundList{ix.lt, ix.le, ix.gt, ix.ge} {
 		for attr, bl := range m {
-			if len(bl.tailBounds) > 0 {
-				bl.merge(ix) // fold the tail first so one filtered run remains
-				ix.merges--  // bookkeeping merge, not an insert-driven one
-			}
-			k := 0
-			for i := range bl.bounds {
-				if nc := remap[bl.conj[i]]; nc >= 0 {
-					bl.bounds[k] = bl.bounds[i]
-					bl.conj[k] = nc
-					k++
-				}
-			}
-			bl.bounds = bl.bounds[:k]
-			bl.conj = bl.conj[:k]
-			if k == 0 {
+			if bl.compact(ix, remap) == 0 {
 				delete(m, attr)
 			}
+		}
+	}
+	for attr, classes := range ix.iv {
+		classes = slices.DeleteFunc(classes, func(c *ivClass) bool { return c.compact(ix, remap) == 0 })
+		if len(classes) == 0 {
+			delete(ix.iv, attr)
+		} else {
+			ix.iv[attr] = classes
 		}
 	}
 	compactConjMap(ix.eq, remap)
@@ -458,6 +666,26 @@ func (ix *Index) compact() {
 		st.conjs = st.conjs[:k]
 	}
 	ix.deadConjs = 0
+}
+
+// compact drops the list's tombstoned conjunctions and renumbers the
+// rest, returning how many postings survive.
+func (bl *boundList) compact(ix *Index, remap []int32) int {
+	if len(bl.tailBounds) > 0 {
+		bl.merge(ix) // fold the tail first so one filtered run remains
+		ix.merges--  // bookkeeping merge, not an insert-driven one
+	}
+	k := 0
+	for i := range bl.bounds {
+		if nc := remap[bl.conj[i]]; nc >= 0 {
+			bl.bounds[k] = bl.bounds[i]
+			bl.conj[k] = nc
+			k++
+		}
+	}
+	bl.bounds = bl.bounds[:k]
+	bl.conj = bl.conj[:k]
+	return k
 }
 
 // compactConjMap filters and remaps the conjunction lists of an equality
@@ -484,29 +712,10 @@ func compactConjMap[K comparable](m map[string]map[K][]int32, remap []int32) {
 	}
 }
 
-// indexable reports whether a conjunction can live in the counting index.
-func indexable(conj []Predicate) bool {
-	for _, p := range conj {
-		if p.Op == NE {
-			return false
-		}
-		if p.Val.Kind == String && p.Op != EQ {
-			return false
-		}
-	}
-	return true
-}
-
-func growU64(s []uint64, n int) []uint64 {
+// grow returns s with length n, keeping its contents and capacity.
+func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		s = append(s[:cap(s)], make([]uint64, n-cap(s))...)
-	}
-	return s[:n]
-}
-
-func growI32(s []int32, n int) []int32 {
-	if cap(s) < n {
-		s = append(s[:cap(s)], make([]int32, n-cap(s))...)
+		s = append(s[:cap(s)], make([]T, n-cap(s))...)
 	}
 	return s[:n]
 }
@@ -532,12 +741,16 @@ func (s byBound) Swap(i, j int) {
 type MatchScratch struct {
 	ix    *Index
 	epoch uint64
-	seen  []uint64 // per conjunction: epoch of last predicate hit
-	count []int32  // per conjunction: satisfied predicates this epoch
+	tally []tally // per conjunction
 	// Output dedup: dense ids stamp a slice, sparse ids a map.
 	emittedAt  []uint64
 	emittedMap map[int32]uint64
 	out        []int32
+
+	// The message being matched, and the epoch it was resolved in: the
+	// first conjunction that needs its filter evaluated resolves it.
+	msg        Iterable
+	resolvedAt uint64
 
 	// visit bound once so Match passes a preallocated callback to Each.
 	visitor func(name string, v Value)
@@ -547,6 +760,14 @@ type MatchScratch struct {
 	attrs     []resolvedAttr
 	attrEpoch uint64
 	resolver  func(name string, v Value)
+}
+
+// tally is one conjunction's count of satisfied postings, live while at
+// equals the low word of the scratch's epoch (the tallies are cleared
+// when that word wraps).
+type tally struct {
+	at uint32
+	n  int32
 }
 
 // Match returns the ids whose filters match the attributes, each at most
@@ -565,15 +786,17 @@ func (ix *Index) Match(a Iterable) []int32 { return ix.MatchWith(&ix.scratch, a)
 // scratch, as long as no mutation (Add / AddBatch / Remove) is in
 // flight. The returned slice is owned by the scratch.
 func (ix *Index) MatchWith(s *MatchScratch, a Iterable) []int32 {
-	s.ix = ix
+	s.ix, s.msg = ix, a
 	if s.visitor == nil {
 		s.visitor = s.visit
 	}
 	s.epoch++
-	s.seen = growU64(s.seen, len(ix.conjs))
-	s.count = growI32(s.count, len(ix.conjs))
+	if uint32(s.epoch) == 0 {
+		clear(s.tally[:cap(s.tally)])
+	}
+	s.tally = grow(s.tally, len(ix.conjs))
 	if ix.dense {
-		s.emittedAt = growU64(s.emittedAt, int(ix.maxID)+1)
+		s.emittedAt = grow(s.emittedAt, int(ix.maxID)+1)
 	} else if s.emittedMap == nil {
 		s.emittedMap = make(map[int32]uint64)
 	}
@@ -593,16 +816,21 @@ func (ix *Index) MatchWith(s *MatchScratch, a Iterable) []int32 {
 			s.emit(ix.fallback[i].id)
 		}
 	}
+	s.msg = nil
 	return s.out
 }
 
-// visit processes one message attribute, bumping every satisfied
-// predicate's conjunction: binary search over each sorted run, linear
+// visit processes one message attribute, bumping the conjunction of
+// every posting it satisfies: binary search over each sorted run, linear
 // scan over its √n-bounded tail.
 func (s *MatchScratch) visit(name string, v Value) {
 	ix := s.ix
 	if v.Kind == Number {
 		x := v.Num
+		if x != x {
+			s.visitNaN(name)
+			return
+		}
 		if bl := ix.lt[name]; bl != nil {
 			// Satisfied: bound > x → suffix starting at first bound > x.
 			i := sort.SearchFloat64s(bl.bounds, x)
@@ -655,30 +883,82 @@ func (s *MatchScratch) visit(name string, v Value) {
 			}
 		}
 		if m := ix.eq[name]; m != nil {
-			for _, ci := range m[x] {
-				s.bump(ci)
+			s.bumpAll(m[x])
+		}
+		if math.IsInf(x, 0) {
+			return // a posted range has finite bounds
+		}
+		for _, c := range ix.iv[name] {
+			// Candidates: lower bound in [x − span, x]. A range of this
+			// class that holds x cannot start earlier; the filter settles
+			// the rest.
+			lo := x - c.span
+			for i := sort.SearchFloat64s(c.bounds, lo); i < len(c.bounds) && c.bounds[i] <= x; i++ {
+				s.bump(c.conj[i])
+			}
+			for i, b := range c.tailBounds {
+				if b >= lo && b <= x {
+					s.bump(c.tailConj[i])
+				}
 			}
 		}
 	} else if m := ix.se[name]; m != nil {
-		for _, ci := range m[v.Str] {
-			s.bump(ci)
+		s.bumpAll(m[v.Str])
+	}
+}
+
+// visitNaN is visit for a NaN number. Value.compare places NaN neither
+// below nor above any bound, so it satisfies every <=, >= and ==
+// predicate on the attribute and no < or >; a range may hold it (closed
+// bounds) or not (strict ones), which its filter decides.
+func (s *MatchScratch) visitNaN(name string) {
+	ix := s.ix
+	for _, bl := range [...]*boundList{ix.le[name], ix.ge[name]} {
+		if bl != nil {
+			s.bumpAll(bl.conj)
+			s.bumpAll(bl.tailConj)
+		}
+	}
+	for _, cis := range ix.eq[name] {
+		s.bumpAll(cis)
+	}
+	for _, c := range ix.iv[name] {
+		s.bumpAll(c.conj)
+		s.bumpAll(c.tailConj)
+	}
+}
+
+func (s *MatchScratch) bumpAll(cis []int32) {
+	for _, ci := range cis {
+		s.bump(ci)
+	}
+}
+
+// bump credits one satisfied posting to a conjunction. When the count
+// completes, the conjunction's id is emitted — after evaluating the
+// owning filter, where the postings were not the whole conjunction.
+func (s *MatchScratch) bump(ci int32) {
+	t := &s.tally[ci]
+	if at := uint32(s.epoch); t.at != at {
+		*t = tally{at: at}
+	}
+	t.n++
+	c := &s.ix.conjs[ci]
+	if t.n == c.needed {
+		if v := s.ix.verify; v == nil || v[ci] == nil || s.holdsFilter(v[ci]) {
+			s.emit(c.id)
 		}
 	}
 }
 
-// bump credits one satisfied predicate to a conjunction, emitting its id
-// when the count completes (tombstoned conjunctions keep counting but
-// never emit).
-func (s *MatchScratch) bump(ci int32) {
-	if s.seen[ci] != s.epoch {
-		s.seen[ci] = s.epoch
-		s.count[ci] = 0
+// holdsFilter evaluates a nominated conjunction's filter against the
+// message, resolving the message on first use in this match.
+func (s *MatchScratch) holdsFilter(f *Filter) bool {
+	if s.resolvedAt != s.epoch {
+		s.resolvedAt = s.epoch
+		s.Resolve(s.msg)
 	}
-	s.count[ci]++
-	c := &s.ix.conjs[ci]
-	if s.count[ci] == c.needed && !c.dead {
-		s.emit(c.id)
-	}
+	return f.MatchResolved(s, s.msg)
 }
 
 // emit appends an id to the output unless it was already emitted this

@@ -11,6 +11,7 @@ package filter
 import (
 	"fmt"
 	"strconv"
+	"strings"
 )
 
 // Kind discriminates attribute value types.
@@ -148,7 +149,25 @@ func (p Predicate) MatchValue(v Value) bool {
 
 // String implements fmt.Stringer.
 func (p Predicate) String() string {
-	return fmt.Sprintf("%s %s %s", p.Attr, p.Op, p.Val)
+	var b strings.Builder
+	p.appendTo(&b)
+	return b.String()
+}
+
+// appendTo writes the predicate's canonical rendering "Attr Op Val" —
+// the form that keys CoverIndex and crosses the wire inside a filter,
+// once per broker per subscription flood — without going through fmt.
+func (p *Predicate) appendTo(b *strings.Builder) {
+	b.WriteString(p.Attr)
+	b.WriteByte(' ')
+	b.WriteString(p.Op.String())
+	b.WriteByte(' ')
+	if p.Val.Kind == Number {
+		var buf [32]byte
+		b.Write(strconv.AppendFloat(buf[:0], p.Val.Num, 'g', -1, 64))
+	} else {
+		b.WriteString(strconv.Quote(p.Val.Str))
+	}
 }
 
 // Attrs is the read interface the matcher needs from a message.

@@ -3,6 +3,7 @@ package routing
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -49,12 +50,35 @@ func TestIndexSurvivesMutation(t *testing.T) {
 	}
 }
 
-// TestTableChurnEquivalence churns one table through random installs and
-// removals and checks, at every step boundary, that the incremental
-// indexed table matches a freshly built linear table.
+// TestTableChurnEquivalence churns an indexed table through random
+// installs and removals (and the slot compactions they force) beside a
+// scan table given the same operations, and checks at every step
+// boundary that both return the same entries in the same order, and the
+// set a freshly built linear table returns. The paper shape is proved by
+// the index's count alone; the fanout shape (the fanout_match workload's
+// range plus a one-sided rider) is posted under its range and verified
+// by its filter.
 func TestTableChurnEquivalence(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		steps  int
+		filter func(r *rand.Rand) string
+	}{
+		{"paper", 2000, func(r *rand.Rand) string {
+			return fmt.Sprintf("A1 < %.2f && A2 < %.2f", 10*r.Float64(), 10*r.Float64())
+		}},
+		{"fanout", 4000, func(r *rand.Rand) string {
+			a, w := 10*r.Float64(), []float64{0.04, 0.5, 3}[r.Intn(3)]
+			return fmt.Sprintf("A1 > %.3f && A1 < %.3f && A2 < %.2f", a, a+w, 10*r.Float64())
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) { tableChurnEquivalence(t, tc.steps, tc.filter) })
+	}
+}
+
+func tableChurnEquivalence(t *testing.T, steps int, mkFilter func(*rand.Rand) string) {
 	r := rand.New(rand.NewSource(9))
-	tb := NewTable(0)
+	tb, scan := NewTable(0), NewTable(0)
 	tb.EnableIndex()
 	live := map[msg.SubID]*msg.Subscription{}
 	nextID := msg.SubID(0)
@@ -67,6 +91,7 @@ func TestTableChurnEquivalence(t *testing.T) {
 				ref.Add(&Entry{Sub: s, Source: src, Next: 5})
 			}
 		}
+		matched := 0
 		for trial := 0; trial < 5; trial++ {
 			m := &msg.Message{
 				Ingress: sources[r.Intn(len(sources))],
@@ -75,6 +100,10 @@ func TestTableChurnEquivalence(t *testing.T) {
 				}),
 			}
 			got := tb.Match(m)
+			matched += len(got)
+			if !slices.Equal(got, scan.Match(m)) {
+				t.Fatalf("step %d: indexed table and scan table disagree on entries or order", step)
+			}
 			want := ref.Match(m)
 			if len(got) != len(want) {
 				t.Fatalf("step %d: indexed churned table matched %d, linear rebuild %d",
@@ -90,32 +119,51 @@ func TestTableChurnEquivalence(t *testing.T) {
 				}
 			}
 		}
+		if step == steps && matched == 0 {
+			t.Fatalf("no publication matched anything: the check is vacuous")
+		}
 	}
 
-	for step := 0; step < 2000; step++ {
-		if r.Intn(3) > 0 || len(live) == 0 {
-			s := churnSub(nextID, 5, fmt.Sprintf("A1 < %.2f && A2 < %.2f", 10*r.Float64(), 10*r.Float64()))
+	remove := func(step int) {
+		for id := range live {
+			if n := tb.RemoveSub(id); n != len(sources) {
+				t.Fatalf("step %d: RemoveSub(%d) removed %d entries, want %d", step, id, n, len(sources))
+			}
+			scan.RemoveSub(id)
+			delete(live, id)
+			return
+		}
+	}
+	for step := 0; step < steps; step++ {
+		switch {
+		case step%1000 == 500:
+			// A purge leaves more tombstones than live slots in every
+			// source, which forces compactSource.
+			for n := len(live) * 3 / 4; n > 0; n-- {
+				remove(step)
+			}
+		case r.Intn(3) > 0 || len(live) == 0:
+			s := churnSub(nextID, 5, mkFilter(r))
 			nextID++
 			live[s.ID] = s
 			for _, src := range sources {
-				tb.Add(&Entry{Sub: s, Source: src, Next: 5})
+				e := &Entry{Sub: s, Source: src, Next: 5}
+				tb.Add(e)
+				scan.Add(e)
 			}
-		} else {
-			for id := range live {
-				if n := tb.RemoveSub(id); n != len(sources) {
-					t.Fatalf("step %d: RemoveSub(%d) removed %d entries, want %d", step, id, n, len(sources))
-				}
-				delete(live, id)
-				break
-			}
+		default:
+			remove(step)
 		}
 		if step%250 == 0 {
 			check(step)
 		}
 	}
-	check(2000)
+	check(steps)
 	if tb.Len() != len(live)*len(sources) {
 		t.Fatalf("Len = %d, want %d", tb.Len(), len(live)*len(sources))
+	}
+	if st := tb.bySource[0]; len(st.entries) >= int(nextID) {
+		t.Fatalf("source 0 holds %d slots after %d installs: compactSource never ran", len(st.entries), nextID)
 	}
 }
 

@@ -255,17 +255,25 @@ func (t *Table) compactSource(src msg.NodeID, st *sourceState) {
 		k++
 	}
 	st.entries = st.entries[:k]
+	for i, e := range st.entries {
+		t.bySub[e.Sub.ID] = append(t.bySub[e.Sub.ID], entryRef{src: src, pos: int32(i)})
+	}
+	if st.ix != nil {
+		st.rebuildIndex()
+	}
+}
+
+// rebuildIndex replaces the source's counting index with a batch build
+// over its slot list, which must carry no tombstones: ids are positions.
+func (st *sourceState) rebuildIndex() {
 	ids := make([]int32, len(st.entries))
 	filters := make([]*filter.Filter, len(st.entries))
 	for i, e := range st.entries {
 		ids[i] = int32(i)
 		filters[i] = e.Sub.Filter
-		t.bySub[e.Sub.ID] = append(t.bySub[e.Sub.ID], entryRef{src: src, pos: int32(i)})
 	}
-	if st.ix != nil {
-		st.ix = filter.NewIndex()
-		st.ix.AddBatch(ids, filters)
-	}
+	st.ix = filter.NewIndex()
+	st.ix.AddBatch(ids, filters)
 }
 
 // EnableIndex builds a per-ingress predicate-counting index over the
@@ -280,14 +288,7 @@ func (t *Table) EnableIndex() {
 		if len(st.entries) != st.live {
 			t.compactSource(src, st)
 		}
-		ids := make([]int32, len(st.entries))
-		filters := make([]*filter.Filter, len(st.entries))
-		for i, e := range st.entries {
-			ids[i] = int32(i)
-			filters[i] = e.Sub.Filter
-		}
-		st.ix = filter.NewIndex()
-		st.ix.AddBatch(ids, filters)
+		st.rebuildIndex()
 	}
 }
 
