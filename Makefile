@@ -27,7 +27,10 @@ bench-e2e:
 	cd bench && $(GO) run . compare $(BENCH_PARENT) out/run.json
 
 # bench-gate is CI's short form, through the driver's entry point: the
-# paper's mesh on the live plane with pacing on, five wall seconds; the
+# small chain for five wall seconds — every publication of its closed
+# loops received once, none missing, at one and at 64 outstanding: the
+# end-to-end check of the edge's batched session writes; the paper's
+# mesh on the live plane with pacing on, five wall seconds; the
 # content fan-out for five (≈ 10 s with its 10 000-subscription set-up) —
 # its `correct` holds the content deliveries to the publications'
 # reference match counts, computed from the subscription specs, while
@@ -38,7 +41,7 @@ bench-e2e:
 # run's last line is its verdict as JSON; fail unless it is correct with
 # nothing failed (no delivery valid past its bound, none twice,
 # conservation holds, match counts and golden ledger matched).
-GATED := mesh_paced:5 fanout_match:5 sim_paper:20
+GATED := chain_small:5 mesh_paced:5 fanout_match:5 sim_paper:20
 bench-gate:
 	mkdir -p .bench_build
 	set -e; for gated in $(GATED); do \

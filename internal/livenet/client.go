@@ -20,6 +20,8 @@ type Publisher struct {
 	seq     uint32
 	buf     []byte      // reusable frame buffer: one allocation-free write per send
 	scratch msg.Message // reusable Publish message (guarded by mu)
+	// deadline is conn's write deadline (guarded by mu).
+	deadline writeDeadline
 
 	// Clock stamps publication times. It defaults to the absolute wall
 	// clock (scale 1); clients of an in-process cluster with a
@@ -85,7 +87,7 @@ func (p *Publisher) send(m *msg.Message) error {
 		return err
 	}
 	p.buf = buf
-	if err := p.conn.SetWriteDeadline(time.Now().Add(10 * time.Second)); err != nil {
+	if err := p.deadline.arm(p.conn); err != nil {
 		return err
 	}
 	_, err = p.conn.Write(buf)
@@ -269,7 +271,7 @@ func (s *Subscriber) Valid(m *msg.Message, scenario msg.Scenario) bool {
 // subsequent Close tears it down).
 func (s *Subscriber) Unsubscribe() error {
 	body := msg.AppendUnsubscribe(nil, s.sub.ID)
-	if err := s.conn.SetWriteDeadline(time.Now().Add(10 * time.Second)); err != nil {
+	if err := s.conn.SetWriteDeadline(time.Now().Add(writeTimeout)); err != nil {
 		return err
 	}
 	return msg.WriteFrame(s.conn, msg.FrameUnsubscribe, body)

@@ -17,15 +17,52 @@ import (
 // and re-dialing overlay links, framed writes, incarnation epochs, and
 // injected link outages.
 
+// writeDeadline keeps one connection's write deadline armed. A stalled
+// peer must fail a write within writeTimeout, but SetWriteDeadline costs
+// a timer update on every call, so the deadline is re-armed only once
+// armEvery has passed since the last arm: it stays between writeTimeout −
+// armEvery and writeTimeout ahead of every write. The zero value arms on
+// first use; a swapped connection starts from a zero value again.
+type writeDeadline struct{ armed time.Time }
+
+const (
+	writeTimeout = 10 * time.Second
+	armEvery     = time.Second
+)
+
+// arm is called before each write to c, under whatever lock serializes
+// the connection's writers.
+func (d *writeDeadline) arm(c net.Conn) error {
+	now := time.Now()
+	if now.Sub(d.armed) < armEvery {
+		return nil
+	}
+	if err := c.SetWriteDeadline(now.Add(writeTimeout)); err != nil {
+		return err
+	}
+	d.armed = now
+	return nil
+}
+
 type peerConn struct {
-	mu   sync.Mutex
-	conn net.Conn
+	mu       sync.Mutex
+	conn     net.Conn
+	deadline writeDeadline
+}
+
+// swap replaces the connection underneath (the peer was reborn on a new
+// port) and returns the old one for the caller to close.
+func (p *peerConn) swap(conn net.Conn) (old net.Conn) {
+	p.mu.Lock()
+	old, p.conn, p.deadline = p.conn, conn, writeDeadline{}
+	p.mu.Unlock()
+	return old
 }
 
 func (p *peerConn) writeFrame(frameType byte, body []byte) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if err := p.conn.SetWriteDeadline(time.Now().Add(10 * time.Second)); err != nil {
+	if err := p.deadline.arm(p.conn); err != nil {
 		return err
 	}
 	return msg.WriteFrame(p.conn, frameType, body)
@@ -36,7 +73,7 @@ func (p *peerConn) writeFrame(frameType byte, body []byte) error {
 func (p *peerConn) writeBuf(frame []byte) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if err := p.conn.SetWriteDeadline(time.Now().Add(10 * time.Second)); err != nil {
+	if err := p.deadline.arm(p.conn); err != nil {
 		return err
 	}
 	_, err := p.conn.Write(frame)
@@ -51,7 +88,7 @@ func (p *peerConn) writeBuf(frame []byte) error {
 func (p *peerConn) writeBuffers(bufs *net.Buffers) (int64, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if err := p.conn.SetWriteDeadline(time.Now().Add(10 * time.Second)); err != nil {
+	if err := p.deadline.arm(p.conn); err != nil {
 		return 0, err
 	}
 	return bufs.WriteTo(p.conn)
@@ -212,11 +249,7 @@ func (n *Node) ReconnectPeer(to msg.NodeID, addr string) error {
 		conn.Close()
 		return fmt.Errorf("livenet: broker %d has no link to %d", n.cfg.ID, to)
 	}
-	pc.mu.Lock()
-	old := pc.conn
-	pc.conn = conn
-	pc.mu.Unlock()
-	old.Close()
+	pc.swap(conn).Close()
 	if ls != nil {
 		n.wg.Add(1)
 		go n.ackLoop(conn, ls.retx)

@@ -91,15 +91,6 @@ func (b *retxBuf) add(seq uint64, frame []byte) {
 	b.frames[seq] = append(b.frames[seq][:0], frame...)
 }
 
-// get returns the buffered frame for a sequence (nil once acked or
-// evicted). The returned slice is the buffer's own storage: valid until
-// the next add of the same sequence.
-func (b *retxBuf) get(seq uint64) []byte {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.frames[seq]
-}
-
 // ack trims every frame at or below the cumulative sequence.
 func (b *retxBuf) ack(cum uint64) {
 	b.mu.Lock()

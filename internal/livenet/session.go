@@ -1,6 +1,7 @@
 package livenet
 
 import (
+	"net"
 	"sync"
 
 	"bdps/internal/metrics"
@@ -20,6 +21,14 @@ import (
 // delivery whose bound has already expired is dropped as
 // DroppedDeadline — a resumed subscriber never receives a late message,
 // and the sequence numbers make redelivery exactly-once.
+//
+// The ring is also the edge's send buffer. deliver only retains: the
+// frames past the session's sent mark wait in their slots until flush
+// writes them, oldest first, with one writev. The shard worker flushes
+// the sessions it delivered to after the last message of its ingress
+// batch (shard.go), so a batch of k deliveries to one subscriber costs
+// one system call instead of k, a batch of one is the same single write
+// it always was, and nothing waits on a timer.
 
 // sessionRingDefault bounds the per-session replay ring (shared with
 // the simulator's session model so the resume ledgers agree).
@@ -53,10 +62,14 @@ type sessDelivery struct {
 }
 
 // session is one subscriber's resumable delivery state. mu orders a
-// session's deliveries against its resume: sequence assignment, the
-// ring write and the wire write of one delivery happen under it, and so
-// does a resume's reattach-and-replay — a live delivery can never reach
-// the subscriber ahead of the replayed sequences below it.
+// session's deliveries against its flushes and its resume: sequence
+// assignment and the ring write of a delivery happen under it, so does
+// the wire write of a flush, and so does a resume's reattach-and-replay
+// — whichever goroutine writes, it writes the sequences past the sent
+// mark in order and moves the mark before it lets go, so the subscriber
+// sees one gapless run and a live delivery can never reach it ahead of
+// the replayed sequences below it. The connection's own lock is only
+// ever taken inside mu, never the other way round.
 type session struct {
 	sub *msg.Subscription
 
@@ -66,12 +79,16 @@ type session struct {
 	// and deadline data only.
 	peer *peerConn
 	seq  uint64 // last assigned delivery sequence
+	// sent is the last sequence handed to the wire (or given up on): the
+	// deliveries in (sent, seq] sit in the ring waiting for flush.
+	sent uint64
 	// lastAck is the plan-mode resume token: the sequence last delivered
 	// before a scheduled suspension (real clients carry their token
 	// themselves).
 	lastAck uint64
 	// ring grows to sessionRingDefault slots, then wraps: head is the
-	// oldest retained delivery.
+	// oldest retained delivery. Sequences are consecutive, so the ring
+	// holds exactly (seq − len(ring), seq].
 	ring []sessDelivery
 	head int
 }
@@ -82,7 +99,7 @@ type session struct {
 func (n *Node) sessionFor(sub *msg.Subscription, peer *peerConn, seq uint64) *session {
 	s, ok := n.sessions[sub.ID]
 	if !ok {
-		s = &session{sub: sub, peer: peer, seq: seq}
+		s = &session{sub: sub, peer: peer, seq: seq, sent: seq}
 		n.sessions[sub.ID] = s
 	}
 	return s
@@ -95,15 +112,26 @@ func (s *session) attach(peer *peerConn) {
 	s.mu.Unlock()
 }
 
-// deliver assigns the next delivery sequence, retains the delivery in
-// the ring and writes it to the attached subscriber. frame is the
-// message's finished FrameData frame with zero sequence fields (callers
-// reuse their encode scratch): it is copied into the ring slot and the
-// session's sequence stamped into the copy, which is what goes on the
-// wire. A session without a wire records sequence and deadline only.
-func (s *session) deliver(frame []byte, published, allowed vtime.Millis) {
+// deliver assigns the next delivery sequence to the message w is
+// processing and retains it in the ring; it writes nothing. With a wire
+// attached, the message's FrameData frame (w.dataFrame: encoded once
+// per message, sequence fields zero) is copied into the ring slot and
+// the session's sequence stamped into the copy — the bytes flush will
+// send and a resume will replay. A session without a wire records
+// sequence and deadline only, and the frame is never built on its
+// account. It reports whether the caller now owes the session a flush:
+// true for the delivery that moves it from nothing unsent to one frame
+// unsent — whoever adds to a run someone else started is covered by that
+// worker's flush, which sends everything past the mark.
+func (s *session) deliver(w *worker, allowed vtime.Millis) (owesFlush bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.seq-s.sent >= sessionRingDefault {
+		// The ring is full of unsent frames (workers for other streams
+		// kept delivering while the one that owes the flush was busy):
+		// send them before the oldest slot is reused.
+		s.flushLocked(w)
+	}
 	s.seq++
 	var d *sessDelivery
 	if len(s.ring) < sessionRingDefault {
@@ -113,13 +141,53 @@ func (s *session) deliver(frame []byte, published, allowed vtime.Millis) {
 		d = &s.ring[s.head]
 		s.head = (s.head + 1) % len(s.ring)
 	}
-	d.seq, d.published, d.allowed, d.frame = s.seq, published, allowed, d.frame[:0]
-	if s.peer == nil || frame == nil {
+	d.seq, d.published, d.allowed, d.frame = s.seq, w.m.Published, allowed, d.frame[:0]
+	if s.peer == nil {
+		s.sent = s.seq
+		return false
+	}
+	if frame := w.dataFrame(); frame != nil {
+		d.frame = append(d.frame, frame...)
+		msg.PutDataSeq(d.frame, s.seq, s.seq)
+	}
+	return s.seq-s.sent == 1
+}
+
+// flush writes the deliveries waiting past the sent mark to the attached
+// subscriber, oldest first, straight from their ring slots: one write
+// for a single frame, one writev for a run.
+func (s *session) flush(w *worker) {
+	s.mu.Lock()
+	s.flushLocked(w)
+	s.mu.Unlock()
+}
+
+// flushLocked is flush for a caller holding s.mu. w lends the writev
+// scratch: any worker may flush any session. Only a session with a wire
+// ever has deliveries past its mark.
+func (s *session) flushLocked(w *worker) {
+	unsent := int(s.seq - s.sent)
+	if unsent == 0 {
 		return
 	}
-	d.frame = append(d.frame, frame...)
-	msg.PutDataSeq(d.frame, s.seq, s.seq)
-	_ = s.peer.writeBuf(d.frame) // dead subscribers are fine
+	s.sent = s.seq
+	w.bufs = w.bufs[:0]
+	for i := len(s.ring) - unsent; i < len(s.ring); i++ {
+		// A slot recorded without a frame (it could not be encoded) has
+		// nothing to send.
+		if f := s.ring[(s.head+i)%len(s.ring)].frame; len(f) > 0 {
+			w.bufs = append(w.bufs, f)
+		}
+	}
+	// Dead subscribers are fine: the frames stay retained for a resume.
+	switch len(w.bufs) {
+	case 0:
+	case 1:
+		_ = s.peer.writeBuf(w.bufs[0])
+	default:
+		w.wv = net.Buffers(w.bufs)
+		_, _ = s.peer.writeBuffers(&w.wv)
+	}
 }
 
 // replay walks the retained deliveries past the resume token, oldest
@@ -128,8 +196,15 @@ func (s *session) deliver(frame []byte, published, allowed vtime.Millis) {
 // CDF degenerates to "slack ≥ 0". A delivery whose bound still holds is
 // written to `to` and counted replayed; an expired one is counted
 // instead of arriving late. A nil `to` (plan mode) does the accounting
-// without any wire writes. Caller holds s.mu.
+// without any wire writes. Deliveries still waiting for their flush are
+// past any token a client can hold, so a replay onto a wire sends them
+// too and moves the sent mark to seq: a resume landing between deliver
+// and flush puts every retained frame on the new connection once, in
+// order, and leaves the flush nothing to repeat. Caller holds s.mu.
 func (s *session) replay(to *peerConn, after uint64, now vtime.Millis) (replayed, expired int) {
+	if to != nil {
+		s.sent = s.seq
+	}
 	dead := false
 	for i := range s.ring {
 		d := &s.ring[(s.head+i)%len(s.ring)]

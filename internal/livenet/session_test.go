@@ -1,9 +1,12 @@
 package livenet
 
 import (
+	"bytes"
 	"fmt"
 	"net"
+	"path/filepath"
 	grt "runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -159,11 +162,14 @@ func testSessionResumeUnderLoss(t *testing.T, shards int) {
 	publish(5)
 	collectDeliveries(t, r, got, 25, 10*time.Second)
 
-	// Drop again and resume mid-stream: publications keep arriving while
-	// the broker reattaches and replays, so live deliveries race the
-	// replay for the new connection. The subscriber must see every
-	// sequence past its token exactly once, in order — a live frame that
-	// overtook the replay would show up here as a jump and a step back.
+	// Drop again and resume mid-stream: publications keep arriving — in
+	// back-to-back fours, so the edge has multi-delivery batches waiting
+	// in the ring for their flush — while the broker reattaches and
+	// replays, so live deliveries race the replay for the new connection.
+	// The subscriber must see every sequence past its token exactly once,
+	// in order: a live frame that overtook the replay would show up here
+	// as a jump and a step back, a batch both replayed and flushed as a
+	// repeat.
 	tok = r.Token()
 	r.Close()
 	const during = 60 // well inside the ring window
@@ -177,7 +183,9 @@ func testSessionResumeUnderLoss(t *testing.T, shards int) {
 				t.Error(err)
 				return
 			}
-			time.Sleep(time.Millisecond)
+			if i%4 == 3 {
+				time.Sleep(4 * time.Millisecond)
+			}
 		}
 	}()
 	<-half
@@ -454,5 +462,362 @@ func testSessionRingBounded(t *testing.T, shards int) {
 	}
 	if n := c.Node(2).Stats().ReplayedMsgs; n != got {
 		t.Errorf("broker counted %d replays, client saw %d", n, got)
+	}
+}
+
+// packetPair returns the two ends of a connected SOCK_SEQPACKET unix
+// socket. A packet socket keeps write boundaries — every write or writev
+// the sender makes is one packet at the reader — so the reading end can
+// count the system calls the edge spent on a subscriber, which no
+// net.Conn wrapper can (net.Buffers only takes the writev path on the
+// net package's own connection types). Skips where the platform has no
+// such socket.
+func packetPair(t testing.TB) (w, r net.Conn) {
+	t.Helper()
+	l, err := net.Listen("unixpacket", filepath.Join(t.TempDir(), "s"))
+	if err != nil {
+		t.Skipf("no unixpacket sockets here: %v", err)
+	}
+	defer l.Close()
+	w, err = net.Dial("unixpacket", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err = l.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { w.Close(); r.Close() })
+	return w, r
+}
+
+// dataPacket is one write of the edge as the subscriber end of a
+// packetPair saw it: the session sequences it carried, and when.
+type dataPacket struct {
+	seqs []uint64
+	at   time.Time
+}
+
+// readDataPackets reads packets from the subscriber end of a packetPair
+// until `last` arrived.
+func readDataPackets(t *testing.T, r net.Conn, last uint64) []dataPacket {
+	t.Helper()
+	_ = r.SetReadDeadline(time.Now().Add(10 * time.Second))
+	buf := make([]byte, 1<<20)
+	var packets []dataPacket
+	for {
+		n, err := r.Read(buf)
+		if err != nil {
+			t.Fatalf("after %d packets (want up to seq %d): %v", len(packets), last, err)
+		}
+		at := time.Now()
+		var seqs []uint64
+		for rd := bytes.NewReader(buf[:n]); rd.Len() > 0; {
+			ft, body, err := msg.ReadFrame(rd)
+			if err != nil || ft != msg.FrameData {
+				t.Fatalf("packet %d: frame type %d, err %v", len(packets), ft, err)
+			}
+			seq, _, _, _, err := msg.DecodeDataHeader(body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seqs = append(seqs, seq)
+		}
+		packets = append(packets, dataPacket{seqs, at})
+		if seqs[len(seqs)-1] >= last {
+			return packets
+		}
+	}
+}
+
+// wantGaplessRun asserts the packets carry first, first+1, … last, each
+// once and in order, in exactly `writes` packets.
+func wantGaplessRun(t *testing.T, packets []dataPacket, first, last uint64, writes int) {
+	t.Helper()
+	var sizes []int
+	next := first
+	for _, p := range packets {
+		sizes = append(sizes, len(p.seqs))
+		for _, seq := range p.seqs {
+			if seq != next {
+				t.Fatalf("session sequence %d where %d was due (write %d of sizes %v so far)", seq, next, len(sizes), sizes)
+			}
+			next++
+		}
+	}
+	if next != last+1 {
+		t.Fatalf("run ended at %d, want %d", next-1, last)
+	}
+	if len(packets) != writes {
+		t.Fatalf("%d deliveries took %d writes, want %d (frames per write: %v)", last-first+1, len(packets), writes, sizes)
+	}
+}
+
+// startEdge starts the tiny chain and registers a match-all subscriber
+// at broker 2, returning the edge node and the subscriber's session once
+// the subscription's flood has reached the ingress broker.
+func startEdge(t *testing.T, cfg ClusterConfig) (*Cluster, *Node, *session) {
+	t.Helper()
+	cfg.Overlay, cfg.Scenario, cfg.Strategy, cfg.Seed = tinyOverlay(t), msg.PSD, core.MaxEB{}, 1
+	c, err := StartCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Stop)
+	s, err := DialSubscriber(c.Addr(2), &msg.Subscription{ID: 1, Edge: 2, Filter: &filter.Filter{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	n, ingress := c.Node(2), c.Node(0)
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		n.mu.RLock()
+		sess := n.sessions[1]
+		n.mu.RUnlock()
+		ingress.mu.RLock()
+		routed := ingress.tableSub(1) != nil
+		ingress.mu.RUnlock()
+		if sess != nil && routed {
+			return c, n, sess
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("subscription never reached the edge and the ingress")
+		}
+	}
+}
+
+// edgeMessage is publication i of publisher 0, entering at broker 0,
+// with a bound no test outlives.
+func edgeMessage(n *Node, i int) *msg.Message {
+	return &msg.Message{
+		ID: msg.MakeID(0, uint32(i)), Publisher: 0, Ingress: 0,
+		Published: n.clock.Now(), Allowed: vtime.Hour, SizeKB: 1,
+		Attrs: msg.NumAttrs(map[string]float64{"A1": float64(i)}),
+	}
+}
+
+// writeAsUpstream plays broker 1 toward the edge: a broker hello, then
+// the k publications as message frames in a single conn.Write, which the
+// edge's read loop takes in with one read and hands to one worker as one
+// batch.
+func writeAsUpstream(t *testing.T, c *Cluster, n *Node, k int) net.Conn {
+	t.Helper()
+	conn, err := net.Dial("tcp", c.Addr(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	if err := msg.WriteFrame(conn, msg.FrameHello, msg.AppendHello(nil, msg.RoleBroker, 1, 0)); err != nil {
+		t.Fatal(err)
+	}
+	var buf []byte
+	for i := 0; i < k; i++ {
+		if buf, err = msg.AppendMessageFrame(buf, edgeMessage(n, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := conn.Write(buf); err != nil {
+		t.Fatal(err)
+	}
+	return conn
+}
+
+// TestSessionBatchLeavesInOneWrite is the tentpole's contract: the
+// deliveries of one ingress batch wait in the subscriber's ring and
+// leave together — k publications arriving in one read reach the
+// subscriber in order, numbered consecutively, in one write.
+func TestSessionBatchLeavesInOneWrite(t *testing.T) { atShards(t, testSessionBatchLeavesInOneWrite) }
+
+func testSessionBatchLeavesInOneWrite(t *testing.T, shards int) {
+	w, r := packetPair(t)
+	c, n, sess := startEdge(t, ClusterConfig{TimeScale: 0.002, Shards: shards})
+	sess.attach(&peerConn{conn: w})
+
+	const k = 16
+	writeAsUpstream(t, c, n, k)
+	wantGaplessRun(t, readDataPackets(t, r, k), 1, k, 1)
+
+	// A batch of one is the single write it always was.
+	writeAsUpstream(t, c, n, 1)
+	wantGaplessRun(t, readDataPackets(t, r, k+1), k+1, k+1, 1)
+}
+
+// TestSessionBatchOverflowsRing hands one worker a batch with more
+// deliveries for one session than the ring has slots: the deliver that
+// would reuse a still-unsent slot flushes first, so nothing is lost or
+// overwritten, and the batch's hold on the quiescence counters is gone
+// once the last frame is out.
+func TestSessionBatchOverflowsRing(t *testing.T) { atShards(t, testSessionBatchOverflowsRing) }
+
+func testSessionBatchOverflowsRing(t *testing.T, shards int) {
+	w, r := packetPair(t)
+	_, n, sess := startEdge(t, ClusterConfig{TimeScale: 0.002, Shards: shards})
+	sess.attach(&peerConn{conn: w})
+
+	const over = runtime.SessionRingLimit + 44
+	b := getBatch(nil)
+	for i := 0; i < over; i++ {
+		b.msgs = append(b.msgs, edgeMessage(n, i))
+	}
+	n.inflight.Add(over)
+	n.dispatched.Add(over)
+	n.shards[0].ch <- b // publisher 0's shard at any worker count
+
+	// The ring's worth leaves when slot 1 is about to be reused, the rest
+	// at the end of the batch.
+	packets := readDataPackets(t, r, over)
+	wantGaplessRun(t, packets, 1, over, 2)
+	if got := len(packets[0].seqs); got != runtime.SessionRingLimit {
+		t.Errorf("first write carried %d frames, want the full ring (%d)", got, runtime.SessionRingLimit)
+	}
+	for deadline := time.Now().Add(5 * time.Second); n.inflight.Load() != 0 || n.dispatched.Load() != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("batch hold not released: inflight=%d dispatched=%d", n.inflight.Load(), n.dispatched.Load())
+		}
+	}
+}
+
+// TestSessionResumeBetweenDeliverAndFlush lands a resume in the window
+// the send buffer opens: deliveries retained, not yet flushed. The replay
+// must put each on the new connection once and leave the pending flush
+// nothing to repeat — without replay's `sent = seq` the flush writes them
+// a second time and this test fails on the duplicate.
+func TestSessionResumeBetweenDeliverAndFlush(t *testing.T) {
+	atShards(t, testSessionResumeBetweenDeliverAndFlush)
+}
+
+func testSessionResumeBetweenDeliverAndFlush(t *testing.T, shards int) {
+	c, n, sess := startEdge(t, ClusterConfig{TimeScale: 0.002, Shards: shards})
+	wk := &worker{epoch: n.Epoch()}
+	const k = 5
+	for i := 0; i < k; i++ {
+		wk.m, wk.frame = edgeMessage(n, i), nil
+		if owes := sess.deliver(wk, vtime.Hour); owes != (i == 0) {
+			t.Fatalf("delivery %d: owes flush = %v; only the first of an unsent run does", i, owes)
+		}
+	}
+
+	w, r := packetPair(t)
+	n.handleResume(1, 0, &peerConn{conn: w})
+	sess.flush(wk)
+
+	// One more, through the whole path, marks the end of what the resume
+	// and the flush wrote between them.
+	writeAsUpstream(t, c, n, 1)
+	wantGaplessRun(t, readDataPackets(t, r, k+1), 1, k+1, k+1) // replay writes frame by frame
+	if got := n.Stats().ReplayedMsgs; got != k {
+		t.Errorf("replayed %d, want %d", got, k)
+	}
+}
+
+// gateConn is a subscriber connection whose writes wait for the test:
+// entered is signalled when a Write arrives, and the Write returns once
+// open is closed. It records what was written.
+type gateConn struct {
+	discardConn
+	entered chan struct{}
+	open    chan struct{}
+	mu      sync.Mutex
+	got     bytes.Buffer
+}
+
+func (g *gateConn) Write(p []byte) (int, error) {
+	select {
+	case g.entered <- struct{}{}:
+	default:
+	}
+	<-g.open
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.got.Write(p)
+}
+
+// TestQuiescentWaitsForSessionFlush holds the edge's write to the
+// subscriber and checks the cluster cannot read idle meanwhile: a batch
+// keeps its hold on inflight until its deliveries are flushed, so a
+// Quiescent poll that returns true means the subscriber's connection
+// has been handed every delivery.
+func TestQuiescentWaitsForSessionFlush(t *testing.T) { atShards(t, testQuiescentWaitsForSessionFlush) }
+
+func testQuiescentWaitsForSessionFlush(t *testing.T, shards int) {
+	c, _, sess := startEdge(t, ClusterConfig{TimeScale: 1e-9, Shards: shards})
+	g := &gateConn{entered: make(chan struct{}, 1), open: make(chan struct{})}
+	var once sync.Once
+	open := func() { once.Do(func() { close(g.open) }) }
+	t.Cleanup(open) // a failing run must not leave the worker in Write under c.Stop
+	sess.attach(&peerConn{conn: g})
+
+	p, err := DialPublisher(c.Addr(0), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	publish := func() {
+		t.Helper()
+		if _, err := p.Publish(0, msg.NumAttrs(map[string]float64{"A1": 1}), 0.001, vtime.Hour, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// One publication: once the edge is inside its write everything else
+	// in the cluster has settled, so only the unflushed batch's hold
+	// keeps Quiescent false.
+	publish()
+	select {
+	case <-g.entered:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("the delivery never reached the subscriber's connection:\n%s", c.LoadReport())
+	}
+	for until := time.Now().Add(50 * time.Millisecond); time.Now().Before(until); time.Sleep(time.Millisecond) {
+		if c.Quiescent(1) {
+			t.Fatalf("cluster read quiescent with a delivery still unwritten:\n%s", c.LoadReport())
+		}
+	}
+	open()
+
+	publish()
+	publish()
+	for deadline := time.Now().Add(10 * time.Second); !c.Quiescent(3); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("cluster did not quiesce:\n%s", c.LoadReport())
+		}
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	for want := uint64(1); want <= 3; want++ {
+		ft, body, err := msg.ReadFrame(&g.got)
+		if err != nil || ft != msg.FrameData {
+			t.Fatalf("quiescent, but delivery %d is not on the subscriber's connection (type %d, %v)", want, ft, err)
+		}
+		if seq, _, _, _, _ := msg.DecodeDataHeader(body); seq != want {
+			t.Fatalf("delivery %d carries session sequence %d", want, seq)
+		}
+	}
+}
+
+// TestWorkerFlushesBeforeProcessingSleep gives the edge a processing
+// delay long enough to be slept: the worker must not sit on the first
+// message's delivery while it sleeps out the second's and third's.
+func TestWorkerFlushesBeforeProcessingSleep(t *testing.T) {
+	atShards(t, testWorkerFlushesBeforeProcessingSleep)
+}
+
+func testWorkerFlushesBeforeProcessingSleep(t *testing.T, shards int) {
+	const sleep = 50 * time.Millisecond
+	const scale = 0.002
+	params := core.DefaultParams()
+	params.PD = vtime.FromDuration(sleep) / scale
+	w, r := packetPair(t)
+	c, n, sess := startEdge(t, ClusterConfig{TimeScale: scale, Shards: shards, Params: params})
+	sess.attach(&peerConn{conn: w})
+
+	// A three-message batch: sleep, deliver 1; flush, sleep, deliver 2;
+	// flush, sleep, deliver 3; end of batch. Held to the end, all three
+	// would arrive together.
+	writeAsUpstream(t, c, n, 3)
+	packets := readDataPackets(t, r, 3)
+	wantGaplessRun(t, packets, 1, 3, 3)
+	if gap := packets[2].at.Sub(packets[0].at); gap < 3*sleep/2 {
+		t.Errorf("third delivery came %v after the first, want about two processing sleeps (%v): the first waited out the later sleeps", gap, 2*sleep)
 	}
 }

@@ -31,7 +31,10 @@ import (
 //     enqueueing in parallel, synchronizing only on the per-queue locks
 //     and the striped dedup set inside the broker. Subscription floods
 //     still take the node lock exclusively, parking all workers. Local
-//     deliveries leave through the subscriber's session (session.go).
+//     deliveries are retained in the subscriber's session ring as they
+//     are made and leave when the worker has processed the last message
+//     of its batch: one writev per subscriber per batch (session.go),
+//     the edge's counterpart of the egress burst below.
 //   - Egress: each sender drains its link queue in bursts selected at
 //     one scheduling instant (core.Queue.PopBurstWhile: one score sweep,
 //     the strategy's send order). A burst is a unit of time, not of
@@ -68,7 +71,7 @@ const (
 // messages of the connection whose streams map to that shard. done,
 // when non-nil, is the dispatching connection's outstanding-batch
 // counter, decremented by the worker once the batch is fully processed
-// (the control-frame ordering barrier).
+// and its deliveries flushed (the control-frame ordering barrier).
 type inBatch struct {
 	msgs []*msg.Message
 	done *atomic.Int32
@@ -398,9 +401,23 @@ func (n *Node) admitPub() bool {
 // the scratch process reuses across messages.
 type worker struct {
 	proc  *broker.Processor
-	enc   []byte
 	outs  []sessOut
 	wakes []chan struct{}
+
+	// The message being processed and its FrameData frame (dataFrame).
+	m     *msg.Message
+	epoch uint32 // the node's, fixed for its lifetime
+	enc   []byte
+	frame []byte
+
+	// owed lists the sessions holding deliveries this worker must flush;
+	// held counts the messages processed since the last flush, whose
+	// hold on the node's inflight/dispatched counters that flush
+	// releases. bufs and wv are the flush's writev scratch.
+	owed []*session
+	held int32
+	bufs [][]byte
+	wv   net.Buffers
 }
 
 // sessOut is one local delivery bound for a session.
@@ -409,10 +426,43 @@ type sessOut struct {
 	allowed vtime.Millis
 }
 
-// shardWorker processes its shard's batches.
+// dataFrame returns the FrameData frame of the message being processed,
+// sequence fields zero (each session stamps its own into its ring copy),
+// encoding it on first use — a message delivered only to sessions
+// without a wire is never encoded. Nil when the message cannot be
+// framed: its deliveries are recorded, never written.
+func (w *worker) dataFrame() []byte {
+	if w.frame == nil {
+		frame, err := msg.AppendDataFrame(w.enc[:0], 0, 0, w.epoch, w.m)
+		w.enc = frame[:0]
+		if err != nil {
+			return nil
+		}
+		w.frame = frame
+	}
+	return w.frame
+}
+
+// flush writes what this worker's deliveries left waiting in session
+// rings, one write per session, and only then releases the processed
+// messages' hold on inflight/dispatched: Quiescent and Settled cannot
+// read idle while a ring holds unsent frames.
+func (w *worker) flush(n *Node) {
+	for i, s := range w.owed {
+		s.flush(w)
+		w.owed[i] = nil
+	}
+	w.owed = w.owed[:0]
+	n.dispatched.Add(-w.held)
+	n.inflight.Add(-w.held)
+	w.held = 0
+}
+
+// shardWorker processes its shard's batches, flushing the local
+// deliveries of each batch after its last message.
 func (n *Node) shardWorker(s *shard) {
 	defer n.wg.Done()
-	w := &worker{proc: n.b.NewProcessor()}
+	w := &worker{proc: n.b.NewProcessor(), epoch: n.epoch.Load()}
 	for {
 		select {
 		case <-n.stopped:
@@ -421,6 +471,7 @@ func (n *Node) shardWorker(s *shard) {
 			for _, m := range b.msgs {
 				n.process(w, m)
 			}
+			w.flush(n)
 			b.release()
 		}
 	}
@@ -429,6 +480,8 @@ func (n *Node) shardWorker(s *shard) {
 // process handles one message arrival: processing delay, then the shared
 // broker logic — match, deliver locally, enqueue toward next hops — and
 // finally the wire side-effects (session deliveries, sender wake-ups).
+// The deliveries wait in their sessions' rings, and the message keeps its
+// hold on inflight/dispatched, until the worker's next flush.
 func (n *Node) process(w *worker, m *msg.Message) {
 	// Processing delay, scaled like link delays. A delay too short for a
 	// sleep to resolve is not slept — time.Sleep would round it up to
@@ -438,6 +491,7 @@ func (n *Node) process(w *worker, m *msg.Message) {
 	now := n.clock.Now()
 	if pd := n.b.Params().PD; pd > 0 {
 		if d := vtime.ToDuration(pd * n.cfg.TimeScale); d >= paceQuantum {
+			w.flush(n) // earlier deliveries do not wait out this sleep
 			time.Sleep(d)
 			now = n.clock.Now()
 		} else {
@@ -474,21 +528,14 @@ func (n *Node) process(w *worker, m *msg.Message) {
 	if res.Duplicate {
 		n.count(metrics.Duplicates, 1)
 		m.ReleaseN(links + 1)
-		n.dispatched.Add(-1)
-		n.inflight.Add(-1)
+		w.held++
 		return
 	}
 	n.accountResult(&res)
-	if len(w.outs) > 0 {
-		// One encode per message, sequence fields zero: each session
-		// stamps its own into its ring copy.
-		frame, err := msg.AppendDataFrame(w.enc[:0], 0, 0, n.epoch.Load(), m)
-		w.enc = frame[:0]
-		if err != nil {
-			frame = nil // recorded, never written
-		}
-		for _, o := range w.outs {
-			o.sess.deliver(frame, m.Published, o.allowed)
+	w.m, w.frame = m, nil
+	for _, o := range w.outs {
+		if o.sess.deliver(w, o.allowed) {
+			w.owed = append(w.owed, o.sess)
 		}
 	}
 	// Drop the unused link references and the decode reference; queue
@@ -500,8 +547,7 @@ func (n *Node) process(w *worker, m *msg.Message) {
 		default:
 		}
 	}
-	n.dispatched.Add(-1)
-	n.inflight.Add(-1)
+	w.held++
 }
 
 // accountResult charges a Process result's deliveries and arrival

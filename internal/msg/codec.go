@@ -323,19 +323,19 @@ func DecodeSubscription(body []byte) (*Subscription, error) {
 	return s, nil
 }
 
-// WriteFrame writes one framed body to w.
+// WriteFrame writes one framed body to w, header and body in a single
+// Write: on a TCP_NODELAY socket every Write is a system call and a
+// segment of its own.
 func WriteFrame(w io.Writer, frameType byte, body []byte) error {
 	if len(body) > MaxBodyLen {
 		return fmt.Errorf("%w: body %d bytes", ErrTooLarge, len(body))
 	}
-	hdr := make([]byte, 0, 8)
-	hdr = binary.BigEndian.AppendUint16(hdr, wireMagic)
-	hdr = append(hdr, wireVersion, frameType)
-	hdr = binary.BigEndian.AppendUint32(hdr, uint32(len(body)))
-	if _, err := w.Write(hdr); err != nil {
+	buf := BeginFrame(make([]byte, 0, frameHdrLen+len(body)), frameType)
+	buf = append(buf, body...)
+	if err := EndFrame(buf, 0); err != nil {
 		return err
 	}
-	_, err := w.Write(body)
+	_, err := w.Write(buf)
 	return err
 }
 

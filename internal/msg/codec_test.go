@@ -189,8 +189,22 @@ func TestDecodeSubscriptionTruncated(t *testing.T) {
 	}
 }
 
+// countingWriter counts the Write calls that reach its buffer.
+type countingWriter struct {
+	bytes.Buffer
+	writes int
+}
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.Buffer.Write(p)
+}
+
+// TestFrameRoundTrip writes frames with WriteFrame — one Write each, so
+// a control frame is one system call on a socket — and reads the bytes
+// back unchanged through both readers.
 func TestFrameRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
+	var buf countingWriter
 	body, _ := AppendMessage(nil, sampleMessage())
 	if err := WriteFrame(&buf, FrameMessage, body); err != nil {
 		t.Fatal(err)
@@ -200,17 +214,32 @@ func TestFrameRoundTrip(t *testing.T) {
 	if err := WriteFrame(&buf, FrameSubscribe, sbody); err != nil {
 		t.Fatal(err)
 	}
+	if err := WriteFrame(&buf, FrameAck, nil); err != nil {
+		t.Fatal(err)
+	}
+	if buf.writes != 3 {
+		t.Errorf("3 frames took %d Write calls, want one per frame", buf.writes)
+	}
 
 	ft, b, err := ReadFrame(&buf)
 	if err != nil || ft != FrameMessage || !bytes.Equal(b, body) {
 		t.Fatalf("first frame: type=%d err=%v", ft, err)
 	}
-	ft, b, err = ReadFrame(&buf)
+	fr := NewFrameReader(&buf)
+	var fb FrameBuf
+	ft, b, err = fr.Next(&fb)
 	if err != nil || ft != FrameSubscribe || !bytes.Equal(b, sbody) {
 		t.Fatalf("second frame: type=%d err=%v", ft, err)
 	}
+	ft, b, err = fr.Next(&fb)
+	if err != nil || ft != FrameAck || len(b) != 0 {
+		t.Fatalf("third frame: type=%d body=%d bytes err=%v", ft, len(b), err)
+	}
+	if _, _, err = fr.Next(&fb); err != io.EOF {
+		t.Errorf("FrameReader: clean EOF expected, got %v", err)
+	}
 	if _, _, err = ReadFrame(&buf); err != io.EOF {
-		t.Errorf("clean EOF expected, got %v", err)
+		t.Errorf("ReadFrame: clean EOF expected, got %v", err)
 	}
 }
 

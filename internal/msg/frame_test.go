@@ -191,8 +191,8 @@ func TestFrameReaderRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBeginEndFrame pins the single-buffer frame assembly against the
-// two-write WriteFrame encoding.
+// TestBeginEndFrame pins the append-style frame assembly against the
+// WriteFrame encoding.
 func TestBeginEndFrame(t *testing.T) {
 	body, err := AppendMessage(nil, testMessage(9))
 	if err != nil {
