@@ -22,8 +22,9 @@
 //
 // Loss flags arm the per-link adversary on every arc — the same
 // deterministic loss/dup/reorder model the simulator and the crossval
-// tests use — so the reliable channel (retransmission, dedup, FIFO
-// healing) is exercised at full data-plane rate:
+// tests use. Every link is the same sequenced link with or without them;
+// the flags only give it something to heal (retransmission, dedup, FIFO
+// restoration inside the reorder window) at full data-plane rate:
 //
 //	bdps-loadgen -n 50000 -link-loss 0.1 -link-dup 0.02 -link-reorder 0.05
 //
@@ -76,7 +77,7 @@ func main() {
 
 		linkLoss    = flag.Float64("link-loss", 0, "per-frame loss probability on every link (deterministic adversary)")
 		linkDup     = flag.Float64("link-dup", 0, "per-frame duplication probability on every link")
-		linkReorder = flag.Float64("link-reorder", 0, "per-frame reorder (adjacent swap) probability on every link")
+		linkReorder = flag.Float64("link-reorder", 0, "per-frame reorder (adjacent swap) probability on every link; healed inside the receiver's 64-frame reorder window")
 		duration    = flag.Duration("duration", 5*time.Minute, "run horizon: the cluster must drain within this wall time, and every fault offset must land inside it")
 
 		flashAt    = flag.Duration("flash-at", 200*time.Millisecond, "flash crowd: wall time after the first publish at which the crowd arrives")

@@ -123,8 +123,8 @@ func run(args []string) error {
 
 		linkLoss    = fs.Float64("link-loss", 0, "per-frame loss probability on every link (single mode, both backends)")
 		linkDup     = fs.Float64("link-dup", 0, "per-frame duplication probability on every link (single mode)")
-		linkReorder = fs.Float64("link-reorder", 0, "per-frame reorder probability on every link (single mode)")
-		retry       = fs.String("retry", "aware", "retransmission policy under loss: aware (deadline-aware), blind, off")
+		linkReorder = fs.Float64("link-reorder", 0, "per-frame reorder (adjacent swap) probability on every link; healed inside the receiver's 64-frame reorder window (single mode)")
+		retry       = fs.String("retry", "aware", "retransmission policy under loss: aware (deadline-aware), blind, off (every link is sequenced either way; off removes the retries)")
 
 		killBroker    = fs.String("kill-broker", "", "crash these brokers mid-run, comma-separated ids (single mode)")
 		killAt        = fs.Duration("kill-at", 30*time.Second, "emulated instant at which -kill-broker crashes strike")

@@ -255,10 +255,18 @@ func (q *Queue) PopBurst(s Strategy, now vtime.Millis, p Params, k int, out []*E
 // without giving up the single score sweep. A nil more never cuts.
 func (q *Queue) PopBurstWhile(s Strategy, now vtime.Millis, p Params, k int, out []*Entry, more func(*Entry) bool) ([]*Entry, []Drop) {
 	drops := q.Prune(now, p)
+	return q.selectBurst(s, q.Context(now, p), k, out, more, false), drops
+}
+
+// selectBurst removes up to k entries in score order — best first, or,
+// for ShedWorst, worst first — appending them to out; more is
+// PopBurstWhile's cut. Worst-first is the same selection on negated keys:
+// score → −score and seq → ^seq order the one heap "lowest score first,
+// ties toward the later arrival".
+func (q *Queue) selectBurst(s Strategy, ctx Context, k int, out []*Entry, more func(*Entry) bool, worst bool) []*Entry {
 	if len(q.entries) == 0 || k <= 0 {
-		return out, drops
+		return out
 	}
-	ctx := q.Context(now, p)
 	var score func(e *Entry) float64
 	switch s := s.(type) {
 	case MetricStrategy:
@@ -269,6 +277,11 @@ func (q *Queue) PopBurstWhile(s Strategy, now vtime.Millis, p Params, k int, out
 	case RL:
 		score = func(e *Entry) float64 { return -AvgRemainingLifetime(e, ctx.Now) }
 	default:
+		if worst {
+			// No score to rank by: shed the newest arrivals.
+			score = func(e *Entry) float64 { return -float64(e.Seq) }
+			break
+		}
 		for ; k > 0 && len(q.entries) > 0; k-- {
 			i := s.Pick(q.entries, ctx)
 			if i < 0 || i >= len(q.entries) {
@@ -280,13 +293,18 @@ func (q *Queue) PopBurstWhile(s Strategy, now vtime.Millis, p Params, k int, out
 				break
 			}
 		}
-		return out, drops
+		return out
 	}
 
 	// Score every entry once, heapify, pop the best until k or the cut.
 	h := q.burst[:0]
 	for i, e := range q.entries {
 		h = append(h, burstItem{score: score(e), seq: e.Seq, idx: i})
+	}
+	if worst {
+		for i := range h {
+			h[i].score, h[i].seq = -h[i].score, ^h[i].seq
+		}
 	}
 	q.burst = h
 	for i := len(h)/2 - 1; i >= 0; i-- {
@@ -324,95 +342,21 @@ func (q *Queue) PopBurstWhile(s Strategy, now vtime.Millis, p Params, k int, out
 	for _, i := range taken {
 		q.RemoveAt(i)
 	}
-	return out, drops
+	return out
 }
 
 // ShedWorst removes up to k entries with the lowest scheduling score —
 // the messages least likely to meet their bounds under the active
 // strategy — appending them to out. It is the graceful-degradation
 // counterpart of PopBurst's top-k: the same single score sweep and heap
-// select with the comparison inverted, so an overloaded queue sheds its
-// worst prospects instead of tail-dropping whatever arrived last. Ties
-// shed the later arrival (the freshest backlog goes first), and
-// strategies outside the built-in score forms fall back to shedding the
-// newest arrivals. The caller owns the returned entries: account and
-// Release them.
+// select with the comparison inverted (and no prune), so an overloaded
+// queue sheds its worst prospects instead of tail-dropping whatever
+// arrived last. Ties shed the later arrival (the freshest backlog goes
+// first), and strategies outside the built-in score forms fall back to
+// shedding the newest arrivals. The caller owns the returned entries:
+// account and Release them.
 func (q *Queue) ShedWorst(s Strategy, now vtime.Millis, p Params, k int, out []*Entry) []*Entry {
-	if len(q.entries) == 0 || k <= 0 {
-		return out
-	}
-	ctx := q.Context(now, p)
-	var score func(e *Entry) float64
-	switch s := s.(type) {
-	case MetricStrategy:
-		score = func(e *Entry) float64 { return s.Metric(e, ctx) }
-	case FIFO:
-		score = func(e *Entry) float64 { return -float64(e.Seq) }
-	case RL:
-		score = func(e *Entry) float64 { return -AvgRemainingLifetime(e, ctx.Now) }
-	default:
-		score = func(e *Entry) float64 { return -float64(e.Seq) }
-	}
-	h := q.burst[:0]
-	for i, e := range q.entries {
-		h = append(h, burstItem{score: score(e), seq: e.Seq, idx: i})
-	}
-	q.burst = h
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		shedSiftDown(h, i)
-	}
-	if k > len(h) {
-		k = len(h)
-	}
-	taken := q.taken[:0]
-	for i := 0; i < k; i++ {
-		top := h[0]
-		out = append(out, q.entries[top.idx])
-		taken = append(taken, top.idx)
-		last := len(h) - 1
-		h[0] = h[last]
-		h = h[:last]
-		if len(h) > 0 {
-			shedSiftDown(h, 0)
-		}
-	}
-	q.taken = taken
-	for i := 1; i < len(taken); i++ {
-		for j := i; j > 0 && taken[j] > taken[j-1]; j-- {
-			taken[j], taken[j-1] = taken[j-1], taken[j]
-		}
-	}
-	for _, i := range taken {
-		q.RemoveAt(i)
-	}
-	return out
-}
-
-// shedLess orders ShedWorst's heap: lower score first, ties toward the
-// later arrival.
-func shedLess(a, b burstItem) bool {
-	if a.score != b.score {
-		return a.score < b.score
-	}
-	return a.seq > b.seq
-}
-
-func shedSiftDown(h []burstItem, i int) {
-	for {
-		l := 2*i + 1
-		if l >= len(h) {
-			return
-		}
-		best := l
-		if r := l + 1; r < len(h) && shedLess(h[r], h[l]) {
-			best = r
-		}
-		if !shedLess(h[best], h[i]) {
-			return
-		}
-		h[i], h[best] = h[best], h[i]
-		i = best
-	}
+	return q.selectBurst(s, q.Context(now, p), k, out, nil, true)
 }
 
 func burstLess(a, b burstItem) bool {

@@ -2,8 +2,8 @@
 // small append-only log plus snapshot store recording everything a node
 // must recover to rejoin the overlay warm — its incarnation epoch, the
 // routing entries admitted into its table (subscription, source, next
-// hop, residual-path statistics, renegotiated floor), and the per-link
-// reliable-channel send watermarks.
+// hop, residual-path statistics, renegotiated floor), and the send
+// watermark of every outgoing link.
 //
 // The on-disk format is a flat stream of CRC-framed records:
 //
@@ -62,8 +62,8 @@ type Entry struct {
 }
 
 // State is the recovered content of a store: the last recorded epoch,
-// the live entries in admission order, and the per-peer reliable-channel
-// send watermarks.
+// the live entries in admission order, and the per-peer link send
+// watermarks.
 type State struct {
 	Epoch   uint32
 	Entries []Entry
@@ -306,7 +306,7 @@ func (s *Store) RemoveSub(id msg.SubID) error {
 	return s.append(recUnsub, p[:])
 }
 
-// SetMark records one peer link's reliable-channel send watermark.
+// SetMark records one peer link's send watermark.
 func (s *Store) SetMark(peer msg.NodeID, seq uint64) error {
 	var p [12]byte
 	binary.BigEndian.PutUint32(p[:], uint32(peer))

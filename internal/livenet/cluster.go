@@ -59,8 +59,8 @@ type ClusterConfig struct {
 	// fault model at full rate. Plan deployments derive per-arc
 	// adversaries from the plan's LinkLoss faults instead and ignore it.
 	LinkLoss *runtime.LinkLoss
-	// Reliability tunes the reliable channel in standalone mode (plan
-	// mode takes it from the plan's config).
+	// Reliability tunes retransmission and the reorder window in
+	// standalone mode (plan mode takes it from the plan's config).
 	Reliability runtime.Reliability
 
 	// MaxEgress bounds every node's total output-queue occupancy (see
@@ -195,27 +195,26 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 	for id := 0; id < cfg.Overlay.Graph.N(); id++ {
 		nid := msg.NodeID(id)
 		nc := NodeConfig{
-			ID:          nid,
-			Overlay:     cfg.Overlay,
-			Scenario:    cfg.Scenario,
-			Params:      cfg.Params,
-			Strategy:    cfg.Strategy,
-			TimeScale:   cfg.TimeScale,
-			Seed:        cfg.Seed,
-			Multipath:   cfg.Multipath,
-			Aggregate:   cfg.Aggregate,
-			Clock:       cfg.Clock,
-			Sink:        cfg.Sink,
-			Pacers:      pacers[nid],
-			Loss:        loss[nid],
-			Retry:       retry[nid],
-			AckEvery:    rel.AckEvery,
-			RetxWindow:  rel.Window,
-			Shards:      cfg.Shards,
-			Burst:       cfg.Burst,
-			MaxEgress:   cfg.MaxEgress,
-			Heartbeat:   cfg.Heartbeat,
-			OnPeerEvent: cfg.OnPeerEvent,
+			ID:            nid,
+			Overlay:       cfg.Overlay,
+			Scenario:      cfg.Scenario,
+			Params:        cfg.Params,
+			Strategy:      cfg.Strategy,
+			TimeScale:     cfg.TimeScale,
+			Seed:          cfg.Seed,
+			Multipath:     cfg.Multipath,
+			Aggregate:     cfg.Aggregate,
+			Clock:         cfg.Clock,
+			Sink:          cfg.Sink,
+			Pacers:        pacers[nid],
+			Loss:          loss[nid],
+			Retry:         retry[nid],
+			ReorderWindow: rel.Window,
+			Shards:        cfg.Shards,
+			Burst:         cfg.Burst,
+			MaxEgress:     cfg.MaxEgress,
+			Heartbeat:     cfg.Heartbeat,
+			OnPeerEvent:   cfg.OnPeerEvent,
 		}
 		if cfg.StateRoot != "" {
 			nc.StateDir = filepath.Join(cfg.StateRoot, fmt.Sprintf("broker-%d", id))
@@ -245,7 +244,7 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 	}
 	if cfg.StateRoot != "" {
 		// Deploy-time checkpoint: the WAL a crashed broker recovers is the
-		// deployed routing state plus its reliable-link send watermarks
+		// deployed routing state plus its links' send watermarks
 		// (registered by ConnectPeers just above).
 		for _, n := range c.Nodes {
 			if err := n.CheckpointTable(); err != nil {

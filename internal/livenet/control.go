@@ -111,7 +111,7 @@ func (n *Node) logSub(id msg.SubID) {
 }
 
 // CheckpointTable snapshots the node's full durable state — epoch,
-// every live routing entry and the reliable links' send watermarks —
+// every live routing entry and every link's send watermark —
 // into the store, truncating the incremental log. No-op without a
 // StateDir.
 func (n *Node) CheckpointTable() error {

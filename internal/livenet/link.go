@@ -68,23 +68,22 @@ func (p *peerConn) writeFrame(frameType byte, body []byte) error {
 	return msg.WriteFrame(p.conn, frameType, body)
 }
 
-// writeBuf writes one preassembled frame (header + body in one buffer)
-// with a single syscall.
-func (p *peerConn) writeBuf(frame []byte) error {
+// writeBuf writes preassembled frames (headers and bodies in one
+// contiguous buffer) with a single syscall, returning the bytes written
+// (for partial-failure accounting).
+func (p *peerConn) writeBuf(frames []byte) (int, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if err := p.deadline.arm(p.conn); err != nil {
-		return err
+		return 0, err
 	}
-	_, err := p.conn.Write(frame)
-	return err
+	return p.conn.Write(frames)
 }
 
-// writeBuffers flushes a whole burst of preassembled frames with
-// writev, returning the bytes written (for partial-failure accounting).
-// WriteTo consumes *bufs (the slice header advances and elements are
-// re-sliced); the caller passes a long-lived scratch it rebuilds per
-// burst, so nothing escapes per call.
+// writeBuffers flushes preassembled frames held in several buffers with
+// writev, returning the bytes written. WriteTo consumes *bufs (the slice
+// header advances and elements are re-sliced); the caller passes a
+// long-lived scratch it rebuilds per flush, so nothing escapes per call.
 func (p *peerConn) writeBuffers(bufs *net.Buffers) (int64, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -190,33 +189,19 @@ func (n *Node) ConnectPeers(addrs map[msg.NodeID]string) error {
 				Stream:  stats.DeriveN(n.cfg.Seed, "livenet/link", int(n.cfg.ID)<<16|int(uint16(e.To))),
 			}
 		}
+		// Every link runs the one sender: a nil adversary is a clean link.
+		// A restarted incarnation resumes the link sequence from the
+		// checkpointed watermark (zero without one).
+		ls := &linkSender{lm: n.cfg.Loss[e.To], rp: n.cfg.Retry[e.To]}
+		ls.seq.Store(n.recovered.Marks[e.To])
 		pc := &peerConn{conn: conn}
+		wake := make(chan struct{}, 1)
 		n.mu.Lock()
 		n.peers[e.To] = pc
-		wake := make(chan struct{}, 1)
 		n.wake[e.To] = wake
 		n.estimates[e.To] = &stats.WelfordEstimator{Prior: e.Rate}
+		n.linkSenders[e.To] = ls
 		n.mu.Unlock()
-
-		// A link facing an injected loss adversary runs the reliable
-		// channel: sequence numbers, a bounded retransmit buffer, and an
-		// ack loop reading the cumulative acks the peer sends back on
-		// this connection (nothing else ever reads a dialed link).
-		var ls *linkSender
-		if lm := n.cfg.Loss[e.To]; lm != nil {
-			ls = newLinkSender(lm, n.cfg.Retry[e.To], n.cfg.RetxWindow)
-			// A restarted incarnation resumes the link sequence from the
-			// checkpointed watermark so the receiver's dedup window never
-			// sees a replayed sequence number as fresh.
-			if mark, ok := n.recovered.Marks[e.To]; ok {
-				ls.seq.Store(mark)
-			}
-			n.mu.Lock()
-			n.linkSenders[e.To] = ls
-			n.mu.Unlock()
-			n.wg.Add(1)
-			go n.ackLoop(conn, ls.retx)
-		}
 
 		n.wg.Add(1)
 		go n.senderLoop(e.To, pc, wake, pacer, ls)
@@ -227,10 +212,10 @@ func (n *Node) ConnectPeers(addrs map[msg.NodeID]string) error {
 
 // ReconnectPeer re-dials one overlay neighbor at a new address — a
 // crashed peer reborn on a fresh port — and swaps the link's connection
-// in place: the sender goroutine, pacer, reliable-channel state and
-// per-link counters all survive, only the wire underneath changes. The
-// old connection is closed (its ack reader exits on the dead socket)
-// and, on a reliable link, a new ack reader is started for the new one.
+// in place: the sender goroutine, pacer, link sequence and per-link
+// counters all survive, only the wire underneath changes (the reborn
+// peer's fresh receive cursor follows the first frame's base). The old
+// connection is closed.
 func (n *Node) ReconnectPeer(to msg.NodeID, addr string) error {
 	conn, err := dialRetry(addr, 40, 50*time.Millisecond)
 	if err != nil {
@@ -243,17 +228,12 @@ func (n *Node) ReconnectPeer(to msg.NodeID, addr string) error {
 	}
 	n.mu.Lock()
 	pc := n.peers[to]
-	ls := n.linkSenders[to]
 	n.mu.Unlock()
 	if pc == nil {
 		conn.Close()
 		return fmt.Errorf("livenet: broker %d has no link to %d", n.cfg.ID, to)
 	}
 	pc.swap(conn).Close()
-	if ls != nil {
-		n.wg.Add(1)
-		go n.ackLoop(conn, ls.retx)
-	}
 	return nil
 }
 

@@ -13,6 +13,12 @@
 // model on a wall clock. TimeScale < 1 compresses the emulation for
 // demos, tests and sim↔live cross-validation.
 //
+// There is one broker-to-broker link, the simulator's (reliable.go):
+// every relayed message is a FrameData carrying the link sequence, the
+// sender's lowest still-live sequence and its incarnation epoch, clean
+// link or lossy; FrameMessage is what a publisher hands its ingress
+// broker and nothing else.
+//
 // All scheduling-relevant time flows through one runtime.Clock, so
 // deadline math never touches time.Now directly. The default clock is
 // the absolute wall clock (Unix epoch, scale 1) that standalone
@@ -89,17 +95,16 @@ type NodeConfig struct {
 	Pacers map[msg.NodeID]Pacer
 
 	// Loss maps outgoing links to the injected LinkLoss adversary each
-	// faces; links without an entry (or a nil map) stay on the plain
-	// message path. Retry supplies each lossy link's retransmission
-	// policy. Both are derived from the plan's deterministic link
-	// enumeration so live links face the simulator's exact adversary.
+	// faces; links without an entry (or a nil map) are clean — the same
+	// link with nothing to resolve. Retry supplies each lossy link's
+	// retransmission policy. Both are derived from the plan's
+	// deterministic link enumeration so live links face the simulator's
+	// exact adversary.
 	Loss  map[msg.NodeID]*runtime.LossModel
 	Retry map[msg.NodeID]runtime.RetryPolicy
-	// AckEvery is the cumulative-ack cadence of reliable inbound links
-	// (data frames per ack); RetxWindow bounds the per-link retransmit
-	// buffer and the reorder-heal buffer. Reliability defaults when ≤ 0.
-	AckEvery   int
-	RetxWindow int
+	// ReorderWindow bounds each inbound link's reorder-heal buffer, in
+	// frames (Reliability.Window; its default when ≤ 0).
+	ReorderWindow int
 
 	// Heartbeat enables per-link failure detection (heartbeat.go); the
 	// zero value disables it.
@@ -157,7 +162,7 @@ type Node struct {
 	sink  runtime.Sink
 
 	// epoch is this broker incarnation's number, stamped into every
-	// Hello, heartbeat and reliable data frame the node sends. A
+	// Hello, heartbeat and data frame the node sends. A
 	// restarted broker runs at stored epoch + 1, so receivers can tell
 	// frames of the dead incarnation — still sitting in kernel buffers
 	// or mid-flight — from the live one's.
@@ -177,7 +182,7 @@ type Node struct {
 	storeOnce sync.Once
 	recovered durable.State
 	restarted bool
-	// linkSenders indexes each reliable outgoing link's sender state so
+	// linkSenders indexes each outgoing link's sender state so
 	// checkpoints can snapshot the send watermarks (guarded by mu).
 	linkSenders map[msg.NodeID]*linkSender
 

@@ -17,15 +17,18 @@ import (
 
 // arrival is one data-carrying frame as the recording peer saw it.
 type arrival struct {
-	at  time.Time
-	id  msg.ID
-	seq uint64 // link sequence (reliable links; 0 on the plain path)
+	at time.Time
+	id msg.ID
+	ft byte // frame type: FrameData on every broker link
+	// The link header: sequence, lowest still-live sequence, sender epoch.
+	seq, base uint64
+	epoch     uint32
 }
 
 // recordingPeer stands in for broker 1: it accepts the link node 0
-// dials, and timestamps every frame that carries a message (plain
-// FrameMessage, or the reliable channel's FrameData; mangled drops and
-// control frames are read and ignored).
+// dials, and timestamps every frame that carries a message (mangled
+// drops and control frames are read and ignored). It never writes: a
+// dialed link is one-way.
 type recordingPeer struct {
 	ln net.Listener
 	ch chan arrival
@@ -50,12 +53,12 @@ func newRecordingPeer(t *testing.T) *recordingPeer {
 			if err != nil {
 				return
 			}
-			a := arrival{at: time.Now()}
+			a := arrival{at: time.Now(), ft: ft}
 			switch ft {
 			case msg.FrameMessage:
 			case msg.FrameData:
 				var derr error
-				if a.seq, _, _, body, derr = msg.DecodeDataHeader(body); derr != nil {
+				if a.seq, a.base, a.epoch, body, derr = msg.DecodeDataHeader(body); derr != nil {
 					continue
 				}
 			default:
@@ -88,23 +91,26 @@ func (p *recordingPeer) next(t *testing.T) arrival {
 // tighter bound outranks the backlog whenever it is there to be picked.
 func pacedSender(t *testing.T, timeScale float64, loss *runtime.LinkLoss) (*Node, *recordingPeer, *Publisher) {
 	t.Helper()
-	g := topology.NewGraph(2)
-	if err := g.AddLink(0, 1, stats.Normal{Mean: 100, Sigma: 2}); err != nil {
-		t.Fatal(err)
-	}
-	cfg := NodeConfig{
-		ID:        0,
-		Overlay:   &topology.Overlay{Graph: g, Ingress: []msg.NodeID{0}, Edges: []msg.NodeID{1}},
-		Scenario:  msg.PSD,
-		Strategy:  core.RL{},
-		TimeScale: timeScale,
-		Seed:      1,
-		Shards:    2,
-	}
+	cfg := NodeConfig{TimeScale: timeScale}
 	if loss != nil {
 		cfg.Loss = map[msg.NodeID]*runtime.LossModel{1: runtime.NewLossModel(1, 0, *loss)}
 		cfg.Retry = map[msg.NodeID]runtime.RetryPolicy{1: {Enabled: true, MaxAttempts: 8}}
 	}
+	return linkSenderNode(t, cfg)
+}
+
+// linkSenderNode completes cfg into node 0 of a two-broker overlay,
+// links it to a recording peer, subscribes the peer's side to everything
+// and attaches a publisher.
+func linkSenderNode(t *testing.T, cfg NodeConfig) (*Node, *recordingPeer, *Publisher) {
+	t.Helper()
+	g := topology.NewGraph(2)
+	if err := g.AddLink(0, 1, stats.Normal{Mean: 100, Sigma: 2}); err != nil {
+		t.Fatal(err)
+	}
+	cfg.ID = 0
+	cfg.Overlay = &topology.Overlay{Graph: g, Ingress: []msg.NodeID{0}, Edges: []msg.NodeID{1}}
+	cfg.Scenario, cfg.Strategy, cfg.Seed, cfg.Shards = msg.PSD, core.RL{}, 1, 2
 	n, err := NewNode(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -171,9 +177,9 @@ func observations(t *testing.T, n *Node) int {
 // transfer apart, every transfer is observed on its own by the link
 // estimator, and a message with a tighter bound that shows up mid-drain
 // is picked at the very next transfer instead of after the backlog. The
-// same shape must hold through the reliable channel of a lossy link,
-// where a transfer is a whole resolved chain (every lost attempt paced
-// and written as a mangled drop).
+// same shape must hold on a lossy link, where a transfer is a whole
+// resolved chain (every lost attempt paced and written as a mangled
+// drop).
 func TestShardedSenderPacesTransfers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock paced transfers")
@@ -186,7 +192,7 @@ func TestShardedSenderPacesTransfers(t *testing.T) {
 		name string
 		loss *runtime.LinkLoss
 	}{
-		{"plain", nil},
+		{"plain", nil}, // a clean link: no adversary
 		{"lossy", &runtime.LinkLoss{Rate: 0.25, Dup: 0.1}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,8 +1,6 @@
 package livenet
 
 import (
-	"net"
-	"sync"
 	"sync/atomic"
 
 	"bdps/internal/core"
@@ -12,32 +10,34 @@ import (
 	"bdps/internal/vtime"
 )
 
-// This file is the live half of the reliable per-link channel that heals
-// the LinkLoss adversary (internal/runtime/loss.go). The adversary's
-// decisions are resolved at the sender, synchronously, against the same
-// (seed, link, seq, attempt) hash the simulator keys — but unlike the
-// simulator, every attempt actually travels: a lost transmission goes out
-// with its frame-type byte mangled to FrameDataDrop (the frame-mangling
-// shim — the receiver counts the arrival for the wire totals and discards
-// it), a retransmission is a real re-write of the buffered frame, and the
-// delivering attempt goes out as FrameData carrying the link sequence
-// numbers the receiving end's dedup/reorder state consumes. Cumulative
-// acks flow back on the same connection and trim the bounded retransmit
-// buffer.
+// This file is the live broker-to-broker link, the same link the
+// simulator runs (simnet's link): every relayed message is a FrameData
+// carrying the link sequence number, the sender's lowest still-live
+// sequence (base) and its incarnation epoch, and runs through the shared
+// dedup/reorder state (runtime.RecvState) at the receiving end. A link
+// facing a LinkLoss adversary (internal/runtime/loss.go) differs only in
+// what runtime.ResolveSend answers: the adversary's decisions are resolved
+// at the sender, synchronously, against the same (seed, link, seq, attempt)
+// hash the simulator keys — but unlike the simulator, every attempt
+// actually travels: a lost transmission goes out with its frame-type byte
+// mangled to FrameDataDrop (the frame-mangling shim — the receiver counts
+// the arrival for the wire totals and discards it), a retransmission is a
+// second copy in the same burst, and the delivering attempt goes out
+// clean. A clean link (nil adversary) resolves every frame to one
+// delivering attempt. Nothing flows back on a link: the sender learns of a
+// dead neighbor from its failed write.
 
-// linkSender is one outgoing link's reliable-channel sender state: the
-// adversary and retry policy the plan resolved for this arc, the link
-// sequence counter (owned by the sender goroutine), the bounded
-// retransmit buffer (shared with the link's ack loop), and reusable
-// encode scratch.
+// linkSender is one outgoing link's sender state: the adversary (nil on a
+// clean link) and retry policy the plan resolved for this arc, the link
+// sequence counter (owned by the sender goroutine), and reusable encode
+// scratch.
 type linkSender struct {
 	lm *runtime.LossModel
 	rp runtime.RetryPolicy
 	// seq is the link sequence counter. Incremented only by the sender
 	// goroutine; atomic so durable checkpoints can snapshot it as the
 	// link's send watermark without stopping the sender.
-	seq  atomic.Uint64
-	retx *retxBuf
+	seq atomic.Uint64
 
 	// Burst scratch (owned by the sender goroutine).
 	chains []burstChain
@@ -46,90 +46,10 @@ type linkSender struct {
 	burst  []byte
 }
 
-func newLinkSender(lm *runtime.LossModel, rp runtime.RetryPolicy, window int) *linkSender {
-	return &linkSender{lm: lm, rp: rp, retx: newRetxBuf(window)}
-}
-
 // next allocates the next link sequence number (first frame is 1, the
 // receiver cursor's initial expectation).
 func (ls *linkSender) next() uint64 {
 	return ls.seq.Add(1)
-}
-
-// retxBuf is the bounded per-link retransmit buffer: encoded FrameData
-// frames by sequence, trimmed by the peer's cumulative acks, oldest
-// evicted when the window fills. With head-of-line retries a frame is
-// only retransmitted while it is the newest entry, so eviction can only
-// ever touch frames already delivered and merely awaiting their ack.
-type retxBuf struct {
-	mu     sync.Mutex
-	frames map[uint64][]byte
-	limit  int
-}
-
-func newRetxBuf(limit int) *retxBuf {
-	if limit <= 0 {
-		limit = 64
-	}
-	return &retxBuf{frames: make(map[uint64][]byte, limit), limit: limit}
-}
-
-// add stores one encoded frame (copied: callers reuse their encode
-// scratch), evicting the lowest sequence when the buffer is full.
-func (b *retxBuf) add(seq uint64, frame []byte) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if len(b.frames) >= b.limit {
-		low := seq
-		for s := range b.frames {
-			if s < low {
-				low = s
-			}
-		}
-		delete(b.frames, low)
-	}
-	b.frames[seq] = append(b.frames[seq][:0], frame...)
-}
-
-// ack trims every frame at or below the cumulative sequence.
-func (b *retxBuf) ack(cum uint64) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for s := range b.frames {
-		if s <= cum {
-			delete(b.frames, s)
-		}
-	}
-}
-
-// len reports the buffered frame count.
-func (b *retxBuf) len() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.frames)
-}
-
-// ackLoop reads the dialing side of one reliable broker link: the only
-// frames the peer sends back on it are cumulative acks, which trim the
-// retransmit buffer. It exits when the connection closes — Stop closes
-// every peer connection, so pending per-link state dies with the node.
-func (n *Node) ackLoop(conn net.Conn, rb *retxBuf) {
-	defer n.wg.Done()
-	fr := msg.NewFrameReader(conn)
-	fb := msg.GetFrameBuf()
-	defer fb.Release()
-	for {
-		ft, body, err := fr.Next(fb)
-		if err != nil {
-			return
-		}
-		if ft != msg.FrameAck {
-			continue
-		}
-		if cum, aerr := msg.DecodeAck(body); aerr == nil {
-			rb.ack(cum)
-		}
-	}
 }
 
 // accountChain charges one resolved send chain to the node counters and
@@ -239,7 +159,7 @@ func orderBurst(ls *linkSender) {
 
 // writeBurstReliable assembles every chain's wire frames — drops mangled,
 // the delivering copy and its duplicate clean — into one contiguous
-// buffer, in delivery order, and flushes it with a single syscall. On a
+// buffer, in delivery order, and flushes it with a single write. On a
 // partial write it counts the frames that fully left the node and charges
 // each chain whose delivering frame died to the dead neighbor.
 func (n *Node) writeBurstReliable(pc *peerConn, ls *linkSender) {
@@ -256,7 +176,6 @@ func (n *Node) writeBurstReliable(pc *peerConn, ls *linkSender) {
 			continue
 		}
 		flen := len(frame) - start
-		ls.retx.add(c.seq, frame[start:]) // buffer the clean copy
 		drops := c.out.Attempts - 1
 		if !c.out.Deliver {
 			drops = c.out.Attempts
@@ -275,8 +194,7 @@ func (n *Node) writeBurstReliable(pc *peerConn, ls *linkSender) {
 	if len(buf) == 0 {
 		return
 	}
-	wv := net.Buffers{buf}
-	written, err := pc.writeBuffers(&wv)
+	written, err := pc.writeBuf(buf)
 	if err == nil {
 		total := 0
 		for _, mt := range metas {
@@ -288,14 +206,7 @@ func (n *Node) writeBurstReliable(pc *peerConn, ls *linkSender) {
 	var sent int64
 	lost := 0
 	for _, mt := range metas {
-		gotBytes := written - int64(mt.off)
-		if gotBytes < 0 {
-			gotBytes = 0
-		}
-		got := int(gotBytes) / mt.flen
-		if got > mt.frames {
-			got = mt.frames
-		}
+		got := min(max(written-mt.off, 0)/mt.flen, mt.frames)
 		sent += int64(got)
 		if mt.deliver && got <= mt.drops {
 			lost++
@@ -307,31 +218,17 @@ func (n *Node) writeBurstReliable(pc *peerConn, ls *linkSender) {
 	}
 }
 
-// recvLink is the receiving end of one reliable inbound link: the shared
-// dedup/reorder state both backends run, plus the cumulative-ack cadence
-// back toward the sender.
+// recvLink is the receiving end of one inbound broker link: the shared
+// dedup/reorder state both backends run, plus the delivery scratch.
 type recvLink struct {
 	rs      *runtime.RecvState
-	peer    *peerConn
-	every   int
-	since   int
-	ackBuf  []byte
 	deliver []*msg.Message
-}
-
-func (n *Node) newRecvLink(peer *peerConn) *recvLink {
-	every := n.cfg.AckEvery
-	if every <= 0 {
-		every = 16
-	}
-	return &recvLink{rs: runtime.NewRecvState(n.cfg.RetxWindow), peer: peer, every: every}
 }
 
 // accept runs one arriving data frame through the link state and returns
 // the messages now deliverable in order. A suppressed duplicate is
 // released here (and its inflight hold dropped); a buffered out-of-order
-// frame keeps its hold until it drains. Every AckEvery frames a
-// cumulative ack flows back so the sender can trim its retransmit buffer.
+// frame keeps its hold until it drains.
 func (rl *recvLink) accept(n *Node, seq, base uint64, m *msg.Message) []*msg.Message {
 	out, dup, healed := rl.rs.Accept(seq, base, m, rl.deliver[:0])
 	rl.deliver = out
@@ -342,12 +239,6 @@ func (rl *recvLink) accept(n *Node, seq, base uint64, m *msg.Message) []*msg.Mes
 	}
 	if healed > 0 {
 		n.count(metrics.ReorderedHealed, healed)
-	}
-	rl.since++
-	if rl.since >= rl.every {
-		rl.since = 0
-		rl.ackBuf = msg.AppendAck(rl.ackBuf[:0], rl.rs.CumAck())
-		_ = rl.peer.writeFrame(msg.FrameAck, rl.ackBuf) // dead dialers are fine
 	}
 	return rl.deliver
 }

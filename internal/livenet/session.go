@@ -183,7 +183,7 @@ func (s *session) flushLocked(w *worker) {
 	switch len(w.bufs) {
 	case 0:
 	case 1:
-		_ = s.peer.writeBuf(w.bufs[0])
+		_, _ = s.peer.writeBuf(w.bufs[0])
 	default:
 		w.wv = net.Buffers(w.bufs)
 		_, _ = s.peer.writeBuffers(&w.wv)
@@ -221,7 +221,10 @@ func (s *session) replay(to *peerConn, after uint64, now vtime.Millis) (replayed
 			}
 			// A failed write means the reconnect died already; the next
 			// resume replays.
-			dead = dead || to.writeBuf(d.frame) != nil
+			if !dead {
+				_, err := to.writeBuf(d.frame)
+				dead = err != nil
+			}
 		}
 		replayed++
 	}

@@ -597,7 +597,7 @@ func edgeMessage(n *Node, i int) *msg.Message {
 }
 
 // writeAsUpstream plays broker 1 toward the edge: a broker hello, then
-// the k publications as message frames in a single conn.Write, which the
+// the k publications as link data frames in a single conn.Write, which the
 // edge's read loop takes in with one read and hands to one worker as one
 // batch.
 func writeAsUpstream(t *testing.T, c *Cluster, n *Node, k int) net.Conn {
@@ -612,7 +612,7 @@ func writeAsUpstream(t *testing.T, c *Cluster, n *Node, k int) net.Conn {
 	}
 	var buf []byte
 	for i := 0; i < k; i++ {
-		if buf, err = msg.AppendMessageFrame(buf, edgeMessage(n, i)); err != nil {
+		if buf, err = msg.AppendDataFrame(buf, uint64(i+1), uint64(i+1), 0, edgeMessage(n, i)); err != nil {
 			t.Fatal(err)
 		}
 	}

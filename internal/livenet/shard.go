@@ -42,11 +42,12 @@ import (
 //     (size × rate, the paper's per-KB link model), and the burst ends
 //     as soon as that accumulated time is something a timer can resolve
 //     (paceQuantum) — or at the Burst cap. The sender sleeps the burst's
-//     transfer time, then flushes it with one writev. So a paced link
-//     sends one pick per transfer, as the simulator does, and whatever
-//     arrives during a transfer is scheduled against the backlog at the
-//     next pick; an unpaced link, whose transfer times never add up to
-//     the quantum, keeps bursting to the cap.
+//     transfer time, then flushes it with one write (reliable.go: the
+//     one link path, clean or lossy). So a paced link sends one pick per
+//     transfer, as the simulator does, and whatever arrives during a
+//     transfer is scheduled against the backlog at the next pick; an
+//     unpaced link, whose transfer times never add up to the quantum,
+//     keeps bursting to the cap.
 type shard struct {
 	ch chan *inBatch
 }
@@ -107,8 +108,10 @@ func (n *Node) startShards(k int) {
 }
 
 // readLoop consumes frames from one inbound connection: the hello
-// handshake, then message frames decoded zero-copy into pooled messages
-// and batched toward the shard workers. Control frames (subscribe,
+// handshake, then message frames — a publisher's FrameMessage, a neighbor
+// broker's FrameData through the link's stale-epoch check and
+// dedup/reorder state — decoded zero-copy into pooled messages and
+// batched toward the shard workers. Control frames (subscribe,
 // unsubscribe, resume) first wait until the workers have processed
 // everything this connection dispatched, so control never overtakes the
 // data queued ahead of it, then run inline.
@@ -140,9 +143,12 @@ func (n *Node) readLoop(conn net.Conn) {
 	var dec msg.Decoder
 	pend := make([]*inBatch, len(n.shards))
 	pending := 0
-	// rl is the reliable-channel receiving state of this link, created
-	// lazily on the first data frame (clean links never pay for it).
+	// rl is the receiving state of a broker link (client connections
+	// carry no link frames).
 	var rl *recvLink
+	if role == msg.RoleBroker {
+		rl = &recvLink{rs: runtime.NewRecvState(n.cfg.ReorderWindow)}
+	}
 	// outstanding counts this connection's batches dispatched but not
 	// yet fully processed by their workers; control frames wait for it
 	// to reach zero so they cannot overtake the data queued behind them.
@@ -241,6 +247,10 @@ func (n *Node) readLoop(conn net.Conn) {
 		// idle flush below the switch.
 		switch ft {
 		case msg.FrameMessage:
+			if role != msg.RolePublisher {
+				fb.Release() // brokers relay FrameData; subscribers publish nothing
+				break
+			}
 			m := msg.GetMessage()
 			took, derr := dec.DecodeMessageInto(m, body, fb)
 			if !took {
@@ -250,12 +260,12 @@ func (n *Node) readLoop(conn net.Conn) {
 				m.Release() // tolerate one corrupt frame; connection survives
 				break
 			}
-			if role == msg.RolePublisher && m.Ingress != n.cfg.ID {
+			if m.Ingress != n.cfg.ID {
 				// Publishers must publish through their ingress broker.
 				m.Release()
 				break
 			}
-			if role == msg.RolePublisher && !n.admitPub() {
+			if !n.admitPub() {
 				// Rejected at the door: the frame still counts as accepted
 				// (quiescence compares recvPubs against injected frames).
 				n.recvPubs.Add(1)
@@ -263,16 +273,11 @@ func (n *Node) readLoop(conn net.Conn) {
 				break
 			}
 			stage(m)
-			// inflight rises before the receive counters so a quiescence
+			// inflight rises before the receive counter so a quiescence
 			// poll can never observe the counters settled while this
 			// message still awaits its worker.
 			n.inflight.Add(1)
-			switch role {
-			case msg.RolePublisher:
-				n.recvPubs.Add(1)
-			case msg.RoleBroker:
-				n.recvPeers.Add(1)
-			}
+			n.recvPubs.Add(1)
 		case msg.FrameData:
 			if role != msg.RoleBroker {
 				fb.Release()
@@ -305,9 +310,6 @@ func (n *Node) readLoop(conn net.Conn) {
 			// true while a gap is still being healed.
 			n.inflight.Add(1)
 			n.recvPeers.Add(1)
-			if rl == nil {
-				rl = n.newRecvLink(peer)
-			}
 			// Messages come back in restored FIFO order and batch toward
 			// the shard workers in that order, preserving the per-stream
 			// delivery ordering.
@@ -365,7 +367,7 @@ func (n *Node) readLoop(conn net.Conn) {
 			}
 			fb.Release()
 		default:
-			fb.Release() // FrameAck, FrameHello: ignored
+			fb.Release() // a repeated FrameHello, an unknown type: ignored
 		}
 		// The idle flush: dispatch what has accumulated once the batch cap
 		// is reached or the connection's buffer runs dry — the next Next
@@ -631,39 +633,31 @@ func (p *Pacer) wait(d time.Duration, stopped <-chan struct{}) bool {
 // senderLoop drains one link's queue in bursts: select entries by
 // strategy at one scheduling instant until their accumulated transfer
 // time reaches paceQuantum (or the Burst cap), sleep that transfer time,
-// flush the burst with one writev. Injected link outages park the loop
-// until the link comes back up. A non-nil linkSender routes each burst
-// through the reliable channel: chains resolved against the adversary as
-// the entries are selected, every attempt paced and written (lost ones
-// mangled), the whole burst still leaving in one syscall.
+// flush the burst with one write. Injected link outages park the loop
+// until the link comes back up. Every burst goes through the link's
+// linkSender (reliable.go): chains resolved against the adversary as the
+// entries are selected — one delivering attempt each on a clean link —
+// every attempt paced and written (lost ones mangled), the whole burst
+// leaving in one syscall.
 func (n *Node) senderLoop(to msg.NodeID, pc *peerConn, wake chan struct{}, pacer Pacer, ls *linkSender) {
 	defer n.wg.Done()
 	q := n.b.Queue(to)
 	burst := n.burst
 	entries := make([]*core.Entry, 0, burst)
-	bufs := make([][]byte, burst) // per-slot reusable frame buffers
-	lens := make([]int, 0, burst)
-	frames := make([][]byte, 0, burst)
-	var wv net.Buffers // reusable writev view over frames (consumed per burst)
 
 	// The burst being selected: its scheduling instant, and the link time
 	// (emulated ms) and wire volume (KB) of the entries taken so far.
 	// more is PopBurstWhile's cut — it charges each entry, in send order,
-	// one rate sample (on a lossy link: its whole resolved chain, one
-	// sample per attempt and per duplicated copy) and lets the burst
-	// grow only while the transfer time it adds up to is still below
-	// what a pacing sleep can resolve. Entries past the cut stay queued.
+	// its whole resolved chain (one rate sample per attempt and per
+	// duplicated copy; on a clean link, one) and lets the burst grow only
+	// while the transfer time it adds up to is still below what a pacing
+	// sleep can resolve. Entries past the cut stay queued.
 	var (
 		now    vtime.Millis
 		tx, kb float64
 	)
 	more := func(e *core.Entry) bool {
-		etx, ekb, swap := e.SizeKB, e.SizeKB, false
-		if ls != nil {
-			etx, ekb, swap = ls.resolve(e, &pacer, now)
-		} else {
-			etx *= pacer.Sampler.Sample(pacer.Stream)
-		}
+		etx, ekb, swap := ls.resolve(e, &pacer, now)
 		tx += etx
 		kb += ekb
 		return swap || vtime.ToDuration(tx*n.cfg.TimeScale) < paceQuantum
@@ -687,9 +681,7 @@ func (n *Node) senderLoop(to msg.NodeID, pc *peerConn, wake chan struct{}, pacer
 		// where k sequential Picks would rescan the queue per message.
 		strategy, params := n.b.Strategy(), n.b.Params()
 		now, tx, kb = n.clock.Now(), 0, 0
-		if ls != nil {
-			ls.chains = ls.chains[:0]
-		}
+		ls.chains = ls.chains[:0]
 		q.Lock()
 		var drops []core.Drop
 		entries, drops = q.PopBurstWhile(strategy, now, params, burst, entries[:0], more)
@@ -727,49 +719,11 @@ func (n *Node) senderLoop(to msg.NodeID, pc *peerConn, wake chan struct{}, pacer
 			return
 		}
 
-		if ls != nil {
-			orderBurst(ls)
-			for i := range ls.chains {
-				n.accountChain(&ls.chains[i].out)
-			}
-			n.writeBurstReliable(pc, ls)
-		} else {
-			frames = frames[:0]
-			lens = lens[:0]
-			ok := 0
-			for _, e := range entries {
-				m := e.Data.(*msg.Message)
-				b, err := msg.AppendMessageFrame(bufs[ok][:0], m)
-				if err != nil {
-					continue // oversized re-encode cannot happen for decoded frames
-				}
-				bufs[ok] = b
-				frames = append(frames, b)
-				lens = append(lens, len(b))
-				ok++
-			}
-			wv = net.Buffers(frames)
-			written, err := pc.writeBuffers(&wv)
-			if err == nil {
-				n.sentPeers.Add(int64(ok))
-			} else {
-				// Count the frames that fully left the node; the rest died
-				// at a dead (crashed or stopped) neighbor.
-				sent := 0
-				var cum int64
-				for _, l := range lens {
-					if cum+int64(l) > written {
-						break
-					}
-					cum += int64(l)
-					sent++
-				}
-				n.sentPeers.Add(int64(sent))
-				if failed := ok - sent; failed > 0 {
-					n.count(metrics.DropsCrashed, failed)
-				}
-			}
+		orderBurst(ls)
+		for i := range ls.chains {
+			n.accountChain(&ls.chains[i].out)
 		}
+		n.writeBurstReliable(pc, ls)
 		for _, e := range entries {
 			releaseEntry(e)
 		}

@@ -175,7 +175,7 @@ func TestReadLoopFlushesBehindSkippedFrame(t *testing.T) {
 	}
 	var wire []byte
 	for i := uint32(0); i < 2; i++ {
-		wire, err = msg.AppendMessageFrame(wire, &msg.Message{
+		wire, err = msg.AppendDataFrame(wire, uint64(i+1), uint64(i+1), 0, &msg.Message{
 			ID: msg.MakeID(0, i), Publisher: 0, Ingress: 0,
 			Published: c.Clock().Now(), Allowed: 60 * vtime.Second, SizeKB: 1,
 			Attrs: msg.NumAttrs(map[string]float64{"A1": 1}),

@@ -316,7 +316,7 @@ func (d *deployment) armChurn() {
 					return
 				}
 			}
-			node := d.cluster.Nodes[ev.Sub.Edge]
+			node := d.cluster.Node(ev.Sub.Edge)
 			if node == nil {
 				continue
 			}

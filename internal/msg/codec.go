@@ -23,16 +23,16 @@ import (
 
 // Frame type identifiers.
 const (
-	FrameMessage     = 0x01
-	FrameSubscribe   = 0x02
-	FrameAck         = 0x03
+	FrameMessage     = 0x01 // publisher → ingress broker only
+	FrameSubscribe   = 0x02 // 0x03 is reserved (a retired link ack)
 	FrameHello       = 0x04
 	FrameUnsubscribe = 0x05
 	FrameHeartbeat   = 0x06
-	// FrameData carries a message on a reliable broker-to-broker link:
-	// seq(8) base(8) message. seq is the link-local sequence number; base
-	// is the sender's lowest still-live sequence (the receiver must not
-	// wait for anything below it).
+	// FrameData carries a message on a broker-to-broker link (and, with
+	// per-session sequence numbers, from an edge broker to a subscriber):
+	// seq(8) base(8) epoch(4) message. seq is the link-local sequence
+	// number; base is the sender's lowest still-live sequence (the
+	// receiver must not wait for anything below it).
 	FrameData = 0x07
 	// FrameDataDrop is a FrameData the injected loss shim mangled in
 	// flight: same body, delivered only so the wire totals balance, then
@@ -114,7 +114,7 @@ func DecodeUnsubscribe(body []byte) (SubID, error) {
 // message encoding: seq(8) base(8) epoch(4).
 const DataHdrLen = 20
 
-// AppendDataHeader appends the reliable-link data prefix: seq(8) base(8)
+// AppendDataHeader appends the link data prefix: seq(8) base(8)
 // epoch(4). The message body encoding (AppendMessage) follows it. The
 // epoch is the sender's incarnation; a receiver that has heard a newer
 // incarnation of the same peer rejects the frame as stale.
@@ -158,20 +158,6 @@ func DecodeResume(body []byte) (sub SubID, lastSeq uint64, err error) {
 		return 0, 0, fmt.Errorf("%w: resume body %d bytes", ErrCorrupt, len(body))
 	}
 	return SubID(binary.BigEndian.Uint32(body)), binary.BigEndian.Uint64(body[4:]), nil
-}
-
-// AppendAck appends a cumulative-ack body: every sequence ≤ cum has been
-// accepted by the receiver, so the sender may trim its retransmit buffer.
-func AppendAck(dst []byte, cum uint64) []byte {
-	return binary.BigEndian.AppendUint64(dst, cum)
-}
-
-// DecodeAck parses a cumulative-ack body.
-func DecodeAck(body []byte) (uint64, error) {
-	if len(body) != 8 {
-		return 0, fmt.Errorf("%w: ack body %d bytes", ErrCorrupt, len(body))
-	}
-	return binary.BigEndian.Uint64(body), nil
 }
 
 // Codec limits.

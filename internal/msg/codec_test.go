@@ -214,7 +214,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	if err := WriteFrame(&buf, FrameSubscribe, sbody); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteFrame(&buf, FrameAck, nil); err != nil {
+	if err := WriteFrame(&buf, FrameHeartbeat, nil); err != nil {
 		t.Fatal(err)
 	}
 	if buf.writes != 3 {
@@ -232,7 +232,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		t.Fatalf("second frame: type=%d err=%v", ft, err)
 	}
 	ft, b, err = fr.Next(&fb)
-	if err != nil || ft != FrameAck || len(b) != 0 {
+	if err != nil || ft != FrameHeartbeat || len(b) != 0 {
 		t.Fatalf("third frame: type=%d body=%d bytes err=%v", ft, len(b), err)
 	}
 	if _, _, err = fr.Next(&fb); err != io.EOF {
@@ -252,7 +252,7 @@ func TestReadFrameBadMagic(t *testing.T) {
 
 func TestReadFrameBadVersion(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, FrameAck, nil); err != nil {
+	if err := WriteFrame(&buf, FrameHeartbeat, nil); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()

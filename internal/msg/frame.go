@@ -137,8 +137,7 @@ func EndFrame(buf []byte, start int) error {
 }
 
 // AppendMessageFrame assembles one complete message frame (header +
-// body) into dst — the reusable-buffer encoder of the batched egress
-// path.
+// body) into dst — the publisher's reusable-buffer encoder.
 func AppendMessageFrame(dst []byte, m *Message) ([]byte, error) {
 	start := len(dst)
 	dst = BeginFrame(dst, FrameMessage)
@@ -152,10 +151,9 @@ func AppendMessageFrame(dst []byte, m *Message) ([]byte, error) {
 	return dst, nil
 }
 
-// AppendDataFrame assembles one complete reliable-link data frame
-// (header + seq/base/epoch prefix + message body) into dst — the
-// FrameData counterpart of AppendMessageFrame for the batched egress
-// path.
+// AppendDataFrame assembles one complete link data frame (header +
+// seq/base/epoch prefix + message body) into dst — what every broker
+// writes to a neighbor or a subscriber, into a reusable burst buffer.
 func AppendDataFrame(dst []byte, seq, base uint64, epoch uint32, m *Message) ([]byte, error) {
 	start := len(dst)
 	dst = BeginFrame(dst, FrameData)

@@ -51,16 +51,17 @@ func FuzzCodec(f *testing.F) {
 	f.Add(AppendHello(nil, RoleBroker, 4, 2))
 	f.Add(AppendResume(nil, 9, 41))
 	f.Add(AppendUnsubscribe(nil, 9))
-	// Reliable-channel frames: a full data frame (seq/base header wrapping
-	// a message body), a bare data header, a cumulative ack, and two
-	// malformed variants — base above seq, and a truncated header.
+	// Link frames: a full data frame (seq/base header wrapping a message
+	// body), a bare data header, a frame of the reserved type 0x03 (readers
+	// must still frame it to skip it), and two malformed variants — base
+	// above seq, and a truncated header.
 	df, err := AppendDataFrame(nil, 7, 5, 1, m)
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(df)
 	f.Add(append(AppendDataHeader(nil, 7, 5, 1), mBody...))
-	f.Add(AppendAck(nil, 42))
+	f.Add([]byte{0xBD, 0x75, 1, 0x03, 0, 0, 0, 8, 0, 0, 0, 0, 0, 0, 0, 42})
 	f.Add(AppendDataHeader(nil, 3, 9, 0))
 	f.Add(AppendDataHeader(nil, 7, 5, 0)[:DataHdrLen-1])
 	// A header claiming a huge body: must be refused, not allocated.
@@ -131,12 +132,6 @@ func FuzzCodec(f *testing.F) {
 				t.Fatalf("data header re-encodes differently:\n%x\n%x", enc, data)
 			}
 			_, _ = DecodeMessage(msgBody)
-		}
-		// Cumulative ack: exact-size body, stable round-trip.
-		if cum, err := DecodeAck(data); err == nil {
-			if !bytes.Equal(AppendAck(nil, cum), data) {
-				t.Fatalf("ack re-encodes differently")
-			}
 		}
 		// Framing: a reader over hostile bytes must error or terminate,
 		// and a recovered body must itself be safe to decode. The pooled

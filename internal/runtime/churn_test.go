@@ -113,3 +113,30 @@ func TestPlanChurnSchedule(t *testing.T) {
 		t.Fatal("static plan has churn events")
 	}
 }
+
+// TestLiveChurnAcrossRestart composes the two drivers that touch the
+// cluster's node set from their own goroutines: the churn schedule, which
+// looks its edge broker up per event, and a BrokerRestart, which swaps a
+// reborn incarnation in mid-run. Its assertion is the race detector's
+// (CI runs it under -race): the lookup must go through the cluster lock.
+// Beyond that the run must quiesce, rejoin from the log and deliver.
+func TestLiveChurnAcrossRestart(t *testing.T) {
+	if testing.Short() {
+		t.Skip("compressed-timescale live cluster run")
+	}
+	cfg := restartConfig(t)
+	cfg.Workload.Churn = workload.Churn{RatePerMin: 120, HalfLife: 20 * vtime.Second}
+	cfg.IndexedMatch = true
+	cfg.Faults = restartFaults()[:2] // crash at 35 s, warm restart at 65 s
+	cfg.TimeScale = liveRecoveryTimeScale
+	res, err := runtime.Run(cfg, livenet.Transport{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.RestartReplayedSubs == 0 {
+		t.Error("the restarted broker replayed nothing from its log")
+	}
+	if res.ValidDeliveries == 0 {
+		t.Fatal("churn + restart run delivered nothing")
+	}
+}

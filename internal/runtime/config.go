@@ -137,9 +137,9 @@ type Config struct {
 	// detection, topology repair, and delay-bound renegotiation.
 	Recovery Recovery
 
-	// Reliability configures the per-link reliable channel that heals the
-	// LinkLoss adversary: retransmission, deadline-aware retry admission,
-	// dedup/reorder windows and the live ack cadence.
+	// Reliability configures how a link heals the LinkLoss adversary:
+	// retransmission, deadline-aware retry admission and the reorder
+	// window.
 	Reliability Reliability
 
 	// TimelineBucket > 0 records a delivery-rate timeline bucketed by
@@ -264,8 +264,9 @@ func (r *Recovery) setDefaults() {
 	}
 }
 
-// Reliability configures the reliable per-link channel. The zero value
-// (after defaults) retries lost frames with deadline-aware admission.
+// Reliability configures how every link — both backends run the same
+// one — answers loss and reordering. The zero value (after defaults)
+// retries lost frames with deadline-aware admission.
 type Reliability struct {
 	// NoRetry disables retransmission: lost frames stay lost (the
 	// loss-no-retry ablation arm).
@@ -286,13 +287,8 @@ type Reliability struct {
 	// because a retry burns slack the original admission already budgeted.
 	SuccessTarget float64
 
-	// AckEvery is the live receiver's cumulative-ack cadence in data
-	// frames (default 16). The simulator does not model acks: they only
-	// trim the retransmit buffer and carry no accounting.
-	AckEvery int
-
-	// Window bounds the per-link retransmit buffer (sender) and the
-	// reorder-heal buffer (receiver), in frames (default 64).
+	// Window bounds each link's reorder-heal buffer at the receiver, in
+	// frames (default 64), on both backends.
 	Window int
 }
 
@@ -310,9 +306,6 @@ func (r *Reliability) setDefaults() {
 	}
 	if r.SuccessTarget <= 0 {
 		r.SuccessTarget = 0.99
-	}
-	if r.AckEvery <= 0 {
-		r.AckEvery = 16
 	}
 	if r.Window <= 0 {
 		r.Window = 64

@@ -274,11 +274,6 @@ func NewRecvState(window int) *RecvState {
 // Pending is the number of buffered out-of-order frames.
 func (r *RecvState) Pending() int { return len(r.buf) }
 
-// CumAck is the cumulative acknowledgement the receiver owes its sender:
-// every sequence at or below it has been accepted (delivered, suppressed
-// as a duplicate, or skipped as abandoned).
-func (r *RecvState) CumAck() uint64 { return r.expected - 1 }
-
 // Accept runs one arriving frame through dedup and FIFO restoration.
 // `base` is the sender's lowest still-live sequence (frames below it were
 // delivered or abandoned and must not be waited for). Messages now

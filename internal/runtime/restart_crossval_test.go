@@ -30,10 +30,10 @@ import (
 //   - The generous 2–3 min publisher bounds keep every delivery and
 //     every session replay inside its bound, so DroppedDeadline is
 //     exactly zero on both backends (asserted: 0 == 0 by proof).
-//   - NoRetry keeps the reliable channel out of the picture: a frame
-//     sent toward the dead incarnation is lost identically on both
-//     backends instead of lingering in a retransmit buffer whose
-//     post-reconnect fate would be backend-specific.
+//   - NoRetry removes the retry attempts and nothing else (no LinkLoss
+//     fault is armed, so there is nothing to retry): a frame sent toward
+//     the dead incarnation is lost, on both backends, the moment it is
+//     written — no link keeps a copy to re-send after the reconnect.
 func restartConfig(t testing.TB) runtime.Config {
 	return runtime.Config{
 		Seed:     1,
