@@ -375,9 +375,13 @@ func BenchmarkTableMatchIndexed(b *testing.B) { benchTableMatch(b, true) }
 // publications: fanout (the fanout_match workload's "A1 > a && A1 < a+w
 // && A2 < b", posted under the range), paper ("A1 < x && A2 < y", every
 // predicate counted) and equality ("K == k && A2 < b", posted under the
-// equality). matches/op says how much of the cost is the answer.
+// equality). fanout-10k-churned is fanout after 4 096 subscribe /
+// unsubscribe pairs of the same shape outside the publications' range,
+// as fanout_match churns its tables: the width class carries a tail and
+// thousands of tombstones. matches/op says how much of the cost is the
+// answer.
 func BenchmarkIndexMatch(b *testing.B) {
-	const n = 10_000
+	const n, churnPairs = 10_000, 4096
 	s := stats.NewStream(7)
 	fanout := make([]*filter.Filter, n)
 	equality := make([]*filter.Filter, n)
@@ -392,10 +396,21 @@ func BenchmarkIndexMatch(b *testing.B) {
 			"A1": s.Uniform(0, 10), "A2": s.Uniform(0, 10), "K": float64(s.IntN(500)),
 		})
 	}
+	churn := make([]*filter.Filter, churnPairs)
+	for i := range churn {
+		a := s.Uniform(20, 30)
+		churn[i] = filter.And(filter.Gt("A1", a), filter.Lt("A1", a+0.04), filter.Lt("A2", s.Uniform(0, 10)))
+	}
 	for _, tc := range []struct {
 		name    string
 		filters []*filter.Filter
-	}{{"fanout-10k", fanout}, {"paper-10k", paperFilters(n)}, {"equality-10k", equality}} {
+		churned bool
+	}{
+		{"fanout-10k", fanout, false},
+		{"fanout-10k-churned", fanout, true},
+		{"paper-10k", paperFilters(n), false},
+		{"equality-10k", equality, false},
+	} {
 		b.Run(tc.name, func(b *testing.B) {
 			ids := make([]int32, n)
 			for i := range ids {
@@ -403,6 +418,12 @@ func BenchmarkIndexMatch(b *testing.B) {
 			}
 			ix := filter.NewIndex()
 			ix.AddBatch(ids, tc.filters)
+			for i := 0; tc.churned && i < churnPairs; i++ {
+				ix.Add(int32(n+i), churn[i])
+				if i > 0 {
+					ix.Remove(int32(n + i - 1))
+				}
+			}
 			var scratch filter.MatchScratch
 			matched := 0
 			b.ReportAllocs()

@@ -1,9 +1,8 @@
 // Churn benchmarks: the million-subscription matching engine under
-// mutation. BenchmarkIndexBuild contrasts the historical re-sort-per-Add
-// bulk build (quadratic) with the incremental tail-merge Add and the
-// AddBatch bulk path (near-linear); BenchmarkChurn measures sustained
-// subscribe/unsubscribe mutation on an indexed routing table, alone and
-// concurrent with matching. Run BenchmarkIndexBuild at -benchtime 1x
+// mutation. BenchmarkIndexBuild measures the incremental tail-merge Add
+// and the AddBatch bulk path (both near-linear); BenchmarkChurn measures
+// sustained subscribe/unsubscribe mutation on an indexed routing table,
+// alone and concurrent with matching. Run BenchmarkIndexBuild at -benchtime 1x
 // (one build of each size is the measurement) and BenchmarkChurn on a
 // clock budget (-benchtime 2s), so the background flood is sustained.
 package bdps
@@ -45,12 +44,8 @@ var paperFilters = func() func(n int) []*filter.Filter {
 	}
 }()
 
-// BenchmarkIndexBuild builds a counting index over n filters three ways:
+// BenchmarkIndexBuild builds a counting index over n filters two ways:
 //
-//   - resort: Add + Flush after every insert — the cost model of the
-//     pre-rework index, which re-sorted bound lists on every Add
-//     (quadratic bulk build; the 1M point is omitted because it does not
-//     finish in sensible time, which is the point).
 //   - incremental: plain Add — unsorted tails merged only when they
 //     outgrow √n (the live churn path).
 //   - batch: AddBatch — each touched list sorted exactly once (the
@@ -77,14 +72,6 @@ func BenchmarkIndexBuild(b *testing.B) {
 		}
 		return ix
 	}
-	resort := func(fs []*filter.Filter) *filter.Index {
-		ix := filter.NewIndex()
-		for i, f := range fs {
-			ix.Add(int32(i), f)
-			ix.Flush() // the old implementation's per-Add re-sort
-		}
-		return ix
-	}
 	batch := func(fs []*filter.Filter) *filter.Index {
 		ids := make([]int32, len(fs))
 		for i := range ids {
@@ -93,9 +80,6 @@ func BenchmarkIndexBuild(b *testing.B) {
 		ix := filter.NewIndex()
 		ix.AddBatch(ids, fs)
 		return ix
-	}
-	for _, n := range []int{10_000, 100_000} {
-		b.Run(fmt.Sprintf("resort-%d", n), bench(n, resort))
 	}
 	for _, n := range []int{10_000, 100_000, 1_000_000} {
 		b.Run(fmt.Sprintf("incremental-%d", n), bench(n, incremental))

@@ -3,7 +3,9 @@ package filter
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
+	"strings"
 	"testing"
 	"unsafe"
 )
@@ -294,5 +296,101 @@ func TestMatchScratchEpochWrap(t *testing.T) {
 func TestMatchScratchSize(t *testing.T) {
 	if got := unsafe.Sizeof(MatchScratch{}); got > 168 {
 		t.Fatalf("MatchScratch is %d bytes, want at most 168", got)
+	}
+}
+
+// poisonNode stands in for a filter's expression tree once the index
+// holds it: any evaluation panics.
+type poisonNode struct{}
+
+func (poisonNode) match(Attrs) bool           { panic("filter evaluated during an index match") }
+func (poisonNode) str(*strings.Builder, byte) { panic("filter rendered during an index match") }
+func (poisonNode) dnf() [][]Predicate         { panic("filter lowered during an index match") }
+
+// TestIndexMatchReadsNoFilter: a conjunction posted under its access
+// predicate is decided from the index's own memory — its posting and its
+// residual checks — so every filter may be poisoned once added and the
+// index still answers as the filters did.
+func TestIndexMatchReadsNoFilter(t *testing.T) {
+	srcs := []string{
+		"A1 > 1 && A1 < 2 && A2 < 5",      // strict range, numeric residual
+		"A1 >= 1 && A1 <= 2",              // closed range alone
+		"A1 >= 1.5 && A1 < 3 && A1 > 1.5", // half-open, strictness from a tie
+		"A1 > 0 && A1 < 4 && A2 != 3",     // range, != residual
+		"A1 > 0 && A1 < 4 && tag < 'y'",   // range, string inequality residual
+		"K == 3",                          // equality alone
+		"K == 3 && A2 < 5 && A1 >= 1",     // equality, numeric residuals
+		"K == 3 && tag == 'x'",            // equality, string-equality residual
+		"tag == 'x'",                      // string equality alone
+		"tag == 'x' && A1 > 1 && A1 <= 2", // string equality, range residual
+		"tag == 'y' && tag != 'x'",        // string equality, string != residual
+		"(K == 3 && A2 < 1) || (A1 > 2 && A1 < 2.5)",
+	}
+	filters := make([]*Filter, len(srcs))
+	ix := NewIndex()
+	for i, src := range srcs {
+		filters[i] = MustParse(src)
+		ix.Add(int32(i), filters[i])
+	}
+	ix.Flush()
+	var msgs []iterMap
+	for _, a1 := range []float64{0.5, 1, 1.5, 2, 2.2, 3, math.NaN()} {
+		for _, a2 := range []float64{0, 3, 7} {
+			for _, tag := range []any{"x", "y", 3.0} {
+				msgs = append(msgs, iattrs("A1", a1, "A2", a2, "K", 3.0, "tag", tag))
+			}
+		}
+	}
+	want := make([][]int32, len(msgs))
+	for m, a := range msgs {
+		for i, f := range filters {
+			if f.Match(a) {
+				want[m] = append(want[m], int32(i))
+			}
+		}
+	}
+	if ix.fallback != nil || len(ix.lt)+len(ix.le)+len(ix.gt)+len(ix.ge) != 0 {
+		t.Fatalf("a filter was counted or fell back: fallback=%d", len(ix.fallback))
+	}
+	for _, f := range filters {
+		*f = Filter{root: poisonNode{}}
+	}
+	var s MatchScratch
+	for m, a := range msgs {
+		if got := ix.MatchWith(&s, a); !sameIDs(got, want[m]) {
+			t.Errorf("%v: index %v, filters %v", a.AttrMap, got, want[m])
+		}
+	}
+}
+
+// TestIndexBytesPerConjunction pins what the index owns per posted
+// conjunction on fanout_match's shape, added one at a time as a live
+// broker adds them: posting, conjunction state, residual check and the
+// id's back-reference. Every broker holds one index per ingress, so
+// these bytes are most of what a subscription costs a broker beside its
+// filter.
+func TestIndexBytesPerConjunction(t *testing.T) {
+	const n = 10_000
+	r := rand.New(rand.NewSource(3))
+	fs := make([]*Filter, n)
+	for i := range fs {
+		a := r.Float64() * 9.96
+		fs[i] = And(Gt("A1", a), Lt("A1", a+0.04), Lt("A2", r.Float64()*10))
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	ix := NewIndex()
+	for i, f := range fs {
+		ix.Add(int32(i), f)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	per := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / n
+	runtime.KeepAlive(ix)
+	runtime.KeepAlive(fs)
+	t.Logf("%.1f heap bytes per conjunction", per)
+	if per > 140 {
+		t.Fatalf("index holds %.1f heap bytes per conjunction, want at most 140", per)
 	}
 }

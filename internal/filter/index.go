@@ -18,12 +18,7 @@ type Iterable interface {
 // the classic content-based pub/sub matching structure (Siena's counting
 // algorithm), with one rule: a conjunction is *posted* under a subset of
 // its predicates, a message's attributes select the satisfied postings,
-// and the conjunction is a match when its satisfied count reaches the
-// number posted (conjState.needed). When every predicate was posted the
-// completed count is the proof; when only some were, the index keeps
-// the conjunction's owning filter beside it (Index.verify) and the
-// filter is evaluated whole (MatchResolved, after one lazy Resolve of
-// the message per match) before the id is emitted.
+// and the conjunction is decided from flat memory the posting leads to.
 //
 // Which subset: a conjunction's *access predicate* when it has a
 // selective one, else all of them.
@@ -39,41 +34,54 @@ type Iterable interface {
 //     contain x have their lower bound in [x − 2^e, x]: one binary
 //     search per class, then at most about twice the ranges that really
 //     hold x. Classes keep one wide range among ten thousand narrow ones
-//     from widening everyone's window. Strictness of the bounds, and
-//     whatever else rides beside an access predicate (!=, string
-//     inequalities, further ranges), is settled by the whole-filter
-//     evaluation and needs no list of its own.
+//     from widening everyone's window. The posting carries the range's
+//     upper bound and both strictness bits beside its lower bound, so
+//     the window's over-selection is rejected during the sequential scan.
 //   - A conjunction with neither — the paper's "A1 < x && A2 < y" — has
 //     every predicate posted in per-(attribute, operator) sorted lists
-//     and is proved by the count alone. This is the part that stays
-//     linear in the table, by nature: a one-sided predicate is true for
-//     about half of any population, so half of each list is bumped to
-//     find the few conjunctions whose every predicate holds. Posting
-//     such conjunctions under one predicate instead does not pay (the
-//     first prototype did, and doubled BenchmarkChurnMatch/quiet): it
-//     trades two array bumps per candidate for three dependent cache
-//     misses evaluating the filter, over the same half of the table.
+//     and is proved by its count reaching the number posted
+//     (conjState.needed). This is the part that stays linear in the
+//     table, by nature: a one-sided predicate is true for about half of
+//     any population, so half of each list is bumped to find the few
+//     conjunctions whose every predicate holds. Posting such
+//     conjunctions under one predicate instead does not pay: each of
+//     half the table would then be decided through a conjState and its
+//     residual checks — two scattered loads and a comparison where the
+//     count costs one tally bump, over the same half of the table (the
+//     first such prototype, evaluating whole filters, doubled
+//     BenchmarkChurnMatch/quiet).
+//
+// A conjunction posted under its access predicate has one posting, so it
+// needs no count: a posting that holds decides it at once. Whatever else
+// the conjunction says — further ranges, string equalities, !=, string
+// inequalities — is its *residual*, lowered at Add into a run of checks
+// in one flat slab (Index.checks: attribute slot, operator, operand),
+// evaluated against the message resolved by slot (MatchScratch.Resolve,
+// once per match, on the first residual needed). Matching reads no
+// *Filter for a posted conjunction.
 //
 // Filters with a conjunction that has no access predicate and holds a
 // predicate the lists cannot count (!=, a string inequality, a NaN
-// bound) fall back to a linear list, so Match is always equivalent to
-// evaluating every filter directly — including on NaN attribute values,
-// which Value.compare places neither below nor above any bound.
+// bound) — or a residual on an attribute past the slot table's cap —
+// fall back to a linear list of whole filters, so Match is always
+// equivalent to evaluating every filter directly — including on NaN
+// attribute values, which Value.compare places neither below nor above
+// any bound.
 //
 // The index is built for churn: the subscription population it serves is
 // expected to mutate continuously, so every mutation is incremental and
 // sublinear.
 //
-//   - Add inserts each posted predicate into a small unsorted tail
-//     behind its list's sorted run; a tail is merged into its run only
-//     when it outgrows √n (amortized o(n) per insert). Only the lists a
+//   - Add inserts each posting into a small unsorted tail behind its
+//     list's sorted run; a tail is merged into its run only when it
+//     outgrows √n (amortized o(n) per insert). Only the lists a
 //     predicate actually lands in are ever touched: an Add on attribute
 //     "a" never re-sorts attribute "b", and wildcard or fallback adds
 //     touch no list at all.
 //   - Remove(id) tombstones the id's conjunctions through per-id
-//     back-references (id → conjunction indices) without touching the
-//     predicate lists; the lists are compacted in one O(P) sweep only
-//     when dead conjunctions outnumber live ones.
+//     back-references (id → kind-tagged indices) without touching the
+//     predicate lists; the lists and the check slab are compacted in one
+//     O(P) sweep only when dead conjunctions outnumber live ones.
 //   - AddBatch indexes a whole population sorting each touched list
 //     exactly once (the bulk-build path tables use).
 //
@@ -86,38 +94,39 @@ type Iterable interface {
 // contract and is allocation-free in steady state.
 type Index struct {
 	conjs []conjState
-	// verify is nil until a conjunction is posted under fewer predicates
-	// than it has, and parallel to conjs from then on: verify[ci] is the
-	// owning filter of such a conjunction — a completed count only
-	// nominates it, and the filter is evaluated before the id is emitted —
-	// and nil where the count is the proof. (Beside conjs, not in it: the
-	// slab of a paper-form population stays pointer-free, which the
-	// collector neither scans nor sweeps for.)
-	verify []*Filter
+	// checks is the residual slab: conjunction ci's residual predicates
+	// are checks[conjs[ci].res:][:conjs[ci].nres], in add order. strs
+	// holds the operands of string checks (check.str indexes it).
+	checks []check
+	strs   []string
 	// wild lists the ids of zero-predicate (wildcard) conjunctions in
 	// add order; they match every message. wildDead tombstones removed
 	// slots (the list compacts when dead outnumber live).
 	wild     []int32
 	wildDead []bool
 	deadWild int
-	// per-attribute predicate lists: a sorted run plus an unsorted tail.
-	lt map[string]*boundList // pred: v < bound  (satisfied: bound > v)
-	le map[string]*boundList // pred: v <= bound (satisfied: bound >= v)
-	gt map[string]*boundList // pred: v > bound  (satisfied: bound < v)
-	ge map[string]*boundList // pred: v >= bound (satisfied: bound <= v)
+	// per-attribute predicate lists of counted conjunctions: a sorted run
+	// plus an unsorted tail, posting the conjunction index.
+	lt map[string]*boundList[int32] // pred: v < bound  (satisfied: bound > v)
+	le map[string]*boundList[int32] // pred: v <= bound (satisfied: bound >= v)
+	gt map[string]*boundList[int32] // pred: v > bound  (satisfied: bound < v)
+	ge map[string]*boundList[int32] // pred: v >= bound (satisfied: bound <= v)
 	eq map[string]map[float64][]int32
 	se map[string]map[string][]int32 // string equality
 	// iv holds the two-sided ranges posted as access predicates: per
-	// attribute, one list of lower bounds per width class. Made on the
-	// first range (most tables never see one).
+	// attribute, one list per width class. Made on the first range (most
+	// tables never see one).
 	iv map[string][]*ivClass
 
 	fallback     []fallbackFilter
 	deadFallback int
 
-	// known maps each live id to its index state — the back-references
-	// Remove follows to tombstone conjunctions without rebuilding.
-	known map[int32]*idState
+	// known maps each live id to its first back-reference — what Remove
+	// follows to tombstone without rebuilding — and more holds the rest
+	// of an id's, for the few ids registered more than once: most ids
+	// own one conjunction, and cost one eight-byte map slot.
+	known map[int32]ref
+	more  map[int32][]ref
 
 	// live/dead accounting drives compaction.
 	liveConjs, deadConjs int
@@ -141,32 +150,42 @@ type Index struct {
 const denseLimit = 1 << 20
 
 // conjState is one posted conjunction. needed is the number of its
-// predicates that were posted; Remove zeroes it, and a count — which
-// starts at one — never completes at zero, so tombstoned conjunctions
-// keep counting but never emit.
+// predicates that were posted — one for an access posting; Remove zeroes
+// it, and a count, which starts at one, never completes at zero, so
+// tombstoned conjunctions keep counting but never emit. res and nres
+// locate its residual checks in Index.checks.
 type conjState struct {
 	id     int32 // caller's id for the owning filter
 	needed int32
+	res    int32
+	nres   int32
 }
 
-// idState is one id's back-references into the index structures, so
-// Remove touches only its own entries in each of them.
-type idState struct {
-	conjs     []int32 // indices into Index.conjs
-	wilds     []int32 // indices into Index.wild
-	fallbacks []int32 // indices into Index.fallback
-}
+// ref is one back-reference of an id: an index into Index.conjs, wild or
+// fallback, with the kind of structure in its low two bits.
+type ref uint32
 
-// boundList is one (attribute, operator) predicate list: a run sorted by
-// bound plus an unsorted insertion tail. The tail is merged into the run
-// when it outgrows √(run length), so inserts stay cheap and lookups stay
-// logarithmic plus a bounded linear scan.
-type boundList struct {
+const (
+	refConj ref = iota
+	refWild
+	refFallback
+)
+
+func mkRef(kind ref, i int) ref { return ref(i)<<2 | kind }
+func (r ref) kind() ref         { return r & 3 }
+func (r ref) index() int32      { return int32(r >> 2) }
+
+// boundList is one predicate list: postings sorted by bound plus an
+// unsorted insertion tail. The tail is merged into the run when it
+// outgrows √(run length), so inserts stay cheap and lookups stay
+// logarithmic plus a bounded linear scan. A counted list posts the
+// conjunction index (P = int32), a width class a whole range (ivPost).
+type boundList[P any] struct {
 	bounds []float64
-	conj   []int32
+	post   []P
 	// unsorted tail of recent inserts
 	tailBounds []float64
-	tailConj   []int32
+	tailPost   []P
 }
 
 // ivClass is one attribute's ranges of one width class, listed by lower
@@ -175,8 +194,35 @@ type boundList struct {
 // +Inf, and the bottom one takes everything narrower, empty ranges
 // included.
 type ivClass struct {
-	boundList
+	boundList[ivPost]
 	span float64
+}
+
+// ivPost is a range posting beside its lower bound: the upper bound, the
+// strictness of both, and the conjunction it stands for.
+type ivPost struct {
+	hi     float64
+	ci     int32
+	strict uint8 // loOpen | hiOpen | someOpen
+}
+
+// Strictness bits of an ivPost. loOpen and hiOpen: the bound itself is
+// excluded. someOpen: some predicate the posting stands for is strict,
+// which a NaN value fails whatever its bound (Value.compare) — so a
+// range holds NaN exactly when someOpen is clear.
+const (
+	loOpen uint8 = 1 << iota
+	hiOpen
+	someOpen
+)
+
+// holds reports whether a non-NaN x at or above the posting's lower
+// bound lo lies in the range.
+func (p *ivPost) holds(lo, x float64) bool {
+	if x == lo && p.strict&loOpen != 0 {
+		return false
+	}
+	return x < p.hi || x == p.hi && p.strict&hiOpen == 0
 }
 
 // ivMaxExp clamps the width classes: 2^±40 spans twenty-four decimal
@@ -192,13 +238,13 @@ type fallbackFilter struct {
 // NewIndex returns an empty index.
 func NewIndex() *Index {
 	return &Index{
-		lt:    make(map[string]*boundList),
-		le:    make(map[string]*boundList),
-		gt:    make(map[string]*boundList),
-		ge:    make(map[string]*boundList),
+		lt:    make(map[string]*boundList[int32]),
+		le:    make(map[string]*boundList[int32]),
+		gt:    make(map[string]*boundList[int32]),
+		ge:    make(map[string]*boundList[int32]),
 		eq:    make(map[string]map[float64][]int32),
 		se:    make(map[string]map[string][]int32),
-		known: make(map[int32]*idState),
+		known: make(map[int32]ref),
 		dense: true,
 	}
 }
@@ -207,29 +253,29 @@ func NewIndex() *Index {
 // wildcard + fallback).
 func (ix *Index) Len() int { return len(ix.known) }
 
-// state returns (creating) the id's back-reference record and keeps the
-// dense-id tracking current.
-func (ix *Index) state(id int32) *idState {
-	st := ix.known[id]
-	if st == nil {
-		st = &idState{}
-		ix.known[id] = st
+// note records one back-reference of an id and keeps the dense-id
+// tracking current.
+func (ix *Index) note(id int32, r ref) {
+	if _, ok := ix.known[id]; !ok {
+		ix.known[id] = r
+	} else {
+		if ix.more == nil {
+			ix.more = make(map[int32][]ref)
+		}
+		ix.more[id] = append(ix.more[id], r)
 	}
 	if id < 0 || id > denseLimit {
 		ix.dense = false
 	} else if id > ix.maxID {
 		ix.maxID = id
 	}
-	return st
 }
 
 // Add registers a filter under the caller's id. Ids may repeat (a
 // subscription re-added is matched once per Match call regardless).
-// Amortized cost is sublinear: each predicate lands in its list's
+// Amortized cost is sublinear: each posting lands in its list's
 // unsorted tail, and a tail is merged only when it outgrows √n — no
-// other list is touched, where the previous implementation re-sorted
-// every bound list of every operator on every Add (including wildcard
-// and fallback adds, which touch no bound list at all).
+// other list is touched.
 //
 // Mutations (Add, AddBatch, Remove) must be serialized with each other
 // and exclude concurrent matchers.
@@ -251,40 +297,34 @@ func (ix *Index) AddBatch(ids []int32, filters []*Filter) {
 }
 
 func (ix *Index) addOne(id int32, f *Filter, batch bool) {
-	st := ix.state(id)
 	if f == nil || f.root == nil {
 		// Wildcard: a conjunction with zero predicates always matches.
 		// No bound list is touched.
-		st.wilds = append(st.wilds, int32(len(ix.wild)))
+		ix.note(id, mkRef(refWild, len(ix.wild)))
 		ix.wild = append(ix.wild, id)
 		ix.wildDead = append(ix.wildDead, false)
 		return
 	}
 	dnf := f.DNF()
 	for _, conj := range dnf {
-		if !countable(conj) && accessOf(conj).kind == accessNone {
+		if !postable(conj) {
 			// Linear fallback evaluates the whole filter once; again no
 			// bound list is touched.
-			st.fallbacks = append(st.fallbacks, int32(len(ix.fallback)))
+			ix.note(id, mkRef(refFallback, len(ix.fallback)))
 			ix.fallback = append(ix.fallback, fallbackFilter{id: id, f: f})
 			return
 		}
 	}
 	for _, conj := range dnf {
 		ci := int32(len(ix.conjs))
-		c := conjState{id: id, needed: 1}
-		var verify *Filter
+		c := conjState{id: id, needed: 1, res: int32(len(ix.checks))}
 		switch acc := accessOf(conj); acc.kind {
 		case accessEq:
 			ix.postEq(&conj[acc.pred], ci)
-			if len(conj) > 1 {
-				verify = f
-			}
+			c.nres = ix.lower(conj, acc)
 		case accessRange:
-			// The window a class searches over-selects (and ignores
-			// strictness), so a range is always verified.
-			ix.postRange(conj[acc.pred].Attr, acc.lo, acc.width, ci, batch)
-			verify = f
+			ix.postRange(conj[acc.pred].Attr, acc, ci, batch)
+			c.nres = ix.lower(conj, acc)
 		default:
 			// Numeric inequalities only: an equality would have been the
 			// access predicate, anything else sent the filter to fallback.
@@ -293,14 +333,8 @@ func (ix *Index) addOne(id int32, f *Filter, batch bool) {
 				ix.insert(ix.opMap(conj[i].Op), conj[i].Attr, conj[i].Val.Num, ci, batch)
 			}
 		}
-		if verify != nil && ix.verify == nil {
-			ix.verify = make([]*Filter, len(ix.conjs), cap(ix.conjs))
-		}
-		if ix.verify != nil {
-			ix.verify = append(ix.verify, verify)
-		}
 		ix.conjs = append(ix.conjs, c)
-		st.conjs = append(st.conjs, ci)
+		ix.note(id, mkRef(refConj, int(ci)))
 		ix.liveConjs++
 	}
 }
@@ -308,10 +342,12 @@ func (ix *Index) addOne(id int32, f *Filter, batch bool) {
 // access is a conjunction's access predicate: the one posting that
 // stands for it in the index.
 type access struct {
-	kind  accessKind
-	pred  int     // accessEq: the equality; accessRange: a predicate on the attribute
-	lo    float64 // accessRange: the range's lower bound …
-	width float64 // … and hi − lo (negative when no value satisfies it)
+	kind accessKind
+	pred int // accessEq: the equality; accessRange: a predicate on the attribute
+	// accessRange: the tightest bounds the conjunction puts on the
+	// attribute and their strictness (loOpen | hiOpen | someOpen).
+	lo, hi float64
+	strict uint8
 }
 
 type accessKind uint8
@@ -324,45 +360,101 @@ const (
 
 // accessOf picks a conjunction's access predicate: its first equality,
 // else the narrowest range that bounds one numeric attribute from both
-// sides with finite bounds. One-sided conjunctions have none.
+// sides with finite width. One-sided conjunctions have none.
 func accessOf(conj []Predicate) access {
 	for i := range conj {
 		if conj[i].Op == EQ && !nanBound(&conj[i]) {
 			return access{kind: accessEq, pred: i}
 		}
 	}
-	best := access{width: math.Inf(1)}
+	best, bestWidth := access{}, math.Inf(1)
 	for i := range conj {
 		p := &conj[i]
 		if p.Val.Kind != Number || (p.Op != GT && p.Op != GE) {
 			continue
 		}
-		// The tightest bounds the conjunction puts on p's attribute. A
-		// NaN bound makes the width NaN, which is never the narrowest.
-		lo, hi := math.Inf(-1), math.Inf(1)
-		for j := range conj {
-			q := &conj[j]
-			if q.Attr != p.Attr || q.Val.Kind != Number {
-				continue
-			}
-			switch q.Op {
-			case GT, GE:
-				lo = max(lo, q.Val.Num)
-			case LT, LE:
-				hi = min(hi, q.Val.Num)
-			}
-		}
-		if w := hi - lo; w < best.width {
-			best = access{kind: accessRange, pred: i, lo: lo, width: w}
+		a, ok := rangeOn(conj, p.Attr)
+		if w := a.hi - a.lo; ok && w < bestWidth {
+			a.kind, a.pred = accessRange, i
+			best, bestWidth = a, w
 		}
 	}
 	return best
+}
+
+// rangeOn returns the tightest bounds the conjunction's numeric
+// inequalities put on attr, a bound shared by a strict and a closed
+// predicate being strict, and whether any of them is strict; ok is false
+// when one has a NaN bound, which no range can stand for.
+func rangeOn(conj []Predicate, attr string) (a access, ok bool) {
+	a.lo, a.hi = math.Inf(-1), math.Inf(1)
+	for j := range conj {
+		q := &conj[j]
+		if q.Attr != attr || !inequality(q) {
+			continue
+		}
+		if nanBound(q) {
+			return a, false
+		}
+		b := q.Val.Num
+		if q.Op == GT || q.Op == LT {
+			a.strict |= someOpen
+		}
+		switch q.Op {
+		case GT, GE:
+			if b > a.lo {
+				a.lo, a.strict = b, a.strict&^loOpen
+			}
+			if b == a.lo && q.Op == GT {
+				a.strict |= loOpen
+			}
+		case LT, LE:
+			if b < a.hi {
+				a.hi, a.strict = b, a.strict&^hiOpen
+			}
+			if b == a.hi && q.Op == LT {
+				a.strict |= hiOpen
+			}
+		}
+	}
+	return a, true
+}
+
+// inequality reports a numeric <, <=, > or >= predicate.
+func inequality(p *Predicate) bool { return p.Val.Kind == Number && p.Op <= GE }
+
+// absorbs reports whether the access posting stands for predicate i of
+// the conjunction: the equality itself, or every numeric inequality on
+// the range's attribute. The rest are the conjunction's residual.
+func (a *access) absorbs(conj []Predicate, i int) bool {
+	if a.kind == accessEq {
+		return i == a.pred
+	}
+	return conj[i].Attr == conj[a.pred].Attr && inequality(&conj[i])
 }
 
 // nanBound reports a numeric predicate whose bound is NaN. Value.compare
 // makes such a bound equal to every number, which no sorted list or hash
 // map can express.
 func nanBound(p *Predicate) bool { return p.Val.Kind == Number && p.Val.Num != p.Val.Num }
+
+// postable reports whether a conjunction can be posted: under its access
+// predicate with every residual on an attribute the slot table holds, or
+// counted whole.
+func postable(conj []Predicate) bool {
+	acc := accessOf(conj)
+	if acc.kind == accessNone {
+		return countable(conj)
+	}
+	for i := range conj {
+		if !acc.absorbs(conj, i) {
+			if _, ok := internSlot(conj[i].Attr); !ok {
+				return false
+			}
+		}
+	}
+	return true
+}
 
 // countable reports whether every predicate of a conjunction can be
 // posted in the counting lists.
@@ -374,6 +466,28 @@ func countable(conj []Predicate) bool {
 		}
 	}
 	return true
+}
+
+// lower appends the conjunction's residual — every predicate its access
+// posting does not stand for — to the check slab, returning how many.
+// postable has interned every name it needs.
+func (ix *Index) lower(conj []Predicate, acc access) int32 {
+	n := int32(0)
+	for i := range conj {
+		if acc.absorbs(conj, i) {
+			continue
+		}
+		p := &conj[i]
+		slot, _ := internSlot(p.Attr)
+		c := check{slot: slot, op: p.Op, kind: p.Val.Kind, num: p.Val.Num}
+		if p.Val.Kind == String {
+			c.str = int32(len(ix.strs))
+			ix.strs = append(ix.strs, p.Val.Str)
+		}
+		ix.checks = append(ix.checks, c)
+		n++
+	}
+	return n
 }
 
 // postEq posts an equality predicate under its value.
@@ -397,9 +511,9 @@ func (ix *Index) postEq(p *Predicate, ci int32) {
 
 // postRange posts a two-sided range by its lower bound in the
 // attribute's list for the range's width class.
-func (ix *Index) postRange(attr string, lo, width float64, ci int32, batch bool) {
+func (ix *Index) postRange(attr string, acc access, ci int32, batch bool) {
 	exp := -ivMaxExp // empty and zero-width ranges: the narrowest class
-	if width > 0 {
+	if width := acc.hi - acc.lo; width > 0 {
 		_, exp = math.Frexp(width) // width = f·2^exp, f ∈ [½, 1)
 		exp = min(max(exp, -ivMaxExp), ivMaxExp)
 	}
@@ -421,11 +535,11 @@ func (ix *Index) postRange(attr string, lo, width float64, ci int32, batch bool)
 		}
 		ix.iv[attr] = append(ix.iv[attr], c)
 	}
-	c.add(ix, lo, ci, batch)
+	c.add(ix, acc.lo, ivPost{hi: acc.hi, ci: ci, strict: acc.strict}, batch)
 }
 
 // opMap returns the bound-list map for an inequality operator.
-func (ix *Index) opMap(op Op) map[string]*boundList {
+func (ix *Index) opMap(op Op) map[string]*boundList[int32] {
 	switch op {
 	case LT:
 		return ix.lt
@@ -441,10 +555,10 @@ func (ix *Index) opMap(op Op) map[string]*boundList {
 
 // insert posts one inequality predicate in its (attribute, operator)
 // list.
-func (ix *Index) insert(m map[string]*boundList, attr string, bound float64, ci int32, batch bool) {
+func (ix *Index) insert(m map[string]*boundList[int32], attr string, bound float64, ci int32, batch bool) {
 	bl := m[attr]
 	if bl == nil {
-		bl = &boundList{}
+		bl = &boundList[int32]{}
 		m[attr] = bl
 	}
 	bl.add(ix, bound, ci, batch)
@@ -453,9 +567,9 @@ func (ix *Index) insert(m map[string]*boundList, attr string, bound float64, ci 
 // add appends one posting to the list's tail, merging when the tail
 // outgrows √(run length) — unless the caller batches, in which case the
 // merge is deferred to Flush.
-func (bl *boundList) add(ix *Index, bound float64, ci int32, batch bool) {
+func (bl *boundList[P]) add(ix *Index, bound float64, p P, batch bool) {
 	bl.tailBounds = append(bl.tailBounds, bound)
-	bl.tailConj = append(bl.tailConj, ci)
+	bl.tailPost = append(bl.tailPost, p)
 	if !batch && bl.tailOverflow() {
 		bl.merge(ix)
 	}
@@ -464,7 +578,7 @@ func (bl *boundList) add(ix *Index, bound float64, ci int32, batch bool) {
 // tailOverflow reports whether the tail has outgrown √(run length).
 // Small lists merge eagerly past a constant floor so lookups on young
 // attributes stay mostly-sorted.
-func (bl *boundList) tailOverflow() bool {
+func (bl *boundList[P]) tailOverflow() bool {
 	t := len(bl.tailBounds)
 	if t < 16 {
 		return false
@@ -475,39 +589,39 @@ func (bl *boundList) tailOverflow() bool {
 // merge folds the unsorted tail into the sorted run: sort the tail, then
 // one backward in-place merge — O(n + t log t), the single sort this
 // list pays for the last t inserts.
-func (bl *boundList) merge(ix *Index) {
+func (bl *boundList[P]) merge(ix *Index) {
 	t := len(bl.tailBounds)
 	if t == 0 {
 		return
 	}
 	ix.merges++
-	sort.Sort(byBound{bl.tailBounds, bl.tailConj})
+	sort.Sort(byBound[P]{bl.tailBounds, bl.tailPost})
 	n := len(bl.bounds)
 	bl.bounds = append(bl.bounds, bl.tailBounds...)
-	bl.conj = append(bl.conj, bl.tailConj...)
+	bl.post = append(bl.post, bl.tailPost...)
 	// Backward merge: dest k always sits at or beyond read index i, so
 	// writing into the same array is safe.
 	i, j := n-1, t-1
 	for k := n + t - 1; j >= 0; k-- {
 		if i >= 0 && bl.bounds[i] > bl.tailBounds[j] {
 			bl.bounds[k] = bl.bounds[i]
-			bl.conj[k] = bl.conj[i]
+			bl.post[k] = bl.post[i]
 			i--
 		} else {
 			bl.bounds[k] = bl.tailBounds[j]
-			bl.conj[k] = bl.tailConj[j]
+			bl.post[k] = bl.tailPost[j]
 			j--
 		}
 	}
 	bl.tailBounds = bl.tailBounds[:0]
-	bl.tailConj = bl.tailConj[:0]
+	bl.tailPost = bl.tailPost[:0]
 }
 
 // Flush merges every pending tail into its sorted run (each touched
 // list sorted once). AddBatch calls it; callers that interleave Add
 // bursts with latency-critical matching may call it at a quiet moment.
 func (ix *Index) Flush() {
-	for _, m := range []map[string]*boundList{ix.lt, ix.le, ix.gt, ix.ge} {
+	for _, m := range []map[string]*boundList[int32]{ix.lt, ix.le, ix.gt, ix.ge} {
 		for _, bl := range m {
 			bl.merge(ix)
 		}
@@ -525,33 +639,20 @@ func (ix *Index) Flush() {
 // touching the predicate lists; lists are compacted in one sweep only
 // when dead conjunctions outnumber live ones.
 func (ix *Index) Remove(id int32) bool {
-	st := ix.known[id]
-	if st == nil {
+	r, ok := ix.known[id]
+	if !ok {
 		return false
 	}
 	delete(ix.known, id)
-	for _, ci := range st.conjs {
-		ix.conjs[ci].needed = 0
-		if ix.verify != nil {
-			ix.verify[ci] = nil
-		}
-		ix.liveConjs--
-		ix.deadConjs++
-	}
-	for _, wi := range st.wilds {
-		if !ix.wildDead[wi] {
-			ix.wildDead[wi] = true
-			ix.deadWild++
+	ix.drop(r)
+	if more, ok := ix.more[id]; ok {
+		delete(ix.more, id)
+		for _, r := range more {
+			ix.drop(r)
 		}
 	}
 	if ix.deadWild*2 > len(ix.wild) {
 		ix.compactWild()
-	}
-	for _, fi := range st.fallbacks {
-		if ix.fallback[fi].f != nil {
-			ix.fallback[fi].f = nil
-			ix.deadFallback++
-		}
 	}
 	if ix.deadFallback*2 > len(ix.fallback) {
 		ix.compactFallback()
@@ -562,24 +663,47 @@ func (ix *Index) Remove(id int32) bool {
 	return true
 }
 
-// compactWild squeezes tombstoned wildcard slots out, rebuilding the
-// surviving ids' back-references (add order preserved).
-func (ix *Index) compactWild() {
-	for i, dead := range ix.wildDead {
-		if !dead {
-			if st := ix.known[ix.wild[i]]; st != nil {
-				st.wilds = st.wilds[:0]
-			}
+// drop tombstones what one back-reference points at.
+func (ix *Index) drop(r ref) {
+	switch i := r.index(); r.kind() {
+	case refConj:
+		ix.conjs[i].needed = 0
+		ix.liveConjs--
+		ix.deadConjs++
+	case refWild:
+		if !ix.wildDead[i] {
+			ix.wildDead[i] = true
+			ix.deadWild++
+		}
+	case refFallback:
+		if ix.fallback[i].f != nil {
+			ix.fallback[i].f = nil
+			ix.deadFallback++
 		}
 	}
-	k := int32(0)
+}
+
+// moveRef rewrites an id's back-reference when compaction moves the slot
+// it points at.
+func (ix *Index) moveRef(id int32, from, to ref) {
+	if ix.known[id] == from {
+		ix.known[id] = to
+	} else if more := ix.more[id]; more != nil {
+		more[slices.Index(more, from)] = to
+	}
+}
+
+// compactWild squeezes tombstoned wildcard slots out, rewriting the
+// surviving ids' back-references (add order preserved; a slot only
+// moves down, so a rewritten reference never collides with one still
+// to be rewritten).
+func (ix *Index) compactWild() {
+	k := 0
 	for i, id := range ix.wild {
 		if ix.wildDead[i] {
 			continue
 		}
-		if st := ix.known[id]; st != nil {
-			st.wilds = append(st.wilds, k)
-		}
+		ix.moveRef(id, mkRef(refWild, i), mkRef(refWild, k))
 		ix.wild[k] = id
 		ix.wildDead[k] = false
 		k++
@@ -589,27 +713,20 @@ func (ix *Index) compactWild() {
 	ix.deadWild = 0
 }
 
-// compactFallback squeezes tombstoned fallback slots out, rebuilding
-// the surviving ids' back-references (add order preserved).
+// compactFallback squeezes tombstoned fallback slots out, rewriting the
+// surviving ids' back-references (add order preserved).
 func (ix *Index) compactFallback() {
-	for i := range ix.fallback {
-		if ix.fallback[i].f != nil {
-			if st := ix.known[ix.fallback[i].id]; st != nil {
-				st.fallbacks = st.fallbacks[:0]
-			}
-		}
-	}
-	kept := ix.fallback[:0]
-	for _, fb := range ix.fallback {
+	k := 0
+	for i, fb := range ix.fallback {
 		if fb.f == nil {
 			continue
 		}
-		if st := ix.known[fb.id]; st != nil {
-			st.fallbacks = append(st.fallbacks, int32(len(kept)))
-		}
-		kept = append(kept, fb)
+		ix.moveRef(fb.id, mkRef(refFallback, i), mkRef(refFallback, k))
+		ix.fallback[k] = fb
+		k++
 	}
-	ix.fallback = kept
+	clear(ix.fallback[k:])
+	ix.fallback = ix.fallback[:k]
 	ix.deadFallback = 0
 }
 
@@ -619,34 +736,44 @@ func (ix *Index) compactFallback() {
 // sweep is O(predicates per removal).
 func (ix *Index) compact() {
 	remap := make([]int32, len(ix.conjs))
-	live := int32(0)
-	for i := range ix.conjs {
-		if ix.conjs[i].needed == 0 {
+	live, nc, ns := int32(0), int32(0), int32(0)
+	for i, c := range ix.conjs {
+		if c.needed == 0 {
 			remap[i] = -1
 			continue
 		}
 		remap[i] = live
-		ix.conjs[live] = ix.conjs[i]
-		if ix.verify != nil {
-			ix.verify[live] = ix.verify[i]
+		// The slabs are in add order, so a live run only ever moves down.
+		run := ix.checks[c.res : c.res+c.nres]
+		for j := range run {
+			if run[j].kind == String {
+				ix.strs[ns] = ix.strs[run[j].str]
+				run[j].str = ns
+				ns++
+			}
 		}
+		copy(ix.checks[nc:], run)
+		c.res = nc
+		nc += c.nres
+		ix.conjs[live] = c
 		live++
 	}
 	ix.conjs = ix.conjs[:live]
-	if ix.verify != nil {
-		clear(ix.verify[live:])
-		ix.verify = ix.verify[:live]
-	}
+	ix.checks = ix.checks[:nc]
+	clear(ix.strs[ns:])
+	ix.strs = ix.strs[:ns]
 
-	for _, m := range []map[string]*boundList{ix.lt, ix.le, ix.gt, ix.ge} {
+	counted := func(p *int32) *int32 { return p }
+	for _, m := range []map[string]*boundList[int32]{ix.lt, ix.le, ix.gt, ix.ge} {
 		for attr, bl := range m {
-			if bl.compact(ix, remap) == 0 {
+			if bl.compact(ix, remap, counted) == 0 {
 				delete(m, attr)
 			}
 		}
 	}
+	ranged := func(p *ivPost) *int32 { return &p.ci }
 	for attr, classes := range ix.iv {
-		classes = slices.DeleteFunc(classes, func(c *ivClass) bool { return c.compact(ix, remap) == 0 })
+		classes = slices.DeleteFunc(classes, func(c *ivClass) bool { return c.compact(ix, remap, ranged) == 0 })
 		if len(classes) == 0 {
 			delete(ix.iv, attr)
 		} else {
@@ -655,36 +782,41 @@ func (ix *Index) compact() {
 	}
 	compactConjMap(ix.eq, remap)
 	compactConjMap(ix.se, remap)
-	for _, st := range ix.known {
-		k := 0
-		for _, ci := range st.conjs {
-			if nc := remap[ci]; nc >= 0 {
-				st.conjs[k] = nc
-				k++
+	// Every id still known is live, and so is each of its conjunctions.
+	for id, r := range ix.known {
+		if r.kind() == refConj {
+			ix.known[id] = mkRef(refConj, int(remap[r.index()]))
+		}
+	}
+	for _, more := range ix.more {
+		for j, r := range more {
+			if r.kind() == refConj {
+				more[j] = mkRef(refConj, int(remap[r.index()]))
 			}
 		}
-		st.conjs = st.conjs[:k]
 	}
 	ix.deadConjs = 0
 }
 
-// compact drops the list's tombstoned conjunctions and renumbers the
-// rest, returning how many postings survive.
-func (bl *boundList) compact(ix *Index, remap []int32) int {
+// compact drops the list's tombstoned postings and renumbers the rest
+// (ci locates a posting's conjunction index), returning how many
+// survive.
+func (bl *boundList[P]) compact(ix *Index, remap []int32, ci func(*P) *int32) int {
 	if len(bl.tailBounds) > 0 {
 		bl.merge(ix) // fold the tail first so one filtered run remains
 		ix.merges--  // bookkeeping merge, not an insert-driven one
 	}
 	k := 0
 	for i := range bl.bounds {
-		if nc := remap[bl.conj[i]]; nc >= 0 {
+		if nc := remap[*ci(&bl.post[i])]; nc >= 0 {
 			bl.bounds[k] = bl.bounds[i]
-			bl.conj[k] = nc
+			bl.post[k] = bl.post[i]
+			*ci(&bl.post[k]) = nc
 			k++
 		}
 	}
 	bl.bounds = bl.bounds[:k]
-	bl.conj = bl.conj[:k]
+	bl.post = bl.post[:k]
 	return k
 }
 
@@ -720,17 +852,17 @@ func grow[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// byBound sorts parallel bound/conjunction slices by bound.
-type byBound struct {
+// byBound sorts parallel bound/posting slices by bound.
+type byBound[P any] struct {
 	bounds []float64
-	conj   []int32
+	post   []P
 }
 
-func (s byBound) Len() int           { return len(s.bounds) }
-func (s byBound) Less(i, j int) bool { return s.bounds[i] < s.bounds[j] }
-func (s byBound) Swap(i, j int) {
+func (s byBound[P]) Len() int           { return len(s.bounds) }
+func (s byBound[P]) Less(i, j int) bool { return s.bounds[i] < s.bounds[j] }
+func (s byBound[P]) Swap(i, j int) {
 	s.bounds[i], s.bounds[j] = s.bounds[j], s.bounds[i]
-	s.conj[i], s.conj[j] = s.conj[j], s.conj[i]
+	s.post[i], s.post[j] = s.post[j], s.post[i]
 }
 
 // MatchScratch is one matcher's private epoch-stamped state: nothing is
@@ -748,31 +880,31 @@ type MatchScratch struct {
 	out        []int32
 
 	// The message being matched, and the epoch it was resolved in: the
-	// first conjunction that needs its filter evaluated resolves it.
+	// first conjunction with a residual resolves it.
 	msg        Iterable
 	resolvedAt uint64
 
 	// visit bound once so Match passes a preallocated callback to Each.
 	visitor func(name string, v Value)
 
-	// The message resolved for program evaluation (program.go): numeric
-	// attributes by interned slot, stamped like everything else here.
+	// The message resolved by attribute slot (program.go), stamped like
+	// everything else here.
 	attrs     []resolvedAttr
 	attrEpoch uint64
 	resolver  func(name string, v Value)
 }
 
-// tally is one conjunction's count of satisfied postings, live while at
-// equals the low word of the scratch's epoch (the tallies are cleared
-// when that word wraps).
+// tally is one counted conjunction's count of satisfied postings, live
+// while at equals the low word of the scratch's epoch (the tallies are
+// cleared when that word wraps).
 type tally struct {
 	at uint32
 	n  int32
 }
 
 // Match returns the ids whose filters match the attributes, each at most
-// once: indexed conjunctions as their counts complete, then wildcards in
-// add order, then fallback filters in add order.
+// once: indexed conjunctions as they are decided, then wildcards in add
+// order, then fallback filters in add order.
 //
 // The returned slice is a buffer owned by the index, valid until the
 // next Match call. Callers may reorder it in place but must not append
@@ -820,111 +952,112 @@ func (ix *Index) MatchWith(s *MatchScratch, a Iterable) []int32 {
 	return s.out
 }
 
-// visit processes one message attribute, bumping the conjunction of
-// every posting it satisfies: binary search over each sorted run, linear
-// scan over its √n-bounded tail.
+// visit processes one message attribute: it bumps the counted
+// conjunction of every satisfied inequality posting (binary search over
+// each sorted run, linear scan over its √n-bounded tail) and decides the
+// access-posted conjunction of every equality posting it selects and
+// every range posting that holds it.
 func (s *MatchScratch) visit(name string, v Value) {
 	ix := s.ix
-	if v.Kind == Number {
-		x := v.Num
-		if x != x {
-			s.visitNaN(name)
-			return
+	if v.Kind != Number {
+		if m := ix.se[name]; m != nil {
+			s.decideAll(m[v.Str])
 		}
-		if bl := ix.lt[name]; bl != nil {
-			// Satisfied: bound > x → suffix starting at first bound > x.
-			i := sort.SearchFloat64s(bl.bounds, x)
-			for ; i < len(bl.bounds) && bl.bounds[i] <= x; i++ {
-			}
-			for ; i < len(bl.bounds); i++ {
-				s.bump(bl.conj[i])
-			}
-			for i, b := range bl.tailBounds {
-				if b > x {
-					s.bump(bl.tailConj[i])
-				}
-			}
+		return
+	}
+	x := v.Num
+	if x != x {
+		s.visitNaN(name)
+		return
+	}
+	if bl := ix.lt[name]; bl != nil {
+		// Satisfied: bound > x → suffix starting at first bound > x.
+		i := sort.SearchFloat64s(bl.bounds, x)
+		for ; i < len(bl.bounds) && bl.bounds[i] <= x; i++ {
 		}
-		if bl := ix.le[name]; bl != nil {
-			// Satisfied: bound >= x.
-			for i := sort.SearchFloat64s(bl.bounds, x); i < len(bl.bounds); i++ {
-				s.bump(bl.conj[i])
-			}
-			for i, b := range bl.tailBounds {
-				if b >= x {
-					s.bump(bl.tailConj[i])
-				}
+		s.bumpAll(bl.post[i:])
+		for i, b := range bl.tailBounds {
+			if b > x {
+				s.bump(bl.tailPost[i])
 			}
 		}
-		if bl := ix.gt[name]; bl != nil {
-			// Satisfied: bound < x → prefix below x.
-			hi := sort.SearchFloat64s(bl.bounds, x)
-			for i := 0; i < hi; i++ {
-				s.bump(bl.conj[i])
-			}
-			for i, b := range bl.tailBounds {
-				if b < x {
-					s.bump(bl.tailConj[i])
-				}
+	}
+	if bl := ix.le[name]; bl != nil {
+		// Satisfied: bound >= x.
+		s.bumpAll(bl.post[sort.SearchFloat64s(bl.bounds, x):])
+		for i, b := range bl.tailBounds {
+			if b >= x {
+				s.bump(bl.tailPost[i])
 			}
 		}
-		if bl := ix.ge[name]; bl != nil {
-			// Satisfied: bound <= x → prefix through x.
-			hi := sort.SearchFloat64s(bl.bounds, x)
-			for ; hi < len(bl.bounds) && bl.bounds[hi] == x; hi++ {
-			}
-			for i := 0; i < hi; i++ {
-				s.bump(bl.conj[i])
-			}
-			for i, b := range bl.tailBounds {
-				if b <= x {
-					s.bump(bl.tailConj[i])
-				}
+	}
+	if bl := ix.gt[name]; bl != nil {
+		// Satisfied: bound < x → prefix below x.
+		s.bumpAll(bl.post[:sort.SearchFloat64s(bl.bounds, x)])
+		for i, b := range bl.tailBounds {
+			if b < x {
+				s.bump(bl.tailPost[i])
 			}
 		}
-		if m := ix.eq[name]; m != nil {
-			s.bumpAll(m[x])
+	}
+	if bl := ix.ge[name]; bl != nil {
+		// Satisfied: bound <= x → prefix through x.
+		hi := sort.SearchFloat64s(bl.bounds, x)
+		for ; hi < len(bl.bounds) && bl.bounds[hi] == x; hi++ {
 		}
-		if math.IsInf(x, 0) {
-			return // a posted range has finite bounds
-		}
-		for _, c := range ix.iv[name] {
-			// Candidates: lower bound in [x − span, x]. A range of this
-			// class that holds x cannot start earlier; the filter settles
-			// the rest.
-			lo := x - c.span
-			for i := sort.SearchFloat64s(c.bounds, lo); i < len(c.bounds) && c.bounds[i] <= x; i++ {
-				s.bump(c.conj[i])
-			}
-			for i, b := range c.tailBounds {
-				if b >= lo && b <= x {
-					s.bump(c.tailConj[i])
-				}
+		s.bumpAll(bl.post[:hi])
+		for i, b := range bl.tailBounds {
+			if b <= x {
+				s.bump(bl.tailPost[i])
 			}
 		}
-	} else if m := ix.se[name]; m != nil {
-		s.bumpAll(m[v.Str])
+	}
+	if m := ix.eq[name]; m != nil {
+		s.decideAll(m[x])
+	}
+	if math.IsInf(x, 0) {
+		return // no posted range holds an infinity: its width is finite
+	}
+	for _, c := range ix.iv[name] {
+		// Candidates: lower bound in [x − span, x]. A range of this class
+		// that holds x cannot start earlier; its posting settles the rest.
+		lo := x - c.span
+		for i := sort.SearchFloat64s(c.bounds, lo); i < len(c.bounds) && c.bounds[i] <= x; i++ {
+			if p := &c.post[i]; p.holds(c.bounds[i], x) {
+				s.decide(p.ci)
+			}
+		}
+		for i, b := range c.tailBounds {
+			if p := &c.tailPost[i]; b >= lo && b <= x && p.holds(b, x) {
+				s.decide(p.ci)
+			}
+		}
 	}
 }
 
 // visitNaN is visit for a NaN number. Value.compare places NaN neither
 // below nor above any bound, so it satisfies every <=, >= and ==
-// predicate on the attribute and no < or >; a range may hold it (closed
-// bounds) or not (strict ones), which its filter decides.
+// predicate on the attribute and no < or >: a range holds it exactly
+// when every predicate it stands for is closed.
 func (s *MatchScratch) visitNaN(name string) {
 	ix := s.ix
-	for _, bl := range [...]*boundList{ix.le[name], ix.ge[name]} {
+	for _, bl := range [...]*boundList[int32]{ix.le[name], ix.ge[name]} {
 		if bl != nil {
-			s.bumpAll(bl.conj)
-			s.bumpAll(bl.tailConj)
+			s.bumpAll(bl.post)
+			s.bumpAll(bl.tailPost)
 		}
 	}
 	for _, cis := range ix.eq[name] {
-		s.bumpAll(cis)
+		s.decideAll(cis)
 	}
 	for _, c := range ix.iv[name] {
-		s.bumpAll(c.conj)
-		s.bumpAll(c.tailConj)
+		for _, posts := range [...][]ivPost{c.post, c.tailPost} {
+			for i := range posts {
+				if posts[i].strict&someOpen == 0 {
+					s.decide(posts[i].ci)
+				}
+			}
+		}
 	}
 }
 
@@ -934,31 +1067,46 @@ func (s *MatchScratch) bumpAll(cis []int32) {
 	}
 }
 
-// bump credits one satisfied posting to a conjunction. When the count
-// completes, the conjunction's id is emitted — after evaluating the
-// owning filter, where the postings were not the whole conjunction.
+// bump credits one satisfied posting to a counted conjunction, emitting
+// its id when the count completes.
 func (s *MatchScratch) bump(ci int32) {
 	t := &s.tally[ci]
 	if at := uint32(s.epoch); t.at != at {
 		*t = tally{at: at}
 	}
 	t.n++
-	c := &s.ix.conjs[ci]
-	if t.n == c.needed {
-		if v := s.ix.verify; v == nil || v[ci] == nil || s.holdsFilter(v[ci]) {
-			s.emit(c.id)
-		}
+	if c := &s.ix.conjs[ci]; t.n == c.needed {
+		s.emit(c.id)
 	}
 }
 
-// holdsFilter evaluates a nominated conjunction's filter against the
-// message, resolving the message on first use in this match.
-func (s *MatchScratch) holdsFilter(f *Filter) bool {
-	if s.resolvedAt != s.epoch {
-		s.resolvedAt = s.epoch
-		s.Resolve(s.msg)
+func (s *MatchScratch) decideAll(cis []int32) {
+	for _, ci := range cis {
+		s.decide(ci)
 	}
-	return f.MatchResolved(s, s.msg)
+}
+
+// decide settles an access-posted conjunction whose posting holds: it
+// is a match unless removed or one of its residual checks fails.
+func (s *MatchScratch) decide(ci int32) {
+	ix := s.ix
+	c := &ix.conjs[ci]
+	if c.needed == 0 {
+		return
+	}
+	if c.nres > 0 {
+		if s.resolvedAt != s.epoch {
+			s.resolvedAt = s.epoch
+			s.Resolve(s.msg)
+		}
+		run := ix.checks[c.res : c.res+c.nres]
+		for i := range run {
+			if !s.holdsCheck(&run[i], ix.strs) {
+				return
+			}
+		}
+	}
+	s.emit(c.id)
 }
 
 // emit appends an id to the output unless it was already emitted this

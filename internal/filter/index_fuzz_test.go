@@ -1,0 +1,322 @@
+package filter
+
+import (
+	"math"
+	"testing"
+)
+
+// FuzzIndexMatch is the index's differential fuzzer: the input is a
+// program of Add, AddBatch, Remove, Flush, Match and churn operations
+// over a small filter grammar, and every Match is checked against
+// Filter.Match of each live filter — every id that should match is
+// emitted, exactly once, and nothing else.
+//
+// The grammar covers strict, closed and half-open ranges, ranges and
+// equalities with and without residuals (numeric, !=, string equality
+// and string inequality), disjunctions, != filters (the fallback), the
+// one-sided counted form and wildcards; ids repeat. Bounds and attribute
+// values come from one small table — so a value often sits exactly on a
+// bound, or one ulp off it — that holds NaN and both infinities. A churn
+// operation adds up to 160 copies of a filter and removes most of them
+// again, which drives the tombstone compaction.
+//
+//	go test -run '^$' -fuzz '^FuzzIndexMatch$' -fuzztime 30s ./internal/filter
+func FuzzIndexMatch(f *testing.F) {
+	for _, seed := range indexFuzzSeeds() {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		runIndexProgram(t, &fuzzInput{b: data})
+	})
+}
+
+// Operations of an index program: the opcode byte modulo numOps.
+const (
+	opAdd = iota
+	opAddBatch
+	opRemove
+	opFlush
+	opMatch
+	opChurn
+	numOps
+)
+
+// Filter productions: the production byte modulo numProds.
+const (
+	prodStrict   = iota // a > lo && a < hi
+	prodClosed          // a >= lo && a <= hi
+	prodHalfOpen        // one bound strict, the other closed
+	prodRangeRes        // a range and a residual predicate
+	prodEq              // k == v
+	prodEqRes           // k == v and two residual predicates
+	prodStrEqRes        // s == 'x' and a residual predicate
+	prodEqStrRes        // k == v && s == 'x'
+	prodOr              // a disjunction of two productions
+	prodNE              // a != v (fallback)
+	prodCounted         // a one-sided inequality on each of a and b
+	prodWild            // nil
+	prodSource          // one of fuzzSources
+	numProds
+)
+
+// fuzzSources are TestIndexNaNMatchesFilter's filters: every operator
+// on a NaN attribute, ranges of each strictness, riders, a disjunction.
+var fuzzSources = []string{
+	"a < 5", "a <= 5", "a > 5", "a >= 5", "a == 5", "a != 5",
+	"a >= 1 && a <= 2",
+	"a > 1 && a < 2",
+	"a >= 1 && a < 2",
+	"a <= 5 && b < 3",
+	"a == 5 && b < 3",
+	"a >= 1 && a <= 2 && b != 7",
+	"s == 'x' && a >= 5",
+	"a < 5 || a >= 7",
+}
+
+// fuzzNums are the bounds and attribute values: a few that collide with
+// fuzzSources' bounds, a signed zero, values an ulp-sized step apart,
+// NaN and both infinities.
+var fuzzNums = []float64{
+	0, math.Copysign(0, -1), 1, 1.5, 2, 3, 5, 7, -1, 1e-300,
+	1 + 1e-15, math.NaN(), math.Inf(1), math.Inf(-1),
+}
+
+var (
+	fuzzAttrs = []string{"a", "b", "k", "s"}
+	fuzzStrs  = []string{"x", "y", ""}
+)
+
+// fuzzInput reads an index program; past its end every byte is zero.
+type fuzzInput struct{ b []byte }
+
+func (in *fuzzInput) next() int {
+	if len(in.b) == 0 {
+		return 0
+	}
+	c := in.b[0]
+	in.b = in.b[1:]
+	return int(c)
+}
+
+func (in *fuzzInput) num() float64 { return fuzzNums[in.next()%len(fuzzNums)] }
+func (in *fuzzInput) attr() string { return fuzzAttrs[in.next()%len(fuzzAttrs)] }
+func (in *fuzzInput) str() string  { return fuzzStrs[in.next()%len(fuzzStrs)] }
+func (in *fuzzInput) lowOp() Op    { return []Op{GT, GE}[in.next()%2] }
+func (in *fuzzInput) highOp() Op   { return []Op{LT, LE}[in.next()%2] }
+func (in *fuzzInput) id() int32    { return fuzzID(in.next()) }
+func (in *fuzzInput) rng(op1, op2 Op) *Filter {
+	return And(NewPred("a", op1, Num(in.num())), NewPred("a", op2, Num(in.num())))
+}
+
+// fuzzID maps a byte to an id: sixteen dense ids, repeated often, and a
+// few negative ones that switch the index to its sparse emit path.
+func fuzzID(c int) int32 {
+	if c >= 0xf8 {
+		return -int32(c & 7)
+	}
+	return int32(c % 16)
+}
+
+// pred is any predicate the language has: an attribute, any operator,
+// a numeric or string operand.
+func (in *fuzzInput) pred() *Filter {
+	attr, op := in.attr(), Op(in.next()%int(NE+1))
+	if c := in.next(); c%4 == 0 {
+		return NewPred(attr, op, Str(fuzzStrs[c/4%len(fuzzStrs)]))
+	}
+	return NewPred(attr, op, Num(in.num()))
+}
+
+func (in *fuzzInput) filter(depth int) *Filter {
+	switch p := in.next() % numProds; p {
+	case prodStrict:
+		return in.rng(GT, LT)
+	case prodClosed:
+		return in.rng(GE, LE)
+	case prodHalfOpen:
+		if in.next()%2 == 0 {
+			return in.rng(GE, LT)
+		}
+		return in.rng(GT, LE)
+	case prodRangeRes:
+		return And(in.rng(in.lowOp(), in.highOp()), in.pred())
+	case prodEq:
+		return Eq("k", Num(in.num()))
+	case prodEqRes:
+		return And(Eq("k", Num(in.num())), in.pred(), in.pred())
+	case prodStrEqRes:
+		return And(Eq("s", Str(in.str())), in.pred())
+	case prodEqStrRes:
+		return And(Eq("k", Num(in.num())), Eq("s", Str(in.str())))
+	case prodOr:
+		if depth > 2 {
+			return in.rng(GT, LT)
+		}
+		return Or(in.filter(depth+1), in.filter(depth+1))
+	case prodNE:
+		return NewPred(in.attr(), NE, Num(in.num()))
+	case prodCounted:
+		return And(NewPred("a", Op(in.next()%4), Num(in.num())), NewPred("b", Op(in.next()%4), Num(in.num())))
+	case prodWild:
+		return nil
+	default:
+		return MustParse(fuzzSources[in.next()%len(fuzzSources)])
+	}
+}
+
+// message draws one value (or none) per attribute: a table number, one
+// ulp above or below it, or a string.
+func (in *fuzzInput) message() iterMap {
+	m := iterMap{AttrMap{}}
+	for _, name := range fuzzAttrs {
+		switch c := in.next(); c % 5 {
+		case 0: // absent
+		case 1:
+			m.AttrMap[name] = Str(fuzzStrs[c/5%len(fuzzStrs)])
+		default:
+			x := fuzzNums[c/5%len(fuzzNums)]
+			switch c % 5 {
+			case 3:
+				x = math.Nextafter(x, math.Inf(1))
+			case 4:
+				x = math.Nextafter(x, math.Inf(-1))
+			}
+			m.AttrMap[name] = Num(x)
+		}
+	}
+	return m
+}
+
+// runIndexProgram executes an index program against a reference model —
+// every live id's filters, evaluated directly — and fails on the first
+// disagreement.
+func runIndexProgram(t *testing.T, in *fuzzInput) {
+	ix := NewIndex()
+	live := map[int32][]*Filter{}
+	fresh := int32(1000)
+	add := func(id int32, f *Filter) {
+		live[id] = append(live[id], f)
+	}
+	for ops := 0; len(in.b) > 0 && ops < 2000; ops++ {
+		switch in.next() % numOps {
+		case opAdd:
+			id, f := in.id(), in.filter(0)
+			ix.Add(id, f)
+			add(id, f)
+		case opAddBatch:
+			n := 1 + in.next()%8
+			ids, fs := make([]int32, n), make([]*Filter, n)
+			for i := range ids {
+				ids[i], fs[i] = in.id(), in.filter(0)
+				add(ids[i], fs[i])
+			}
+			ix.AddBatch(ids, fs)
+		case opRemove:
+			id := in.id()
+			_, want := live[id]
+			if got := ix.Remove(id); got != want {
+				t.Fatalf("Remove(%d) = %v, want %v", id, got, want)
+			}
+			delete(live, id)
+		case opFlush:
+			ix.Flush()
+		case opMatch:
+			checkIndexMatch(t, ix, live, in.message())
+		case opChurn:
+			n, keep := 32+in.next()%128, 2+in.next()%6
+			f := in.filter(0)
+			for i := 0; i < n; i++ {
+				ix.Add(fresh+int32(i), f)
+				add(fresh+int32(i), f)
+			}
+			for i := 0; i < n; i++ {
+				if i%keep != 0 {
+					ix.Remove(fresh + int32(i))
+					delete(live, fresh+int32(i))
+				}
+			}
+			fresh += int32(n)
+		}
+	}
+	if ix.Len() != len(live) {
+		t.Fatalf("Len = %d, want %d", ix.Len(), len(live))
+	}
+}
+
+func checkIndexMatch(t *testing.T, ix *Index, live map[int32][]*Filter, a iterMap) {
+	t.Helper()
+	got := map[int32]bool{}
+	for _, id := range ix.Match(a) {
+		if got[id] {
+			t.Fatalf("%v: id %d emitted twice", a.AttrMap, id)
+		}
+		if live[id] == nil {
+			t.Fatalf("%v: id %d emitted, not live", a.AttrMap, id)
+		}
+		got[id] = true
+	}
+	for id, fs := range live {
+		want := false
+		for _, f := range fs {
+			want = want || f.Match(a)
+		}
+		if want != got[id] {
+			t.Fatalf("%v: id %d (%v): filters say %v, index %v", a.AttrMap, id, fs, want, got[id])
+		}
+	}
+}
+
+// indexFuzzSeeds is the seed corpus: TestIndexNaNMatchesFilter's
+// filters matched against NaN and on-bound messages, every production
+// once, and a churn program that compacts.
+func indexFuzzSeeds() [][]byte {
+	// A message names a value per attribute: fuzzNums[i] exactly
+	// (num(i)), one ulp above it (num(i)+1), "x" (1), "y" (6) or none (0).
+	num := func(i int) byte { return byte(i*5 + 2) }
+	const one, two, three, five, nan = 2, 4, 5, 6, 11
+	msgs := [][]byte{
+		{opMatch, num(nan), 0, 0, 0},
+		{opMatch, num(nan), num(one), 0, 1},
+		{opMatch, num(nan), num(nan), 0, 6},
+		{opMatch, num(3), num(nan), 0, 1},
+		{opMatch, num(one), num(two), num(three), 1},
+		{opMatch, num(two) + 1, num(one), num(three), 6},
+	}
+	// Each production with exactly the argument bytes it reads.
+	prods := [][]byte{
+		{prodStrict, one, two},                                  // a > 1 && a < 2
+		{prodClosed, one, two},                                  // a >= 1 && a <= 2
+		{prodHalfOpen, 1, one, two},                             // a > 1 && a <= 2
+		{prodRangeRes, 0, 1, one, two, 1, byte(LT), 1, five},    // a > 1 && a <= 2 && b < 5
+		{prodEq, three},                                         // k == 3
+		{prodEqRes, three, 0, byte(NE), 1, one, 3, byte(GE), 4}, // k == 3 && a != 1 && s >= "y"
+		{prodStrEqRes, 0, 0, byte(GT), 1, two},                  // s == "x" && a > 2
+		{prodEqStrRes, three, 0},                                // k == 3 && s == "x"
+		{prodOr, prodStrict, one, two, prodEq, three},
+		{prodNE, 0, three}, // a != 3
+		{prodCounted, byte(LT), five, byte(LE), five},
+		{prodWild},
+		{prodSource, 11},
+	}
+	var sources, all []byte
+	for i := range fuzzSources {
+		sources = append(sources, opAdd, byte(i), prodSource, byte(i))
+	}
+	for i, p := range prods {
+		all = append(append(all, opAdd, byte(i)), p...)
+	}
+	all = append(all, opFlush)
+	// Four churns of 159 copies, five of six removed: each leaves more
+	// than 64 dead conjunctions outnumbering the live ones.
+	churn := append([]byte{opAdd, 1}, prods[3]...)
+	for i := 0; i < 4; i++ {
+		churn = append(append(churn, opChurn, 127, 4), prods[i%2]...)
+	}
+	churn = append(churn, opRemove, 1)
+	for _, m := range msgs {
+		sources = append(sources, m...)
+		all = append(all, m...)
+		churn = append(churn, m...)
+	}
+	return [][]byte{sources, all, churn}
+}

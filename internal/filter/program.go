@@ -22,6 +22,18 @@ import (
 // live overlay each hold their own decoded copy of every subscription's
 // filter, and a separate (attribute, op, bound) array per copy measured
 // +8% live heap on a 10k-subscription overlay.
+//
+// The counting index (index.go) lowers with the same slots, but into
+// its own slab and only what its postings do not already say: a
+// conjunction's residual, one 16-byte check per predicate (any operator,
+// numeric or string operand). On fanout_match's shape that is one check
+// per subscription; the range's own predicates live in its posting. The
+// check, the posting's upper bound and the wider conjunction state cost
+// the index about 28 bytes a conjunction more than the *Filter pointer
+// they replace. The per-id back-reference paid for it and more: it
+// shrank from an 80-byte record behind a map slot to one 8-byte map slot
+// — 150.6 → 79.5 index bytes per fanout-shaped conjunction
+// (TestIndexBytesPerConjunction pins ≤ 140).
 
 // maxProgPreds bounds a program's length so its slots pack beside the
 // length into one word of the Filter.
@@ -118,17 +130,23 @@ func newFilter(root node) *Filter {
 	return f
 }
 
-// resolvedAttr is one attribute slot of a resolved message: live only
-// while its stamp equals the scratch's current resolve epoch.
+// resolvedAttr is one attribute slot of a resolved message: a number
+// while its stamp equals the scratch's current resolve epoch, a string
+// while it equals the epoch with strStamp set — so a numeric program
+// sees a string attribute as absent, as Value.compare has it.
 type resolvedAttr struct {
 	num float64
+	str string
 	at  uint64
 }
 
-// Resolve loads a message's numeric attributes into the scratch, once
-// per message, for any number of MatchResolved calls. String-valued
-// attributes and names no program mentions are skipped: no lowered
-// predicate can match them.
+// strStamp marks a resolved string attribute's stamp.
+const strStamp = 1 << 63
+
+// Resolve loads a message's attributes into the scratch by slot, once
+// per message, for any number of MatchResolved calls and index checks.
+// Names no program or check mentions are skipped: no lowered predicate
+// can match them.
 func (s *MatchScratch) Resolve(a Iterable) {
 	if s.resolver == nil {
 		s.resolver = s.resolveAttr
@@ -138,9 +156,6 @@ func (s *MatchScratch) Resolve(a Iterable) {
 }
 
 func (s *MatchScratch) resolveAttr(name string, v Value) {
-	if v.Kind != Number {
-		return
-	}
 	slot, ok := slotOf(name)
 	if !ok {
 		return
@@ -148,13 +163,19 @@ func (s *MatchScratch) resolveAttr(name string, v Value) {
 	if int(slot) >= len(s.attrs) {
 		s.attrs = append(s.attrs, make([]resolvedAttr, int(slot)+1-len(s.attrs))...)
 	}
-	s.attrs[slot] = resolvedAttr{num: v.Num, at: s.attrEpoch}
+	if v.Kind == Number {
+		s.attrs[slot] = resolvedAttr{num: v.Num, at: s.attrEpoch}
+	} else {
+		s.attrs[slot] = resolvedAttr{str: v.Str, at: s.attrEpoch | strStamp}
+	}
 }
 
 // holds evaluates one lowered predicate against the resolved message.
 // The comparisons are Value.compare's, operator by operator — in
 // particular a NaN on either side is neither below nor above, so it
-// satisfies <=, >= and == exactly as Predicate.MatchValue has it.
+// satisfies <=, >= and == exactly as Predicate.MatchValue has it. (Its
+// own switch, not numHolds: the table scan runs one predicate shape,
+// whose branch predicts, and this form inlines into MatchResolved.)
 func (s *MatchScratch) holds(slot uint8, p *Predicate) bool {
 	if int(slot) >= len(s.attrs) {
 		return false
@@ -176,6 +197,61 @@ func (s *MatchScratch) holds(slot uint8, p *Predicate) bool {
 	default: // EQ: newFilter lowers nothing past it
 		return !(v < b) && !(v > b)
 	}
+}
+
+// opHolds[op] has bit k set when op holds for a comparison whose outcome
+// is k: 0 neither below nor above (equal, or a NaN on either side), 1
+// below, 2 above — Predicate.MatchValue, operator by operator. A NaN
+// thus satisfies <=, >= and == and fails <, > and !=.
+var opHolds = [...]uint8{
+	LT: 1 << 1,
+	LE: 1<<0 | 1<<1,
+	GT: 1 << 2,
+	GE: 1<<0 | 1<<2,
+	EQ: 1 << 0,
+	NE: 1<<1 | 1<<2,
+}
+
+// numHolds is Predicate.MatchValue on two numbers.
+func numHolds(op Op, v, b float64) bool {
+	return opHolds[op]>>(bit(v < b)|bit(v > b)<<1)&1 != 0
+}
+
+// strHolds is Predicate.MatchValue on two strings.
+func strHolds(op Op, v, b string) bool {
+	return opHolds[op]>>(bit(v < b)|bit(v > b)<<1)&1 != 0
+}
+
+func bit(b bool) uint8 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// check is one residual predicate of an index conjunction, lowered by
+// slot: the operator and the operand — a number in num, or, for a
+// string operand, an index into the index's string table in str.
+type check struct {
+	num  float64
+	str  int32
+	slot uint8
+	op   Op
+	kind Kind
+}
+
+// holdsCheck evaluates a check against the resolved message; strs is
+// the owning index's string table. An absent attribute, or one of the
+// other kind, fails every operator, != included.
+func (s *MatchScratch) holdsCheck(c *check, strs []string) bool {
+	if int(c.slot) >= len(s.attrs) {
+		return false
+	}
+	ra := &s.attrs[c.slot]
+	if c.kind == Number {
+		return ra.at == s.attrEpoch && numHolds(c.op, ra.num, c.num)
+	}
+	return ra.at == s.attrEpoch|strStamp && strHolds(c.op, ra.str, strs[c.str])
 }
 
 // MatchResolved is Match for a message the caller has resolved into s
