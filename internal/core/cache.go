@@ -21,7 +21,7 @@ import (
 // stats.SureSigmas, where SuccessProb evaluates to exactly 1.0, so the
 // metric loops can add Price without touching math.Erfc and still
 // produce bit-identical sums to the naive reference implementations
-// (reference.go). Targets with Sigma == 0 (point-mass residual rates)
+// (reference_test.go). Targets with Sigma == 0 (point-mass residual rates)
 // never saturate under this rule (sure = -Inf); they always take the
 // exact path, which is already Erfc-free.
 type entryCache struct {

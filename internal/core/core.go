@@ -238,7 +238,12 @@ func AllExpired(e *Entry, now vtime.Millis) bool {
 	if e.cache.ready {
 		return now > e.cache.maxDeadline
 	}
-	return RefAllExpired(e, now)
+	for _, t := range e.Targets {
+		if !t.Expired(now) {
+			return false
+		}
+	}
+	return true
 }
 
 // Viable reports whether an entry is worth enqueueing (or keeping) under

@@ -3,7 +3,7 @@ package core
 // Equivalence suite for ISSUE 1: the cached fast paths (cache.go,
 // core.go, queue.go) must return bit-identical values — and therefore
 // make byte-identical scheduling decisions — to the retained naive
-// reference implementations (reference.go), across randomized workloads
+// reference implementations (reference_test.go), across randomized workloads
 // spanning the saturated, transition, expired and σ=0 regimes.
 
 import (

@@ -7,8 +7,7 @@ import "bdps/internal/vtime"
 // truth: the cached fast paths in core.go must return bit-identical
 // values (and therefore make identical scheduling decisions), which the
 // equivalence suite in equivalence_test.go proves across randomized
-// workloads. They are also handy as an always-correct fallback when
-// debugging a suspected cache bug.
+// workloads. Nothing outside the tests calls them.
 
 // RefEB is the naive expected benefit (§5.1, eq. 3): one SuccessProb
 // evaluation per target, no caching.

@@ -135,35 +135,21 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 			cfg.Clock = runtime.AbsoluteWallClock(1)
 		}
 	}
-	// Per-node pacers from the plan's deterministic link enumeration, so
-	// live links draw the same rate sequences the simulator would — and,
-	// from the same enumeration, each arc's loss adversary and retry
-	// policy, so live links face the simulator's exact fault decisions.
-	pacers := make(map[msg.NodeID]map[msg.NodeID]Pacer)
-	loss := make(map[msg.NodeID]map[msg.NodeID]*runtime.LossModel)
-	retry := make(map[msg.NodeID]map[msg.NodeID]runtime.RetryPolicy)
-	armLoss := func(from, to msg.NodeID, lm *runtime.LossModel, rp runtime.RetryPolicy) {
-		if loss[from] == nil {
-			loss[from] = make(map[msg.NodeID]*runtime.LossModel)
-			retry[from] = make(map[msg.NodeID]runtime.RetryPolicy)
+	// Per-node link specs from the plan's deterministic link enumeration,
+	// so live links draw the same rate sequences the simulator would and
+	// face its exact fault decisions.
+	links := make(map[msg.NodeID]map[msg.NodeID]runtime.LinkSpec)
+	setLink := func(from, to msg.NodeID, spec runtime.LinkSpec) {
+		if links[from] == nil {
+			links[from] = make(map[msg.NodeID]runtime.LinkSpec)
 		}
-		loss[from][to] = lm
-		retry[from][to] = rp
+		links[from][to] = spec
 	}
 	rel := cfg.Reliability.Defaulted()
 	if cfg.Plan != nil {
 		rel = cfg.Plan.Cfg.Reliability
 		for _, l := range cfg.Plan.Links {
-			if pacers[l.From] == nil {
-				pacers[l.From] = make(map[msg.NodeID]Pacer)
-			}
-			pacers[l.From][l.To] = Pacer{
-				Sampler: cfg.Plan.Sampler(l),
-				Stream:  cfg.Plan.LinkStream(l),
-			}
-			if lm := cfg.Plan.LossModel(l); lm != nil {
-				armLoss(l.From, l.To, lm, cfg.Plan.RetryPolicy(l))
-			}
+			setLink(l.From, l.To, cfg.Plan.LinkSpec(l))
 		}
 	} else if cfg.LinkLoss != nil {
 		// Standalone wildcard adversary: enumerate arcs exactly like the
@@ -177,9 +163,10 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 		})
 		for i, arc := range arcs {
 			belief, _ := cfg.Overlay.Graph.Rate(arc[0], arc[1])
-			armLoss(arc[0], arc[1],
-				runtime.NewLossModel(cfg.Seed, i, *cfg.LinkLoss),
-				runtime.NewRetryPolicy(rel, belief, cfg.Params.PD))
+			setLink(arc[0], arc[1], runtime.LinkSpec{
+				Loss:  runtime.NewLossModel(cfg.Seed, i, *cfg.LinkLoss),
+				Retry: runtime.NewRetryPolicy(rel, belief, cfg.Params.PD),
+			})
 		}
 	}
 	c := &Cluster{
@@ -206,9 +193,7 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 			Aggregate:     cfg.Aggregate,
 			Clock:         cfg.Clock,
 			Sink:          cfg.Sink,
-			Pacers:        pacers[nid],
-			Loss:          loss[nid],
-			Retry:         retry[nid],
+			Links:         links[nid],
 			ReorderWindow: rel.Window,
 			Shards:        cfg.Shards,
 			Burst:         cfg.Burst,

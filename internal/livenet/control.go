@@ -132,7 +132,7 @@ func (n *Node) CheckpointTable() error {
 		}
 	}
 	for to, ls := range n.linkSenders {
-		st.Marks[to] = ls.seq.Load()
+		st.Marks[to] = ls.Mark()
 	}
 	return n.store.Reset(st)
 }

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"bdps/internal/metrics"
 	"bdps/internal/msg"
 	"bdps/internal/runtime"
 	"bdps/internal/stats"
@@ -106,20 +105,14 @@ func (n *Node) observeEpoch(peer msg.NodeID, e uint32) {
 	n.epochMu.Unlock()
 }
 
-// rejectStale reports whether a data frame from a neighbor carries an
-// epoch older than the newest that neighbor announced — a frame sent by
-// a dead incarnation, counted and discarded by the caller.
-func (n *Node) rejectStale(peer msg.NodeID, e uint32) bool {
-	if peer == msg.None {
-		return false
-	}
+// epochFloor is the newest incarnation epoch a neighbor has announced: a
+// data frame carrying an older one was sent by a dead incarnation. It is
+// kept per neighbor, not per connection, because a reborn neighbor's
+// Hello arrives on a new connection while the old one still drains.
+func (n *Node) epochFloor(peer msg.NodeID) uint32 {
 	n.epochMu.Lock()
-	stale := e < n.peerEpochs[peer]
-	n.epochMu.Unlock()
-	if stale {
-		n.count(metrics.StaleEpochFrames, 1)
-	}
-	return stale
+	defer n.epochMu.Unlock()
+	return n.peerEpochs[peer]
 }
 
 // Listen binds the node's TCP listener and starts accepting connections.
@@ -182,29 +175,27 @@ func (n *Node) ConnectPeers(addrs map[msg.NodeID]string) error {
 			conn.Close()
 			return err
 		}
-		pacer, ok := n.cfg.Pacers[e.To]
-		if !ok {
-			pacer = Pacer{
-				Sampler: runtime.NewSampler(runtime.LinkNormal, e.Rate, 1),
-				Stream:  stats.DeriveN(n.cfg.Seed, "livenet/link", int(n.cfg.ID)<<16|int(uint16(e.To))),
-			}
+		spec := n.cfg.Links[e.To]
+		if spec.Sampler == nil {
+			spec.Sampler = runtime.NewSampler(runtime.LinkNormal, e.Rate, 1)
+			spec.Stream = stats.DeriveN(n.cfg.Seed, "livenet/link", int(n.cfg.ID)<<16|int(uint16(e.To)))
 		}
 		// Every link runs the one sender: a nil adversary is a clean link.
 		// A restarted incarnation resumes the link sequence from the
 		// checkpointed watermark (zero without one).
-		ls := &linkSender{lm: n.cfg.Loss[e.To], rp: n.cfg.Retry[e.To]}
-		ls.seq.Store(n.recovered.Marks[e.To])
+		ls := runtime.NewLinkSend(n.cfg.ID, e.To, spec, nil)
+		ls.Resume(n.recovered.Marks[e.To])
 		pc := &peerConn{conn: conn}
 		wake := make(chan struct{}, 1)
 		n.mu.Lock()
 		n.peers[e.To] = pc
 		n.wake[e.To] = wake
 		n.estimates[e.To] = &stats.WelfordEstimator{Prior: e.Rate}
-		n.linkSenders[e.To] = ls
+		n.linkSenders[e.To] = &ls
 		n.mu.Unlock()
 
 		n.wg.Add(1)
-		go n.senderLoop(e.To, pc, wake, pacer, ls)
+		go n.senderLoop(e.To, pc, wake, &ls)
 	}
 	n.startHeartbeats()
 	return nil

@@ -8,6 +8,7 @@ import (
 	"bdps/internal/core"
 	"bdps/internal/filter"
 	"bdps/internal/msg"
+	"bdps/internal/runtime"
 	"bdps/internal/vtime"
 )
 
@@ -98,7 +99,16 @@ func sendMark(n *Node, to msg.NodeID) uint64 {
 	if !ok {
 		return 0
 	}
-	return sender.seq.Load()
+	return sender.Mark()
+}
+
+// rejectStale runs one data-frame epoch from a neighbor through the
+// stale check of a link's receiving half, as readLoop does: true (and
+// counted in StaleEpochFrames) when the neighbor has announced a newer
+// incarnation.
+func (n *Node) rejectStale(peer msg.NodeID, e uint32) bool {
+	lr := runtime.NewLinkRecv(0, nodeCount{n})
+	return lr.Stale(e, n.epochFloor(peer))
 }
 
 // TestCleanLinkSendsSequencedData pins the one link path from the wire: a

@@ -13,11 +13,12 @@
 // model on a wall clock. TimeScale < 1 compresses the emulation for
 // demos, tests and sim↔live cross-validation.
 //
-// There is one broker-to-broker link, the simulator's (reliable.go):
-// every relayed message is a FrameData carrying the link sequence, the
-// sender's lowest still-live sequence and its incarnation epoch, clean
-// link or lossy; FrameMessage is what a publisher hands its ingress
-// broker and nothing else.
+// There is one broker-to-broker link, the simulator's: both backends
+// drive the same sending and receiving halves (runtime/link.go), and
+// this package adds the framing (reliable.go). Every relayed message is
+// a FrameData carrying the link sequence, the sender's lowest still-live
+// sequence and its incarnation epoch, clean link or lossy; FrameMessage
+// is what a publisher hands its ingress broker and nothing else.
 //
 // All scheduling-relevant time flows through one runtime.Clock, so
 // deadline math never touches time.Now directly. The default clock is
@@ -90,18 +91,12 @@ type NodeConfig struct {
 	// Sink, when non-nil, receives delivery-side metric events (already
 	// serialized by the caller, e.g. a runtime.LockedSink).
 	Sink runtime.Sink
-	// Pacers overrides per-link pacing; missing links default to the
-	// overlay's truncated-normal rates on a stream derived from Seed.
-	Pacers map[msg.NodeID]Pacer
-
-	// Loss maps outgoing links to the injected LinkLoss adversary each
-	// faces; links without an entry (or a nil map) are clean — the same
-	// link with nothing to resolve. Retry supplies each lossy link's
-	// retransmission policy. Both are derived from the plan's
-	// deterministic link enumeration so live links face the simulator's
-	// exact adversary.
-	Loss  map[msg.NodeID]*runtime.LossModel
-	Retry map[msg.NodeID]runtime.RetryPolicy
+	// Links supplies each outgoing link's spec (runtime.Plan.LinkSpec
+	// derives them from the plan's deterministic link enumeration, so live
+	// links draw the simulator's rates and face its exact adversary). A
+	// link without a sampler paces at the overlay's truncated-normal rates
+	// on a stream derived from Seed; one without an adversary is clean.
+	Links map[msg.NodeID]runtime.LinkSpec
 	// ReorderWindow bounds each inbound link's reorder-heal buffer, in
 	// frames (Reliability.Window; its default when ≤ 0).
 	ReorderWindow int
@@ -182,9 +177,9 @@ type Node struct {
 	storeOnce sync.Once
 	recovered durable.State
 	restarted bool
-	// linkSenders indexes each outgoing link's sender state so
+	// linkSenders indexes each outgoing link's sending half so
 	// checkpoints can snapshot the send watermarks (guarded by mu).
-	linkSenders map[msg.NodeID]*linkSender
+	linkSenders map[msg.NodeID]*runtime.LinkSend
 
 	// sessions holds per-subscriber resumable delivery state — the
 	// attached connection, the delivery sequence numbers and a bounded
@@ -355,7 +350,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		lastHeard:   make(map[msg.NodeID]vtime.Millis),
 		peerState:   make(map[msg.NodeID]int),
 		peerEpochs:  make(map[msg.NodeID]uint32),
-		linkSenders: make(map[msg.NodeID]*linkSender),
+		linkSenders: make(map[msg.NodeID]*runtime.LinkSend),
 		sessions:    make(map[msg.SubID]*session),
 	}
 	n.epoch.Store(cfg.Epoch)

@@ -91,12 +91,19 @@ func (p *recordingPeer) next(t *testing.T) arrival {
 // tighter bound outranks the backlog whenever it is there to be picked.
 func pacedSender(t *testing.T, timeScale float64, loss *runtime.LinkLoss) (*Node, *recordingPeer, *Publisher) {
 	t.Helper()
-	cfg := NodeConfig{TimeScale: timeScale}
-	if loss != nil {
-		cfg.Loss = map[msg.NodeID]*runtime.LossModel{1: runtime.NewLossModel(1, 0, *loss)}
-		cfg.Retry = map[msg.NodeID]runtime.RetryPolicy{1: {Enabled: true, MaxAttempts: 8}}
+	return linkSenderNode(t, NodeConfig{TimeScale: timeScale, Links: lossyLink(loss)})
+}
+
+// lossyLink is the link spec toward broker 1 facing loss (nil: a clean
+// link), retrying blindly up to 8 attempts.
+func lossyLink(loss *runtime.LinkLoss) map[msg.NodeID]runtime.LinkSpec {
+	if loss == nil {
+		return nil
 	}
-	return linkSenderNode(t, cfg)
+	return map[msg.NodeID]runtime.LinkSpec{1: {
+		Loss:  runtime.NewLossModel(1, 0, *loss),
+		Retry: runtime.RetryPolicy{Enabled: true, MaxAttempts: 8},
+	}}
 }
 
 // linkSenderNode completes cfg into node 0 of a two-broker overlay,
@@ -281,39 +288,58 @@ func TestShardedSenderUnpacedBurstsToCap(t *testing.T) {
 // transfer unless the adversary swaps the chain behind its successor —
 // then, as in the simulator's kick, the successor rides the same
 // transfer and overtakes it. With certain reordering the frames arrive
-// pairwise swapped, each pair after two transfers' time.
+// pairwise swapped, each pair after two transfers' time. The Burst cap
+// cuts no owed reorder either: at a cap of one, each burst is a head and
+// the successor it owes.
 func TestShardedSenderReordersUnderPacing(t *testing.T) {
-	if testing.Short() {
-		t.Skip("wall-clock paced transfers")
-	}
-	n, peer, pub := pacedSender(t, 0.01, &runtime.LinkLoss{Reorder: 1})
-	queueBacklog(t, n, pub, 6)
-	start := time.Now()
-	n.SetLinkDown(1, false)
-	var got []arrival
-	for i := 0; i < 6; i++ {
-		got = append(got, peer.next(t))
-	}
-	for i, want := range []uint64{2, 1, 4, 3, 6, 5} {
-		if got[i].seq != want {
-			t.Fatalf("link sequence %d arrived at position %d, want %d", got[i].seq, i+1, want)
+	t.Run("paced", func(t *testing.T) {
+		if testing.Short() {
+			t.Skip("wall-clock paced transfers")
 		}
-	}
-	// Three pairs of two 10 ms transfers: the first pair after ≈ 20 ms,
-	// not after all 60.
-	if first, last := got[0].at.Sub(start), got[5].at.Sub(start); first > last/2 {
-		t.Errorf("first pair after %v of a %v drain", first, last)
-	}
-	if obs := observations(t, n); obs != 3 {
-		t.Errorf("%d bursts for three swapped pairs", obs)
-	}
+		n, peer, pub := pacedSender(t, 0.01, &runtime.LinkLoss{Reorder: 1})
+		queueBacklog(t, n, pub, 6)
+		start := time.Now()
+		n.SetLinkDown(1, false)
+		var got []arrival
+		for i := 0; i < 6; i++ {
+			got = append(got, peer.next(t))
+		}
+		for i, want := range []uint64{2, 1, 4, 3, 6, 5} {
+			if got[i].seq != want {
+				t.Fatalf("link sequence %d arrived at position %d, want %d", got[i].seq, i+1, want)
+			}
+		}
+		// Three pairs of two 10 ms transfers: the first pair after ≈ 20 ms,
+		// not after all 60.
+		if first, last := got[0].at.Sub(start), got[5].at.Sub(start); first > last/2 {
+			t.Errorf("first pair after %v of a %v drain", first, last)
+		}
+		if obs := observations(t, n); obs != 3 {
+			t.Errorf("%d bursts for three swapped pairs", obs)
+		}
+	})
+	t.Run("burst1", func(t *testing.T) {
+		n, peer, pub := linkSenderNode(t, NodeConfig{
+			TimeScale: 1e-9, Burst: 1, Links: lossyLink(&runtime.LinkLoss{Reorder: 1}),
+		})
+		queueBacklog(t, n, pub, 6)
+		n.SetLinkDown(1, false)
+		for i, want := range []uint64{2, 1, 4, 3, 6, 5} {
+			if a := peer.next(t); a.seq != want {
+				t.Fatalf("link sequence %d arrived at position %d, want %d", a.seq, i+1, want)
+			}
+		}
+		if obs := observations(t, n); obs != 3 {
+			t.Errorf("%d bursts for three swapped pairs at a cap of one", obs)
+		}
+	})
 }
 
 // TestPacerWait pins the pacing-wait helper: nothing to sleep allocates
 // no timer, the first real sleep creates the one timer every later sleep
 // reuses, and a stopped node cuts a sleep short and reports it.
 func TestPacerWait(t *testing.T) {
-	var p Pacer
+	var p pacer
 	stopped := make(chan struct{})
 	if !p.wait(0, stopped) || !p.wait(-time.Second, stopped) || p.timer != nil {
 		t.Fatalf("empty wait: timer %v, want none and true", p.timer)

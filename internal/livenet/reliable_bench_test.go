@@ -55,16 +55,17 @@ func BenchmarkLink(b *testing.B) {
 			b.Fatal(err)
 		}
 		defer n.Stop()
-		newSender := func() *linkSender {
-			ls := &linkSender{rp: runtime.RetryPolicy{Enabled: true, MaxAttempts: 8}}
-			if tc.loss != nil {
-				ls.lm = runtime.NewLossModel(1, 0, *tc.loss)
+		newSender := func() *runtime.LinkSend {
+			spec := runtime.LinkSpec{
+				Sampler: runtime.NewSampler(runtime.LinkNormal, stats.Normal{Mean: 50, Sigma: 5}, 1),
+				Stream:  stats.DeriveN(1, "bench/link", 0),
+				Retry:   runtime.RetryPolicy{Enabled: true, MaxAttempts: 8},
 			}
-			return ls
-		}
-		pacer := Pacer{
-			Sampler: runtime.NewSampler(runtime.LinkNormal, stats.Normal{Mean: 50, Sigma: 5}, 1),
-			Stream:  stats.DeriveN(1, "bench/link", 0),
+			if tc.loss != nil {
+				spec.Loss = runtime.NewLossModel(1, 0, *tc.loss)
+			}
+			ls := runtime.NewLinkSend(1, 0, spec, nil)
+			return &ls
 		}
 		m := &msg.Message{
 			ID: 1, Publisher: 100, Ingress: 0, Allowed: vtime.Hour, SizeKB: 1,
@@ -72,16 +73,14 @@ func BenchmarkLink(b *testing.B) {
 		}
 		e := &core.Entry{MsgID: 1, SizeKB: 1, Data: m,
 			Targets: []core.Target{{SubID: 1, Deadline: vtime.Hour, Price: 1, Hops: 1}}}
-		sendBurst := func(ls *linkSender, pc *peerConn) {
-			ls.chains = ls.chains[:0]
+		var ws wireScratch
+		sendBurst := func(ls *runtime.LinkSend, pc *peerConn) {
 			for k := 0; k < linkBenchBurst; k++ {
-				ls.resolve(e, &pacer, 0)
+				ls.Resolve(e, 0)
 			}
-			orderBurst(ls)
-			for i := range ls.chains {
-				n.accountChain(&ls.chains[i].out)
-			}
-			n.writeBurstReliable(pc, ls)
+			chains := ls.Order()
+			ls.Account(nodeCount{n})
+			n.writeBurstReliable(pc, chains, &ws)
 		}
 
 		b.Run(tc.name+"/send", func(b *testing.B) {
@@ -107,9 +106,12 @@ func BenchmarkLink(b *testing.B) {
 				sendBurst(ls, &peerConn{conn: capt})
 			}
 			n.sentPeers.Store(0)
-			wire, span := capt.wire, ls.seq.Load()
-			rl := &recvLink{rs: runtime.NewRecvState(0)}
-			var dec msg.Decoder
+			wire, span := capt.wire, ls.Mark()
+			lr := runtime.NewLinkRecv(0, nodeCount{n})
+			var (
+				dec     msg.Decoder
+				deliver []*msg.Message
+			)
 			pass := func() {
 				for off := 0; off < len(wire); {
 					flen := wireHdrLen + int(binary.BigEndian.Uint32(wire[off+4:]))
@@ -119,7 +121,7 @@ func BenchmarkLink(b *testing.B) {
 						continue // a mangled drop: counted, never processed
 					}
 					seq, base, epoch, mb, err := msg.DecodeDataHeader(frame[wireHdrLen:])
-					if err != nil || n.rejectStale(0, epoch) {
+					if err != nil || lr.Stale(epoch, n.epochFloor(0)) {
 						b.Fatalf("frame seq %d refused (err %v)", seq, err)
 					}
 					msg.PutDataSeq(frame, seq+span, base+span)
@@ -128,7 +130,13 @@ func BenchmarkLink(b *testing.B) {
 						b.Fatal(err)
 					}
 					n.inflight.Add(1)
-					for _, dm := range rl.accept(n, seq, base, pm) {
+					var dup bool
+					deliver, dup = lr.Accept(seq, base, pm, deliver[:0])
+					if dup {
+						pm.Release()
+						n.inflight.Add(-1)
+					}
+					for _, dm := range deliver {
 						dm.Release()
 						n.inflight.Add(-1)
 					}
@@ -141,8 +149,8 @@ func BenchmarkLink(b *testing.B) {
 				pass()
 			}
 			b.StopTimer()
-			if rl.rs.Pending() > linkBenchBurst || n.inflight.Load() != int32(rl.rs.Pending()) {
-				b.Fatalf("receiver wedged: %d parked, %d in flight", rl.rs.Pending(), n.inflight.Load())
+			if lr.Pending() > linkBenchBurst || n.inflight.Load() != int32(lr.Pending()) {
+				b.Fatalf("receiver wedged: %d parked, %d in flight", lr.Pending(), n.inflight.Load())
 			}
 		})
 	}

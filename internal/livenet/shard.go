@@ -11,7 +11,6 @@ import (
 	"bdps/internal/metrics"
 	"bdps/internal/msg"
 	"bdps/internal/runtime"
-	"bdps/internal/stats"
 	"bdps/internal/vtime"
 )
 
@@ -42,12 +41,17 @@ import (
 //     (size × rate, the paper's per-KB link model), and the burst ends
 //     as soon as that accumulated time is something a timer can resolve
 //     (paceQuantum) — or at the Burst cap. The sender sleeps the burst's
-//     transfer time, then flushes it with one write (reliable.go: the
-//     one link path, clean or lossy). So a paced link sends one pick per
-//     transfer, as the simulator does, and whatever arrives during a
-//     transfer is scheduled against the backlog at the next pick; an
-//     unpaced link, whose transfer times never add up to the quantum,
-//     keeps bursting to the cap.
+//     transfer time, then flushes it with one write. So a paced link
+//     sends one pick per transfer, as the simulator does, and whatever
+//     arrives during a transfer is scheduled against the backlog at the
+//     next pick; an unpaced link, whose transfer times never add up to
+//     the quantum, keeps bursting to the cap.
+//   - The hop itself — sequence numbers, the adversary, link-time draws,
+//     the reorder and base rules on the way out, stale-epoch rejection
+//     and dedup on the way in — is runtime/link.go, the one place its
+//     contract lives, shared with the simulator; the sender and read
+//     loops here keep the pacing wait, the framing (reliable.go) and the
+//     socket.
 type shard struct {
 	ch chan *inBatch
 }
@@ -143,11 +147,12 @@ func (n *Node) readLoop(conn net.Conn) {
 	var dec msg.Decoder
 	pend := make([]*inBatch, len(n.shards))
 	pending := 0
-	// rl is the receiving state of a broker link (client connections
-	// carry no link frames).
-	var rl *recvLink
+	// lr is the receiving half of a broker link (client connections carry
+	// no link frames), deliver its hand-up scratch.
+	var lr runtime.LinkRecv
+	var deliver []*msg.Message
 	if role == msg.RoleBroker {
-		rl = &recvLink{rs: runtime.NewRecvState(n.cfg.ReorderWindow)}
+		lr = runtime.NewLinkRecv(n.cfg.ReorderWindow, nodeCount{n})
 	}
 	// outstanding counts this connection's batches dispatched but not
 	// yet fully processed by their workers; control frames wait for it
@@ -288,7 +293,7 @@ func (n *Node) readLoop(conn net.Conn) {
 				fb.Release()
 				break
 			}
-			if n.rejectStale(peerID, fepoch) {
+			if lr.Stale(fepoch, n.epochFloor(peerID)) {
 				// Sent by a dead incarnation: counted toward the wire
 				// totals (like a mangled drop), never processed.
 				fb.Release()
@@ -312,8 +317,16 @@ func (n *Node) readLoop(conn net.Conn) {
 			n.recvPeers.Add(1)
 			// Messages come back in restored FIFO order and batch toward
 			// the shard workers in that order, preserving the per-stream
-			// delivery ordering.
-			for _, dm := range rl.accept(n, seq, base, m) {
+			// delivery ordering. A suppressed duplicate is released here
+			// (and its inflight hold dropped); a frame parked out of order
+			// keeps its hold until it drains.
+			var dup bool
+			deliver, dup = lr.Accept(seq, base, m, deliver[:0])
+			if dup {
+				m.Release()
+				n.inflight.Add(-1)
+			}
+			for _, dm := range deliver {
 				stage(dm)
 			}
 		case msg.FrameDataDrop:
@@ -582,25 +595,18 @@ func (n *Node) accountResult(res *broker.Result) {
 	}
 }
 
-// Pacer paces one outgoing link: a per-transfer rate sampler and the
-// random stream feeding it. Plan deployments pass the plan's samplers so
-// live links draw the same rate sequences the simulator would.
-type Pacer struct {
-	Sampler runtime.Sampler
-	Stream  *stats.Stream
-
-	// timer is the owning sender goroutine's pacing timer: created by
-	// the first wait that actually has to sleep, reused by every later
-	// one, so an unpaced sender never allocates it and a paced one
-	// allocates it once.
+// pacer is one sender goroutine's pacing timer: created by the first
+// wait that actually has to sleep, reused by every later one, so an
+// unpaced sender never allocates it and a paced one allocates it once.
+type pacer struct {
 	timer *time.Timer
 }
 
 // wait sleeps one pacing delay — a transfer's sampled link time, already
 // scaled to wall time — and reports false when the node stopped first.
 // A delay that rounds to nothing costs a poll of the stop channel and no
-// timer. Only the sender goroutine that owns the Pacer may call it.
-func (p *Pacer) wait(d time.Duration, stopped <-chan struct{}) bool {
+// timer. Only the sender goroutine that owns the pacer may call it.
+func (p *pacer) wait(d time.Duration, stopped <-chan struct{}) bool {
 	if d <= 0 {
 		select {
 		case <-stopped:
@@ -635,32 +641,37 @@ func (p *Pacer) wait(d time.Duration, stopped <-chan struct{}) bool {
 // time reaches paceQuantum (or the Burst cap), sleep that transfer time,
 // flush the burst with one write. Injected link outages park the loop
 // until the link comes back up. Every burst goes through the link's
-// linkSender (reliable.go): chains resolved against the adversary as the
-// entries are selected — one delivering attempt each on a clean link —
-// every attempt paced and written (lost ones mangled), the whole burst
-// leaving in one syscall.
-func (n *Node) senderLoop(to msg.NodeID, pc *peerConn, wake chan struct{}, pacer Pacer, ls *linkSender) {
+// sending half (runtime.LinkSend): chains resolved against the adversary
+// as the entries are selected — one delivering attempt each on a clean
+// link — every attempt paced and written (lost ones mangled,
+// reliable.go), the whole burst leaving in one syscall.
+func (n *Node) senderLoop(to msg.NodeID, pc *peerConn, wake chan struct{}, ls *runtime.LinkSend) {
 	defer n.wg.Done()
 	q := n.b.Queue(to)
 	burst := n.burst
-	entries := make([]*core.Entry, 0, burst)
+	entries := make([]*core.Entry, 0, burst+1)
+	var (
+		p  pacer
+		ws wireScratch
+	)
 
 	// The burst being selected: its scheduling instant, and the link time
 	// (emulated ms) and wire volume (KB) of the entries taken so far.
 	// more is PopBurstWhile's cut — it charges each entry, in send order,
-	// its whole resolved chain (one rate sample per attempt and per
-	// duplicated copy; on a clean link, one) and lets the burst grow only
-	// while the transfer time it adds up to is still below what a pacing
-	// sleep can resolve. Entries past the cut stay queued.
+	// its whole resolved chain and lets the burst grow only while the
+	// transfer time it adds up to is still below what a pacing sleep can
+	// resolve, and below the Burst cap. A chain reordered behind its
+	// successor always gets it, the one entry past the cap PopBurstWhile
+	// is allowed (a successor is never reordered in turn). Entries past
+	// the cut stay queued.
 	var (
 		now    vtime.Millis
 		tx, kb float64
 	)
 	more := func(e *core.Entry) bool {
-		etx, ekb, swap := ls.resolve(e, &pacer, now)
-		tx += etx
-		kb += ekb
-		return swap || vtime.ToDuration(tx*n.cfg.TimeScale) < paceQuantum
+		var swap bool
+		tx, kb, swap = ls.Resolve(e, now)
+		return swap || (ls.Len() < burst && vtime.ToDuration(tx*n.cfg.TimeScale) < paceQuantum)
 	}
 	for {
 		n.mu.RLock()
@@ -680,11 +691,10 @@ func (n *Node) senderLoop(to msg.NodeID, pc *peerConn, wake chan struct{}, pacer
 		// what the strategy would send, in send order — O(n + k log n)
 		// where k sequential Picks would rescan the queue per message.
 		strategy, params := n.b.Strategy(), n.b.Params()
-		now, tx, kb = n.clock.Now(), 0, 0
-		ls.chains = ls.chains[:0]
+		now = n.clock.Now()
 		q.Lock()
 		var drops []core.Drop
-		entries, drops = q.PopBurstWhile(strategy, now, params, burst, entries[:0], more)
+		entries, drops = q.PopBurstWhile(strategy, now, params, burst+1, entries[:0], more)
 		n.accountDrops(drops)
 		if len(entries) > 0 {
 			n.egress.Add(-int64(len(entries)))
@@ -706,7 +716,7 @@ func (n *Node) senderLoop(to msg.NodeID, pc *peerConn, wake chan struct{}, pacer
 		// The burst's transfer: Σ size·rate over the sampled rates, the
 		// link time the simulator would keep the link busy for.
 		start := time.Now()
-		if !pacer.wait(vtime.ToDuration(tx*n.cfg.TimeScale), n.stopped) {
+		if !p.wait(vtime.ToDuration(tx*n.cfg.TimeScale), n.stopped) {
 			// Stopped mid-transfer: the held burst dies with the node. A
 			// healthy run quiesces before Stop, so this only fires on
 			// crash/abort paths — charge the loss like the queue drain
@@ -719,11 +729,9 @@ func (n *Node) senderLoop(to msg.NodeID, pc *peerConn, wake chan struct{}, pacer
 			return
 		}
 
-		orderBurst(ls)
-		for i := range ls.chains {
-			n.accountChain(&ls.chains[i].out)
-		}
-		n.writeBurstReliable(pc, ls)
+		chains := ls.Order()
+		ls.Account(nodeCount{n})
+		n.writeBurstReliable(pc, chains, &ws)
 		for _, e := range entries {
 			releaseEntry(e)
 		}

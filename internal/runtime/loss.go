@@ -9,8 +9,9 @@ import (
 	"bdps/internal/vtime"
 )
 
-// This file is the shared half of the lossy-network adversary and the
-// reliable channel that heals it. The design invariant both backends
+// This file is the lossy-network adversary and the retransmission policy
+// that answers it; link.go's two halves drive them on both backends and
+// heal what gets through. The design invariant both backends
 // lean on: every loss/dup/reorder decision is a pure function of
 // (run seed, link index, sequence number, attempt), so the simulator and
 // the live overlay face the *identical* adversary and agree exactly on
@@ -216,17 +217,11 @@ type SendOutcome struct {
 
 // ResolveSend plays one frame's head-of-line send chain against the
 // adversary: transmit, and on a loss retransmit immediately if the policy
-// admits it, else abandon. Both backends call this with identical
-// arguments, which is what makes the loss counters agree exactly.
-// targets are the popped entry's (still owned by the caller: resolve
-// before releasing it); the hop-effective deadline that gates
+// admits it, else abandon. LinkSend.Resolve (link.go) is the one caller,
+// on both backends, which is what makes the loss counters agree exactly.
+// targets are the popped entry's; the hop-effective deadline that gates
 // retransmissions is derived from them at the frame's first loss, so a
 // clean link — or a frame the adversary spares — never pays for it.
-//
-// The caller charges link time for Attempts transmissions (+1 when Dup),
-// drawing rate samples in that order from the link's stream, and accounts
-// Losses as FrameLost, Retransmits as Retransmit, and an abandoned frame
-// as DroppedDeadline.
 func ResolveSend(lm *LossModel, rp RetryPolicy, seq uint64, sizeKB float64, targets []core.Target, now vtime.Millis) SendOutcome {
 	out := SendOutcome{}
 	if lm == nil {
@@ -252,90 +247,9 @@ func ResolveSend(lm *LossModel, rp RetryPolicy, seq uint64, sizeKB float64, targ
 	}
 }
 
-// RecvState restores exactly-once FIFO delivery on the receiving end of
-// one lossy link: a cumulative expected-sequence cursor plus a bounded
-// buffer of ahead-of-order frames. The cursor makes dedup O(1) and
-// inherently generation-bounded — everything below `expected` is a
-// duplicate, no per-ID set to expire.
-type RecvState struct {
-	expected uint64 // next in-order sequence (first frame is 1)
-	buf      map[uint64]*msg.Message
-	window   int
-}
-
-// NewRecvState returns receiver state with the given reorder window.
-func NewRecvState(window int) *RecvState {
-	if window <= 0 {
-		window = 64
-	}
-	return &RecvState{expected: 1, window: window}
-}
-
-// Pending is the number of buffered out-of-order frames.
-func (r *RecvState) Pending() int { return len(r.buf) }
-
-// Accept runs one arriving frame through dedup and FIFO restoration.
-// `base` is the sender's lowest still-live sequence (frames below it were
-// delivered or abandoned and must not be waited for). Messages now
-// deliverable in order are appended to deliver; dup reports a suppressed
-// duplicate (the caller owns the rejected message), and healed counts how
-// many of the returned messages came out of the reorder buffer.
-func (r *RecvState) Accept(seq, base uint64, m *msg.Message, deliver []*msg.Message) (out []*msg.Message, dup bool, healed int) {
-	out = deliver
-	if base > r.expected {
-		// The sender abandoned everything below base: stop waiting for it.
-		r.expected = base
-		out, healed = r.drain(out, healed)
-	}
-	switch {
-	case seq < r.expected:
-		return out, true, healed
-	case seq == r.expected:
-		out = append(out, m)
-		r.expected++
-		out, healed = r.drain(out, healed)
-	default:
-		if r.buf == nil {
-			r.buf = make(map[uint64]*msg.Message)
-		}
-		if _, dup := r.buf[seq]; dup {
-			return out, true, healed
-		}
-		r.buf[seq] = m
-		if len(r.buf) >= r.window {
-			// Pathological gap (a peer restarted mid-stream): give up on
-			// strict FIFO and advance to the lowest buffered frame rather
-			// than wedge the link.
-			low := seq
-			for s := range r.buf {
-				if s < low {
-					low = s
-				}
-			}
-			r.expected = low
-			out, healed = r.drain(out, healed)
-		}
-	}
-	return out, false, healed
-}
-
-// drain releases consecutively buffered frames from the cursor onward.
-func (r *RecvState) drain(out []*msg.Message, healed int) ([]*msg.Message, int) {
-	for {
-		m, ok := r.buf[r.expected]
-		if !ok {
-			return out, healed
-		}
-		delete(r.buf, r.expected)
-		r.expected++
-		out = append(out, m)
-		healed++
-	}
-}
-
-// LossModel returns the adversary one plan link faces, or nil for a clean
+// lossModel returns the adversary one plan link faces, or nil for a clean
 // link. Exactly one LinkLoss fault can cover an arc (validateFaults).
-func (p *Plan) LossModel(l Link) *LossModel {
+func (p *Plan) lossModel(l Link) *LossModel {
 	for _, f := range p.Cfg.Faults {
 		ll, ok := f.(LinkLoss)
 		if !ok {
@@ -347,10 +261,4 @@ func (p *Plan) LossModel(l Link) *LossModel {
 		}
 	}
 	return nil
-}
-
-// RetryPolicy derives one link's retransmission policy from the run's
-// reliability config and the link's rate belief.
-func (p *Plan) RetryPolicy(l Link) RetryPolicy {
-	return NewRetryPolicy(p.Cfg.Reliability, p.Beliefs(l.From, l.To), p.Cfg.Params.PD)
 }

@@ -421,18 +421,6 @@ func faultLess(x, y Fault) bool {
 	return x2 < y2
 }
 
-// Sampler builds the plan's rate sampler for one link.
-func (p *Plan) Sampler(l Link) Sampler {
-	return NewSampler(p.Cfg.LinkModel, l.Truth, p.Cfg.MinRate)
-}
-
-// LinkStream derives the random stream feeding one link's sampler. Both
-// backends use it, so a live run draws the same per-link rate sequence
-// the simulator would under the same seed.
-func (p *Plan) LinkStream(l Link) *stats.Stream {
-	return stats.DeriveN(p.Cfg.Seed, "simnet/link", l.Index)
-}
-
 // AccountPublications records the publication side of the run's metrics
 // — Σ tsᵢ over the whole schedule, per-subscriber when configured. It
 // is backend-independent; call it exactly once per plan, before any

@@ -2,9 +2,11 @@
 // layer (internal/runtime): a thin Transport that realizes a
 // runtime.Plan on the deterministic event engine. All deployment wiring
 // — topology, routing tables, brokers, workload, fault validation,
-// metrics — lives in the plan; this package only turns link transfers
-// and processing delays into events on a virtual clock. One Run
-// reproduces one data point of the paper's evaluation.
+// metrics — lives in the plan, and the hop's contract (sequence numbers,
+// adversary, link-time draws, reorder and base rules, dedup) lives in
+// runtime/link.go, shared with the live backend; this package only turns
+// link transfers and processing delays into events on a virtual clock.
+// One Run reproduces one data point of the paper's evaluation.
 //
 // The historical simnet names (Config, LinkModel, Fault, LinkDown,
 // BrokerCrash) are aliases of their runtime equivalents, so existing
@@ -12,7 +14,6 @@
 package simnet
 
 import (
-	"slices"
 	"sync"
 
 	"bdps/internal/broker"
@@ -23,7 +24,6 @@ import (
 	"bdps/internal/routing"
 	"bdps/internal/runtime"
 	"bdps/internal/sim"
-	"bdps/internal/stats"
 	"bdps/internal/topology"
 	"bdps/internal/trace"
 	"bdps/internal/vtime"
@@ -69,38 +69,24 @@ func (Transport) Deterministic() bool { return true }
 // Deploy implements runtime.Transport.
 func (Transport) Deploy(p *runtime.Plan) (runtime.Deployment, error) { return deploy(p) }
 
-// link is one directed overlay link at runtime. At most one transfer is
-// in flight per link, so the completion event is a single closure built
-// at assembly time and reused for every transfer (frames carries the
-// surviving wire frames across to it, in delivery order).
+// link is one directed overlay link at runtime: the two halves of the
+// hop both backends run (runtime/link.go), plus this backend's I/O. At
+// most one transfer is in flight per link, so the completion event is a
+// single closure built at assembly time and reused for every transfer.
+// burst is the transfer's ordered chains (the sending half's scratch,
+// untouched until the next transfer starts) and epoch the sender's
+// incarnation when it left: a transfer still in flight when its sender
+// crashes and restarts arrives stale.
 type link struct {
 	from, to msg.NodeID
 	busy     bool
 	down     bool
-	sampler  runtime.Sampler
-	stream   *stats.Stream
 	onDone   func()
-
-	// Reliable-channel state: the per-link sequence counter, the loss
-	// adversary (nil on clean links), the retransmission policy and the
-	// receiving end's dedup/reorder cursor — the exact state the live
-	// overlay keeps per peer connection.
-	seq     uint64
-	lm      *runtime.LossModel
-	retry   runtime.RetryPolicy
-	recv    *runtime.RecvState
-	frames  []simFrame
-	scratch []*msg.Message
-}
-
-// simFrame is one surviving wire frame of an in-flight transfer (lost
-// transmissions charge link time but never appear here). epoch is the
-// sender's incarnation epoch when the frame hit the wire; a frame still
-// in flight when its sender crashes and restarts arrives stale.
-type simFrame struct {
-	m         *msg.Message
-	seq, base uint64
-	epoch     uint32
+	send     runtime.LinkSend
+	recv     runtime.LinkRecv
+	burst    []runtime.Chain
+	epoch    uint32
+	scratch  []*msg.Message
 }
 
 // simSession is the simulator's model of one suspended subscriber
@@ -194,13 +180,10 @@ func deploy(p *runtime.Plan) (*Network, error) {
 	}
 	for _, pl := range p.Links {
 		l := &link{
-			from:    pl.From,
-			to:      pl.To,
-			sampler: p.Sampler(pl),
-			stream:  p.LinkStream(pl),
-			lm:      p.LossModel(pl),
-			retry:   p.RetryPolicy(pl),
-			recv:    runtime.NewRecvState(p.Cfg.Reliability.Window),
+			from: pl.From,
+			to:   pl.To,
+			send: runtime.NewLinkSend(pl.From, pl.To, p.LinkSpec(pl), p.Cfg.Tracer),
+			recv: runtime.NewLinkRecv(p.Cfg.Reliability.Window, n.Collector),
 		}
 		l.onDone = func() { n.linkDone(l) }
 		n.links[pl.From] = append(n.links[pl.From], l)
@@ -344,7 +327,7 @@ func (n *Network) restartBroker(id msg.NodeID) {
 	for _, out := range n.links {
 		for _, l := range out {
 			if l.to == id {
-				l.recv = runtime.NewRecvState(n.cfg.Reliability.Window)
+				l.recv = runtime.NewLinkRecv(n.cfg.Reliability.Window, n.Collector)
 			}
 		}
 	}
@@ -553,12 +536,11 @@ func (n *Network) kick(from, to msg.NodeID) {
 	}
 }
 
-// send plays one transfer against the link's loss adversary: the head
-// frame's whole send chain (losses retried head-of-line, each attempt
-// charging link time again) plus, on a reorder decision, the next queued
-// frame swapped in front of it. Only surviving frames travel; lost
-// attempts consume time and nothing else — exactly what the live shim
-// does with mangled FrameDataDrop writes.
+// send plays one transfer — a burst of one entry, plus the successor a
+// reorder decision owes — through the link's sending half, and schedules
+// its completion after the burst's link time. Only surviving frames
+// travel; lost attempts consume time and nothing else — exactly what the
+// live shim does with mangled FrameDataDrop writes.
 func (n *Network) send(l *link) {
 	from, to := l.from, l.to
 	if l.busy || l.down || n.dead[from] {
@@ -585,106 +567,51 @@ func (n *Network) send(l *link) {
 		}
 		return e
 	}
-	var tx float64
-	frames := l.frames[:0]
-	// addChain resolves one popped entry's send chain (its targets gate
-	// any retransmission, so the entry goes back to the pool only after),
-	// charges its link time and appends its surviving frames. Sample order
-	// (one draw per attempt, then one for a duplicate) is the
-	// cross-backend contract.
-	addChain := func(e *core.Entry) bool {
-		m, size := e.Data.(*msg.Message), e.SizeKB
-		l.seq++
-		n.tracer.Emit(trace.Event{T: now, Kind: trace.Send,
-			MsgID: uint64(m.ID), Broker: int32(from), Peer: int32(to)})
-		out := runtime.ResolveSend(l.lm, l.retry, l.seq, size, e.Targets, now)
-		e.Release()
-		for i := 0; i < out.Attempts; i++ {
-			tx += size * l.sampler.Sample(l.stream)
-		}
-		if out.Losses > 0 {
-			n.Collector.Count(metrics.FramesLost, out.Losses)
-		}
-		if out.Retransmits > 0 {
-			n.Collector.Count(metrics.Retransmits, out.Retransmits)
-		}
-		if !out.Deliver {
-			n.Collector.Count(metrics.DroppedDeadline, 1)
-			n.tracer.Emit(trace.Event{T: now, Kind: trace.Drop,
-				MsgID: uint64(m.ID), Broker: int32(from), Note: "deadline-retx"})
-			return false
-		}
-		epoch := n.epochs[from]
-		frames = append(frames, simFrame{m: m, seq: l.seq, epoch: epoch})
-		if out.Dup {
-			tx += size * l.sampler.Sample(l.stream)
-			frames = append(frames, simFrame{m: m, seq: l.seq, epoch: epoch})
-		}
-		return true
-	}
 	e := pop()
 	if e == nil {
 		return
 	}
-	headSeq := l.seq + 1
-	if addChain(e) && l.lm.Swap(headSeq, now) {
-		// Reorder: the delivered head frame swaps behind its successor.
+	tx, _, swap := l.send.Resolve(e, now)
+	e.Release()
+	if swap {
 		if e2 := pop(); e2 != nil {
-			split := len(frames)
-			if addChain(e2) {
-				// Rotate the successor's frames in front, in place.
-				slices.Reverse(frames[:split])
-				slices.Reverse(frames[split:])
-				slices.Reverse(frames)
-			}
+			tx, _, _ = l.send.Resolve(e2, now)
+			e2.Release()
 		}
 	}
-	// base = the lowest still-live sequence when each frame hits the wire:
-	// the suffix-minimum over the delivery order. The receiver must never
-	// wait for anything below it (abandoned frames leave gaps).
-	low := ^uint64(0)
-	for i := len(frames) - 1; i >= 0; i-- {
-		if frames[i].seq < low {
-			low = frames[i].seq
-		}
-		frames[i].base = low
-	}
+	l.burst, l.epoch = l.send.Order(), n.epochs[from]
+	l.send.Account(n.Collector)
 	l.busy = true
-	l.frames = frames
 	n.Engine.After(tx, l.onDone)
 }
 
-// linkDone completes one transfer: the surviving frames run through the
-// receiving end's dedup/reorder state in delivery order, in-order
-// messages arrive at the far end, and the link immediately tries to pick
-// up more queued work.
+// linkDone completes one transfer: its surviving frames — the delivering
+// copy of each delivered chain, and its duplicate — run through the
+// link's receiving half in wire order (a dead incarnation's are
+// discarded, as a live node discards a reborn neighbor's stale frames),
+// in-order messages arrive at the far end, and the link immediately
+// tries to pick up more queued work.
 func (n *Network) linkDone(l *link) {
 	l.busy = false
 	deliver := l.scratch[:0]
-	for _, f := range l.frames {
-		if f.epoch < n.epochs[l.from] {
-			// The frame was in flight when its sender crashed and
-			// restarted: it carries a dead incarnation's epoch, and the
-			// receiver discards it exactly as a live node rejects stale
-			// frames from a reborn neighbor.
-			n.Collector.Count(metrics.StaleEpochFrames, 1)
+	for i := range l.burst {
+		c := &l.burst[i]
+		if !c.Out.Deliver {
 			continue
 		}
-		var dup bool
-		var healed int
-		deliver, dup, healed = l.recv.Accept(f.seq, f.base, f.m, deliver[:0])
-		if dup {
-			n.Collector.Count(metrics.DupsSuppressed, 1)
-		}
-		if healed > 0 {
-			n.Collector.Count(metrics.ReorderedHealed, healed)
-		}
-		for _, m := range deliver {
-			n.arrive(m, l.to)
+		// The delivering copy and its duplicate; lost attempts only
+		// cost link time.
+		for k := c.Frames() - c.Drops(); k > 0; k-- {
+			if l.recv.Stale(l.epoch, n.epochs[l.from]) {
+				continue
+			}
+			deliver, _ = l.recv.Accept(c.Seq, c.Base, c.M, deliver[:0])
+			for _, m := range deliver {
+				n.arrive(m, l.to)
+			}
 		}
 	}
 	l.scratch = deliver[:0]
-	l.frames = l.frames[:0]
 	n.send(l)
 }
 
