@@ -33,6 +33,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -601,9 +602,14 @@ func run(cfg loadCfg) (result, error) {
 				if _, err := p.Publish(0, attrs, cfg.sizeKB, 60*vtime.Second, body); err != nil {
 					if cfg.faulty() {
 						// A crashed ingress takes its publisher connections
-						// with it; charge the rest of the stream to the
+						// with it; charge the rest of the stream, and what
+						// the failed write had already accepted, to the
 						// fault instead of aborting the measurement.
-						sendFailed.Add(int64(k - j))
+						lost := int64(k - j)
+						if we := (*livenet.WriteError)(nil); errors.As(err, &we) {
+							lost += int64(we.Lost)
+						}
+						sendFailed.Add(lost)
 						return
 					}
 					errOnce.Do(func() { firstErr = err })

@@ -34,7 +34,7 @@ func main() {
 	}
 }
 
-func run(args []string) error {
+func run(args []string) (err error) {
 	fs := flag.NewFlagSet("bdps-pub", flag.ContinueOnError)
 	var (
 		broker  = fs.String("broker", "", "ingress broker address (required)")
@@ -59,7 +59,13 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	defer p.Close()
+	// Publish returns once the frame is buffered; a write that fails
+	// after the last call surfaces here.
+	defer func() {
+		if cerr := p.Close(); err == nil {
+			err = cerr
+		}
+	}()
 
 	rng := stats.NewStream(*seed)
 	interval := time.Duration(0)

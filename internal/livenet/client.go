@@ -13,14 +13,34 @@ import (
 )
 
 // Publisher is a live publishing client attached to an ingress broker.
+// It is write-behind: Publish and Send encode the frame into a pending
+// buffer and return, and one writer goroutine per publisher hands
+// everything that has accumulated to the connection in one write. A
+// burst of publications from one goroutine therefore costs a few system
+// calls rather than one each.
 type Publisher struct {
-	id      msg.NodeID
-	conn    net.Conn
-	mu      sync.Mutex
-	seq     uint32
-	buf     []byte      // reusable frame buffer: one allocation-free write per send
-	scratch msg.Message // reusable Publish message (guarded by mu)
-	// deadline is conn's write deadline (guarded by mu).
+	id   msg.NodeID
+	conn net.Conn
+
+	mu  sync.Mutex
+	seq uint32
+	// pending holds the encoded frames not yet taken by the writer,
+	// never more than pendingCap bytes of them unless one frame alone
+	// is larger; spare is the buffer the writer wrote last, swapped in
+	// when it takes pending. Neither is reallocated in steady state.
+	pending, spare []byte
+	room           sync.Cond // signalled when the writer takes pending
+	closed         bool
+	// err is the write error that stopped the writer (sticky); lost is
+	// how many accepted publications it took with it, reported once.
+	err      error
+	lost     int
+	reported bool
+
+	wake chan struct{} // 1 slot: pending went non-empty, or Close
+	done chan struct{} // closed when the writer has exited
+	// deadline is conn's write deadline, armed by the writer goroutine
+	// alone.
 	deadline writeDeadline
 
 	// Clock stamps publication times. It defaults to the absolute wall
@@ -28,6 +48,29 @@ type Publisher struct {
 	// compressed clock must set it to Cluster.Clock() before publishing.
 	Clock runtime.Clock
 }
+
+// pendingCap bounds a publisher's pending bytes: the ingress
+// FrameReader's buffer size, so one write fills at most one read there.
+// A caller that finds it full waits for the writer, which is how TCP
+// backpressure reaches the publishing goroutine.
+const pendingCap = 64 << 10
+
+// WriteError is a publisher's failed background write, returned by the
+// first call after it (Publish, Send or Close). Lost counts the accepted
+// publications the failure took with it: those whose frames did not
+// leave whole and those still pending. Every accepted publication is
+// either written whole or counted here exactly once; later calls return
+// Err alone.
+type WriteError struct {
+	Err  error
+	Lost int
+}
+
+func (e *WriteError) Error() string {
+	return fmt.Sprintf("livenet: publisher write failed, %d publications lost: %v", e.Lost, e.Err)
+}
+
+func (e *WriteError) Unwrap() error { return e.Err }
 
 // DialPublisher connects publisher `id` to its ingress broker. The id
 // doubles as the publisher index for message-id allocation; the ingress
@@ -43,19 +86,35 @@ func DialPublisher(addr string, id msg.NodeID) (*Publisher, error) {
 		conn.Close()
 		return nil, err
 	}
-	return &Publisher{id: id, conn: conn, Clock: runtime.AbsoluteWallClock(1)}, nil
+	return newPublisher(conn, id), nil
 }
 
-// Publish sends one message. SizeKB is the emulated size that paces the
-// overlay links; allowed is the publisher-specified bound (0 in SSD).
-// The publication timestamp is stamped here from the shared wall clock.
+// newPublisher starts the writer of a publisher on an established
+// connection.
+func newPublisher(conn net.Conn, id msg.NodeID) *Publisher {
+	p := &Publisher{
+		id:    id,
+		conn:  conn,
+		wake:  make(chan struct{}, 1),
+		done:  make(chan struct{}),
+		Clock: runtime.AbsoluteWallClock(1),
+	}
+	p.room.L = &p.mu
+	go p.writeLoop()
+	return p
+}
+
+// Publish queues one message for sending. SizeKB is the emulated size
+// that paces the overlay links; allowed is the publisher-specified bound
+// (0 in SSD). The publication timestamp is stamped here from the
+// publisher's clock. The call returns once the frame is in the pending
+// buffer (the payload is copied, so the caller may reuse it), waiting
+// only while the buffer is full. A failed write surfaces on the next
+// call or on Close as a *WriteError.
 func (p *Publisher) Publish(ingress msg.NodeID, attrs msg.AttrSet, sizeKB float64, allowed vtime.Millis, payload []byte) (msg.ID, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	// The message only lives for the encode below; build it in the
-	// publisher's scratch so the hot publish path allocates nothing.
-	m := &p.scratch
-	*m = msg.Message{
+	m := msg.Message{
 		ID:        msg.MakeID(p.id, p.seq),
 		Publisher: p.id,
 		Ingress:   ingress,
@@ -66,36 +125,146 @@ func (p *Publisher) Publish(ingress msg.NodeID, attrs msg.AttrSet, sizeKB float6
 		Payload:   payload,
 	}
 	p.seq++
-	if err := p.send(m); err != nil {
+	if err := p.enqueue(&m); err != nil {
 		return 0, err
 	}
 	return m.ID, nil
 }
 
-// Send writes a pre-built message as-is — id, timestamps and ingress
+// Send queues a pre-built message as-is — id, timestamps and ingress
 // untouched. The runtime's live driver uses it to inject a plan's
-// publication schedule verbatim.
+// publication schedule verbatim. It buffers and reports errors as
+// Publish does.
 func (p *Publisher) Send(m *msg.Message) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.send(m)
+	return p.enqueue(m)
 }
 
-func (p *Publisher) send(m *msg.Message) error {
-	buf, err := msg.AppendMessageFrame(p.buf[:0], m)
-	if err != nil {
-		return err
+// enqueue appends m's frame to pending, called with p.mu held. A frame
+// that would take pending past pendingCap waits for the writer to take
+// what is there; a frame finding pending empty goes in whatever its size,
+// and wakes the writer.
+func (p *Publisher) enqueue(m *msg.Message) error {
+	for {
+		if err := p.failure(); err != nil {
+			return err
+		}
+		start := len(p.pending)
+		buf, err := msg.AppendMessageFrame(p.pending, m)
+		if err != nil {
+			return err
+		}
+		if start == 0 || len(buf) <= pendingCap {
+			p.pending = buf
+			if start == 0 {
+				p.wakeWriter()
+			}
+			return nil
+		}
+		p.pending = buf[:start]
+		p.room.Wait()
 	}
-	p.buf = buf
-	if err := p.deadline.arm(p.conn); err != nil {
-		return err
-	}
-	_, err = p.conn.Write(buf)
-	return err
 }
 
-// Close closes the publisher connection.
-func (p *Publisher) Close() error { return p.conn.Close() }
+// wakeWriter tells the writer to look at pending, unless a wake-up is
+// already owed.
+func (p *Publisher) wakeWriter() {
+	select {
+	case p.wake <- struct{}{}:
+	default:
+	}
+}
+
+// failure is the error a call must return, or nil while the publisher
+// accepts publications: the write error with its loss count the first
+// time, the bare error after that, net.ErrClosed once closed. Called
+// with p.mu held.
+func (p *Publisher) failure() error {
+	switch {
+	case p.err != nil && !p.reported:
+		p.reported = true
+		return &WriteError{Err: p.err, Lost: p.lost}
+	case p.err != nil:
+		return p.err
+	case p.closed:
+		return net.ErrClosed
+	}
+	return nil
+}
+
+// unreportedLoss returns the loss count of a failed write that no call
+// has reported yet, and marks it reported.
+func (p *Publisher) unreportedLoss() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if we, ok := p.failure().(*WriteError); ok {
+		return we.Lost
+	}
+	return 0
+}
+
+// writeLoop is the publisher's writer: it takes whatever is pending,
+// swapping in the spare buffer, and writes it with one Write. It exits
+// once Close has been called and nothing is pending, or on the first
+// failed write, after counting the publications that failure lost.
+func (p *Publisher) writeLoop() {
+	defer close(p.done)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for {
+		if len(p.pending) == 0 {
+			if p.closed {
+				return
+			}
+			p.mu.Unlock()
+			<-p.wake
+			p.mu.Lock()
+			continue
+		}
+		out := p.pending
+		p.pending = p.spare[:0]
+		p.room.Broadcast()
+		p.mu.Unlock()
+		n, err := 0, p.deadline.arm(p.conn)
+		if err == nil {
+			n, err = p.conn.Write(out)
+		}
+		p.mu.Lock()
+		if err != nil {
+			p.err = err
+			p.lost = msg.CompleteFrames(out) - msg.CompleteFrames(out[:n]) + msg.CompleteFrames(p.pending)
+			p.pending = p.pending[:0]
+			p.room.Broadcast()
+			return
+		}
+		p.spare = out
+	}
+}
+
+// Close flushes what is pending, waits for the writer, and closes the
+// connection. Callers waiting for room are refused with net.ErrClosed.
+// A write error not yet reported — including one of the final flush —
+// is returned as a *WriteError; a second Close only reports errors.
+func (p *Publisher) Close() error {
+	p.mu.Lock()
+	first := !p.closed
+	p.closed = true
+	p.room.Broadcast()
+	p.mu.Unlock()
+	p.wakeWriter()
+	<-p.done
+	var cerr error
+	if first {
+		cerr = p.conn.Close()
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.err != nil {
+		return p.failure()
+	}
+	return cerr
+}
 
 // Subscriber is a live subscribing client attached to an edge broker.
 type Subscriber struct {

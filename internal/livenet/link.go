@@ -29,8 +29,9 @@ const (
 	armEvery     = time.Second
 )
 
-// arm is called before each write to c, under whatever lock serializes
-// the connection's writers.
+// arm is called before each write to c by whatever serializes the
+// connection's writes: a peerConn's lock, or a Publisher's writer
+// goroutine, the only one that writes its connection.
 func (d *writeDeadline) arm(c net.Conn) error {
 	now := time.Now()
 	if now.Sub(d.armed) < armEvery {

@@ -1,6 +1,7 @@
 package livenet
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"sort"
@@ -204,8 +205,13 @@ func (d *deployment) Inject(pubs []*msg.Message) error {
 				// An injected crash can take an ingress broker (and with
 				// it the publisher connection) down mid-run; the
 				// simulator charges such publications to the crash, so
-				// the live run does too instead of aborting.
-				d.sink.Count(metrics.DropsCrashed, 1)
+				// the live run does too instead of aborting: the refused
+				// one and those the failed write had already accepted.
+				lost := 1
+				if we := (*WriteError)(nil); errors.As(err, &we) {
+					lost += we.Lost
+				}
+				d.sink.Count(metrics.DropsCrashed, lost)
 				continue
 			}
 			return fmt.Errorf("livenet: injecting message %d: %w", m.ID, err)
@@ -332,7 +338,19 @@ func (d *deployment) armChurn() {
 // Drain implements runtime.Deployment: poll until the overlay is
 // provably idle (twice in a row, to close the socket-buffer window), or
 // until activity stalls with a fault in play, or until a hard timeout.
+// Publications a failed write lost after the last Send returned are
+// charged to the crash here, since no later Send reported them.
 func (d *deployment) Drain() error {
+	err := d.drain()
+	for _, p := range d.pubs {
+		if lost := p.unreportedLoss(); lost > 0 {
+			d.sink.Count(metrics.DropsCrashed, lost)
+		}
+	}
+	return err
+}
+
+func (d *deployment) drain() error {
 	const poll = 5 * time.Millisecond
 	// Generous hard ceiling: the whole publishing window plus the
 	// longest allowed delay, in wall time, plus slack for overheads.

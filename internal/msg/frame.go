@@ -136,6 +136,22 @@ func EndFrame(buf []byte, start int) error {
 	return nil
 }
 
+// CompleteFrames counts the whole frames at the front of buf, a run of
+// assembled frames cut anywhere: what a partial write of the run
+// delivered intact.
+func CompleteFrames(buf []byte) int {
+	n := 0
+	for len(buf) >= frameHdrLen {
+		flen := frameHdrLen + int(binary.BigEndian.Uint32(buf[4:]))
+		if flen > len(buf) {
+			break
+		}
+		buf = buf[flen:]
+		n++
+	}
+	return n
+}
+
 // AppendMessageFrame assembles one complete message frame (header +
 // body) into dst — the publisher's reusable-buffer encoder.
 func AppendMessageFrame(dst []byte, m *Message) ([]byte, error) {
