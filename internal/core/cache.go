@@ -8,11 +8,11 @@ import (
 )
 
 // entryCache holds the per-entry scheduling invariants the cached metric
-// fast paths use (see EB, EBDelayed, MaxSuccess, AllExpired and
-// Queue.Prune). It is rebuilt lazily on first use and whenever the
-// processing delay changes, and reset by Release so a pooled entry
-// starts cold. Queue.Enqueue trusts an already-built cache (the
-// producer typically just ran Viable over the final target set); a
+// fast paths use (see EB, EBDelayed, Hopeless, AllExpired, Queue.Prune
+// and the brackets in bound.go). It is rebuilt lazily on first use and
+// whenever the processing delay changes, and reset by Release so a
+// pooled entry starts cold. Queue.Enqueue trusts an already-built cache
+// (the producer typically just ran Viable over the final target set); a
 // producer that mutates Targets after evaluating any metric must call
 // Invalidate before handing the entry over.
 //
@@ -38,17 +38,18 @@ type entryCache struct {
 	sure0 [4]vtime.Millis
 
 	// Memoized metric values, keyed by the evaluation time (and pd via
-	// the cache itself). Pick/Prune sequences at one instant — and the
-	// EB/EB' pair inside PC and EBPC — hit these instead of rescanning.
+	// the cache itself). Repeated scoring at one instant — and the EB/EB'
+	// pair inside PC and EBPC — hit these instead of rescanning.
 	ebAt  vtime.Millis
 	eb    float64
 	ebOK  bool
 	ebdAt vtime.Millis
 	ebd   float64
 	ebdOK bool
-	msAt  vtime.Millis
-	ms    float64
-	msOK  bool
+
+	// pickHi is the metric strategies' Pick scratch: this entry's upper
+	// bound in the pick under way, read back when the brackets overlap.
+	pickHi float64
 }
 
 // metrics returns the entry's invariant cache for the given processing
@@ -59,7 +60,7 @@ func (e *Entry) metrics(pd vtime.Millis) *entryCache {
 		return c
 	}
 	c.ready, c.pd = true, pd
-	c.ebOK, c.ebdOK, c.msOK = false, false, false
+	c.ebOK, c.ebdOK = false, false
 	c.priceSum = 0
 	c.maxDeadline = math.Inf(-1)
 	c.minSure = math.Inf(1)

@@ -204,33 +204,6 @@ func AvgRemainingLifetime(e *Entry, now vtime.Millis) vtime.Millis {
 	return sum / vtime.Millis(len(e.Targets))
 }
 
-// MaxSuccess returns the largest success probability over the entry's
-// targets; the invalid-message detector compares it against ε (§5.4,
-// condition 11). Any saturated target pins the maximum at exactly 1.0
-// (no probability exceeds 1), so the scan stops at the first one.
-func MaxSuccess(e *Entry, now vtime.Millis, pd vtime.Millis) float64 {
-	c := e.metrics(pd)
-	if c.msOK && c.msAt == now {
-		return c.ms
-	}
-	var best float64
-	if now <= c.minSure {
-		best = 1
-	} else {
-		for i := range e.Targets {
-			if now <= c.sure[i] {
-				best = 1
-				break
-			}
-			if p := SuccessProb(e.Targets[i], now, e.SizeKB, pd); p > best {
-				best = p
-			}
-		}
-	}
-	c.msOK, c.msAt, c.ms = true, now, best
-	return best
-}
-
 // AllExpired reports whether every target's deadline has passed. With a
 // warm cache this is one comparison against the precomputed latest
 // deadline; the comparison semantics match the per-target scan exactly.
@@ -256,8 +229,5 @@ func Viable(e *Entry, now vtime.Millis, p Params) bool {
 	if AllExpired(e, now) {
 		return false
 	}
-	if p.Epsilon > 0 && MaxSuccess(e, now, p.PD) < p.Epsilon {
-		return false
-	}
-	return true
+	return !Hopeless(e, now, p)
 }

@@ -99,8 +99,12 @@ func TestMetricEquivalence(t *testing.T) {
 					t.Fatalf("trial %d (%s): EBPC(%v) = %v, ref %v", trial, when, w, got, want)
 				}
 			}
-			if got, want := MaxSuccess(e, ctx.Now, ctx.PD), RefMaxSuccess(e, ctx.Now, ctx.PD); !bitsEq(got, want) {
-				t.Fatalf("trial %d (%s): MaxSuccess = %v, ref %v", trial, when, got, want)
+			for _, eps := range []float64{0, DefaultEpsilon, 0.3, 1} {
+				p := Params{PD: ctx.PD, Epsilon: eps}
+				want := eps > 0 && RefMaxSuccess(e, ctx.Now, ctx.PD) < eps
+				if got := Hopeless(e, ctx.Now, p); got != want {
+					t.Fatalf("trial %d (%s): Hopeless(ε=%v) = %v, ref %v", trial, when, eps, got, want)
+				}
 			}
 			if got, want := AllExpired(e, ctx.Now), RefAllExpired(e, ctx.Now); got != want {
 				t.Fatalf("trial %d (%s): AllExpired = %v, ref %v", trial, when, got, want)
@@ -548,4 +552,207 @@ func BenchmarkPopBurstCut(b *testing.B) {
 		out, _ = q.PopBurstWhile(MaxEB{}, 5000, p, 32, out[:0], stop)
 		q.Enqueue(out[0], 5000)
 	}
+}
+
+// tieEntry is one message with a single target whose success probability
+// sits mid-curve at now = 0 (z ≈ 0 at deadline 3502, PD 2), so shifting
+// the deadline by δ ms moves EB by about 4e-4·δ·price — below the
+// bracket width for δ ≲ 1e-3.
+func tieEntry(id uint64, deadline vtime.Millis, price float64) *Entry {
+	return &Entry{MsgID: id, Seq: id, SizeKB: 50, Targets: []Target{{
+		Deadline: deadline, Price: price, Hops: 1,
+		Rate: stats.Normal{Mean: 70, Sigma: 20},
+	}}}
+}
+
+// exactRan reports whether a Pick fell back to the exact loop: only
+// that loop memoizes EB.
+func exactRan(entries []*Entry) bool {
+	for _, e := range entries {
+		if e.cache.ebOK {
+			return true
+		}
+	}
+	return false
+}
+
+var tieStrategies = []Strategy{MaxEB{}, MaxPC{}, MaxEBPC{R: 0}, MaxEBPC{R: 0.3}, MaxEBPC{R: 1}}
+
+// TestPickNearTies builds queues the brackets cannot decide — metrics
+// closer than the bracket width, exactly equal metrics, negative prices,
+// NaN metrics, and a queue far longer than any per-pick scratch — and
+// demands the reference's pick, the first-index tie-break included, and
+// that the exact fallback really ran (or, for a clear winner, did not).
+func TestPickNearTies(t *testing.T) {
+	const d = 3502
+	ctx := Context{Now: 0, PD: 2, FT: 700}
+	cases := []struct {
+		name    string
+		build   func() []*Entry
+		want    int  // -1: whatever the reference says
+		overlap bool // the exact loop must run
+	}{
+		{"clear winner", func() []*Entry {
+			return []*Entry{tieEntry(0, d-400, 1), tieEntry(1, d+400, 1), tieEntry(2, d, 1)}
+		}, 1, false},
+		{"closer than the bracket", func() []*Entry {
+			return []*Entry{tieEntry(0, d, 1), tieEntry(1, d+1e-4, 1), tieEntry(2, d-1e-4, 1)}
+		}, 1, true},
+		{"exactly equal, first index", func() []*Entry {
+			return []*Entry{tieEntry(0, d-400, 1), tieEntry(1, d, 1), tieEntry(2, d, 1), tieEntry(3, d, 1)}
+		}, 1, true},
+		{"negative price", func() []*Entry {
+			return []*Entry{tieEntry(0, d, -1), tieEntry(1, d+1e-4, -1), tieEntry(2, d-1e-4, -1)}
+		}, -1, true},
+		{"negative beside positive", func() []*Entry {
+			return []*Entry{tieEntry(0, d, -2), tieEntry(1, d+400, 1e-9), tieEntry(2, d, 1e-9)}
+		}, 1, false},
+		{"NaN first", func() []*Entry {
+			return []*Entry{tieEntry(0, d, math.NaN()), tieEntry(1, d+400, 1), tieEntry(2, d, 1)}
+		}, 0, true},
+		{"NaN in the middle", func() []*Entry {
+			return []*Entry{tieEntry(0, d, 1), tieEntry(1, d+400, math.NaN()), tieEntry(2, d+1, 1)}
+		}, 2, true},
+		{"infinite price", func() []*Entry {
+			return []*Entry{tieEntry(0, d, 1), tieEntry(1, d+400, math.Inf(1)), tieEntry(2, d+1, 1)}
+		}, -1, true}, // EB picks 1; PC's Inf − Inf is NaN and never wins
+	}
+	for _, c := range cases {
+		for _, s := range tieStrategies {
+			entries := c.build()
+			got := s.Pick(entries, ctx)
+			ref := Reference(s).Pick(c.build(), ctx)
+			if got != ref || c.want >= 0 && got != c.want {
+				t.Errorf("%s, %s: Pick = %d, reference %d, want %d", c.name, s.Name(), got, ref, c.want)
+			}
+			if ran := exactRan(entries); ran != c.overlap {
+				t.Errorf("%s, %s: exact fallback ran = %v, want %v", c.name, s.Name(), ran, c.overlap)
+			}
+		}
+	}
+
+	// A long queue of near-ties around one deadline, the maximum
+	// duplicated late: the pick is the first copy of the maximum.
+	r := rand.New(rand.NewSource(6))
+	build := func() []*Entry {
+		r.Seed(6)
+		entries := make([]*Entry, 1500)
+		for i := range entries {
+			entries[i] = tieEntry(uint64(i), d+vtime.Millis(r.Float64()*2e-3), 1)
+		}
+		entries[1400] = tieEntry(1400, d+3e-3, 1)
+		entries[700] = tieEntry(700, d+3e-3, 1)
+		return entries
+	}
+	for _, s := range tieStrategies {
+		entries := build()
+		if got, ref := s.Pick(entries, ctx), Reference(s).Pick(build(), ctx); got != ref || got != 700 {
+			t.Errorf("long queue, %s: Pick = %d, reference %d, want 700", s.Name(), got, ref)
+		}
+		if !exactRan(entries) {
+			t.Errorf("long queue, %s: the exact fallback did not run", s.Name())
+		}
+	}
+}
+
+// fuzzBytes hands out a fuzz input a byte at a time, zeros once spent.
+type fuzzBytes []byte
+
+func (b *fuzzBytes) next() byte {
+	if len(*b) == 0 {
+		return 0
+	}
+	c := (*b)[0]
+	*b = (*b)[1:]
+	return c
+}
+
+// fuzzPrices mixes the paper's unit price with the values that stress
+// the brackets' arithmetic: zero, negative, tiny, huge and non-finite.
+var fuzzPrices = [16]float64{1, 1, 1, 1, 2, 3, 0.5, 1e-9, 0, -1, -3, 1e12, 1e300, math.NaN(), math.Inf(1), math.Inf(-1)}
+
+// decodeSchedule builds an entry set and a decision context from b.
+// Each entry is fresh, or a copy of an earlier one with its deadlines
+// nudged by 2^-k ms (k up to 48), or an exact copy, so near-ties and
+// exact ties are common; a target can be placed with its success
+// probability right at ε.
+func decodeSchedule(b fuzzBytes) ([]*Entry, Context, float64, float64) {
+	pd := []vtime.Millis{0, 1, 2, 5}[b.next()%4]
+	ctx := Context{Now: vtime.Millis(b.next()) * 40, PD: pd, FT: vtime.Millis(b.next()) * 30}
+	r := float64(int(b.next())-20) / 200 // EBPC weight, a little outside [0, 1] too
+	eps := []float64{DefaultEpsilon, 0.01, 0.3, 1, 0, 2}[b.next()%6]
+	n := 1 + int(b.next())
+	entries := make([]*Entry, 0, n)
+	for i := 0; i < n; i++ {
+		op := b.next()
+		if i > 0 && op&3 != 0 {
+			c := clone(entries[int(b.next())%len(entries)])
+			c.MsgID = uint64(i)
+			if op&3 != 3 { // nudged copy
+				delta := math.Ldexp(1, -int(b.next()%49))
+				if op&4 != 0 {
+					delta = -delta
+				}
+				for j := range c.Targets {
+					c.Targets[j].Deadline += delta
+				}
+			}
+			entries = append(entries, c)
+			continue
+		}
+		e := &Entry{MsgID: uint64(i), SizeKB: []float64{0, 0.5, 10, 50, 100, 1e-6, 7, 50}[op>>5]}
+		for k := int(op>>2) & 3; k >= 0; k-- {
+			tb := b.next()
+			tg := Target{
+				Price: fuzzPrices[tb&15],
+				Hops:  int(tb>>4) & 3,
+				Rate:  stats.Normal{Mean: 20 + 2*float64(b.next()), Sigma: []float64{0, 5, 20, 40}[tb>>6]},
+			}
+			size := math.Max(e.SizeKB, minSizeKB)
+			base := ctx.Now + float64(tg.Hops)*pd
+			if b.next()&1 == 0 && tg.Rate.Sigma > 0 && eps > 0 && eps < 1 {
+				// At ε, give or take a fraction of a millisecond.
+				z := stats.StdNormalQuantile(eps)
+				tg.Deadline = base + size*(tg.Rate.Mean+z*tg.Rate.Sigma) + float64(int8(b.next()))*1e-3
+			} else {
+				tg.Deadline = base + float64(int8(b.next()))*size*tg.Rate.Mean/32
+			}
+			e.Targets = append(e.Targets, tg)
+		}
+		entries = append(entries, e)
+	}
+	return entries, ctx, r, eps
+}
+
+// FuzzSchedule checks the bracketed decisions against the naive
+// reference on decoded entry sets: Pick for EB, PC and EBPC(r) — the
+// same index, ties and NaNs included — and Hopeless against
+// RefMaxSuccess < ε for every entry.
+func FuzzSchedule(f *testing.F) {
+	for _, seed := range [][]byte{
+		{2, 0, 30, 120, 0, 3, 0x04, 0x20, 10, 0x21, 30, 1, 0},
+		{2, 10, 30, 80, 0, 8, 0x60, 0x80, 25, 0, 3, 0x01, 0, 0x03, 1, 0x02, 0, 40},
+		{1, 5, 5, 200, 1, 4, 0x6c, 0x1d, 40, 0, 0x0e, 50, 1, 0, 0x01, 0, 30},
+		{3, 1, 200, 20, 2, 255, 0x40, 0x93, 60, 1, 9},
+		{2, 0, 0, 220, 0, 2, 0x2c, 0x2d, 70, 0, 3, 0x3e, 70, 0, 3, 0x01, 0, 0, 0x03, 0},
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		entries, ctx, r, eps := decodeSchedule(b)
+		for _, s := range []Strategy{MaxEB{}, MaxPC{}, MaxEBPC{R: r}} {
+			if got, want := s.Pick(entries, ctx), Reference(s).Pick(entries, ctx); got != want {
+				t.Fatalf("%s.Pick = %d, reference %d (ctx %+v)", s.Name(), got, want, ctx)
+			}
+		}
+		for _, e := range entries {
+			for _, p := range []Params{{PD: ctx.PD, Epsilon: eps}, {PD: ctx.PD, Epsilon: DefaultEpsilon}} {
+				want := p.Epsilon > 0 && RefMaxSuccess(e, ctx.Now, p.PD) < p.Epsilon
+				if got := Hopeless(e, ctx.Now, p); got != want {
+					t.Fatalf("msg %d: Hopeless(ε=%v) = %v, reference %v (max success %v)",
+						e.MsgID, p.Epsilon, got, want, RefMaxSuccess(e, ctx.Now, p.PD))
+				}
+			}
+		}
+	})
 }

@@ -218,7 +218,7 @@ func TestMaxSuccessAndViable(t *testing.T) {
 	if !Viable(fresh, 0, p) {
 		t.Error("fresh entry should be viable")
 	}
-	if MaxSuccess(fresh, 0, p.PD) < 0.99 {
+	if RefMaxSuccess(fresh, 0, p.PD) < 0.99 || Hopeless(fresh, 0, p) {
 		t.Error("fresh entry should be near-certain")
 	}
 
@@ -230,7 +230,7 @@ func TestMaxSuccessAndViable(t *testing.T) {
 	// Hopeless but not expired: deadline in 1.2s, but residual needs
 	// ~7s (2 hops × 70 ms/KB × 50 KB).
 	hopeless := entry(0, target(1200, 1, 2))
-	if Viable(hopeless, 0, p) {
+	if Viable(hopeless, 0, p) || !Hopeless(hopeless, 0, p) {
 		t.Error("hopeless entry should fail ε-detection")
 	}
 	// Same entry with ε disabled is viable (not expired yet).

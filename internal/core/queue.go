@@ -184,7 +184,7 @@ func (q *Queue) Prune(now vtime.Millis, p Params) []Drop {
 		switch {
 		case AllExpired(e, now):
 			q.drops = append(q.drops, Drop{Entry: q.RemoveAt(i), Reason: DropExpired})
-		case p.Epsilon > 0 && MaxSuccess(e, now, p.PD) < p.Epsilon:
+		case Hopeless(e, now, p):
 			q.drops = append(q.drops, Drop{Entry: q.RemoveAt(i), Reason: DropHopeless})
 		default:
 			if ms := e.metrics(p.PD).minSure; ms < wake {

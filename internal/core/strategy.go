@@ -76,15 +76,7 @@ func (MaxEB) Metric(e *Entry, ctx Context) float64 { return EB(e, ctx) }
 
 // Pick implements Strategy: maximum EB.
 func (MaxEB) Pick(entries []*Entry, ctx Context) int {
-	best := -1
-	var bestV float64
-	for i, e := range entries {
-		v := EB(e, ctx)
-		if best < 0 || v > bestV {
-			best, bestV = i, v
-		}
-	}
-	return best
+	return argmax{}.pick(entries, ctx)
 }
 
 // MaxPC implements maximum postponing cost first (§5.2).
@@ -96,17 +88,9 @@ func (MaxPC) Name() string { return "PC" }
 // Metric implements MetricStrategy.
 func (MaxPC) Metric(e *Entry, ctx Context) float64 { return PC(e, ctx) }
 
-// Pick implements Strategy: maximum PC.
+// Pick implements Strategy: maximum PC = EB − 1·EB′.
 func (MaxPC) Pick(entries []*Entry, ctx Context) int {
-	best := -1
-	var bestV float64
-	for i, e := range entries {
-		v := PC(e, ctx)
-		if best < 0 || v > bestV {
-			best, bestV = i, v
-		}
-	}
-	return best
+	return argmax{delayed: true, k: 1}.pick(entries, ctx)
 }
 
 // MaxEBPC implements maximum EBPC first with weight R (§5.3). R = 1
@@ -121,17 +105,9 @@ func (s MaxEBPC) Name() string { return fmt.Sprintf("EBPC(r=%.2f)", s.R) }
 // Metric implements MetricStrategy.
 func (s MaxEBPC) Metric(e *Entry, ctx Context) float64 { return EBPC(e, ctx, s.R) }
 
-// Pick implements Strategy: maximum r·EB + (1−r)·PC.
+// Pick implements Strategy: maximum r·EB + (1−r)·PC = EB − (1−r)·EB′.
 func (s MaxEBPC) Pick(entries []*Entry, ctx Context) int {
-	best := -1
-	var bestV float64
-	for i, e := range entries {
-		v := EBPC(e, ctx, s.R)
-		if best < 0 || v > bestV {
-			best, bestV = i, v
-		}
-	}
-	return best
+	return argmax{delayed: true, k: 1 - s.R}.pick(entries, ctx)
 }
 
 // ParseStrategy resolves a CLI/config name: "fifo", "rl", "eb", "pc",

@@ -76,11 +76,14 @@ func (Transport) Deploy(p *runtime.Plan) (runtime.Deployment, error) { return de
 // burst is the transfer's ordered chains (the sending half's scratch,
 // untouched until the next transfer starts) and epoch the sender's
 // incarnation when it left: a transfer still in flight when its sender
-// crashes and restarts arrives stale.
+// crashes and restarts arrives stale. q is the sender's output queue
+// toward to, looked up on the first send and again after a restart
+// swaps the broker.
 type link struct {
 	from, to msg.NodeID
 	busy     bool
 	down     bool
+	q        *core.Queue
 	onDone   func()
 	send     runtime.LinkSend
 	recv     runtime.LinkRecv
@@ -331,6 +334,9 @@ func (n *Network) restartBroker(id msg.NodeID) {
 			}
 		}
 	}
+	for _, l := range n.links[id] {
+		l.q = nil
+	}
 	if n.det != nil {
 		n.det.BrokerRestarted(id, nil)
 	}
@@ -547,9 +553,12 @@ func (n *Network) send(l *link) {
 		return
 	}
 	b := n.Brokers[from]
+	if l.q == nil {
+		l.q = b.Queue(to)
+	}
 	now := n.Engine.Now()
 	pop := func() *core.Entry {
-		e, drops := b.Queue(to).PopNext(b.Strategy(), now, b.Params())
+		e, drops := l.q.PopNext(b.Strategy(), now, b.Params())
 		for _, d := range drops {
 			reason := "expired"
 			if d.Reason == core.DropHopeless {

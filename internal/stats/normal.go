@@ -26,11 +26,6 @@ func StdNormalCDF(z float64) float64 {
 // for an Erfc call; TestSureSigmasSaturates verifies the guarantee.
 const SureSigmas = 9.5
 
-// StdNormalPDF returns φ(z), the density of the standard normal.
-func StdNormalPDF(z float64) float64 {
-	return math.Exp(-0.5*z*z) / math.Sqrt(2*math.Pi)
-}
-
 // StdNormalQuantile returns Φ⁻¹(p) for p in (0,1). It uses Acklam's
 // rational approximation refined by one Halley step, giving ~1e-15
 // relative accuracy across the domain. It returns ±Inf at p = 0 or 1 and
