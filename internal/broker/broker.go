@@ -200,8 +200,11 @@ type Processor struct {
 	matchScratch filter.MatchScratch
 	grouper      routing.Grouper
 	res          Result
-	seen         subStamps
-	epoch        uint64
+	// seen dedups subscriptions within one message, when stamp says the
+	// match may hold one twice (routing.Table.Distinct).
+	seen  subStamps
+	epoch uint64
+	stamp bool
 }
 
 // NewProcessor returns a Processor for concurrent use.
@@ -279,6 +282,9 @@ func (p *Processor) process(m *msg.Message, now vtime.Millis) Result {
 	if len(matched) == 0 {
 		return *res
 	}
+	// With one entry per subscription and no group members, the match
+	// holds no duplicate to collapse.
+	p.stamp = !b.table.Distinct(m.Ingress)
 	hops, groups := p.grouper.Group(matched)
 	for k, hop := range hops {
 		entries := groups[k]
@@ -330,7 +336,7 @@ func (p *Processor) process(m *msg.Message, now vtime.Millis) Result {
 // through entry e (the subscription itself, or a group member folded
 // into it), once per message across multi-path duplicates.
 func (p *Processor) deliverLocal(m *msg.Message, e *routing.Entry, sub *msg.Subscription, now vtime.Millis, res *Result) {
-	if !p.seen.first(sub.ID, p.epoch) {
+	if p.stamp && !p.seen.first(sub.ID, p.epoch) {
 		return
 	}
 	allowed, price := p.b.scenario.AllowedDelay(m, sub)
@@ -365,7 +371,7 @@ func (p *Processor) buildEntry(m *msg.Message, entries []*routing.Entry) *core.E
 	for _, re := range entries {
 		// Collapse multi-path duplicates of the same subscription within
 		// one next hop so EB does not double-count its benefit.
-		if !p.seen.first(re.Sub.ID, p.epoch) {
+		if p.stamp && !p.seen.first(re.Sub.ID, p.epoch) {
 			continue
 		}
 		allowed, price := b.scenario.AllowedDelay(m, re.Sub)

@@ -60,6 +60,16 @@ type Iterable interface {
 // once per match, on the first residual needed). Matching reads no
 // *Filter for a posted conjunction.
 //
+// A range posting (ivPost, 32 bytes) carries more than its range: the
+// conjunction's caller id and its first numeric residual predicate
+// (slot, operator, operand), which the slab then leaves out. A posting
+// that holds tests that check first; when it is the whole residual, or
+// there is none, the posting *decides alone* — one test of the index's
+// tombstone bitset by conjunction index (Index.dead) and the id is
+// emitted, with no load of the conjunction's state or the slab. Only a
+// conjunction with more residual goes on to decide. On fanout_match's
+// shape ("A1 > a && A1 < a+w && A2 < b") every posting decides alone.
+//
 // Filters with a conjunction that has no access predicate and holds a
 // predicate the lists cannot count (!=, a string inequality, a NaN
 // bound) — or a residual on an attribute past the slot table's cap —
@@ -80,8 +90,9 @@ type Iterable interface {
 //     touch no list at all.
 //   - Remove(id) tombstones the id's conjunctions through per-id
 //     back-references (id → kind-tagged indices) without touching the
-//     predicate lists; the lists and the check slab are compacted in one
-//     O(P) sweep only when dead conjunctions outnumber live ones.
+//     predicate lists — in their state and in the tombstone bitset; the
+//     lists and the check slab are compacted in one O(P) sweep only when
+//     dead conjunctions outnumber live ones, which clears the bitset.
 //   - AddBatch indexes a whole population sorting each touched list
 //     exactly once (the bulk-build path tables use).
 //
@@ -128,7 +139,11 @@ type Index struct {
 	known map[int32]ref
 	more  map[int32][]ref
 
-	// live/dead accounting drives compaction.
+	// dead is the conjunction tombstones as a bitset by conjunction
+	// index, which a range posting that decides alone tests instead of
+	// loading the conjunction's state. live/dead accounting drives
+	// compaction.
+	dead                 []uint64
 	liveConjs, deadConjs int
 
 	// Id-density tracking for the dense emit-stamp fast path. Ids are
@@ -153,7 +168,8 @@ const denseLimit = 1 << 20
 // predicates that were posted — one for an access posting; Remove zeroes
 // it, and a count, which starts at one, never completes at zero, so
 // tombstoned conjunctions keep counting but never emit. res and nres
-// locate its residual checks in Index.checks.
+// locate its residual checks in Index.checks (all but the one a range
+// posting carries).
 type conjState struct {
 	id     int32 // caller's id for the owning filter
 	needed int32
@@ -199,12 +215,25 @@ type ivClass struct {
 }
 
 // ivPost is a range posting beside its lower bound: the upper bound, the
-// strictness of both, and the conjunction it stands for.
+// strictness of both, the conjunction it stands for and that
+// conjunction's id, and — unless op is noCheck — one residual predicate
+// inline: the conjunction's first numeric one, by attribute slot. alone
+// marks a posting whose conjunction has no residual beyond it, so that a
+// posting which holds, and whose conjunction is not tombstoned, is a
+// match. 32 bytes.
 type ivPost struct {
 	hi     float64
+	num    float64 // the inline check's operand
 	ci     int32
+	id     int32
 	strict uint8 // loOpen | hiOpen | someOpen
+	slot   uint8 // the inline check's attribute slot
+	op     Op    // the inline check's operator, or noCheck
+	alone  bool
 }
+
+// noCheck is the op of a posting that carries no inline check.
+const noCheck Op = 0xff
 
 // Strictness bits of an ivPost. loOpen and hiOpen: the bound itself is
 // excluded. someOpen: some predicate the posting stands for is strict,
@@ -321,10 +350,17 @@ func (ix *Index) addOne(id int32, f *Filter, batch bool) {
 		switch acc := accessOf(conj); acc.kind {
 		case accessEq:
 			ix.postEq(&conj[acc.pred], ci)
-			c.nres = ix.lower(conj, acc)
+			c.nres = ix.lower(conj, acc, -1)
 		case accessRange:
-			ix.postRange(conj[acc.pred].Attr, acc, ci, batch)
-			c.nres = ix.lower(conj, acc)
+			p := ivPost{hi: acc.hi, ci: ci, id: id, strict: acc.strict, op: noCheck}
+			k := inlineCheck(conj, &acc)
+			if k >= 0 {
+				p.slot, _ = internSlot(conj[k].Attr)
+				p.op, p.num = conj[k].Op, conj[k].Val.Num
+			}
+			c.nres = ix.lower(conj, acc, k)
+			p.alone = c.nres == 0
+			ix.postRange(conj[acc.pred].Attr, acc, p, batch)
 		default:
 			// Numeric inequalities only: an equality would have been the
 			// access predicate, anything else sent the filter to fallback.
@@ -334,6 +370,9 @@ func (ix *Index) addOne(id int32, f *Filter, batch bool) {
 			}
 		}
 		ix.conjs = append(ix.conjs, c)
+		if int(ci)>>6 == len(ix.dead) {
+			ix.dead = append(ix.dead, 0)
+		}
 		ix.note(id, mkRef(refConj, int(ci)))
 		ix.liveConjs++
 	}
@@ -468,13 +507,25 @@ func countable(conj []Predicate) bool {
 	return true
 }
 
+// inlineCheck returns the residual predicate a range posting carries
+// itself — the conjunction's first numeric one — or -1 when it has none.
+func inlineCheck(conj []Predicate, acc *access) int {
+	for i := range conj {
+		if !acc.absorbs(conj, i) && conj[i].Val.Kind == Number {
+			return i
+		}
+	}
+	return -1
+}
+
 // lower appends the conjunction's residual — every predicate its access
-// posting does not stand for — to the check slab, returning how many.
-// postable has interned every name it needs.
-func (ix *Index) lower(conj []Predicate, acc access) int32 {
+// posting does not stand for, and not predicate inline, which the
+// posting carries — to the check slab, returning how many. postable has
+// interned every name it needs.
+func (ix *Index) lower(conj []Predicate, acc access, inline int) int32 {
 	n := int32(0)
 	for i := range conj {
-		if acc.absorbs(conj, i) {
+		if i == inline || acc.absorbs(conj, i) {
 			continue
 		}
 		p := &conj[i]
@@ -511,7 +562,7 @@ func (ix *Index) postEq(p *Predicate, ci int32) {
 
 // postRange posts a two-sided range by its lower bound in the
 // attribute's list for the range's width class.
-func (ix *Index) postRange(attr string, acc access, ci int32, batch bool) {
+func (ix *Index) postRange(attr string, acc access, p ivPost, batch bool) {
 	exp := -ivMaxExp // empty and zero-width ranges: the narrowest class
 	if width := acc.hi - acc.lo; width > 0 {
 		_, exp = math.Frexp(width) // width = f·2^exp, f ∈ [½, 1)
@@ -535,7 +586,7 @@ func (ix *Index) postRange(attr string, acc access, ci int32, batch bool) {
 		}
 		ix.iv[attr] = append(ix.iv[attr], c)
 	}
-	c.add(ix, acc.lo, ivPost{hi: acc.hi, ci: ci, strict: acc.strict}, batch)
+	c.add(ix, acc.lo, p, batch)
 }
 
 // opMap returns the bound-list map for an inequality operator.
@@ -668,6 +719,7 @@ func (ix *Index) drop(r ref) {
 	switch i := r.index(); r.kind() {
 	case refConj:
 		ix.conjs[i].needed = 0
+		ix.dead[i>>6] |= 1 << (i & 63)
 		ix.liveConjs--
 		ix.deadConjs++
 	case refWild:
@@ -759,6 +811,8 @@ func (ix *Index) compact() {
 		live++
 	}
 	ix.conjs = ix.conjs[:live]
+	ix.dead = ix.dead[:(live+63)>>6]
+	clear(ix.dead)
 	ix.checks = ix.checks[:nc]
 	clear(ix.strs[ns:])
 	ix.strs = ix.strs[:ns]
@@ -1024,12 +1078,12 @@ func (s *MatchScratch) visit(name string, v Value) {
 		lo := x - c.span
 		for i := sort.SearchFloat64s(c.bounds, lo); i < len(c.bounds) && c.bounds[i] <= x; i++ {
 			if p := &c.post[i]; p.holds(c.bounds[i], x) {
-				s.decide(p.ci)
+				s.settle(p)
 			}
 		}
 		for i, b := range c.tailBounds {
 			if p := &c.tailPost[i]; b >= lo && b <= x && p.holds(b, x) {
-				s.decide(p.ci)
+				s.settle(p)
 			}
 		}
 	}
@@ -1054,7 +1108,7 @@ func (s *MatchScratch) visitNaN(name string) {
 		for _, posts := range [...][]ivPost{c.post, c.tailPost} {
 			for i := range posts {
 				if posts[i].strict&someOpen == 0 {
-					s.decide(posts[i].ci)
+					s.settle(&posts[i])
 				}
 			}
 		}
@@ -1086,8 +1140,37 @@ func (s *MatchScratch) decideAll(cis []int32) {
 	}
 }
 
+// settle decides the conjunction of a range posting that holds the
+// message's value: the posting's inline check first, then — for a
+// posting that decides alone — the tombstone bit, else the rest of the
+// residual through decide.
+func (s *MatchScratch) settle(p *ivPost) {
+	if p.op != noCheck {
+		if s.resolvedAt != s.epoch {
+			s.resolve()
+		}
+		if !s.holdsNum(p.slot, p.op, p.num) {
+			return
+		}
+	}
+	if !p.alone {
+		s.decide(p.ci)
+	} else if s.ix.dead[p.ci>>6]&(1<<(p.ci&63)) == 0 {
+		s.emit(p.id)
+	}
+}
+
+// resolve resolves the message being matched by slot; callers test
+// resolvedAt first, so it runs once per match.
+func (s *MatchScratch) resolve() {
+	s.resolvedAt = s.epoch
+	s.Resolve(s.msg)
+}
+
 // decide settles an access-posted conjunction whose posting holds: it
-// is a match unless removed or one of its residual checks fails.
+// is a match unless removed or one of its residual checks fails (a range
+// posting has already passed the check it carries, which the slab does
+// not repeat).
 func (s *MatchScratch) decide(ci int32) {
 	ix := s.ix
 	c := &ix.conjs[ci]
@@ -1096,8 +1179,7 @@ func (s *MatchScratch) decide(ci int32) {
 	}
 	if c.nres > 0 {
 		if s.resolvedAt != s.epoch {
-			s.resolvedAt = s.epoch
-			s.Resolve(s.msg)
+			s.resolve()
 		}
 		run := ix.checks[c.res : c.res+c.nres]
 		for i := range run {

@@ -14,11 +14,16 @@ import (
 // The grammar covers strict, closed and half-open ranges, ranges and
 // equalities with and without residuals (numeric, !=, string equality
 // and string inequality), disjunctions, != filters (the fallback), the
-// one-sided counted form and wildcards; ids repeat. Bounds and attribute
-// values come from one small table — so a value often sits exactly on a
-// bound, or one ulp off it — that holds NaN and both infinities. A churn
-// operation adds up to 160 copies of a filter and removes most of them
-// again, which drives the tombstone compaction.
+// one-sided counted form and wildcards; ids repeat. A range posting
+// carries its conjunction's first numeric residual inline and, when that
+// is the whole residual, decides alone against the tombstone bitset, so
+// ranges come with two residuals in either order, with a numeric
+// residual on an attribute messages often carry as a string, and with a
+// NaN residual bound; and an id is removed and re-added at once. Bounds
+// and attribute values come from one small table — so a value often
+// sits exactly on a bound, or one ulp off it — that holds NaN and both
+// infinities. A churn operation adds up to 160 copies of a filter and
+// removes most of them again, which drives the tombstone compaction.
 //
 //	go test -run '^$' -fuzz '^FuzzIndexMatch$' -fuzztime 30s ./internal/filter
 func FuzzIndexMatch(f *testing.F) {
@@ -38,24 +43,29 @@ const (
 	opFlush
 	opMatch
 	opChurn
+	opReAdd // Remove an id, then Add it again
 	numOps
 )
 
 // Filter productions: the production byte modulo numProds.
 const (
-	prodStrict   = iota // a > lo && a < hi
-	prodClosed          // a >= lo && a <= hi
-	prodHalfOpen        // one bound strict, the other closed
-	prodRangeRes        // a range and a residual predicate
-	prodEq              // k == v
-	prodEqRes           // k == v and two residual predicates
-	prodStrEqRes        // s == 'x' and a residual predicate
-	prodEqStrRes        // k == v && s == 'x'
-	prodOr              // a disjunction of two productions
-	prodNE              // a != v (fallback)
-	prodCounted         // a one-sided inequality on each of a and b
-	prodWild            // nil
-	prodSource          // one of fuzzSources
+	prodStrict       = iota // a > lo && a < hi
+	prodClosed              // a >= lo && a <= hi
+	prodHalfOpen            // one bound strict, the other closed
+	prodRangeRes            // a range and a residual predicate
+	prodEq                  // k == v
+	prodEqRes               // k == v and two residual predicates
+	prodStrEqRes            // s == 'x' and a residual predicate
+	prodEqStrRes            // k == v && s == 'x'
+	prodOr                  // a disjunction of two productions
+	prodNE                  // a != v (fallback)
+	prodCounted             // a one-sided inequality on each of a and b
+	prodWild                // nil
+	prodSource              // one of fuzzSources
+	prodRangeNumStr         // a range, a numeric residual, then a string check or !=
+	prodRangeStrNum         // a range, a string check or !=, then a numeric residual
+	prodRangeStrAttr        // a range and a numeric residual on s, often a string
+	prodRangeNaNRes         // a range and a residual with a NaN bound
 	numProds
 )
 
@@ -127,6 +137,19 @@ func (in *fuzzInput) pred() *Filter {
 	return NewPred(attr, op, Num(in.num()))
 }
 
+// numPred is a numeric predicate other than !=.
+func (in *fuzzInput) numPred() *Filter {
+	return NewPred(in.attr(), Op(in.next()%int(NE)), Num(in.num()))
+}
+
+// strOrNE is a string predicate (any operator) or a numeric !=.
+func (in *fuzzInput) strOrNE() *Filter {
+	if in.next()%2 == 0 {
+		return NewPred(in.attr(), Op(in.next()%int(NE+1)), Str(in.str()))
+	}
+	return NewPred(in.attr(), NE, Num(in.num()))
+}
+
 func (in *fuzzInput) filter(depth int) *Filter {
 	switch p := in.next() % numProds; p {
 	case prodStrict:
@@ -159,6 +182,14 @@ func (in *fuzzInput) filter(depth int) *Filter {
 		return And(NewPred("a", Op(in.next()%4), Num(in.num())), NewPred("b", Op(in.next()%4), Num(in.num())))
 	case prodWild:
 		return nil
+	case prodRangeNumStr:
+		return And(in.rng(in.lowOp(), in.highOp()), in.numPred(), in.strOrNE())
+	case prodRangeStrNum:
+		return And(in.rng(in.lowOp(), in.highOp()), in.strOrNE(), in.numPred())
+	case prodRangeStrAttr:
+		return And(in.rng(in.lowOp(), in.highOp()), NewPred("s", Op(in.next()%int(NE+1)), Num(in.num())))
+	case prodRangeNaNRes:
+		return And(in.rng(in.lowOp(), in.highOp()), NewPred(in.attr(), Op(in.next()%int(NE+1)), Num(math.NaN())))
 	default:
 		return MustParse(fuzzSources[in.next()%len(fuzzSources)])
 	}
@@ -236,6 +267,12 @@ func runIndexProgram(t *testing.T, in *fuzzInput) {
 				}
 			}
 			fresh += int32(n)
+		case opReAdd:
+			id, f := in.id(), in.filter(0)
+			ix.Remove(id)
+			delete(live, id)
+			ix.Add(id, f)
+			add(id, f)
 		}
 	}
 	if ix.Len() != len(live) {
@@ -297,6 +334,10 @@ func indexFuzzSeeds() [][]byte {
 		{prodCounted, byte(LT), five, byte(LE), five},
 		{prodWild},
 		{prodSource, 11},
+		{prodRangeNumStr, 0, 1, one, two, 1, byte(LT), five, 1, 1, three},      // a > 1 && a <= 2 && b < 5 && b != 3
+		{prodRangeStrNum, 0, 1, one, two, 0, 3, byte(LT), 1, 1, byte(GE), one}, // a > 1 && a <= 2 && s < "y" && b >= 1
+		{prodRangeStrAttr, 1, 0, one, two, byte(LE), three},                    // a >= 1 && a < 2 && s <= 3
+		{prodRangeNaNRes, 0, 1, one, two, 1, byte(GE)},                         // a > 1 && a <= 2 && b >= NaN
 	}
 	var sources, all []byte
 	for i := range fuzzSources {
@@ -313,6 +354,11 @@ func indexFuzzSeeds() [][]byte {
 		churn = append(append(churn, opChurn, 127, 4), prods[i%2]...)
 	}
 	churn = append(churn, opRemove, 1)
+	// Remove and re-add ids under new ranges: a re-added id posts a new
+	// conjunction beside its old, tombstoned one.
+	for i := 0; i < 3; i++ {
+		churn = append(append(churn, opReAdd, 2), prods[13+i]...)
+	}
 	for _, m := range msgs {
 		sources = append(sources, m...)
 		all = append(all, m...)

@@ -26,14 +26,16 @@ import (
 // The counting index (index.go) lowers with the same slots, but into
 // its own slab and only what its postings do not already say: a
 // conjunction's residual, one 16-byte check per predicate (any operator,
-// numeric or string operand). On fanout_match's shape that is one check
-// per subscription; the range's own predicates live in its posting. The
-// check, the posting's upper bound and the wider conjunction state cost
-// the index about 28 bytes a conjunction more than the *Filter pointer
-// they replace. The per-id back-reference paid for it and more: it
-// shrank from an 80-byte record behind a map slot to one 8-byte map slot
-// — 150.6 → 79.5 index bytes per fanout-shaped conjunction
-// (TestIndexBytesPerConjunction pins ≤ 140).
+// numeric or string operand). A range posting carries the range's own
+// predicates and the first numeric residual check itself, in 32 bytes
+// (slot, operator and operand beside the range's bounds, the
+// conjunction index and the caller's id), so on fanout_match's shape
+// the slab holds nothing: the 16 bytes the posting grew are the 16 the
+// slab lost, and the tombstone bitset adds one bit a conjunction. The
+// per-id back-reference shrank from an 80-byte record behind a map slot
+// to one 8-byte map slot. Together that is 150.6 → 79.5 → 77.5 index
+// bytes per fanout-shaped conjunction (TestIndexBytesPerConjunction pins
+// ≤ 140).
 
 // maxProgPreds bounds a program's length so its slots pack beside the
 // length into one word of the Filter.
@@ -244,14 +246,24 @@ type check struct {
 // the owning index's string table. An absent attribute, or one of the
 // other kind, fails every operator, != included.
 func (s *MatchScratch) holdsCheck(c *check, strs []string) bool {
+	if c.kind == Number {
+		return s.holdsNum(c.slot, c.op, c.num)
+	}
 	if int(c.slot) >= len(s.attrs) {
 		return false
 	}
 	ra := &s.attrs[c.slot]
-	if c.kind == Number {
-		return ra.at == s.attrEpoch && numHolds(c.op, ra.num, c.num)
-	}
 	return ra.at == s.attrEpoch|strStamp && strHolds(c.op, ra.str, strs[c.str])
+}
+
+// holdsNum evaluates a numeric check — a slab check's, or a range
+// posting's inline one — against the resolved message.
+func (s *MatchScratch) holdsNum(slot uint8, op Op, b float64) bool {
+	if int(slot) >= len(s.attrs) {
+		return false
+	}
+	ra := &s.attrs[slot]
+	return ra.at == s.attrEpoch && numHolds(op, ra.num, b)
 }
 
 // MatchResolved is Match for a message the caller has resolved into s

@@ -144,8 +144,10 @@ func (n *Node) CheckpointTable() error {
 // that sees the concrete subscription first — classifies it against the
 // resident canonical filters and suppresses the flood when one with
 // identical delivery terms already covers it (the covering chain's
-// forwarded root carries the upstream traffic).
-func (n *Node) handleSubscribe(s *msg.Subscription, local *peerConn) {
+// forwarded root carries the upstream traffic). body is the
+// subscription's encoding as received, which the flood relays unchanged;
+// nil for one injected here, which is encoded once.
+func (n *Node) handleSubscribe(s *msg.Subscription, local *peerConn, body []byte) {
 	n.mu.Lock()
 	if n.removedSubs.has(s.ID) {
 		// Tombstoned: a subscribe flood racing its own unsubscribe.
@@ -203,9 +205,11 @@ func (n *Node) handleSubscribe(s *msg.Subscription, local *peerConn) {
 	if !flood {
 		return
 	}
-	body, err := msg.AppendSubscription(nil, s)
-	if err != nil {
-		return
+	if body == nil {
+		var err error
+		if body, err = msg.AppendSubscription(nil, s); err != nil {
+			return
+		}
 	}
 	for _, p := range peers {
 		_ = p.writeFrame(msg.FrameSubscribe, body) // dead peers are fine
@@ -337,7 +341,7 @@ func (n *Node) retractOwned(id msg.SubID, ret routing.Retraction, types *[]byte,
 // subscription floods across the overlay. The runtime's live churn
 // driver uses it to realize a plan's subscribe events at the
 // subscription's edge broker.
-func (n *Node) Subscribe(s *msg.Subscription) { n.handleSubscribe(s, nil) }
+func (n *Node) Subscribe(s *msg.Subscription) { n.handleSubscribe(s, nil, nil) }
 
 // Unsubscribe injects a subscription withdrawal at this broker: routing
 // state is removed, a bounded tombstone guards against late subscribe

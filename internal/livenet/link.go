@@ -271,3 +271,15 @@ func (n *Node) LinkEstimate(to msg.NodeID) (stats.Normal, bool) {
 	}
 	return est.Estimate(), est.Count() > 0
 }
+
+// linkBelief returns the rate the plan believed for the link to a
+// neighbor — the estimator's prior — and whether the link exists.
+func (n *Node) linkBelief(to msg.NodeID) (stats.Normal, bool) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	est, ok := n.estimates[to]
+	if !ok {
+		return stats.Normal{}, false
+	}
+	return est.Prior, true
+}

@@ -487,6 +487,40 @@ func TestLiveLinkEstimates(t *testing.T) {
 	}
 }
 
+// TestMetricsLinkGauges: every outgoing link of a 3-broker chain exports
+// its rate estimate beside the plan's belief — the configured N(50, 5²)
+// — and every broker its view of each neighbor's liveness. Heartbeats are
+// off, so no neighbor can be declared dead and every peer reads up.
+func TestMetricsLinkGauges(t *testing.T) {
+	c := startTinyCluster(t, msg.PSD)
+	text := c.RenderMetrics()
+	for _, want := range []string{
+		"# TYPE bdps_link_rate_ms_per_kb gauge\n",
+		"# TYPE bdps_peer_up gauge\n",
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("metrics output missing %q", want)
+		}
+	}
+	for _, link := range [][2]int{{0, 1}, {1, 0}, {1, 2}, {2, 1}} {
+		from, to := link[0], link[1]
+		for _, want := range []string{
+			fmt.Sprintf(`bdps_link_rate_ms_per_kb{from="%d",to="%d",source="belief",stat="mean"} 50`+"\n", from, to),
+			fmt.Sprintf(`bdps_link_rate_ms_per_kb{from="%d",to="%d",source="belief",stat="stddev"} 5`+"\n", from, to),
+			fmt.Sprintf(`bdps_link_rate_ms_per_kb{from="%d",to="%d",source="estimate",stat="mean"} `, from, to),
+			fmt.Sprintf(`bdps_link_rate_ms_per_kb{from="%d",to="%d",source="estimate",stat="stddev"} `, from, to),
+			fmt.Sprintf(`bdps_peer_up{broker="%d",peer="%d"} 1`+"\n", from, to),
+		} {
+			if !strings.Contains(text, want) {
+				t.Errorf("metrics output missing %q", want)
+			}
+		}
+	}
+	if strings.Contains(text, `from="0",to="2"`) || strings.Contains(text, `broker="0",peer="2"`) {
+		t.Error("metrics output names a link the overlay does not have")
+	}
+}
+
 func TestNodeConfigValidation(t *testing.T) {
 	if _, err := NewNode(NodeConfig{}); err == nil {
 		t.Error("nil overlay should fail")

@@ -10,6 +10,7 @@ import (
 
 	"bdps/internal/metrics"
 	"bdps/internal/msg"
+	"bdps/internal/stats"
 )
 
 // SLO observability: a hand-rolled text /metrics endpoint over the
@@ -51,7 +52,9 @@ func (c *Cluster) ServeMetrics(addr string) (*MetricsServer, error) {
 // RenderMetrics renders the exposition text: the cluster-wide total of
 // every ledger counter (bdps_<name>_total, one per metrics.Counters row),
 // then per-broker gauges for the load signals an operator watches during
-// an overload (queue occupancy, peak queue, liveness).
+// an overload (queue occupancy, peak queue, liveness), then per link the
+// measured rate beside the rate the plan believed, and each broker's
+// view of its neighbors' liveness.
 func (c *Cluster) RenderMetrics() string {
 	var b strings.Builder
 	t := c.TotalStats()
@@ -79,6 +82,37 @@ func (c *Cluster) RenderMetrics() string {
 			up = 0
 		}
 		fmt.Fprintf(&b, "bdps_broker_up{broker=\"%d\"} %d\n", id, up)
+	}
+
+	fmt.Fprintf(&b, "# HELP bdps_link_rate_ms_per_kb Per-KB transfer time of each outgoing link: the sender's estimate and the plan's belief.\n# TYPE bdps_link_rate_ms_per_kb gauge\n")
+	const rateLine = "bdps_link_rate_ms_per_kb{from=\"%d\",to=\"%d\",source=\"%s\",stat=\"%s\"} %g\n"
+	for _, id := range c.nodeIDs() {
+		n := c.Node(id)
+		for _, e := range n.cfg.Overlay.Graph.Neighbors(id) {
+			belief, ok := n.linkBelief(e.To)
+			if !ok {
+				continue
+			}
+			est, _ := n.LinkEstimate(e.To)
+			for _, r := range [...]struct {
+				source string
+				rate   stats.Normal
+			}{{"estimate", est}, {"belief", belief}} {
+				fmt.Fprintf(&b, rateLine, id, e.To, r.source, "mean", r.rate.Mean)
+				fmt.Fprintf(&b, rateLine, id, e.To, r.source, "stddev", r.rate.Sigma)
+			}
+		}
+	}
+	fmt.Fprintf(&b, "# HELP bdps_peer_up Whether a broker's heartbeat monitor holds a neighbor alive (1 without heartbeats).\n# TYPE bdps_peer_up gauge\n")
+	for _, id := range c.nodeIDs() {
+		n := c.Node(id)
+		for _, e := range n.cfg.Overlay.Graph.Neighbors(id) {
+			up := 1
+			if _, dead := n.PeerLiveness(e.To); dead {
+				up = 0
+			}
+			fmt.Fprintf(&b, "bdps_peer_up{broker=\"%d\",peer=\"%d\"} %d\n", id, e.To, up)
+		}
 	}
 	return b.String()
 }

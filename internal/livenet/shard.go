@@ -338,6 +338,9 @@ func (n *Node) readLoop(conn net.Conn) {
 			}
 		case msg.FrameSubscribe:
 			s, derr := msg.DecodeSubscription(body)
+			// The flood relays these bytes as received: copied once,
+			// before the frame buffer goes back to its pool.
+			raw := append([]byte(nil), body...)
 			fb.Release()
 			if derr != nil {
 				break
@@ -349,7 +352,7 @@ func (n *Node) readLoop(conn net.Conn) {
 			if role == msg.RoleSubscriber {
 				from = peer
 			}
-			n.handleSubscribe(s, from)
+			n.handleSubscribe(s, from, raw)
 		case msg.FrameUnsubscribe:
 			id, derr := msg.DecodeUnsubscribe(body)
 			fb.Release()

@@ -4,8 +4,8 @@ import "bdps/internal/msg"
 
 // Grouper buckets matched entries by next hop without allocating: the
 // hop list and the per-hop buckets are reused across calls. It produces
-// exactly GroupByNext's grouping — hops sorted ascending, bucket
-// contents in input (Match) order — which the equivalence tests assert.
+// hops sorted ascending and bucket contents in input (Match) order, which
+// TestGrouperMatchesGroupByNext checks against a map-based oracle.
 //
 // A Grouper is single-owner scratch state: brokers embed one and call it
 // under their own serialization (the simulator is single-threaded, the

@@ -3,6 +3,7 @@ package routing
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"bdps/internal/filter"
@@ -225,12 +226,27 @@ func TestResidualMonotonicAlongPath(t *testing.T) {
 	}
 }
 
+// groupByNext is the Grouper's oracle: it buckets matched entries by
+// next hop, local deliveries under msg.None, bucket contents in Match
+// order and bucket keys sorted.
+func groupByNext(entries []*Entry) (hops []msg.NodeID, groups map[msg.NodeID][]*Entry) {
+	groups = make(map[msg.NodeID][]*Entry)
+	for _, e := range entries {
+		if _, ok := groups[e.Next]; !ok {
+			hops = append(hops, e.Next)
+		}
+		groups[e.Next] = append(groups[e.Next], e)
+	}
+	sort.Slice(hops, func(i, j int) bool { return hops[i] < hops[j] })
+	return hops, groups
+}
+
 func TestGroupByNext(t *testing.T) {
 	e1 := &Entry{Next: 5, Sub: sub(1, 2, "true")}
 	e2 := &Entry{Next: 3, Sub: sub(2, 2, "true")}
 	e3 := &Entry{Next: 5, Sub: sub(3, 2, "true")}
 	e4 := &Entry{Next: msg.None, Sub: sub(4, 2, "true")}
-	hops, groups := GroupByNext([]*Entry{e1, e2, e3, e4})
+	hops, groups := groupByNext([]*Entry{e1, e2, e3, e4})
 	if len(hops) != 3 {
 		t.Fatalf("hops = %v, want 3 groups", hops)
 	}
@@ -422,7 +438,7 @@ func TestEntryString(t *testing.T) {
 }
 
 // TestGrouperMatchesGroupByNext proves the reusable Grouper reproduces
-// GroupByNext exactly — sorted hops, buckets in input order — across
+// groupByNext exactly — sorted hops, buckets in input order — across
 // randomized entry streams and repeated (buffer-reusing) calls.
 func TestGrouperMatchesGroupByNext(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
@@ -439,7 +455,7 @@ func TestGrouperMatchesGroupByNext(t *testing.T) {
 				Next: next,
 			}
 		}
-		wantHops, wantGroups := GroupByNext(entries)
+		wantHops, wantGroups := groupByNext(entries)
 		gotHops, gotBuckets := g.Group(entries)
 		if len(gotHops) != len(wantHops) {
 			t.Fatalf("trial %d: %d hops, want %d", trial, len(gotHops), len(wantHops))

@@ -110,6 +110,10 @@ type Table struct {
 	// that mutations update incrementally.
 	indexed bool
 
+	// grouped counts the live entries carrying a covering group (see
+	// Distinct).
+	grouped int
+
 	// scratch backs the serial MatchAppend entry point; allocated on first
 	// use, since brokers match through their own.
 	scratch *filter.MatchScratch
@@ -123,12 +127,26 @@ type sourceState struct {
 	entries []*Entry
 	live    int
 	ix      *filter.Index
+	// multi counts the subscriptions holding more than one live slot
+	// here (multi-path routes that share this broker, or a repeated Add).
+	multi int
 }
 
 // entryRef locates one entry slot of a subscription.
 type entryRef struct {
 	src msg.NodeID
 	pos int32
+}
+
+// slotsIn counts a subscription's references into one source.
+func slotsIn(refs []entryRef, src msg.NodeID) int {
+	n := 0
+	for _, r := range refs {
+		if r.src == src {
+			n++
+		}
+	}
+	return n
 }
 
 // NewTable returns an empty table for the given broker.
@@ -169,7 +187,14 @@ func (t *Table) add(e *Entry, slab *tableSlab, refCap int) {
 		slab.refs = slab.refs[:n+refCap]
 		refs = slab.refs[n : n : n+refCap]
 	}
-	t.bySub[e.Sub.ID] = append(refs, entryRef{src: e.Source, pos: pos})
+	refs = append(refs, entryRef{src: e.Source, pos: pos})
+	t.bySub[e.Sub.ID] = refs
+	if slotsIn(refs, e.Source) == 2 {
+		st.multi++
+	}
+	if e.Agg != nil {
+		t.grouped++
+	}
 	if st.ix != nil {
 		st.ix.Add(pos, e.Sub.Filter)
 	}
@@ -190,10 +215,16 @@ func (t *Table) RemoveSub(id msg.SubID) int {
 	}
 	delete(t.bySub, id)
 	removed := 0
-	for _, r := range refs {
+	for i, r := range refs {
 		st := t.bySource[r.src]
 		if st == nil || st.entries[r.pos] == nil {
 			continue
+		}
+		if slotsIn(refs[:i], r.src) == 1 {
+			st.multi-- // this source's second slot of the subscription
+		}
+		if st.entries[r.pos].Agg != nil {
+			t.grouped--
 		}
 		st.entries[r.pos] = nil
 		st.live--
@@ -255,8 +286,13 @@ func (t *Table) compactSource(src msg.NodeID, st *sourceState) {
 		k++
 	}
 	st.entries = st.entries[:k]
+	st.multi = 0
 	for i, e := range st.entries {
-		t.bySub[e.Sub.ID] = append(t.bySub[e.Sub.ID], entryRef{src: src, pos: int32(i)})
+		refs := append(t.bySub[e.Sub.ID], entryRef{src: src, pos: int32(i)})
+		t.bySub[e.Sub.ID] = refs
+		if slotsIn(refs, src) == 2 {
+			st.multi++
+		}
 	}
 	if st.ix != nil {
 		st.rebuildIndex()
@@ -359,6 +395,20 @@ func appendLinear(st *sourceState, s *filter.MatchScratch, m *msg.Message, buf [
 	return buf
 }
 
+// Distinct reports whether a match of a message from ingress src returns
+// each subscription at most once and no covering group to fan out: no
+// subscription holds two of the source's live slots, and no live entry
+// of the table carries a group. A broker then needs no per-message
+// subscription dedup. Like matching, it reads the table under the read
+// lock.
+func (t *Table) Distinct(src msg.NodeID) bool {
+	if t.grouped > 0 {
+		return false
+	}
+	st := t.bySource[src]
+	return st == nil || st.multi == 0
+}
+
 // Entries returns all live entries for an ingress, for tests and
 // inspection. When the slot list carries no tombstones the backing
 // array is returned directly; otherwise a compacted copy is built.
@@ -387,21 +437,6 @@ func (t *Table) Sources() []msg.NodeID {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-// GroupByNext buckets matched entries by next hop. Local deliveries come
-// back under msg.None. Bucket contents preserve Match order; bucket keys
-// are sorted for deterministic iteration by the caller.
-func GroupByNext(entries []*Entry) (hops []msg.NodeID, groups map[msg.NodeID][]*Entry) {
-	groups = make(map[msg.NodeID][]*Entry)
-	for _, e := range entries {
-		if _, ok := groups[e.Next]; !ok {
-			hops = append(hops, e.Next)
-		}
-		groups[e.Next] = append(groups[e.Next], e)
-	}
-	sort.Slice(hops, func(i, j int) bool { return hops[i] < hops[j] })
-	return hops, groups
 }
 
 // CoverageStats summarizes a routing build for diagnostics: entries per
@@ -452,7 +487,7 @@ func (t *Table) group(id msg.SubID, create bool) *Group {
 		if st == nil || st.entries[r.pos] == nil {
 			continue
 		}
-		st.entries[r.pos].Agg = g
+		t.stamp(st.entries[r.pos], g)
 		stamped++
 	}
 	if stamped == 0 {
@@ -571,8 +606,16 @@ func (t *Table) SetGroup(id msg.SubID, g *Group) {
 		if st == nil || st.entries[r.pos] == nil {
 			continue
 		}
-		st.entries[r.pos].Agg = g
+		t.stamp(st.entries[r.pos], g)
 	}
+}
+
+// stamp sets a live entry's group, keeping the grouped count.
+func (t *Table) stamp(e *Entry, g *Group) {
+	if e.Agg == nil {
+		t.grouped++
+	}
+	e.Agg = g
 }
 
 // AggregatedEntries counts live entries standing for more than one
