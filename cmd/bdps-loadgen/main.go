@@ -62,7 +62,6 @@ func main() {
 		pubs    = flag.Int("pubs", 4, "publishing clients (distinct streams)")
 		subs    = flag.Int("subs", 1, "subscribers at the edge broker")
 		brokers = flag.Int("brokers", 3, "chain length (ingress → … → edge)")
-		shards  = flag.Int("shards", grt.GOMAXPROCS(0), "ingress workers per broker (0 = 1)")
 		burst   = flag.Int("burst", 0, "cap on an unpaced egress burst, in messages; paced links cut bursts by transfer time first (0 = default 32)")
 		sizeKB  = flag.Float64("size", 1, "emulated message size in KB")
 		payload = flag.Int("payload", 0, "payload bytes per message")
@@ -96,7 +95,7 @@ func main() {
 	flag.Parse()
 	cfg := loadCfg{
 		n: *n, pubs: *pubs, subs: *subs, brokers: *brokers,
-		shards: *shards, burst: *burst, sizeKB: *sizeKB, payload: *payload,
+		burst: *burst, sizeKB: *sizeKB, payload: *payload,
 		churn: *churn, aggregate: *agg,
 		killBroker: *killBroker, killAt: *killAt, restartAt: *restartAt, linkDown: *linkDown,
 		hbInterval: *hbInterval, hbTimeout: *hbTimeout,
@@ -124,8 +123,8 @@ func main() {
 }
 
 func report(cfg loadCfg, r result) {
-	fmt.Printf("workers=%-3d %8d msgs in %8.3fs  %9.0f msgs/sec  %6.1f allocs/msg  %8.1f B/msg  (deliveries %d, receptions %d)",
-		max(cfg.shards, 1), cfg.n, r.elapsed.Seconds(), r.msgsPerSec, r.allocsPerMsg, r.bytesPerMsg, r.deliveries, r.receptions)
+	fmt.Printf("%8d msgs in %8.3fs  %9.0f msgs/sec  %6.1f allocs/msg  %8.1f B/msg  (deliveries %d, receptions %d)",
+		cfg.n, r.elapsed.Seconds(), r.msgsPerSec, r.allocsPerMsg, r.bytesPerMsg, r.deliveries, r.receptions)
 	if cfg.churn > 0 {
 		fmt.Printf("  churn %.0f sub+unsub/sec", r.churnPerSec)
 	}
@@ -188,7 +187,7 @@ func overloadReport(r result) {
 
 type loadCfg struct {
 	n, pubs, subs, brokers int
-	shards, burst          int
+	burst                  int
 	sizeKB                 float64
 	payload                int
 	churn                  float64
@@ -333,7 +332,6 @@ func run(cfg loadCfg) (result, error) {
 		Strategy:  core.MaxEB{},
 		TimeScale: timeScale,
 		Seed:      1,
-		Shards:    cfg.shards,
 		Burst:     cfg.burst,
 		Aggregate: cfg.aggregate,
 		MaxEgress: cfg.maxEgress,

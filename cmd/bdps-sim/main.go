@@ -86,9 +86,8 @@ func run(args []string) error {
 		topoDump = fs.Bool("dump-topology", false, "print the layered overlay as JSON and exit")
 		traceOut = fs.String("trace", "", "write a JSONL event trace (single mode)")
 
-		backend    = fs.String("backend", "sim", "runtime backend: sim (discrete-event) or live (loopback TCP overlay)")
-		timescale  = fs.Float64("timescale", 0.001, "live backend: wall seconds per emulated second")
-		liveShards = fs.Int("live-shards", 0, "live backend: ingress workers per broker (0 = 1)")
+		backend   = fs.String("backend", "sim", "runtime backend: sim (discrete-event) or live (loopback TCP overlay)")
+		timescale = fs.Float64("timescale", 0.001, "live backend: wall seconds per emulated second")
 
 		scenario = fs.String("scenario", "psd", "psd, ssd or both (single mode)")
 		strategy = fs.String("strategy", "eb", "fifo, rl, eb, pc, ebpc[:r] (single mode)")
@@ -221,7 +220,6 @@ func run(args []string) error {
 			MeasureSamples: *measure,
 			LinkModel:      lm,
 			TimeScale:      ts,
-			LiveShards:     *liveShards,
 			IndexedMatch:   *churnRate > 0 || *flashSubs > 0,
 			TimelineBucket: vtime.FromDuration(*timeline),
 			Recovery: runtime.Recovery{
@@ -282,7 +280,6 @@ func run(args []string) error {
 		Parallelism: *parallel,
 		Backend:     bk,
 		TimeScale:   ts,
-		LiveShards:  *liveShards,
 	}
 	if *ebpcW != "" {
 		w, err := strconv.ParseFloat(*ebpcW, 64)

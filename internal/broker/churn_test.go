@@ -12,8 +12,8 @@ import (
 	"bdps/internal/vtime"
 )
 
-// TestProcessorsConcurrentWithTableChurn is the sharded-plane churn
-// contract under -race: worker Processors (each with private match
+// TestProcessorsConcurrentWithTableChurn is the live plane's churn
+// contract under -race: concurrent Processors (each with private match
 // scratch, sharing the table's counting index) process messages under a
 // reader lock while subscription floods mutate the table under the
 // writer lock — exactly the synchronization the live node uses. The

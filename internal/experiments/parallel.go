@@ -135,8 +135,8 @@ func (ex *executor) exec(cfg simnet.Config) (metrics.Result, error) {
 // sequential harness, early abort included. Otherwise a pool of
 // Parallelism workers drains the batch; once any cell fails, no further
 // cells are handed out (in-flight ones finish), and the lowest-index
-// recorded error is returned. Indices are dispatched in order and every
-// dispatched cell completes, so the lowest-index failing cell always
+// recorded error is returned. Indices are handed out in order and every
+// started cell completes, so the lowest-index failing cell always
 // runs and its error always wins: failures are deterministic too
 // (TestRunAllDeterministicError). Results are only used on full
 // success, so cancellation cannot perturb figure output.

@@ -60,9 +60,6 @@ type Options struct {
 	// TimeScale compresses emulated delays on wall-clock backends (see
 	// runtime.Config.TimeScale); ignored by the simulator.
 	TimeScale float64
-	// LiveShards is the live backend's ingress workers per broker
-	// (0 = 1; see runtime.Config.LiveShards); ignored by the simulator.
-	LiveShards int
 	// Progress, when non-nil, receives one line per completed run. It
 	// may be called from worker goroutines, but never concurrently:
 	// calls are serialized by the harness. Line order under parallelism

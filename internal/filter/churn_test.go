@@ -196,7 +196,7 @@ func TestIndexTouchedListsOnly(t *testing.T) {
 }
 
 // TestIndexMatchWithConcurrent runs many matchers with private scratch
-// against one shared index — the sharded live plane's read-lock pattern
+// against one shared index — the live read loops' read-lock pattern
 // — and checks every matcher sees the identical result set. Run with
 // -race this also proves MatchWith never writes index state.
 func TestIndexMatchWithConcurrent(t *testing.T) {

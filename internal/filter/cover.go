@@ -242,62 +242,3 @@ func conjRangesAppend(conj []Predicate, buf []attrInterval) ([]attrInterval, boo
 	}
 	return buf, true
 }
-
-// Overlaps reports whether f and g can both match some message, using the
-// same conservative interval reasoning. It errs on the side of true (it
-// may report overlap for filters that are actually disjoint).
-func Overlaps(f, g *Filter) bool {
-	if f == nil || f.root == nil || g == nil || g.root == nil {
-		return true
-	}
-	var s CoverScratch
-	s.fdnf = s.appendDNF(f.root, s.fdnf[:0])
-	s.gdnf = s.appendDNF(g.root, s.gdnf[:0])
-	for _, fc := range s.fdnf {
-		fr, ok := conjRangesAppend(fc, nil)
-		if !ok {
-			return true
-		}
-		for _, gc := range s.gdnf {
-			gr, ok := conjRangesAppend(gc, nil)
-			if !ok {
-				return true
-			}
-			if rangesOverlap(fr, gr) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-func rangesOverlap(a, b []attrInterval) bool {
-	for i := range a {
-		ia := a[i].iv
-		ib, exists := findAttr(b, a[i].attr)
-		if !exists {
-			continue
-		}
-		if ia.isStr != ib.isStr {
-			return false
-		}
-		if ia.isStr {
-			if ia.strVal != ib.strVal {
-				return false
-			}
-			continue
-		}
-		lo, loOpen := ia.lo, ia.loOpen
-		if ib.lo > lo || (ib.lo == lo && ib.loOpen) {
-			lo, loOpen = ib.lo, ib.loOpen
-		}
-		hi, hiOpen := ia.hi, ia.hiOpen
-		if ib.hi < hi || (ib.hi == hi && ib.hiOpen) {
-			hi, hiOpen = ib.hi, ib.hiOpen
-		}
-		if lo > hi || (lo == hi && (loOpen || hiOpen)) {
-			return false
-		}
-	}
-	return true
-}

@@ -114,51 +114,6 @@ func TestCoversTransitiveOnIntervals(t *testing.T) {
 	}
 }
 
-func TestOverlapsBasic(t *testing.T) {
-	cases := []struct {
-		f, g string
-		want bool
-	}{
-		{"a < 5", "a > 3", true},
-		{"a < 3", "a > 5", false},
-		{"a < 3", "a >= 3", false},
-		{"a <= 3", "a >= 3", true},
-		{"a < 5 && b < 5", "a > 3 && b > 3", true},
-		{"a < 5 && b < 3", "a > 3 && b > 5", false},
-		{"s == 'x'", "s == 'y'", false},
-		{"s == 'x'", "s == 'x'", true},
-		{"a < 5", "b > 3", true}, // disjoint attributes always can overlap
-		{"true", "a < 1", true},
-	}
-	for _, c := range cases {
-		f, g := MustParse(c.f), MustParse(c.g)
-		if got := Overlaps(f, g); got != c.want {
-			t.Errorf("Overlaps(%q, %q) = %v, want %v", c.f, c.g, got, c.want)
-		}
-	}
-}
-
-// TestOverlapsSoundness: if two filters both match a point they must be
-// reported as overlapping.
-func TestOverlapsSoundness(t *testing.T) {
-	prop := func(fx1, gx1, p1 float64) bool {
-		if anyNaN(fx1, gx1, p1) {
-			return true
-		}
-		norm := func(x float64) float64 { return math.Mod(math.Abs(x), 10) }
-		f := Lt("A1", norm(fx1))
-		g := Gt("A1", norm(gx1))
-		a := attrs("A1", norm(p1))
-		if f.Match(a) && g.Match(a) && !Overlaps(f, g) {
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestCoversEmptyDisjunct(t *testing.T) {
 	// g's disjunct is unsatisfiable (a<1 && a>5): vacuously covered.
 	f := MustParse("a < 0.5")

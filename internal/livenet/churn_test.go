@@ -75,7 +75,7 @@ func TestNodeChurnStateBounded(t *testing.T) {
 }
 
 // TestClusterChurnSoak floods subscribe/unsubscribe pairs through a
-// sharded cluster while a publisher streams messages: a static
+// cluster while a publisher streams messages: a static
 // subscriber must keep receiving, the cluster must quiesce, and (under
 // -race in CI) concurrent index matching during floods must be clean.
 func TestClusterChurnSoak(t *testing.T) {
@@ -92,7 +92,6 @@ func TestClusterChurnSoak(t *testing.T) {
 		Strategy:  core.MaxEB{},
 		TimeScale: 1e-6,
 		Seed:      1,
-		Shards:    2,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -46,8 +46,8 @@ type ClusterConfig struct {
 	// node (static mode takes it from the plan's config instead).
 	Aggregate bool
 
-	// Shards is every node's number of ingress workers (0 = 1; see
-	// NodeConfig.Shards).
+	// Deprecated: ignored. Every connection's read loop processes its
+	// own messages; there are no ingress workers to count.
 	Shards int
 	// Burst caps an unpaced egress burst (default 32; see
 	// NodeConfig.Burst — paced links cut their bursts by transfer time
@@ -195,7 +195,6 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 			Sink:          cfg.Sink,
 			Links:         links[nid],
 			ReorderWindow: rel.Window,
-			Shards:        cfg.Shards,
 			Burst:         cfg.Burst,
 			MaxEgress:     cfg.MaxEgress,
 			Heartbeat:     cfg.Heartbeat,

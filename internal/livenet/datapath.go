@@ -2,8 +2,6 @@ package livenet
 
 import (
 	"net"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"bdps/internal/broker"
@@ -14,26 +12,23 @@ import (
 	"bdps/internal/vtime"
 )
 
-// This file is the node's data path — every message takes it, whatever
-// the worker count — built to scale with cores and to amortize every
-// per-message cost:
+// This file is the node's data path — every message takes it — built to
+// amortize every per-message cost:
 //
-//   - Ingress: each connection's read loop decodes frames zero-copy
-//     into pooled messages and accumulates them into per-shard batches,
-//     flushing to the shard channels whenever the connection's buffer
-//     runs dry (or a batch cap is hit). A message's shard is keyed by
-//     its publication stream (the publisher id), so one stream is
-//     always processed by one worker, in arrival order — per-stream
-//     delivery order is what a single worker would produce.
-//   - Processing: each shard worker drives its own broker.Processor;
-//     workers for independent streams run broker matching and
-//     enqueueing in parallel, synchronizing only on the per-queue locks
-//     and the striped dedup set inside the broker. Subscription floods
-//     still take the node lock exclusively, parking all workers. Local
+//   - Ingress and processing: each connection's read loop decodes frames
+//     zero-copy into pooled messages and runs each one to completion
+//     (process) as soon as it is decoded — or, on a broker link, as soon
+//     as the link's receiving half releases it in order — with its own
+//     broker.Processor. One connection's messages are therefore
+//     processed in arrival order, and the read loops of different
+//     connections run broker matching and enqueueing in parallel,
+//     synchronizing only on the per-queue locks and the striped dedup set
+//     inside the broker. Subscription floods take the node lock
+//     exclusively, parking every read loop's processing. Local
 //     deliveries are retained in the subscriber's session ring as they
-//     are made and leave when the worker has processed the last message
-//     of its batch: one writev per subscriber per batch (session.go),
-//     the edge's counterpart of the egress burst below.
+//     are made and leave when the connection's buffer runs dry (or after
+//     maxIngressBatch messages): one writev per subscriber per batch
+//     (session.go), the edge's counterpart of the egress burst below.
 //   - Egress: each sender drains its link queue in bursts selected at
 //     one scheduling instant (core.Queue.PopBurstWhile: one score sweep,
 //     the strategy's send order). A burst is a unit of time, not of
@@ -52,9 +47,6 @@ import (
 //     contract lives, shared with the simulator; the sender and read
 //     loops here keep the pacing wait, the framing (reliable.go) and the
 //     socket.
-type shard struct {
-	ch chan *inBatch
-}
 
 const (
 	// defaultBurst caps the egress burst (NodeConfig.Burst default).
@@ -64,61 +56,19 @@ const (
 	// transfer time reaches it, and a processing delay shorter than it
 	// is charged to the clock stamp instead of slept.
 	paceQuantum = time.Millisecond
-	// maxIngressBatch caps how many decoded messages a read loop
-	// accumulates before it must flush to the shard channels.
+	// maxIngressBatch caps how many messages a read loop processes before
+	// it flushes their deliveries, however much its connection has
+	// buffered.
 	maxIngressBatch = 64
-	// shardQueueDepth is the per-shard channel depth, in batches. A full
-	// channel blocks the read loops — TCP backpressure toward senders.
-	shardQueueDepth = 128
 )
-
-// inBatch is one read loop's hand-off to one shard: consecutive
-// messages of the connection whose streams map to that shard. done,
-// when non-nil, is the dispatching connection's outstanding-batch
-// counter, decremented by the worker once the batch is fully processed
-// and its deliveries flushed (the control-frame ordering barrier).
-type inBatch struct {
-	msgs []*msg.Message
-	done *atomic.Int32
-}
-
-var inBatchPool = sync.Pool{New: func() any { return new(inBatch) }}
-
-func getBatch(done *atomic.Int32) *inBatch {
-	b := inBatchPool.Get().(*inBatch)
-	b.done = done
-	return b
-}
-
-func (b *inBatch) release() {
-	if b.done != nil {
-		b.done.Add(-1)
-	}
-	b.msgs = b.msgs[:0]
-	b.done = nil
-	inBatchPool.Put(b)
-}
-
-// startShards launches the k ingress workers (called from NewNode; the
-// workers exit when the node stops).
-func (n *Node) startShards(k int) {
-	n.shards = make([]*shard, k)
-	for i := range n.shards {
-		s := &shard{ch: make(chan *inBatch, shardQueueDepth)}
-		n.shards[i] = s
-		n.wg.Add(1)
-		go n.shardWorker(s)
-	}
-}
 
 // readLoop consumes frames from one inbound connection: the hello
 // handshake, then message frames — a publisher's FrameMessage, a neighbor
 // broker's FrameData through the link's stale-epoch check and
 // dedup/reorder state — decoded zero-copy into pooled messages and
-// batched toward the shard workers. Control frames (subscribe,
-// unsubscribe, resume) first wait until the workers have processed
-// everything this connection dispatched, so control never overtakes the
-// data queued ahead of it, then run inline.
+// processed in order, each behind the MaxEgress gate. Control frames
+// (subscribe, unsubscribe, resume) run inline once the deliveries of the
+// data ahead of them are flushed: control never overtakes data.
 func (n *Node) readLoop(conn net.Conn) {
 	defer n.wg.Done()
 	defer func() {
@@ -145,8 +95,8 @@ func (n *Node) readLoop(conn net.Conn) {
 
 	fr := msg.NewFrameReader(conn)
 	var dec msg.Decoder
-	pend := make([]*inBatch, len(n.shards))
-	pending := 0
+	w := &worker{proc: n.b.NewProcessor(), epoch: n.epoch.Load()}
+	defer w.flush(n)
 	// lr is the receiving half of a broker link (client connections carry
 	// no link frames), deliver its hand-up scratch.
 	var lr runtime.LinkRecv
@@ -154,89 +104,20 @@ func (n *Node) readLoop(conn net.Conn) {
 	if role == msg.RoleBroker {
 		lr = runtime.NewLinkRecv(n.cfg.ReorderWindow, nodeCount{n})
 	}
-	// outstanding counts this connection's batches dispatched but not
-	// yet fully processed by their workers; control frames wait for it
-	// to reach zero so they cannot overtake the data queued behind them.
-	var outstanding atomic.Int32
 
-	// stage appends one accepted message to its shard's pending batch.
-	stage := func(m *msg.Message) {
-		si := int(uint32(m.Publisher)) % len(n.shards)
-		b := pend[si]
-		if b == nil {
-			b = getBatch(&outstanding)
-			pend[si] = b
-		}
-		b.msgs = append(b.msgs, m)
-		pending++
-	}
-
-	// flush hands every pending batch to its shard, blocking when a
-	// shard is saturated (backpressure). It reports false on shutdown.
-	flush := func() bool {
-		if pending == 0 {
-			return true
-		}
-		// End-to-end backpressure: while the node's total output backlog
-		// exceeds MaxEgress, hold the batches here instead of feeding the
-		// workers. The paused read loop stops draining its socket, the
-		// kernel buffers fill, and TCP pushes back on the upstream sender
-		// — so a slow subscriber bounds queue growth at every hop on the
-		// path instead of ballooning this node's queues. The pressure
-		// signal is queued + dispatched work: dispatched covers messages
-		// parked in the shard channels, which would otherwise hide up to
-		// shardQueueDepth batches from the gate, yet counts only work
-		// that drains without our help — gating on inflight would let
-		// concurrent read loops deadlock on each other's undispatched
-		// pending. Occupancy is bounded by MaxEgress plus one batch per
-		// concurrently-reading connection.
-		if max := int64(n.cfg.MaxEgress); max > 0 {
-			for n.egress.Load()+int64(n.dispatched.Load()) >= max {
-				select {
-				case <-n.stopped:
-					return false
-				default:
-					time.Sleep(50 * time.Microsecond)
+	// run processes accepted messages in order, each behind the MaxEgress
+	// gate. On shutdown it releases the rest unprocessed, with their
+	// inflight holds, and reports false.
+	run := func(ms ...*msg.Message) bool {
+		for i, m := range ms {
+			if !n.gate(w) {
+				for _, r := range ms[i:] {
+					r.Release()
 				}
-			}
-		}
-		for i, b := range pend {
-			if b == nil {
-				continue
-			}
-			pend[i] = nil
-			outstanding.Add(1)
-			n.dispatched.Add(int32(len(b.msgs)))
-			select {
-			case n.shards[i].ch <- b:
-			case <-n.stopped:
-				n.dispatched.Add(-int32(len(b.msgs)))
-				n.inflight.Add(-int32(len(b.msgs)))
-				for _, m := range b.msgs {
-					m.Release()
-				}
-				b.release()
-			}
-		}
-		pending = 0
-		return !n.Stopped()
-	}
-	defer flush()
-
-	// drain additionally waits until the workers have processed every
-	// batch this connection dispatched — the per-connection ordering
-	// barrier control frames run behind.
-	drain := func() bool {
-		if !flush() {
-			return false
-		}
-		for outstanding.Load() > 0 {
-			select {
-			case <-n.stopped:
+				n.inflight.Add(-int32(len(ms) - i))
 				return false
-			default:
-				time.Sleep(20 * time.Microsecond)
 			}
+			n.process(w, m)
 		}
 		return true
 	}
@@ -277,12 +158,14 @@ func (n *Node) readLoop(conn net.Conn) {
 				m.Release()
 				break
 			}
-			stage(m)
 			// inflight rises before the receive counter so a quiescence
 			// poll can never observe the counters settled while this
-			// message still awaits its worker.
+			// message still awaits its flush.
 			n.inflight.Add(1)
 			n.recvPubs.Add(1)
+			if !run(m) {
+				return
+			}
 		case msg.FrameData:
 			if role != msg.RoleBroker {
 				fb.Release()
@@ -309,25 +192,24 @@ func (n *Node) readLoop(conn net.Conn) {
 				m.Release()
 				break
 			}
-			// inflight covers the frame from here until its worker (or the
-			// dedup/reorder state) consumes it — a frame parked in the
-			// reorder buffer keeps its hold, so quiescence cannot blink
-			// true while a gap is still being healed.
+			// inflight covers the frame from here until the flush after its
+			// processing (or the dedup/reorder state consumes it) — a frame
+			// parked in the reorder buffer keeps its hold, so quiescence
+			// cannot blink true while a gap is still being healed.
 			n.inflight.Add(1)
 			n.recvPeers.Add(1)
-			// Messages come back in restored FIFO order and batch toward
-			// the shard workers in that order, preserving the per-stream
-			// delivery ordering. A suppressed duplicate is released here
-			// (and its inflight hold dropped); a frame parked out of order
-			// keeps its hold until it drains.
+			// Messages come back in restored FIFO order and are processed
+			// in that order. A suppressed duplicate is released here (and
+			// its inflight hold dropped); a frame parked out of order keeps
+			// its hold until it drains.
 			var dup bool
 			deliver, dup = lr.Accept(seq, base, m, deliver[:0])
 			if dup {
 				m.Release()
 				n.inflight.Add(-1)
 			}
-			for _, dm := range deliver {
-				stage(dm)
+			if !run(deliver...) {
+				return
 			}
 		case msg.FrameDataDrop:
 			// The loss shim's mangled write: counted so the wire totals
@@ -345,9 +227,7 @@ func (n *Node) readLoop(conn net.Conn) {
 			if derr != nil {
 				break
 			}
-			if !drain() {
-				return
-			}
+			w.flush(n)
 			var from *peerConn
 			if role == msg.RoleSubscriber {
 				from = peer
@@ -359,9 +239,7 @@ func (n *Node) readLoop(conn net.Conn) {
 			if derr != nil {
 				break
 			}
-			if !drain() {
-				return
-			}
+			w.flush(n)
 			n.handleUnsubscribe(id)
 		case msg.FrameResume:
 			sub, lastSeq, derr := msg.DecodeResume(body)
@@ -369,14 +247,12 @@ func (n *Node) readLoop(conn net.Conn) {
 			if derr != nil || role != msg.RoleSubscriber {
 				break
 			}
-			if !drain() {
-				return
-			}
+			w.flush(n)
 			n.handleResume(sub, lastSeq, peer)
 		case msg.FrameHeartbeat:
 			// Liveness bookkeeping only — no quiescence counters, no
-			// ordering barrier: heartbeats are control-plane noise the
-			// data plane must not feel.
+			// flush: heartbeats are control-plane noise the data plane
+			// must not feel.
 			if from, fepoch, derr := msg.DecodeHeartbeat(body); derr == nil {
 				n.observeEpoch(from, fepoch)
 				n.heartbeatReceived(from)
@@ -385,23 +261,47 @@ func (n *Node) readLoop(conn net.Conn) {
 		default:
 			fb.Release() // a repeated FrameHello, an unknown type: ignored
 		}
-		// The idle flush: dispatch what has accumulated once the batch cap
-		// is reached or the connection's buffer runs dry — the next Next
-		// would block, and with a crash upstream the frame that would
-		// otherwise trigger the flush may never come.
-		if pending >= maxIngressBatch || fr.Buffered() == 0 {
-			if !flush() {
-				return
-			}
+		// The idle flush: send what the processed messages delivered once
+		// the batch cap is reached or the connection's buffer runs dry —
+		// the next Next would block, and with a crash upstream the frame
+		// that would otherwise trigger the flush may never come.
+		if w.held >= maxIngressBatch || fr.Buffered() == 0 {
+			w.flush(n)
 		}
 	}
 }
 
+// gate is end-to-end backpressure: while the node's total output backlog
+// is at MaxEgress, it holds the calling read loop before its next
+// message instead of letting it process. The paused read loop stops
+// draining its socket, the kernel buffers fill, and TCP pushes back on
+// the upstream sender — so a slow subscriber bounds queue growth at
+// every hop on the path instead of ballooning this node's queues. Every
+// reading connection can pass the gate with one message before that
+// message's enqueues show, so occupancy stays within MaxEgress plus one
+// message's fan-out per reading connection. The loop's unflushed
+// deliveries leave before it waits. Reports false on shutdown.
+func (n *Node) gate(w *worker) bool {
+	max := int64(n.cfg.MaxEgress)
+	if max <= 0 || n.egress.Load() < max {
+		return true
+	}
+	w.flush(n)
+	for n.egress.Load() >= max {
+		select {
+		case <-n.stopped:
+			return false
+		default:
+			time.Sleep(50 * time.Microsecond)
+		}
+	}
+	return true
+}
+
 // admitPub is the node-local admission gate for standalone (plan-less)
 // deployments: a publisher message is turned away while the node's
-// total output backlog — queued entries plus messages still in flight
-// toward the shard workers, which would otherwise hide a channel's
-// worth of backlog from the door — sits at or beyond the configured
+// total output backlog — queued entries plus messages accepted whose
+// read loop has not flushed them yet — sits at or beyond the configured
 // queue threshold. The live analogue of the plan-side saturation
 // rejection; always true when node-local admission is off.
 func (n *Node) admitPub() bool {
@@ -415,7 +315,7 @@ func (n *Node) admitPub() bool {
 	return true
 }
 
-// worker is one shard worker's private state: its broker.Processor and
+// worker is one read loop's processing state: its broker.Processor and
 // the scratch process reuses across messages.
 type worker struct {
 	proc  *broker.Processor
@@ -430,8 +330,8 @@ type worker struct {
 
 	// owed lists the sessions holding deliveries this worker must flush;
 	// held counts the messages processed since the last flush, whose
-	// hold on the node's inflight/dispatched counters that flush
-	// releases. bufs and wv are the flush's writev scratch.
+	// hold on the node's inflight counter that flush releases. bufs and
+	// wv are the flush's writev scratch.
 	owed []*session
 	held int32
 	bufs [][]byte
@@ -463,47 +363,27 @@ func (w *worker) dataFrame() []byte {
 
 // flush writes what this worker's deliveries left waiting in session
 // rings, one write per session, and only then releases the processed
-// messages' hold on inflight/dispatched: Quiescent and Settled cannot
-// read idle while a ring holds unsent frames.
+// messages' hold on inflight: Quiescent and Settled cannot read idle
+// while a ring holds unsent frames.
 func (w *worker) flush(n *Node) {
 	for i, s := range w.owed {
 		s.flush(w)
 		w.owed[i] = nil
 	}
 	w.owed = w.owed[:0]
-	n.dispatched.Add(-w.held)
 	n.inflight.Add(-w.held)
 	w.held = 0
-}
-
-// shardWorker processes its shard's batches, flushing the local
-// deliveries of each batch after its last message.
-func (n *Node) shardWorker(s *shard) {
-	defer n.wg.Done()
-	w := &worker{proc: n.b.NewProcessor(), epoch: n.epoch.Load()}
-	for {
-		select {
-		case <-n.stopped:
-			return
-		case b := <-s.ch:
-			for _, m := range b.msgs {
-				n.process(w, m)
-			}
-			w.flush(n)
-			b.release()
-		}
-	}
 }
 
 // process handles one message arrival: processing delay, then the shared
 // broker logic — match, deliver locally, enqueue toward next hops — and
 // finally the wire side-effects (session deliveries, sender wake-ups).
 // The deliveries wait in their sessions' rings, and the message keeps its
-// hold on inflight/dispatched, until the worker's next flush.
+// hold on inflight, until the worker's next flush.
 func (n *Node) process(w *worker, m *msg.Message) {
 	// Processing delay, scaled like link delays. A delay too short for a
-	// sleep to resolve is not slept — time.Sleep would round it up to
-	// the timer granularity and hold the whole shard for that long — but
+	// sleep to resolve is not slept — time.Sleep would round it up to the
+	// timer granularity and hold the whole connection for that long — but
 	// charged to the instant the message is processed at, which is what
 	// the simulator does with PD: a pure delay, serializing nothing.
 	now := n.clock.Now()

@@ -14,7 +14,7 @@ import (
 // runOrderedWorkload drives two publication streams through a chain
 // cluster under FIFO scheduling and returns, per publisher, the
 // sequence numbers in the order the subscriber received them.
-func runOrderedWorkload(t *testing.T, shards, perPub int) map[msg.NodeID][]uint32 {
+func runOrderedWorkload(t *testing.T, perPub int) map[msg.NodeID][]uint32 {
 	t.Helper()
 	c, err := StartCluster(ClusterConfig{
 		Overlay:  tinyOverlay(t),
@@ -25,7 +25,6 @@ func runOrderedWorkload(t *testing.T, shards, perPub int) map[msg.NodeID][]uint3
 		Strategy:  core.FIFO{},
 		TimeScale: 0.002,
 		Seed:      1,
-		Shards:    shards,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -71,31 +70,34 @@ func runOrderedWorkload(t *testing.T, shards, perPub int) map[msg.NodeID][]uint3
 	return got
 }
 
-// TestShardedPerStreamOrderMatchesSerial is the sharded ingress's
-// correctness pin: with several workers, every message must still be
-// delivered exactly once and each publication stream must arrive at the
-// subscriber in publication order — exactly what a single worker
-// guarantees. Run with -race this also exercises the concurrent
-// Processor/queue/dedup paths.
+// TestShardedPerStreamOrderMatchesSerial is the ingress's ordering pin:
+// two publication streams, each on its own connection and so on its own
+// read loop, must each arrive at the subscriber exactly once and in
+// publication order. Run with -race this also exercises the concurrent
+// Processor/queue/dedup paths. The subtest keeps the name it had when
+// the ingress worker count was a parameter; the case runs the one
+// configuration there is.
 func TestShardedPerStreamOrderMatchesSerial(t *testing.T) {
+	t.Run("shards=4", testShardedPerStreamOrderMatchesSerial)
+}
+
+func testShardedPerStreamOrderMatchesSerial(t *testing.T) {
 	const perPub = 40
-	t.Run("shards=4", func(t *testing.T) {
-		got := runOrderedWorkload(t, 4, perPub)
-		if len(got) != 2 {
-			t.Fatalf("deliveries from %d publishers, want 2", len(got))
+	got := runOrderedWorkload(t, perPub)
+	if len(got) != 2 {
+		t.Fatalf("deliveries from %d publishers, want 2", len(got))
+	}
+	for pub, seqs := range got {
+		if len(seqs) != perPub {
+			t.Errorf("publisher %d: %d deliveries, want %d", pub, len(seqs), perPub)
 		}
-		for pub, seqs := range got {
-			if len(seqs) != perPub {
-				t.Errorf("publisher %d: %d deliveries, want %d", pub, len(seqs), perPub)
-			}
-			for i := 1; i < len(seqs); i++ {
-				if seqs[i] <= seqs[i-1] {
-					t.Fatalf("publisher %d: stream reordered at %d: %d after %d",
-						pub, i, seqs[i], seqs[i-1])
-				}
+		for i := 1; i < len(seqs); i++ {
+			if seqs[i] <= seqs[i-1] {
+				t.Fatalf("publisher %d: stream reordered at %d: %d after %d",
+					pub, i, seqs[i], seqs[i-1])
 			}
 		}
-	})
+	}
 }
 
 // TestShardedPayloadDelivery pins the zero-copy path end to end: a
@@ -108,7 +110,6 @@ func TestShardedPayloadDelivery(t *testing.T) {
 		Strategy:  core.MaxEB{},
 		TimeScale: 0.002,
 		Seed:      1,
-		Shards:    2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -147,11 +148,14 @@ func TestShardedPayloadDelivery(t *testing.T) {
 }
 
 // TestReadLoopFlushesBehindSkippedFrame pins the idle flush on the skip
-// paths: two valid messages and a trailing corrupt data frame arrive in
-// one write on a link that carries no heartbeats. The read loop skips
-// the corrupt frame and then blocks on an empty socket — the two
-// accepted messages must have been dispatched before it does, not parked
-// in the pending batch until the connection closes.
+// paths and the order of control behind data, on bare broker links into
+// the edge that carry no heartbeats. First, two valid messages and a
+// trailing corrupt data frame arrive in one write: the read loop skips
+// the corrupt frame and then blocks on an empty socket — the two accepted
+// messages must have been delivered before it does, not held until the
+// connection closes. Then K messages for the subscription arrive in one
+// write with its unsubscribe behind them: the unsubscribe must not
+// overtake them, so all K are delivered.
 func TestReadLoopFlushesBehindSkippedFrame(t *testing.T) {
 	c := startTinyCluster(t, msg.PSD)
 	defer c.Stop()
@@ -164,26 +168,35 @@ func TestReadLoopFlushesBehindSkippedFrame(t *testing.T) {
 	defer s.Close()
 	time.Sleep(100 * time.Millisecond) // subscription flood
 
-	// A bare broker link into the edge, standing in for broker 1.
-	conn, err := net.Dial("tcp", c.Addr(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if err := msg.WriteFrame(conn, msg.FrameHello, msg.AppendHello(nil, msg.RoleBroker, 1, 0)); err != nil {
-		t.Fatal(err)
-	}
-	var wire []byte
-	for i := uint32(0); i < 2; i++ {
-		wire, err = msg.AppendDataFrame(wire, uint64(i+1), uint64(i+1), 0, &msg.Message{
-			ID: msg.MakeID(0, i), Publisher: 0, Ingress: 0,
-			Published: c.Clock().Now(), Allowed: 60 * vtime.Second, SizeKB: 1,
-			Attrs: msg.NumAttrs(map[string]float64{"A1": 1}),
-		})
+	// upstream opens a bare broker link into the edge, standing in for
+	// broker 1, and returns it with its first k data frames (link
+	// sequences 1..k, publications first..first+k-1) appended to one
+	// buffer.
+	upstream := func(first uint32, k int) (net.Conn, []byte) {
+		t.Helper()
+		conn, err := net.Dial("tcp", c.Addr(2))
 		if err != nil {
 			t.Fatal(err)
 		}
+		t.Cleanup(func() { conn.Close() })
+		if err := msg.WriteFrame(conn, msg.FrameHello, msg.AppendHello(nil, msg.RoleBroker, 1, 0)); err != nil {
+			t.Fatal(err)
+		}
+		var wire []byte
+		for i := 0; i < k; i++ {
+			wire, err = msg.AppendDataFrame(wire, uint64(i+1), uint64(i+1), 0, &msg.Message{
+				ID: msg.MakeID(0, first+uint32(i)), Publisher: 0, Ingress: 0,
+				Published: c.Clock().Now(), Allowed: 60 * vtime.Second, SizeKB: 1,
+				Attrs: msg.NumAttrs(map[string]float64{"A1": 1}),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		return conn, wire
 	}
+
+	conn, wire := upstream(0, 2)
 	wire = msg.BeginFrame(wire, msg.FrameData)
 	corrupt := len(wire) - 8
 	wire = append(wire, "short"...) // no room for the seq/base/epoch prefix
@@ -196,6 +209,25 @@ func TestReadLoopFlushesBehindSkippedFrame(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		if _, err := s.Receive(2 * time.Second); err != nil {
 			t.Fatalf("message %d of 2 queued ahead of a skipped frame: %v", i+1, err)
+		}
+	}
+
+	// More than one flush batch of data, then the unsubscribe, in one
+	// write.
+	const k = 2*maxIngressBatch + 1
+	conn, wire = upstream(100, k)
+	wire = msg.BeginFrame(wire, msg.FrameUnsubscribe)
+	at := len(wire) - 8
+	wire = msg.AppendUnsubscribe(wire, sub.ID)
+	if err := msg.EndFrame(wire, at); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(wire); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < k; i++ {
+		if _, err := s.Receive(2 * time.Second); err != nil {
+			t.Fatalf("message %d of %d overtaken by the unsubscribe behind it: %v", i+1, k, err)
 		}
 	}
 }

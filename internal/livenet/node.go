@@ -111,10 +111,12 @@ type NodeConfig struct {
 
 	// MaxEgress bounds the node's total output-queue occupancy (entries
 	// across all links): when reached, connection read loops stop
-	// dispatching message batches until senders drain the
-	// backlog, which fills the kernel socket buffers and pushes back on
-	// the TCP senders — end-to-end backpressure instead of unbounded
-	// queue growth behind a slow link. 0 disables the gate.
+	// processing messages until senders drain the backlog, which fills
+	// the kernel socket buffers and pushes back on the TCP senders —
+	// end-to-end backpressure instead of unbounded queue growth behind a
+	// slow link. Occupancy stays within MaxEgress plus one message's
+	// fan-out per reading connection (datapath.go, gate). 0 disables the
+	// gate.
 	MaxEgress int
 
 	// Admission enables node-local online admission control for
@@ -139,14 +141,11 @@ type NodeConfig struct {
 	// when StateDir recovery supplies one (recovered epoch + 1 wins).
 	Epoch uint32
 
-	// Shards is the number of ingress workers (0 = 1): parallel shards of
-	// the data path (shard.go), keyed by publication stream.
-	Shards int
 	// Burst caps an unpaced egress burst (default 32): how many messages
 	// a sender may take at one scheduling instant and flush with one
 	// writev while their transfer times add up to less than a timer can
 	// resolve. A paced link's burst ends sooner, at that transfer time
-	// (shard.go, paceQuantum).
+	// (datapath.go, paceQuantum).
 	Burst int
 }
 
@@ -189,8 +188,8 @@ type Node struct {
 	// state is under the session's lock.
 	sessions map[msg.SubID]*session
 
-	// mu guards the mutable routing-side state below. Shard workers hold
-	// it shared while processing (broker.Processor synchronizes the
+	// mu guards the mutable routing-side state below. Read loops hold it
+	// shared while processing (broker.Processor synchronizes the
 	// genuinely shared scheduling state on finer locks) so that
 	// subscription floods — which mutate the table — still exclude them.
 	mu sync.RWMutex
@@ -219,7 +218,7 @@ type Node struct {
 	seenSubs    map[msg.SubID]bool
 	removedSubs tombstones
 	// cnt is the node's ledger, indexed by counter id (atomic: updated
-	// by concurrent shard workers and senders); see count.
+	// by concurrent read loops and senders); see count.
 	cnt [metrics.NumCounters]atomic.Int64
 
 	// Heartbeat liveness state (heartbeat.go), under its own lock so
@@ -228,40 +227,34 @@ type Node struct {
 	lastHeard map[msg.NodeID]vtime.Millis
 	peerState map[msg.NodeID]int
 
-	// Ingress workers and the egress burst cap; see shard.go.
-	shards []*shard
-	burst  int
+	// burst is the egress burst cap; see datapath.go.
+	burst int
 	// nlinks is the number of outgoing overlay links — the worst-case
 	// queue fan-out a message is retained for before Process reports
 	// the actual one. Derived from the overlay at construction so it
 	// can never lag the routing fan-out (an under-retain would let a
-	// fast sender release a message a worker is still encoding).
+	// fast sender release a message a read loop is still encoding).
 	nlinks int32
 
 	// egress tracks the node's total output-queue occupancy (entries
-	// across all link queues): raised when Process enqueues, lowered
+	// across all link queues): raised after Process enqueues, lowered
 	// when a sender pops or a drop/shed/crash path consumes an entry.
-	// The read loops gate on it (MaxEgress) and standalone
-	// admission consults it as the node's load signal.
+	// The read loops gate on it alone (MaxEgress): it only counts work
+	// that drains without their help, and each loop adds at most one
+	// message's fan-out past the gate before its enqueues show here.
+	// Standalone admission consults it as the node's load signal.
 	egress atomic.Int64
 
 	// Quiescence counters (atomic): frames sent to / received from peer
-	// brokers, publisher frames accepted, receives in progress, senders
-	// mid-transfer. A cluster is idle when every sent frame has been
-	// received, nothing is queued and nothing is in flight.
+	// brokers, publisher frames accepted, receives in progress (accepted,
+	// not yet flushed by their read loop), senders mid-transfer. A
+	// cluster is idle when every sent frame has been received, nothing is
+	// queued and nothing is in flight.
 	sentPeers   atomic.Int64
 	recvPeers   atomic.Int64
 	recvPubs    atomic.Int64
 	inflight    atomic.Int32
 	busySenders atomic.Int32
-
-	// dispatched counts messages handed to the shard workers but not yet
-	// processed — the subset of inflight that is guaranteed to drain on
-	// its own. The MaxEgress gate uses egress+dispatched: gating on full
-	// inflight would deadlock, because inflight also counts messages
-	// still parked in *other* read loops' pending buffers, which only
-	// move once *their* gates open.
-	dispatched atomic.Int32
 
 	listener net.Listener
 	peers    map[msg.NodeID]*peerConn
@@ -382,7 +375,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	if n.burst <= 0 {
 		n.burst = defaultBurst
 	}
-	n.startShards(max(cfg.Shards, 1))
 	return n, nil
 }
 

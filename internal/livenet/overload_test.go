@@ -22,7 +22,7 @@ import (
 // startOverloadCluster starts the standard 3-broker chain with the
 // given overload protections, pacing off so publishers can outrun the
 // pipeline.
-func startOverloadCluster(t *testing.T, shards, maxEgress int, adm runtime.Admission) *Cluster {
+func startOverloadCluster(t *testing.T, maxEgress int, adm runtime.Admission) *Cluster {
 	t.Helper()
 	c, err := StartCluster(ClusterConfig{
 		Overlay:   tinyOverlay(t),
@@ -30,7 +30,6 @@ func startOverloadCluster(t *testing.T, shards, maxEgress int, adm runtime.Admis
 		Strategy:  core.MaxEB{},
 		TimeScale: 1e-9,
 		Seed:      1,
-		Shards:    shards,
 		MaxEgress: maxEgress,
 		Admission: adm,
 	})
@@ -97,7 +96,7 @@ func drainOverload(t *testing.T, c *Cluster, injected int) {
 // cluster under load serves its counters as Prometheus text over HTTP,
 // and the scraped totals match TotalStats.
 func TestMetricsEndpoint(t *testing.T) {
-	c := startOverloadCluster(t, 2, 0, runtime.Admission{})
+	c := startOverloadCluster(t, 0, runtime.Admission{})
 	defer c.Stop()
 	ms, err := c.ServeMetrics("127.0.0.1:0")
 	if err != nil {
@@ -168,7 +167,7 @@ func TestBackpressureBoundsQueues(t *testing.T) {
 		conns     = 4
 		n         = 20000
 	)
-	c := startOverloadCluster(t, 2, maxEgress, runtime.Admission{})
+	c := startOverloadCluster(t, maxEgress, runtime.Admission{})
 	defer c.Stop()
 	sub := &msg.Subscription{ID: 1, Edge: 2, Filter: &filter.Filter{}}
 	s, err := DialSubscriber(c.Addr(2), sub)
@@ -182,10 +181,13 @@ func TestBackpressureBoundsQueues(t *testing.T) {
 	injected := blast(t, c, conns, n)
 	drainOverload(t, c, injected)
 
-	// The gate admits at most one in-flight batch per reading
-	// connection past the threshold (the subscriber's connection and
-	// the downstream hop count as readers too).
-	bound := maxEgress + (conns+2)*64
+	// The gate lets each reading connection take one message past the
+	// threshold before that message's enqueues show, and a message enters
+	// at most every link of its broker — two in the chain's middle. The
+	// publishers, the hops between brokers and the subscriber's
+	// connection all count as readers.
+	const fanout = 2
+	bound := maxEgress + (conns+2)*fanout
 	for id, node := range c.Nodes {
 		if peak := node.PeakQueue(); peak > bound {
 			t.Errorf("broker %d peak queue %d exceeds backpressure bound %d", id, peak, bound)
@@ -210,7 +212,7 @@ func TestAdmissionRejectsAtSaturation(t *testing.T) {
 	}
 	// Admission alone (no shedding): pressure shedding would hold the
 	// queue just under the same threshold and mask the door check.
-	c := startOverloadCluster(t, 2, 0, runtime.Admission{
+	c := startOverloadCluster(t, 0, runtime.Admission{
 		Enabled: true, MaxQueue: 32,
 	})
 	defer c.Stop()
@@ -249,7 +251,7 @@ func TestOverloadSoakDuringChurnAndFaults(t *testing.T) {
 	}
 	baseline := grt.NumGoroutine()
 
-	c := startOverloadCluster(t, 4, 256, runtime.Admission{
+	c := startOverloadCluster(t, 256, runtime.Admission{
 		Enabled: true, Shed: true, MaxQueue: 128,
 	})
 	sub := &msg.Subscription{ID: 1, Edge: 2, Filter: &filter.Filter{}}

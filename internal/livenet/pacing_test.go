@@ -84,7 +84,7 @@ func (p *recordingPeer) next(t *testing.T) arrival {
 	}
 }
 
-// pacedSender is a sharded node 0 whose only link goes to a recording
+// pacedSender is a node 0 whose only link goes to a recording
 // peer. A 10 KB message on the N(100, 2) ms/KB link is ≈ 1 emulated
 // second of transfer; timeScale decides how much wall time that is.
 // Scheduling is RL (least remaining lifetime first), so a message with a
@@ -117,7 +117,7 @@ func linkSenderNode(t *testing.T, cfg NodeConfig) (*Node, *recordingPeer, *Publi
 	}
 	cfg.ID = 0
 	cfg.Overlay = &topology.Overlay{Graph: g, Ingress: []msg.NodeID{0}, Edges: []msg.NodeID{1}}
-	cfg.Scenario, cfg.Strategy, cfg.Seed, cfg.Shards = msg.PSD, core.RL{}, 1, 2
+	cfg.Scenario, cfg.Strategy, cfg.Seed = msg.PSD, core.RL{}, 1
 	n, err := NewNode(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -177,7 +177,7 @@ func observations(t *testing.T, n *Node) int {
 }
 
 // TestShardedSenderPacesTransfers is the tentpole's behaviour pin: with
-// pacing on, the sharded sender puts one transfer on the wire at a time.
+// pacing on, the sender puts one transfer on the wire at a time.
 // Eight queued messages of ≈ 20 ms wall each: the first frame arrives
 // after about one transfer — not after all eight, as when a burst was a
 // count of messages slept through as one sum — the arrivals are spaced a

@@ -24,9 +24,9 @@ import (
 //
 // The ring is also the edge's send buffer. deliver only retains: the
 // frames past the session's sent mark wait in their slots until flush
-// writes them, oldest first, with one writev. The shard worker flushes
-// the sessions it delivered to after the last message of its ingress
-// batch (shard.go), so a batch of k deliveries to one subscriber costs
+// writes them, oldest first, with one writev. A read loop flushes the
+// sessions it delivered to once its connection's buffer runs dry
+// (datapath.go), so a batch of k deliveries to one subscriber costs
 // one system call instead of k, a batch of one is the same single write
 // it always was, and nothing waits on a timer.
 
@@ -95,7 +95,7 @@ type session struct {
 
 // sessionFor returns the subscription's session, creating it — attached
 // to peer, numbering deliveries from seq+1 — on first use. Caller holds
-// n.mu exclusively: shard workers read the map under the shared lock.
+// n.mu exclusively: read loops read the map under the shared lock.
 func (n *Node) sessionFor(sub *msg.Subscription, peer *peerConn, seq uint64) *session {
 	s, ok := n.sessions[sub.ID]
 	if !ok {
@@ -127,9 +127,9 @@ func (s *session) deliver(w *worker, allowed vtime.Millis) (owesFlush bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.seq-s.sent >= sessionRingDefault {
-		// The ring is full of unsent frames (workers for other streams
-		// kept delivering while the one that owes the flush was busy):
-		// send them before the oldest slot is reused.
+		// The ring is full of unsent frames (read loops of other
+		// connections kept delivering while the one that owes the flush
+		// was busy): send them before the oldest slot is reused.
 		s.flushLocked(w)
 	}
 	s.seq++

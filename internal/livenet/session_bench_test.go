@@ -26,43 +26,39 @@ func (discardConn) Close() error                     { return nil }
 // on its deadline and writing the retained frames — handleResume, minus
 // the socket.
 func BenchmarkSessionResume(b *testing.B) {
-	for _, shards := range []int{1, 4} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			n, err := NewNode(NodeConfig{
-				ID: 2, Overlay: tinyOverlay(b), Scenario: msg.PSD,
-				Strategy: core.MaxEB{}, TimeScale: 1, Shards: shards,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer n.Stop()
-			m := &msg.Message{
-				ID: 1, Publisher: 100, Ingress: 0,
-				Published: n.clock.Now(), Allowed: vtime.Hour, SizeKB: 1,
-				Attrs:   msg.NumAttrs(map[string]float64{"A1": 1, "A2": 2}),
-				Payload: make([]byte, 1024),
-			}
-			w := &worker{m: m, epoch: n.Epoch()}
-			peer := &peerConn{conn: discardConn{}}
-			sub := &msg.Subscription{ID: 1, Edge: 2, Filter: &filter.Filter{}}
-			n.mu.Lock()
-			s := n.sessionFor(sub, peer, 0)
-			n.mu.Unlock()
-			for i := 0; i < sessionRingDefault+10; i++ { // wrapped once
-				s.deliver(w, vtime.Hour)
-			}
-			token := s.seq - sessionRingDefault/2 // half the ring replays
+	n, err := NewNode(NodeConfig{
+		ID: 2, Overlay: tinyOverlay(b), Scenario: msg.PSD,
+		Strategy: core.MaxEB{}, TimeScale: 1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer n.Stop()
+	m := &msg.Message{
+		ID: 1, Publisher: 100, Ingress: 0,
+		Published: n.clock.Now(), Allowed: vtime.Hour, SizeKB: 1,
+		Attrs:   msg.NumAttrs(map[string]float64{"A1": 1, "A2": 2}),
+		Payload: make([]byte, 1024),
+	}
+	w := &worker{m: m, epoch: n.Epoch()}
+	peer := &peerConn{conn: discardConn{}}
+	sub := &msg.Subscription{ID: 1, Edge: 2, Filter: &filter.Filter{}}
+	n.mu.Lock()
+	s := n.sessionFor(sub, peer, 0)
+	n.mu.Unlock()
+	for i := 0; i < sessionRingDefault+10; i++ { // wrapped once
+		s.deliver(w, vtime.Hour)
+	}
+	token := s.seq - sessionRingDefault/2 // half the ring replays
 
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				n.handleResume(sub.ID, token, peer)
-			}
-			b.StopTimer()
-			if got, want := n.Stats().ReplayedMsgs, b.N*sessionRingDefault/2; got != want {
-				b.Fatalf("replayed %d, want %d", got, want)
-			}
-		})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n.handleResume(sub.ID, token, peer)
+	}
+	b.StopTimer()
+	if got, want := n.Stats().ReplayedMsgs, b.N*sessionRingDefault/2; got != want {
+		b.Fatalf("replayed %d, want %d", got, want)
 	}
 }
 

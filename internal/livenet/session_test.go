@@ -2,7 +2,6 @@ package livenet
 
 import (
 	"bytes"
-	"fmt"
 	"net"
 	"path/filepath"
 	grt "runtime"
@@ -38,12 +37,10 @@ func collectDeliveries(t *testing.T, s *Subscriber, ids map[msg.ID]bool, want in
 	}
 }
 
-// atShards runs a session test at one ingress worker and at four.
-func atShards(t *testing.T, test func(t *testing.T, shards int)) {
-	for _, shards := range []int{1, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { test(t, shards) })
-	}
-}
+// The session tests each run as one subtest, "shards=1": the name they
+// carried when the ingress worker count was a parameter of the test.
+// Every read loop now processes its own messages, so there is one
+// configuration to run, and the subtest keeps each case's name stable.
 
 // resumeSeqs reattaches a session over a bare connection — hello, then
 // the resume token — and returns the session sequence of every FrameData
@@ -93,9 +90,9 @@ func resumeSeqs(t *testing.T, addr string, tok ResumeToken, last uint64) []uint6
 // shuts down without leaking a goroutine. A second resume, taken while
 // publications keep arriving, must see the replayed window and the live
 // deliveries behind it as one gapless run of session sequences.
-func TestSessionResumeUnderLoss(t *testing.T) { atShards(t, testSessionResumeUnderLoss) }
+func TestSessionResumeUnderLoss(t *testing.T) { t.Run("shards=1", testSessionResumeUnderLoss) }
 
-func testSessionResumeUnderLoss(t *testing.T, shards int) {
+func testSessionResumeUnderLoss(t *testing.T) {
 	baseline := grt.NumGoroutine()
 
 	c, err := StartCluster(ClusterConfig{
@@ -104,7 +101,6 @@ func testSessionResumeUnderLoss(t *testing.T, shards int) {
 		Strategy:  core.MaxEB{},
 		TimeScale: 0.002,
 		Seed:      1,
-		Shards:    shards,
 		// The same deterministic adversary the crossval tests use: every
 		// arc drops a fifth of its frames and duplicates a twentieth; the
 		// reliable channel retransmits and dedups underneath the session.
@@ -226,17 +222,16 @@ func testSessionResumeUnderLoss(t *testing.T, shards int) {
 // incarnation. The recovered routing table must keep matching without
 // any re-subscription, and the seam stays exactly-once.
 func TestSessionResumeAcrossBrokerRestart(t *testing.T) {
-	atShards(t, testSessionResumeAcrossBrokerRestart)
+	t.Run("shards=1", testSessionResumeAcrossBrokerRestart)
 }
 
-func testSessionResumeAcrossBrokerRestart(t *testing.T, shards int) {
+func testSessionResumeAcrossBrokerRestart(t *testing.T) {
 	c, err := StartCluster(ClusterConfig{
 		Overlay:   tinyOverlay(t),
 		Scenario:  msg.PSD,
 		Strategy:  core.MaxEB{},
 		TimeScale: 0.002,
 		Seed:      1,
-		Shards:    shards,
 		StateRoot: t.TempDir(),
 	})
 	if err != nil {
@@ -309,9 +304,9 @@ func testSessionResumeAcrossBrokerRestart(t *testing.T, shards int) {
 // strictly rising incarnation epoch, and deliver the round's traffic
 // exactly once; after the final Stop the goroutine count returns to the
 // pre-cluster baseline — five rebirths leak nothing.
-func TestRestartResumeSoak(t *testing.T) { atShards(t, testRestartResumeSoak) }
+func TestRestartResumeSoak(t *testing.T) { t.Run("shards=1", testRestartResumeSoak) }
 
-func testRestartResumeSoak(t *testing.T, shards int) {
+func testRestartResumeSoak(t *testing.T) {
 	baseline := grt.NumGoroutine()
 
 	c, err := StartCluster(ClusterConfig{
@@ -320,7 +315,6 @@ func testRestartResumeSoak(t *testing.T, shards int) {
 		Strategy:  core.MaxEB{},
 		TimeScale: 0.002,
 		Seed:      1,
-		Shards:    shards,
 		StateRoot: t.TempDir(),
 	})
 	if err != nil {
@@ -393,16 +387,15 @@ func testRestartResumeSoak(t *testing.T, shards int) {
 // TestSessionRingBounded pins the replay ring's memory bound: with far
 // more deliveries retained than SessionRingLimit, a resume replays only
 // the newest window — never an unbounded backlog.
-func TestSessionRingBounded(t *testing.T) { atShards(t, testSessionRingBounded) }
+func TestSessionRingBounded(t *testing.T) { t.Run("shards=1", testSessionRingBounded) }
 
-func testSessionRingBounded(t *testing.T, shards int) {
+func testSessionRingBounded(t *testing.T) {
 	c, err := StartCluster(ClusterConfig{
 		Overlay:   tinyOverlay(t),
 		Scenario:  msg.PSD,
 		Strategy:  core.MaxEB{},
 		TimeScale: 1e-9, // pacing off: this is a volume test
 		Seed:      1,
-		Shards:    shards,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -598,8 +591,7 @@ func edgeMessage(n *Node, i int) *msg.Message {
 
 // writeAsUpstream plays broker 1 toward the edge: a broker hello, then
 // the k publications as link data frames in a single conn.Write, which the
-// edge's read loop takes in with one read and hands to one worker as one
-// batch.
+// edge's read loop takes in with one read and processes as one batch.
 func writeAsUpstream(t *testing.T, c *Cluster, n *Node, k int) net.Conn {
 	t.Helper()
 	conn, err := net.Dial("tcp", c.Addr(2))
@@ -626,11 +618,13 @@ func writeAsUpstream(t *testing.T, c *Cluster, n *Node, k int) net.Conn {
 // deliveries of one ingress batch wait in the subscriber's ring and
 // leave together — k publications arriving in one read reach the
 // subscriber in order, numbered consecutively, in one write.
-func TestSessionBatchLeavesInOneWrite(t *testing.T) { atShards(t, testSessionBatchLeavesInOneWrite) }
+func TestSessionBatchLeavesInOneWrite(t *testing.T) {
+	t.Run("shards=1", testSessionBatchLeavesInOneWrite)
+}
 
-func testSessionBatchLeavesInOneWrite(t *testing.T, shards int) {
+func testSessionBatchLeavesInOneWrite(t *testing.T) {
 	w, r := packetPair(t)
-	c, n, sess := startEdge(t, ClusterConfig{TimeScale: 0.002, Shards: shards})
+	c, n, sess := startEdge(t, ClusterConfig{TimeScale: 0.002})
 	sess.attach(&peerConn{conn: w})
 
 	const k = 16
@@ -642,38 +636,40 @@ func testSessionBatchLeavesInOneWrite(t *testing.T, shards int) {
 	wantGaplessRun(t, readDataPackets(t, r, k+1), k+1, k+1, 1)
 }
 
-// TestSessionBatchOverflowsRing hands one worker a batch with more
-// deliveries for one session than the ring has slots: the deliver that
-// would reuse a still-unsent slot flushes first, so nothing is lost or
-// overwritten, and the batch's hold on the quiescence counters is gone
-// once the last frame is out.
-func TestSessionBatchOverflowsRing(t *testing.T) { atShards(t, testSessionBatchOverflowsRing) }
+// TestSessionBatchOverflowsRing has one worker process more deliveries
+// for one session between two flushes than the ring has slots: the
+// deliver that would reuse a still-unsent slot flushes first, so nothing
+// is lost or overwritten, and the messages' hold on the quiescence
+// counters is gone once the last frame is out.
+func TestSessionBatchOverflowsRing(t *testing.T) { t.Run("shards=1", testSessionBatchOverflowsRing) }
 
-func testSessionBatchOverflowsRing(t *testing.T, shards int) {
+func testSessionBatchOverflowsRing(t *testing.T) {
 	w, r := packetPair(t)
-	_, n, sess := startEdge(t, ClusterConfig{TimeScale: 0.002, Shards: shards})
+	_, n, sess := startEdge(t, ClusterConfig{TimeScale: 0.002})
 	sess.attach(&peerConn{conn: w})
 
 	const over = runtime.SessionRingLimit + 44
-	b := getBatch(nil)
-	for i := 0; i < over; i++ {
-		b.msgs = append(b.msgs, edgeMessage(n, i))
-	}
+	wk := &worker{proc: n.b.NewProcessor(), epoch: n.Epoch()}
 	n.inflight.Add(over)
-	n.dispatched.Add(over)
-	n.shards[0].ch <- b // publisher 0's shard at any worker count
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < over; i++ {
+			n.process(wk, edgeMessage(n, i))
+		}
+		wk.flush(n)
+	}()
 
 	// The ring's worth leaves when slot 1 is about to be reused, the rest
-	// at the end of the batch.
+	// at the flush.
 	packets := readDataPackets(t, r, over)
+	<-done
 	wantGaplessRun(t, packets, 1, over, 2)
 	if got := len(packets[0].seqs); got != runtime.SessionRingLimit {
 		t.Errorf("first write carried %d frames, want the full ring (%d)", got, runtime.SessionRingLimit)
 	}
-	for deadline := time.Now().Add(5 * time.Second); n.inflight.Load() != 0 || n.dispatched.Load() != 0; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("batch hold not released: inflight=%d dispatched=%d", n.inflight.Load(), n.dispatched.Load())
-		}
+	if got := n.inflight.Load(); got != 0 {
+		t.Fatalf("hold not released by the flush: inflight=%d", got)
 	}
 }
 
@@ -683,11 +679,11 @@ func testSessionBatchOverflowsRing(t *testing.T, shards int) {
 // nothing to repeat — without replay's `sent = seq` the flush writes them
 // a second time and this test fails on the duplicate.
 func TestSessionResumeBetweenDeliverAndFlush(t *testing.T) {
-	atShards(t, testSessionResumeBetweenDeliverAndFlush)
+	t.Run("shards=1", testSessionResumeBetweenDeliverAndFlush)
 }
 
-func testSessionResumeBetweenDeliverAndFlush(t *testing.T, shards int) {
-	c, n, sess := startEdge(t, ClusterConfig{TimeScale: 0.002, Shards: shards})
+func testSessionResumeBetweenDeliverAndFlush(t *testing.T) {
+	c, n, sess := startEdge(t, ClusterConfig{TimeScale: 0.002})
 	wk := &worker{epoch: n.Epoch()}
 	const k = 5
 	for i := 0; i < k; i++ {
@@ -737,14 +733,16 @@ func (g *gateConn) Write(p []byte) (int, error) {
 // keeps its hold on inflight until its deliveries are flushed, so a
 // Quiescent poll that returns true means the subscriber's connection
 // has been handed every delivery.
-func TestQuiescentWaitsForSessionFlush(t *testing.T) { atShards(t, testQuiescentWaitsForSessionFlush) }
+func TestQuiescentWaitsForSessionFlush(t *testing.T) {
+	t.Run("shards=1", testQuiescentWaitsForSessionFlush)
+}
 
-func testQuiescentWaitsForSessionFlush(t *testing.T, shards int) {
-	c, _, sess := startEdge(t, ClusterConfig{TimeScale: 1e-9, Shards: shards})
+func testQuiescentWaitsForSessionFlush(t *testing.T) {
+	c, _, sess := startEdge(t, ClusterConfig{TimeScale: 1e-9})
 	g := &gateConn{entered: make(chan struct{}, 1), open: make(chan struct{})}
 	var once sync.Once
 	open := func() { once.Do(func() { close(g.open) }) }
-	t.Cleanup(open) // a failing run must not leave the worker in Write under c.Stop
+	t.Cleanup(open) // a failing run must not leave the read loop in Write under c.Stop
 	sess.attach(&peerConn{conn: g})
 
 	p, err := DialPublisher(c.Addr(0), 0)
@@ -799,16 +797,16 @@ func testQuiescentWaitsForSessionFlush(t *testing.T, shards int) {
 // delay long enough to be slept: the worker must not sit on the first
 // message's delivery while it sleeps out the second's and third's.
 func TestWorkerFlushesBeforeProcessingSleep(t *testing.T) {
-	atShards(t, testWorkerFlushesBeforeProcessingSleep)
+	t.Run("shards=1", testWorkerFlushesBeforeProcessingSleep)
 }
 
-func testWorkerFlushesBeforeProcessingSleep(t *testing.T, shards int) {
+func testWorkerFlushesBeforeProcessingSleep(t *testing.T) {
 	const sleep = 50 * time.Millisecond
 	const scale = 0.002
 	params := core.DefaultParams()
 	params.PD = vtime.FromDuration(sleep) / scale
 	w, r := packetPair(t)
-	c, n, sess := startEdge(t, ClusterConfig{TimeScale: scale, Shards: shards, Params: params})
+	c, n, sess := startEdge(t, ClusterConfig{TimeScale: scale, Params: params})
 	sess.attach(&peerConn{conn: w})
 
 	// A three-message batch: sleep, deliver 1; flush, sleep, deliver 2;

@@ -40,7 +40,6 @@ func (Transport) Deploy(p *runtime.Plan) (runtime.Deployment, error) {
 		TimeScale: ts,
 		Clock:     clock,
 		Sink:      sink,
-		Shards:    p.Cfg.LiveShards,
 	}
 	// A plan that schedules broker restarts needs durable state to
 	// recover from: provision a throwaway state root for the run (the

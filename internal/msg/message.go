@@ -114,10 +114,6 @@ type Message struct {
 	frame  *FrameBuf // frame buffer the payload aliases, if any
 }
 
-// Age returns how long the message has been in the system at time now —
-// the paper's hdl(m).
-func (m *Message) Age(now vtime.Millis) vtime.Millis { return now - m.Published }
-
 // Deadline returns the absolute publisher deadline, or +Inf when the
 // publisher did not specify a bound.
 func (m *Message) Deadline() vtime.Millis {
@@ -125,11 +121,6 @@ func (m *Message) Deadline() vtime.Millis {
 		return vtime.Inf
 	}
 	return m.Published + m.Allowed
-}
-
-// ExpiredPSD reports whether the publisher-specified bound has passed.
-func (m *Message) ExpiredPSD(now vtime.Millis) bool {
-	return m.Allowed > 0 && now > m.Published+m.Allowed
 }
 
 // String implements fmt.Stringer.

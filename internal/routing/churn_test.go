@@ -215,11 +215,11 @@ func TestInstallRemoveSubAll(t *testing.T) {
 
 // TestMatchAppendWithConcurrentMutation is the readers-writer contract
 // under -race: matchers holding the read lock (each with private
-// scratch, as sharded live workers do) run concurrently with a mutator
+// scratch, as live read loops do) run concurrently with a mutator
 // that takes the write lock to churn subscriptions. Every match must
 // return a consistent result for the population it observed — through
 // the counting index, and through the program scan of a table without
-// one (what plan-deployed live brokers run on their shard workers).
+// one (what plan-deployed live brokers run on their read loops).
 func TestMatchAppendWithConcurrentMutation(t *testing.T) {
 	t.Run("indexed", func(t *testing.T) { matchDuringMutation(t, true) })
 	t.Run("scan", func(t *testing.T) { matchDuringMutation(t, false) })

@@ -92,7 +92,7 @@ func (e *Entry) String() string {
 // so a live subscribe/unsubscribe flood never knocks matching back to a
 // linear filter scan.
 //
-// Concurrency contract (what the sharded live plane relies on): any
+// Concurrency contract (what the live node's read loops rely on): any
 // number of matchers may run concurrently through MatchAppendWith, each
 // with its own scratch, while mutators (Add, RemoveSub, EnableIndex)
 // synchronize externally readers-writer style — mutation under the write
@@ -351,8 +351,8 @@ func (t *Table) MatchAppend(m *msg.Message, buf []*Entry) []*Entry {
 }
 
 // MatchAppendWith is MatchAppend through a caller-owned match scratch:
-// any number of matchers may run concurrently against one table — the
-// sharded live plane runs one per ingress worker under the node's read
+// any number of matchers may run concurrently against one table — a
+// live node runs one per connection read loop under the node's read
 // lock — as long as mutations hold the write lock. With the index off it
 // scans the source's entries, which touches only the scratch and
 // immutable entry state.

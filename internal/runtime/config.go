@@ -128,9 +128,8 @@ type Config struct {
 	// ~0.002. The simulator ignores it (virtual time costs nothing).
 	TimeScale float64
 
-	// LiveShards is every live broker's number of ingress workers
-	// (0 = 1). The simulator ignores it (scheduling semantics are
-	// identical either way).
+	// Deprecated: ignored. Live brokers process every message on its
+	// connection's read loop; there are no ingress workers to count.
 	LiveShards int
 
 	// Recovery configures the self-healing control plane: failure

@@ -43,10 +43,10 @@ func TestCrossValFlashCrowdAdmission(t *testing.T) {
 		t.Fatal("flash crowd should drive rejections on the crossval plan")
 	}
 
+	// The live run keeps the subtest name it had when the ingress worker
+	// count was a parameter; the count is gone.
 	t.Run("liveShards=4", func(t *testing.T) {
-		lcfg := mk()
-		lcfg.LiveShards = 4
-		live, err := runtime.Run(lcfg, livenet.Transport{})
+		live, err := runtime.Run(mk(), livenet.Transport{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -59,9 +59,7 @@ func crossValConfig(t testing.TB) runtime.Config {
 // TestCrossValidationSimVsLive is the unified layer's headline check:
 // one runtime.Config, deployed through one runtime.Plan, must produce
 // statistically matching results on the discrete-event simulator and
-// the live TCP overlay, here with four ingress workers per broker:
-// sharding the ingress changes how frames are processed and flushed,
-// but must not change what is delivered.
+// the live TCP overlay.
 func TestCrossValidationSimVsLive(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compressed-timescale live cluster run")
@@ -76,10 +74,11 @@ func TestCrossValidationSimVsLive(t *testing.T) {
 		t.Errorf("backend = %q, want sim", sim.Backend)
 	}
 
+	// The live run keeps the subtest name it had when the ingress worker
+	// count was a parameter; the count is gone.
 	t.Run("liveShards=4", func(t *testing.T) {
 		lcfg := crossValConfig(t)
 		lcfg.Overlay = cfg.Overlay // plans may share an overlay across runs
-		lcfg.LiveShards = 4
 		live, err := runtime.Run(lcfg, livenet.Transport{})
 		if err != nil {
 			t.Fatal(err)
@@ -171,49 +170,44 @@ func TestCrossValidationLossExact(t *testing.T) {
 				t.Errorf("sim dropped %d frames on deadline under blind retry", sim.DroppedDeadline)
 			}
 
-			// 0 is the default worker count (one): the only ledger-exact
-			// loss check at the configuration bdps-sim -backend live runs
-			// unless told otherwise.
-			for _, shards := range []int{0, 4} {
-				t.Run(fmt.Sprintf("liveShards=%d", shards), func(t *testing.T) {
-					lcfg := mk()
-					lcfg.LiveShards = shards
-					live, err := runtime.Run(lcfg, livenet.Transport{})
-					if err != nil {
-						t.Fatal(err)
+			// The live run at the default configuration, under the subtest name
+			// it had when the ingress worker count was a parameter.
+			t.Run("liveShards=0", func(t *testing.T) {
+				live, err := runtime.Run(mk(), livenet.Transport{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				// The exact-agreement set: counters that are pure
+				// functions of (seed, link index, seq, attempt).
+				sameCounters(t, sim, live, metrics.FramesLost, metrics.Retransmits,
+					metrics.DupsSuppressed, metrics.DroppedDeadline)
+				// Retransmission heals the loss: the delivery-side story
+				// stays statistically aligned, as in the lossless check.
+				if sim.Published != live.Published {
+					t.Errorf("published diverged: sim %d, live %d", sim.Published, live.Published)
+				}
+				if live.ValidDeliveries == 0 {
+					t.Fatal("live run delivered nothing under loss")
+				}
+				if d := math.Abs(sim.DeliveryRate() - live.DeliveryRate()); d > 0.15 {
+					t.Errorf("delivery rates diverged by %.3f: sim %.3f, live %.3f",
+						d, sim.DeliveryRate(), live.DeliveryRate())
+				}
+				// Per-bucket delivery timelines stay within the same band.
+				if len(sim.Timeline) == 0 || len(live.Timeline) == 0 {
+					t.Fatalf("timelines missing: sim %d buckets, live %d", len(sim.Timeline), len(live.Timeline))
+				}
+				n := len(sim.Timeline)
+				if len(live.Timeline) < n {
+					n = len(live.Timeline)
+				}
+				for i := 0; i < n; i++ {
+					if d := math.Abs(sim.Timeline[i].Rate() - live.Timeline[i].Rate()); d > 0.15 {
+						t.Errorf("timeline bucket %d diverged by %.3f: sim %.3f, live %.3f",
+							i, d, sim.Timeline[i].Rate(), live.Timeline[i].Rate())
 					}
-					// The exact-agreement set: counters that are pure
-					// functions of (seed, link index, seq, attempt).
-					sameCounters(t, sim, live, metrics.FramesLost, metrics.Retransmits,
-						metrics.DupsSuppressed, metrics.DroppedDeadline)
-					// Retransmission heals the loss: the delivery-side story
-					// stays statistically aligned, as in the lossless check.
-					if sim.Published != live.Published {
-						t.Errorf("published diverged: sim %d, live %d", sim.Published, live.Published)
-					}
-					if live.ValidDeliveries == 0 {
-						t.Fatal("live run delivered nothing under loss")
-					}
-					if d := math.Abs(sim.DeliveryRate() - live.DeliveryRate()); d > 0.15 {
-						t.Errorf("delivery rates diverged by %.3f: sim %.3f, live %.3f",
-							d, sim.DeliveryRate(), live.DeliveryRate())
-					}
-					// Per-bucket delivery timelines stay within the same band.
-					if len(sim.Timeline) == 0 || len(live.Timeline) == 0 {
-						t.Fatalf("timelines missing: sim %d buckets, live %d", len(sim.Timeline), len(live.Timeline))
-					}
-					n := len(sim.Timeline)
-					if len(live.Timeline) < n {
-						n = len(live.Timeline)
-					}
-					for i := 0; i < n; i++ {
-						if d := math.Abs(sim.Timeline[i].Rate() - live.Timeline[i].Rate()); d > 0.15 {
-							t.Errorf("timeline bucket %d diverged by %.3f: sim %.3f, live %.3f",
-								i, d, sim.Timeline[i].Rate(), live.Timeline[i].Rate())
-						}
-					}
-				})
-			}
+				}
+			})
 		})
 	}
 }
@@ -248,7 +242,6 @@ func TestCrossValidationCongestedSharded(t *testing.T) {
 	}
 
 	lcfg := mk()
-	lcfg.LiveShards = 2
 	p, err := runtime.NewPlan(lcfg)
 	if err != nil {
 		t.Fatal(err)

@@ -16,7 +16,6 @@ type Engine struct {
 	now   vtime.Millis
 	queue eventHeap
 	seq   uint64
-	steps uint64
 }
 
 // New returns an engine at time 0.
@@ -24,9 +23,6 @@ func New() *Engine { return &Engine{} }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() vtime.Millis { return e.now }
-
-// Steps returns the number of events executed so far.
-func (e *Engine) Steps() uint64 { return e.steps }
 
 // Pending returns the number of scheduled, not-yet-run events.
 func (e *Engine) Pending() int { return len(e.queue) }
@@ -98,7 +94,6 @@ func (e *Engine) RunUntil(t vtime.Millis) {
 func (e *Engine) step() {
 	ev := e.queue.pop()
 	e.now = ev.time
-	e.steps++
 	if ev.r != nil {
 		ev.r.Run()
 	} else {

@@ -1,7 +1,6 @@
 package bdps
 
 import (
-	grt "runtime"
 	"sync"
 	"testing"
 	"time"
@@ -14,19 +13,6 @@ import (
 	"bdps/internal/topology"
 	"bdps/internal/vtime"
 )
-
-// BenchmarkLiveThroughput drives an in-process live cluster at maximum
-// rate — TimeScale ≈ 0 turns link pacing and processing delay off — and
-// measures the data plane itself: decode, match, enqueue, schedule,
-// encode, socket writes. ns/op is the wall time per published message
-// end to end (injection through cluster quiescence, every message
-// delivered to a subscriber); msgs/sec and allocs/op (the whole
-// pipeline, all goroutines) are the headline numbers.
-func BenchmarkLiveThroughput(b *testing.B) {
-	// One ingress worker per core, the deployment guidance: extra
-	// workers on a starved box only add scheduler churn.
-	benchmarkLiveThroughput(b, grt.GOMAXPROCS(0))
-}
 
 // benchChainOverlay is a three-broker chain: ingress 0 → 1 → 2 edge,
 // so every message crosses two overlay links plus the client legs.
@@ -41,7 +27,14 @@ func benchChainOverlay(b *testing.B) *topology.Overlay {
 	return &topology.Overlay{Graph: g, Ingress: []msg.NodeID{0}, Edges: []msg.NodeID{2}}
 }
 
-func benchmarkLiveThroughput(b *testing.B, shards int) {
+// BenchmarkLiveThroughput drives an in-process live cluster at maximum
+// rate — TimeScale ≈ 0 turns link pacing and processing delay off — and
+// measures the data plane itself: decode, match, enqueue, schedule,
+// encode, socket writes. ns/op is the wall time per published message
+// end to end (injection through cluster quiescence, every message
+// delivered to a subscriber); msgs/sec and allocs/op (the whole
+// pipeline, all goroutines) are the headline numbers.
+func BenchmarkLiveThroughput(b *testing.B) {
 	c, err := livenet.StartCluster(livenet.ClusterConfig{
 		Overlay:  benchChainOverlay(b),
 		Scenario: msg.PSD,
@@ -51,7 +44,6 @@ func benchmarkLiveThroughput(b *testing.B, shards int) {
 		// sane: microsecond wall latencies against second-scale bounds.
 		TimeScale: 1e-9,
 		Seed:      1,
-		Shards:    shards,
 	})
 	if err != nil {
 		b.Fatal(err)

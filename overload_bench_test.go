@@ -1,7 +1,6 @@
 package bdps
 
 import (
-	grt "runtime"
 	"sync"
 	"testing"
 	"time"
@@ -16,7 +15,7 @@ import (
 
 // BenchmarkFlashCrowdThroughput is the overload before/after pair: a
 // correlated max-rate blast (the flash crowd, stripped to its essence)
-// through the sharded live plane, with and without the overload
+// through the live plane, with and without the overload
 // defenses armed. "unprotected" is the baseline pipeline; "protected"
 // adds end-to-end backpressure, node-local admission control and
 // pressure shedding, reporting the rejected share alongside msgs/sec —
@@ -33,7 +32,6 @@ func benchmarkFlashCrowd(b *testing.B, protected bool) {
 		Strategy:  core.MaxEB{},
 		TimeScale: 1e-9,
 		Seed:      1,
-		Shards:    grt.GOMAXPROCS(0),
 	}
 	if protected {
 		cfg.MaxEgress = 256
