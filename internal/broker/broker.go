@@ -387,7 +387,7 @@ func (p *Processor) buildEntry(m *msg.Message, entries []*routing.Entry) *core.E
 			SubID:    int32(re.Sub.ID),
 			Deadline: m.Published + allowed,
 			Price:    price,
-			Hops:     re.Hops,
+			Hops:     int(re.Hops),
 			Rate:     re.Rate,
 		})
 	}

@@ -91,14 +91,14 @@ func TestProcessSkipsStampsWhenDistinct(t *testing.T) {
 			Deadline: 30 * vtime.Second, Price: 2}
 	}
 	tb := routing.NewTable(1)
-	add := func(s *msg.Subscription, next msg.NodeID, path int) {
+	add := func(s *msg.Subscription, next msg.NodeID, path int32) {
 		e := &routing.Entry{Sub: s, Source: 0, Next: next, PathID: path}
 		if next != msg.None {
 			e.Hops, e.Rate = 1, stats.Normal{Mean: 70, Sigma: 20}
 		}
 		tb.Add(e)
 	}
-	for path := 0; path < 2; path++ {
+	for path := int32(0); path < 2; path++ {
 		add(mk(5000, "A1 < 5"), msg.None, path)
 		add(mk(-3, "A1 < 5"), 2, path)
 	}
@@ -233,7 +233,7 @@ func TestProcessDistinctDuringChurn(t *testing.T) {
 			mu.Lock()
 			if table.RemoveSub(id) == 0 {
 				s := mk(id)
-				for path := 0; path < 1+i%2; path++ {
+				for path := int32(0); path < 1+int32(i%2); path++ {
 					table.Add(&routing.Entry{Sub: s, Source: 0, Next: msg.None, PathID: path})
 				}
 				if i%3 == 0 {

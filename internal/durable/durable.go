@@ -54,8 +54,8 @@ type Entry struct {
 	Sub       *msg.Subscription
 	Source    msg.NodeID
 	Next      msg.NodeID
-	Hops      int
-	PathID    int
+	Hops      int32
+	PathID    int32
 	RateMean  float64
 	RateSigma float64
 	Relaxed   vtime.Millis
@@ -184,8 +184,8 @@ func decodeEntry(payload []byte) (Entry, error) {
 	e := Entry{
 		Source:    msg.NodeID(binary.BigEndian.Uint32(payload)),
 		Next:      msg.NodeID(binary.BigEndian.Uint32(payload[4:])),
-		Hops:      int(int32(binary.BigEndian.Uint32(payload[8:]))),
-		PathID:    int(int32(binary.BigEndian.Uint32(payload[12:]))),
+		Hops:      int32(binary.BigEndian.Uint32(payload[8:])),
+		PathID:    int32(binary.BigEndian.Uint32(payload[12:])),
 		RateMean:  math.Float64frombits(binary.BigEndian.Uint64(payload[16:])),
 		RateSigma: math.Float64frombits(binary.BigEndian.Uint64(payload[24:])),
 		Relaxed:   math.Float64frombits(binary.BigEndian.Uint64(payload[32:])),

@@ -2,6 +2,7 @@ package filter
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -9,7 +10,11 @@ import (
 // program of Add, AddBatch, Remove, Flush, Match and churn operations
 // over a small filter grammar, and every Match is checked against
 // Filter.Match of each live filter — every id that should match is
-// emitted, exactly once, and nothing else.
+// emitted, exactly once, and nothing else. A Scan runs the same program
+// beside the index, one row per added filter, and every Match checks its
+// rows too: the rows it decides plus the flagged rows MatchResolved
+// confirms must be exactly the live rows whose filters match, in row
+// order.
 //
 // The grammar covers strict, closed and half-open ranges, ranges and
 // equalities with and without residuals (numeric, !=, string equality
@@ -22,8 +27,11 @@ import (
 // NaN residual bound; and an id is removed and re-added at once. Bounds
 // and attribute values come from one small table — so a value often
 // sits exactly on a bound, or one ulp off it — that holds NaN and both
-// infinities. A churn operation adds up to 160 copies of a filter and
-// removes most of them again, which drives the tombstone compaction.
+// infinities, and the values where float32 rounding turns: numbers
+// strictly between two float32s, adjacent float32s, ±MaxFloat32 and
+// past it, and denormals of both widths. A churn operation adds up to
+// 160 copies of a filter and removes most of them again, which drives
+// the tombstone compaction.
 //
 //	go test -run '^$' -fuzz '^FuzzIndexMatch$' -fuzztime 30s ./internal/filter
 func FuzzIndexMatch(f *testing.F) {
@@ -85,10 +93,15 @@ var fuzzSources = []string{
 
 // fuzzNums are the bounds and attribute values: a few that collide with
 // fuzzSources' bounds, a signed zero, values an ulp-sized step apart,
-// NaN and both infinities.
+// NaN and both infinities; then the scan's float32 edges — 0.1 and
+// 1+2⁻³⁰ lie strictly between two float32s, 1+2⁻²³ is the float32 after
+// 1, ±MaxFloat32 and ±3.5e38 sit at and past float32's range, and the
+// smallest float32 and float64 denormals.
 var fuzzNums = []float64{
 	0, math.Copysign(0, -1), 1, 1.5, 2, 3, 5, 7, -1, 1e-300,
 	1 + 1e-15, math.NaN(), math.Inf(1), math.Inf(-1),
+	0.1, 1 + 0x1p-30, 1 + 0x1p-23, math.MaxFloat32, -math.MaxFloat32,
+	3.5e38, -3.5e38, math.SmallestNonzeroFloat32, 5e-324,
 }
 
 var (
@@ -220,13 +233,22 @@ func (in *fuzzInput) message() iterMap {
 
 // runIndexProgram executes an index program against a reference model —
 // every live id's filters, evaluated directly — and fails on the first
-// disagreement.
+// disagreement. The scan keeps one row per Add, killed when its id is
+// removed and squeezed out as a routing table's source list is: when
+// dead rows pass 32 and outnumber the live ones, and on every Flush.
 func runIndexProgram(t *testing.T, in *fuzzInput) {
 	ix := NewIndex()
 	live := map[int32][]*Filter{}
+	var sc scanModel
+	var scratch MatchScratch
 	fresh := int32(1000)
 	add := func(id int32, f *Filter) {
 		live[id] = append(live[id], f)
+		sc.add(id, f)
+	}
+	remove := func(id int32) {
+		delete(live, id)
+		sc.remove(id)
 	}
 	for ops := 0; len(in.b) > 0 && ops < 2000; ops++ {
 		switch in.next() % numOps {
@@ -248,11 +270,14 @@ func runIndexProgram(t *testing.T, in *fuzzInput) {
 			if got := ix.Remove(id); got != want {
 				t.Fatalf("Remove(%d) = %v, want %v", id, got, want)
 			}
-			delete(live, id)
+			remove(id)
 		case opFlush:
 			ix.Flush()
+			sc.compact()
 		case opMatch:
-			checkIndexMatch(t, ix, live, in.message())
+			a := in.message()
+			checkIndexMatch(t, ix, &scratch, live, a)
+			sc.check(t, &scratch, a)
 		case opChurn:
 			n, keep := 32+in.next()%128, 2+in.next()%6
 			f := in.filter(0)
@@ -263,14 +288,14 @@ func runIndexProgram(t *testing.T, in *fuzzInput) {
 			for i := 0; i < n; i++ {
 				if i%keep != 0 {
 					ix.Remove(fresh + int32(i))
-					delete(live, fresh+int32(i))
+					remove(fresh + int32(i))
 				}
 			}
 			fresh += int32(n)
 		case opReAdd:
 			id, f := in.id(), in.filter(0)
 			ix.Remove(id)
-			delete(live, id)
+			remove(id)
 			ix.Add(id, f)
 			add(id, f)
 		}
@@ -280,10 +305,12 @@ func runIndexProgram(t *testing.T, in *fuzzInput) {
 	}
 }
 
-func checkIndexMatch(t *testing.T, ix *Index, live map[int32][]*Filter, a iterMap) {
+// checkIndexMatch matches through the scratch the scan then reuses, so
+// the two share the output buffer as a table's matchers do.
+func checkIndexMatch(t *testing.T, ix *Index, s *MatchScratch, live map[int32][]*Filter, a iterMap) {
 	t.Helper()
 	got := map[int32]bool{}
-	for _, id := range ix.Match(a) {
+	for _, id := range ix.MatchWith(s, a) {
 		if got[id] {
 			t.Fatalf("%v: id %d emitted twice", a.AttrMap, id)
 		}
@@ -300,6 +327,87 @@ func checkIndexMatch(t *testing.T, ix *Index, live map[int32][]*Filter, a iterMa
 		if want != got[id] {
 			t.Fatalf("%v: id %d (%v): filters say %v, index %v", a.AttrMap, id, fs, want, got[id])
 		}
+	}
+}
+
+// scanModel is a Scan with the filter and id of each of its rows, and
+// each id's row positions.
+type scanModel struct {
+	sc   Scan
+	rows []modelRow
+	of   map[int32][]int
+	dead int
+}
+
+type modelRow struct {
+	id   int32
+	f    *Filter
+	live bool
+}
+
+func (m *scanModel) add(id int32, f *Filter) {
+	if m.of == nil {
+		m.of = map[int32][]int{}
+	}
+	m.sc.Add(f)
+	m.of[id] = append(m.of[id], len(m.rows))
+	m.rows = append(m.rows, modelRow{id: id, f: f, live: true})
+}
+
+func (m *scanModel) remove(id int32) {
+	for _, pos := range m.of[id] {
+		m.rows[pos].live = false
+		m.sc.Kill(pos)
+		m.dead++
+	}
+	delete(m.of, id)
+	if m.dead > 32 && m.dead > len(m.rows)-m.dead {
+		m.compact()
+	}
+}
+
+func (m *scanModel) compact() {
+	m.sc.Compact()
+	k := 0
+	clear(m.of)
+	for _, r := range m.rows {
+		if r.live {
+			m.of[r.id] = append(m.of[r.id], k)
+			m.rows[k] = r
+			k++
+		}
+	}
+	m.rows, m.dead = m.rows[:k], 0
+	if len(m.sc.state) != k {
+		panic("scan and model rows out of step")
+	}
+}
+
+// check runs the scan and confirms its flagged rows, as a table's linear
+// match does, against every live row's Filter.Match in row order.
+func (m *scanModel) check(t *testing.T, s *MatchScratch, a iterMap) {
+	t.Helper()
+	var got, want []int
+	s.Resolve(a)
+	for _, r := range s.ScanRows(&m.sc) {
+		pos := int(r >> 1)
+		if !m.rows[pos].live {
+			t.Fatalf("%v: scan emitted dead row %d", a.AttrMap, pos)
+		}
+		if r&1 == 0 || m.rows[pos].f.MatchResolved(s, a) {
+			got = append(got, pos)
+		}
+	}
+	for pos, r := range m.rows {
+		if r.live && r.f.Match(a) {
+			want = append(want, pos)
+		}
+	}
+	if !slices.Equal(got, want) {
+		for _, pos := range append(got, want...) {
+			t.Logf("row %d: %v", pos, m.rows[pos].f)
+		}
+		t.Fatalf("%v: scan rows %v, filters say %v", a.AttrMap, got, want)
 	}
 }
 
@@ -364,5 +472,34 @@ func indexFuzzSeeds() [][]byte {
 		all = append(all, m...)
 		churn = append(churn, m...)
 	}
-	return [][]byte{sources, all, churn}
+	// Float32 edges: every value where the scan's rounding turns (both
+	// zeros, 1 and the float32 after it, numbers between two float32s,
+	// ±MaxFloat32 and past it, infinities, denormals, NaN) bounds a from
+	// both sides, a and b from one side each, and a half-open range up to
+	// the next edge; then a and b take each edge value exactly and one
+	// float64 ulp above and below it.
+	edges := []byte{0, 1, one, 9, nan, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22}
+	var edge []byte
+	for k, b := range edges {
+		next := edges[(k+1)%len(edges)]
+		edge = append(edge,
+			opAdd, byte(k), prodClosed, b, b, // a >= b && a <= b
+			opAdd, byte(k), prodCounted, byte(LT), b, byte(GE), b, // a < b && b >= b
+			opAdd, byte(k+1), prodCounted, byte(GT), b, byte(LE), b, // a > b && b <= b
+			opAdd, byte(k+2), prodHalfOpen, 0, b, next) // a >= b && a < next
+	}
+	// Two upper bounds on a, the looser last: a scan column keeps the
+	// tighter.
+	edge = append(edge, opAdd, 3, prodRangeRes, 0, 1, one, two, 0, byte(LT), 1, 7, // a > 1 && a <= 2 && a < 7
+		opMatch, num(five), num(0), 0, 0) // b present: the columns decide
+	var matches []byte
+	for _, b := range edges {
+		for d := byte(2); d <= 4; d++ {
+			matches = append(matches, opMatch, 5*b+d, 5*b+6-d, 0, 0)
+		}
+	}
+	// The same messages again once Flush has squeezed two ids' rows out
+	// of the scan and moved the rest.
+	edge = append(append(append(edge, matches...), opRemove, 0, opRemove, 5, opFlush), matches...)
+	return [][]byte{sources, all, churn, edge}
 }

@@ -18,6 +18,15 @@ import (
 // longer than maxProgPreds — has no program and evaluates through
 // Filter.Match, so MatchResolved is Match for every filter.
 //
+// A linear scan over many filters goes one step further (scan.go): a
+// Scan lowers each program once more, into float32 bound columns by
+// (slot, side), and MatchScratch.ScanRows decides every row of a table
+// in one branch-free pass over those columns. MatchResolved stays the
+// one exact evaluator: it confirms the few rows the columns cannot
+// decide (a value within a float32 ulp of a bound, a filter with no
+// program). Every non-indexed routing table source and the publication
+// accounting match this way.
+//
 // The program costs a filter eight bytes and no allocation: brokers of a
 // live overlay each hold their own decoded copy of every subscription's
 // filter, and a separate (attribute, op, bound) array per copy measured
@@ -269,7 +278,8 @@ func (s *MatchScratch) holdsNum(slot uint8, op Op, b float64) bool {
 // MatchResolved is Match for a message the caller has resolved into s
 // (s.Resolve(a), once per message): lowered filters evaluate their
 // program against the scratch, all others fall back to Match(a). Table
-// scans and publication accounting evaluate every subscription this way.
+// scans and publication accounting confirm the rows their Scan flags
+// this way.
 func (f *Filter) MatchResolved(s *MatchScratch, a Attrs) bool {
 	if f == nil || f.root == nil {
 		return true

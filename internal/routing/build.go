@@ -3,6 +3,7 @@ package routing
 import (
 	"fmt"
 
+	"bdps/internal/filter"
 	"bdps/internal/msg"
 	"bdps/internal/stats"
 	"bdps/internal/topology"
@@ -121,11 +122,28 @@ func Build(ov *topology.Overlay, subs []*msg.Subscription, opts Options) (map[ms
 		}
 	}
 
+	// Lower every filter once, into scan rows over one column set.
+	var rows filter.Scan
+	rows.Reserve(len(subs))
+	for _, sub := range subs {
+		rows.Add(sub.Filter)
+	}
+	all, nonEmpty := 0, 0
+	for _, c := range perSource {
+		all += c
+		if c > 0 {
+			nonEmpty++
+		}
+	}
+	bounds, states := make([]float32, all*rows.Width()), make([]uint8, all)
+
 	// Install in the historical Add order (ingress, subscription, path,
 	// position) into tables sized by the counts: a table's entries are
 	// carved from one slab (contiguous in scan order per ingress), its
-	// back-references from another, and no list grows.
+	// back-references from another, every source's state and scan from
+	// three slabs shared by all tables, and no list grows.
 	slabs := make([]tableSlab, nodes)
+	sources := make([]sourceState, 0, nonEmpty)
 	for at := range slabs {
 		counts := perSource[at*len(ov.Ingress) : (at+1)*len(ov.Ingress)]
 		total := 0
@@ -140,19 +158,24 @@ func Build(ov *topology.Overlay, subs []*msg.Subscription, opts Options) (map[ms
 		t.bySub = make(map[msg.SubID][]entryRef, subsAt[at])
 		for si, c := range counts {
 			if c > 0 {
-				t.bySource[ov.Ingress[si]] = &sourceState{entries: make([]*Entry, 0, c)}
+				sources = append(sources, sourceState{
+					entries: make([]*Entry, 0, c),
+					scan:    rows.Carve(c, &bounds, &states),
+				})
+				t.bySource[ov.Ingress[si]] = &sources[len(sources)-1]
 			}
 		}
 	}
 	for si, src := range ov.Ingress {
-		for _, sub := range subs {
+		for j, sub := range subs {
 			for pathID, r := range routes[si][sub.Edge] {
 				for i, at := range r.path {
 					slab := &slabs[at]
 					slab.entries = append(slab.entries, Entry{})
 					e := &slab.entries[len(slab.entries)-1]
 					e.set(r.path, i, sub, src, pathID, r.rate[i])
-					tables[at].add(e, slab, r.refs[i])
+					st := tables[at].add(e, slab, r.refs[i])
+					st.scan.AddRow(&rows, j)
 				}
 			}
 		}
@@ -389,9 +412,9 @@ func EntryAt(path []msg.NodeID, i int, sub *msg.Subscription, src msg.NodeID, pa
 // set fills the entry for position i of a delivery path whose residual
 // path path[i..end] has the given believed rate (zero at the edge).
 func (e *Entry) set(path []msg.NodeID, i int, sub *msg.Subscription, src msg.NodeID, pathID int, rate stats.Normal) {
-	*e = Entry{Sub: sub, Source: src, Next: msg.None, PathID: pathID, Rate: rate}
+	*e = Entry{Sub: sub, Source: src, Next: msg.None, PathID: int32(pathID), Rate: rate}
 	if last := len(path) - 1; i < last {
 		e.Next = path[i+1]
-		e.Hops = last - i
+		e.Hops = int32(last - i)
 	}
 }

@@ -1,10 +1,14 @@
 package routing
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
+	"sync"
 	"testing"
+	"unsafe"
 
 	"bdps/internal/filter"
 	"bdps/internal/msg"
@@ -203,7 +207,7 @@ func TestResidualMonotonicAlongPath(t *testing.T) {
 	if !ok {
 		t.Fatal("no path")
 	}
-	prevHops, prevMean := 1<<30, math.Inf(1)
+	prevHops, prevMean := int32(1<<30), math.Inf(1)
 	for _, b := range path {
 		var entry *Entry
 		for _, e := range tables[b].Entries(src) {
@@ -513,5 +517,135 @@ func TestMatchAppendReusesBuffer(t *testing.T) {
 				t.Errorf("indexed MatchAppend allocates %v objects per run, want 0", allocs)
 			}
 		}
+	}
+}
+
+// TestEntrySize pins routing.Entry at 56 bytes: Hops and PathID are
+// adjacent int32s, which pays for the scan's bound columns (8 bytes a
+// row on the paper's two-attribute filters).
+func TestEntrySize(t *testing.T) {
+	if got := unsafe.Sizeof(Entry{}); got != 56 {
+		t.Fatalf("Entry is %d bytes, want 56", got)
+	}
+}
+
+// resolvedAppendLinear is the linear match as it was before the scan's
+// bound columns: every live slot's filter evaluated through
+// MatchResolved, in slot order. It is the oracle the scan must
+// reproduce entry for entry.
+func resolvedAppendLinear(st *sourceState, s *filter.MatchScratch, m *msg.Message, buf []*Entry) []*Entry {
+	s.Resolve(&m.Attrs)
+	for _, e := range st.entries {
+		if e != nil && e.Sub.Filter.MatchResolved(s, &m.Attrs) {
+			buf = append(buf, e)
+		}
+	}
+	return buf
+}
+
+// TestScanMatchDuringMutation: four matchers run MatchAppendWith on a
+// non-indexed table under the read lock while a writer adds entries,
+// removes subscriptions past the compaction threshold and promotes
+// group members under the write lock. Every match must equal the
+// per-row MatchResolved loop over the same table state, in order.
+func TestScanMatchDuringMutation(t *testing.T) {
+	r := rand.New(rand.NewSource(34))
+	filterOf := func() string {
+		switch r.Intn(5) {
+		case 0:
+			return fmt.Sprintf("A1 > %d && A1 <= %d", r.Intn(5), 5+r.Intn(5))
+		case 1:
+			return fmt.Sprintf("A1 < %d || A2 == %d", r.Intn(10), r.Intn(10))
+		default:
+			return fmt.Sprintf("A1 < %d && A2 >= %d", r.Intn(11), r.Intn(11))
+		}
+	}
+	tb := NewTable(0)
+	next := msg.SubID(1)
+	filters := map[msg.SubID]*filter.Filter{}
+	add := func() msg.SubID {
+		id := next
+		next++
+		s := sub(id, 9, filterOf())
+		filters[id] = s.Filter
+		tb.Add(&Entry{Sub: s, Source: 0, Next: 2})
+		return id
+	}
+	var live []msg.SubID
+	for i := 0; i < 100; i++ {
+		live = append(live, add())
+	}
+	// Values on the bounds, between them, and messages the columns
+	// cannot decide (A2 absent, A2 a string).
+	var msgs []*msg.Message
+	for a1 := 0.0; a1 <= 10; a1 += 0.5 {
+		msgs = append(msgs, &msg.Message{Ingress: 0, Attrs: msg.NumAttrs(map[string]float64{"A1": a1, "A2": 10 - a1})})
+	}
+	msgs = append(msgs,
+		&msg.Message{Ingress: 0, Attrs: msg.NumAttrs(map[string]float64{"A1": 3})},
+		&msg.Message{Ingress: 0, Attrs: msg.NewAttrSet(msg.Attr{Name: "A1", Val: filter.Num(3)}, msg.Attr{Name: "A2", Val: filter.Str("x")})})
+
+	var mu sync.RWMutex
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			var s, ref filter.MatchScratch
+			var got, want []*Entry
+			for k := w; ; k++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				m := msgs[k%len(msgs)]
+				mu.RLock()
+				got = tb.MatchAppendWith(&s, m, got[:0])
+				want = want[:0]
+				if st := tb.bySource[0]; st != nil {
+					want = resolvedAppendLinear(st, &ref, m, want)
+				}
+				mu.RUnlock()
+				if !slices.Equal(got, want) {
+					t.Errorf("message %v: scan matched %d entries, MatchResolved %d", m.Attrs, len(got), len(want))
+					return
+				}
+			}
+		}(w)
+	}
+
+	compactions, promotions := 0, 0
+	for i := 0; i < 3000; i++ {
+		mu.Lock()
+		switch {
+		case i%50 < 20 || len(live) < 40:
+			live = append(live, add())
+		case i%50 < 45:
+			j := r.Intn(len(live))
+			before := len(tb.bySource[0].entries)
+			tb.RemoveSub(live[j])
+			live = append(live[:j], live[j+1:]...)
+			if st := tb.bySource[0]; st != nil && len(st.entries) < before-1 {
+				compactions++
+			}
+		default:
+			// An exact duplicate joins the group and takes over.
+			j := r.Intn(len(live))
+			tb.Attach(live[j], &msg.Subscription{ID: next, Edge: 9, Filter: filters[live[j]]})
+			filters[next] = filters[live[j]]
+			next++
+			if p := tb.Promote(live[j]); p != nil {
+				live[j] = p.ID
+				promotions++
+			}
+		}
+		mu.Unlock()
+	}
+	close(stop)
+	wg.Wait()
+	if compactions == 0 || promotions == 0 {
+		t.Fatalf("writer ran %d compactions and %d promotions, want both", compactions, promotions)
 	}
 }

@@ -36,13 +36,17 @@ var (
 )
 
 // Entry is one subscription's routing state at one broker for one ingress.
+//
+// Hops and PathID are int32 and sit beside the two node ids, so the
+// struct is 56 bytes (TestEntrySize): tables hold one per (subscription,
+// ingress, path, broker on the path).
 type Entry struct {
 	Sub    *msg.Subscription
 	Source msg.NodeID   // ingress broker this route applies to
 	Next   msg.NodeID   // next hop toward the subscriber; msg.None = local
-	Hops   int          // NN_p: links (= downstream brokers) remaining
+	Hops   int32        // NN_p: links (= downstream brokers) remaining
+	PathID int32        // 0 for single-path; 0..K-1 in multi-path mode
 	Rate   stats.Normal // residual path per-KB time TR_p ~ N(μ_p, σ_p²)
-	PathID int          // 0 for single-path; 0..K-1 in multi-path mode
 	// Relaxed, when > 0, is a renegotiated delay-bound floor (ms)
 	// installed by topology repair: on a rerouted path where the original
 	// bound is no longer feasible, the admission math relaxes it to the
@@ -120,13 +124,17 @@ type Table struct {
 }
 
 // sourceState is one ingress's entry list. Slots are positional — the
-// counting index emits positions — so RemoveSub tombstones a slot to nil
-// instead of shifting; the list is compacted (and its index rebuilt in
-// one batch) only when tombstones outnumber live entries.
+// counting index and the scan emit positions — so RemoveSub tombstones a
+// slot to nil instead of shifting; the list is compacted (and its index
+// rebuilt in one batch) only when tombstones outnumber live entries.
+// An indexed table's sources match through the counting index ix; all
+// others through scan, the entry filters lowered to bound columns, row
+// for slot (empty while ix is set).
 type sourceState struct {
 	entries []*Entry
 	live    int
 	ix      *filter.Index
+	scan    filter.Scan
 	// multi counts the subscriptions holding more than one live slot
 	// here (multi-path routes that share this broker, or a repeated Add).
 	multi int
@@ -162,13 +170,20 @@ func NewTable(broker msg.NodeID) *Table {
 func (t *Table) Broker() msg.NodeID { return t.broker }
 
 // Add installs an entry, updating the source's counting index in place
-// when one is enabled (amortized sublinear; see filter.Index.Add).
-func (t *Table) Add(e *Entry) { t.add(e, nil, 0) }
+// when one is enabled (amortized sublinear; see filter.Index.Add), else
+// appending the filter's row to the source's scan.
+func (t *Table) Add(e *Entry) {
+	if st := t.add(e, nil, 0); st.ix == nil {
+		st.scan.Add(e.Sub.Filter)
+	}
+}
 
-// add is Add; a bulk build that counted first (Build) passes the table's
-// slab, and a subscription's first entry here then takes its refCap
+// add is Add but for the scan row, which it leaves to the caller (Build
+// copies a row lowered once per subscription); it returns the entry's
+// source. A bulk build that counted first passes the table's slab, and
+// a subscription's first entry here then takes its refCap
 // back-reference slots from it instead of growing a slice of its own.
-func (t *Table) add(e *Entry, slab *tableSlab, refCap int) {
+func (t *Table) add(e *Entry, slab *tableSlab, refCap int) *sourceState {
 	st := t.bySource[e.Source]
 	if st == nil {
 		st = &sourceState{}
@@ -198,6 +213,7 @@ func (t *Table) add(e *Entry, slab *tableSlab, refCap int) {
 	if st.ix != nil {
 		st.ix.Add(pos, e.Sub.Filter)
 	}
+	return st
 }
 
 // Len returns the number of live entries.
@@ -231,6 +247,8 @@ func (t *Table) RemoveSub(id msg.SubID) int {
 		removed++
 		if st.ix != nil {
 			st.ix.Remove(r.pos)
+		} else {
+			st.scan.Kill(int(r.pos))
 		}
 	}
 	t.size -= removed
@@ -250,11 +268,11 @@ func (t *Table) RemoveSub(id msg.SubID) int {
 	return removed
 }
 
-// compactSource squeezes tombstoned slots out of one source list,
-// rewrites the affected back-references and rebuilds the source's index
-// in one batch (each touched predicate list sorted exactly once).
-// Amortized over the removals that forced it, compaction is O(1) per
-// removed entry plus the batch index build.
+// compactSource squeezes tombstoned slots out of one source list and
+// its scan, rewrites the affected back-references and rebuilds the
+// source's index in one batch (each touched predicate list sorted
+// exactly once). Amortized over the removals that forced it, compaction
+// is O(1) per removed entry plus the batch index build.
 func (t *Table) compactSource(src msg.NodeID, st *sourceState) {
 	// Drop every back-reference into this source, then re-derive them
 	// from the compacted slot list below. Removed subscriptions lost
@@ -296,6 +314,8 @@ func (t *Table) compactSource(src msg.NodeID, st *sourceState) {
 	}
 	if st.ix != nil {
 		st.rebuildIndex()
+	} else {
+		st.scan.Compact()
 	}
 }
 
@@ -325,6 +345,7 @@ func (t *Table) EnableIndex() {
 			t.compactSource(src, st)
 		}
 		st.rebuildIndex()
+		st.scan = filter.Scan{}
 	}
 }
 
@@ -354,8 +375,8 @@ func (t *Table) MatchAppend(m *msg.Message, buf []*Entry) []*Entry {
 // any number of matchers may run concurrently against one table — a
 // live node runs one per connection read loop under the node's read
 // lock — as long as mutations hold the write lock. With the index off it
-// scans the source's entries, which touches only the scratch and
-// immutable entry state.
+// scans the source's bound columns and entries, which touches only the
+// scratch and state that mutations alone write.
 func (t *Table) MatchAppendWith(s *filter.MatchScratch, m *msg.Message, buf []*Entry) []*Entry {
 	st := t.bySource[m.Ingress]
 	if st == nil {
@@ -381,14 +402,17 @@ func appendIndexed(st *sourceState, ids []int32, buf []*Entry) []*Entry {
 }
 
 // appendLinear scans one source's entries in slot order: the message's
-// attributes are resolved into the scratch once, then every entry's
-// filter evaluates its program against them (filter.MatchResolved; the
-// program belongs to the subscription's filter, shared by all its
-// entries).
+// attributes are resolved into the scratch once, the source's scan
+// decides every row from its bound columns in one pass
+// (filter.MatchScratch.ScanRows), and only the rows it flags — a value
+// within a float32 ulp of a bound, a filter the columns cannot hold —
+// evaluate the entry's filter (filter.MatchResolved). A row it decides
+// loads its entry only to append it.
 func appendLinear(st *sourceState, s *filter.MatchScratch, m *msg.Message, buf []*Entry) []*Entry {
 	s.Resolve(&m.Attrs)
-	for _, e := range st.entries {
-		if e != nil && e.Sub.Filter.MatchResolved(s, &m.Attrs) {
+	for _, r := range s.ScanRows(&st.scan) {
+		e := st.entries[r>>1]
+		if r&1 == 0 || e.Sub.Filter.MatchResolved(s, &m.Attrs) {
 			buf = append(buf, e)
 		}
 	}

@@ -435,9 +435,14 @@ func faultLess(x, y Fault) bool {
 // ground truth both backends share.)
 func (p *Plan) AccountPublications() {
 	var scratch filter.MatchScratch
+	var static filter.Scan
+	static.Reserve(len(p.Subs))
+	for _, s := range p.Subs {
+		static.Add(s.Filter)
+	}
 	if len(p.SubEvents) == 0 {
 		for _, m := range p.Pubs {
-			p.accountOne(&scratch, m, nil)
+			p.accountOne(&scratch, &static, m, nil)
 		}
 		return
 	}
@@ -457,35 +462,39 @@ func (p *Plan) AccountPublications() {
 			}
 			ei++
 		}
-		p.accountOne(&scratch, m, active)
+		p.accountOne(&scratch, &static, m, active)
 	}
 }
 
 // accountOne records one publication's interested count over the static
-// population plus the currently active churn subscribers, through the
-// sweep's match scratch.
-func (p *Plan) accountOne(scratch *filter.MatchScratch, m *msg.Message, churners map[msg.SubID]*msg.Subscription) {
-	if p.Cfg.PerSubscriber {
-		scratch.Resolve(&m.Attrs)
-		var interested []int32
-		for _, s := range p.Subs {
-			if s.Filter.MatchResolved(scratch, &m.Attrs) {
-				interested = append(interested, int32(s.ID))
-			}
+// population — decided by the sweep's scan of p.Subs, the rows it flags
+// confirmed by their filters — plus the currently active churn
+// subscribers, through the sweep's match scratch.
+func (p *Plan) accountOne(scratch *filter.MatchScratch, static *filter.Scan, m *msg.Message, churners map[msg.SubID]*msg.Subscription) {
+	scratch.Resolve(&m.Attrs)
+	var interested []int32
+	n := 0
+	for _, r := range scratch.ScanRows(static) {
+		s := p.Subs[r>>1]
+		if r&1 != 0 && !s.Filter.MatchResolved(scratch, &m.Attrs) {
+			continue
 		}
-		for _, s := range churners {
-			if s.Filter.MatchResolved(scratch, &m.Attrs) {
-				interested = append(interested, int32(s.ID))
-			}
+		n++
+		if p.Cfg.PerSubscriber {
+			interested = append(interested, int32(s.ID))
 		}
-		p.Metrics.PublishedToAt(interested, m.Published)
-		return
 	}
-	n := workload.Interested(scratch, p.Subs, m) // leaves m resolved in scratch
 	for _, s := range churners {
 		if s.Filter.MatchResolved(scratch, &m.Attrs) {
 			n++
+			if p.Cfg.PerSubscriber {
+				interested = append(interested, int32(s.ID))
+			}
 		}
+	}
+	if p.Cfg.PerSubscriber {
+		p.Metrics.PublishedToAt(interested, m.Published)
+		return
 	}
 	p.Metrics.PublishedAt(n, m.Published)
 }

@@ -278,18 +278,3 @@ func (p *Publisher) Next() (*msg.Message, bool) {
 	p.advance()
 	return m, true
 }
-
-// Interested counts the subscriptions whose filters match the message —
-// the tsᵢ term of eq. (1). The message is resolved into the caller's
-// scratch once and every filter evaluates its program against it, as a
-// table scan does.
-func Interested(s *filter.MatchScratch, subs []*msg.Subscription, m *msg.Message) int {
-	s.Resolve(&m.Attrs)
-	n := 0
-	for _, sub := range subs {
-		if sub.Filter.MatchResolved(s, &m.Attrs) {
-			n++
-		}
-	}
-	return n
-}

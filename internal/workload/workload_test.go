@@ -284,3 +284,19 @@ func TestPublisherIDsUnique(t *testing.T) {
 		seen[m.ID] = true
 	}
 }
+
+// Interested counts the subscriptions whose filters match the message —
+// the tsᵢ term of eq. (1) — one MatchResolved per filter. It is the
+// oracle for the publication accounting's scan (runtime's
+// Plan.AccountPublications), which counts the same population through
+// bound columns.
+func Interested(s *filter.MatchScratch, subs []*msg.Subscription, m *msg.Message) int {
+	s.Resolve(&m.Attrs)
+	n := 0
+	for _, sub := range subs {
+		if sub.Filter.MatchResolved(s, &m.Attrs) {
+			n++
+		}
+	}
+	return n
+}
