@@ -11,6 +11,7 @@
 package bdps
 
 import (
+	"fmt"
 	"testing"
 
 	"bdps/internal/core"
@@ -366,15 +367,78 @@ func BenchmarkLayer(b *testing.B) {
 	b.Run("scan-160", func(b *testing.B) { benchTableMatch(b, false) })
 }
 
-// BenchmarkTableMatchIndexed is the same match through the counting
-// index (runtime.Config.IndexedMatch).
+// BenchmarkTableMatchIndexed is the same match with the table forced
+// onto an index (routing.Table.EnableIndex), which keeps these one-sided
+// filters as rows of its rest scan.
 func BenchmarkTableMatchIndexed(b *testing.B) { benchTableMatch(b, true) }
+
+// BenchmarkTableMatchChosen is the evidence for routing.Table's matcher
+// rule: one single-source table match, over shape × rows, with the
+// matcher the table picks itself (chosen) and with the table forced onto
+// an index (index, EnableIndex). Shapes: match-all (chain_small's one
+// subscriber), paper ("A1 < x && A2 < y": sim_paper and mesh_paced) and
+// fanout (fanout_match's "A1 > a && A1 < a+0.04 && A2 < b"). A table
+// scans match-all and paper filters and posts fanout's in its index, so
+// fanout's two arms run the same matcher.
+func BenchmarkTableMatchChosen(b *testing.B) {
+	s := stats.NewStream(11)
+	shapes := []struct {
+		name   string
+		filter func() *filter.Filter
+	}{
+		{"match-all", func() *filter.Filter { return filter.MustParse("true") }},
+		{"paper", func() *filter.Filter {
+			return filter.And(filter.Lt("A1", s.Uniform(0, 10)), filter.Lt("A2", s.Uniform(0, 10)))
+		}},
+		{"fanout", func() *filter.Filter {
+			a := s.Uniform(0, 9.96)
+			return filter.And(filter.Gt("A1", a), filter.Lt("A1", a+0.04), filter.Lt("A2", s.Uniform(0, 10)))
+		}},
+	}
+	msgs := make([]*msg.Message, 512)
+	for i := range msgs {
+		msgs[i] = &msg.Message{Attrs: msg.NumAttrs(map[string]float64{"A1": s.Uniform(0, 10), "A2": s.Uniform(0, 10)})}
+	}
+	for _, shape := range shapes {
+		for _, n := range []int{1, 16, 160, 10_000} {
+			subs := make([]*msg.Subscription, n)
+			for i := range subs {
+				subs[i] = &msg.Subscription{ID: msg.SubID(i), Edge: 5, Filter: shape.filter()}
+			}
+			for _, forced := range []bool{false, true} {
+				arm := "chosen"
+				if forced {
+					arm = "index"
+				}
+				b.Run(fmt.Sprintf("%s-%d-%s", shape.name, n, arm), func(b *testing.B) {
+					tb := routing.NewTable(0)
+					for _, sub := range subs {
+						tb.Add(&routing.Entry{Sub: sub, Source: 0, Next: 5})
+					}
+					if forced {
+						tb.EnableIndex()
+					}
+					var scratch filter.MatchScratch
+					var buf []*routing.Entry
+					matched := 0
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						buf = tb.MatchAppendWith(&scratch, msgs[i%len(msgs)], buf[:0])
+						matched += len(buf)
+					}
+					b.ReportMetric(float64(matched)/float64(b.N), "entries/op")
+				})
+			}
+		}
+	}
+}
 
 // BenchmarkIndexMatch is one filter.Index match over 10 000
 // subscriptions of each shape the index posts differently, on uniform
 // publications: fanout (the fanout_match workload's "A1 > a && A1 < a+w
-// && A2 < b", posted under the range), paper ("A1 < x && A2 < y", every
-// predicate counted) and equality ("K == k && A2 < b", posted under the
+// && A2 < b", posted under the range), paper ("A1 < x && A2 < y", no
+// access predicate: rows of the index's rest scan) and equality ("K == k && A2 < b", posted under the
 // equality). fanout-10k-churned is fanout after 4 096 subscribe /
 // unsubscribe pairs of the same shape outside the publications' range,
 // as fanout_match churns its tables: the width class carries a tail and

@@ -44,12 +44,13 @@ var paperFilters = func() func(n int) []*filter.Filter {
 	}
 }()
 
-// BenchmarkIndexBuild builds a counting index over n filters two ways:
+// BenchmarkIndexBuild builds a match index over n paper-shaped filters
+// (rest rows of the index's scan) two ways:
 //
 //   - incremental: plain Add — unsorted tails merged only when they
 //     outgrow √n (the live churn path).
 //   - batch: AddBatch — each touched list sorted exactly once (the
-//     plan-time bulk build).
+//     bulk build a source's compaction runs).
 func BenchmarkIndexBuild(b *testing.B) {
 	bench := func(n int, build func(fs []*filter.Filter) *filter.Index) func(*testing.B) {
 		return func(b *testing.B) {
@@ -89,8 +90,8 @@ func BenchmarkIndexBuild(b *testing.B) {
 	}
 }
 
-// churnTable builds an indexed single-source table of n paper-style
-// entries.
+// churnTable builds a single-source table of n paper-style entries,
+// forced onto an index (EnableIndex).
 func churnTable(n int) *routing.Table {
 	fs := paperFilters(n)
 	tb := routing.NewTable(0)

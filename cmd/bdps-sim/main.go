@@ -220,7 +220,6 @@ func run(args []string) error {
 			MeasureSamples: *measure,
 			LinkModel:      lm,
 			TimeScale:      ts,
-			IndexedMatch:   *churnRate > 0 || *flashSubs > 0,
 			TimelineBucket: vtime.FromDuration(*timeline),
 			Recovery: runtime.Recovery{
 				Detect:            *recov || *renege,

@@ -14,15 +14,18 @@ import (
 
 // TestProcessorsConcurrentWithTableChurn is the live plane's churn
 // contract under -race: concurrent Processors (each with private match
-// scratch, sharing the table's counting index) process messages under a
-// reader lock while subscription floods mutate the table under the
-// writer lock — exactly the synchronization the live node uses. The
-// static population must match on every processed message.
+// scratch, sharing the table's index) process messages under a reader
+// lock while subscription floods mutate the table under the writer
+// lock — exactly the synchronization the live node uses. The static
+// population must match on every processed message.
 func TestProcessorsConcurrentWithTableChurn(t *testing.T) {
 	table := routing.NewTable(0)
-	table.EnableIndex()
 	static := &msg.Subscription{ID: 1, Edge: 0, Filter: filter.MustParse("A1 < 100")}
 	table.Add(&routing.Entry{Sub: static, Source: 0, Next: msg.None})
+	// The one-sided filters leave the source on its scan; EnableIndex
+	// moves it to an index, which it keeps through the churn below (the
+	// routing tests pin that an indexed source keeps its index).
+	table.EnableIndex()
 
 	b, err := New(Config{
 		ID:       0,

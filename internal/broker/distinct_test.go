@@ -179,9 +179,11 @@ func TestProcessDistinctDuringChurn(t *testing.T) {
 		return &msg.Subscription{ID: id, Edge: 0, Filter: filter.MustParse("A1 < 100")}
 	}
 	table := routing.NewTable(0)
-	table.EnableIndex()
 	static := mk(1)
 	table.Add(&routing.Entry{Sub: static, Source: 0, Next: msg.None})
+	// The one-sided filters leave the source on its scan; EnableIndex
+	// moves it to an index, which it keeps through the churn below.
+	table.EnableIndex()
 	b, err := New(Config{
 		ID: 0, Scenario: msg.PSD, Params: core.DefaultParams(),
 		Strategy: core.MaxEB{}, Table: table,

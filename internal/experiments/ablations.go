@@ -38,9 +38,6 @@ func ablationSweep[T any](o *Options, xs []T, mutate func(T, *simnet.Config)) ([
 					Churn:      o.Churn,
 				},
 				LinkModel: o.LinkModel,
-				// Churning cells force the counting index, matching the
-				// figure cells (Options.config).
-				IndexedMatch: o.Churn.Enabled(),
 			}
 			if mutate != nil {
 				mutate(x, &cfg)
@@ -293,10 +290,8 @@ func AblationChurn(opts Options) (*Figure, error) {
 		// the options carry, so x = 0 is a genuinely static baseline.
 		if r > 0 {
 			c.Workload.Churn = workload.Churn{RatePerMin: r, HalfLife: vtime.Minute}
-			c.IndexedMatch = true // churn-proof fast path on every broker
 		} else {
 			c.Workload.Churn = workload.Churn{}
-			c.IndexedMatch = false
 		}
 	})
 	if err != nil {
@@ -525,9 +520,6 @@ func AblationOverload(opts Options) (*Figure, error) {
 			SubBurst: 8,
 		}
 		cfg.Admission = arms[c.arm]
-		// Flash subscribe bursts mutate routing tables mid-run; arm the
-		// churn-proof counting index like the churn cells do.
-		cfg.IndexedMatch = true
 	})
 	if err != nil {
 		return nil, err

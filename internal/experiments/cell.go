@@ -40,9 +40,6 @@ func (o *Options) config(c Cell) simnet.Config {
 		MeasureSamples: o.MeasureSamples,
 		LinkModel:      o.LinkModel,
 		TimeScale:      o.TimeScale,
-		// Churning cells run the incremental counting index: the fast
-		// path the churn rework exists to keep alive under mutation.
-		IndexedMatch: o.Churn.Enabled(),
 	}
 }
 

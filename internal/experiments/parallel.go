@@ -247,11 +247,11 @@ func configKey(cfg *simnet.Config) (string, bool) {
 	// share it. TimeScale is keyed even though the simulator ignores it:
 	// cached results are sim-only and the key must stay injective over
 	// the whole config.
-	return fmt.Sprintf("%d|%d|%T%+v|%+v|%+v|%p|%+v|%d|%d|%d|%g|%s|%t|%t|%g|%d|%+v|%+v|%g|%t|%+v",
+	return fmt.Sprintf("%d|%d|%T%+v|%+v|%+v|%p|%+v|%d|%d|%d|%g|%s|%t|%g|%d|%+v|%+v|%g|%t|%+v",
 		cfg.Seed, cfg.Scenario, cfg.Strategy, cfg.Strategy,
 		cfg.Params, cfg.Workload, cfg.Overlay, cfg.TopologyCfg,
 		cfg.Multipath, cfg.MeasureSamples, cfg.LinkModel, cfg.MinRate,
-		faults, cfg.PerSubscriber, cfg.IndexedMatch, cfg.TimeScale,
+		faults, cfg.PerSubscriber, cfg.TimeScale,
 		cfg.LiveShards, cfg.Recovery, cfg.Reliability, cfg.TimelineBucket,
 		cfg.Aggregate, cfg.Admission,
 	), true

@@ -215,7 +215,6 @@ func TestConfigKey(t *testing.T) {
 		func(c *simnet.Config) { c.LinkModel = simnet.LinkGamma },
 		func(c *simnet.Config) { c.MinRate = 2 },
 		func(c *simnet.Config) { c.PerSubscriber = true },
-		func(c *simnet.Config) { c.IndexedMatch = true },
 		func(c *simnet.Config) { c.TopologyCfg.Seed = 7 },
 		func(c *simnet.Config) { c.TimeScale = 0.5 },
 		func(c *simnet.Config) { c.Faults = []simnet.Fault{simnet.BrokerCrash{ID: 1, At: 10}} },
@@ -270,7 +269,7 @@ func TestConfigKeyCoversAllFields(t *testing.T) {
 		"Workload": true, "Overlay": true, "TopologyCfg": true,
 		"Multipath": true, "MeasureSamples": true, "LinkModel": true,
 		"MinRate": true, "Faults": true, "Tracer": true,
-		"PerSubscriber": true, "IndexedMatch": true, "Subscriptions": true,
+		"PerSubscriber": true, "Subscriptions": true,
 		"TimeScale": true, "LiveShards": true, "Recovery": true,
 		"Reliability": true, "TimelineBucket": true, "Aggregate": true,
 		"Admission": true,

@@ -45,8 +45,8 @@ type Options struct {
 	LinkModel      simnet.LinkModel
 	// Churn adds a dynamic subscriber population to every cell
 	// (subscribe/unsubscribe floods mutating the routing tables mid-run;
-	// see workload.Churn). Cells with churn force the counting-index fast
-	// path so figures exercise the incremental index under mutation.
+	// see workload.Churn). Each table source keeps its matcher current
+	// under the mutation, as routing.Table picks it.
 	Churn workload.Churn
 	// Parallelism caps concurrent simulation runs; 0 or negative means
 	// runtime.GOMAXPROCS(0). 1 reproduces the sequential harness. Figure

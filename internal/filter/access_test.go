@@ -11,8 +11,8 @@ import (
 )
 
 // Tests of the access path: conjunctions posted under one equality or
-// one two-sided range and verified by their filter, beside conjunctions
-// posted whole and proved by the count.
+// one two-sided range and verified by their filter, beside the filters
+// the index keeps as rows of its rest scan.
 
 // TestIndexAccessEquivalenceRandom is the property the access path must
 // keep: whatever subset of a conjunction is posted, the index answers
@@ -66,9 +66,9 @@ func TestIndexAccessEquivalenceRandom(t *testing.T) {
 			return And(Eq("tag", Str(tags[r.Intn(3)])), randRange("A"))
 		case 8: // two ranges under one id
 			return Or(randRange("A"), And(randRange("B"), Gt("A", bound(centre()))))
-		case 9: // paper form: one-sided, counted
+		case 9: // paper form: one-sided, a rest row
 			return And(Lt("A", bound(centre())), Lt("B", bound(centre())))
-		case 10: // a range with riders the lists cannot count
+		case 10: // a range with != and string-inequality riders
 			return And(randRange("B"), NewPred("tag", GT, Str("x")), NewPred("A", NE, num(centre())))
 		case 11: // two ranges: the narrower is the access predicate
 			return And(randRange("A"), randRange("B"))
@@ -175,8 +175,8 @@ func TestIndexWorkFollowsAnswer(t *testing.T) {
 	ix.Add(n, And(Gt("A1", 0), Lt("A1", 10), Lt("A2", 5)))
 	ix.Flush()
 
-	if len(ix.lt)+len(ix.le)+len(ix.gt)+len(ix.ge) != 0 {
-		t.Fatalf("range conjunctions posted one-sided predicates: lt=%d gt=%d", len(ix.lt), len(ix.gt))
+	if len(ix.restRows) != 0 {
+		t.Fatalf("%d range conjunctions became rest rows", len(ix.restRows))
 	}
 	classes := ix.iv["A1"]
 	if len(classes) != 2 {
@@ -239,7 +239,7 @@ func TestIndexNaNMatchesFilter(t *testing.T) {
 		"a >= 1 && a <= 2",           // closed range: holds NaN
 		"a > 1 && a < 2",             // strict range: does not
 		"a >= 1 && a < 2",            // half-open
-		"a <= 5 && b < 3",            // counted, NaN on one attribute
+		"a <= 5 && b < 3",            // rest row, NaN on one attribute
 		"a == 5 && b < 3",            // equality with company
 		"a >= 1 && a <= 2 && b != 7", // range with a rider
 		"s == 'x' && a >= 5",         // string equality, NaN rider
@@ -267,26 +267,6 @@ func TestIndexNaNMatchesFilter(t *testing.T) {
 				t.Errorf("%q on %v: filter=%v index=%v", srcs[i], a.AttrMap, f.Match(a), got[int32(i)])
 			}
 		}
-	}
-}
-
-// TestMatchScratchEpochWrap: tallies are stamped with the low 32 bits of
-// the epoch and cleared when they wrap, so a count left by a match 2^32
-// epochs ago is never mistaken for a live one.
-func TestMatchScratchEpochWrap(t *testing.T) {
-	ix := NewIndex()
-	ix.Add(1, MustParse("a < 5 && b < 5"))
-	var s MatchScratch
-	s.epoch = 1<<32 - 1 // the partial match below runs at low word 0
-	if got := ix.MatchWith(&s, iattrs("a", 1.0)); len(got) != 0 {
-		t.Fatalf("partial match emitted %v", got)
-	}
-	s.epoch += 1<<32 - 1 // next match: low word 0 again
-	if got := ix.MatchWith(&s, iattrs("b", 1.0)); len(got) != 0 {
-		t.Fatalf("stale tally from the previous cycle completed a count: %v", got)
-	}
-	if got := ix.MatchWith(&s, iattrs("a", 1.0, "b", 1.0)); !sameIDs(got, []int32{1}) {
-		t.Fatalf("full match after the wrap = %v", got)
 	}
 }
 
@@ -349,8 +329,8 @@ func TestIndexMatchReadsNoFilter(t *testing.T) {
 			}
 		}
 	}
-	if ix.fallback != nil || len(ix.lt)+len(ix.le)+len(ix.gt)+len(ix.ge) != 0 {
-		t.Fatalf("a filter was counted or fell back: fallback=%d", len(ix.fallback))
+	if len(ix.restRows) != 0 {
+		t.Fatalf("%d filters became rest rows", len(ix.restRows))
 	}
 	for _, f := range filters {
 		*f = Filter{root: poisonNode{}}

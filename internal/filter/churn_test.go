@@ -15,7 +15,7 @@ func TestIndexRemove(t *testing.T) {
 	ix.Add(1, MustParse("a < 5"))
 	ix.Add(2, MustParse("a < 8"))
 	ix.Add(3, nil)                   // wildcard
-	ix.Add(4, MustParse("a != 3"))   // fallback
+	ix.Add(4, MustParse("a != 3"))   // rest
 	ix.Add(5, MustParse("s == 'x'")) // string equality
 
 	if !ix.Remove(2) {
@@ -31,12 +31,12 @@ func TestIndexRemove(t *testing.T) {
 	if !sameIDs(got, []int32{1, 3, 4, 5}) {
 		t.Fatalf("match after Remove = %v, want [1 3 4 5]", got)
 	}
-	// Wildcard and fallback removals.
+	// Rest row removals.
 	ix.Remove(3)
 	ix.Remove(4)
 	got = ix.Match(iattrs("a", 4.0, "s", "x"))
 	if !sameIDs(got, []int32{1, 5}) {
-		t.Fatalf("match after wild/fallback Remove = %v, want [1 5]", got)
+		t.Fatalf("match after rest Remove = %v, want [1 5]", got)
 	}
 	// Re-adding a removed id resurrects it.
 	ix.Add(2, MustParse("a < 8"))
@@ -87,7 +87,7 @@ func TestIndexChurnEquivalenceRandom(t *testing.T) {
 		case 2:
 			return MustParse(fmt.Sprintf("A1 > %.2f || A2 <= %.2f", 10*r.Float64(), 10*r.Float64()))
 		case 3:
-			return MustParse(fmt.Sprintf("A1 != %.2f", 10*r.Float64())) // fallback
+			return MustParse(fmt.Sprintf("A1 != %.2f", 10*r.Float64())) // rest
 		case 4:
 			return nil // wildcard
 		default:
@@ -155,39 +155,40 @@ func TestIndexChurnEquivalenceRandom(t *testing.T) {
 }
 
 // TestIndexTouchedListsOnly pins the churn fix the rewrite keeps
-// visible: only the predicate lists an Add actually lands in are ever
-// merged (the old implementation re-sorted all four operator maps'
-// lists on every Add), and wildcard/fallback adds touch no list.
+// visible: only the width class an Add actually lands in is ever merged
+// (the old implementation re-sorted every list on every Add), and rest
+// rows touch no class.
 func TestIndexTouchedListsOnly(t *testing.T) {
 	ix := NewIndex()
-	// Seed a list on attribute "b" and force it fully merged.
+	// Seed a class on attribute "b" and force it fully merged.
 	for i := 0; i < 40; i++ {
-		ix.Add(int32(i), MustParse(fmt.Sprintf("b < %d", i)))
+		ix.Add(int32(i), MustParse(fmt.Sprintf("b > %d && b < %d.5", i, i)))
 	}
 	ix.Flush()
-	bTail := len(ix.lt["b"].tailBounds)
-	if bTail != 0 {
-		t.Fatalf("b tail = %d after Flush, want 0", bTail)
+	b := ix.iv["b"]
+	if len(b) != 1 || len(b[0].tailBounds) != 0 {
+		t.Fatalf("b has %d classes after Flush, want 1 with an empty tail", len(b))
 	}
 	merges := ix.merges
 
-	// Wildcard and fallback adds: no list touched, no merges anywhere.
+	// Wildcard, != and one-sided adds: rest rows, no merges anywhere.
 	ix.Add(1000, nil)
 	ix.Add(1001, MustParse("a != 3"))
-	if ix.merges != merges {
-		t.Fatalf("wildcard/fallback adds caused %d merges", ix.merges-merges)
+	ix.Add(1002, MustParse("a < 3"))
+	if ix.merges != merges || len(ix.restRows) != 3 {
+		t.Fatalf("rest adds caused %d merges and %d rest rows", ix.merges-merges, len(ix.restRows))
 	}
 
-	// A burst of adds on attribute "a" may merge a's list but must leave
+	// A burst of adds on attribute "a" may merge a's class but must leave
 	// b's run untouched.
-	bLen := len(ix.lt["b"].bounds)
+	bLen := len(b[0].bounds)
 	for i := 0; i < 100; i++ {
-		ix.Add(int32(2000+i), MustParse(fmt.Sprintf("a < %d", i)))
+		ix.Add(int32(2000+i), MustParse(fmt.Sprintf("a > %d && a < %d.5", i, i)))
 	}
-	if got := len(ix.lt["b"].bounds); got != bLen {
+	if got := len(b[0].bounds); got != bLen {
 		t.Fatalf("adds on 'a' modified 'b' run: %d -> %d", bLen, got)
 	}
-	if got := len(ix.lt["b"].tailBounds); got != 0 {
+	if got := len(b[0].tailBounds); got != 0 {
 		t.Fatalf("adds on 'a' grew 'b' tail: %d", got)
 	}
 	if ix.merges == merges {
@@ -240,14 +241,17 @@ func TestIndexMatchWithConcurrent(t *testing.T) {
 
 // TestIndexRemoveCompacts checks that heavy removal triggers the
 // tombstone sweep (dead conjunction count returns to zero) and matching
-// stays correct through it.
+// stays correct through it, and that the rest scan sheds its killed
+// rows the same way.
 func TestIndexRemoveCompacts(t *testing.T) {
 	ix := NewIndex()
 	for i := 0; i < 500; i++ {
-		ix.Add(int32(i), MustParse(fmt.Sprintf("A1 < %d", i)))
+		ix.Add(int32(i), MustParse(fmt.Sprintf("A1 > %d && A1 < 1000", i)))
+		ix.Add(int32(1000+i), MustParse(fmt.Sprintf("A1 < %d", i)))
 	}
 	for i := 0; i < 400; i++ {
 		ix.Remove(int32(i))
+		ix.Remove(int32(1000 + i))
 	}
 	// Compaction triggers whenever dead conjunctions outnumber live ones
 	// (past a floor of 64); only a sub-threshold residual may remain.
@@ -258,9 +262,15 @@ func TestIndexRemoveCompacts(t *testing.T) {
 	if len(ix.conjs) > 2*ix.liveConjs+64 {
 		t.Fatalf("conjs slab %d for %d live: tombstones not being swept", len(ix.conjs), ix.liveConjs)
 	}
+	if len(ix.restRows) > 2*(len(ix.restRows)-ix.deadRest) {
+		t.Fatalf("rest holds %d rows for %d live: killed rows not being swept", len(ix.restRows), len(ix.restRows)-ix.deadRest)
+	}
 	got := ix.Match(iattrs("A1", 450.0))
-	want := make([]int32, 0, 49)
-	for i := int32(451); i < 500; i++ {
+	var want []int32
+	for i := int32(400); i < 450; i++ {
+		want = append(want, i)
+	}
+	for i := int32(1451); i < 1500; i++ {
 		want = append(want, i)
 	}
 	if !sameIDs(got, want) {

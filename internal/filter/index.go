@@ -14,51 +14,33 @@ type Iterable interface {
 	Each(fn func(name string, v Value))
 }
 
-// Index is a predicate-counting matching index over a set of filters —
-// the classic content-based pub/sub matching structure (Siena's counting
-// algorithm), with one rule: a conjunction is *posted* under a subset of
-// its predicates, a message's attributes select the satisfied postings,
-// and the conjunction is decided from flat memory the posting leads to.
+// Index is a matching index over a set of filters — the classic
+// content-based pub/sub structure, with one rule: a conjunction is
+// *posted* under one of its predicates, its *access predicate*, a
+// message's attributes select the postings that hold, and the
+// conjunction is decided from flat memory the posting leads to.
 //
-// Which subset: a conjunction's *access predicate* when it has a
-// selective one, else all of them.
-//
-//   - An equality (numeric or string) is posted alone, in a hash map per
+//   - An equality (numeric or string) is posted in a hash map per
 //     attribute: a message value selects exactly the conjunctions that
 //     name it.
 //   - Else the narrowest finite two-sided numeric range the conjunction
-//     puts on one attribute ("A1 > a && A1 < a+w") is posted alone, by
-//     its lower bound, in that attribute's list for the range's *width
-//     class* e = Frexp(hi−lo), clamped to ±ivMaxExp. Every range of
-//     class e is narrower than 2^e, so the ranges of the class that
-//     contain x have their lower bound in [x − 2^e, x]: one binary
-//     search per class, then at most about twice the ranges that really
-//     hold x. Classes keep one wide range among ten thousand narrow ones
-//     from widening everyone's window. The posting carries the range's
-//     upper bound and both strictness bits beside its lower bound, so
-//     the window's over-selection is rejected during the sequential scan.
-//   - A conjunction with neither — the paper's "A1 < x && A2 < y" — has
-//     every predicate posted in per-(attribute, operator) sorted lists
-//     and is proved by its count reaching the number posted
-//     (conjState.needed). This is the part that stays linear in the
-//     table, by nature: a one-sided predicate is true for about half of
-//     any population, so half of each list is bumped to find the few
-//     conjunctions whose every predicate holds. Posting such
-//     conjunctions under one predicate instead does not pay: each of
-//     half the table would then be decided through a conjState and its
-//     residual checks — two scattered loads and a comparison where the
-//     count costs one tally bump, over the same half of the table (the
-//     first such prototype, evaluating whole filters, doubled
-//     BenchmarkChurnMatch/quiet).
+//     puts on one attribute ("A1 > a && A1 < a+w") is posted by its lower
+//     bound, in that attribute's list for the range's *width class*
+//     e = Frexp(hi−lo), clamped to ±ivMaxExp. Every range of class e is
+//     narrower than 2^e, so the ranges of the class that contain x have
+//     their lower bound in [x − 2^e, x]: one binary search per class,
+//     then at most about twice the ranges that really hold x. Classes
+//     keep one wide range among ten thousand narrow ones from widening
+//     everyone's window. The posting carries the range's upper bound and
+//     both strictness bits beside its lower bound, so the window's
+//     over-selection is rejected during the sequential scan.
 //
-// A conjunction posted under its access predicate has one posting, so it
-// needs no count: a posting that holds decides it at once. Whatever else
-// the conjunction says — further ranges, string equalities, !=, string
-// inequalities — is its *residual*, lowered at Add into a run of checks
-// in one flat slab (Index.checks: attribute slot, operator, operand),
-// evaluated against the message resolved by slot (MatchScratch.Resolve,
-// once per match, on the first residual needed). Matching reads no
-// *Filter for a posted conjunction.
+// Whatever else a posted conjunction says — further ranges, string
+// equalities, !=, string inequalities — is its *residual*, lowered at
+// Add into a run of checks in one flat slab (Index.checks: attribute
+// slot, operator, operand), evaluated against the message resolved by
+// slot (MatchScratch.Resolve, once per match, on the first residual
+// needed). Matching reads no *Filter for a posted conjunction.
 //
 // A range posting (ivPost, 32 bytes) carries more than its range: the
 // conjunction's caller id and its first numeric residual predicate
@@ -70,30 +52,34 @@ type Iterable interface {
 // conjunction with more residual goes on to decide. On fanout_match's
 // shape ("A1 > a && A1 < a+w && A2 < b") every posting decides alone.
 //
-// Filters with a conjunction that has no access predicate and holds a
-// predicate the lists cannot count (!=, a string inequality, a NaN
-// bound) — or a residual on an attribute past the slot table's cap —
-// fall back to a linear list of whole filters, so Match is always
-// equivalent to evaluating every filter directly — including on NaN
-// attribute values, which Value.compare places neither below nor above
-// any bound.
+// A filter with a conjunction the index cannot post — one-sided (the
+// paper's "A1 < x && A2 < y"), a wildcard, only != or string
+// inequalities, a NaN bound, or a residual on an attribute past the slot
+// table's cap — is a *rest* row: the whole filter, in one Scan over
+// packed bound columns (scan.go), decided in one branch-free pass per
+// match, with the rows it flags confirmed by Filter.MatchResolved. A
+// one-sided predicate holds for about half of any population, so no
+// posting narrows such filters; a linear pass over float32 columns is
+// the cheapest answer for them. So Match is always equivalent to
+// evaluating every filter directly — including on NaN attribute values,
+// which Value.compare places neither below nor above any bound.
 //
 // The index is built for churn: the subscription population it serves is
 // expected to mutate continuously, so every mutation is incremental and
 // sublinear.
 //
-//   - Add inserts each posting into a small unsorted tail behind its
-//     list's sorted run; a tail is merged into its run only when it
-//     outgrows √n (amortized o(n) per insert). Only the lists a
-//     predicate actually lands in are ever touched: an Add on attribute
-//     "a" never re-sorts attribute "b", and wildcard or fallback adds
-//     touch no list at all.
+//   - Add inserts each range posting into a small unsorted tail behind
+//     its width class's sorted run; a tail is merged into its run only
+//     when it outgrows √n (amortized o(n) per insert). Only the class a
+//     range lands in is ever touched: an Add on attribute "a" never
+//     re-sorts attribute "b", and rest rows touch no class at all.
 //   - Remove(id) tombstones the id's conjunctions through per-id
 //     back-references (id → kind-tagged indices) without touching the
-//     predicate lists — in their state and in the tombstone bitset; the
-//     lists and the check slab are compacted in one O(P) sweep only when
-//     dead conjunctions outnumber live ones, which clears the bitset.
-//   - AddBatch indexes a whole population sorting each touched list
+//     postings — in the tombstone bitset, or by killing the rest row; the
+//     postings and the check slab are compacted in one O(P) sweep only
+//     when dead conjunctions outnumber live ones, which clears the
+//     bitset, and the rest when its dead rows do.
+//   - AddBatch indexes a whole population sorting each touched class
 //     exactly once (the bulk-build path tables use).
 //
 // Matching never mutates the index itself — sorted runs are searched by
@@ -110,27 +96,18 @@ type Index struct {
 	// holds the operands of string checks (check.str indexes it).
 	checks []check
 	strs   []string
-	// wild lists the ids of zero-predicate (wildcard) conjunctions in
-	// add order; they match every message. wildDead tombstones removed
-	// slots (the list compacts when dead outnumber live).
-	wild     []int32
-	wildDead []bool
-	deadWild int
-	// per-attribute predicate lists of counted conjunctions: a sorted run
-	// plus an unsorted tail, posting the conjunction index.
-	lt map[string]*boundList[int32] // pred: v < bound  (satisfied: bound > v)
-	le map[string]*boundList[int32] // pred: v <= bound (satisfied: bound >= v)
-	gt map[string]*boundList[int32] // pred: v > bound  (satisfied: bound < v)
-	ge map[string]*boundList[int32] // pred: v >= bound (satisfied: bound <= v)
-	eq map[string]map[float64][]int32
-	se map[string]map[string][]int32 // string equality
+	eq     map[string]map[float64][]int32
+	se     map[string]map[string][]int32 // string equality
 	// iv holds the two-sided ranges posted as access predicates: per
 	// attribute, one list per width class. Made on the first range (most
 	// tables never see one).
 	iv map[string][]*ivClass
 
-	fallback     []fallbackFilter
-	deadFallback int
+	// rest holds the filters the index does not post, row for restRows
+	// entry, in add order; deadRest counts its killed rows.
+	rest     Scan
+	restRows []restRow
+	deadRest int
 
 	// known maps each live id to its first back-reference — what Remove
 	// follows to tombstone without rebuilding — and more holds the rest
@@ -156,7 +133,7 @@ type Index struct {
 	scratch MatchScratch
 
 	// merges counts deferred tail merges (diagnostics; tests assert that
-	// only touched lists ever merge).
+	// only touched classes ever merge).
 	merges int
 }
 
@@ -164,54 +141,48 @@ type Index struct {
 // negative) use the map fallback instead of a multi-megabyte slice.
 const denseLimit = 1 << 20
 
-// conjState is one posted conjunction. needed is the number of its
-// predicates that were posted — one for an access posting; Remove zeroes
-// it, and a count, which starts at one, never completes at zero, so
-// tombstoned conjunctions keep counting but never emit. res and nres
-// locate its residual checks in Index.checks (all but the one a range
-// posting carries).
+// conjState is one posted conjunction: the caller's id for the owning
+// filter, and where its residual checks are in Index.checks (all but the
+// one a range posting carries). Remove tombstones it in Index.dead.
 type conjState struct {
-	id     int32 // caller's id for the owning filter
-	needed int32
-	res    int32
-	nres   int32
+	id   int32
+	res  int32
+	nres int32
 }
 
-// ref is one back-reference of an id: an index into Index.conjs, wild or
-// fallback, with the kind of structure in its low two bits.
+// restRow is one filter of the rest scan and the caller's id for it.
+type restRow struct {
+	id int32
+	f  *Filter
+}
+
+// ref is one back-reference of an id: an index into Index.conjs or
+// Index.restRows, with the kind of structure in its low bit.
 type ref uint32
 
 const (
 	refConj ref = iota
-	refWild
-	refFallback
+	refRest
 )
 
-func mkRef(kind ref, i int) ref { return ref(i)<<2 | kind }
-func (r ref) kind() ref         { return r & 3 }
-func (r ref) index() int32      { return int32(r >> 2) }
+func mkRef(kind ref, i int) ref { return ref(i)<<1 | kind }
+func (r ref) kind() ref         { return r & 1 }
+func (r ref) index() int32      { return int32(r >> 1) }
 
-// boundList is one predicate list: postings sorted by bound plus an
-// unsorted insertion tail. The tail is merged into the run when it
-// outgrows √(run length), so inserts stay cheap and lookups stay
-// logarithmic plus a bounded linear scan. A counted list posts the
-// conjunction index (P = int32), a width class a whole range (ivPost).
-type boundList[P any] struct {
+// ivClass is one attribute's ranges of one width class: postings sorted
+// by lower bound plus an unsorted insertion tail, merged into the run
+// when it outgrows √(run length), so inserts stay cheap and lookups stay
+// logarithmic plus a bounded linear scan. Every range in it is narrower
+// than span, a power of two — except that the top class (2^ivMaxExp and
+// everything wider) has span +Inf, and the bottom one takes everything
+// narrower, empty ranges included.
+type ivClass struct {
 	bounds []float64
-	post   []P
+	post   []ivPost
 	// unsorted tail of recent inserts
 	tailBounds []float64
-	tailPost   []P
-}
-
-// ivClass is one attribute's ranges of one width class, listed by lower
-// bound: every range in it is narrower than span, a power of two —
-// except that the top class (2^ivMaxExp and everything wider) has span
-// +Inf, and the bottom one takes everything narrower, empty ranges
-// included.
-type ivClass struct {
-	boundList[ivPost]
-	span float64
+	tailPost   []ivPost
+	span       float64
 }
 
 // ivPost is a range posting beside its lower bound: the upper bound, the
@@ -259,18 +230,9 @@ func (p *ivPost) holds(lo, x float64) bool {
 // grow to 81 whatever widths remote subscribers choose.
 const ivMaxExp = 40
 
-type fallbackFilter struct {
-	id int32
-	f  *Filter
-}
-
 // NewIndex returns an empty index.
 func NewIndex() *Index {
 	return &Index{
-		lt:    make(map[string]*boundList[int32]),
-		le:    make(map[string]*boundList[int32]),
-		gt:    make(map[string]*boundList[int32]),
-		ge:    make(map[string]*boundList[int32]),
 		eq:    make(map[string]map[float64][]int32),
 		se:    make(map[string]map[string][]int32),
 		known: make(map[int32]ref),
@@ -278,8 +240,7 @@ func NewIndex() *Index {
 	}
 }
 
-// Len returns the number of distinct live filter ids (indexed +
-// wildcard + fallback).
+// Len returns the number of distinct live filter ids (posted or rest).
 func (ix *Index) Len() int { return len(ix.known) }
 
 // note records one back-reference of an id and keeps the dense-id
@@ -302,9 +263,9 @@ func (ix *Index) note(id int32, r ref) {
 
 // Add registers a filter under the caller's id. Ids may repeat (a
 // subscription re-added is matched once per Match call regardless).
-// Amortized cost is sublinear: each posting lands in its list's
+// Amortized cost is sublinear: a range posting lands in its class's
 // unsorted tail, and a tail is merged only when it outgrows √n — no
-// other list is touched.
+// other class is touched.
 //
 // Mutations (Add, AddBatch, Remove) must be serialized with each other
 // and exclude concurrent matchers.
@@ -313,7 +274,7 @@ func (ix *Index) Add(id int32, f *Filter) {
 }
 
 // AddBatch registers many filters at once, deferring every run merge so
-// each touched list is sorted exactly once at the end — the bulk-build
+// each touched class is sorted exactly once at the end — the bulk-build
 // path. ids and filters are parallel slices.
 func (ix *Index) AddBatch(ids []int32, filters []*Filter) {
 	if len(ids) != len(filters) {
@@ -325,28 +286,46 @@ func (ix *Index) AddBatch(ids []int32, filters []*Filter) {
 	ix.Flush()
 }
 
-func (ix *Index) addOne(id int32, f *Filter, batch bool) {
-	if f == nil || f.root == nil {
-		// Wildcard: a conjunction with zero predicates always matches.
-		// No bound list is touched.
-		ix.note(id, mkRef(refWild, len(ix.wild)))
-		ix.wild = append(ix.wild, id)
-		ix.wildDead = append(ix.wildDead, false)
-		return
+// Posts reports whether an index posts every conjunction of f under an
+// access predicate, rather than keeping f as a row of its rest scan.
+func Posts(f *Filter) bool {
+	if f == nil {
+		return false
 	}
-	dnf := f.DNF()
+	switch n := f.root.(type) {
+	case nil:
+		return false
+	case conjNode: // the common shapes, without DNF's allocation
+		return postable(n.preds)
+	case predNode:
+		return postable([]Predicate{n.p})
+	}
+	return posts(f.DNF())
+}
+
+func posts(dnf [][]Predicate) bool {
 	for _, conj := range dnf {
 		if !postable(conj) {
-			// Linear fallback evaluates the whole filter once; again no
-			// bound list is touched.
-			ix.note(id, mkRef(refFallback, len(ix.fallback)))
-			ix.fallback = append(ix.fallback, fallbackFilter{id: id, f: f})
-			return
+			return false
 		}
+	}
+	return len(dnf) > 0
+}
+
+func (ix *Index) addOne(id int32, f *Filter, batch bool) {
+	var dnf [][]Predicate
+	if f != nil && f.root != nil {
+		dnf = f.DNF()
+	}
+	if !posts(dnf) {
+		ix.note(id, mkRef(refRest, len(ix.restRows)))
+		ix.rest.Add(f)
+		ix.restRows = append(ix.restRows, restRow{id: id, f: f})
+		return
 	}
 	for _, conj := range dnf {
 		ci := int32(len(ix.conjs))
-		c := conjState{id: id, needed: 1, res: int32(len(ix.checks))}
+		c := conjState{id: id, res: int32(len(ix.checks))}
 		switch acc := accessOf(conj); acc.kind {
 		case accessEq:
 			ix.postEq(&conj[acc.pred], ci)
@@ -361,13 +340,6 @@ func (ix *Index) addOne(id int32, f *Filter, batch bool) {
 			c.nres = ix.lower(conj, acc, k)
 			p.alone = c.nres == 0
 			ix.postRange(conj[acc.pred].Attr, acc, p, batch)
-		default:
-			// Numeric inequalities only: an equality would have been the
-			// access predicate, anything else sent the filter to fallback.
-			c.needed = int32(len(conj))
-			for i := range conj {
-				ix.insert(ix.opMap(conj[i].Op), conj[i].Attr, conj[i].Val.Num, ci, batch)
-			}
 		}
 		ix.conjs = append(ix.conjs, c)
 		if int(ci)>>6 == len(ix.dead) {
@@ -392,7 +364,7 @@ type access struct {
 type accessKind uint8
 
 const (
-	accessNone  accessKind = iota // no selective predicate: post and count them all
+	accessNone  accessKind = iota // no selective predicate: a rest row
 	accessEq                      // an equality, posted alone
 	accessRange                   // the narrowest finite two-sided range, posted alone
 )
@@ -478,30 +450,17 @@ func (a *access) absorbs(conj []Predicate, i int) bool {
 func nanBound(p *Predicate) bool { return p.Val.Kind == Number && p.Val.Num != p.Val.Num }
 
 // postable reports whether a conjunction can be posted: under its access
-// predicate with every residual on an attribute the slot table holds, or
-// counted whole.
+// predicate, with every residual on an attribute the slot table holds.
 func postable(conj []Predicate) bool {
 	acc := accessOf(conj)
 	if acc.kind == accessNone {
-		return countable(conj)
+		return false
 	}
 	for i := range conj {
 		if !acc.absorbs(conj, i) {
 			if _, ok := internSlot(conj[i].Attr); !ok {
 				return false
 			}
-		}
-	}
-	return true
-}
-
-// countable reports whether every predicate of a conjunction can be
-// posted in the counting lists.
-func countable(conj []Predicate) bool {
-	for i := range conj {
-		p := &conj[i]
-		if p.Op == NE || (p.Val.Kind == String && p.Op != EQ) || nanBound(p) {
-			return false
 		}
 	}
 	return true
@@ -589,94 +548,63 @@ func (ix *Index) postRange(attr string, acc access, p ivPost, batch bool) {
 	c.add(ix, acc.lo, p, batch)
 }
 
-// opMap returns the bound-list map for an inequality operator.
-func (ix *Index) opMap(op Op) map[string]*boundList[int32] {
-	switch op {
-	case LT:
-		return ix.lt
-	case LE:
-		return ix.le
-	case GT:
-		return ix.gt
-	case GE:
-		return ix.ge
-	}
-	panic("filter: not an indexable inequality op")
-}
-
-// insert posts one inequality predicate in its (attribute, operator)
-// list.
-func (ix *Index) insert(m map[string]*boundList[int32], attr string, bound float64, ci int32, batch bool) {
-	bl := m[attr]
-	if bl == nil {
-		bl = &boundList[int32]{}
-		m[attr] = bl
-	}
-	bl.add(ix, bound, ci, batch)
-}
-
-// add appends one posting to the list's tail, merging when the tail
+// add appends one posting to the class's tail, merging when the tail
 // outgrows √(run length) — unless the caller batches, in which case the
 // merge is deferred to Flush.
-func (bl *boundList[P]) add(ix *Index, bound float64, p P, batch bool) {
-	bl.tailBounds = append(bl.tailBounds, bound)
-	bl.tailPost = append(bl.tailPost, p)
-	if !batch && bl.tailOverflow() {
-		bl.merge(ix)
+func (c *ivClass) add(ix *Index, bound float64, p ivPost, batch bool) {
+	c.tailBounds = append(c.tailBounds, bound)
+	c.tailPost = append(c.tailPost, p)
+	if !batch && c.tailOverflow() {
+		c.merge(ix)
 	}
 }
 
 // tailOverflow reports whether the tail has outgrown √(run length).
-// Small lists merge eagerly past a constant floor so lookups on young
+// Small classes merge eagerly past a constant floor so lookups on young
 // attributes stay mostly-sorted.
-func (bl *boundList[P]) tailOverflow() bool {
-	t := len(bl.tailBounds)
+func (c *ivClass) tailOverflow() bool {
+	t := len(c.tailBounds)
 	if t < 16 {
 		return false
 	}
-	return t*t > len(bl.bounds)
+	return t*t > len(c.bounds)
 }
 
 // merge folds the unsorted tail into the sorted run: sort the tail, then
 // one backward in-place merge — O(n + t log t), the single sort this
-// list pays for the last t inserts.
-func (bl *boundList[P]) merge(ix *Index) {
-	t := len(bl.tailBounds)
+// class pays for the last t inserts.
+func (c *ivClass) merge(ix *Index) {
+	t := len(c.tailBounds)
 	if t == 0 {
 		return
 	}
 	ix.merges++
-	sort.Sort(byBound[P]{bl.tailBounds, bl.tailPost})
-	n := len(bl.bounds)
-	bl.bounds = append(bl.bounds, bl.tailBounds...)
-	bl.post = append(bl.post, bl.tailPost...)
+	sort.Sort(byBound{c.tailBounds, c.tailPost})
+	n := len(c.bounds)
+	c.bounds = append(c.bounds, c.tailBounds...)
+	c.post = append(c.post, c.tailPost...)
 	// Backward merge: dest k always sits at or beyond read index i, so
 	// writing into the same array is safe.
 	i, j := n-1, t-1
 	for k := n + t - 1; j >= 0; k-- {
-		if i >= 0 && bl.bounds[i] > bl.tailBounds[j] {
-			bl.bounds[k] = bl.bounds[i]
-			bl.post[k] = bl.post[i]
+		if i >= 0 && c.bounds[i] > c.tailBounds[j] {
+			c.bounds[k] = c.bounds[i]
+			c.post[k] = c.post[i]
 			i--
 		} else {
-			bl.bounds[k] = bl.tailBounds[j]
-			bl.post[k] = bl.tailPost[j]
+			c.bounds[k] = c.tailBounds[j]
+			c.post[k] = c.tailPost[j]
 			j--
 		}
 	}
-	bl.tailBounds = bl.tailBounds[:0]
-	bl.tailPost = bl.tailPost[:0]
+	c.tailBounds = c.tailBounds[:0]
+	c.tailPost = c.tailPost[:0]
 }
 
 // Flush merges every pending tail into its sorted run (each touched
-// list sorted once). AddBatch calls it; callers that interleave Add
+// class sorted once). AddBatch calls it; callers that interleave Add
 // bursts with latency-critical matching may call it at a quiet moment.
 func (ix *Index) Flush() {
-	for _, m := range []map[string]*boundList[int32]{ix.lt, ix.le, ix.gt, ix.ge} {
-		for _, bl := range m {
-			bl.merge(ix)
-		}
-	}
 	for _, classes := range ix.iv {
 		for _, c := range classes {
 			c.merge(ix)
@@ -684,11 +612,11 @@ func (ix *Index) Flush() {
 	}
 }
 
-// Remove deletes every registration of an id — indexed conjunctions,
-// wildcards and fallbacks — and reports whether the id was present.
-// Conjunctions are tombstoned through the id's back-references without
-// touching the predicate lists; lists are compacted in one sweep only
-// when dead conjunctions outnumber live ones.
+// Remove deletes every registration of an id — posted conjunctions and
+// rest rows — and reports whether the id was present. Both are
+// tombstoned through the id's back-references without touching the
+// postings; postings are compacted in one sweep only when dead
+// conjunctions outnumber live ones, and the rest when its dead rows do.
 func (ix *Index) Remove(id int32) bool {
 	r, ok := ix.known[id]
 	if !ok {
@@ -702,11 +630,8 @@ func (ix *Index) Remove(id int32) bool {
 			ix.drop(r)
 		}
 	}
-	if ix.deadWild*2 > len(ix.wild) {
-		ix.compactWild()
-	}
-	if ix.deadFallback*2 > len(ix.fallback) {
-		ix.compactFallback()
+	if ix.deadRest*2 > len(ix.restRows) {
+		ix.compactRest()
 	}
 	if ix.deadConjs > 64 && ix.deadConjs > ix.liveConjs {
 		ix.compact()
@@ -716,24 +641,19 @@ func (ix *Index) Remove(id int32) bool {
 
 // drop tombstones what one back-reference points at.
 func (ix *Index) drop(r ref) {
-	switch i := r.index(); r.kind() {
-	case refConj:
-		ix.conjs[i].needed = 0
-		ix.dead[i>>6] |= 1 << (i & 63)
-		ix.liveConjs--
-		ix.deadConjs++
-	case refWild:
-		if !ix.wildDead[i] {
-			ix.wildDead[i] = true
-			ix.deadWild++
-		}
-	case refFallback:
-		if ix.fallback[i].f != nil {
-			ix.fallback[i].f = nil
-			ix.deadFallback++
-		}
+	i := r.index()
+	if r.kind() == refRest {
+		ix.rest.Kill(int(i))
+		ix.deadRest++
+		return
 	}
+	ix.dead[i>>6] |= 1 << (i & 63)
+	ix.liveConjs--
+	ix.deadConjs++
 }
+
+// deadConj reports whether conjunction ci is tombstoned.
+func (ix *Index) deadConj(ci int32) bool { return ix.dead[ci>>6]&(1<<(ci&63)) != 0 }
 
 // moveRef rewrites an id's back-reference when compaction moves the slot
 // it points at.
@@ -745,41 +665,24 @@ func (ix *Index) moveRef(id int32, from, to ref) {
 	}
 }
 
-// compactWild squeezes tombstoned wildcard slots out, rewriting the
-// surviving ids' back-references (add order preserved; a slot only
-// moves down, so a rewritten reference never collides with one still
-// to be rewritten).
-func (ix *Index) compactWild() {
+// compactRest squeezes the killed rows out of the rest scan, rewriting
+// the surviving ids' back-references (add order preserved; a row only
+// moves down, so a rewritten reference never collides with one still to
+// be rewritten).
+func (ix *Index) compactRest() {
 	k := 0
-	for i, id := range ix.wild {
-		if ix.wildDead[i] {
+	for i, row := range ix.restRows {
+		if ix.rest.state[i] == rowDead {
 			continue
 		}
-		ix.moveRef(id, mkRef(refWild, i), mkRef(refWild, k))
-		ix.wild[k] = id
-		ix.wildDead[k] = false
+		ix.moveRef(row.id, mkRef(refRest, i), mkRef(refRest, k))
+		ix.restRows[k] = row
 		k++
 	}
-	ix.wild = ix.wild[:k]
-	ix.wildDead = ix.wildDead[:k]
-	ix.deadWild = 0
-}
-
-// compactFallback squeezes tombstoned fallback slots out, rewriting the
-// surviving ids' back-references (add order preserved).
-func (ix *Index) compactFallback() {
-	k := 0
-	for i, fb := range ix.fallback {
-		if fb.f == nil {
-			continue
-		}
-		ix.moveRef(fb.id, mkRef(refFallback, i), mkRef(refFallback, k))
-		ix.fallback[k] = fb
-		k++
-	}
-	clear(ix.fallback[k:])
-	ix.fallback = ix.fallback[:k]
-	ix.deadFallback = 0
+	clear(ix.restRows[k:])
+	ix.restRows = ix.restRows[:k]
+	ix.rest.Compact()
+	ix.deadRest = 0
 }
 
 // compact squeezes tombstoned conjunctions out of every structure in one
@@ -790,7 +693,7 @@ func (ix *Index) compact() {
 	remap := make([]int32, len(ix.conjs))
 	live, nc, ns := int32(0), int32(0), int32(0)
 	for i, c := range ix.conjs {
-		if c.needed == 0 {
+		if ix.deadConj(int32(i)) {
 			remap[i] = -1
 			continue
 		}
@@ -817,17 +720,8 @@ func (ix *Index) compact() {
 	clear(ix.strs[ns:])
 	ix.strs = ix.strs[:ns]
 
-	counted := func(p *int32) *int32 { return p }
-	for _, m := range []map[string]*boundList[int32]{ix.lt, ix.le, ix.gt, ix.ge} {
-		for attr, bl := range m {
-			if bl.compact(ix, remap, counted) == 0 {
-				delete(m, attr)
-			}
-		}
-	}
-	ranged := func(p *ivPost) *int32 { return &p.ci }
 	for attr, classes := range ix.iv {
-		classes = slices.DeleteFunc(classes, func(c *ivClass) bool { return c.compact(ix, remap, ranged) == 0 })
+		classes = slices.DeleteFunc(classes, func(c *ivClass) bool { return c.compact(ix, remap) == 0 })
 		if len(classes) == 0 {
 			delete(ix.iv, attr)
 		} else {
@@ -852,25 +746,24 @@ func (ix *Index) compact() {
 	ix.deadConjs = 0
 }
 
-// compact drops the list's tombstoned postings and renumbers the rest
-// (ci locates a posting's conjunction index), returning how many
-// survive.
-func (bl *boundList[P]) compact(ix *Index, remap []int32, ci func(*P) *int32) int {
-	if len(bl.tailBounds) > 0 {
-		bl.merge(ix) // fold the tail first so one filtered run remains
-		ix.merges--  // bookkeeping merge, not an insert-driven one
+// compact drops the class's tombstoned postings and renumbers the rest,
+// returning how many survive.
+func (c *ivClass) compact(ix *Index, remap []int32) int {
+	if len(c.tailBounds) > 0 {
+		c.merge(ix) // fold the tail first so one filtered run remains
+		ix.merges-- // bookkeeping merge, not an insert-driven one
 	}
 	k := 0
-	for i := range bl.bounds {
-		if nc := remap[*ci(&bl.post[i])]; nc >= 0 {
-			bl.bounds[k] = bl.bounds[i]
-			bl.post[k] = bl.post[i]
-			*ci(&bl.post[k]) = nc
+	for i := range c.bounds {
+		if nc := remap[c.post[i].ci]; nc >= 0 {
+			c.bounds[k] = c.bounds[i]
+			c.post[k] = c.post[i]
+			c.post[k].ci = nc
 			k++
 		}
 	}
-	bl.bounds = bl.bounds[:k]
-	bl.post = bl.post[:k]
+	c.bounds = c.bounds[:k]
+	c.post = c.post[:k]
 	return k
 }
 
@@ -907,14 +800,14 @@ func grow[T any](s []T, n int) []T {
 }
 
 // byBound sorts parallel bound/posting slices by bound.
-type byBound[P any] struct {
+type byBound struct {
 	bounds []float64
-	post   []P
+	post   []ivPost
 }
 
-func (s byBound[P]) Len() int           { return len(s.bounds) }
-func (s byBound[P]) Less(i, j int) bool { return s.bounds[i] < s.bounds[j] }
-func (s byBound[P]) Swap(i, j int) {
+func (s byBound) Len() int           { return len(s.bounds) }
+func (s byBound) Less(i, j int) bool { return s.bounds[i] < s.bounds[j] }
+func (s byBound) Swap(i, j int) {
 	s.bounds[i], s.bounds[j] = s.bounds[j], s.bounds[i]
 	s.post[i], s.post[j] = s.post[j], s.post[i]
 }
@@ -927,14 +820,15 @@ func (s byBound[P]) Swap(i, j int) {
 type MatchScratch struct {
 	ix    *Index
 	epoch uint64
-	tally []tally // per conjunction
 	// Output dedup: dense ids stamp a slice, sparse ids a map.
 	emittedAt  []uint64
 	emittedMap map[int32]uint64
 	out        []int32
+	// rows is ScanRows' output.
+	rows []int32
 
 	// The message being matched, and the epoch it was resolved in: the
-	// first conjunction with a residual resolves it.
+	// first conjunction with a residual, or the rest scan, resolves it.
 	msg        Iterable
 	resolvedAt uint64
 
@@ -948,17 +842,9 @@ type MatchScratch struct {
 	resolver  func(name string, v Value)
 }
 
-// tally is one counted conjunction's count of satisfied postings, live
-// while at equals the low word of the scratch's epoch (the tallies are
-// cleared when that word wraps).
-type tally struct {
-	at uint32
-	n  int32
-}
-
 // Match returns the ids whose filters match the attributes, each at most
-// once: indexed conjunctions as they are decided, then wildcards in add
-// order, then fallback filters in add order.
+// once: posted conjunctions as they are decided, then rest rows in add
+// order.
 //
 // The returned slice is a buffer owned by the index, valid until the
 // next Match call. Callers may reorder it in place but must not append
@@ -977,10 +863,6 @@ func (ix *Index) MatchWith(s *MatchScratch, a Iterable) []int32 {
 		s.visitor = s.visit
 	}
 	s.epoch++
-	if uint32(s.epoch) == 0 {
-		clear(s.tally[:cap(s.tally)])
-	}
-	s.tally = grow(s.tally, len(ix.conjs))
 	if ix.dense {
 		s.emittedAt = grow(s.emittedAt, int(ix.maxID)+1)
 	} else if s.emittedMap == nil {
@@ -989,28 +871,25 @@ func (ix *Index) MatchWith(s *MatchScratch, a Iterable) []int32 {
 	s.out = s.out[:0]
 	a.Each(s.visitor)
 
-	// Zero-predicate conjunctions (wildcards) match everything.
-	for i, id := range ix.wild {
-		if !ix.wildDead[i] {
-			s.emit(id)
+	if len(ix.restRows) > ix.deadRest {
+		if s.resolvedAt != s.epoch {
+			s.resolve()
 		}
-	}
-
-	// Fallback filters evaluate directly (nil = tombstoned by Remove).
-	for i := range ix.fallback {
-		if ix.fallback[i].f != nil && ix.fallback[i].f.Match(a) {
-			s.emit(ix.fallback[i].id)
+		for _, r := range s.ScanRows(&ix.rest) {
+			row := &ix.restRows[r>>1]
+			if r&1 == 0 || row.f.MatchResolved(s, a) {
+				s.emit(row.id)
+			}
 		}
 	}
 	s.msg = nil
 	return s.out
 }
 
-// visit processes one message attribute: it bumps the counted
-// conjunction of every satisfied inequality posting (binary search over
-// each sorted run, linear scan over its √n-bounded tail) and decides the
-// access-posted conjunction of every equality posting it selects and
-// every range posting that holds it.
+// visit processes one message attribute: it decides the conjunction of
+// every equality posting it selects and every range posting that holds
+// it (binary search over each class's sorted run, linear scan over its
+// √n-bounded tail).
 func (s *MatchScratch) visit(name string, v Value) {
 	ix := s.ix
 	if v.Kind != Number {
@@ -1023,48 +902,6 @@ func (s *MatchScratch) visit(name string, v Value) {
 	if x != x {
 		s.visitNaN(name)
 		return
-	}
-	if bl := ix.lt[name]; bl != nil {
-		// Satisfied: bound > x → suffix starting at first bound > x.
-		i := sort.SearchFloat64s(bl.bounds, x)
-		for ; i < len(bl.bounds) && bl.bounds[i] <= x; i++ {
-		}
-		s.bumpAll(bl.post[i:])
-		for i, b := range bl.tailBounds {
-			if b > x {
-				s.bump(bl.tailPost[i])
-			}
-		}
-	}
-	if bl := ix.le[name]; bl != nil {
-		// Satisfied: bound >= x.
-		s.bumpAll(bl.post[sort.SearchFloat64s(bl.bounds, x):])
-		for i, b := range bl.tailBounds {
-			if b >= x {
-				s.bump(bl.tailPost[i])
-			}
-		}
-	}
-	if bl := ix.gt[name]; bl != nil {
-		// Satisfied: bound < x → prefix below x.
-		s.bumpAll(bl.post[:sort.SearchFloat64s(bl.bounds, x)])
-		for i, b := range bl.tailBounds {
-			if b < x {
-				s.bump(bl.tailPost[i])
-			}
-		}
-	}
-	if bl := ix.ge[name]; bl != nil {
-		// Satisfied: bound <= x → prefix through x.
-		hi := sort.SearchFloat64s(bl.bounds, x)
-		for ; hi < len(bl.bounds) && bl.bounds[hi] == x; hi++ {
-		}
-		s.bumpAll(bl.post[:hi])
-		for i, b := range bl.tailBounds {
-			if b <= x {
-				s.bump(bl.tailPost[i])
-			}
-		}
 	}
 	if m := ix.eq[name]; m != nil {
 		s.decideAll(m[x])
@@ -1095,12 +932,6 @@ func (s *MatchScratch) visit(name string, v Value) {
 // when every predicate it stands for is closed.
 func (s *MatchScratch) visitNaN(name string) {
 	ix := s.ix
-	for _, bl := range [...]*boundList[int32]{ix.le[name], ix.ge[name]} {
-		if bl != nil {
-			s.bumpAll(bl.post)
-			s.bumpAll(bl.tailPost)
-		}
-	}
 	for _, cis := range ix.eq[name] {
 		s.decideAll(cis)
 	}
@@ -1112,25 +943,6 @@ func (s *MatchScratch) visitNaN(name string) {
 				}
 			}
 		}
-	}
-}
-
-func (s *MatchScratch) bumpAll(cis []int32) {
-	for _, ci := range cis {
-		s.bump(ci)
-	}
-}
-
-// bump credits one satisfied posting to a counted conjunction, emitting
-// its id when the count completes.
-func (s *MatchScratch) bump(ci int32) {
-	t := &s.tally[ci]
-	if at := uint32(s.epoch); t.at != at {
-		*t = tally{at: at}
-	}
-	t.n++
-	if c := &s.ix.conjs[ci]; t.n == c.needed {
-		s.emit(c.id)
 	}
 }
 
@@ -1155,7 +967,7 @@ func (s *MatchScratch) settle(p *ivPost) {
 	}
 	if !p.alone {
 		s.decide(p.ci)
-	} else if s.ix.dead[p.ci>>6]&(1<<(p.ci&63)) == 0 {
+	} else if !s.ix.deadConj(p.ci) {
 		s.emit(p.id)
 	}
 }
@@ -1173,10 +985,10 @@ func (s *MatchScratch) resolve() {
 // not repeat).
 func (s *MatchScratch) decide(ci int32) {
 	ix := s.ix
-	c := &ix.conjs[ci]
-	if c.needed == 0 {
+	if ix.deadConj(ci) {
 		return
 	}
+	c := &ix.conjs[ci]
 	if c.nres > 0 {
 		if s.resolvedAt != s.epoch {
 			s.resolve()

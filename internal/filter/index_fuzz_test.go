@@ -18,8 +18,9 @@ import (
 //
 // The grammar covers strict, closed and half-open ranges, ranges and
 // equalities with and without residuals (numeric, !=, string equality
-// and string inequality), disjunctions, != filters (the fallback), the
-// one-sided counted form and wildcards; ids repeat. A range posting
+// and string inequality), disjunctions, and the filters the index keeps
+// as rest rows — != filters, the one-sided form and wildcards; ids
+// repeat. A range posting
 // carries its conjunction's first numeric residual inline and, when that
 // is the whole residual, decides alone against the tombstone bitset, so
 // ranges come with two residuals in either order, with a numeric
@@ -66,8 +67,8 @@ const (
 	prodStrEqRes            // s == 'x' and a residual predicate
 	prodEqStrRes            // k == v && s == 'x'
 	prodOr                  // a disjunction of two productions
-	prodNE                  // a != v (fallback)
-	prodCounted             // a one-sided inequality on each of a and b
+	prodNE                  // a != v (a rest row)
+	prodOneSided            // a one-sided inequality on each of a and b (a rest row)
 	prodWild                // nil
 	prodSource              // one of fuzzSources
 	prodRangeNumStr         // a range, a numeric residual, then a string check or !=
@@ -191,7 +192,7 @@ func (in *fuzzInput) filter(depth int) *Filter {
 		return Or(in.filter(depth+1), in.filter(depth+1))
 	case prodNE:
 		return NewPred(in.attr(), NE, Num(in.num()))
-	case prodCounted:
+	case prodOneSided:
 		return And(NewPred("a", Op(in.next()%4), Num(in.num())), NewPred("b", Op(in.next()%4), Num(in.num())))
 	case prodWild:
 		return nil
@@ -439,7 +440,7 @@ func indexFuzzSeeds() [][]byte {
 		{prodEqStrRes, three, 0},                                // k == 3 && s == "x"
 		{prodOr, prodStrict, one, two, prodEq, three},
 		{prodNE, 0, three}, // a != 3
-		{prodCounted, byte(LT), five, byte(LE), five},
+		{prodOneSided, byte(LT), five, byte(LE), five},
 		{prodWild},
 		{prodSource, 11},
 		{prodRangeNumStr, 0, 1, one, two, 1, byte(LT), five, 1, 1, three},      // a > 1 && a <= 2 && b < 5 && b != 3
@@ -484,8 +485,8 @@ func indexFuzzSeeds() [][]byte {
 		next := edges[(k+1)%len(edges)]
 		edge = append(edge,
 			opAdd, byte(k), prodClosed, b, b, // a >= b && a <= b
-			opAdd, byte(k), prodCounted, byte(LT), b, byte(GE), b, // a < b && b >= b
-			opAdd, byte(k+1), prodCounted, byte(GT), b, byte(LE), b, // a > b && b <= b
+			opAdd, byte(k), prodOneSided, byte(LT), b, byte(GE), b, // a < b && b >= b
+			opAdd, byte(k+1), prodOneSided, byte(GT), b, byte(LE), b, // a > b && b <= b
 			opAdd, byte(k+2), prodHalfOpen, 0, b, next) // a >= b && a < next
 	}
 	// Two upper bounds on a, the looser last: a scan column keeps the

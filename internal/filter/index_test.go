@@ -139,7 +139,7 @@ func TestIndexRepeatedEpochsNoBleed(t *testing.T) {
 		t.Errorf("partial 1: %v", got)
 	}
 	if got := ix.Match(iattrs("b", 1.0)); len(got) != 0 {
-		t.Errorf("partial 2 (stale counter?): %v", got)
+		t.Errorf("partial 2 (stale match state?): %v", got)
 	}
 	if got := ix.Match(iattrs("a", 1.0, "b", 1.0)); !sameIDs(got, []int32{1}) {
 		t.Errorf("full: %v", got)
@@ -250,7 +250,7 @@ func TestIndexMatchReusesOutput(t *testing.T) {
 	ix.Add(1, MustParse("a < 5"))
 	ix.Add(2, MustParse("a < 8 && b > 1"))
 	ix.Add(3, nil)                   // wildcard
-	ix.Add(4, MustParse("s != 'x'")) // fallback
+	ix.Add(4, MustParse("s != 'x'")) // rest row
 
 	hit := iattrs("a", 3.0, "b", 2.0, "s", "y")
 	miss := iattrs("a", 9.0, "s", "x")

@@ -24,18 +24,18 @@ import (
 // in one branch-free pass over those columns. MatchResolved stays the
 // one exact evaluator: it confirms the few rows the columns cannot
 // decide (a value within a float32 ulp of a bound, a filter with no
-// program). Every non-indexed routing table source and the publication
-// accounting match this way.
+// program). Routing table sources without an index, the index's own
+// rest rows and the publication accounting match this way.
 //
 // The program costs a filter eight bytes and no allocation: brokers of a
 // live overlay each hold their own decoded copy of every subscription's
 // filter, and a separate (attribute, op, bound) array per copy measured
 // +8% live heap on a 10k-subscription overlay.
 //
-// The counting index (index.go) lowers with the same slots, but into
-// its own slab and only what its postings do not already say: a
-// conjunction's residual, one 16-byte check per predicate (any operator,
-// numeric or string operand). A range posting carries the range's own
+// The match index (index.go) lowers a posted conjunction with the same
+// slots, but into its own slab and only what its posting does not
+// already say: the conjunction's residual, one 16-byte check per
+// predicate (any operator, numeric or string operand). A range posting carries the range's own
 // predicates and the first numeric residual check itself, in 32 bytes
 // (slot, operator and operand beside the range's bounds, the
 // conjunction index and the caller's id), so on fanout_match's shape

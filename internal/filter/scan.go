@@ -220,14 +220,13 @@ func (sc *Scan) Compact() {
 // (s.Resolve, once per message) and returns the rows that may match, in
 // position order: row r is position r>>1, and r&1 is set when the
 // caller must confirm it with the row's Filter.MatchResolved. The slice
-// is owned by the scratch (it is the index's output buffer) and valid
-// until its next match.
+// is owned by the scratch and valid until its next ScanRows.
 //
 // One pass over the rows decides each from its state and every column
 // and writes its entry at the next output slot, which advances only
 // when the row may match: no branch depends on a row's state or bounds.
 func (s *MatchScratch) ScanRows(sc *Scan) []int32 {
-	out := grow(s.out, len(sc.state))
+	out := grow(s.rows, len(sc.state))
 	var vd, vu [maxScanCols]float32
 	w, decided := sc.width, sc.width > 0
 	for c := 0; c < w; c++ {
@@ -259,8 +258,8 @@ func (s *MatchScratch) ScanRows(sc *Scan) []int32 {
 			out[k] = int32(i)<<1 | int32(st>>1^1)
 			k += int(st & 1)
 		}
-		s.out = out[:k]
-		return s.out
+		s.rows = out[:k]
+		return s.rows
 	}
 	// Columns 0 and 1 are read as two runs; a single column stands in
 	// for the second too. Any further column is read by stride.
@@ -284,8 +283,8 @@ func (s *MatchScratch) ScanRows(sc *Scan) []int32 {
 		out[k] = int32(i)<<1 | int32(sure^1)
 		k += int(may)
 	}
-	s.out = out[:k]
-	return s.out
+	s.rows = out[:k]
+	return s.rows
 }
 
 // bracket32 returns down32(x) and up32(x): one conversion and, unless x

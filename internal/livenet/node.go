@@ -299,11 +299,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		for _, e := range cfg.Overlay.Graph.Neighbors(cfg.ID) {
 			means[e.To] = e.Rate.Mean
 		}
-		// Dynamic tables churn by construction (every subscribe or
-		// unsubscribe flood mutates them), so arm the counting-index fast
-		// path up front: mutations keep it current in place.
 		table := routing.NewTable(cfg.ID)
-		table.EnableIndex()
 		pressure := 0
 		if cfg.Admission.Shed {
 			pressure = cfg.Admission.MaxQueue

@@ -115,15 +115,29 @@ func TestAggregatedEquivalenceRandomized(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, tb := range flat {
-			tb.EnableIndex()
-		}
-		for _, tb := range aggTables {
-			tb.EnableIndex()
+		// Both sides match through indexes: the tables start empty, and
+		// every step moves the sources it created to an index (their
+		// filters are one-sided, so Add alone would leave them scanning).
+		indexAll := func() {
+			for _, tb := range flat {
+				tb.EnableIndex()
+			}
+			for _, tb := range aggTables {
+				tb.EnableIndex()
+			}
 		}
 
 		verify := func(step int) {
 			t.Helper()
+			for _, tables := range []map[msg.NodeID]*Table{flat, aggTables} {
+				for nid, tb := range tables {
+					for src, st := range tb.bySource {
+						if st.ix == nil {
+							t.Fatalf("seed %d step %d: broker %d source %d is not on an index", seed, step, nid, src)
+						}
+					}
+				}
+			}
 			for _, ing := range ov.Ingress {
 				for _, a1 := range probes {
 					for _, a2 := range probes {
@@ -168,6 +182,7 @@ func TestAggregatedEquivalenceRandomized(t *testing.T) {
 				InstallSub(flat, ov, s, Options{})
 				agg.Subscribe(s)
 			}
+			indexAll()
 			if step%16 == 15 {
 				verify(step)
 			}
@@ -185,6 +200,7 @@ func TestAggregatedEquivalenceRandomized(t *testing.T) {
 		for _, id := range order {
 			RemoveSubAll(flat, id)
 			agg.Unsubscribe(id)
+			indexAll()
 			verify(-1)
 		}
 		if n := Stats(aggTables).TotalEntries; n != 0 {
@@ -394,12 +410,23 @@ func TestAggregatedMatchDuringMutation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tb := range tables {
-		tb.EnableIndex()
-	}
 	var mu sync.RWMutex
 	static := sub(1, 2, "A1 < 100")
 	agg.Subscribe(static)
+	// The static subscription's one-sided filter leaves its sources on a
+	// scan; EnableIndex moves them to an index, which they keep.
+	onIndex := func() {
+		t.Helper()
+		for _, nid := range []msg.NodeID{0, 2} {
+			if st := tables[nid].bySource[0]; st == nil || st.ix == nil {
+				t.Fatalf("broker %d: source 0 is not on an index", nid)
+			}
+		}
+	}
+	for _, tb := range tables {
+		tb.EnableIndex()
+	}
+	onIndex()
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -465,4 +492,5 @@ func TestAggregatedMatchDuringMutation(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+	onIndex()
 }

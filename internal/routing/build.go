@@ -2,6 +2,7 @@ package routing
 
 import (
 	"fmt"
+	"slices"
 
 	"bdps/internal/filter"
 	"bdps/internal/msg"
@@ -174,10 +175,22 @@ func Build(ov *topology.Overlay, subs []*msg.Subscription, opts Options) (map[ms
 					slab.entries = append(slab.entries, Entry{})
 					e := &slab.entries[len(slab.entries)-1]
 					e.set(r.path, i, sub, src, pathID, r.rate[i])
-					st := tables[at].add(e, slab, r.refs[i])
+					st, _ := tables[at].add(e, slab, r.refs[i])
 					st.scan.AddRow(&rows, j)
 				}
 			}
+		}
+	}
+	// Each source then picks its matcher as Add would have picked it, an
+	// index built in one batch once it holds a filter the index posts —
+	// a pass skipped when no filter posts (a one-sided population).
+	if !slices.ContainsFunc(subs, func(s *msg.Subscription) bool { return filter.Posts(s.Filter) }) {
+		return tables, nil
+	}
+	for i := range sources {
+		st := &sources[i]
+		for j := 0; j < len(st.entries) && st.ix == nil; j++ {
+			st.settle(st.entries[j].Sub.Filter)
 		}
 	}
 	return tables, nil
@@ -291,8 +304,8 @@ func (ins *Installer) paths(src, edge msg.NodeID) [][]msg.NodeID {
 
 // Install adds one subscription's entries at every broker along its
 // delivery paths: for each ingress the same deterministic min-mean path
-// (or K shortest paths) the bulk build would have chosen. Tables with
-// an enabled counting index absorb the additions incrementally.
+// (or K shortest paths) the bulk build would have chosen. Tables absorb
+// the additions incrementally, as Table.Add does.
 // Unreachable (ingress, edge) pairs are skipped, mirroring the live
 // overlay's dynamic flood behavior. Returns the entries installed.
 func (ins *Installer) Install(tables map[msg.NodeID]*Table, sub *msg.Subscription) int {

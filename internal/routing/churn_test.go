@@ -12,8 +12,8 @@ import (
 	"bdps/internal/topology"
 )
 
-// Churn-oriented table tests: Add and RemoveSub must keep the counting
-// index alive and correct — the pre-rework table nil-ed the index on
+// Churn-oriented table tests: Add and RemoveSub must keep each source's
+// matcher alive and correct — the pre-rework table nil-ed the index on
 // every mutation, knocking matching back to a linear scan.
 
 func churnSub(id msg.SubID, edge msg.NodeID, src string) *msg.Subscription {
@@ -21,19 +21,22 @@ func churnSub(id msg.SubID, edge msg.NodeID, src string) *msg.Subscription {
 }
 
 // TestIndexSurvivesMutation is the acceptance assertion: neither Add nor
-// RemoveSub discards the index, and matching through it stays correct
+// RemoveSub discards an index, and matching through it stays correct
 // after both.
 func TestIndexSurvivesMutation(t *testing.T) {
 	tb := NewTable(1)
 	tb.Add(&Entry{Sub: churnSub(1, 2, "A1 < 5"), Source: 0, Next: 2})
+	if tb.bySource[0].ix != nil {
+		t.Fatal("a one-sided filter moved its source to an index")
+	}
 	tb.EnableIndex()
-	if !tb.Indexed() {
-		t.Fatal("EnableIndex did not arm the index")
+	if tb.bySource[0].ix == nil {
+		t.Fatal("EnableIndex did not build the index")
 	}
 
 	tb.Add(&Entry{Sub: churnSub(2, 2, "A1 < 9"), Source: 0, Next: 2})
-	if !tb.Indexed() || tb.bySource[0].ix == nil {
-		t.Fatal("Add discarded the counting index")
+	if tb.bySource[0].ix == nil {
+		t.Fatal("Add discarded the index")
 	}
 	m := &msg.Message{Ingress: 0, Attrs: msg.NumAttrs(map[string]float64{"A1": 7})}
 	if got := tb.Match(m); len(got) != 1 || got[0].Sub.ID != 2 {
@@ -41,8 +44,8 @@ func TestIndexSurvivesMutation(t *testing.T) {
 	}
 
 	tb.RemoveSub(2)
-	if !tb.Indexed() || tb.bySource[0].ix == nil {
-		t.Fatal("RemoveSub discarded the counting index")
+	if tb.bySource[0].ix == nil {
+		t.Fatal("RemoveSub discarded the index")
 	}
 	m2 := &msg.Message{Ingress: 0, Attrs: msg.NumAttrs(map[string]float64{"A1": 3})}
 	if got := tb.Match(m2); len(got) != 1 || got[0].Sub.ID != 1 {
@@ -50,14 +53,19 @@ func TestIndexSurvivesMutation(t *testing.T) {
 	}
 }
 
-// TestTableChurnEquivalence churns an indexed table through random
-// installs and removals (and the slot compactions they force) beside a
-// scan table given the same operations, and checks at every step
-// boundary that both return the same entries in the same order, and the
-// set a freshly built linear table returns. The paper shape is proved by
-// the index's count alone; the fanout shape (the fanout_match workload's
-// range plus a one-sided rider) is posted under its range and verified
-// by its filter.
+// TestTableChurnEquivalence churns two tables through the same random
+// installs and removals (and the slot compactions they force) and checks
+// at every step boundary that each returns exactly the live entries
+// whose filters match, in slot order — per-entry Filter.Match is the
+// oracle. One table picks its sources' matchers itself, and must hold an
+// index in a source exactly from that source's first Add of a filter the
+// index posts on, across compactions; the other has every source moved
+// to an index as soon as it exists (EnableIndex). The paper shape is
+// one-sided, so the first scans it and the second keeps it in its
+// index's rest scan; the fanout shape (the fanout_match workload's range
+// plus a one-sided rider) is posted under its range; the mixed shape
+// puts rare ranges and equalities beside one-sided, match-all and !=
+// filters, so sources start on a scan and move.
 func TestTableChurnEquivalence(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -71,6 +79,22 @@ func TestTableChurnEquivalence(t *testing.T) {
 			a, w := 10*r.Float64(), []float64{0.04, 0.5, 3}[r.Intn(3)]
 			return fmt.Sprintf("A1 > %.3f && A1 < %.3f && A2 < %.2f", a, a+w, 10*r.Float64())
 		}},
+		{"mixed", 4000, func(r *rand.Rand) string {
+			switch a := 10 * r.Float64(); r.Intn(16) {
+			case 0:
+				return fmt.Sprintf("A1 > %.3f && A1 < %.3f && A2 < %.2f", a, a+1, 10*r.Float64())
+			case 1:
+				return fmt.Sprintf("K == %d && A2 >= %.2f", r.Intn(4), a)
+			case 2, 3:
+				return "true"
+			case 4, 5:
+				return fmt.Sprintf("K != %d && A1 < %.2f", r.Intn(4), a)
+			case 6, 7:
+				return fmt.Sprintf("A1 >= %.2f", a)
+			default:
+				return fmt.Sprintf("A1 < %.2f && A2 <= %.2f", a, 10*r.Float64())
+			}
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) { tableChurnEquivalence(t, tc.steps, tc.filter) })
 	}
@@ -78,45 +102,60 @@ func TestTableChurnEquivalence(t *testing.T) {
 
 func tableChurnEquivalence(t *testing.T, steps int, mkFilter func(*rand.Rand) string) {
 	r := rand.New(rand.NewSource(9))
-	tb, scan := NewTable(0), NewTable(0)
-	tb.EnableIndex()
+	chosen, forced := NewTable(0), NewTable(0)
 	live := map[msg.SubID]*msg.Subscription{}
 	nextID := msg.SubID(0)
 	sources := []msg.NodeID{0, 1}
+	// posted[src]: chosen's source src has been given a filter the index
+	// posts since it was created.
+	posted := map[msg.NodeID]bool{}
+	indexedSteps, scannedSteps := 0, 0
 
-	check := func(step int) {
-		ref := NewTable(0)
-		for _, s := range live {
-			for _, src := range sources {
-				ref.Add(&Entry{Sub: s, Source: src, Next: 5})
+	// matchers asserts the index rule on every source of both tables.
+	matchers := func(step int) {
+		for _, src := range sources {
+			st := chosen.bySource[src]
+			if st == nil {
+				posted[src] = false
+				continue
+			}
+			if (st.ix != nil) != posted[src] {
+				t.Fatalf("step %d: source %d holds an index = %v, posted filter added = %v", step, src, st.ix != nil, posted[src])
+			}
+			if st.ix != nil {
+				indexedSteps++
+			} else {
+				scannedSteps++
+			}
+			if st := forced.bySource[src]; st == nil || st.ix == nil {
+				t.Fatalf("step %d: forced source %d lost its index", step, src)
 			}
 		}
+	}
+	check := func(step int) {
 		matched := 0
 		for trial := 0; trial < 5; trial++ {
 			m := &msg.Message{
 				Ingress: sources[r.Intn(len(sources))],
 				Attrs: msg.NumAttrs(map[string]float64{
-					"A1": 10 * r.Float64(), "A2": 10 * r.Float64(),
+					"A1": 10 * r.Float64(), "A2": 10 * r.Float64(), "K": float64(r.Intn(4)),
 				}),
 			}
-			got := tb.Match(m)
-			matched += len(got)
-			if !slices.Equal(got, scan.Match(m)) {
-				t.Fatalf("step %d: indexed table and scan table disagree on entries or order", step)
-			}
-			want := ref.Match(m)
-			if len(got) != len(want) {
-				t.Fatalf("step %d: indexed churned table matched %d, linear rebuild %d",
-					step, len(got), len(want))
-			}
-			seen := map[msg.SubID]bool{}
-			for _, e := range got {
-				seen[e.Sub.ID] = true
-			}
-			for _, e := range want {
-				if !seen[e.Sub.ID] {
-					t.Fatalf("step %d: sub %d missing from churned table", step, e.Sub.ID)
+			var want []*Entry
+			if st := chosen.bySource[m.Ingress]; st != nil {
+				for _, e := range st.entries {
+					if e != nil && e.Sub.Filter.Match(&m.Attrs) {
+						want = append(want, e)
+					}
 				}
+			}
+			got := chosen.Match(m)
+			matched += len(got)
+			if !slices.Equal(got, want) {
+				t.Fatalf("step %d: table matched %d entries, its filters %d (or in another order)", step, len(got), len(want))
+			}
+			if !slices.Equal(forced.Match(m), want) {
+				t.Fatalf("step %d: indexed table disagrees with the filters on entries or order", step)
 			}
 		}
 		if step == steps && matched == 0 {
@@ -126,10 +165,10 @@ func tableChurnEquivalence(t *testing.T, steps int, mkFilter func(*rand.Rand) st
 
 	remove := func(step int) {
 		for id := range live {
-			if n := tb.RemoveSub(id); n != len(sources) {
+			if n := chosen.RemoveSub(id); n != len(sources) {
 				t.Fatalf("step %d: RemoveSub(%d) removed %d entries, want %d", step, id, n, len(sources))
 			}
-			scan.RemoveSub(id)
+			forced.RemoveSub(id)
 			delete(live, id)
 			return
 		}
@@ -142,29 +181,42 @@ func tableChurnEquivalence(t *testing.T, steps int, mkFilter func(*rand.Rand) st
 			for n := len(live) * 3 / 4; n > 0; n-- {
 				remove(step)
 			}
+		case step%1000 == 750:
+			// Emptying the table deletes its sources: the next Add
+			// creates each afresh, on a scan.
+			for len(live) > 0 {
+				remove(step)
+			}
 		case r.Intn(3) > 0 || len(live) == 0:
 			s := churnSub(nextID, 5, mkFilter(r))
 			nextID++
 			live[s.ID] = s
 			for _, src := range sources {
 				e := &Entry{Sub: s, Source: src, Next: 5}
-				tb.Add(e)
-				scan.Add(e)
+				if chosen.bySource[src] == nil {
+					posted[src] = false
+				}
+				posted[src] = posted[src] || filter.Posts(s.Filter)
+				chosen.Add(e)
+				forced.Add(e)
 			}
+			forced.EnableIndex()
 		default:
 			remove(step)
 		}
+		matchers(step)
 		if step%250 == 0 {
 			check(step)
 		}
 	}
 	check(steps)
-	if tb.Len() != len(live)*len(sources) {
-		t.Fatalf("Len = %d, want %d", tb.Len(), len(live)*len(sources))
+	if chosen.Len() != len(live)*len(sources) {
+		t.Fatalf("Len = %d, want %d", chosen.Len(), len(live)*len(sources))
 	}
-	if st := tb.bySource[0]; len(st.entries) >= int(nextID) {
+	if st := chosen.bySource[0]; len(st.entries) >= int(nextID) {
 		t.Fatalf("source 0 holds %d slots after %d installs: compactSource never ran", len(st.entries), nextID)
 	}
+	t.Logf("source-steps on an index %d, on a scan %d", indexedSteps, scannedSteps)
 }
 
 // TestInstallRemoveSubAll drives the churn helpers over a built overlay:
@@ -218,8 +270,8 @@ func TestInstallRemoveSubAll(t *testing.T) {
 // scratch, as live read loops do) run concurrently with a mutator
 // that takes the write lock to churn subscriptions. Every match must
 // return a consistent result for the population it observed — through
-// the counting index, and through the program scan of a table without
-// one (what plan-deployed live brokers run on their read loops).
+// an index, and through the bound-column scan of a source without one
+// (what plan-deployed live brokers run on their read loops).
 func TestMatchAppendWithConcurrentMutation(t *testing.T) {
 	t.Run("indexed", func(t *testing.T) { matchDuringMutation(t, true) })
 	t.Run("scan", func(t *testing.T) { matchDuringMutation(t, false) })
@@ -228,12 +280,21 @@ func TestMatchAppendWithConcurrentMutation(t *testing.T) {
 func matchDuringMutation(t *testing.T, indexed bool) {
 	var mu sync.RWMutex
 	tb := NewTable(0)
+	// Static population that must always match. Its one-sided filter
+	// leaves the source on its scan; EnableIndex moves it to an index,
+	// which it keeps through every later Add, removal and compaction.
+	static := churnSub(0, 5, "A1 < 100")
+	tb.Add(&Entry{Sub: static, Source: 0, Next: 5})
 	if indexed {
 		tb.EnableIndex()
 	}
-	// Static population that must always match.
-	static := churnSub(0, 5, "A1 < 100")
-	tb.Add(&Entry{Sub: static, Source: 0, Next: 5})
+	onIndex := func() {
+		t.Helper()
+		if got := tb.bySource[0].ix != nil; got != indexed {
+			t.Fatalf("source 0 on an index: %v, want %v", got, indexed)
+		}
+	}
+	onIndex()
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -285,4 +346,5 @@ func matchDuringMutation(t *testing.T, indexed bool) {
 	}
 	close(stop)
 	wg.Wait()
+	onIndex()
 }

@@ -407,8 +407,8 @@ func TestRemoveSubUpdatesIndex(t *testing.T) {
 	tb.Add(&Entry{Sub: sub(2, 2, "A1 < 5"), Source: 0, Next: 2})
 	tb.EnableIndex()
 	tb.RemoveSub(1)
-	if !tb.Indexed() {
-		t.Fatal("RemoveSub disarmed the index")
+	if tb.bySource[0].ix == nil {
+		t.Fatal("RemoveSub dropped the index")
 	}
 	m := &msg.Message{Ingress: 0, Attrs: msg.NumAttrs(map[string]float64{"A1": 1})}
 	got := tb.Match(m)

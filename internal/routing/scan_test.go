@@ -23,9 +23,10 @@ func refAppendLinear(st *sourceState, m *msg.Message, buf []*Entry) []*Entry {
 	return buf
 }
 
-// scanFilter draws from the shapes a table holds: the paper's numeric
-// conjunctions (lowered) and disjunctions, !=, string predicates and
-// wildcards (fallback).
+// scanFilter draws from the shapes a scanned source holds: the paper's
+// numeric conjunctions (lowered) and disjunctions, !=, string predicates
+// and wildcards — none of which the index posts, so the source stays on
+// its scan.
 func scanFilter(r *rand.Rand) string {
 	switch r.Intn(8) {
 	case 0:
@@ -33,7 +34,7 @@ func scanFilter(r *rand.Rand) string {
 	case 1:
 		return fmt.Sprintf("A1 != %d", r.Intn(10))
 	case 2:
-		return "tag == 'hot' && A1 < 5"
+		return "tag == 'hot' || A1 < 5"
 	case 3:
 		return "true"
 	default:
@@ -41,7 +42,7 @@ func scanFilter(r *rand.Rand) string {
 	}
 }
 
-// TestScanEquivalentToFilterMatch churns a non-indexed table through
+// TestScanEquivalentToFilterMatch churns a scanned table through
 // Add, RemoveSub and the compactions they force, and checks after every
 // step that the program scan returns the reference scan's entries — the
 // same pointers in the same order — for every ingress.
@@ -89,6 +90,9 @@ func TestScanEquivalentToFilterMatch(t *testing.T) {
 			got = tb.MatchAppendWith(&scratch, m, got[:0])
 			want = want[:0]
 			if st := tb.bySource[src]; st != nil {
+				if st.ix != nil {
+					t.Fatalf("step %d ingress %d: the source moved to an index", step, src)
+				}
 				want = refAppendLinear(st, m, want)
 			}
 			if len(got) != len(want) {
@@ -181,6 +185,71 @@ func TestBuildMatchesPerSubscriptionInstall(t *testing.T) {
 		}
 		if ins.Install(built, victim) != ins.Install(ref, victim) {
 			t.Fatalf("k=%d: reinstall into the built tables differs from the reference", k)
+		}
+	}
+}
+
+// TestBuildPicksMatcherAsAdd: a bulk build gives each source the matcher
+// the same subscriptions added one by one give it — an index where the
+// source holds a filter the index posts, a scan elsewhere — and both
+// match the same entries in the same order.
+func TestBuildPicksMatcherAsAdd(t *testing.T) {
+	ov, err := topology.BuildLayered(topology.LayeredConfig{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(3))
+	subs := (workload.Config{Scenario: msg.SSD, Seed: 3}).Subscriptions(ov.Edges)
+	for _, s := range subs {
+		if s.Edge == ov.Edges[0] {
+			a := 8 * r.Float64()
+			s.Filter = filter.And(filter.Gt("A1", a), filter.Lt("A1", a+2), filter.Lt("A2", 10*r.Float64()))
+		}
+	}
+	built, err := Build(ov, subs, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := make(map[msg.NodeID]*Table, ov.Graph.N())
+	for id := 0; id < ov.Graph.N(); id++ {
+		ref[msg.NodeID(id)] = NewTable(msg.NodeID(id))
+	}
+	ins := NewInstaller(ov, Options{})
+	for _, sub := range subs {
+		ins.Install(ref, sub)
+	}
+	indexed, scanned := 0, 0
+	for id, want := range ref {
+		for src, ws := range want.bySource {
+			gs := built[id].bySource[src]
+			if (gs.ix != nil) != (ws.ix != nil) {
+				t.Fatalf("broker %d ingress %d: built index %v, added index %v", id, src, gs.ix != nil, ws.ix != nil)
+			}
+			if gs.ix != nil {
+				indexed++
+			} else {
+				scanned++
+			}
+		}
+	}
+	if indexed == 0 || scanned == 0 {
+		t.Fatalf("%d indexed and %d scanned sources: the build does not exercise both", indexed, scanned)
+	}
+	for trial := 0; trial < 200; trial++ {
+		m := &msg.Message{
+			Ingress: ov.Ingress[trial%len(ov.Ingress)],
+			Attrs:   msg.NumAttrs(map[string]float64{"A1": 10 * r.Float64(), "A2": 10 * r.Float64()}),
+		}
+		for id, want := range ref {
+			g, w := built[id].Match(m), want.Match(m)
+			if len(g) != len(w) {
+				t.Fatalf("broker %d: built table matched %d entries, added %d", id, len(g), len(w))
+			}
+			for i := range w {
+				if *g[i] != *w[i] {
+					t.Fatalf("broker %d: entry %d is %+v, want %+v", id, i, *g[i], *w[i])
+				}
+			}
 		}
 	}
 }

@@ -92,9 +92,17 @@ func (e *Entry) String() string {
 }
 
 // Table is one broker's subscription table, built for churn: Add and
-// RemoveSub are sublinear and keep any counting index current in place,
-// so a live subscribe/unsubscribe flood never knocks matching back to a
-// linear filter scan.
+// RemoveSub are sublinear and keep each source's matcher current in
+// place.
+//
+// Each source picks its matcher from its own filters. It starts on a
+// scan, its entry filters lowered to bound columns (filter.Scan), and
+// moves to a filter.Index on the first Add of a filter the index posts
+// under an access predicate (an equality or a two-sided range,
+// filter.Posts), which it then keeps: the index holds the filters it
+// cannot post in a scan of its own, so it answers every filter. A table
+// of one-sided or match-all filters thus scans, and one with selective
+// filters follows the answer through postings.
 //
 // Concurrency contract (what the live node's read loops rely on): any
 // number of matchers may run concurrently through MatchAppendWith, each
@@ -110,10 +118,6 @@ type Table struct {
 	// back-references RemoveSub follows instead of scanning the table.
 	bySub map[msg.SubID][]entryRef
 
-	// indexed is set by EnableIndex: every source keeps a counting index
-	// that mutations update incrementally.
-	indexed bool
-
 	// grouped counts the live entries carrying a covering group (see
 	// Distinct).
 	grouped int
@@ -124,12 +128,12 @@ type Table struct {
 }
 
 // sourceState is one ingress's entry list. Slots are positional — the
-// counting index and the scan emit positions — so RemoveSub tombstones a
-// slot to nil instead of shifting; the list is compacted (and its index
-// rebuilt in one batch) only when tombstones outnumber live entries.
-// An indexed table's sources match through the counting index ix; all
-// others through scan, the entry filters lowered to bound columns, row
-// for slot (empty while ix is set).
+// index and the scan emit positions — so RemoveSub tombstones a slot to
+// nil instead of shifting; the list is compacted (and its index rebuilt
+// in one batch) only when tombstones outnumber live entries. A source
+// matches through its index ix once it has one, else through scan, the
+// entry filters lowered to bound columns, row for slot (empty while ix
+// is set).
 type sourceState struct {
 	entries []*Entry
 	live    int
@@ -169,27 +173,38 @@ func NewTable(broker msg.NodeID) *Table {
 // Broker returns the owning broker id.
 func (t *Table) Broker() msg.NodeID { return t.broker }
 
-// Add installs an entry, updating the source's counting index in place
-// when one is enabled (amortized sublinear; see filter.Index.Add), else
-// appending the filter's row to the source's scan.
+// Add installs an entry: into the source's index in place when it has
+// one (amortized sublinear; see filter.Index.Add), else as a row of the
+// source's scan, which settle then trades for an index if the index
+// posts the entry's filter.
 func (t *Table) Add(e *Entry) {
-	if st := t.add(e, nil, 0); st.ix == nil {
-		st.scan.Add(e.Sub.Filter)
+	st, pos := t.add(e, nil, 0)
+	if st.ix != nil {
+		st.ix.Add(pos, e.Sub.Filter)
+		return
+	}
+	st.scan.Add(e.Sub.Filter)
+	st.settle(e.Sub.Filter)
+}
+
+// settle is the rule by which a source picks its matcher (see Table),
+// applied to f, the filter of one of its live entries: a scanned source
+// moves to an index, built in one batch, when the index posts f.
+func (st *sourceState) settle(f *filter.Filter) {
+	if st.ix == nil && filter.Posts(f) {
+		st.rebuildIndex()
 	}
 }
 
-// add is Add but for the scan row, which it leaves to the caller (Build
+// add is Add but for the matcher, which it leaves to the caller (Build
 // copies a row lowered once per subscription); it returns the entry's
-// source. A bulk build that counted first passes the table's slab, and
-// a subscription's first entry here then takes its refCap
+// source and slot. A bulk build that counted first passes the table's
+// slab, and a subscription's first entry here then takes its refCap
 // back-reference slots from it instead of growing a slice of its own.
-func (t *Table) add(e *Entry, slab *tableSlab, refCap int) *sourceState {
+func (t *Table) add(e *Entry, slab *tableSlab, refCap int) (*sourceState, int32) {
 	st := t.bySource[e.Source]
 	if st == nil {
 		st = &sourceState{}
-		if t.indexed {
-			st.ix = filter.NewIndex()
-		}
 		t.bySource[e.Source] = st
 	}
 	pos := int32(len(st.entries))
@@ -210,10 +225,7 @@ func (t *Table) add(e *Entry, slab *tableSlab, refCap int) *sourceState {
 	if e.Agg != nil {
 		t.grouped++
 	}
-	if st.ix != nil {
-		st.ix.Add(pos, e.Sub.Filter)
-	}
-	return st
+	return st, pos
 }
 
 // Len returns the number of live entries.
@@ -222,8 +234,7 @@ func (t *Table) Len() int { return t.size }
 // RemoveSub deletes every entry of a subscription (all ingresses, all
 // paths), returning how many entries were removed. The removal is
 // sublinear — slots are found through per-subscription back-references
-// and tombstoned, and any counting index tombstones the matching
-// conjunctions in place (no rebuild, no lost fast path).
+// and tombstoned, in the source's index or scan in place (no rebuild).
 func (t *Table) RemoveSub(id msg.SubID) int {
 	refs := t.bySub[id]
 	if len(refs) == 0 {
@@ -270,8 +281,8 @@ func (t *Table) RemoveSub(id msg.SubID) int {
 
 // compactSource squeezes tombstoned slots out of one source list and
 // its scan, rewrites the affected back-references and rebuilds the
-// source's index in one batch (each touched predicate list sorted
-// exactly once). Amortized over the removals that forced it, compaction
+// source's index in one batch (each touched width class sorted exactly
+// once). Amortized over the removals that forced it, compaction
 // is O(1) per removed entry plus the batch index build.
 func (t *Table) compactSource(src msg.NodeID, st *sourceState) {
 	// Drop every back-reference into this source, then re-derive them
@@ -319,40 +330,32 @@ func (t *Table) compactSource(src msg.NodeID, st *sourceState) {
 	}
 }
 
-// rebuildIndex replaces the source's counting index with a batch build
-// over its slot list, which must carry no tombstones: ids are positions.
+// rebuildIndex replaces the source's matcher with an index built in one
+// batch over its live slots (ids are positions).
 func (st *sourceState) rebuildIndex() {
-	ids := make([]int32, len(st.entries))
-	filters := make([]*filter.Filter, len(st.entries))
+	ids := make([]int32, 0, st.live)
+	filters := make([]*filter.Filter, 0, st.live)
 	for i, e := range st.entries {
-		ids[i] = int32(i)
-		filters[i] = e.Sub.Filter
+		if e != nil {
+			ids = append(ids, int32(i))
+			filters = append(filters, e.Sub.Filter)
+		}
 	}
 	st.ix = filter.NewIndex()
 	st.ix.AddBatch(ids, filters)
+	st.scan = filter.Scan{}
 }
 
-// EnableIndex builds a per-ingress predicate-counting index over the
-// entry filters, turning Match from a linear filter scan into the
-// counting algorithm, and arms incremental maintenance: subsequent Add
-// and RemoveSub calls update the indexes in place. Matching semantics
-// are identical (the filter package's index falls back for non-indexable
-// filters).
+// EnableIndex moves every source the table has now to an index, whatever
+// its filters; sources created later pick their matcher as Add does.
+// Matching semantics are identical.
 func (t *Table) EnableIndex() {
-	t.indexed = true
-	for src, st := range t.bySource {
-		if len(st.entries) != st.live {
-			t.compactSource(src, st)
+	for _, st := range t.bySource {
+		if st.ix == nil {
+			st.rebuildIndex()
 		}
-		st.rebuildIndex()
-		st.scan = filter.Scan{}
 	}
 }
-
-// Indexed reports whether the counting-index fast path is armed (it
-// stays armed across mutations; tests assert the fast path survives
-// churn).
-func (t *Table) Indexed() bool { return t.indexed }
 
 // Match returns the entries whose source matches the message's ingress
 // and whose filter matches its attributes, in deterministic order.
@@ -374,9 +377,8 @@ func (t *Table) MatchAppend(m *msg.Message, buf []*Entry) []*Entry {
 // MatchAppendWith is MatchAppend through a caller-owned match scratch:
 // any number of matchers may run concurrently against one table — a
 // live node runs one per connection read loop under the node's read
-// lock — as long as mutations hold the write lock. With the index off it
-// scans the source's bound columns and entries, which touches only the
-// scratch and state that mutations alone write.
+// lock — as long as mutations hold the write lock. Either matcher
+// touches only the scratch and state that mutations alone write.
 func (t *Table) MatchAppendWith(s *filter.MatchScratch, m *msg.Message, buf []*Entry) []*Entry {
 	st := t.bySource[m.Ingress]
 	if st == nil {

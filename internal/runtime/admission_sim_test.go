@@ -31,7 +31,6 @@ func overloadCfg() runtime.Config {
 				SubBurst: 8,
 			},
 		},
-		IndexedMatch: true,
 	}
 }
 

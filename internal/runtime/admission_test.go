@@ -29,7 +29,6 @@ func flashCfg() Config {
 				SubBurst: 8,
 			},
 		},
-		IndexedMatch: true,
 	}
 	return cfg
 }

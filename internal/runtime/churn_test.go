@@ -22,7 +22,6 @@ func churnCfg(rate float64) runtime.Config {
 			Duration:   10 * vtime.Minute,
 			Churn:      workload.Churn{RatePerMin: rate, HalfLife: vtime.Minute},
 		},
-		IndexedMatch: true,
 	}
 }
 
@@ -71,7 +70,6 @@ func TestLiveChurnRun(t *testing.T) {
 	}
 	cfg := crossValConfig(t)
 	cfg.Workload.Churn = workload.Churn{RatePerMin: 60, HalfLife: 30 * vtime.Second}
-	cfg.IndexedMatch = true
 	res, err := runtime.Run(cfg, livenet.Transport{})
 	if err != nil {
 		t.Fatal(err)
@@ -126,7 +124,6 @@ func TestLiveChurnAcrossRestart(t *testing.T) {
 	}
 	cfg := restartConfig(t)
 	cfg.Workload.Churn = workload.Churn{RatePerMin: 120, HalfLife: 20 * vtime.Second}
-	cfg.IndexedMatch = true
 	cfg.Faults = restartFaults()[:2] // crash at 35 s, warm restart at 65 s
 	cfg.TimeScale = liveRecoveryTimeScale
 	res, err := runtime.Run(cfg, livenet.Transport{})

@@ -97,22 +97,6 @@ type Config struct {
 	// fairness in the Result). Costs one map update per delivery.
 	PerSubscriber bool
 
-	// IndexedMatch builds the counting index on every broker's
-	// subscription table. Semantically identical to the table scan. It is
-	// not a speed switch at the paper's scale, which is why the knob and
-	// the scan both stay: with the index forced onto every plan table,
-	// sim_paper (bench/, seed 1, 160-entry tables of one-sided filters the
-	// index counts whole) read msgs_per_s 30.5 k → 25.3 k, setup_s 11.6 →
-	// 53.9 ms, allocs_per_msg 11.2 → 39.6 and state_heap_mb 0.659 → 1.286
-	// on an identical ledger (PR 22; PR 15 measured the same shape before
-	// the scan evaluated filter programs, and both before it decided rows
-	// from float32 bound columns: re-measure before relying on them).
-	// What the index buys is matching that follows the answer on tables
-	// of thousands of entries with selective filters, and incremental
-	// upkeep under subscription churn — the live overlay's content
-	// populations (fanout_match), not the simulator's grid.
-	IndexedMatch bool
-
 	// Aggregate enables covering-based subscription aggregation: a
 	// subscription is forwarded (and holds routing entries upstream) only
 	// if no already-forwarded filter with identical delivery terms covers

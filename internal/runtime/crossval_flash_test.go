@@ -31,7 +31,6 @@ func TestCrossValFlashCrowdAdmission(t *testing.T) {
 			SubBurst: 4,
 		}
 		cfg.Admission = runtime.Admission{Enabled: true, MaxQueue: 8}
-		cfg.IndexedMatch = true
 		cfg.TimelineBucket = 30 * vtime.Second
 		return cfg
 	}

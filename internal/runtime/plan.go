@@ -163,11 +163,6 @@ func NewPlan(cfg Config) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.IndexedMatch {
-		for _, t := range tables {
-			t.EnableIndex()
-		}
-	}
 	p.Tables = tables
 
 	for id := 0; id < ov.Graph.N(); id++ {

@@ -69,9 +69,6 @@ func (p *Plan) RestartBroker(id msg.NodeID, entries []durable.Entry) (int, error
 		})
 		subs[e.Sub.ID] = true
 	}
-	if p.Cfg.IndexedMatch {
-		t.EnableIndex()
-	}
 	means := make(map[msg.NodeID]float64)
 	for _, e := range p.Overlay.Graph.Neighbors(id) {
 		means[e.To] = p.Beliefs(id, e.To).Mean

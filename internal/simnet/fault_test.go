@@ -174,25 +174,6 @@ func TestBothScenarioRuns(t *testing.T) {
 	}
 }
 
-func TestIndexedMatchIdenticalResults(t *testing.T) {
-	plain, err := Run(quickCfg(msg.SSD, core.MaxEB{}, 9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := quickCfg(msg.SSD, core.MaxEB{}, 9)
-	cfg.IndexedMatch = true
-	fast, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.ValidDeliveries != fast.ValidDeliveries ||
-		plain.Receptions != fast.Receptions ||
-		plain.Earning != fast.Earning ||
-		plain.DropsExpired != fast.DropsExpired {
-		t.Errorf("indexed matching changed results:\n plain %+v\n fast  %+v", plain, fast)
-	}
-}
-
 func TestWorkloadBothGeneratesBothBounds(t *testing.T) {
 	c := workload.Config{Scenario: msg.Both, Seed: 1, Duration: 10 * vtime.Minute}
 	if err := c.Validate(); err != nil {

@@ -27,7 +27,6 @@ func TestAccountPublicationsMatchesInterested(t *testing.T) {
 			Scenario:      msg.PSD,
 			Strategy:      core.MaxEB{},
 			PerSubscriber: perSub,
-			IndexedMatch:  true,
 			Workload: workload.Config{
 				RatePerMin: 12,
 				Duration:   10 * vtime.Minute,
