@@ -14,13 +14,17 @@
 // the whole state in one pass. Recovery replays the snapshot, then the
 // log, and truncates the log at the first torn or corrupt record — a
 // partially flushed tail after a crash costs the records behind it,
-// never the store. Compaction folds the log into a fresh snapshot
-// (written to a temp file and renamed, so a crash mid-compaction leaves
-// the previous snapshot intact) and truncates the log.
+// never the store. A store holding a record of the retired version-1
+// entry format is not a torn one: Open refuses it (ErrOldFormat) and
+// leaves its files as they are. Compaction folds the log into a fresh
+// snapshot (written to a temp file and renamed, so a crash
+// mid-compaction leaves the previous snapshot intact) and truncates the
+// log.
 package durable
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"math"
@@ -31,15 +35,23 @@ import (
 	"bdps/internal/vtime"
 )
 
-// Record types.
+// Record types. An entry's sub is msg.AppendSubscription's body, whose
+// filter is binary (wire version 2); recEntryV1 held the version-1 body,
+// whose filter was source text, and is no longer read.
 const (
 	recEpoch   = 0x01 // epoch(4)
-	recEntry   = 0x02 // source(4) next(4) hops(4) pathID(4) mean(8) sigma(8) relaxed(8) sub
+	recEntryV1 = 0x02 // retired: source(4) … relaxed(8) sub with a text filter
 	recUnsub   = 0x03 // subID(4)
 	recMark    = 0x04 // peer(4) seq(8)
+	recEntry   = 0x05 // source(4) next(4) hops(4) pathID(4) mean(8) sigma(8) relaxed(8) sub
 	recHdrLen  = 9    // len(4) crc(4) type(1)
 	maxPayload = 1 << 20
 )
+
+// ErrOldFormat reports a store that holds a version-1 entry record
+// (subscription filters as text): it was written by an older release,
+// and this one does not read it.
+var ErrOldFormat = errors.New("durable: store holds version-1 entry records (text filters), which this version does not read")
 
 // Filenames inside a state directory.
 const (
@@ -114,21 +126,25 @@ func (st *State) apply(typ byte, payload []byte) error {
 
 // Replay applies the record stream in buf to st, stopping at the first
 // torn, corrupt or unknown record. It returns the number of bytes
-// consumed — the offset recovery truncates the log to. Replay never
-// panics, whatever the input.
-func Replay(buf []byte, st *State) int {
+// consumed — the offset recovery truncates the log to — and ErrOldFormat
+// when it stopped at a well-framed version-1 entry record rather than at
+// a torn tail. Replay never panics, whatever the input.
+func Replay(buf []byte, st *State) (int, error) {
 	off := 0
 	for {
 		n, typ, payload := nextRecord(buf[off:])
 		if n == 0 {
-			return off
+			return off, nil
+		}
+		if typ == recEntryV1 {
+			return off, ErrOldFormat
 		}
 		// A record whose frame checks out but whose payload is malformed
 		// also ends the replay: no sane appender wrote it, so nothing
 		// behind it is trustworthy either. apply validates before it
 		// mutates, so a rejected record leaves st untouched.
 		if err := st.apply(typ, payload); err != nil {
-			return off
+			return off, nil
 		}
 		off += n
 	}
@@ -217,14 +233,19 @@ const DefaultCompactEvery = 4096
 
 // Open recovers the state under dir (creating it empty when absent) and
 // arms the log for appending. A torn log tail is truncated away on the
-// spot, so the next crash cannot land behind an already-bad record.
+// spot, so the next crash cannot land behind an already-bad record. A
+// store of the retired version-1 entry format fails with ErrOldFormat
+// before anything under dir is written.
 func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
 	s := &Store{dir: dir, CompactEvery: DefaultCompactEvery}
-	if snap, err := os.ReadFile(filepath.Join(dir, snapName)); err == nil {
-		Replay(snap, &s.st)
+	snapPath := filepath.Join(dir, snapName)
+	if snap, err := os.ReadFile(snapPath); err == nil {
+		if _, err := Replay(snap, &s.st); err != nil {
+			return nil, fmt.Errorf("%s: %w", snapPath, err)
+		}
 	} else if !os.IsNotExist(err) {
 		return nil, err
 	}
@@ -233,7 +254,10 @@ func Open(dir string) (*Store, error) {
 	if err != nil && !os.IsNotExist(err) {
 		return nil, err
 	}
-	good := Replay(log, &s.st)
+	good, err := Replay(log, &s.st)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", walPath, err)
+	}
 	f, err := os.OpenFile(walPath, os.O_CREATE|os.O_WRONLY, 0o644)
 	if err != nil {
 		return nil, err

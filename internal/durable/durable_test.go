@@ -2,7 +2,10 @@ package durable
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -211,9 +214,9 @@ func TestTornTailTruncation(t *testing.T) {
 		// the entries, and the recovered count never exceeds the cut.
 		var want State
 		want.Epoch = 0
-		n := Replay(full[:cut], &want)
-		if n > cut {
-			t.Fatalf("cut %d: replay consumed %d bytes", cut, n)
+		n, err := Replay(full[:cut], &want)
+		if err != nil || n > cut {
+			t.Fatalf("cut %d: replay consumed %d bytes, err %v", cut, n, err)
 		}
 		if got != len(want.Entries) {
 			t.Fatalf("cut %d: recovered %d entries, replay says %d", cut, got, len(want.Entries))
@@ -229,9 +232,58 @@ func TestTornTailTruncation(t *testing.T) {
 			t.Fatal(err)
 		}
 		var again State
-		if consumed := Replay(after, &again); consumed != len(after) {
-			t.Fatalf("cut %d: post-recovery log still torn (%d of %d bytes valid)",
-				cut, consumed, len(after))
+		if consumed, err := Replay(after, &again); err != nil || consumed != len(after) {
+			t.Fatalf("cut %d: post-recovery log still torn (%d of %d bytes valid, err %v)",
+				cut, consumed, len(after), err)
+		}
+	}
+}
+
+// v1EntryRecord hand-builds an entry record as the version-1 format
+// wrote it: record type 0x02, and a subscription body whose filter is
+// its source text.
+func v1EntryRecord(dst []byte, id msg.SubID) []byte {
+	var p []byte
+	p = binary.BigEndian.AppendUint32(p, 0) // source
+	p = binary.BigEndian.AppendUint32(p, 2) // next
+	p = binary.BigEndian.AppendUint32(p, 2) // hops
+	p = binary.BigEndian.AppendUint32(p, 0) // path id
+	p = binary.BigEndian.AppendUint64(p, math.Float64bits(50))
+	p = binary.BigEndian.AppendUint64(p, math.Float64bits(5))
+	p = binary.BigEndian.AppendUint64(p, 0) // relaxed
+	p = binary.BigEndian.AppendUint32(p, uint32(id))
+	p = binary.BigEndian.AppendUint32(p, 4) // edge
+	p = binary.BigEndian.AppendUint64(p, math.Float64bits(10*vtime.Second))
+	p = binary.BigEndian.AppendUint64(p, math.Float64bits(2.5))
+	src := "A1 < 5 && A2 < 3"
+	p = binary.BigEndian.AppendUint16(p, uint16(len(src)))
+	p = append(p, src...)
+	return appendRecord(dst, 0x02, p)
+}
+
+// TestOpenRefusesVersion1Store: a store holding a version-1 entry
+// record, in its log or its snapshot, is not a torn one — Open fails
+// naming the old format, and leaves every file as it was.
+func TestOpenRefusesVersion1Store(t *testing.T) {
+	var epoch []byte
+	epoch = appendRecord(epoch, recEpoch, []byte{0, 0, 0, 3})
+	for _, file := range []string{walName, snapName} {
+		dir := t.TempDir()
+		content := v1EntryRecord(bytes.Clone(epoch), 7)
+		content = appendRecord(content, recUnsub, []byte{0, 0, 0, 7})
+		path := filepath.Join(dir, file)
+		if err := os.WriteFile(path, content, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Open(dir); !errors.Is(err, ErrOldFormat) {
+			t.Fatalf("%s: Open err %v, want ErrOldFormat", file, err)
+		}
+		after, err := os.ReadFile(path)
+		if err != nil || !bytes.Equal(after, content) {
+			t.Errorf("%s: Open touched the store (err %v)", file, err)
+		}
+		if names, _ := os.ReadDir(dir); len(names) != 1 {
+			t.Errorf("%s: Open left %d files, want the one it found", file, len(names))
 		}
 	}
 }
@@ -252,7 +304,9 @@ func TestBitFlipStopsReplay(t *testing.T) {
 		mut := bytes.Clone(buf)
 		mut[off] ^= 0xA5
 		var st State
-		Replay(mut, &st)
+		if _, err := Replay(mut, &st); err != nil {
+			t.Fatalf("flip at %d: %v", off, err)
+		}
 		// Records ahead of the flipped one always survive.
 		if flipped := off / recLen; len(st.Entries) < flipped {
 			t.Errorf("flip at %d: recovered %d entries, want ≥ %d", off, len(st.Entries), flipped)
@@ -281,16 +335,20 @@ func FuzzReplay(f *testing.F) {
 	f.Add(seed)
 	f.Add(seed[:len(seed)-3])
 	f.Add([]byte{})
+	f.Add(v1EntryRecord(seed, 2))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var st State
-		n := Replay(data, &st)
+		n, err := Replay(data, &st)
 		if n < 0 || n > len(data) {
 			t.Fatalf("consumed %d of %d bytes", n, len(data))
 		}
+		if err != nil && !errors.Is(err, ErrOldFormat) {
+			t.Fatalf("replay error %v, want nil or ErrOldFormat", err)
+		}
 		var st2 State
-		if m := Replay(data[:n], &st2); m != n {
-			t.Fatalf("replay of its own prefix consumed %d, want %d", m, n)
+		if m, err := Replay(data[:n], &st2); m != n || err != nil {
+			t.Fatalf("replay of its own prefix consumed %d (err %v), want %d", m, err, n)
 		}
 		if len(st2.Entries) != len(st.Entries) || st2.Epoch != st.Epoch {
 			t.Fatal("prefix replay diverged from full replay")
@@ -329,7 +387,7 @@ func BenchmarkLogReplay(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var st State
-		if Replay(buf, &st) != len(buf) {
+		if n, err := Replay(buf, &st); err != nil || n != len(buf) {
 			b.Fatal("replay stopped early")
 		}
 	}

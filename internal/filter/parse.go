@@ -19,7 +19,10 @@ import (
 //
 // Identifiers are [A-Za-z_][A-Za-z0-9_.]*. Numbers use Go float syntax.
 // Strings are single- or double-quoted. "true" (or an empty input) is the
-// wildcard filter.
+// wildcard filter. Parse refuses a filter the binary form cannot hold
+// (AppendBinary): and/or nesting deeper than MaxBinaryDepth, an
+// attribute name over 255 bytes, a string operand over 65535 bytes, or a
+// group of more than 65535 terms.
 func Parse(src string) (*Filter, error) {
 	f, _, err := ParseAppend(src, nil)
 	return f, err
@@ -44,6 +47,12 @@ func ParseAppend(src string, preds []Predicate) (*Filter, []Predicate, error) {
 	}
 	if p.tok.kind != tokEOF {
 		return nil, p.preds, p.errorf("unexpected %q after expression", p.tok.text)
+	}
+	// What parses must also cross the wire: a subscription's filter
+	// travels in the binary form, so a tree it cannot hold is refused
+	// here rather than lost on the flood.
+	if err := checkBinary(root, 1); err != nil {
+		return nil, p.preds, err
 	}
 	return newFilter(root), p.preds, nil
 }

@@ -65,21 +65,43 @@ const maxSlots = 256
 
 // slots interns attribute names to dense slot numbers, process-wide so
 // that every program and every scratch agree on them. Readers load the
-// current map without locking; a writer publishes an extended copy
+// current table without locking; a writer publishes an extended copy
 // (names are few and arrive once).
 var slots struct {
 	mu sync.Mutex // serializes writers
-	m  atomic.Pointer[map[string]uint8]
+	t  atomic.Pointer[slotTable]
+}
+
+// slotTable is one published generation of the interned names: the slot
+// of each name, and the name of each slot — the one string the decoder
+// of a binary filter (wire.go) hands to every predicate naming it.
+type slotTable struct {
+	of   map[string]uint8
+	name []string
 }
 
 // slotOf returns the slot of an interned attribute name.
 func slotOf(name string) (uint8, bool) {
-	m := slots.m.Load()
-	if m == nil {
+	t := slots.t.Load()
+	if t == nil {
 		return 0, false
 	}
-	s, ok := (*m)[name]
+	s, ok := t.of[name]
 	return s, ok
+}
+
+// internedName returns the interned string equal to b, without
+// allocating, when b names a slot.
+func internedName(b []byte) (string, bool) {
+	t := slots.t.Load()
+	if t == nil {
+		return "", false
+	}
+	s, ok := t.of[string(b)]
+	if !ok {
+		return "", false
+	}
+	return t.name[s], true
 }
 
 // internSlot returns the attribute name's slot, assigning the next free
@@ -90,23 +112,26 @@ func internSlot(name string) (slot uint8, ok bool) {
 	}
 	slots.mu.Lock()
 	defer slots.mu.Unlock()
-	var old map[string]uint8
-	if m := slots.m.Load(); m != nil {
-		old = *m
+	var old slotTable
+	if t := slots.t.Load(); t != nil {
+		old = *t
 	}
-	if s, ok := old[name]; ok {
+	if s, ok := old.of[name]; ok {
 		return s, true
 	}
-	if len(old) >= maxSlots {
+	if len(old.name) >= maxSlots {
 		return 0, false
 	}
-	grown := make(map[string]uint8, len(old)+1)
-	for k, v := range old {
-		grown[k] = v
+	grown := slotTable{
+		of:   make(map[string]uint8, len(old.name)+1),
+		name: append(old.name[:len(old.name):len(old.name)], name),
 	}
-	grown[name] = uint8(len(old))
-	slots.m.Store(&grown)
-	return uint8(len(old)), true
+	for k, v := range old.of {
+		grown.of[k] = v
+	}
+	grown.of[name] = uint8(len(old.name))
+	slots.t.Store(&grown)
+	return uint8(len(old.name)), true
 }
 
 // newFilter wraps an expression tree, lowering it when it qualifies.

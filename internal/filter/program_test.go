@@ -146,13 +146,15 @@ func TestProgramLowering(t *testing.T) {
 // TestProgramSlotTableFull: once the attribute table is full, filters
 // naming new attributes are left to the fallback and still match.
 func TestProgramSlotTableFull(t *testing.T) {
-	saved := slots.m.Load()
-	defer slots.m.Store(saved)
-	full := make(map[string]uint8, maxSlots)
+	saved := slots.t.Load()
+	defer slots.t.Store(saved)
+	full := slotTable{of: make(map[string]uint8, maxSlots)}
 	for i := 0; i < maxSlots; i++ {
-		full[string(rune('A'+i/26))+string(rune('a'+i%26))+"_full"] = uint8(i)
+		name := string(rune('A'+i/26)) + string(rune('a'+i%26)) + "_full"
+		full.of[name] = uint8(i)
+		full.name = append(full.name, name)
 	}
-	slots.m.Store(&full)
+	slots.t.Store(&full)
 
 	f := Lt("never_seen_before", 3)
 	if f.prog.n != 0 {

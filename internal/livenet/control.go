@@ -12,6 +12,11 @@ import (
 // retraction (flooding, covering aggregation, tombstones) and the
 // durable record of the routing state they produce (WAL append, recovery
 // at start, checkpoints).
+//
+// A flood costs one frame per overlay link it must cross: each broker
+// floods a subscription or its withdrawal once, to every neighbor but the
+// one it arrived from. Subscriptions travel with binary filters
+// (msg.AppendSubscription), so no broker parses filter text.
 
 // tombstoneLimit bounds each tombstone generation. Total tombstone
 // memory is at most two generations; a subscribe flood older than the
@@ -89,24 +94,24 @@ func (n *Node) openStore() error {
 }
 
 // logSub appends every routing entry the table currently holds for one
-// subscription to the WAL (n.mu held). The scan is linear in the table
-// — dynamic admissions are control-plane rare next to data traffic.
+// subscription to the WAL (n.mu held), found through the table's
+// per-subscription back-references: an admission costs its own entries,
+// not a walk of the table. Replayed in log order, each source's entries
+// come back in the slot order they had.
 func (n *Node) logSub(id msg.SubID) {
 	if n.store == nil {
 		return
 	}
-	for _, src := range n.table.Sources() {
-		for _, e := range n.table.Entries(src) {
-			if e.Sub.ID != id {
-				continue
-			}
-			_ = n.store.AppendEntry(durable.Entry{
-				Sub: e.Sub, Source: e.Source, Next: e.Next,
-				Hops: e.Hops, PathID: e.PathID,
-				RateMean: e.Rate.Mean, RateSigma: e.Rate.Sigma,
-				Relaxed: e.Relaxed,
-			})
-		}
+	// Every subscription admitted here encodes (it came off the wire or
+	// through Subscribe's check); what can still fail is the write, which,
+	// like a crash, costs the record and not the live entry.
+	for _, e := range n.table.SubEntries(id, nil) {
+		_ = n.store.AppendEntry(durable.Entry{
+			Sub: e.Sub, Source: e.Source, Next: e.Next,
+			Hops: e.Hops, PathID: e.PathID,
+			RateMean: e.Rate.Mean, RateSigma: e.Rate.Sigma,
+			Relaxed: e.Relaxed,
+		})
 	}
 }
 
@@ -138,16 +143,19 @@ func (n *Node) CheckpointTable() error {
 }
 
 // handleSubscribe installs a subscription (local conn non-nil when the
-// subscriber is attached here) and floods it to neighbors once.
+// subscriber is attached here) and floods it once to every neighbor but
+// from, the one it arrived from (msg.None when it did not come over a
+// broker link): that neighbor has it already. A flood whose id is seen
+// or tombstoned changes nothing and goes no further.
 // Pre-installed plan subscriptions only register the local connection.
 // With aggregation on, the subscription's edge broker — the one place
 // that sees the concrete subscription first — classifies it against the
 // resident canonical filters and suppresses the flood when one with
 // identical delivery terms already covers it (the covering chain's
 // forwarded root carries the upstream traffic). body is the
-// subscription's encoding as received, which the flood relays unchanged;
-// nil for one injected here, which is encoded once.
-func (n *Node) handleSubscribe(s *msg.Subscription, local *peerConn, body []byte) {
+// subscription's encoding, which the flood relays unchanged (the caller
+// keeps it valid until this returns).
+func (n *Node) handleSubscribe(s *msg.Subscription, local *peerConn, body []byte, from msg.NodeID) {
 	n.mu.Lock()
 	if n.removedSubs.has(s.ID) {
 		// Tombstoned: a subscribe flood racing its own unsubscribe.
@@ -191,41 +199,44 @@ func (n *Node) handleSubscribe(s *msg.Subscription, local *peerConn, body []byte
 		}
 		n.logSub(s.ID) // durable admission record (no-op without a store)
 	}
-	peers := make([]*peerConn, 0, len(n.peers))
+	var buf [8]*peerConn
+	peers := buf[:0]
 	if flood {
-		for _, p := range n.peers {
-			peers = append(peers, p)
-		}
+		peers = n.floodPeers(peers, from)
 	}
 	n.mu.Unlock()
 
 	if sess != nil {
 		sess.attach(local) // a re-subscribe moves the session to the new connection
 	}
-	if !flood {
-		return
-	}
-	if body == nil {
-		var err error
-		if body, err = msg.AppendSubscription(nil, s); err != nil {
-			return
-		}
-	}
 	for _, p := range peers {
 		_ = p.writeFrame(msg.FrameSubscribe, body) // dead peers are fine
 	}
 }
 
+// floodPeers appends the links a flood that arrived from one neighbor
+// leaves on: every neighbor but that one (all of them when from is
+// msg.None). Called with n.mu held.
+func (n *Node) floodPeers(dst []*peerConn, from msg.NodeID) []*peerConn {
+	for to, p := range n.peers {
+		if to != from {
+			dst = append(dst, p)
+		}
+	}
+	return dst
+}
+
 // handleUnsubscribe removes a subscription's routing state and floods the
-// removal across the overlay once. A tombstone prevents resurrection by
-// late subscribe floods. With aggregation on, the owning edge broker
-// realizes the retraction instead: member/covered departures never
-// flooded so they never unsubscribe remotely, and a departing
-// representative first floods whatever re-exposes its coverage
-// (promotion hand-off or re-exposed representatives) so the peers'
-// coverage stays gapless — subscribe frames precede the unsubscribe on
-// every per-peer TCP stream.
-func (n *Node) handleUnsubscribe(id msg.SubID) {
+// removal once to every neighbor but from, the one it arrived from
+// (msg.None when it did not come over a broker link), which has
+// tombstoned it already. A tombstone prevents resurrection by late
+// subscribe floods. With aggregation on, the owning edge broker realizes
+// the retraction instead: member/covered departures never flooded so
+// they never unsubscribe remotely, and a departing representative first
+// floods whatever re-exposes its coverage (promotion hand-off or
+// re-exposed representatives) so the peers' coverage stays gapless —
+// subscribe frames precede the unsubscribe on every per-peer TCP stream.
+func (n *Node) handleUnsubscribe(id msg.SubID, from msg.NodeID) {
 	n.mu.Lock()
 	if n.removedSubs.has(id) {
 		n.mu.Unlock()
@@ -240,12 +251,11 @@ func (n *Node) handleUnsubscribe(id msg.SubID) {
 		_ = n.store.RemoveSub(id)
 	}
 
-	var types []byte
-	var frames [][]byte
+	var pushes [][]byte
 	unsubscribe := true
 	if n.agg != nil {
 		if ret, ok := n.agg.Remove(id); ok {
-			unsubscribe = n.retractOwned(id, ret, &types, &frames)
+			unsubscribe = n.retractOwned(id, ret, &pushes)
 		} else {
 			// Not ours: a remote copy of a forwarded subscription.
 			n.table.RemoveSub(id)
@@ -253,40 +263,45 @@ func (n *Node) handleUnsubscribe(id msg.SubID) {
 	} else {
 		n.table.RemoveSub(id)
 	}
-	if unsubscribe {
-		types = append(types, msg.FrameUnsubscribe)
-		frames = append(frames, msg.AppendUnsubscribe(nil, id))
+	// The pushes are subscriptions no neighbor holds yet, so they go to
+	// every link, the arrival one included; the unsubscribe skips it.
+	var buf [8]*peerConn
+	peers := buf[:0]
+	if unsubscribe || len(pushes) > 0 {
+		peers = n.floodPeers(peers, msg.None)
 	}
-	var peers []*peerConn
-	if len(frames) > 0 {
-		peers = make([]*peerConn, 0, len(n.peers))
-		for _, p := range n.peers {
-			peers = append(peers, p)
-		}
-	}
+	arrival := n.peers[from]
 	n.mu.Unlock()
 
-	for i, body := range frames {
+	for _, body := range pushes {
 		for _, p := range peers {
-			_ = p.writeFrame(types[i], body)
+			_ = p.writeFrame(msg.FrameSubscribe, body)
+		}
+	}
+	if unsubscribe {
+		var body [4]byte
+		for _, p := range peers {
+			if p != arrival {
+				_ = p.writeFrame(msg.FrameUnsubscribe, msg.AppendUnsubscribe(body[:0], id))
+			}
 		}
 	}
 }
 
 // retractOwned realizes an owner-side retraction on the local table and
-// appends the subscribe floods it requires (promotion hand-off,
-// re-exposed representatives) to types/frames. It reports whether the
+// appends the subscribe bodies it must flood (promotion hand-off,
+// re-exposed representatives) to pushes; they leave on the same links
+// as the unsubscribe, ahead of it. It reports whether the
 // unsubscribe itself must still flood: only representatives ever
 // installed remote state, so member and covered departures stay local.
 // Called with n.mu held.
-func (n *Node) retractOwned(id msg.SubID, ret routing.Retraction, types *[]byte, frames *[][]byte) bool {
+func (n *Node) retractOwned(id msg.SubID, ret routing.Retraction, pushes *[][]byte) bool {
 	push := func(s *msg.Subscription) {
-		body, err := msg.AppendSubscription(nil, s)
-		if err != nil {
-			return
+		// Admitted at this edge, s has been encoded once already (off the
+		// wire or in Subscribe), so this does not fail.
+		if body, err := msg.AppendSubscription(nil, s); err == nil {
+			*pushes = append(*pushes, body)
 		}
-		*types = append(*types, msg.FrameSubscribe)
-		*frames = append(*frames, body)
 	}
 	reexpose := func(s *msg.Subscription) {
 		switch kind, rep := n.agg.Reexpose(s); kind {
@@ -340,13 +355,22 @@ func (n *Node) retractOwned(id msg.SubID, ret routing.Retraction, types *[]byte,
 // subscriber client had sent it — routing entries install here and the
 // subscription floods across the overlay. The runtime's live churn
 // driver uses it to realize a plan's subscribe events at the
-// subscription's edge broker.
-func (n *Node) Subscribe(s *msg.Subscription) { n.handleSubscribe(s, nil, nil) }
+// subscription's edge broker. A subscription msg.AppendSubscription
+// cannot encode could neither flood nor be logged: Subscribe returns
+// that error and installs nothing.
+func (n *Node) Subscribe(s *msg.Subscription) error {
+	body, err := msg.AppendSubscription(nil, s)
+	if err != nil {
+		return err
+	}
+	n.handleSubscribe(s, nil, body, msg.None)
+	return nil
+}
 
 // Unsubscribe injects a subscription withdrawal at this broker: routing
 // state is removed, a bounded tombstone guards against late subscribe
 // floods, and the removal floods across the overlay.
-func (n *Node) Unsubscribe(id msg.SubID) { n.handleUnsubscribe(id) }
+func (n *Node) Unsubscribe(id msg.SubID) { n.handleUnsubscribe(id, msg.None) }
 
 // installRoutes computes this broker's routing entries for one
 // dynamically flooded subscription: for each ingress, the deterministic

@@ -68,7 +68,9 @@ const (
 // dedup/reorder state — decoded zero-copy into pooled messages and
 // processed in order, each behind the MaxEgress gate. Control frames
 // (subscribe, unsubscribe, resume) run inline once the deliveries of the
-// data ahead of them are flushed: control never overtakes data.
+// data ahead of them are flushed: control never overtakes data. A
+// neighbor's floods name it as their arrival link, which they skip on
+// the way out.
 func (n *Node) readLoop(conn net.Conn) {
 	defer n.wg.Done()
 	defer func() {
@@ -220,19 +222,19 @@ func (n *Node) readLoop(conn net.Conn) {
 			}
 		case msg.FrameSubscribe:
 			s, derr := msg.DecodeSubscription(body)
-			// The flood relays these bytes as received: copied once,
-			// before the frame buffer goes back to its pool.
-			raw := append([]byte(nil), body...)
-			fb.Release()
 			if derr != nil {
+				fb.Release()
 				break
 			}
 			w.flush(n)
-			var from *peerConn
+			var local *peerConn
 			if role == msg.RoleSubscriber {
-				from = peer
+				local = peer
 			}
-			n.handleSubscribe(s, from, raw)
+			// The flood relays body as received, so the frame buffer goes
+			// back to its pool only once the relay is written.
+			n.handleSubscribe(s, local, body, peerID)
+			fb.Release()
 		case msg.FrameUnsubscribe:
 			id, derr := msg.DecodeUnsubscribe(body)
 			fb.Release()
@@ -240,7 +242,7 @@ func (n *Node) readLoop(conn net.Conn) {
 				break
 			}
 			w.flush(n)
-			n.handleUnsubscribe(id)
+			n.handleUnsubscribe(id, peerID)
 		case msg.FrameResume:
 			sub, lastSeq, derr := msg.DecodeResume(body)
 			fb.Release()

@@ -48,6 +48,9 @@ type peerConn struct {
 	mu       sync.Mutex
 	conn     net.Conn
 	deadline writeDeadline
+	// frame is writeFrame's scratch, reused under mu: a control frame
+	// costs no allocation.
+	frame []byte
 }
 
 // swap replaces the connection underneath (the peer was reborn on a new
@@ -59,13 +62,21 @@ func (p *peerConn) swap(conn net.Conn) (old net.Conn) {
 	return old
 }
 
+// writeFrame writes one frame, header and body with one Write, framed in
+// the connection's own scratch buffer.
 func (p *peerConn) writeFrame(frameType byte, body []byte) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if err := p.deadline.arm(p.conn); err != nil {
 		return err
 	}
-	return msg.WriteFrame(p.conn, frameType, body)
+	frame := append(msg.BeginFrame(p.frame[:0], frameType), body...)
+	p.frame = frame[:0]
+	if err := msg.EndFrame(frame, 0); err != nil {
+		return err
+	}
+	_, err := p.conn.Write(frame)
+	return err
 }
 
 // writeBuf writes preassembled frames (headers and bodies in one

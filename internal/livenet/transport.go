@@ -29,6 +29,18 @@ func (Transport) Deterministic() bool { return false }
 
 // Deploy implements runtime.Transport.
 func (Transport) Deploy(p *runtime.Plan) (runtime.Deployment, error) {
+	// The churn driver floods each subscribe event from its edge broker:
+	// one the wire cannot carry is refused here, not lost mid-run.
+	var body []byte
+	for _, ev := range p.SubEvents {
+		if ev.Unsub {
+			continue
+		}
+		var err error
+		if body, err = msg.AppendSubscription(body[:0], ev.Sub); err != nil {
+			return nil, fmt.Errorf("livenet: subscribe event for subscription %d: %w", ev.Sub.ID, err)
+		}
+	}
 	ts := p.Cfg.TimeScale
 	if ts <= 0 {
 		ts = 1
@@ -328,7 +340,7 @@ func (d *deployment) armChurn() {
 			if ev.Unsub {
 				node.Unsubscribe(ev.Sub.ID)
 			} else {
-				node.Subscribe(ev.Sub)
+				_ = node.Subscribe(ev.Sub) // encodes: checked at Deploy
 			}
 		}
 	}()

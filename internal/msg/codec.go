@@ -16,10 +16,13 @@ import (
 //	message := id(8) publisher(4) ingress(4) published(8) allowed(8)
 //	           sizeKB(8) nattrs(2) attr* payloadLen(4) payload
 //	attr    := nameLen(1) name kind(1) ( num(8) | strLen(2) str )
-//	sub     := id(4) edge(4) deadline(8) price(8) filterLen(2) filterSrc
+//	sub     := id(4) edge(4) deadline(8) price(8) filterLen(2) filter
 //
-// Floats are IEEE-754 bit patterns. Limits below bound every length field
-// so a corrupt or hostile frame cannot trigger a huge allocation.
+// filter is the binary form of the subscription's filter
+// (filter.AppendBinary: the expression tree, node by node); version 1
+// carried its source text instead. Floats are IEEE-754 bit patterns.
+// Limits below bound every length field so a corrupt or hostile frame
+// cannot trigger a huge allocation.
 
 // Frame type identifiers.
 const (
@@ -163,13 +166,13 @@ func DecodeResume(body []byte) (sub SubID, lastSeq uint64, err error) {
 // Codec limits.
 const (
 	wireMagic   = 0xBD75
-	wireVersion = 1
+	wireVersion = 2
 
 	MaxAttrs      = 1024
 	MaxNameLen    = 255
 	MaxStrLen     = 1 << 16 // 64 KiB
 	MaxPayloadLen = 16 << 20
-	MaxFilterLen  = 1 << 16
+	MaxFilterLen  = 1<<16 - 1 // a filter's encoding, behind a 2-byte length
 	MaxBodyLen    = 32 << 20
 )
 
@@ -267,46 +270,47 @@ func DecodeMessage(body []byte) (*Message, error) {
 	return m, nil
 }
 
-// AppendSubscription appends the body encoding of s to dst.
+// AppendSubscription appends the body encoding of s to dst. Into a
+// buffer with room it allocates nothing.
 func AppendSubscription(dst []byte, s *Subscription) ([]byte, error) {
-	src := s.Filter.String()
-	if len(src) > MaxFilterLen {
-		return dst, fmt.Errorf("%w: filter %d bytes", ErrTooLarge, len(src))
-	}
+	start := len(dst)
 	dst = binary.BigEndian.AppendUint32(dst, uint32(s.ID))
 	dst = binary.BigEndian.AppendUint32(dst, uint32(s.Edge))
 	dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(s.Deadline))
 	dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(s.Price))
-	dst = binary.BigEndian.AppendUint16(dst, uint16(len(src)))
-	dst = append(dst, src...)
+	lenAt := len(dst)
+	dst = append(dst, 0, 0) // filterLen, filled in below
+	dst, err := s.Filter.AppendBinary(dst)
+	if err != nil {
+		return dst[:start], fmt.Errorf("%w: %v", ErrTooLarge, err)
+	}
+	n := len(dst) - lenAt - 2
+	if n > MaxFilterLen {
+		return dst[:start], fmt.Errorf("%w: filter %d bytes", ErrTooLarge, n)
+	}
+	binary.BigEndian.PutUint16(dst[lenAt:], uint16(n))
 	return dst, nil
 }
 
 // DecodeSubscription parses a subscription body.
 func DecodeSubscription(body []byte) (*Subscription, error) {
 	r := reader{buf: body}
-	s := &Subscription{}
-	s.ID = SubID(r.u32())
-	s.Edge = NodeID(r.u32())
-	s.Deadline = math.Float64frombits(r.u64())
-	s.Price = math.Float64frombits(r.u64())
-	srcLen := int(r.u16())
-	if srcLen > MaxFilterLen {
-		return nil, fmt.Errorf("%w: filter %d bytes", ErrTooLarge, srcLen)
-	}
-	src := string(r.bytes(srcLen))
+	id := SubID(r.u32())
+	edge := NodeID(r.u32())
+	deadline := math.Float64frombits(r.u64())
+	price := math.Float64frombits(r.u64())
+	fb := r.bytes(int(r.u16()))
 	if r.err != nil {
 		return nil, r.err
 	}
 	if r.pos != len(body) {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(body)-r.pos)
 	}
-	f, err := filter.Parse(src)
+	f, err := filter.DecodeBinary(fb)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	s.Filter = f
-	return s, nil
+	return &Subscription{ID: id, Edge: edge, Deadline: deadline, Price: price, Filter: f}, nil
 }
 
 // WriteFrame writes one framed body to w, header and body in a single

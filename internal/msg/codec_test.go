@@ -2,6 +2,7 @@ package msg
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math"
@@ -176,6 +177,51 @@ func TestSubscriptionCodecWildcard(t *testing.T) {
 	}
 	if !got.Filter.Match(NumAttrs(map[string]float64{"x": 1})) {
 		t.Error("wildcard filter should survive the codec")
+	}
+}
+
+// TestSubscriptionCodecAllocs pins the control path's allocations:
+// encoding into a reused buffer makes none, and decoding a fanout-shaped
+// subscription (a three-predicate range conjunction on interned
+// attributes) makes four — the Subscription, its predicates, the
+// conjunction node and the Filter.
+func TestSubscriptionCodecAllocs(t *testing.T) {
+	s := &Subscription{ID: 4242, Edge: 3, Deadline: 30000, Price: 2,
+		Filter: filter.MustParse("A1 > 0.3 && A1 < 0.34 && A2 < 0.7")}
+	buf, err := AppendSubscription(nil, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		buf, _ = AppendSubscription(buf[:0], s)
+	}); n != 0 {
+		t.Errorf("AppendSubscription into a reused buffer: %v allocs, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := DecodeSubscription(buf); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 4 {
+		t.Errorf("DecodeSubscription of a fanout-shaped filter: %v allocs, want ≤ 4", n)
+	}
+}
+
+// TestDecodeSubscriptionRejectsDeepNesting: a filter body nesting groups
+// far past filter.MaxBinaryDepth is refused as corrupt.
+func TestDecodeSubscriptionRejectsDeepNesting(t *testing.T) {
+	body, err := AppendSubscription(nil, &Subscription{ID: 1, Edge: 2, Filter: &filter.Filter{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body = body[:len(body)-3] // drop the wildcard filter and its length
+	var deep []byte
+	for len(deep)+3 <= MaxFilterLen {
+		deep = append(deep, 3, 0, 2) // an and-group of two, opening the next
+	}
+	body = binary.BigEndian.AppendUint16(body, uint16(len(deep)))
+	body = append(body, deep...)
+	if _, err := DecodeSubscription(body); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("deeply nested filter: err %v, want ErrCorrupt", err)
 	}
 }
 
@@ -404,7 +450,7 @@ func TestDataHeaderEpoch(t *testing.T) {
 }
 
 func TestReadFrameHugeBodyRejected(t *testing.T) {
-	raw := []byte{0xBD, 0x75, 1, 1, 0xFF, 0xFF, 0xFF, 0xFF}
+	raw := []byte{0xBD, 0x75, wireVersion, 1, 0xFF, 0xFF, 0xFF, 0xFF}
 	if _, _, err := ReadFrame(bytes.NewReader(raw)); !errors.Is(err, ErrTooLarge) {
 		t.Errorf("err = %v, want ErrTooLarge", err)
 	}

@@ -2,6 +2,7 @@ package msg
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"bdps/internal/filter"
@@ -34,13 +35,27 @@ func FuzzCodec(f *testing.F) {
 	}
 	f.Add(mBody)
 
-	sub := &Subscription{ID: 9, Edge: 2, Deadline: 10 * vtime.Second, Price: 3,
-		Filter: filter.MustParse("A1 < 5 && A2 < 3")}
-	sBody, err := AppendSubscription(nil, sub)
-	if err != nil {
-		f.Fatal(err)
+	// One subscription per node and operand kind of the binary filter:
+	// wildcard, a predicate, a conjunction past a program's seven, nested
+	// and/or, !=, strings, and NaN, ±Inf and −0 operands.
+	for i, flt := range []*filter.Filter{
+		filter.MustParse("A1 < 5 && A2 < 3"),
+		{},
+		filter.MustParse("A1 < 5"),
+		filter.MustParse("a < 1 && b <= 2 && c > 3 && d >= 4 && e == 5 && f < 6 && g < 7 && h < 8"),
+		filter.MustParse("(A1 < 1 || A2 > 2) && (A3 < 3 || (A4 > 4 && A5 < 5)) && A6 == 6"),
+		filter.MustParse(`A1 != 3 && sym == "IBM" && venue != 'x'`),
+		filter.NewPred("A1", filter.LE, filter.Num(math.NaN())),
+		filter.And(filter.Gt("A1", math.Inf(-1)), filter.Lt("A2", math.Inf(1))),
+		filter.And(filter.Gt("A1", math.Copysign(0, -1)), filter.Lt("A1", 1)),
+	} {
+		sub := &Subscription{ID: SubID(9 + i), Edge: 2, Deadline: 10 * vtime.Second, Price: 3, Filter: flt}
+		sBody, err := AppendSubscription(nil, sub)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(sBody)
 	}
-	f.Add(sBody)
 
 	var framed bytes.Buffer
 	if err := WriteFrame(&framed, FrameMessage, mBody); err != nil {
@@ -61,11 +76,11 @@ func FuzzCodec(f *testing.F) {
 	}
 	f.Add(df)
 	f.Add(append(AppendDataHeader(nil, 7, 5, 1), mBody...))
-	f.Add([]byte{0xBD, 0x75, 1, 0x03, 0, 0, 0, 8, 0, 0, 0, 0, 0, 0, 0, 42})
+	f.Add([]byte{0xBD, 0x75, wireVersion, 0x03, 0, 0, 0, 8, 0, 0, 0, 0, 0, 0, 0, 42})
 	f.Add(AppendDataHeader(nil, 3, 9, 0))
 	f.Add(AppendDataHeader(nil, 7, 5, 0)[:DataHdrLen-1])
 	// A header claiming a huge body: must be refused, not allocated.
-	f.Add([]byte{0xBD, 0x75, 1, FrameMessage, 0xFF, 0xFF, 0xFF, 0xFF})
+	f.Add([]byte{0xBD, 0x75, wireVersion, FrameMessage, 0xFF, 0xFF, 0xFF, 0xFF})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The zero-copy decoder must accept exactly what the allocating
@@ -105,14 +120,15 @@ func FuzzCodec(f *testing.F) {
 				t.Fatalf("re-encoding is not canonical:\n%x\n%x", enc, enc2)
 			}
 		}
-		// Subscription: same round-trip contract.
+		// Subscription: whatever decodes re-encodes to the very bytes it
+		// came from — the binary filter has one encoding per tree.
 		if ds, err := DecodeSubscription(data); err == nil {
 			enc, err := AppendSubscription(nil, ds)
 			if err != nil {
 				t.Fatalf("decoded subscription does not re-encode: %v", err)
 			}
-			if _, err := DecodeSubscription(enc); err != nil {
-				t.Fatalf("re-encoded subscription does not decode: %v", err)
+			if !bytes.Equal(enc, data) {
+				t.Fatalf("subscription re-encodes differently:\n%x\n%x", enc, data)
 			}
 		}
 		// The small decoders must simply never panic.
@@ -161,7 +177,7 @@ func FuzzCodec(f *testing.F) {
 // fuzz seed above probes: a frame header claiming more than MaxBodyLen
 // must be refused before any body allocation.
 func TestCodecRejectsOversizedFrameHeader(t *testing.T) {
-	hdr := []byte{0xBD, 0x75, 1, FrameMessage, 0xFF, 0xFF, 0xFF, 0xFF}
+	hdr := []byte{0xBD, 0x75, wireVersion, FrameMessage, 0xFF, 0xFF, 0xFF, 0xFF}
 	if _, _, err := ReadFrame(bytes.NewReader(hdr)); err == nil {
 		t.Fatal("32 GiB-claiming frame header must be rejected")
 	}

@@ -232,10 +232,12 @@ type tableSlab struct {
 }
 
 // Installer installs subscriptions into a table set after the bulk
-// build — the churn path. It amortizes one Dijkstra per ingress across
-// every Install call on the (static) overlay, exactly as the bulk Build
-// amortizes it across the whole population, so a churn event stream
-// costs path reconstruction, not a shortest-path computation per event.
+// build — the churn path. Its overlay is immutable (topology repair
+// builds a new Installer per surviving graph), so it computes each
+// (ingress, edge) path set once — from one Dijkstra per ingress, exactly
+// as the bulk Build amortizes it across the whole population — and a
+// churn event stream costs only the entries it installs. Not safe for
+// concurrent use.
 type Installer struct {
 	ov    *topology.Overlay
 	rates RateFunc
@@ -243,6 +245,8 @@ type Installer struct {
 	// cached single-path Dijkstra state per ingress, computed lazily
 	dist map[msg.NodeID][]float64
 	prev map[msg.NodeID][]msg.NodeID
+	// routes caches the path set of each (ingress, edge) pair asked for
+	routes map[[2]msg.NodeID][][]msg.NodeID
 }
 
 // NewInstaller prepares a churn installer for one overlay and build
@@ -260,11 +264,12 @@ func NewInstaller(ov *topology.Overlay, opts Options) *Installer {
 		k = 1
 	}
 	return &Installer{
-		ov:    ov,
-		rates: rates,
-		k:     k,
-		dist:  make(map[msg.NodeID][]float64),
-		prev:  make(map[msg.NodeID][]msg.NodeID),
+		ov:     ov,
+		rates:  rates,
+		k:      k,
+		dist:   make(map[msg.NodeID][]float64),
+		prev:   make(map[msg.NodeID][]msg.NodeID),
+		routes: make(map[[2]msg.NodeID][][]msg.NodeID),
 	}
 }
 
@@ -282,15 +287,22 @@ func (ins *Installer) ingress(src msg.NodeID) ([]float64, []msg.NodeID) {
 // Paths exposes the delivery path set the installer uses from one
 // ingress to an edge broker (nil when unreachable). The topology-repair
 // layer diffs these across graph mutations to find the routes a failure
-// actually moved.
+// actually moved. The result is the installer's cached copy, shared by
+// every later call: callers must not mutate it.
 func (ins *Installer) Paths(src, edge msg.NodeID) [][]msg.NodeID {
-	return ins.paths(src, edge)
+	key := [2]msg.NodeID{src, edge}
+	ps, ok := ins.routes[key]
+	if !ok {
+		ps = ins.computePaths(src, edge)
+		ins.routes[key] = ps
+	}
+	return ps
 }
 
-// paths returns the delivery path set from one ingress to an edge (one
-// cached-Dijkstra path, or K shortest paths in multipath mode); nil when
-// unreachable.
-func (ins *Installer) paths(src, edge msg.NodeID) [][]msg.NodeID {
+// computePaths returns the delivery path set from one ingress to an
+// edge (one cached-Dijkstra path, or K shortest paths in multipath
+// mode); nil when unreachable.
+func (ins *Installer) computePaths(src, edge msg.NodeID) [][]msg.NodeID {
 	if ins.k == 1 {
 		dist, prev := ins.ingress(src)
 		p, ok := pathVia(dist, prev, src, edge)
@@ -311,7 +323,7 @@ func (ins *Installer) paths(src, edge msg.NodeID) [][]msg.NodeID {
 func (ins *Installer) Install(tables map[msg.NodeID]*Table, sub *msg.Subscription) int {
 	installed := 0
 	for _, src := range ins.ov.Ingress {
-		for pathID, path := range ins.paths(src, sub.Edge) {
+		for pathID, path := range ins.Paths(src, sub.Edge) {
 			installPath(tables, path, sub, src, pathID, ins.rates)
 			installed += len(path)
 		}
@@ -326,7 +338,7 @@ func (ins *Installer) Install(tables map[msg.NodeID]*Table, sub *msg.Subscriptio
 func (ins *Installer) InstallAt(id msg.NodeID, table *Table, sub *msg.Subscription) int {
 	installed := 0
 	for _, src := range ins.ov.Ingress {
-		for pathID, path := range ins.paths(src, sub.Edge) {
+		for pathID, path := range ins.Paths(src, sub.Edge) {
 			for i, at := range path {
 				if at != id {
 					continue
@@ -346,7 +358,7 @@ func (ins *Installer) InstallAt(id msg.NodeID, table *Table, sub *msg.Subscripti
 func (ins *Installer) InstallExcept(tables map[msg.NodeID]*Table, sub *msg.Subscription, skip msg.NodeID) int {
 	installed := 0
 	for _, src := range ins.ov.Ingress {
-		for pathID, path := range ins.paths(src, sub.Edge) {
+		for pathID, path := range ins.Paths(src, sub.Edge) {
 			for i, at := range path {
 				if at == skip {
 					continue

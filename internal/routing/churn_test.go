@@ -265,6 +265,35 @@ func TestInstallRemoveSubAll(t *testing.T) {
 	}
 }
 
+// TestInstallerCachesPaths: an installer computes each (ingress, edge)
+// path set once — later calls return the same shared slices and
+// allocate nothing — single-path and multipath alike, and the cached set
+// is the one a fresh installer computes.
+func TestInstallerCachesPaths(t *testing.T) {
+	ov, err := topology.BuildLayered(topology.LayeredConfig{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []int{1, 2} {
+		ins := NewInstaller(ov, Options{Multipath: k})
+		src, edge := ov.Ingress[0], ov.Edges[1]
+		first := ins.Paths(src, edge)
+		if len(first) == 0 {
+			t.Fatalf("k=%d: no path %d→%d", k, src, edge)
+		}
+		if again := ins.Paths(src, edge); &again[0] != &first[0] {
+			t.Errorf("k=%d: second Paths call recomputed the set", k)
+		}
+		if n := testing.AllocsPerRun(50, func() { ins.Paths(src, edge) }); n != 0 {
+			t.Errorf("k=%d: cached Paths made %v allocs, want 0", k, n)
+		}
+		fresh := NewInstaller(ov, Options{Multipath: k}).Paths(src, edge)
+		if fmt.Sprint(fresh) != fmt.Sprint(first) {
+			t.Errorf("k=%d: cached %v, fresh installer %v", k, first, fresh)
+		}
+	}
+}
+
 // TestMatchAppendWithConcurrentMutation is the readers-writer contract
 // under -race: matchers holding the read lock (each with private
 // scratch, as live read loops do) run concurrently with a mutator

@@ -455,6 +455,18 @@ func (t *Table) Entries(source msg.NodeID) []*Entry {
 	return out
 }
 
+// SubEntries appends one subscription's live entries to dst through its
+// back-references, without scanning the table, and returns it. A
+// source's entries come in slot order.
+func (t *Table) SubEntries(id msg.SubID, dst []*Entry) []*Entry {
+	for _, r := range t.bySub[id] {
+		if st := t.bySource[r.src]; st != nil && st.entries[r.pos] != nil {
+			dst = append(dst, st.entries[r.pos])
+		}
+	}
+	return dst
+}
+
 // Sources returns the ingress ids present in the table, sorted.
 func (t *Table) Sources() []msg.NodeID {
 	out := make([]msg.NodeID, 0, len(t.bySource))

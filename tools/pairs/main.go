@@ -1,0 +1,398 @@
+// Command pairs classifies a change against a base revision on the
+// repository benchmark, in alternating pairs:
+//
+//	go run ./tools/pairs --base <rev> [--workloads a,b] [--n 10] [--seed S] [--seconds T]
+//
+// It checks out the base revision and HEAD into temporary git worktrees,
+// runs each side through that side's own bench/run.sh — n pairs per
+// workload, alternating which side runs first — and hands the run files
+// to HEAD's `bench compare A1,…,An B1,…,Bn`, which applies the bounds.
+// Then it prints, per workload and end-to-end metric of BENCHMARK.json:
+// both sides' medians, the change of the median, how many pairs moved
+// each way, the base's interquartile range against the metric's bound,
+// and a verdict (see classify). It exits 1 when a verdict is
+// "regression", 2 when the measurement itself failed.
+//
+// HEAD means the committed tree: commit the change before measuring it.
+// The worktrees (and their build caches) live under the system temporary
+// directory ($TMPDIR) and are removed on exit.
+package main
+
+import (
+	"encoding/json"
+	"errors"
+	"flag"
+	"fmt"
+	"io"
+	"math"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"sort"
+	"strings"
+)
+
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// benchSpec is the part of BENCHMARK.json pairs reads.
+type benchSpec struct {
+	RunSeconds float64 `json:"run_seconds"`
+	Workloads  []struct {
+		Name string `json:"name"`
+	} `json:"workloads"`
+	EndToEnd []metricSpec `json:"end_to_end"`
+}
+
+type metricSpec struct {
+	Name   string  `json:"name"`
+	Better string  `json:"better"` // "lower" or "higher"
+	Bound  float64 `json:"bound"`
+}
+
+// runFile is the part of a bench result file pairs reads.
+type runFile struct {
+	Workloads []struct {
+		Name    string `json:"name"`
+		Metrics map[string]struct {
+			Value float64 `json:"value"`
+		} `json:"metrics"`
+	} `json:"workloads"`
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("pairs", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	base := fs.String("base", "", "the revision to measure HEAD against (required)")
+	workloads := fs.String("workloads", "", "comma-separated workloads (default: every workload of BENCHMARK.json)")
+	n := fs.Int("n", 10, "pairs per workload")
+	seed := fs.Uint64("seed", 1, "the benchmark's input seed")
+	seconds := fs.Float64("seconds", 0, "seconds one workload run measures (default: BENCHMARK.json's run_seconds)")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if *base == "" || *n < 1 || *seconds < 0 || fs.NArg() > 0 {
+		fs.Usage()
+		return 2
+	}
+	rows, err := measure(*base, *workloads, *n, *seed, *seconds, stdout, stderr)
+	if err != nil {
+		fmt.Fprintln(stderr, "pairs:", err)
+		return 2
+	}
+	printRows(stdout, rows)
+	for _, r := range rows {
+		if r.verdict == regression {
+			return 1
+		}
+	}
+	return 0
+}
+
+// measure runs the pairs and returns one row per workload and metric.
+func measure(base, workloads string, n int, seed uint64, seconds float64, stdout, stderr io.Writer) ([]row, error) {
+	root, err := git("", "rev-parse", "--show-toplevel")
+	if err != nil {
+		return nil, err
+	}
+	baseRev, err := git(root, "rev-parse", "--verify", base+"^{commit}")
+	if err != nil {
+		return nil, err
+	}
+	headRev, err := git(root, "rev-parse", "--verify", "HEAD^{commit}")
+	if err != nil {
+		return nil, err
+	}
+	tmp, err := os.MkdirTemp("", "pairs-")
+	if err != nil {
+		return nil, err
+	}
+	defer os.RemoveAll(tmp)
+
+	sides := [2]string{filepath.Join(tmp, "base"), filepath.Join(tmp, "head")}
+	for i, rev := range [2]string{baseRev, headRev} {
+		if _, err := git(root, "worktree", "add", "--detach", sides[i], rev); err != nil {
+			return nil, err
+		}
+		defer git(root, "worktree", "remove", "--force", sides[i])
+	}
+	fmt.Fprintf(stderr, "pairs: base %.12s, head %.12s\n", baseRev, headRev)
+
+	specJSON, err := os.ReadFile(filepath.Join(sides[1], "BENCHMARK.json"))
+	if err != nil {
+		return nil, err
+	}
+	var spec benchSpec
+	if err := json.Unmarshal(specJSON, &spec); err != nil {
+		return nil, fmt.Errorf("BENCHMARK.json: %w", err)
+	}
+	names := strings.Split(workloads, ",")
+	if workloads == "" {
+		names = names[:0]
+		for _, w := range spec.Workloads {
+			names = append(names, w.Name)
+		}
+	}
+	if seconds == 0 {
+		seconds = spec.RunSeconds
+	}
+
+	runsDir := filepath.Join(tmp, "runs")
+	if err := os.Mkdir(runsDir, 0o755); err != nil {
+		return nil, err
+	}
+	// files[w][side] lists the run files, pair by pair.
+	files := make(map[string]*[2][]string)
+	for _, w := range names {
+		files[w] = new([2][]string)
+	}
+	for i := 0; i < n; i++ {
+		for _, w := range names {
+			order := [2]int{0, 1}
+			if i%2 == 1 {
+				order = [2]int{1, 0}
+			}
+			for _, s := range order {
+				out := filepath.Join(runsDir, fmt.Sprintf("%s-%s-%d.json", [2]string{"base", "head"}[s], w, i))
+				fmt.Fprintf(stderr, "pairs: pair %d/%d %s %s\n", i+1, n, w, [2]string{"base", "head"}[s])
+				if err := benchRun(sides[s], w, seed, seconds, out); err != nil {
+					return nil, err
+				}
+				files[w][s] = append(files[w][s], out)
+			}
+		}
+	}
+
+	var all [2][]string
+	for _, w := range names {
+		for s := range all {
+			all[s] = append(all[s], files[w][s]...)
+		}
+	}
+	cmp := exec.Command(filepath.Join(sides[1], ".bench_build", "bdps-bench"), "compare",
+		strings.Join(all[0], ","), strings.Join(all[1], ","))
+	cmp.Stdout, cmp.Stderr = stdout, stderr
+	var exit *exec.ExitError
+	if err := cmp.Run(); err != nil && !(errors.As(err, &exit) && exit.ExitCode() == 1) {
+		return nil, fmt.Errorf("bench compare: %w", err) // 1 is "a row is worse"
+	}
+	fmt.Fprintln(stdout)
+
+	var rows []row
+	for _, w := range names {
+		runs := [2][]*runFile{}
+		for s := range runs {
+			for _, path := range files[w][s] {
+				f, err := readRun(path)
+				if err != nil {
+					return nil, err
+				}
+				runs[s] = append(runs[s], f)
+			}
+		}
+		for _, m := range spec.EndToEnd {
+			var pairs []pair
+			for i := range runs[0] {
+				a, okA := value(runs[0][i], w, m.Name)
+				b, okB := value(runs[1][i], w, m.Name)
+				if okA && okB {
+					pairs = append(pairs, pair{a, b})
+				}
+			}
+			if len(pairs) > 0 {
+				rows = append(rows, classify(w, m, pairs))
+			}
+		}
+	}
+	return rows, nil
+}
+
+// benchRun runs one workload through a checkout's own bench/run.sh and
+// keeps its result file at out.
+func benchRun(dir, workload string, seed uint64, seconds float64, out string) error {
+	cmd := exec.Command("bash", "bench/run.sh", "--workload", workload,
+		"--seed", fmt.Sprint(seed), "--seconds", fmt.Sprint(seconds), "--trace", "0")
+	cmd.Dir = dir
+	if output, err := cmd.CombinedOutput(); err != nil {
+		lines := strings.Split(strings.TrimSpace(string(output)), "\n")
+		return fmt.Errorf("%s in %s: %w; its output ends:\n%s",
+			workload, dir, err, strings.Join(lines[max(0, len(lines)-20):], "\n"))
+	}
+	result, err := os.ReadFile(filepath.Join(dir, "bench", "out", "run.json"))
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(out, result, 0o644)
+}
+
+func readRun(path string) (*runFile, error) {
+	b, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	var f runFile
+	if err := json.Unmarshal(b, &f); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return &f, nil
+}
+
+func value(f *runFile, workload, metric string) (float64, bool) {
+	for _, w := range f.Workloads {
+		if w.Name == workload {
+			s, ok := w.Metrics[metric]
+			return s.Value, ok
+		}
+	}
+	return 0, false
+}
+
+func git(dir string, args ...string) (string, error) {
+	cmd := exec.Command("git", args...)
+	cmd.Dir = dir
+	out, err := cmd.Output()
+	if err != nil {
+		var exit *exec.ExitError
+		if errors.As(err, &exit) {
+			return "", fmt.Errorf("git %s: %v: %s", strings.Join(args, " "), err, strings.TrimSpace(string(exit.Stderr)))
+		}
+		return "", fmt.Errorf("git %s: %w", strings.Join(args, " "), err)
+	}
+	return strings.TrimSpace(string(out)), nil
+}
+
+// Verdicts.
+const (
+	win        = "win"
+	level      = "level"
+	regression = "regression"
+	unresolved = "unresolved"
+)
+
+// pair is one metric's value on the base (a) and the change (b) in one
+// pair of runs.
+type pair struct{ a, b float64 }
+
+// row is one workload × metric line of the report.
+type row struct {
+	workload       string
+	metric         metricSpec
+	baseMed        float64
+	baseQ1, baseQ3 float64
+	headMed        float64
+	n              int
+	better, worse  int // pairs in which the change moved each way
+	verdict        string
+}
+
+// classify applies the rule a claim is judged by. A win (or a
+// regression) needs at least ten pairs, at least nine in ten of them
+// moved in that direction (ties count for neither), and the medians
+// apart by more than the base's interquartile range; a regression must
+// also be worse than the metric's bound, since a change within it is
+// what the benchmark accepts. Anything else is at most level — the
+// change's median no worse than the bound, the base's spread within it —
+// or unresolved, which more pairs may settle.
+func classify(workload string, m metricSpec, pairs []pair) row {
+	r := row{workload: workload, metric: m, n: len(pairs)}
+	var as, bs []float64
+	for _, p := range pairs {
+		as, bs = append(as, p.a), append(bs, p.b)
+		switch {
+		case p.b == p.a:
+		case (p.b < p.a) == (m.Better == "lower"):
+			r.better++
+		default:
+			r.worse++
+		}
+	}
+	r.baseQ1, r.baseMed, r.baseQ3 = quartiles(as)
+	r.headMed = median(bs)
+
+	improved := (r.headMed < r.baseMed) == (m.Better == "lower")
+	apart := math.Abs(r.headMed-r.baseMed) > r.baseQ3-r.baseQ1 && r.headMed != r.baseMed
+	switch {
+	case r.n >= 10 && 10*r.better >= 9*r.n && apart && improved:
+		r.verdict = win
+	case r.n >= 10 && 10*r.worse >= 9*r.n && apart && !improved && r.worseBy() > m.Bound:
+		r.verdict = regression
+	case r.baseMed == 0:
+		r.verdict = unresolved
+		if r.headMed == 0 && r.baseQ3 == r.baseQ1 {
+			r.verdict = level
+		}
+	case r.worseBy() <= m.Bound && r.spread() <= m.Bound:
+		r.verdict = level
+	default:
+		r.verdict = unresolved
+	}
+	return r
+}
+
+// delta is the change of the median, a share of the base's.
+func (r row) delta() float64 {
+	if r.baseMed == 0 {
+		return 0
+	}
+	return (r.headMed - r.baseMed) / math.Abs(r.baseMed)
+}
+
+// worseBy is delta signed so that positive is worse.
+func (r row) worseBy() float64 {
+	if r.metric.Better == "higher" {
+		return -r.delta()
+	}
+	return r.delta()
+}
+
+// spread is the base's interquartile range, a share of its median.
+func (r row) spread() float64 {
+	if r.baseMed == 0 {
+		return 0
+	}
+	return math.Abs((r.baseQ3 - r.baseQ1) / r.baseMed)
+}
+
+func printRows(w io.Writer, rows []row) {
+	fmt.Fprintf(w, "%-13s %-15s %12s %12s %8s %7s %7s %9s %6s  %s\n",
+		"workload", "metric", "base", "head", "delta", "better", "worse", "base IQR", "bound", "verdict")
+	for _, r := range rows {
+		fmt.Fprintf(w, "%-13s %-15s %12.6g %12.6g %+7.1f%% %7s %7s %8.1f%% %5.0f%%  %s\n",
+			r.workload, r.metric.Name, r.baseMed, r.headMed, 100*r.delta(),
+			fmt.Sprintf("%d/%d", r.better, r.n), fmt.Sprintf("%d/%d", r.worse, r.n),
+			100*r.spread(), 100*r.metric.Bound, r.verdict)
+	}
+}
+
+// quartiles returns the first, second and third quartiles of xs, by the
+// rule bench/ uses (Python's statistics.quantiles, exclusive method).
+func quartiles(xs []float64) (q1, q2, q3 float64) {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	n := len(s)
+	switch n {
+	case 0:
+		return 0, 0, 0
+	case 1:
+		return s[0], s[0], s[0]
+	}
+	cut := func(i int) float64 {
+		m := n + 1
+		j := min(max(i*m/4, 1), n-1)
+		delta := i*m - j*4
+		return (s[j-1]*float64(4-delta) + s[j]*float64(delta)) / 4
+	}
+	return cut(1), cut(2), cut(3)
+}
+
+func median(xs []float64) float64 {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	n := len(s)
+	if n == 0 {
+		return 0
+	}
+	if n%2 == 1 {
+		return s[n/2]
+	}
+	return (s[n/2-1] + s[n/2]) / 2
+}
