@@ -1,7 +1,9 @@
 // bdps-loadgen drives an in-process live cluster at maximum rate and
 // reports data-plane throughput: msgs/sec end to end (injection through
 // cluster quiescence) and allocations per message across the whole
-// pipeline. TimeScale ≈ 0 turns the emulated link pacing and processing
+// pipeline, then the run's tail (tail.go): the longest gap between
+// completions, p99.9 latency, and the GC pauses and scheduling latencies
+// the Go runtime recorded over the measured window. TimeScale ≈ 0 turns the emulated link pacing and processing
 // delay off, so the measurement isolates the transport itself — decode,
 // match, enqueue, schedule, encode, socket writes.
 //
@@ -155,6 +157,7 @@ func report(cfg loadCfg, r result) {
 		fmt.Printf("  flash +%d msgs", r.flashN)
 	}
 	fmt.Println()
+	reportTail(r.tail, r.rtBefore, r.rtAfter)
 	if cfg.flashy() || cfg.protected() {
 		overloadReport(r)
 	}
@@ -293,6 +296,9 @@ type result struct {
 
 	floodsSuppressed int // subscribe floods aggregation avoided
 	aggEntries       int // live entries standing for >1 subscription
+
+	tail              *completions // every delivery, for the tail line
+	rtBefore, rtAfter runtimeSnap  // the runtime's histograms around the window
 }
 
 // brokerStat is one row of the per-broker SLO attainment table.
@@ -360,6 +366,9 @@ func run(cfg loadCfg) (result, error) {
 			Rate: cfg.linkLoss, Dup: cfg.linkDup, Reorder: cfg.linkReorder,
 		}
 	}
+	// Every delivery is recorded for the tail line.
+	tail := newCompletions(cfg.n * max(cfg.subs, 1))
+	ccfg.Sink = tail
 	// The default cluster clock is the wall clock at scale 1, so the
 	// heartbeat durations pass through as plain wall time.
 	var detections, restorations atomic.Int64
@@ -493,6 +502,7 @@ func run(cfg loadCfg) (result, error) {
 	}
 
 	grt.GC()
+	rtBefore := readRuntime()
 	var before, after grt.MemStats
 	grt.ReadMemStats(&before)
 	start := time.Now()
@@ -667,6 +677,7 @@ func run(cfg loadCfg) (result, error) {
 	elapsed := time.Since(start)
 	churned := churnOps.Load() - churnStart
 	grt.ReadMemStats(&after)
+	rtAfter := readRuntime()
 	if cfg.churn > 0 {
 		close(churnStop)
 		<-churnDone
@@ -703,6 +714,10 @@ func run(cfg loadCfg) (result, error) {
 
 		floodsSuppressed: total.FloodsSuppressed,
 		aggEntries:       c.AggregatedEntries(),
+
+		tail:     tail,
+		rtBefore: rtBefore,
+		rtAfter:  rtAfter,
 	}, nil
 }
 

@@ -330,14 +330,6 @@ func (s *Store) RemoveSub(id msg.SubID) error {
 	return s.append(recUnsub, p[:])
 }
 
-// SetMark records one peer link's send watermark.
-func (s *Store) SetMark(peer msg.NodeID, seq uint64) error {
-	var p [12]byte
-	binary.BigEndian.PutUint32(p[:], uint32(peer))
-	binary.BigEndian.PutUint64(p[4:], seq)
-	return s.append(recMark, p[:])
-}
-
 // Reset replaces the store's entire recorded state with st and persists
 // it as a fresh snapshot. Callers that maintain the authoritative state
 // elsewhere (a broker's live routing table) use it to checkpoint that

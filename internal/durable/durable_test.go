@@ -49,12 +49,6 @@ func TestStoreRoundTrip(t *testing.T) {
 	if err := s.RemoveSub(7); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.SetMark(2, 99); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SetMark(2, 123); err != nil {
-		t.Fatal(err)
-	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -80,9 +74,6 @@ func TestStoreRoundTrip(t *testing.T) {
 	last := st.Entries[len(st.Entries)-1]
 	if last.Sub.ID != 3 || last.Next != msg.None {
 		t.Errorf("local entry = sub %d next %d, want sub 3 next %d", last.Sub.ID, last.Next, msg.None)
-	}
-	if st.Marks[2] != 123 {
-		t.Errorf("mark = %d, want 123 (last write wins)", st.Marks[2])
 	}
 	if e := st.Entries[0]; e.RateMean != 50 || e.RateSigma != 5 || e.Hops != 2 {
 		t.Errorf("entry stats lost: %+v", e)

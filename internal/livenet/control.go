@@ -1,6 +1,8 @@
 package livenet
 
 import (
+	"sync"
+
 	"bdps/internal/durable"
 	"bdps/internal/metrics"
 	"bdps/internal/msg"
@@ -16,7 +18,12 @@ import (
 // A flood costs one frame per overlay link it must cross: each broker
 // floods a subscription or its withdrawal once, to every neighbor but the
 // one it arrived from. Subscriptions travel with binary filters
-// (msg.AppendSubscription), so no broker parses filter text.
+// (msg.AppendSubscription), so no broker parses filter text. Control
+// frames are framed in each connection's own buffer: a flood a read loop
+// relays is queued there and leaves with that loop's idle flush, one
+// write per link per batch (datapath.go); one injected through
+// Subscribe or Unsubscribe is written at once, behind whatever the link
+// has queued.
 
 // tombstoneLimit bounds each tombstone generation. Total tombstone
 // memory is at most two generations; a subscribe flood older than the
@@ -153,9 +160,11 @@ func (n *Node) CheckpointTable() error {
 // resident canonical filters and suppresses the flood when one with
 // identical delivery terms already covers it (the covering chain's
 // forwarded root carries the upstream traffic). body is the
-// subscription's encoding, which the flood relays unchanged (the caller
-// keeps it valid until this returns).
-func (n *Node) handleSubscribe(s *msg.Subscription, local *peerConn, body []byte, from msg.NodeID) {
+// subscription's encoding, which the flood relays unchanged: copied into
+// each link's control buffer, so the caller may reuse it once this
+// returns. w is the read loop the frame arrived on, whose idle flush
+// sends the relays (sendCtl); nil writes them at once.
+func (n *Node) handleSubscribe(w *worker, s *msg.Subscription, local *peerConn, body []byte, from msg.NodeID) {
 	n.mu.Lock()
 	if n.removedSubs.has(s.ID) {
 		// Tombstoned: a subscribe flood racing its own unsubscribe.
@@ -209,8 +218,21 @@ func (n *Node) handleSubscribe(s *msg.Subscription, local *peerConn, body []byte
 	if sess != nil {
 		sess.attach(local) // a re-subscribe moves the session to the new connection
 	}
+	sendCtl(w, peers, msg.FrameSubscribe, body)
+}
+
+// sendCtl sends one control frame on each of peers. Relayed by a read
+// loop (w non-nil), it is queued on each link for w's idle flush;
+// injected from outside one, it is written at once. Either way it
+// follows whatever control frames the link already carries. Dead peers
+// are fine: a flood to them is lost.
+func sendCtl(w *worker, peers []*peerConn, frameType byte, body []byte) {
 	for _, p := range peers {
-		_ = p.writeFrame(msg.FrameSubscribe, body) // dead peers are fine
+		if w == nil {
+			_ = p.writeFrame(frameType, body)
+		} else {
+			w.queueCtl(p, frameType, body)
+		}
 	}
 }
 
@@ -236,7 +258,8 @@ func (n *Node) floodPeers(dst []*peerConn, from msg.NodeID) []*peerConn {
 // floods whatever re-exposes its coverage (promotion hand-off or
 // re-exposed representatives) so the peers' coverage stays gapless —
 // subscribe frames precede the unsubscribe on every per-peer TCP stream.
-func (n *Node) handleUnsubscribe(id msg.SubID, from msg.NodeID) {
+// w is the read loop the frame arrived on, as for handleSubscribe.
+func (n *Node) handleUnsubscribe(w *worker, id msg.SubID, from msg.NodeID) {
 	n.mu.Lock()
 	if n.removedSubs.has(id) {
 		n.mu.Unlock()
@@ -265,27 +288,21 @@ func (n *Node) handleUnsubscribe(id msg.SubID, from msg.NodeID) {
 	}
 	// The pushes are subscriptions no neighbor holds yet, so they go to
 	// every link, the arrival one included; the unsubscribe skips it.
-	var buf [8]*peerConn
-	peers := buf[:0]
-	if unsubscribe || len(pushes) > 0 {
+	var buf, ubuf [8]*peerConn
+	peers, upeers := buf[:0], ubuf[:0]
+	if len(pushes) > 0 {
 		peers = n.floodPeers(peers, msg.None)
 	}
-	arrival := n.peers[from]
+	if unsubscribe {
+		upeers = n.floodPeers(upeers, from)
+	}
 	n.mu.Unlock()
 
 	for _, body := range pushes {
-		for _, p := range peers {
-			_ = p.writeFrame(msg.FrameSubscribe, body)
-		}
+		sendCtl(w, peers, msg.FrameSubscribe, body)
 	}
-	if unsubscribe {
-		var body [4]byte
-		for _, p := range peers {
-			if p != arrival {
-				_ = p.writeFrame(msg.FrameUnsubscribe, msg.AppendUnsubscribe(body[:0], id))
-			}
-		}
-	}
+	var body [4]byte
+	sendCtl(w, upeers, msg.FrameUnsubscribe, msg.AppendUnsubscribe(body[:0], id))
 }
 
 // retractOwned realizes an owner-side retraction on the local table and
@@ -359,18 +376,26 @@ func (n *Node) retractOwned(id msg.SubID, ret routing.Retraction, pushes *[][]by
 // cannot encode could neither flood nor be logged: Subscribe returns
 // that error and installs nothing.
 func (n *Node) Subscribe(s *msg.Subscription) error {
-	body, err := msg.AppendSubscription(nil, s)
+	buf := subBodies.Get().(*[]byte)
+	defer subBodies.Put(buf)
+	body, err := msg.AppendSubscription((*buf)[:0], s)
 	if err != nil {
 		return err
 	}
-	n.handleSubscribe(s, nil, body, msg.None)
+	*buf = body
+	n.handleSubscribe(nil, s, nil, body, msg.None)
 	return nil
 }
+
+// subBodies recycles Subscribe's encoding scratch: the flood copies the
+// body into each link's control buffer, so nothing keeps it once
+// handleSubscribe returns.
+var subBodies = sync.Pool{New: func() any { return new([]byte) }}
 
 // Unsubscribe injects a subscription withdrawal at this broker: routing
 // state is removed, a bounded tombstone guards against late subscribe
 // floods, and the removal floods across the overlay.
-func (n *Node) Unsubscribe(id msg.SubID) { n.handleUnsubscribe(id, msg.None) }
+func (n *Node) Unsubscribe(id msg.SubID) { n.handleUnsubscribe(nil, id, msg.None) }
 
 // installRoutes computes this broker's routing entries for one
 // dynamically flooded subscription: for each ingress, the deterministic

@@ -2,6 +2,7 @@ package livenet
 
 import (
 	"net"
+	"slices"
 	"time"
 
 	"bdps/internal/broker"
@@ -29,6 +30,9 @@ import (
 //     are made and leave when the connection's buffer runs dry (or after
 //     maxIngressBatch messages): one writev per subscriber per batch
 //     (session.go), the edge's counterpart of the egress burst below.
+//     The control frames a read loop relays (floods, control.go) are
+//     framed in each outgoing connection's own buffer and leave with the
+//     same flush: one write per link per batch.
 //   - Egress: each sender drains its link queue in bursts selected at
 //     one scheduling instant (core.Queue.PopBurstWhile: one score sweep,
 //     the strategy's send order). A burst is a unit of time, not of
@@ -58,7 +62,8 @@ const (
 	paceQuantum = time.Millisecond
 	// maxIngressBatch caps how many messages a read loop processes before
 	// it flushes their deliveries, however much its connection has
-	// buffered.
+	// buffered. Control frames do not count: what they queue is bounded
+	// by each link's ctlLimit instead.
 	maxIngressBatch = 64
 )
 
@@ -70,7 +75,8 @@ const (
 // (subscribe, unsubscribe, resume) run inline once the deliveries of the
 // data ahead of them are flushed: control never overtakes data. A
 // neighbor's floods name it as their arrival link, which they skip on
-// the way out.
+// the way out; the relays wait in the outgoing links' control buffers
+// for the idle flush, like the deliveries.
 func (n *Node) readLoop(conn net.Conn) {
 	defer n.wg.Done()
 	defer func() {
@@ -226,14 +232,15 @@ func (n *Node) readLoop(conn net.Conn) {
 				fb.Release()
 				break
 			}
-			w.flush(n)
+			w.flushData(n)
 			var local *peerConn
 			if role == msg.RoleSubscriber {
 				local = peer
 			}
-			// The flood relays body as received, so the frame buffer goes
-			// back to its pool only once the relay is written.
-			n.handleSubscribe(s, local, body, peerID)
+			// The flood relays body as received, copied into the links'
+			// control buffers, so the frame buffer goes back to its pool
+			// right after.
+			n.handleSubscribe(w, s, local, body, peerID)
 			fb.Release()
 		case msg.FrameUnsubscribe:
 			id, derr := msg.DecodeUnsubscribe(body)
@@ -241,15 +248,15 @@ func (n *Node) readLoop(conn net.Conn) {
 			if derr != nil {
 				break
 			}
-			w.flush(n)
-			n.handleUnsubscribe(id, peerID)
+			w.flushData(n)
+			n.handleUnsubscribe(w, id, peerID)
 		case msg.FrameResume:
 			sub, lastSeq, derr := msg.DecodeResume(body)
 			fb.Release()
 			if derr != nil || role != msg.RoleSubscriber {
 				break
 			}
-			w.flush(n)
+			w.flushData(n)
 			n.handleResume(sub, lastSeq, peer)
 		case msg.FrameHeartbeat:
 			// Liveness bookkeeping only — no quiescence counters, no
@@ -263,10 +270,11 @@ func (n *Node) readLoop(conn net.Conn) {
 		default:
 			fb.Release() // a repeated FrameHello, an unknown type: ignored
 		}
-		// The idle flush: send what the processed messages delivered once
-		// the batch cap is reached or the connection's buffer runs dry —
-		// the next Next would block, and with a crash upstream the frame
-		// that would otherwise trigger the flush may never come.
+		// The idle flush: send what the processed messages delivered and
+		// the control frames queued behind them once the batch cap is
+		// reached or the connection's buffer runs dry — the next Next
+		// would block, and with a crash upstream the frame that would
+		// otherwise trigger the flush may never come.
 		if w.held >= maxIngressBatch || fr.Buffered() == 0 {
 			w.flush(n)
 		}
@@ -282,7 +290,8 @@ func (n *Node) readLoop(conn net.Conn) {
 // reading connection can pass the gate with one message before that
 // message's enqueues show, so occupancy stays within MaxEgress plus one
 // message's fan-out per reading connection. The loop's unflushed
-// deliveries leave before it waits. Reports false on shutdown.
+// deliveries and control frames leave before it waits. Reports false on
+// shutdown.
 func (n *Node) gate(w *worker) bool {
 	max := int64(n.cfg.MaxEgress)
 	if max <= 0 || n.egress.Load() < max {
@@ -338,6 +347,10 @@ type worker struct {
 	held int32
 	bufs [][]byte
 	wv   net.Buffers
+
+	// links lists the broker links this worker queued control frames on
+	// since its last idle flush.
+	links []*peerConn
 }
 
 // sessOut is one local delivery bound for a session.
@@ -363,11 +376,13 @@ func (w *worker) dataFrame() []byte {
 	return w.frame
 }
 
-// flush writes what this worker's deliveries left waiting in session
-// rings, one write per session, and only then releases the processed
-// messages' hold on inflight: Quiescent and Settled cannot read idle
-// while a ring holds unsent frames.
-func (w *worker) flush(n *Node) {
+// flushData writes what this worker's deliveries left waiting in
+// session rings, one write per session, and only then releases the
+// processed messages' hold on inflight: Quiescent and Settled cannot
+// read idle while a ring holds unsent frames. It leaves the queued
+// control frames alone: a read loop flushes its data before each
+// control frame, and the relays it queues wait for the idle flush.
+func (w *worker) flushData(n *Node) {
 	for i, s := range w.owed {
 		s.flush(w)
 		w.owed[i] = nil
@@ -375,6 +390,32 @@ func (w *worker) flush(n *Node) {
 	w.owed = w.owed[:0]
 	n.inflight.Add(-w.held)
 	w.held = 0
+}
+
+// flush is the idle flush: the deliveries (flushData), then every link
+// this worker queued control frames on, one write each (a link another
+// writer emptied first costs nothing). A queued frame holds no inflight
+// count: like a control frame being processed, or one in a socket
+// buffer, it is invisible to Quiescent and Settled, and it waits no
+// longer than the read loop's batch. A hold would keep a node from ever
+// reading idle while a subscriber churns faster than its read loop
+// drains the connection.
+func (w *worker) flush(n *Node) {
+	w.flushData(n)
+	for i, p := range w.links {
+		p.flushCtl()
+		w.links[i] = nil
+	}
+	w.links = w.links[:0]
+}
+
+// queueCtl queues one control frame on a broker link for this worker's
+// idle flush.
+func (w *worker) queueCtl(p *peerConn, frameType byte, body []byte) {
+	p.queueFrame(frameType, body)
+	if !slices.Contains(w.links, p) {
+		w.links = append(w.links, p)
+	}
 }
 
 // process handles one message arrival: processing delay, then the shared
@@ -529,8 +570,9 @@ func (p *pacer) wait(d time.Duration, stopped <-chan struct{}) bool {
 // sending half (runtime.LinkSend): chains resolved against the adversary
 // as the entries are selected — one delivering attempt each on a clean
 // link — every attempt paced and written (lost ones mangled,
-// reliable.go), the whole burst leaving in one syscall.
-func (n *Node) senderLoop(to msg.NodeID, pc *peerConn, wake chan struct{}, ls *runtime.LinkSend) {
+// reliable.go), the whole burst leaving in one syscall. Each burst's
+// measured rate goes to est under the estimator's own lock.
+func (n *Node) senderLoop(to msg.NodeID, pc *peerConn, wake chan struct{}, ls *runtime.LinkSend, est *linkEstimate) {
 	defer n.wg.Done()
 	q := n.b.Queue(to)
 	burst := n.burst
@@ -626,11 +668,7 @@ func (n *Node) senderLoop(to msg.NodeID, pc *peerConn, wake chan struct{}, ls *r
 		// estimate sees the per-transfer spread, not a per-burst mean.
 		if kb > 0 {
 			elapsed := vtime.FromDuration(time.Since(start)) / n.cfg.TimeScale
-			n.mu.Lock()
-			if est := n.estimates[to]; est != nil {
-				est.Observe(elapsed / kb)
-			}
-			n.mu.Unlock()
+			est.observe(elapsed / kb)
 		}
 		n.busySenders.Add(-1)
 	}

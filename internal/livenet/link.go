@@ -13,8 +13,8 @@ import (
 
 // This file is the node's link layer: the connections to and from
 // neighbor brokers and clients — listening and the accept loop, dialing
-// and re-dialing overlay links, framed writes, incarnation epochs, and
-// injected link outages.
+// and re-dialing overlay links, framed writes and each link's control
+// buffer, incarnation epochs, and injected link outages.
 
 // writeDeadline keeps one connection's write deadline armed. A stalled
 // peer must fail a write within writeTimeout, but SetWriteDeadline costs
@@ -48,13 +48,34 @@ type peerConn struct {
 	mu       sync.Mutex
 	conn     net.Conn
 	deadline writeDeadline
-	// frame is writeFrame's scratch, reused under mu: a control frame
-	// costs no allocation.
-	frame []byte
+	// ctl is the link's control buffer, used under mu: the frames a read
+	// loop queued (queueFrame) wait here until that loop's idle flush, or
+	// the next immediate write on the link, sends them with one Write.
+	// Every control frame is framed in it, so one costs no allocation.
+	// It is one of ctlArrays, taken by the first frame and given back by
+	// the flush that empties it: nil while nothing is queued.
+	ctl []byte
 }
 
+const (
+	// ctlLimit is the most a control buffer holds: a queuer that fills
+	// it to this writes it out itself.
+	ctlLimit = 64 << 10
+	// ctlRoom is the headroom a control array keeps past ctlLimit, so the
+	// frame that crosses the limit still fits.
+	ctlRoom = 4 << 10
+)
+
+// ctlArray is the control buffers' storage, recycled through ctlArrays:
+// a burst of floods reuses the arrays the last one filled instead of
+// growing fresh buffers, and an idle link holds none.
+type ctlArray = [ctlLimit + ctlRoom]byte
+
+var ctlArrays = sync.Pool{New: func() any { return new(ctlArray) }}
+
 // swap replaces the connection underneath (the peer was reborn on a new
-// port) and returns the old one for the caller to close.
+// port) and returns the old one for the caller to close. Queued control
+// frames go out on the new connection.
 func (p *peerConn) swap(conn net.Conn) (old net.Conn) {
 	p.mu.Lock()
 	old, p.conn, p.deadline = p.conn, conn, writeDeadline{}
@@ -62,21 +83,71 @@ func (p *peerConn) swap(conn net.Conn) (old net.Conn) {
 	return old
 }
 
-// writeFrame writes one frame, header and body with one Write, framed in
-// the connection's own scratch buffer.
+// appendCtl frames one control frame onto the control buffer (p.mu
+// held), taking an array for it if it has none. A body too large to
+// frame leaves the buffer as it was.
+func (p *peerConn) appendCtl(frameType byte, body []byte) error {
+	if p.ctl == nil {
+		p.ctl = ctlArrays.Get().(*ctlArray)[:0]
+	}
+	start := len(p.ctl)
+	frame := append(msg.BeginFrame(p.ctl, frameType), body...)
+	if err := msg.EndFrame(frame, start); err != nil {
+		return err
+	}
+	p.ctl = frame
+	return nil
+}
+
+// flushCtlLocked writes the control buffer with one Write (p.mu held)
+// and gives its array back, whether or not the write succeeded: a dead
+// peer loses its control frames. A buffer a frame bigger than ctlRoom
+// pushed off its array is left to the collector.
+func (p *peerConn) flushCtlLocked() error {
+	if p.ctl == nil {
+		return nil
+	}
+	var err error
+	if len(p.ctl) > 0 {
+		if err = p.deadline.arm(p.conn); err == nil {
+			_, err = p.conn.Write(p.ctl)
+		}
+	}
+	if cap(p.ctl) == ctlLimit+ctlRoom {
+		ctlArrays.Put((*ctlArray)(p.ctl[:cap(p.ctl)]))
+	}
+	p.ctl = nil
+	return err
+}
+
+// writeFrame writes one control frame now, behind whatever control
+// frames are queued ahead of it: the queue and the frame leave with one
+// Write, so the link's control frames keep their order.
 func (p *peerConn) writeFrame(frameType byte, body []byte) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if err := p.deadline.arm(p.conn); err != nil {
+	if err := p.appendCtl(frameType, body); err != nil {
 		return err
 	}
-	frame := append(msg.BeginFrame(p.frame[:0], frameType), body...)
-	p.frame = frame[:0]
-	if err := msg.EndFrame(frame, 0); err != nil {
-		return err
+	return p.flushCtlLocked()
+}
+
+// queueFrame queues one control frame for the caller's next flushCtl; a
+// buffer it fills to ctlLimit it writes out at once. Write errors are
+// dropped: a flood to a dead peer is lost either way.
+func (p *peerConn) queueFrame(frameType byte, body []byte) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.appendCtl(frameType, body) == nil && len(p.ctl) >= ctlLimit {
+		_ = p.flushCtlLocked()
 	}
-	_, err := p.conn.Write(frame)
-	return err
+}
+
+// flushCtl writes whatever control frames are queued, if any.
+func (p *peerConn) flushCtl() {
+	p.mu.Lock()
+	_ = p.flushCtlLocked()
+	p.mu.Unlock()
 }
 
 // writeBuf writes preassembled frames (headers and bodies in one
@@ -199,15 +270,16 @@ func (n *Node) ConnectPeers(addrs map[msg.NodeID]string) error {
 		ls.Resume(n.recovered.Marks[e.To])
 		pc := &peerConn{conn: conn}
 		wake := make(chan struct{}, 1)
+		est := &linkEstimate{est: stats.WelfordEstimator{Prior: e.Rate}}
 		n.mu.Lock()
 		n.peers[e.To] = pc
 		n.wake[e.To] = wake
-		n.estimates[e.To] = &stats.WelfordEstimator{Prior: e.Rate}
+		n.estimates[e.To] = est
 		n.linkSenders[e.To] = &ls
 		n.mu.Unlock()
 
 		n.wg.Add(1)
-		go n.senderLoop(e.To, pc, wake, &ls)
+		go n.senderLoop(e.To, pc, wake, &ls, est)
 	}
 	n.startHeartbeats()
 	return nil
@@ -269,28 +341,51 @@ func (n *Node) SetLinkDown(to msg.NodeID, down bool) {
 	}
 }
 
+// linkEstimate is one outgoing link's measured rate: its sender observes
+// every burst under mu, the link's own lock, so a burst never stalls the
+// read loops that hold the node lock shared.
+type linkEstimate struct {
+	mu  sync.Mutex
+	est stats.WelfordEstimator
+}
+
+// observe records one burst's measured per-KB rate.
+func (l *linkEstimate) observe(x float64) {
+	l.mu.Lock()
+	l.est.Observe(x)
+	l.mu.Unlock()
+}
+
+// estimateOf returns the estimator of the link to a neighbor, nil when
+// there is none.
+func (n *Node) estimateOf(to msg.NodeID) *linkEstimate {
+	n.mu.RLock()
+	defer n.mu.RUnlock()
+	return n.estimates[to]
+}
+
 // LinkEstimate returns the measured per-KB rate estimate for the link to
 // a neighbor (emulated milliseconds per KB), and whether any transfers
 // have been observed yet. Before enough observations it returns the
 // configured prior.
 func (n *Node) LinkEstimate(to msg.NodeID) (stats.Normal, bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	est, ok := n.estimates[to]
-	if !ok {
+	l := n.estimateOf(to)
+	if l == nil {
 		return stats.Normal{}, false
 	}
-	return est.Estimate(), est.Count() > 0
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.est.Estimate(), l.est.Count() > 0
 }
 
 // linkBelief returns the rate the plan believed for the link to a
 // neighbor — the estimator's prior — and whether the link exists.
 func (n *Node) linkBelief(to msg.NodeID) (stats.Normal, bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	est, ok := n.estimates[to]
-	if !ok {
+	l := n.estimateOf(to)
+	if l == nil {
 		return stats.Normal{}, false
 	}
-	return est.Prior, true
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.est.Prior, true
 }

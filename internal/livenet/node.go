@@ -51,7 +51,6 @@ import (
 	"bdps/internal/msg"
 	"bdps/internal/routing"
 	"bdps/internal/runtime"
-	"bdps/internal/stats"
 	"bdps/internal/topology"
 	"bdps/internal/vtime"
 )
@@ -209,7 +208,7 @@ type Node struct {
 	// linkDown marks outgoing links taken out of service by injected
 	// faults; the sender parks until the link comes back up.
 	linkDown  map[msg.NodeID]bool
-	estimates map[msg.NodeID]*stats.WelfordEstimator
+	estimates map[msg.NodeID]*linkEstimate
 	// flood dedup; removed subscriptions leave a tombstone so a late
 	// subscribe flood cannot resurrect them. The tombstone set is
 	// generation-bounded (see tombstones) so sustained churn cannot leak
@@ -331,7 +330,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		table:       b.Table(),
 		wake:        make(map[msg.NodeID]chan struct{}),
 		linkDown:    make(map[msg.NodeID]bool),
-		estimates:   make(map[msg.NodeID]*stats.WelfordEstimator),
+		estimates:   make(map[msg.NodeID]*linkEstimate),
 		seenSubs:    make(map[msg.SubID]bool),
 		peers:       make(map[msg.NodeID]*peerConn),
 		inbound:     make(map[net.Conn]struct{}),

@@ -171,9 +171,10 @@ func observations(t *testing.T, n *Node) int {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.estimates[1].Count()
+	est := n.estimateOf(1)
+	est.mu.Lock()
+	defer est.mu.Unlock()
+	return est.est.Count()
 }
 
 // TestShardedSenderPacesTransfers is the tentpole's behaviour pin: with

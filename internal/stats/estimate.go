@@ -2,21 +2,6 @@ package stats
 
 import "math"
 
-// Estimator consumes observations of a link's per-kilobyte transmission
-// time and exposes a running estimate of its normal-distribution
-// parameters. It is the stand-in for the paper's "tools of network
-// measurement" (§3.2): brokers feed it each observed transfer and read
-// back N(μ̂, σ̂²) for scheduling decisions.
-type Estimator interface {
-	// Observe records one measured per-KB transmission time.
-	Observe(x float64)
-	// Estimate returns the current parameter estimate. Implementations
-	// must return a usable prior before any observations arrive.
-	Estimate() Normal
-	// Count reports how many observations have been recorded.
-	Count() int
-}
-
 // Welford is a numerically stable streaming mean/variance estimator over
 // the full observation history.
 type Welford struct {
@@ -68,21 +53,24 @@ func (w *Welford) Merge(o Welford) {
 	w.n = n
 }
 
-// WelfordEstimator adapts Welford to the Estimator interface with a prior
-// used until enough observations arrive.
+// WelfordEstimator is a link-rate estimator: it consumes observations of
+// a link's per-kilobyte transmission time — the stand-in for the paper's
+// "tools of network measurement" (§3.2) — and reads back N(μ̂, σ̂²), with
+// a prior used until enough observations arrive.
 type WelfordEstimator struct {
 	Prior   Normal // returned until MinObs observations are recorded
 	MinObs  int    // defaults to 2
 	welford Welford
 }
 
-// Observe implements Estimator.
+// Observe records one measured per-KB transmission time.
 func (e *WelfordEstimator) Observe(x float64) { e.welford.Add(x) }
 
-// Count implements Estimator.
+// Count reports how many observations have been recorded.
 func (e *WelfordEstimator) Count() int { return e.welford.Count() }
 
-// Estimate implements Estimator.
+// Estimate returns the current parameter estimate: the prior until MinObs
+// observations are recorded.
 func (e *WelfordEstimator) Estimate() Normal {
 	min := e.MinObs
 	if min < 2 {
@@ -93,109 +81,3 @@ func (e *WelfordEstimator) Estimate() Normal {
 	}
 	return Normal{Mean: e.welford.Mean(), Sigma: e.welford.Std()}
 }
-
-// EWMAEstimator tracks exponentially weighted moving estimates of mean and
-// variance, reacting to drifting link conditions faster than Welford.
-type EWMAEstimator struct {
-	Prior Normal  // returned before the first observation
-	Alpha float64 // smoothing factor in (0,1]; defaults to 0.1
-
-	n        int
-	mean     float64
-	variance float64
-}
-
-// Observe implements Estimator.
-func (e *EWMAEstimator) Observe(x float64) {
-	a := e.Alpha
-	if a <= 0 || a > 1 {
-		a = 0.1
-	}
-	if e.n == 0 {
-		e.mean = x
-		e.variance = 0
-	} else {
-		d := x - e.mean
-		e.mean += a * d
-		// Standard EWMV update (Welford-style exponential variant).
-		e.variance = (1 - a) * (e.variance + a*d*d)
-	}
-	e.n++
-}
-
-// Count implements Estimator.
-func (e *EWMAEstimator) Count() int { return e.n }
-
-// Estimate implements Estimator.
-func (e *EWMAEstimator) Estimate() Normal {
-	if e.n == 0 {
-		return e.Prior
-	}
-	return Normal{Mean: e.mean, Sigma: math.Sqrt(e.variance)}
-}
-
-// WindowEstimator keeps a sliding window of the most recent observations
-// and recomputes exact moments over the window.
-type WindowEstimator struct {
-	Prior  Normal // returned until the window holds MinObs observations
-	Size   int    // window capacity; defaults to 64
-	MinObs int    // defaults to 2
-
-	buf  []float64
-	next int
-	full bool
-}
-
-// Observe implements Estimator.
-func (e *WindowEstimator) Observe(x float64) {
-	if e.buf == nil {
-		size := e.Size
-		if size <= 0 {
-			size = 64
-		}
-		e.buf = make([]float64, 0, size)
-	}
-	if len(e.buf) < cap(e.buf) {
-		e.buf = append(e.buf, x)
-		return
-	}
-	e.buf[e.next] = x
-	e.next = (e.next + 1) % len(e.buf)
-	e.full = true
-}
-
-// Count implements Estimator.
-func (e *WindowEstimator) Count() int { return len(e.buf) }
-
-// Estimate implements Estimator.
-func (e *WindowEstimator) Estimate() Normal {
-	min := e.MinObs
-	if min < 2 {
-		min = 2
-	}
-	if len(e.buf) < min {
-		return e.Prior
-	}
-	var w Welford
-	for _, x := range e.buf {
-		w.Add(x)
-	}
-	return Normal{Mean: w.Mean(), Sigma: w.Std()}
-}
-
-// OracleEstimator always reports a fixed, known distribution. It is the
-// default in the headline experiments, matching the paper's assumption
-// that the link-rate distribution parameters are known to each broker.
-type OracleEstimator struct {
-	Dist Normal
-	n    int
-}
-
-// Observe implements Estimator (observations are counted but ignored).
-func (e *OracleEstimator) Observe(float64) { e.n++ }
-
-// Count implements Estimator.
-func (e *OracleEstimator) Count() int { return e.n }
-
-// Estimate implements Estimator.
-func (e *OracleEstimator) Estimate() Normal { return e.Dist }

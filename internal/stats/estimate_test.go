@@ -125,80 +125,3 @@ func TestWelfordEstimatorConverges(t *testing.T) {
 		t.Errorf("sigma = %v, want ≈15", got.Sigma)
 	}
 }
-
-func TestEWMAEstimatorTracksShift(t *testing.T) {
-	s := NewStream(2)
-	e := &EWMAEstimator{Alpha: 0.2}
-	for i := 0; i < 2000; i++ {
-		e.Observe(Normal{Mean: 50, Sigma: 5}.Sample(s))
-	}
-	for i := 0; i < 2000; i++ {
-		e.Observe(Normal{Mean: 90, Sigma: 5}.Sample(s))
-	}
-	got := e.Estimate()
-	if math.Abs(got.Mean-90) > 3 {
-		t.Errorf("EWMA mean = %v, want ≈90 after shift", got.Mean)
-	}
-}
-
-func TestEWMAEstimatorPrior(t *testing.T) {
-	prior := Normal{Mean: 75, Sigma: 20}
-	e := &EWMAEstimator{Prior: prior}
-	if e.Estimate() != prior {
-		t.Error("EWMA should return prior before observations")
-	}
-	e.Observe(42)
-	if got := e.Estimate(); got.Mean != 42 {
-		t.Errorf("EWMA first observation sets mean, got %v", got.Mean)
-	}
-}
-
-func TestWindowEstimatorSlides(t *testing.T) {
-	e := &WindowEstimator{Size: 4}
-	for _, x := range []float64{1, 1, 1, 1} {
-		e.Observe(x)
-	}
-	if got := e.Estimate(); got.Mean != 1 {
-		t.Fatalf("mean = %v, want 1", got.Mean)
-	}
-	// Slide the window fully over to 9s.
-	for _, x := range []float64{9, 9, 9, 9} {
-		e.Observe(x)
-	}
-	if got := e.Estimate(); got.Mean != 9 {
-		t.Fatalf("after slide mean = %v, want 9", got.Mean)
-	}
-}
-
-func TestWindowEstimatorPrior(t *testing.T) {
-	prior := Normal{Mean: 5, Sigma: 2}
-	e := &WindowEstimator{Prior: prior, Size: 8}
-	if e.Estimate() != prior {
-		t.Error("window estimator should return prior when underfilled")
-	}
-}
-
-func TestOracleEstimator(t *testing.T) {
-	d := Normal{Mean: 60, Sigma: 20}
-	e := &OracleEstimator{Dist: d}
-	e.Observe(1)
-	e.Observe(1000)
-	if e.Estimate() != d {
-		t.Error("oracle must ignore observations")
-	}
-	if e.Count() != 2 {
-		t.Errorf("count = %d, want 2", e.Count())
-	}
-}
-
-func TestEstimatorInterfaceCompliance(t *testing.T) {
-	for _, e := range []Estimator{
-		&WelfordEstimator{}, &EWMAEstimator{}, &WindowEstimator{}, &OracleEstimator{},
-	} {
-		e.Observe(1)
-		_ = e.Estimate()
-		if e.Count() < 0 {
-			t.Errorf("%T: negative count", e)
-		}
-	}
-}
