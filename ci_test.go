@@ -1,0 +1,73 @@
+package bdps
+
+import (
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+)
+
+// TestCIRunPatternsResolve: every alternative of a -run pattern in a CI
+// race step matches a Test or Fuzz function in the packages that step
+// names, so renaming a test cannot silently drop it from a soak.
+func TestCIRunPatternsResolve(t *testing.T) {
+	yml, err := os.ReadFile(".github/workflows/ci.yml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	runArg := regexp.MustCompile(`-run '([^']*)'`)
+	testFunc := regexp.MustCompile(`(?m)^func ((?:Test|Fuzz)\w*)\(`)
+	steps := 0
+	for _, line := range strings.Split(string(yml), "\n") {
+		cmd, ok := strings.CutPrefix(strings.TrimSpace(line), "run: ")
+		if !ok || !strings.Contains(cmd, "go test") || !strings.Contains(cmd, "-race") {
+			continue
+		}
+		m := runArg.FindStringSubmatch(cmd)
+		if m == nil {
+			continue
+		}
+		steps++
+		var names []string
+		for _, arg := range strings.Fields(cmd) {
+			if !strings.HasPrefix(arg, "./") {
+				continue
+			}
+			files, err := filepath.Glob(filepath.Join(arg, "*_test.go"))
+			if err != nil || len(files) == 0 {
+				t.Errorf("%s: package %s has no test files", cmd, arg)
+				continue
+			}
+			for _, f := range files {
+				src, err := os.ReadFile(f)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, fm := range testFunc.FindAllStringSubmatch(string(src), -1) {
+					names = append(names, fm[1])
+				}
+			}
+		}
+		for _, alt := range strings.Split(m[1], "|") {
+			re, err := regexp.Compile(alt)
+			if err != nil {
+				t.Errorf("-run alternative %q: %v", alt, err)
+				continue
+			}
+			found := false
+			for _, name := range names {
+				if re.MatchString(name) {
+					found = true
+					break
+				}
+			}
+			if !found {
+				t.Errorf("-run alternative %q matches no test in the packages of %q", alt, cmd)
+			}
+		}
+	}
+	if steps == 0 {
+		t.Fatal("found no race step with a -run pattern")
+	}
+}

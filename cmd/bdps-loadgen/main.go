@@ -8,9 +8,11 @@
 // match, enqueue, schedule, encode, socket writes.
 //
 // Fault flags turn the run into a robustness smoke at full rate: crash
-// a broker or take a link down mid-measurement (offsets are wall time
-// from the first publish) with heartbeat failure detection on, and the
-// pipeline must drain and report instead of wedging:
+// a broker or take a link down mid-measurement with heartbeat failure
+// detection on, and the pipeline must drain and report instead of
+// wedging. They are bdps-sim's fault flags — the same from:to:start:end
+// outage spec — with offsets in wall time from the first publish, and
+// the cluster strikes them (livenet.Cluster.ArmFaults):
 //
 //	bdps-loadgen -n 50000 -kill-broker 1 -kill-at 200ms -heartbeat-interval 50ms
 //	bdps-loadgen -n 50000 -link-down 1:2:200ms:400ms -heartbeat-interval 50ms
@@ -42,8 +44,6 @@ import (
 	"net"
 	"os"
 	grt "runtime"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -143,7 +143,7 @@ func report(cfg loadCfg, r result) {
 		}
 	}
 	if cfg.restartAt > 0 {
-		fmt.Printf("  restart replayed-subs %d  stale-epoch %d", r.replayedSubs, r.link.StaleEpochFrames)
+		fmt.Printf("  restart replayed-subs %d  stale-epoch %d", r.link.RestartReplayedSubs, r.link.StaleEpochFrames)
 	}
 	if cfg.lossy() || r.link.FramesLost > 0 {
 		fmt.Printf("  lost %d  retx %d  dup-suppressed %d  reorder-healed %d  abandoned %d",
@@ -224,14 +224,37 @@ func (c loadCfg) flashy() bool { return c.flashPubs > 0 || c.flashSubs > 0 }
 // protected reports whether any overload defense is armed.
 func (c loadCfg) protected() bool { return c.admission || c.shed || c.maxEgress > 0 }
 
+// faults is the run's fault schedule — offsets are wall time from the
+// first publish, the scale of the standalone cluster's clock — and the
+// offset of its last strike.
+func (c loadCfg) faults() ([]runtime.Fault, time.Duration, error) {
+	var fs []runtime.Fault
+	var last time.Duration
+	if c.killBroker >= 0 {
+		id := msg.NodeID(c.killBroker)
+		fs = append(fs, runtime.BrokerCrash{ID: id, At: vtime.FromDuration(c.killAt)})
+		last = c.killAt
+		if c.restartAt > 0 {
+			fs = append(fs, runtime.BrokerRestart{ID: id, At: vtime.FromDuration(c.restartAt)})
+			last = max(last, c.restartAt)
+		}
+	}
+	if c.linkDown != "" {
+		ld, err := runtime.ParseLinkDown(c.linkDown)
+		if err != nil {
+			return nil, 0, fmt.Errorf("-link-down: %w", err)
+		}
+		fs = append(fs, ld)
+		last = max(last, vtime.ToDuration(ld.End))
+	}
+	return fs, last, nil
+}
+
 // validateHorizon rejects fault schedules that cannot complete inside
 // the -duration drain horizon, and loss probabilities outside [0,1).
 func (c loadCfg) validateHorizon() error {
 	if c.duration <= 0 {
 		return fmt.Errorf("-duration %v: horizon must be positive", c.duration)
-	}
-	if c.killBroker >= 0 && c.killAt >= c.duration {
-		return fmt.Errorf("-kill-at %v lands beyond the -duration %v horizon", c.killAt, c.duration)
 	}
 	if c.restartAt > 0 {
 		if c.killBroker < 0 {
@@ -240,18 +263,11 @@ func (c loadCfg) validateHorizon() error {
 		if c.restartAt <= c.killAt {
 			return fmt.Errorf("-restart-at %v must follow -kill-at %v", c.restartAt, c.killAt)
 		}
-		if c.restartAt >= c.duration {
-			return fmt.Errorf("-restart-at %v lands beyond the -duration %v horizon", c.restartAt, c.duration)
-		}
 	}
-	if c.linkDown != "" {
-		o, err := parseOutage(c.linkDown)
-		if err != nil {
-			return fmt.Errorf("-link-down: %w", err)
-		}
-		if o.end >= c.duration {
-			return fmt.Errorf("-link-down window ends at %v, beyond the -duration %v horizon", o.end, c.duration)
-		}
+	if _, last, err := c.faults(); err != nil {
+		return err
+	} else if last >= c.duration {
+		return fmt.Errorf("the fault schedule ends at %v, beyond the -duration %v horizon", last, c.duration)
 	}
 	for _, p := range []struct {
 		name string
@@ -289,8 +305,7 @@ type result struct {
 	detections   int64
 	restorations int64
 	sendFailed   int64
-	replayedSubs int64         // distinct subscriptions a restarted broker replayed from its WAL
-	link         livenet.Stats // reliable-channel counters (loss accounting)
+	link         livenet.Stats // the cluster's counters (loss and restart accounting)
 	flashN       int           // extra publications the flash crowd injected
 	brokers      []brokerStat  // per-broker rows for the SLO table
 
@@ -318,16 +333,9 @@ func run(cfg loadCfg) (result, error) {
 			return result{}, err
 		}
 	}
-	var out outage
-	if cfg.linkDown != "" {
-		o, err := parseOutage(cfg.linkDown)
-		if err != nil {
-			return result{}, fmt.Errorf("-link-down: %w", err)
-		}
-		out = o
-	}
-	if cfg.killBroker >= cfg.brokers {
-		return result{}, fmt.Errorf("-kill-broker %d: chain has brokers 0..%d", cfg.killBroker, cfg.brokers-1)
+	faults, lastFault, err := cfg.faults()
+	if err != nil {
+		return result{}, err
 	}
 
 	const timeScale = 1e-9 // pacing off: emulated sleeps round to 0 wall time
@@ -508,40 +516,10 @@ func run(cfg loadCfg) (result, error) {
 	start := time.Now()
 	churnStart := churnOps.Load() // count only pairs inside the window
 
-	// Injected faults are armed on wall timers relative to the first
-	// publish, mirroring the runtime transport's fault schedule.
-	var faultTimers []*time.Timer
-	var replayedSubs atomic.Int64
-	if cfg.killBroker >= 0 {
-		id := msg.NodeID(cfg.killBroker)
-		faultTimers = append(faultTimers, time.AfterFunc(cfg.killAt, func() { c.Node(id).Crash() }))
-		if cfg.restartAt > 0 {
-			faultTimers = append(faultTimers, time.AfterFunc(cfg.restartAt, func() {
-				n, err := c.RestartNode(id, nil)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "warning: restart of broker %d failed: %v\n", id, err)
-					return
-				}
-				if st, ok := n.Restarted(); ok {
-					seen := make(map[msg.SubID]bool, len(st.Entries))
-					for _, e := range st.Entries {
-						seen[e.Sub.ID] = true
-					}
-					replayedSubs.Store(int64(len(seen)))
-				}
-			}))
-		}
+	// The cluster strikes the faults relative to the first publish.
+	if err := c.ArmFaults(faults, nil); err != nil {
+		return result{}, err
 	}
-	if cfg.linkDown != "" {
-		faultTimers = append(faultTimers,
-			time.AfterFunc(out.start, func() { c.Nodes[out.from].SetLinkDown(out.to, true) }),
-			time.AfterFunc(out.end, func() { c.Nodes[out.from].SetLinkDown(out.to, false) }))
-	}
-	defer func() {
-		for _, t := range faultTimers {
-			t.Stop()
-		}
-	}()
 
 	// The flash crowd arrives mid-measurement: burst subscribers join at
 	// the edge (widening every publication's fan), extra publishers
@@ -552,7 +530,7 @@ func run(cfg loadCfg) (result, error) {
 	var flashN atomic.Int64
 	flashDone := make(chan struct{})
 	if cfg.flashy() {
-		faultTimers = append(faultTimers, time.AfterFunc(cfg.flashAt, func() {
+		flash := time.AfterFunc(cfg.flashAt, func() {
 			defer close(flashDone)
 			var crowd []interface{ Close() error }
 			for i := 0; i < cfg.flashSubs; i++ {
@@ -589,7 +567,8 @@ func run(cfg loadCfg) (result, error) {
 			for _, cl := range crowd {
 				cl.Close()
 			}
-		}))
+		})
+		defer flash.Stop()
 	} else {
 		close(flashDone)
 	}
@@ -633,46 +612,19 @@ func run(cfg loadCfg) (result, error) {
 	<-flashDone
 	injected := cfg.n + int(flashN.Load())
 
-	// A crashed broker never accounts its inbound frames, so faulty runs
-	// drain on sustained local idleness (Settled) instead of the exact
-	// cross-node frame accounting (Quiescent). Settled can blink true
-	// between hops, hence the longer consecutive-idle requirement. The
-	// measurement also stays open through the fault schedule plus the
+	// The measurement stays open through the fault schedule plus the
 	// detection deadline, so the monitors confirm the silence before the
 	// cluster shuts down.
-	needIdle, pause := 2, 200*time.Microsecond
-	var detectBy time.Time
+	deadline := time.Now().Add(cfg.duration)
 	if cfg.faulty() {
-		needIdle, pause = 25, 2*time.Millisecond
 		tmo := cfg.hbTimeout
 		if tmo == 0 {
 			tmo = 4 * hb
 		}
-		last := out.end
-		if cfg.killBroker >= 0 && cfg.killAt > last {
-			last = cfg.killAt
-		}
-		if cfg.restartAt > last {
-			last = cfg.restartAt
-		}
-		detectBy = start.Add(last + tmo + 2*hb)
+		time.Sleep(time.Until(start.Add(lastFault + tmo + 2*hb)))
 	}
-	deadline := time.Now().Add(cfg.duration)
-	idle := 0
-	for idle < needIdle {
-		if time.Now().After(deadline) {
-			return result{}, fmt.Errorf("cluster did not quiesce:\n%s", c.LoadReport())
-		}
-		quiet := c.Quiescent(injected)
-		if cfg.faulty() {
-			quiet = c.Settled() && time.Now().After(detectBy)
-		}
-		if quiet {
-			idle++
-		} else {
-			idle = 0
-		}
-		time.Sleep(pause)
+	if err := c.WaitIdle(injected, time.Until(deadline)); err != nil {
+		return result{}, err
 	}
 	elapsed := time.Since(start)
 	churned := churnOps.Load() - churnStart
@@ -707,7 +659,6 @@ func run(cfg loadCfg) (result, error) {
 		detections:   detections.Load(),
 		restorations: restorations.Load(),
 		sendFailed:   sendFailed.Load(),
-		replayedSubs: replayedSubs.Load(),
 		link:         total,
 		flashN:       int(flashN.Load()),
 		brokers:      brokerRows,
@@ -719,38 +670,4 @@ func run(cfg loadCfg) (result, error) {
 		rtBefore: rtBefore,
 		rtAfter:  rtAfter,
 	}, nil
-}
-
-// outage is a parsed -link-down spec; offsets are wall time from the
-// first publish.
-type outage struct {
-	from, to   msg.NodeID
-	start, end time.Duration
-}
-
-func parseOutage(s string) (outage, error) {
-	parts := strings.Split(s, ":")
-	if len(parts) != 4 {
-		return outage{}, fmt.Errorf("want from:to:start:end (e.g. 1:2:200ms:400ms), got %q", s)
-	}
-	from, err := strconv.ParseUint(strings.TrimSpace(parts[0]), 10, 32)
-	if err != nil {
-		return outage{}, fmt.Errorf("from: %w", err)
-	}
-	to, err := strconv.ParseUint(strings.TrimSpace(parts[1]), 10, 32)
-	if err != nil {
-		return outage{}, fmt.Errorf("to: %w", err)
-	}
-	start, err := time.ParseDuration(strings.TrimSpace(parts[2]))
-	if err != nil {
-		return outage{}, fmt.Errorf("start: %w", err)
-	}
-	end, err := time.ParseDuration(strings.TrimSpace(parts[3]))
-	if err != nil {
-		return outage{}, fmt.Errorf("end: %w", err)
-	}
-	if end <= start {
-		return outage{}, fmt.Errorf("end %v must follow start %v", end, start)
-	}
-	return outage{from: msg.NodeID(from), to: msg.NodeID(to), start: start, end: end}, nil
 }

@@ -430,45 +430,13 @@ func parseFaults(kill string, killAt time.Duration, restart string, restartAt ti
 		}
 	}
 	if linkDown != "" {
-		ld, err := parseLinkDown(linkDown)
+		ld, err := runtime.ParseLinkDown(linkDown)
 		if err != nil {
 			return nil, fmt.Errorf("-link-down: %w", err)
 		}
 		faults = append(faults, ld)
 	}
 	return faults, nil
-}
-
-// parseLinkDown reads a transient outage spec "from:to:start:end" where
-// from/to are broker ids and start/end are emulated offsets into the
-// run, e.g. "2:6:30s:80s".
-func parseLinkDown(s string) (runtime.LinkDown, error) {
-	parts := strings.Split(s, ":")
-	if len(parts) != 4 {
-		return runtime.LinkDown{}, fmt.Errorf("want from:to:start:end (e.g. 2:6:30s:80s), got %q", s)
-	}
-	from, err := strconv.ParseUint(strings.TrimSpace(parts[0]), 10, 32)
-	if err != nil {
-		return runtime.LinkDown{}, fmt.Errorf("from: %w", err)
-	}
-	to, err := strconv.ParseUint(strings.TrimSpace(parts[1]), 10, 32)
-	if err != nil {
-		return runtime.LinkDown{}, fmt.Errorf("to: %w", err)
-	}
-	start, err := time.ParseDuration(strings.TrimSpace(parts[2]))
-	if err != nil {
-		return runtime.LinkDown{}, fmt.Errorf("start: %w", err)
-	}
-	end, err := time.ParseDuration(strings.TrimSpace(parts[3]))
-	if err != nil {
-		return runtime.LinkDown{}, fmt.Errorf("end: %w", err)
-	}
-	return runtime.LinkDown{
-		From:  msg.NodeID(from),
-		To:    msg.NodeID(to),
-		Start: vtime.FromDuration(start),
-		End:   vtime.FromDuration(end),
-	}, nil
 }
 
 func parseScenario(s string) (msg.Scenario, error) {

@@ -136,18 +136,8 @@ func TestClusterChurnSoak(t *testing.T) {
 	}
 	<-churnDone
 
-	deadline := time.Now().Add(30 * time.Second)
-	idle := 0
-	for idle < 2 {
-		if time.Now().After(deadline) {
-			t.Fatal("cluster did not quiesce under churn")
-		}
-		if c.Quiescent(n) {
-			idle++
-		} else {
-			idle = 0
-		}
-		time.Sleep(time.Millisecond)
+	if err := c.WaitIdle(n, 30*time.Second); err != nil {
+		t.Fatal(err)
 	}
 	got := 0
 	for {

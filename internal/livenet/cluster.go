@@ -3,15 +3,18 @@ package livenet
 import (
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
+	"time"
 
 	"bdps/internal/core"
 	"bdps/internal/metrics"
 	"bdps/internal/msg"
 	"bdps/internal/runtime"
 	"bdps/internal/topology"
+	"bdps/internal/vtime"
 )
 
 // ClusterConfig starts every broker of an overlay in one process, on
@@ -89,17 +92,35 @@ type ClusterConfig struct {
 // stable for read-only use from tests; concurrent access while broker
 // restarts are in play goes through Node(), which takes the cluster
 // lock.
+//
+// A cluster also drives its own runs: ArmFaults strikes injected
+// failures on its clock, and WaitIdle decides when a run is over.
 type Cluster struct {
 	Nodes map[msg.NodeID]*Node
 	addrs map[msg.NodeID]string
 	clock runtime.Clock
+	// scale is the wall milliseconds per millisecond of clock time, the
+	// scale fault offsets are read on.
+	scale float64
+	// subs is a plan cluster's static subscription population, where a
+	// SessionDown finds its subscriber's edge.
+	subs []*msg.Subscription
 
 	// mu guards Nodes and addrs against RestartNode swapping entries
-	// while drain polls and fault timers read them.
+	// while drain polls and fault timers read them, and the fault state
+	// below.
 	mu sync.RWMutex
 	// nodeCfgs retains each broker's construction config so RestartNode
 	// can rebuild a fresh incarnation.
 	nodeCfgs map[msg.NodeID]NodeConfig
+
+	// timers are the armed faults; strikes counts those running. Stop
+	// sets stopped, cancels the timers and waits for the strikes.
+	timers  []*time.Timer
+	strikes sync.WaitGroup
+	stopped bool
+	// replaced records that RestartNode swapped an incarnation in.
+	replaced bool
 }
 
 // StartCluster listens all brokers on ephemeral loopback ports, then
@@ -173,7 +194,11 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 		Nodes:    make(map[msg.NodeID]*Node),
 		addrs:    make(map[msg.NodeID]string),
 		clock:    cfg.Clock,
+		scale:    clockScale(cfg.Clock, cfg.TimeScale),
 		nodeCfgs: make(map[msg.NodeID]NodeConfig),
+	}
+	if cfg.Plan != nil {
+		c.subs = cfg.Plan.Subs
 	}
 	fail := func(err error) (*Cluster, error) {
 		c.Stop()
@@ -251,12 +276,13 @@ func (c *Cluster) Node(id msg.NodeID) *Node {
 // recovered from its durable state directory: a new node (new listener,
 // new epoch, routing table and send watermarks replayed from the WAL),
 // swapped into the cluster, connected out to its neighbors, and
-// re-dialed by them at its new address. onReady, when non-nil, runs
-// after the new node is swapped in but before any connection exists —
-// the transport hooks its plan-map swap and repair-engine notification
-// there, so by the time frames flow the whole control plane already
-// addresses the new incarnation. Requires a StateRoot-configured
-// cluster.
+// re-dialed by them at its new address. The new node counts the
+// distinct subscriptions its log reinstalled (RestartReplayedSubs).
+// onReady, when non-nil, runs after the new node is swapped in but
+// before any connection exists — the transport hooks its plan-map swap
+// and repair-engine notification there, so by the time frames flow the
+// whole control plane already addresses the new incarnation. Requires a
+// StateRoot-configured cluster.
 func (c *Cluster) RestartNode(id msg.NodeID, onReady func(*Node)) (*Node, error) {
 	c.mu.Lock()
 	nc, ok := c.nodeCfgs[id]
@@ -289,11 +315,21 @@ func (c *Cluster) RestartNode(id msg.NodeID, onReady func(*Node)) (*Node, error)
 	c.mu.Lock()
 	c.Nodes[id] = n
 	c.addrs[id] = addr
+	c.replaced = true
 	addrs := make(map[msg.NodeID]string, len(c.addrs))
 	for k, v := range c.addrs {
 		addrs[k] = v
 	}
 	c.mu.Unlock()
+	if st, ok := n.Restarted(); ok {
+		subs := make(map[msg.SubID]bool, len(st.Entries))
+		for _, e := range st.Entries {
+			subs[e.Sub.ID] = true
+		}
+		if len(subs) > 0 {
+			n.count(metrics.RestartReplayedSubs, len(subs))
+		}
+	}
 	if onReady != nil {
 		onReady(n)
 	}
@@ -336,8 +372,127 @@ func (c *Cluster) snapshotNodes() []*Node {
 	return nodes
 }
 
-// Stop shuts every broker down.
+// ArmFaults schedules injected failures on wall timers from now: link
+// outages, broker crashes, broker restarts (through RestartNode, with
+// onRestart as its onReady hook) and, on a plan cluster, subscriber
+// session outages. LinkLoss is not an event: StartCluster arms it on the
+// links. Offsets are read on the cluster clock's own scale — emulated
+// time on a plan cluster, wall time on the absolute clock. Stop cancels
+// the faults that have not struck and waits for those striking.
+func (c *Cluster) ArmFaults(faults []runtime.Fault, onRestart func(*Node)) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var err error
+	at := func(t vtime.Millis, id msg.NodeID, fn func(*Node)) {
+		if _, ok := c.nodeCfgs[id]; !ok {
+			err = fmt.Errorf("livenet: fault names broker %d, not in the cluster", id)
+			return
+		}
+		c.timers = append(c.timers, time.AfterFunc(vtime.ToDuration(t*c.scale), func() { c.strike(id, fn) }))
+	}
+	for _, f := range faults {
+		switch f := f.(type) {
+		case runtime.LinkDown:
+			at(f.Start, f.From, func(n *Node) { n.SetLinkDown(f.To, true) })
+			at(f.End, f.From, func(n *Node) { n.SetLinkDown(f.To, false) })
+		case runtime.BrokerCrash:
+			at(f.At, f.ID, (*Node).Crash)
+		case runtime.BrokerRestart:
+			at(f.At, f.ID, func(*Node) { _, _ = c.RestartNode(f.ID, onRestart) })
+		case runtime.SessionDown:
+			i := slices.IndexFunc(c.subs, func(s *msg.Subscription) bool { return s.ID == f.Sub })
+			if i < 0 {
+				return fmt.Errorf("livenet: session fault on subscription %d, not in the cluster's plan", f.Sub)
+			}
+			sub := c.subs[i]
+			at(f.Start, sub.Edge, func(n *Node) { n.SessionSuspend(sub) })
+			at(f.End, sub.Edge, func(n *Node) { n.SessionResume(sub.ID) })
+		}
+	}
+	return err
+}
+
+// strike runs one armed fault on broker id's current incarnation, unless
+// Stop has begun.
+func (c *Cluster) strike(id msg.NodeID, fn func(*Node)) {
+	c.mu.RLock()
+	n := c.Nodes[id]
+	if c.stopped {
+		c.mu.RUnlock()
+		return
+	}
+	c.strikes.Add(1)
+	c.mu.RUnlock()
+	defer c.strikes.Done()
+	fn(n)
+}
+
+// WaitIdle blocks until the cluster has run out of work after injected
+// publisher messages, or fails with the LoadReport once timeout passes.
+// Idle is Quiescent on two polls in a row: the second closes the window
+// in which a frame sits in a kernel socket buffer. Once the cluster has
+// seen a broker crash or a broker replaced, Quiescent's frame totals
+// cannot close — a dead incarnation never accounts its inbound frames —
+// so idle is instead every surviving node Settled with TotalStats
+// unchanged for 500 ms; the Settled guard keeps a long paced transfer,
+// seconds of frozen stats at TimeScale 1, from passing for the end of
+// the run. Polls start at 200 µs and back off to 5 ms.
+func (c *Cluster) WaitIdle(injected int, timeout time.Duration) error {
+	const settleFor = 500 * time.Millisecond
+	deadline := time.Now().Add(timeout)
+	pause := 200 * time.Microsecond
+	var last Stats
+	since, idle := time.Now(), 0
+	for {
+		if s := c.TotalStats(); s != last {
+			last, since = s, time.Now()
+		}
+		if c.faulted() {
+			if time.Since(since) >= settleFor && c.Settled() {
+				return nil
+			}
+		} else if c.Quiescent(injected) {
+			if idle++; idle == 2 {
+				return nil
+			}
+		} else {
+			idle = 0
+		}
+		if time.Now().After(deadline) {
+			return fmt.Errorf("livenet: cluster not idle after %v:\n%s", timeout, c.LoadReport())
+		}
+		time.Sleep(pause)
+		pause = min(2*pause, 5*time.Millisecond)
+	}
+}
+
+// faulted reports whether a broker has crashed or been replaced since
+// the cluster started.
+func (c *Cluster) faulted() bool {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	if c.replaced {
+		return true
+	}
+	for _, n := range c.Nodes {
+		if n.Stopped() {
+			return true
+		}
+	}
+	return false
+}
+
+// Stop cancels the armed faults, waits for any striking, and shuts every
+// broker down.
 func (c *Cluster) Stop() {
+	c.mu.Lock()
+	c.stopped = true
+	for _, t := range c.timers {
+		t.Stop()
+	}
+	c.timers = nil
+	c.mu.Unlock()
+	c.strikes.Wait()
 	for _, n := range c.snapshotNodes() {
 		n.Stop()
 	}

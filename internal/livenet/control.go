@@ -7,7 +7,7 @@ import (
 	"bdps/internal/metrics"
 	"bdps/internal/msg"
 	"bdps/internal/routing"
-	"bdps/internal/stats"
+	"bdps/internal/runtime"
 )
 
 // This file is the node's control path: subscription admission and
@@ -87,13 +87,9 @@ func (n *Node) openStore() error {
 		return err
 	}
 	if n.cfg.Broker == nil {
-		for _, e := range n.recovered.Entries {
-			n.table.Add(&routing.Entry{
-				Sub: e.Sub, Source: e.Source, Next: e.Next,
-				Hops: e.Hops, PathID: e.PathID,
-				Rate:    stats.Normal{Mean: e.RateMean, Sigma: e.RateSigma},
-				Relaxed: e.Relaxed,
-			})
+		for i := range n.recovered.Entries {
+			e := &n.recovered.Entries[i]
+			n.table.Add(runtime.RoutingEntry(e))
 			n.seenSubs[e.Sub.ID] = true
 		}
 	}
@@ -113,12 +109,7 @@ func (n *Node) logSub(id msg.SubID) {
 	// through Subscribe's check); what can still fail is the write, which,
 	// like a crash, costs the record and not the live entry.
 	for _, e := range n.table.SubEntries(id, nil) {
-		_ = n.store.AppendEntry(durable.Entry{
-			Sub: e.Sub, Source: e.Source, Next: e.Next,
-			Hops: e.Hops, PathID: e.PathID,
-			RateMean: e.Rate.Mean, RateSigma: e.Rate.Sigma,
-			Relaxed: e.Relaxed,
-		})
+		_ = n.store.AppendEntry(runtime.DurableEntry(e))
 	}
 }
 
@@ -135,12 +126,7 @@ func (n *Node) CheckpointTable() error {
 	st := durable.State{Epoch: n.epoch.Load(), Marks: make(map[msg.NodeID]uint64)}
 	for _, src := range n.table.Sources() {
 		for _, e := range n.table.Entries(src) {
-			st.Entries = append(st.Entries, durable.Entry{
-				Sub: e.Sub, Source: e.Source, Next: e.Next,
-				Hops: e.Hops, PathID: e.PathID,
-				RateMean: e.Rate.Mean, RateSigma: e.Rate.Sigma,
-				Relaxed: e.Relaxed,
-			})
+			st.Entries = append(st.Entries, runtime.DurableEntry(e))
 		}
 	}
 	for to, ls := range n.linkSenders {

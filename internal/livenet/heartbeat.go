@@ -76,17 +76,17 @@ func (n *Node) startHeartbeats() {
 	go n.monitorLoop()
 }
 
-// probeScale is the wall milliseconds per emulated heartbeat
-// millisecond. The monitor measures silence on the node's clock, so
-// probe pacing must follow the clock's compression — which equals the
-// configured TimeScale on runtime deployments, but not in the
-// throughput-bench mode where TimeScale ≈ 0 zeroes the pacing sleeps
-// while the clock stays wall-true.
-func (n *Node) probeScale() float64 {
-	if wc, ok := n.clock.(*runtime.WallClock); ok {
+// clockScale is the wall milliseconds per millisecond of clock time:
+// the clock's compression, which equals the configured TimeScale on
+// runtime deployments, but not in the throughput-bench mode where
+// TimeScale ≈ 0 zeroes the pacing sleeps while the clock stays
+// wall-true. Heartbeat pacing and fault offsets are read on it: the
+// monitor measures silence on the node's clock.
+func clockScale(clock runtime.Clock, timeScale float64) float64 {
+	if wc, ok := clock.(*runtime.WallClock); ok {
 		return wc.Scale()
 	}
-	return n.cfg.TimeScale
+	return timeScale
 }
 
 // heartbeatLoop probes one neighbor every Interval. Probes skip links
@@ -95,7 +95,7 @@ func (n *Node) probeScale() float64 {
 // traffic is control plane, not data plane.
 func (n *Node) heartbeatLoop(to msg.NodeID, pc *peerConn) {
 	defer n.wg.Done()
-	period := vtime.ToDuration(n.cfg.Heartbeat.Interval * n.probeScale())
+	period := vtime.ToDuration(n.cfg.Heartbeat.Interval * clockScale(n.clock, n.cfg.TimeScale))
 	ticker := time.NewTicker(period)
 	defer ticker.Stop()
 	body := msg.AppendHeartbeat(nil, n.cfg.ID, n.epoch.Load())
@@ -121,7 +121,7 @@ func (n *Node) monitorLoop() {
 	defer n.wg.Done()
 	interval := n.cfg.Heartbeat.Interval
 	timeout := n.cfg.Heartbeat.timeout()
-	period := vtime.ToDuration(interval / 2 * n.probeScale())
+	period := vtime.ToDuration(interval / 2 * clockScale(n.clock, n.cfg.TimeScale))
 	ticker := time.NewTicker(period)
 	defer ticker.Stop()
 	for {

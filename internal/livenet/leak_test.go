@@ -241,10 +241,8 @@ func TestLiveMultipathDedupDynamicFlood(t *testing.T) {
 		published[id] = true
 	}
 	<-collected
-	for deadline := time.Now().Add(10 * time.Second); !c.Quiescent(n); time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("cluster did not quiesce:\n%s", c.LoadReport())
-		}
+	if err := c.WaitIdle(n, 10*time.Second); err != nil {
+		t.Fatal(err)
 	}
 	// Dedup: no second copy reaches the subscriber after the run.
 	receive(n+1, 200*time.Millisecond)

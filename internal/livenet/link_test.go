@@ -236,11 +236,8 @@ func TestCleanLinkRejectsStaleEpoch(t *testing.T) {
 	probes := c.Node(1).Stats().StaleEpochFrames // the polls above count too
 
 	publishN(t, p, 2)
-	for !c.Quiescent(2) {
-		if time.Now().After(deadline) {
-			t.Fatalf("cluster never quiesced:\n%s", c.LoadReport())
-		}
-		time.Sleep(time.Millisecond)
+	if err := c.WaitIdle(2, time.Until(deadline)); err != nil {
+		t.Fatal(err)
 	}
 	st := c.Node(1).Stats()
 	if got := st.StaleEpochFrames - probes; got != 2 {

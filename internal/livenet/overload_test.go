@@ -75,23 +75,6 @@ func blast(t *testing.T, c *Cluster, k, n int) int {
 	return n / k * k
 }
 
-func drainOverload(t *testing.T, c *Cluster, injected int) {
-	t.Helper()
-	deadline := time.Now().Add(30 * time.Second)
-	idle := 0
-	for idle < 2 {
-		if time.Now().After(deadline) {
-			t.Fatalf("cluster did not quiesce:\n%s", c.LoadReport())
-		}
-		if c.Quiescent(injected) {
-			idle++
-		} else {
-			idle = 0
-		}
-		time.Sleep(200 * time.Microsecond)
-	}
-}
-
 // TestMetricsEndpoint pins the hand-rolled /metrics exposition: a
 // cluster under load serves its counters as Prometheus text over HTTP,
 // and the scraped totals match TotalStats.
@@ -112,7 +95,9 @@ func TestMetricsEndpoint(t *testing.T) {
 	defer s.Close()
 	time.Sleep(100 * time.Millisecond)
 	injected := blast(t, c, 2, 200)
-	drainOverload(t, c, injected)
+	if err := c.WaitIdle(injected, 30*time.Second); err != nil {
+		t.Fatal(err)
+	}
 
 	resp, err := http.Get("http://" + ms.Addr() + "/metrics")
 	if err != nil {
@@ -179,7 +164,9 @@ func TestBackpressureBoundsQueues(t *testing.T) {
 	time.Sleep(100 * time.Millisecond)
 
 	injected := blast(t, c, conns, n)
-	drainOverload(t, c, injected)
+	if err := c.WaitIdle(injected, 30*time.Second); err != nil {
+		t.Fatal(err)
+	}
 
 	// The gate lets each reading connection take one message past the
 	// threshold before that message's enqueues show, and a message enters
@@ -226,7 +213,9 @@ func TestAdmissionRejectsAtSaturation(t *testing.T) {
 	time.Sleep(100 * time.Millisecond)
 
 	injected := blast(t, c, 4, 20000)
-	drainOverload(t, c, injected)
+	if err := c.WaitIdle(injected, 30*time.Second); err != nil {
+		t.Fatal(err)
+	}
 
 	total := c.TotalStats()
 	if total.PubsRejected == 0 {
@@ -308,7 +297,9 @@ func TestOverloadSoakDuringChurnAndFaults(t *testing.T) {
 	defer flap.Stop()
 
 	injected := blast(t, c, 4, 20000)
-	drainOverload(t, c, injected)
+	if err := c.WaitIdle(injected, 30*time.Second); err != nil {
+		t.Fatal(err)
+	}
 
 	close(churnStop)
 	<-churnDone

@@ -427,12 +427,8 @@ func testSessionRingBounded(t *testing.T) {
 		}
 	}
 	// Quiesce: every publication must have reached the edge's ring.
-	deadline := time.Now().Add(10 * time.Second)
-	for !c.Quiescent(over) {
-		if time.Now().After(deadline) {
-			t.Fatalf("cluster did not quiesce:\n%s", c.LoadReport())
-		}
-		time.Sleep(5 * time.Millisecond)
+	if err := c.WaitIdle(over, 10*time.Second); err != nil {
+		t.Fatal(err)
 	}
 
 	r, err := ResumeSubscriber(c.Addr(2), sub, tok)

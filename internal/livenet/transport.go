@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"sync"
 	"time"
 
 	"bdps/internal/metrics"
@@ -111,8 +112,8 @@ func (Transport) Deploy(p *runtime.Plan) (runtime.Deployment, error) {
 	return d, nil
 }
 
-// deployment is one live run: a cluster, its publishing clients and the
-// injected-fault timers.
+// deployment is one live run: a cluster (which arms the injected
+// faults) and its publishing clients.
 type deployment struct {
 	plan    *runtime.Plan
 	cluster *Cluster
@@ -121,11 +122,11 @@ type deployment struct {
 	sink    runtime.Sink
 
 	pubs     []*Publisher
-	timers   []*time.Timer
 	injected int
+	closed   sync.Once
 
 	// det is the shared failure detector (nil when recovery is off); a
-	// broker restart notifies it directly from the fault timer.
+	// broker restart notifies it from the cluster's restart hook.
 	det *runtime.FailureDetector
 	// stateRoot is the auto-provisioned durable-state directory backing
 	// the run's broker restarts (removed on Close; empty when the plan
@@ -193,11 +194,13 @@ func (d *deployment) repairLoop(det *runtime.FailureDetector) {
 }
 
 // Inject implements runtime.Deployment: re-anchor the clock so emulated
-// time 0 is now, arm the fault timers, then send every publication
-// through its ingress broker at its scheduled emulated instant.
+// time 0 is now, arm the faults, then send every publication through its
+// ingress broker at its scheduled emulated instant.
 func (d *deployment) Inject(pubs []*msg.Message) error {
 	d.clock.Restart()
-	d.armFaults()
+	if err := d.cluster.ArmFaults(d.plan.Cfg.Faults, d.restarted); err != nil {
+		return err
+	}
 	d.armChurn()
 
 	order := make([]*msg.Message, len(pubs))
@@ -232,78 +235,22 @@ func (d *deployment) Inject(pubs []*msg.Message) error {
 	return nil
 }
 
-// armFaults schedules the plan's injected failures on wall timers,
-// relative to the freshly anchored clock.
-func (d *deployment) armFaults() {
-	after := func(at vtime.Millis, fn func()) {
-		d.timers = append(d.timers, time.AfterFunc(vtime.ToDuration(at*d.ts), fn))
+// restarted is the cluster's hook into each BrokerRestart: before any
+// wire reconnects, the plan's broker and table maps are swapped to the
+// new incarnation and the repair engine withdraws the crash evidence —
+// so its re-flood lands on the recovered table and the monitors' later
+// organic Restored events find nothing left to repair.
+func (d *deployment) restarted(n *Node) {
+	id := n.ID()
+	swap := func() {
+		d.plan.Tables[id] = n.table
+		d.plan.Brokers[id] = n.b
 	}
-	for _, f := range d.plan.Cfg.Faults {
-		switch f := f.(type) {
-		case runtime.LinkDown:
-			from, to := f.From, f.To
-			after(f.Start, func() { d.cluster.Node(from).SetLinkDown(to, true) })
-			after(f.End, func() { d.cluster.Node(from).SetLinkDown(to, false) })
-		case runtime.BrokerCrash:
-			id := f.ID
-			after(f.At, func() { d.cluster.Node(id).Crash() })
-		case runtime.BrokerRestart:
-			id := f.ID
-			after(f.At, func() { d.restartBroker(id) })
-		case runtime.SessionDown:
-			var sub *msg.Subscription
-			for _, s := range d.plan.Subs {
-				if s.ID == f.Sub {
-					sub = s
-					break
-				}
-			}
-			if sub == nil {
-				continue // validated against the static population; defensive
-			}
-			s := sub
-			after(f.Start, func() {
-				if node := d.cluster.Node(s.Edge); node != nil {
-					node.SessionSuspend(s)
-				}
-			})
-			after(f.End, func() {
-				if node := d.cluster.Node(s.Edge); node != nil {
-					node.SessionResume(s.ID)
-				}
-			})
-		}
+	if d.det != nil {
+		d.det.BrokerRestarted(id, swap)
+	} else {
+		swap()
 	}
-}
-
-// restartBroker realizes one BrokerRestart fault: the cluster rebuilds
-// the broker from its durable state directory, and before any wire
-// reconnects, the plan's broker and table maps are swapped to the new
-// incarnation and the repair engine withdraws the crash evidence — so
-// its re-flood lands on the recovered table and the monitors' later
-// organic Restored events find nothing left to repair. The replayed-sub
-// ledger counts the distinct subscriptions the WAL reinstalled.
-func (d *deployment) restartBroker(id msg.NodeID) {
-	_, _ = d.cluster.RestartNode(id, func(n *Node) {
-		swap := func() {
-			d.plan.Tables[id] = n.table
-			d.plan.Brokers[id] = n.b
-		}
-		if st, ok := n.Restarted(); ok {
-			subs := make(map[msg.SubID]bool, len(st.Entries))
-			for _, e := range st.Entries {
-				subs[e.Sub.ID] = true
-			}
-			if len(subs) > 0 {
-				d.sink.Count(metrics.RestartReplayedSubs, len(subs))
-			}
-		}
-		if d.det != nil {
-			d.det.BrokerRestarted(id, swap)
-		} else {
-			swap()
-		}
-	})
 }
 
 // armChurn starts one pacing goroutine that walks the plan's
@@ -346,57 +293,21 @@ func (d *deployment) armChurn() {
 	}()
 }
 
-// Drain implements runtime.Deployment: poll until the overlay is
-// provably idle (twice in a row, to close the socket-buffer window), or
-// until activity stalls with a fault in play, or until a hard timeout.
-// Publications a failed write lost after the last Send returned are
-// charged to the crash here, since no later Send reported them.
+// Drain implements runtime.Deployment: wait until the cluster is idle
+// (Cluster.WaitIdle) or a hard timeout passes. Publications a failed
+// write lost after the last Send returned are charged to the crash here,
+// since no later Send reported them.
 func (d *deployment) Drain() error {
-	err := d.drain()
+	// Generous hard ceiling: the whole publishing window plus the
+	// longest allowed delay, in wall time, plus slack for overheads.
+	window := d.plan.Cfg.Workload.Duration + 2*vtime.Minute
+	err := d.cluster.WaitIdle(d.injected, time.Duration(float64(vtime.ToDuration(window))*d.ts)+20*time.Second)
 	for _, p := range d.pubs {
 		if lost := p.unreportedLoss(); lost > 0 {
 			d.sink.Count(metrics.DropsCrashed, lost)
 		}
 	}
 	return err
-}
-
-func (d *deployment) drain() error {
-	const poll = 5 * time.Millisecond
-	// Generous hard ceiling: the whole publishing window plus the
-	// longest allowed delay, in wall time, plus slack for overheads.
-	window := d.plan.Cfg.Workload.Duration + 2*vtime.Minute
-	deadline := time.Now().Add(time.Duration(float64(vtime.ToDuration(window))*d.ts) + 20*time.Second)
-
-	idleStreak, stableStreak := 0, 0
-	lastStats := d.cluster.TotalStats()
-	for time.Now().Before(deadline) {
-		if d.cluster.Quiescent(d.injected) {
-			idleStreak++
-			if idleStreak >= 2 {
-				return nil
-			}
-		} else {
-			idleStreak = 0
-		}
-		// Fallback for faulty runs (a crashed broker never accounts its
-		// inbound frames, so Quiescent's totals never close): declare
-		// the run over once every surviving node is locally idle AND
-		// nothing has changed for a sustained period. The Settled guard
-		// keeps a long paced transfer — seconds of frozen stats at
-		// TimeScale 1 — from being mistaken for completion.
-		if s := d.cluster.TotalStats(); s == lastStats {
-			stableStreak++
-			if len(d.plan.Cfg.Faults) > 0 && stableStreak >= 100 && d.cluster.Settled() {
-				return nil
-			}
-		} else {
-			lastStats = s
-			stableStreak = 0
-		}
-		time.Sleep(poll)
-	}
-	return fmt.Errorf("livenet: drain timed out with the overlay still active")
 }
 
 // PeakQueue implements runtime.Deployment.
@@ -407,27 +318,27 @@ func (d *deployment) PeakQueue() int { return d.cluster.PeakQueue() }
 // estimates, per-node stats — beside what the plan believed.
 func (d *deployment) Cluster() *Cluster { return d.cluster }
 
-// Close implements runtime.Deployment.
+// Close implements runtime.Deployment. A second call does nothing.
 func (d *deployment) Close() error {
-	if d.churnStop != nil {
-		close(d.churnStop)
-		<-d.churnDone
-	}
-	for _, t := range d.timers {
-		t.Stop()
-	}
-	for _, p := range d.pubs {
-		p.Close()
-	}
-	// Stop the cluster before closing the event channel: Stop waits for
-	// every heartbeat monitor, so no OnPeerEvent send can race the close.
-	d.cluster.Stop()
-	if d.events != nil {
-		close(d.events)
-		<-d.repairDone
-	}
-	if d.stateRoot != "" {
-		os.RemoveAll(d.stateRoot)
-	}
+	d.closed.Do(func() {
+		if d.churnStop != nil {
+			close(d.churnStop)
+			<-d.churnDone
+		}
+		for _, p := range d.pubs {
+			p.Close()
+		}
+		// Stop the cluster before closing the event channel: Stop waits
+		// for every heartbeat monitor, so no OnPeerEvent send can race the
+		// close.
+		d.cluster.Stop()
+		if d.events != nil {
+			close(d.events)
+			<-d.repairDone
+		}
+		if d.stateRoot != "" {
+			os.RemoveAll(d.stateRoot)
+		}
+	})
 	return nil
 }

@@ -22,6 +22,9 @@ package runtime
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
+	"time"
 
 	"bdps/internal/core"
 	"bdps/internal/msg"
@@ -311,6 +314,42 @@ type LinkDown struct {
 }
 
 func (LinkDown) isFault() {}
+
+// ParseLinkDown reads an outage spec "from:to:start:end": broker ids,
+// then Go durations into the run, e.g. "2:6:30s:80s". The offsets are
+// read on the run's clock — emulated time on a plan deployment, wall
+// time on a standalone live cluster.
+func ParseLinkDown(s string) (LinkDown, error) {
+	parts := strings.Split(s, ":")
+	if len(parts) != 4 {
+		return LinkDown{}, fmt.Errorf("want from:to:start:end (e.g. 2:6:30s:80s), got %q", s)
+	}
+	var ids [2]uint64
+	for i, name := range [2]string{"from", "to"} {
+		v, err := strconv.ParseUint(strings.TrimSpace(parts[i]), 10, 32)
+		if err != nil {
+			return LinkDown{}, fmt.Errorf("%s: %w", name, err)
+		}
+		ids[i] = v
+	}
+	var at [2]time.Duration
+	for i, name := range [2]string{"start", "end"} {
+		d, err := time.ParseDuration(strings.TrimSpace(parts[2+i]))
+		if err != nil {
+			return LinkDown{}, fmt.Errorf("%s: %w", name, err)
+		}
+		at[i] = d
+	}
+	if at[1] <= at[0] {
+		return LinkDown{}, fmt.Errorf("end %v must follow start %v", at[1], at[0])
+	}
+	return LinkDown{
+		From:  msg.NodeID(ids[0]),
+		To:    msg.NodeID(ids[1]),
+		Start: vtime.FromDuration(at[0]),
+		End:   vtime.FromDuration(at[1]),
+	}, nil
+}
 
 // BrokerCrash permanently kills a broker at time At: queued and arriving
 // messages are lost, and its links stop sending.

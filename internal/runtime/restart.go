@@ -36,15 +36,31 @@ func (p *Plan) SnapshotDurable(id msg.NodeID) []durable.Entry {
 	var out []durable.Entry
 	for _, src := range t.Sources() {
 		for _, e := range t.Entries(src) {
-			out = append(out, durable.Entry{
-				Sub: e.Sub, Source: e.Source, Next: e.Next,
-				Hops: e.Hops, PathID: e.PathID,
-				RateMean: e.Rate.Mean, RateSigma: e.Rate.Sigma,
-				Relaxed: e.Relaxed,
-			})
+			out = append(out, DurableEntry(e))
 		}
 	}
 	return out
+}
+
+// DurableEntry is the write-ahead-log record of one routing entry: a
+// value copy, so later table mutations cannot reach it.
+func DurableEntry(e *routing.Entry) durable.Entry {
+	return durable.Entry{
+		Sub: e.Sub, Source: e.Source, Next: e.Next,
+		Hops: e.Hops, PathID: e.PathID,
+		RateMean: e.Rate.Mean, RateSigma: e.Rate.Sigma,
+		Relaxed: e.Relaxed,
+	}
+}
+
+// RoutingEntry rebuilds the routing entry a write-ahead-log record holds.
+func RoutingEntry(e *durable.Entry) *routing.Entry {
+	return &routing.Entry{
+		Sub: e.Sub, Source: e.Source, Next: e.Next,
+		Hops: e.Hops, PathID: e.PathID,
+		Rate:    stats.Normal{Mean: e.RateMean, Sigma: e.RateSigma},
+		Relaxed: e.Relaxed,
+	}
 }
 
 // RestartBroker replaces broker id with a fresh incarnation recovered
@@ -60,14 +76,8 @@ func (p *Plan) RestartBroker(id msg.NodeID, entries []durable.Entry) (int, error
 	t := routing.NewTable(id)
 	subs := make(map[msg.SubID]bool, len(entries))
 	for i := range entries {
-		e := &entries[i]
-		t.Add(&routing.Entry{
-			Sub: e.Sub, Source: e.Source, Next: e.Next,
-			Hops: e.Hops, PathID: e.PathID,
-			Rate:    stats.Normal{Mean: e.RateMean, Sigma: e.RateSigma},
-			Relaxed: e.Relaxed,
-		})
-		subs[e.Sub.ID] = true
+		t.Add(RoutingEntry(&entries[i]))
+		subs[entries[i].Sub.ID] = true
 	}
 	means := make(map[msg.NodeID]float64)
 	for _, e := range p.Overlay.Graph.Neighbors(id) {

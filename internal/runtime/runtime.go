@@ -37,10 +37,10 @@ type Deployment interface {
 	// delivered, dropped or expired, every queue empty.
 	Drain() error
 	// PeakQueue reports the largest queue occupancy observed; call after
-	// Drain.
+	// Drain. It stays readable after Close.
 	PeakQueue() int
 	// Close releases backend resources (connections, goroutines,
-	// timers). Safe after a failed Drain.
+	// timers). Safe after a failed Drain, and safe to call twice.
 	Close() error
 }
 
@@ -69,6 +69,11 @@ func Run(cfg Config, t Transport) (Result, error) {
 		return Result{}, err
 	}
 	if err := dep.Drain(); err != nil {
+		return Result{}, err
+	}
+	// Stop the backend before reading what it wrote: a live deployment's
+	// repair goroutine can still record a detection until Close.
+	if err := dep.Close(); err != nil {
 		return Result{}, err
 	}
 

@@ -159,3 +159,42 @@ func TestLinkModelStrings(t *testing.T) {
 		t.Error("unknown model should still render")
 	}
 }
+
+// closeRecorder is a deployment whose Close records one detection, the
+// way a live deployment's repair goroutine can until it is stopped.
+type closeRecorder struct {
+	p      *Plan
+	closed bool
+}
+
+func (d *closeRecorder) Inject([]*msg.Message) error { return nil }
+func (d *closeRecorder) Drain() error                { return nil }
+func (d *closeRecorder) PeakQueue() int              { return 0 }
+func (d *closeRecorder) Close() error {
+	if !d.closed {
+		d.closed = true
+		d.p.Metrics.Detection(1)
+	}
+	return nil
+}
+
+type closeRecorderTransport struct{}
+
+func (closeRecorderTransport) Name() string        { return "close-recorder" }
+func (closeRecorderTransport) Deterministic() bool { return true }
+func (closeRecorderTransport) Deploy(p *Plan) (Deployment, error) {
+	return &closeRecorder{p: p}, nil
+}
+
+// TestRunClosesBeforeResult: Run stops the deployment before it freezes
+// the collector, so what the backend records while stopping is in the
+// result.
+func TestRunClosesBeforeResult(t *testing.T) {
+	r, err := Run(planCfg(), closeRecorderTransport{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Detections != 1 {
+		t.Errorf("detections = %d, want the 1 recorded by Close", r.Detections)
+	}
+}

@@ -94,18 +94,8 @@ func BenchmarkLiveThroughput(b *testing.B) {
 
 	// Run to quiescence: every injected message delivered or dropped,
 	// every queue empty, nothing in flight.
-	deadline := time.Now().Add(2 * time.Minute)
-	idle := 0
-	for idle < 2 {
-		if time.Now().After(deadline) {
-			b.Fatal("cluster did not quiesce")
-		}
-		if c.Quiescent(b.N) {
-			idle++
-		} else {
-			idle = 0
-		}
-		time.Sleep(200 * time.Microsecond)
+	if err := c.WaitIdle(b.N, 2*time.Minute); err != nil {
+		b.Fatal(err)
 	}
 	b.StopTimer()
 

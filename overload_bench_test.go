@@ -91,18 +91,8 @@ func benchmarkFlashCrowd(b *testing.B, protected bool) {
 	}
 	wg.Wait()
 
-	deadline := time.Now().Add(2 * time.Minute)
-	idle := 0
-	for idle < 2 {
-		if time.Now().After(deadline) {
-			b.Fatalf("cluster did not quiesce:\n%s", c.LoadReport())
-		}
-		if c.Quiescent(b.N) {
-			idle++
-		} else {
-			idle = 0
-		}
-		time.Sleep(200 * time.Microsecond)
+	if err := c.WaitIdle(b.N, 2*time.Minute); err != nil {
+		b.Fatal(err)
 	}
 	b.StopTimer()
 
@@ -116,13 +106,7 @@ func benchmarkFlashCrowd(b *testing.B, protected bool) {
 		if admitted := b.N - total.PubsRejected; accounted < admitted {
 			b.Fatalf("admitted %d, accounted %d", admitted, accounted)
 		}
-		peak := 0
-		for _, n := range c.Nodes {
-			if p := n.PeakQueue(); p > peak {
-				peak = p
-			}
-		}
-		b.ReportMetric(float64(peak), "peak-queue")
+		b.ReportMetric(float64(c.PeakQueue()), "peak-queue")
 	} else if total.Deliveries < b.N {
 		b.Fatalf("delivered %d of %d messages", total.Deliveries, b.N)
 	}
