@@ -148,7 +148,7 @@ func BenchmarkChurnAggregatedOps(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			id := msg.SubID(n + i)
-			routing.InstallSub(tables, ov, churnSub(i, id), routing.Options{})
+			routing.NewInstaller(ov, routing.Options{}).Install(tables, churnSub(i, id))
 			routing.RemoveSubAll(tables, msg.SubID(i%n))
 			if i >= n {
 				routing.RemoveSubAll(tables, msg.SubID(i))

@@ -72,7 +72,7 @@ type (
 // Simulation and experiment types.
 type (
 	// SimConfig describes one simulation run.
-	SimConfig = simnet.Config
+	SimConfig = runtime.Config
 	// WorkloadConfig parameterizes publishers and subscribers.
 	WorkloadConfig = workload.Config
 	// Result is one run's metrics.
@@ -86,7 +86,7 @@ type (
 	// LayeredConfig parameterizes the paper's layered-mesh topology.
 	LayeredConfig = topology.LayeredConfig
 	// LinkModel selects the per-transfer rate distribution shape.
-	LinkModel = simnet.LinkModel
+	LinkModel = runtime.LinkModel
 	// Backend is a runtime transport: a deployment substrate the
 	// scheduling system runs on (simulator or live TCP overlay).
 	Backend = runtime.Transport
@@ -102,9 +102,9 @@ const (
 
 // Link models for SimConfig.LinkModel.
 const (
-	LinkNormal = simnet.LinkNormal
-	LinkFixed  = simnet.LinkFixed
-	LinkGamma  = simnet.LinkGamma
+	LinkNormal = runtime.LinkNormal
+	LinkFixed  = runtime.LinkFixed
+	LinkGamma  = runtime.LinkGamma
 )
 
 // Time units for durations in configs.
@@ -148,7 +148,7 @@ func BuildLayeredOverlay(cfg LayeredConfig) (*Overlay, error) {
 
 // RunSim executes one simulation run to completion and returns its
 // metrics.
-func RunSim(cfg SimConfig) (Result, error) { return simnet.Run(cfg) }
+func RunSim(cfg SimConfig) (Result, error) { return runtime.Run(cfg, simnet.Transport{}) }
 
 // SimBackend returns the deterministic discrete-event backend.
 func SimBackend() Backend { return simnet.Transport{} }

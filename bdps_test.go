@@ -77,9 +77,9 @@ func TestFacadeRunSim(t *testing.T) {
 
 func TestFacadeRunFigure(t *testing.T) {
 	figs, err := RunFigure("6a", ExperimentOptions{
-		Seeds:    []uint64{1},
-		Duration: 3 * Minute,
-		Rates:    []float64{6},
+		Seeds: []uint64{1},
+		Base:  SimConfig{Workload: WorkloadConfig{Duration: 3 * Minute}},
+		Rates: []float64{6},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -19,7 +19,6 @@ import (
 	"bdps/internal/filter"
 	"bdps/internal/msg"
 	"bdps/internal/routing"
-	"bdps/internal/simnet"
 	"bdps/internal/stats"
 	"bdps/internal/topology"
 	"bdps/internal/vtime"
@@ -31,7 +30,7 @@ import (
 func benchOpts() experiments.Options {
 	return experiments.Options{
 		Seeds:    []uint64{1},
-		Duration: 4 * vtime.Minute,
+		Base:     SimConfig{Workload: workload.Config{Duration: 4 * vtime.Minute}},
 		Rates:    []float64{6, 15},
 		Weights:  []float64{0, 0.5, 1},
 		Fig4Rate: experiments.Float(10),
@@ -161,9 +160,9 @@ func BenchmarkFigureAllParallel(b *testing.B) { benchAll(b, 0) }
 // ---------------------------------------------------------------------
 // Ablation benches: design choices under the congested PSD point.
 
-func ablationRun(b *testing.B, mutate func(*simnet.Config)) (delivery float64) {
+func ablationRun(b *testing.B, mutate func(*SimConfig)) (delivery float64) {
 	b.Helper()
-	cfg := simnet.Config{
+	cfg := SimConfig{
 		Seed:     1,
 		Scenario: msg.PSD,
 		Strategy: core.MaxEB{},
@@ -174,7 +173,7 @@ func ablationRun(b *testing.B, mutate func(*simnet.Config)) (delivery float64) {
 	}
 	var res float64
 	for i := 0; i < b.N; i++ {
-		r, err := simnet.Run(cfg)
+		r, err := RunSim(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -190,7 +189,7 @@ func BenchmarkAblationEpsilonOn(b *testing.B) {
 }
 
 func BenchmarkAblationEpsilonOff(b *testing.B) {
-	d := ablationRun(b, func(c *simnet.Config) {
+	d := ablationRun(b, func(c *SimConfig) {
 		c.Params = core.Params{PD: 2, Epsilon: 0}
 	})
 	b.ReportMetric(100*d, "delivery_pct")
@@ -198,28 +197,28 @@ func BenchmarkAblationEpsilonOff(b *testing.B) {
 
 // BenchmarkAblationMultipath2 runs DCP-style 2-path routing with dedup.
 func BenchmarkAblationMultipath2(b *testing.B) {
-	d := ablationRun(b, func(c *simnet.Config) { c.Multipath = 2 })
+	d := ablationRun(b, func(c *SimConfig) { c.Multipath = 2 })
 	b.ReportMetric(100*d, "delivery_pct")
 }
 
 // BenchmarkAblationMeasuredRates estimates link parameters from 50
 // samples instead of knowing them (oracle).
 func BenchmarkAblationMeasuredRates(b *testing.B) {
-	d := ablationRun(b, func(c *simnet.Config) { c.MeasureSamples = 50 })
+	d := ablationRun(b, func(c *SimConfig) { c.MeasureSamples = 50 })
 	b.ReportMetric(100*d, "delivery_pct")
 }
 
 // BenchmarkAblationLinkGamma swaps the normal link model for the
 // shifted-gamma shape of the paper's refs [17,18].
 func BenchmarkAblationLinkGamma(b *testing.B) {
-	d := ablationRun(b, func(c *simnet.Config) { c.LinkModel = simnet.LinkGamma })
+	d := ablationRun(b, func(c *SimConfig) { c.LinkModel = LinkGamma })
 	b.ReportMetric(100*d, "delivery_pct")
 }
 
 // BenchmarkAblationLinkFixed uses deterministic link rates (the
 // fixed-bandwidth assumption the paper argues against).
 func BenchmarkAblationLinkFixed(b *testing.B) {
-	d := ablationRun(b, func(c *simnet.Config) { c.LinkModel = simnet.LinkFixed })
+	d := ablationRun(b, func(c *SimConfig) { c.LinkModel = LinkFixed })
 	b.ReportMetric(100*d, "delivery_pct")
 }
 
@@ -229,7 +228,7 @@ func BenchmarkAblationAcyclicTopology(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	d := ablationRun(b, func(c *simnet.Config) { c.Overlay = ov })
+	d := ablationRun(b, func(c *SimConfig) { c.Overlay = ov })
 	b.ReportMetric(100*d, "delivery_pct")
 }
 
@@ -559,7 +558,7 @@ func BenchmarkSimSecond(b *testing.B) {
 	if duration < vtime.Minute {
 		duration = vtime.Minute
 	}
-	r, err := simnet.Run(simnet.Config{
+	r, err := RunSim(SimConfig{
 		Seed:     1,
 		Scenario: msg.PSD,
 		Strategy: core.MaxEB{},

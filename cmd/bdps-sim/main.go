@@ -21,10 +21,13 @@
 //
 //	bdps-sim -single -backend live -timescale 0.002 -duration 2m -rate 6
 //
-// Ablations pass through: -multipath 2, -measure 100, -linkmodel gamma,
-// -epsilon 0 (disable invalid-message detection).
+// The flags describe one run. -single runs it at -scenario, -strategy,
+// -rate and -seed (FIFO and RL with ε = 0); every figure, ablation and
+// claims cell is a copy of it with the fields the cell owns overwritten,
+// so -multipath 2, -measure 100, -linkmodel gamma, -epsilon 0, -churn,
+// the fault flags and -timescale reach every mode. -trace is single-only.
 //
-// Fault injection and self-healing (single mode, both backends): crash
+// Fault injection and self-healing (every mode, both backends): crash
 // brokers or take a link down mid-run, then let the control plane
 // detect the failure, repair the topology and renegotiate delay bounds:
 //
@@ -51,6 +54,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -70,17 +74,19 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "bdps-sim:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+// run parses args and executes the mode they select, writing reports to
+// stdout.
+func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("bdps-sim", flag.ContinueOnError)
 	var (
 		figure   = fs.String("figure", "", "figure to reproduce: 4a, 4b, 5, 5a, 5b, 6, 6a, 6b, all")
-		ablation = fs.String("ablation", "", "ablation to run: epsilon, measure, multipath, linkmodel, topology, fairness, hotspot, churn, recovery, loss, overload, restart, all")
+		ablation = fs.String("ablation", "", "ablation to run: "+strings.Join(experiments.Ablations(), ", ")+", all")
 		claims   = fs.Bool("claims", false, "re-run the evaluation and check the paper's claims")
 		single   = fs.Bool("single", false, "run a single configuration instead of a figure")
 		topoDump = fs.Bool("dump-topology", false, "print the layered overlay as JSON and exit")
@@ -105,36 +111,36 @@ func run(args []string) error {
 		churnRate = fs.Float64("churn", 0, "subscription churn: subscribe arrivals per minute (0 = static population)")
 		churnHalf = fs.Duration("churn-halflife", time.Minute, "subscription churn: lifetime half-life")
 
-		aggregate = fs.Bool("aggregate", false, "covering-based subscription aggregation: forward a subscription only when no resident filter covers it (single mode, both backends)")
+		aggregate = fs.Bool("aggregate", false, "covering-based subscription aggregation: forward a subscription only when no resident filter covers it (both backends)")
 
-		flashAt    = fs.Duration("flash-at", 0, "flash crowd: burst onset within the publishing window (single mode)")
+		flashAt    = fs.Duration("flash-at", 0, "flash crowd: burst onset within the publishing window")
 		flashWidth = fs.Duration("flash-width", time.Minute, "flash crowd: burst plateau width")
 		flashRamp  = fs.Duration("flash-ramp", 0, "flash crowd: linear ramp up/down around the plateau")
 		flashBoost = fs.Float64("flash-boost", 0, "flash crowd: publish-rate multiplier at the peak (0 = no flash crowd)")
 		flashSubs  = fs.Int("flash-subs", 0, "flash crowd: burst subscribers arriving per edge broker at onset")
 		diurnal    = fs.Float64("diurnal", 0, "sinusoidal diurnal rate modulation amplitude in [0,1)")
 
-		admission = fs.Bool("admission", false, "online admission control: gate publications through the paper's admission test against modeled ingress load (single mode)")
-		shed      = fs.Bool("shed", false, "graceful degradation: shed the worst-scored queue entries above the pressure threshold (single mode)")
+		admission = fs.Bool("admission", false, "online admission control: gate publications through the paper's admission test against modeled ingress load")
+		shed      = fs.Bool("shed", false, "graceful degradation: shed the worst-scored queue entries above the pressure threshold")
 		maxQueue  = fs.Int("max-queue", 0, "overload protection: per-queue pressure / saturation threshold (0 = default 256)")
 		zipfU     = fs.Int("zipf", 0, "draw subscription filters from a Zipf-popular template universe of this size (0 = paper's continuous filters)")
 		zipfS     = fs.Float64("zipf-s", 1, "Zipf exponent for -zipf")
 
-		linkLoss    = fs.Float64("link-loss", 0, "per-frame loss probability on every link (single mode, both backends)")
-		linkDup     = fs.Float64("link-dup", 0, "per-frame duplication probability on every link (single mode)")
-		linkReorder = fs.Float64("link-reorder", 0, "per-frame reorder (adjacent swap) probability on every link; healed inside the receiver's 64-frame reorder window (single mode)")
+		linkLoss    = fs.Float64("link-loss", 0, "per-frame loss probability on every link (both backends)")
+		linkDup     = fs.Float64("link-dup", 0, "per-frame duplication probability on every link")
+		linkReorder = fs.Float64("link-reorder", 0, "per-frame reorder (adjacent swap) probability on every link; healed inside the receiver's 64-frame reorder window")
 		retry       = fs.String("retry", "aware", "retransmission policy under loss: aware (deadline-aware), blind, off (every link is sequenced either way; off removes the retries)")
 
-		killBroker    = fs.String("kill-broker", "", "crash these brokers mid-run, comma-separated ids (single mode)")
+		killBroker    = fs.String("kill-broker", "", "crash these brokers mid-run, comma-separated ids")
 		killAt        = fs.Duration("kill-at", 30*time.Second, "emulated instant at which -kill-broker crashes strike")
 		restartBroker = fs.String("restart-broker", "", "restart these crashed brokers from durable state, comma-separated ids (each must also appear in -kill-broker)")
 		restartAt     = fs.Duration("restart-at", 60*time.Second, "emulated instant at which -restart-broker rejoins (must be after -kill-at)")
-		linkDown      = fs.String("link-down", "", "transient link outage from:to:start:end, e.g. 2:6:30s:80s (single mode)")
-		recov         = fs.Bool("recover", false, "detect failures and repair the routing topology (single mode)")
+		linkDown      = fs.String("link-down", "", "transient link outage from:to:start:end, e.g. 2:6:30s:80s")
+		recov         = fs.Bool("recover", false, "detect failures and repair the routing topology")
 		renege        = fs.Bool("renegotiate", false, "renegotiate delay bounds on repaired paths (implies -recover)")
 		hbInterval    = fs.Duration("heartbeat-interval", 500*time.Millisecond, "failure detection: emulated heartbeat period")
 		hbTimeout     = fs.Duration("heartbeat-timeout", 0, "failure detection: silence before a link is declared dead (0 = 4x interval)")
-		timeline      = fs.Duration("timeline", 0, "report delivery-over-time in buckets of this emulated width (single mode)")
+		timeline      = fs.Duration("timeline", 0, "report delivery-over-time in buckets of this emulated width")
 
 		pd        = fs.Float64("pd", 2, "processing delay per broker, ms")
 		epsilon   = fs.Float64("epsilon", core.DefaultEpsilon, "invalid-message threshold for EB/PC/EBPC (0 disables)")
@@ -157,106 +163,101 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	ts := 0.0
-	if !bk.Deterministic() {
-		ts = *timescale
-	}
-	params := core.Params{PD: vtime.Millis(*pd), Epsilon: *epsilon}
 
 	if *topoDump {
 		ov, err := topology.BuildLayered(topology.LayeredConfig{Seed: *seed})
 		if err != nil {
 			return err
 		}
-		return ov.WriteJSON(os.Stdout)
+		return ov.WriteJSON(stdout)
+	}
+
+	// The one run the flags describe: -single runs it at its scenario,
+	// strategy, rate and seed; every figure, ablation and claims cell is
+	// a copy of it with the fields that cell owns overwritten.
+	base := runtime.Config{
+		Params: core.Params{PD: vtime.Millis(*pd), Epsilon: *epsilon},
+		Workload: workload.Config{
+			Duration: vtime.FromDuration(*duration),
+			Churn: workload.Churn{
+				RatePerMin: *churnRate,
+				HalfLife:   vtime.FromDuration(*churnHalf),
+			},
+			Zipf: workload.Zipf{
+				Universe: *zipfU,
+				Exponent: *zipfS,
+			},
+			FlashCrowd: workload.FlashCrowd{
+				At:       vtime.FromDuration(*flashAt),
+				Width:    vtime.FromDuration(*flashWidth),
+				Ramp:     vtime.FromDuration(*flashRamp),
+				Boost:    *flashBoost,
+				SubBurst: *flashSubs,
+				Diurnal:  *diurnal,
+			},
+		},
+		Admission: runtime.Admission{
+			Enabled:  *admission,
+			Shed:     *shed,
+			MaxQueue: *maxQueue,
+		},
+		Aggregate:      *aggregate,
+		Multipath:      *multipath,
+		MeasureSamples: *measure,
+		LinkModel:      lm,
+		TimelineBucket: vtime.FromDuration(*timeline),
+		Recovery: runtime.Recovery{
+			Detect:            *recov || *renege,
+			Renegotiate:       *renege,
+			HeartbeatInterval: vtime.FromDuration(*hbInterval),
+			HeartbeatTimeout:  vtime.FromDuration(*hbTimeout),
+		},
+	}
+	if !bk.Deterministic() {
+		base.TimeScale = *timescale
+	}
+	if base.Faults, err = parseFaults(*killBroker, *killAt, *restartBroker, *restartAt, *linkDown); err != nil {
+		return err
+	}
+	if *linkLoss > 0 || *linkDup > 0 || *linkReorder > 0 {
+		base.Faults = append(base.Faults, runtime.LinkLoss{
+			From: msg.None, To: msg.None,
+			Rate: *linkLoss, Dup: *linkDup, Reorder: *linkReorder,
+		})
+	}
+	if base.Reliability, err = parseRetry(*retry); err != nil {
+		return err
 	}
 
 	if *single {
-		sc, err := parseScenario(*scenario)
-		if err != nil {
+		cfg := base
+		if cfg.Scenario, err = parseScenario(*scenario); err != nil {
 			return err
 		}
-		st, err := core.ParseStrategy(*strategy)
-		if err != nil {
+		if cfg.Strategy, err = core.ParseStrategy(*strategy); err != nil {
 			return err
 		}
-		p := params
-		switch st.(type) {
-		case core.FIFO, core.RL:
-			p.Epsilon = 0
-		}
-		cfg := simnet.Config{
-			Seed:     *seed,
-			Scenario: sc,
-			Strategy: st,
-			Params:   p,
-			Workload: workload.Config{
-				RatePerMin: *rate,
-				Duration:   vtime.FromDuration(*duration),
-				Churn: workload.Churn{
-					RatePerMin: *churnRate,
-					HalfLife:   vtime.FromDuration(*churnHalf),
-				},
-				Zipf: workload.Zipf{
-					Universe: *zipfU,
-					Exponent: *zipfS,
-				},
-				FlashCrowd: workload.FlashCrowd{
-					At:       vtime.FromDuration(*flashAt),
-					Width:    vtime.FromDuration(*flashWidth),
-					Ramp:     vtime.FromDuration(*flashRamp),
-					Boost:    *flashBoost,
-					SubBurst: *flashSubs,
-					Diurnal:  *diurnal,
-				},
-			},
-			Admission: runtime.Admission{
-				Enabled:  *admission,
-				Shed:     *shed,
-				MaxQueue: *maxQueue,
-			},
-			Aggregate:      *aggregate,
-			Multipath:      *multipath,
-			MeasureSamples: *measure,
-			LinkModel:      lm,
-			TimeScale:      ts,
-			TimelineBucket: vtime.FromDuration(*timeline),
-			Recovery: runtime.Recovery{
-				Detect:            *recov || *renege,
-				Renegotiate:       *renege,
-				HeartbeatInterval: vtime.FromDuration(*hbInterval),
-				HeartbeatTimeout:  vtime.FromDuration(*hbTimeout),
-			},
-		}
-		if cfg.Faults, err = parseFaults(*killBroker, *killAt, *restartBroker, *restartAt, *linkDown); err != nil {
-			return err
-		}
-		if *linkLoss > 0 || *linkDup > 0 || *linkReorder > 0 {
-			cfg.Faults = append(cfg.Faults, runtime.LinkLoss{
-				From: msg.None, To: msg.None,
-				Rate: *linkLoss, Dup: *linkDup, Reorder: *linkReorder,
-			})
-		}
-		if cfg.Reliability, err = parseRetry(*retry); err != nil {
-			return err
-		}
-		var traceFile *os.File
+		cfg.Seed = *seed
+		cfg.Params = cfg.Params.For(cfg.Strategy)
+		cfg.Workload.RatePerMin = *rate
+		var tracer *trace.JSONL
 		if *traceOut != "" {
-			traceFile, err = os.Create(*traceOut)
+			traceFile, err := os.Create(*traceOut)
 			if err != nil {
 				return err
 			}
 			defer traceFile.Close()
-			cfg.Tracer = &trace.JSONL{W: traceFile}
+			tracer = &trace.JSONL{W: traceFile}
+			cfg.Tracer = tracer
 		}
 		res, err := runtime.Run(cfg, bk)
 		if err != nil {
 			return err
 		}
-		printSingle(res)
-		printTimeline(res)
-		if j, ok := cfg.Tracer.(*trace.JSONL); ok && j.Err() != nil {
-			return fmt.Errorf("writing trace: %w", j.Err())
+		fmt.Fprintln(stdout, res.String())
+		printTimeline(stdout, res)
+		if tracer != nil && tracer.Err() != nil {
+			return fmt.Errorf("writing trace: %w", tracer.Err())
 		}
 		return nil
 	}
@@ -266,19 +267,10 @@ func run(args []string) error {
 	}
 
 	opts := experiments.Options{
-		Duration:       vtime.FromDuration(*duration),
-		Fig4Rate:       fig4rate,
-		Params:         params,
-		Multipath:      *multipath,
-		MeasureSamples: *measure,
-		LinkModel:      lm,
-		Churn: workload.Churn{
-			RatePerMin: *churnRate,
-			HalfLife:   vtime.FromDuration(*churnHalf),
-		},
+		Fig4Rate:    fig4rate,
+		Base:        base,
 		Parallelism: *parallel,
 		Backend:     bk,
-		TimeScale:   ts,
 	}
 	if *ebpcW != "" {
 		w, err := strconv.ParseFloat(*ebpcW, 64)
@@ -309,14 +301,14 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		failed, err := experiments.RenderClaims(os.Stdout, results)
+		failed, err := experiments.RenderClaims(stdout, results)
 		if err != nil {
 			return err
 		}
 		if failed > 0 {
 			return fmt.Errorf("%d/%d claims failed", failed, len(results))
 		}
-		fmt.Printf("all %d claims hold\n", len(results))
+		fmt.Fprintf(stdout, "all %d claims hold\n", len(results))
 		return nil
 	}
 
@@ -341,9 +333,9 @@ func run(args []string) error {
 
 	for i, f := range figs {
 		if i > 0 {
-			fmt.Println()
+			fmt.Fprintln(stdout)
 		}
-		if err := f.Render(os.Stdout); err != nil {
+		if err := f.Render(stdout); err != nil {
 			return err
 		}
 		if *csvDir != "" {
@@ -368,17 +360,13 @@ func run(args []string) error {
 	return nil
 }
 
-func printSingle(res interface{ String() string }) {
-	fmt.Println(res.String())
-}
-
-func printTimeline(res runtime.Result) {
+func printTimeline(w io.Writer, res runtime.Result) {
 	if len(res.Timeline) == 0 {
 		return
 	}
-	fmt.Println("timeline:")
+	fmt.Fprintln(w, "timeline:")
 	for _, b := range res.Timeline {
-		fmt.Printf("  t=%5.0fs  delivery %5.1f%%  (%d/%d)\n",
+		fmt.Fprintf(w, "  t=%5.0fs  delivery %5.1f%%  (%d/%d)\n",
 			float64(b.Start)/1000, 100*b.Rate(), b.Valid, b.Targets)
 	}
 }
@@ -461,14 +449,14 @@ func parseBackend(s string) (runtime.Transport, error) {
 	return nil, fmt.Errorf("unknown backend %q (want sim or live)", s)
 }
 
-func parseLinkModel(s string) (simnet.LinkModel, error) {
+func parseLinkModel(s string) (runtime.LinkModel, error) {
 	switch strings.ToLower(s) {
 	case "normal":
-		return simnet.LinkNormal, nil
+		return runtime.LinkNormal, nil
 	case "fixed":
-		return simnet.LinkFixed, nil
+		return runtime.LinkFixed, nil
 	case "gamma":
-		return simnet.LinkGamma, nil
+		return runtime.LinkGamma, nil
 	}
 	return 0, fmt.Errorf("unknown link model %q (want normal, fixed, gamma)", s)
 }

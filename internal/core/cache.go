@@ -12,9 +12,9 @@ import (
 // and the brackets in bound.go). It is rebuilt lazily on first use and
 // whenever the processing delay changes, and reset by Release so a
 // pooled entry starts cold. Queue.Enqueue trusts an already-built cache
-// (the producer typically just ran Viable over the final target set); a
-// producer that mutates Targets after evaluating any metric must call
-// Invalidate before handing the entry over.
+// (the producer typically just ran Viable over the final target set), so
+// Targets, SizeKB and deadlines stay fixed once any metric has been
+// evaluated.
 //
 // The load-bearing invariant is the per-target saturation time sure[i]:
 // for now ≤ sure[i] the target's standardized slack is at least
@@ -105,8 +105,3 @@ func (e *Entry) metrics(pd vtime.Millis) *entryCache {
 	}
 	return c
 }
-
-// Invalidate discards the entry's cached metrics. Producers that mutate
-// Targets, SizeKB or deadlines after an entry has already been evaluated
-// must call it; Queue.Enqueue and Release invalidate automatically.
-func (e *Entry) Invalidate() { e.cache.ready = false }

@@ -61,6 +61,17 @@ func DefaultParams() Params {
 	return Params{PD: DefaultPD, Epsilon: DefaultEpsilon}
 }
 
+// For returns the parameters strategy s runs with: the traditional
+// baselines (FIFO, RL) have no invalid-message detection, so they run
+// with ε = 0 and drop only expired messages.
+func (p Params) For(s Strategy) Params {
+	switch s.(type) {
+	case FIFO, RL:
+		p.Epsilon = 0
+	}
+	return p
+}
+
 // Target is one subscriber a queued message must still reach through this
 // queue's link: the absolute deadline, the price the subscriber pays for
 // a valid delivery, and the residual-path statistics from the routing
@@ -83,8 +94,8 @@ func (t Target) Expired(now vtime.Millis) bool { return now > t.Deadline }
 
 // Entry is a message waiting in an output queue, with the targets it
 // serves via this queue's link. Entries are pooled (GetEntry / Release)
-// and carry a metric cache (cache.go); producers that mutate Targets
-// after an entry has been evaluated must call Invalidate.
+// and carry a metric cache (cache.go), so an entry's targets are fixed
+// once any metric has been evaluated on it.
 type Entry struct {
 	MsgID     uint64
 	Seq       uint64       // arrival order within the queue (set by Enqueue)

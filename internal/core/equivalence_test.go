@@ -124,10 +124,11 @@ func TestMetricEquivalence(t *testing.T) {
 		check("new PD")
 		ctx.PD = pd
 		check("back to old PD")
-		// Mutation + Invalidate must fully refresh the invariants.
+		// Mutation + a cleared cache (what Release leaves) must fully
+		// refresh the invariants.
 		if len(e.Targets) > 0 {
 			e.Targets[r.Intn(len(e.Targets))].Deadline = vtime.Millis(r.Float64() * 120 * vtime.Second)
-			e.Invalidate()
+			e.cache.ready = false
 			check("after mutation")
 		}
 	}

@@ -68,8 +68,7 @@ func NewQueue(linkMean float64) *Queue {
 // Enqueue adds an entry, stamping its Seq and Enqueued fields, and
 // extends the Prune skip window to cover it. An already-built metric
 // cache is trusted and reused — producers typically just ran Viable,
-// which built it for the final target set; a producer that mutated an
-// evaluated entry must call Invalidate before enqueueing.
+// which built it for the final target set.
 func (q *Queue) Enqueue(e *Entry, now vtime.Millis) {
 	e.Seq = q.nextSeq
 	q.nextSeq++

@@ -2,46 +2,62 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 
 	"bdps/internal/core"
 	"bdps/internal/metrics"
 	"bdps/internal/msg"
 	"bdps/internal/runtime"
-	"bdps/internal/simnet"
 	"bdps/internal/stats"
 	"bdps/internal/topology"
 	"bdps/internal/vtime"
 	"bdps/internal/workload"
 )
 
-// Ablations quantify the design choices DESIGN.md calls out, beyond the
-// paper's own figures. Each returns a Figure so the CLI renders and saves
-// them uniformly. They run the congested PSD point (rate 12) with the EB
-// strategy unless stated otherwise.
+// Ablations quantify design choices beyond the paper's own figures.
+// Each returns a Figure so the CLI renders and saves them uniformly.
+// They run the congested PSD point (rate 12) with the EB strategy unless
+// stated otherwise.
+
+// ablation is one row of the ablation table: the name the CLI takes, the
+// figure id, and the runner.
+type ablation struct {
+	name, id string
+	run      func(Options) (*Figure, error)
+}
+
+// ablations is the one ordered list of ablations; RunAblation, Ablations
+// and AllAblations read it.
+var ablations = []ablation{
+	{"epsilon", "A1", AblationEpsilon},
+	{"measure", "A2", AblationMeasure},
+	{"multipath", "A3", AblationMultipath},
+	{"linkmodel", "A4", AblationLinkModel},
+	{"topology", "A5", AblationTopology},
+	{"fairness", "A6", AblationFairness},
+	{"hotspot", "A7", AblationHotspot},
+	{"churn", "A8", AblationChurn},
+	{"recovery", "A9", AblationRecovery},
+	{"loss", "A10", AblationLoss},
+	{"overload", "A11", AblationOverload},
+	{"restart", "A12", AblationRestart},
+}
 
 // ablationSweep runs one ablation grid — one x-point per element of xs,
 // seeds innermost — on the options' worker pool and returns the
-// seed-averaged result per point, in declaration order. mutate edits
-// the congested PSD/EB base config for one x value.
-func ablationSweep[T any](o *Options, xs []T, mutate func(T, *simnet.Config)) ([]metrics.Result, error) {
-	cfgs := make([]simnet.Config, 0, len(xs)*len(o.Seeds))
+// seed-averaged result per point, in declaration order. Each cell is a
+// copy of the options' base run at the congested PSD/EB/rate-12 point;
+// mutate overwrites the knob the sweep owns for one x value.
+func ablationSweep[T any](o *Options, xs []T, mutate func(T, *runtime.Config)) ([]metrics.Result, error) {
+	cfgs := make([]runtime.Config, 0, len(xs)*len(o.Seeds))
 	for _, x := range xs {
 		for _, seed := range o.Seeds {
-			cfg := simnet.Config{
-				Seed:     seed,
-				Scenario: msg.PSD,
-				Strategy: core.MaxEB{},
-				Params:   o.Params,
-				Workload: workload.Config{
-					RatePerMin: 12,
-					Duration:   o.Duration,
-					Churn:      o.Churn,
-				},
-				LinkModel: o.LinkModel,
-			}
-			if mutate != nil {
-				mutate(x, &cfg)
-			}
+			cfg := o.Base
+			cfg.Seed = seed
+			cfg.Scenario = msg.PSD
+			cfg.Strategy = core.MaxEB{}
+			cfg.Workload.RatePerMin = 12
+			mutate(x, &cfg)
 			cfgs = append(cfgs, cfg)
 		}
 	}
@@ -64,8 +80,8 @@ func AblationEpsilon(opts Options) (*Figure, error) {
 		Series: []string{"delivery %", "traffic k", "hopeless drops k"},
 	}
 	epsilons := []float64{0, 0.00005, 0.0005, 0.005, 0.05, 0.2}
-	pts, err := ablationSweep(&opts, epsilons, func(eps float64, c *simnet.Config) {
-		c.Params = core.Params{PD: opts.Params.PD, Epsilon: eps}
+	pts, err := ablationSweep(&opts, epsilons, func(eps float64, c *runtime.Config) {
+		c.Params = core.Params{PD: opts.Base.Params.PD, Epsilon: eps}
 	})
 	if err != nil {
 		return nil, err
@@ -93,7 +109,7 @@ func AblationMeasure(opts Options) (*Figure, error) {
 		Series: []string{"delivery %"},
 	}
 	samples := []int{0, 5, 20, 100, 500}
-	pts, err := ablationSweep(&opts, samples, func(n int, c *simnet.Config) {
+	pts, err := ablationSweep(&opts, samples, func(n int, c *runtime.Config) {
 		c.MeasureSamples = n
 	})
 	if err != nil {
@@ -119,7 +135,7 @@ func AblationMultipath(opts Options) (*Figure, error) {
 		Series: []string{"delivery %", "traffic k"},
 	}
 	paths := []int{1, 2, 3}
-	pts, err := ablationSweep(&opts, paths, func(k int, c *simnet.Config) {
+	pts, err := ablationSweep(&opts, paths, func(k int, c *runtime.Config) {
 		c.Multipath = k
 	})
 	if err != nil {
@@ -146,8 +162,8 @@ func AblationLinkModel(opts Options) (*Figure, error) {
 		YLabel: "delivery rate (%)",
 		Series: []string{"delivery %"},
 	}
-	models := []simnet.LinkModel{simnet.LinkNormal, simnet.LinkFixed, simnet.LinkGamma}
-	pts, err := ablationSweep(&opts, models, func(m simnet.LinkModel, c *simnet.Config) {
+	models := []runtime.LinkModel{runtime.LinkNormal, runtime.LinkFixed, runtime.LinkGamma}
+	pts, err := ablationSweep(&opts, models, func(m runtime.LinkModel, c *runtime.Config) {
 		c.LinkModel = m
 	})
 	if err != nil {
@@ -192,7 +208,7 @@ func AblationTopology(opts Options) (*Figure, error) {
 		}
 		overlays[i] = ov
 	}
-	pts, err := ablationSweep(&opts, overlays, func(ov *topology.Overlay, c *simnet.Config) {
+	pts, err := ablationSweep(&opts, overlays, func(ov *topology.Overlay, c *runtime.Config) {
 		c.Overlay = ov
 	})
 	if err != nil {
@@ -219,7 +235,7 @@ func AblationFairness(opts Options) (*Figure, error) {
 		Series: []string{"jain", "delivery %"},
 	}
 	strategies := []core.Strategy{core.MaxEB{}, core.MaxPC{}, core.FIFO{}, core.RL{}}
-	pts, err := ablationSweep(&opts, strategies, func(s core.Strategy, c *simnet.Config) {
+	pts, err := ablationSweep(&opts, strategies, func(s core.Strategy, c *runtime.Config) {
 		c.Strategy = s
 		c.Params = opts.paramsFor(s)
 		c.PerSubscriber = true
@@ -249,7 +265,7 @@ func AblationHotspot(opts Options) (*Figure, error) {
 		Series: []string{"delivery %", "interest/msg"},
 	}
 	fractions := []float64{0, 0.25, 0.5, 0.75}
-	pts, err := ablationSweep(&opts, fractions, func(h float64, c *simnet.Config) {
+	pts, err := ablationSweep(&opts, fractions, func(h float64, c *runtime.Config) {
 		c.Workload.HotspotFraction = h
 	})
 	if err != nil {
@@ -272,9 +288,9 @@ func AblationHotspot(opts Options) (*Figure, error) {
 // AblationChurn sweeps subscription churn: on top of the static
 // population, new subscribers arrive at the swept rate and stay for an
 // exponential lifetime (half-life 1 min). Routing tables mutate in
-// place throughout the run — the scenario the incremental counting
-// index exists for. Delivery is judged against the population active at
-// each publication instant.
+// place throughout the run, each keeping its matcher (index or
+// bound-column scan) current. Delivery is judged against the population
+// active at each publication instant.
 func AblationChurn(opts Options) (*Figure, error) {
 	opts.setDefaults()
 	fig := &Figure{
@@ -285,7 +301,7 @@ func AblationChurn(opts Options) (*Figure, error) {
 		Series: []string{"delivery %", "traffic k"},
 	}
 	rates := []float64{0, 20, 60, 180}
-	pts, err := ablationSweep(&opts, rates, func(r float64, c *simnet.Config) {
+	pts, err := ablationSweep(&opts, rates, func(r float64, c *runtime.Config) {
 		// This sweep owns the churn knob: override whatever global churn
 		// the options carry, so x = 0 is a genuinely static baseline.
 		if r > 0 {
@@ -356,7 +372,7 @@ func AblationRecovery(opts Options) (*Figure, error) {
 	if err != nil {
 		return nil, err
 	}
-	crashAt := opts.Duration / 4
+	crashAt := opts.Base.Workload.Duration / 4
 	type variant struct{ faults, detect, renegotiate bool }
 	variants := []variant{
 		{false, false, false},
@@ -364,17 +380,18 @@ func AblationRecovery(opts Options) (*Figure, error) {
 		{true, true, false},
 		{true, true, true},
 	}
-	pts, err := ablationSweep(&opts, variants, func(v variant, c *simnet.Config) {
+	pts, err := ablationSweep(&opts, variants, func(v variant, c *runtime.Config) {
 		c.Overlay = ov
 		// The repair path costs 11 s per hop-pair: keep its links below
 		// saturation (the base rate 12 would melt them and drown the
 		// renegotiation signal in queueing).
 		c.Workload.RatePerMin = 3
-		c.TimelineBucket = opts.Duration / 8
+		c.TimelineBucket = opts.Base.Workload.Duration / 8
+		c.Faults = nil
 		if v.faults {
-			c.Faults = []simnet.Fault{
-				simnet.BrokerCrash{ID: 2, At: crashAt},
-				simnet.BrokerCrash{ID: 4, At: crashAt},
+			c.Faults = []runtime.Fault{
+				runtime.BrokerCrash{ID: 2, At: crashAt},
+				runtime.BrokerCrash{ID: 4, At: crashAt},
 			}
 		}
 		// A demanding success target separates the series: plain repair
@@ -390,16 +407,7 @@ func AblationRecovery(opts Options) (*Figure, error) {
 	if err != nil {
 		return nil, err
 	}
-	for i, b := range pts[0].Timeline {
-		p := Point{X: float64(b.Start) / 1000, Values: map[string]float64{}}
-		for j, name := range fig.Series {
-			if tl := pts[j].Timeline; i < len(tl) {
-				p.Values[name] = 100 * tl[i].Rate()
-			}
-		}
-		fig.Points = append(fig.Points, p)
-	}
-	return fig, nil
+	return timelineFigure(fig, pts), nil
 }
 
 // AblationLoss charts lossy-network resilience: the congested PSD point
@@ -431,21 +439,12 @@ func AblationLoss(opts Options) (*Figure, error) {
 		{loss: true},
 	}
 	rates := []float64{0.05, 0.10, 0.15, 0.20}
-	type cell struct {
-		rate float64
-		arm  int
-	}
-	var cells []cell
-	for _, r := range rates {
-		for a := range arms {
-			cells = append(cells, cell{r, a})
-		}
-	}
-	pts, err := ablationSweep(&opts, cells, func(c cell, cfg *simnet.Config) {
+	pts, err := ablationSweep(&opts, rateArms(rates, len(arms)), func(c rateArm, cfg *runtime.Config) {
 		a := arms[c.arm]
 		cfg.Reliability = a.rel
+		cfg.Faults = nil
 		if a.loss {
-			cfg.Faults = []simnet.Fault{simnet.LinkLoss{
+			cfg.Faults = []runtime.Fault{runtime.LinkLoss{
 				From: msg.None, To: msg.None,
 				Rate: c.rate, Dup: 0.05,
 			}}
@@ -494,17 +493,7 @@ func AblationOverload(opts Options) (*Figure, error) {
 		{Enabled: true, Shed: true, MaxQueue: 8},
 	}
 	rates := []float64{6, 12, 18, 24}
-	type cell struct {
-		rate float64
-		arm  int
-	}
-	var cells []cell
-	for _, r := range rates {
-		for a := range arms {
-			cells = append(cells, cell{r, a})
-		}
-	}
-	pts, err := ablationSweep(&opts, cells, func(c cell, cfg *simnet.Config) {
+	pts, err := ablationSweep(&opts, rateArms(rates, len(arms)), func(c rateArm, cfg *runtime.Config) {
 		cfg.Workload.RatePerMin = c.rate
 		// The congested base's 10–30 s bounds cap attainment well below
 		// any useful target even with zero load, leaving admission
@@ -514,8 +503,8 @@ func AblationOverload(opts Options) (*Figure, error) {
 		cfg.Workload.PSDDelayLo = 30 * vtime.Second
 		cfg.Workload.PSDDelayHi = 60 * vtime.Second
 		cfg.Workload.FlashCrowd = workload.FlashCrowd{
-			At:       opts.Duration / 4,
-			Width:    opts.Duration / 4,
+			At:       opts.Base.Workload.Duration / 4,
+			Width:    opts.Base.Workload.Duration / 4,
 			Boost:    6,
 			SubBurst: 8,
 		}
@@ -578,31 +567,55 @@ func AblationRestart(opts Options) (*Figure, error) {
 	if err != nil {
 		return nil, err
 	}
-	crashAt := opts.Duration / 4
-	restartAt := opts.Duration / 2
-	sessionAt := opts.Duration * 5 / 8
+	crashAt := opts.Base.Workload.Duration / 4
+	restartAt := opts.Base.Workload.Duration / 2
+	sessionAt := opts.Base.Workload.Duration * 5 / 8
 	type variant struct{ crash, restart bool }
 	variants := []variant{{false, false}, {true, false}, {true, true}}
-	pts, err := ablationSweep(&opts, variants, func(v variant, c *simnet.Config) {
+	pts, err := ablationSweep(&opts, variants, func(v variant, c *runtime.Config) {
 		c.Overlay = ov
 		// The single spine saturates quickly: keep the rate low enough
 		// that the quiet baseline is queueing-free.
 		c.Workload.RatePerMin = 3
-		c.TimelineBucket = opts.Duration / 8
+		c.TimelineBucket = opts.Base.Workload.Duration / 8
 		c.Recovery = runtime.Recovery{Detect: true, Renegotiate: true}
+		c.Faults = nil
 		if v.crash {
-			c.Faults = []simnet.Fault{simnet.BrokerCrash{ID: 2, At: crashAt}}
+			c.Faults = []runtime.Fault{runtime.BrokerCrash{ID: 2, At: crashAt}}
 		}
 		if v.restart {
 			c.Faults = append(c.Faults,
-				simnet.BrokerRestart{ID: 2, At: restartAt},
-				simnet.SessionDown{Sub: 3, Start: sessionAt, End: sessionAt + 30*vtime.Second},
+				runtime.BrokerRestart{ID: 2, At: restartAt},
+				runtime.SessionDown{Sub: 3, Start: sessionAt, End: sessionAt + 30*vtime.Second},
 			)
 		}
 	})
 	if err != nil {
 		return nil, err
 	}
+	return timelineFigure(fig, pts), nil
+}
+
+// rateArm is one cell of a rate × arm sweep.
+type rateArm struct {
+	rate float64
+	arm  int
+}
+
+// rateArms declares a rate × arm grid, arms innermost.
+func rateArms(rates []float64, arms int) []rateArm {
+	var cells []rateArm
+	for _, r := range rates {
+		for a := 0; a < arms; a++ {
+			cells = append(cells, rateArm{r, a})
+		}
+	}
+	return cells
+}
+
+// timelineFigure fills fig with one point per timeline bucket of the
+// first run: series j is run j's delivery rate in that bucket.
+func timelineFigure(fig *Figure, pts []metrics.Result) *Figure {
 	for i, b := range pts[0].Timeline {
 		p := Point{X: float64(b.Start) / 1000, Values: map[string]float64{}}
 		for j, name := range fig.Series {
@@ -612,43 +625,26 @@ func AblationRestart(opts Options) (*Figure, error) {
 		}
 		fig.Points = append(fig.Points, p)
 	}
-	return fig, nil
+	return fig
 }
 
-// RunAblation dispatches an ablation id.
+// RunAblation dispatches an ablation by name or figure id.
 func RunAblation(id string, opts Options) (*Figure, error) {
-	switch id {
-	case "epsilon", "A1":
-		return AblationEpsilon(opts)
-	case "measure", "A2":
-		return AblationMeasure(opts)
-	case "multipath", "A3":
-		return AblationMultipath(opts)
-	case "linkmodel", "A4":
-		return AblationLinkModel(opts)
-	case "topology", "A5":
-		return AblationTopology(opts)
-	case "fairness", "A6":
-		return AblationFairness(opts)
-	case "hotspot", "A7":
-		return AblationHotspot(opts)
-	case "churn", "A8":
-		return AblationChurn(opts)
-	case "recovery", "A9":
-		return AblationRecovery(opts)
-	case "loss", "A10":
-		return AblationLoss(opts)
-	case "overload", "A11":
-		return AblationOverload(opts)
-	case "restart", "A12":
-		return AblationRestart(opts)
+	for _, a := range ablations {
+		if id == a.name || id == a.id {
+			return a.run(opts)
+		}
 	}
-	return nil, fmt.Errorf("experiments: unknown ablation %q (want epsilon, measure, multipath, linkmodel, topology, fairness, hotspot, churn, recovery, loss, overload, restart)", id)
+	return nil, fmt.Errorf("experiments: unknown ablation %q (want %s)", id, strings.Join(Ablations(), ", "))
 }
 
-// Ablations lists the ablation ids in order.
+// Ablations lists the ablation names in order.
 func Ablations() []string {
-	return []string{"epsilon", "measure", "multipath", "linkmodel", "topology", "fairness", "hotspot", "churn", "recovery", "loss", "overload", "restart"}
+	names := make([]string, len(ablations))
+	for i, a := range ablations {
+		names[i] = a.name
+	}
+	return names
 }
 
 // AllAblations runs every ablation with one shared worker pool and run
@@ -658,8 +654,8 @@ func Ablations() []string {
 func AllAblations(opts Options) ([]*Figure, error) {
 	opts.setDefaults()
 	var out []*Figure
-	for _, id := range Ablations() {
-		f, err := RunAblation(id, opts)
+	for _, a := range ablations {
+		f, err := a.run(opts)
 		if err != nil {
 			return nil, err
 		}

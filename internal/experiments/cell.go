@@ -6,8 +6,7 @@ import (
 	"bdps/internal/core"
 	"bdps/internal/metrics"
 	"bdps/internal/msg"
-	"bdps/internal/simnet"
-	"bdps/internal/workload"
+	bdpsruntime "bdps/internal/runtime"
 )
 
 // Cell is one grid point of a figure: a single deterministic simulation
@@ -23,24 +22,16 @@ type Cell struct {
 	Seed     uint64
 }
 
-// config materializes a cell into a simulation config under the options'
-// global knobs (window, scheduling parameters, ablation pass-throughs).
-func (o *Options) config(c Cell) simnet.Config {
-	return simnet.Config{
-		Seed:     c.Seed,
-		Scenario: c.Scenario,
-		Strategy: c.Strategy,
-		Params:   o.paramsFor(c.Strategy),
-		Workload: workload.Config{
-			RatePerMin: c.Rate,
-			Duration:   o.Duration,
-			Churn:      o.Churn,
-		},
-		Multipath:      o.Multipath,
-		MeasureSamples: o.MeasureSamples,
-		LinkModel:      o.LinkModel,
-		TimeScale:      o.TimeScale,
-	}
+// config materializes a cell: a copy of the options' base run with the
+// fields the cell owns overwritten.
+func (o *Options) config(c Cell) bdpsruntime.Config {
+	cfg := o.Base
+	cfg.Seed = c.Seed
+	cfg.Scenario = c.Scenario
+	cfg.Strategy = c.Strategy
+	cfg.Params = o.paramsFor(c.Strategy)
+	cfg.Workload.RatePerMin = c.Rate
+	return cfg
 }
 
 // grid appends one cell per seed for a (scenario, strategy, rate) point,
@@ -56,7 +47,7 @@ func (o *Options) grid(cells []Cell, scenario msg.Scenario, strat core.Strategy,
 // runCells executes every cell on the options' worker pool and returns
 // one result per cell, in declaration order.
 func (o *Options) runCells(cells []Cell) ([]metrics.Result, error) {
-	cfgs := make([]simnet.Config, len(cells))
+	cfgs := make([]bdpsruntime.Config, len(cells))
 	for i, c := range cells {
 		cfgs[i] = o.config(c)
 	}

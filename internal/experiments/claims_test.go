@@ -25,10 +25,10 @@ func TestPaperClaims(t *testing.T) {
 		t.Skip("claims need a window long enough for congestion to build")
 	}
 	opts := Options{
-		Seeds:    []uint64{1},
-		Duration: 10 * vtime.Minute,
-		Rates:    []float64{3, 9, 15},
-		Weights:  []float64{0, 0.5, 0.7, 1},
+		Seeds:   []uint64{1},
+		Base:    window(10 * vtime.Minute),
+		Rates:   []float64{3, 9, 15},
+		Weights: []float64{0, 0.5, 0.7, 1},
 	}
 	results, err := CheckClaims(opts)
 	if err != nil {
@@ -83,7 +83,7 @@ func TestClaimsHaveUniqueIDs(t *testing.T) {
 }
 
 func TestAblationRunners(t *testing.T) {
-	opts := Options{Seeds: []uint64{1}, Duration: 2 * vtime.Minute}
+	opts := Options{Seeds: []uint64{1}, Base: window(2 * vtime.Minute)}
 	for _, id := range Ablations() {
 		fig, err := RunAblation(id, opts)
 		if err != nil {
@@ -106,7 +106,7 @@ func TestAblationRunners(t *testing.T) {
 }
 
 func TestAblationEpsilonShape(t *testing.T) {
-	opts := Options{Seeds: []uint64{1}, Duration: 4 * vtime.Minute}
+	opts := Options{Seeds: []uint64{1}, Base: window(4 * vtime.Minute)}
 	fig, err := AblationEpsilon(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -122,7 +122,7 @@ func TestAblationEpsilonShape(t *testing.T) {
 }
 
 func TestAblationFairnessProducesIndex(t *testing.T) {
-	opts := Options{Seeds: []uint64{1}, Duration: 3 * vtime.Minute}
+	opts := Options{Seeds: []uint64{1}, Base: window(3 * vtime.Minute)}
 	fig, err := AblationFairness(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -140,7 +140,7 @@ func TestAblationFairnessProducesIndex(t *testing.T) {
 // well as plain repair — and the whole figure is deterministic (the
 // kill-half cells go through the run cache like any other).
 func TestAblationRecoveryShape(t *testing.T) {
-	opts := Options{Seeds: []uint64{1}, Duration: 8 * vtime.Minute}
+	opts := Options{Seeds: []uint64{1}, Base: window(8 * vtime.Minute)}
 	fig, err := AblationRecovery(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -179,7 +179,7 @@ func TestAblationRecoveryShape(t *testing.T) {
 // at every loss level while never delivering outside a bound — the slack
 // check abandons exactly the retries that could only arrive late.
 func TestAblationLossShape(t *testing.T) {
-	opts := Options{Seeds: []uint64{1}, Duration: 4 * vtime.Minute}
+	opts := Options{Seeds: []uint64{1}, Base: window(4 * vtime.Minute)}
 	fig, err := AblationLoss(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -216,7 +216,7 @@ func TestAblationLossShape(t *testing.T) {
 // (LateDeliveries stays 0) — while blind retry on the identical adversary
 // does deliver late, and no-retry bleeds deliveries the gate wins back.
 func TestDeadlineAwareRetryNeverLate(t *testing.T) {
-	mk := func(rel runtime.Reliability) simnet.Config {
+	mk := func(rel runtime.Reliability) runtime.Config {
 		g := topology.NewGraph(6)
 		for _, l := range []struct {
 			a, b msg.NodeID
@@ -226,7 +226,7 @@ func TestDeadlineAwareRetryNeverLate(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		return simnet.Config{
+		return runtime.Config{
 			Seed:     1,
 			Scenario: msg.PSD,
 			Strategy: core.MaxEB{},
@@ -243,14 +243,14 @@ func TestDeadlineAwareRetryNeverLate(t *testing.T) {
 				PSDDelayLo: 20 * vtime.Second,
 				PSDDelayHi: 23 * vtime.Second,
 			},
-			Faults: []simnet.Fault{simnet.LinkLoss{
+			Faults: []runtime.Fault{runtime.LinkLoss{
 				From: msg.None, To: msg.None,
 				Rate: 0.25, Dup: 0.05,
 			}},
 			Reliability: rel,
 		}
 	}
-	r, err := simnet.Run(mk(runtime.Reliability{}))
+	r, err := runtime.Run(mk(runtime.Reliability{}), simnet.Transport{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +267,7 @@ func TestDeadlineAwareRetryNeverLate(t *testing.T) {
 		t.Errorf("abandoning retries must leave retransmits (%d) below losses (%d)",
 			r.Retransmits, r.FramesLost)
 	}
-	blind, err := simnet.Run(mk(runtime.Reliability{BlindRetry: true}))
+	blind, err := runtime.Run(mk(runtime.Reliability{BlindRetry: true}), simnet.Transport{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +281,7 @@ func TestDeadlineAwareRetryNeverLate(t *testing.T) {
 	if blind.LateDeliveries == 0 {
 		t.Error("blind retry under 25% loss should deliver something late — else the gate proves nothing")
 	}
-	noretry, err := simnet.Run(mk(runtime.Reliability{NoRetry: true}))
+	noretry, err := runtime.Run(mk(runtime.Reliability{NoRetry: true}), simnet.Transport{})
 	if err != nil {
 		t.Fatal(err)
 	}

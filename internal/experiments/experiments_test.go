@@ -6,14 +6,21 @@ import (
 	"testing"
 
 	"bdps/internal/core"
+	"bdps/internal/runtime"
 	"bdps/internal/vtime"
+	"bdps/internal/workload"
 )
+
+// window returns a base run with a publishing window of d.
+func window(d vtime.Millis) runtime.Config {
+	return runtime.Config{Workload: workload.Config{Duration: d}}
+}
 
 // tinyOpts shrinks runs so the whole figure suite stays fast in tests.
 func tinyOpts() Options {
 	return Options{
 		Seeds:    []uint64{1},
-		Duration: 4 * vtime.Minute,
+		Base:     window(4 * vtime.Minute),
 		Rates:    []float64{6, 12},
 		Weights:  []float64{0, 0.5, 1},
 		Fig4Rate: Float(8),

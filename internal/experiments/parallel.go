@@ -19,7 +19,7 @@ import (
 // points, panels and figures — run exactly once, generalizing the old
 // ad-hoc Figure-4 endpoint reuse.
 //
-// Every simnet.Run is deterministic in its config, so caching and
+// Every simulated run is deterministic in its config, so caching and
 // concurrency cannot change any figure value: results are assembled by
 // declaration order, never completion order.
 type executor struct {
@@ -74,8 +74,8 @@ func (ex *executor) emit(line string) {
 }
 
 // run executes one config, deduplicating identical configs: concurrent
-// and repeated requests for the same key share a single simnet.Run.
-func (ex *executor) run(cfg simnet.Config) (metrics.Result, error) {
+// and repeated requests for the same key share a single run.
+func (ex *executor) run(cfg runtime.Config) (metrics.Result, error) {
 	res, err, pending := ex.runOrDefer(cfg)
 	if pending != nil {
 		<-pending.done
@@ -88,7 +88,7 @@ func (ex *executor) run(cfg simnet.Config) (metrics.Result, error) {
 // flight it returns that run's slot instead of blocking: pool workers
 // keep dispatching unique cells and collect deferred slots after the
 // batch drains, so a duplicate never idles a worker.
-func (ex *executor) runOrDefer(cfg simnet.Config) (metrics.Result, error, *cacheSlot) {
+func (ex *executor) runOrDefer(cfg runtime.Config) (metrics.Result, error, *cacheSlot) {
 	cfg.Strategy = normalizeStrategy(cfg.Strategy)
 	key, cacheable := configKey(&cfg)
 	if !ex.backend.Deterministic() {
@@ -120,7 +120,7 @@ func (ex *executor) runOrDefer(cfg simnet.Config) (metrics.Result, error, *cache
 }
 
 // exec performs the actual run under the worker-slot semaphore.
-func (ex *executor) exec(cfg simnet.Config) (metrics.Result, error) {
+func (ex *executor) exec(cfg runtime.Config) (metrics.Result, error) {
 	ex.sem <- struct{}{}
 	defer func() { <-ex.sem }()
 	r, err := runtime.Run(cfg, ex.backend)
@@ -140,7 +140,7 @@ func (ex *executor) exec(cfg simnet.Config) (metrics.Result, error) {
 // runs and its error always wins: failures are deterministic too
 // (TestRunAllDeterministicError). Results are only used on full
 // success, so cancellation cannot perturb figure output.
-func (ex *executor) runAll(cfgs []simnet.Config) ([]metrics.Result, error) {
+func (ex *executor) runAll(cfgs []runtime.Config) ([]metrics.Result, error) {
 	out := make([]metrics.Result, len(cfgs))
 	workers := cap(ex.sem)
 	if workers > len(cfgs) {
@@ -231,9 +231,9 @@ func normalizeStrategy(s core.Strategy) core.Strategy {
 // validates and orders them deterministically — which is what lets the
 // recovery ablation's kill-half cells hit the run cache.
 //
-// TestConfigKeyCoversAllFields pins the simnet.Config field list; extend
+// TestConfigKeyCoversAllFields pins the runtime.Config field list; extend
 // this key when adding fields there.
-func configKey(cfg *simnet.Config) (string, bool) {
+func configKey(cfg *runtime.Config) (string, bool) {
 	if cfg.Tracer != nil || cfg.Subscriptions != nil {
 		return "", false
 	}

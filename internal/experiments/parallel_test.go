@@ -80,7 +80,7 @@ func TestAllSharesCacheAcrossFigures(t *testing.T) {
 // TestAllAblationsSharedCache: the unmutated base point recurs across
 // sweeps and must run once.
 func TestAllAblationsSharedCache(t *testing.T) {
-	opts := Options{Seeds: []uint64{1}, Duration: 2 * vtime.Minute}
+	opts := Options{Seeds: []uint64{1}, Base: window(2 * vtime.Minute)}
 	var mu sync.Mutex
 	runs := 0
 	opts.Progress = func(string) { mu.Lock(); runs++; mu.Unlock() }
@@ -104,19 +104,74 @@ func TestAllAblationsSharedCache(t *testing.T) {
 	}
 }
 
+// recordingTransport runs every cell on the simulator and records the
+// config each plan was built from. It reports itself non-deterministic,
+// so the run cache passes every cell through.
+type recordingTransport struct {
+	mu   sync.Mutex
+	cfgs []runtime.Config
+}
+
+func (*recordingTransport) Name() string        { return "recording" }
+func (*recordingTransport) Deterministic() bool { return false }
+
+func (r *recordingTransport) Deploy(p *runtime.Plan) (runtime.Deployment, error) {
+	r.mu.Lock()
+	r.cfgs = append(r.cfgs, p.Cfg)
+	r.mu.Unlock()
+	return simnet.Transport{}.Deploy(p)
+}
+
+// TestAblationCellsCarryBase: every ablation cell is a copy of
+// Options.Base, so the knobs a sweep does not own reach its cells
+// unchanged — TimeScale in particular, or a live ablation paces in real
+// time.
+func TestAblationCellsCarryBase(t *testing.T) {
+	for _, a := range ablations {
+		rec := &recordingTransport{}
+		opts := Options{
+			Seeds: []uint64{1},
+			Base: runtime.Config{
+				Workload:       workload.Config{Duration: vtime.Minute},
+				TimeScale:      0.002,
+				Multipath:      2,
+				MeasureSamples: 5,
+			},
+			Backend: rec,
+		}
+		if _, err := a.run(opts); err != nil {
+			t.Fatalf("%s: %v", a.name, err)
+		}
+		if len(rec.cfgs) == 0 {
+			t.Fatalf("%s: no cell reached the transport", a.name)
+		}
+		for i, c := range rec.cfgs {
+			if c.TimeScale != 0.002 {
+				t.Errorf("%s cell %d: TimeScale %g, want 0.002", a.name, i, c.TimeScale)
+			}
+			if a.name != "multipath" && c.Multipath != 2 {
+				t.Errorf("%s cell %d: Multipath %d, want 2", a.name, i, c.Multipath)
+			}
+			if a.name != "measure" && c.MeasureSamples != 5 {
+				t.Errorf("%s cell %d: MeasureSamples %d, want 5", a.name, i, c.MeasureSamples)
+			}
+		}
+	}
+}
+
 // TestExecutorSingleFlight: concurrent requests for one config share a
 // single underlying run.
 func TestExecutorSingleFlight(t *testing.T) {
 	var mu sync.Mutex
 	runs := 0
 	ex := newExecutor(4, func(string) { mu.Lock(); runs++; mu.Unlock() }, nil)
-	cfg := simnet.Config{
+	cfg := runtime.Config{
 		Seed:     1,
 		Scenario: msg.PSD,
 		Strategy: core.MaxEB{},
 		Workload: workload.Config{RatePerMin: 10, Duration: 2 * vtime.Minute},
 	}
-	cfgs := make([]simnet.Config, 8)
+	cfgs := make([]runtime.Config, 8)
 	for i := range cfgs {
 		cfgs[i] = cfg
 	}
@@ -185,8 +240,8 @@ func TestNormalizeStrategy(t *testing.T) {
 // TestConfigKey pins keying semantics: distinct configs get distinct
 // keys, equal configs share one, and uncacheable inputs are refused.
 func TestConfigKey(t *testing.T) {
-	base := func() simnet.Config {
-		return simnet.Config{
+	base := func() runtime.Config {
+		return runtime.Config{
 			Seed:     1,
 			Scenario: msg.PSD,
 			Strategy: core.MaxEB{},
@@ -201,36 +256,38 @@ func TestConfigKey(t *testing.T) {
 	if a != b {
 		t.Error("equal configs must share a key")
 	}
-	distinct := []func(*simnet.Config){
-		func(c *simnet.Config) { c.Seed = 2 },
-		func(c *simnet.Config) { c.Scenario = msg.SSD },
-		func(c *simnet.Config) { c.Strategy = core.RL{} },
-		func(c *simnet.Config) { c.Strategy = core.FIFO{} }, // %T distinguishes FIFO{} from RL{}
-		func(c *simnet.Config) { c.Strategy = core.MaxEBPC{R: 0.3} },
-		func(c *simnet.Config) { c.Params = core.Params{PD: 5, Epsilon: 0.1} },
-		func(c *simnet.Config) { c.Workload.RatePerMin = 12 },
-		func(c *simnet.Config) { c.Workload.HotspotFraction = 0.5 },
-		func(c *simnet.Config) { c.Multipath = 2 },
-		func(c *simnet.Config) { c.MeasureSamples = 50 },
-		func(c *simnet.Config) { c.LinkModel = simnet.LinkGamma },
-		func(c *simnet.Config) { c.MinRate = 2 },
-		func(c *simnet.Config) { c.PerSubscriber = true },
-		func(c *simnet.Config) { c.TopologyCfg.Seed = 7 },
-		func(c *simnet.Config) { c.TimeScale = 0.5 },
-		func(c *simnet.Config) { c.Faults = []simnet.Fault{simnet.BrokerCrash{ID: 1, At: 10}} },
-		func(c *simnet.Config) { c.Faults = []simnet.Fault{simnet.LinkDown{From: 0, To: 1, Start: 10, End: 20}} },
-		func(c *simnet.Config) { c.Recovery = runtime.Recovery{Detect: true} },
-		func(c *simnet.Config) { c.Recovery = runtime.Recovery{Detect: true, Renegotiate: true} },
-		func(c *simnet.Config) {
-			c.Faults = []simnet.Fault{simnet.LinkLoss{From: msg.None, To: msg.None, Rate: 0.1}}
+	distinct := []func(*runtime.Config){
+		func(c *runtime.Config) { c.Seed = 2 },
+		func(c *runtime.Config) { c.Scenario = msg.SSD },
+		func(c *runtime.Config) { c.Strategy = core.RL{} },
+		func(c *runtime.Config) { c.Strategy = core.FIFO{} }, // %T distinguishes FIFO{} from RL{}
+		func(c *runtime.Config) { c.Strategy = core.MaxEBPC{R: 0.3} },
+		func(c *runtime.Config) { c.Params = core.Params{PD: 5, Epsilon: 0.1} },
+		func(c *runtime.Config) { c.Workload.RatePerMin = 12 },
+		func(c *runtime.Config) { c.Workload.HotspotFraction = 0.5 },
+		func(c *runtime.Config) { c.Multipath = 2 },
+		func(c *runtime.Config) { c.MeasureSamples = 50 },
+		func(c *runtime.Config) { c.LinkModel = runtime.LinkGamma },
+		func(c *runtime.Config) { c.MinRate = 2 },
+		func(c *runtime.Config) { c.PerSubscriber = true },
+		func(c *runtime.Config) { c.TopologyCfg.Seed = 7 },
+		func(c *runtime.Config) { c.TimeScale = 0.5 },
+		func(c *runtime.Config) { c.Faults = []runtime.Fault{runtime.BrokerCrash{ID: 1, At: 10}} },
+		func(c *runtime.Config) {
+			c.Faults = []runtime.Fault{runtime.LinkDown{From: 0, To: 1, Start: 10, End: 20}}
 		},
-		func(c *simnet.Config) { c.Reliability = runtime.Reliability{NoRetry: true} },
-		func(c *simnet.Config) { c.Reliability = runtime.Reliability{BlindRetry: true} },
-		func(c *simnet.Config) { c.TimelineBucket = 30 * vtime.Second },
-		func(c *simnet.Config) { c.Aggregate = true },
-		func(c *simnet.Config) { c.Admission = runtime.Admission{Enabled: true} },
-		func(c *simnet.Config) { c.Admission = runtime.Admission{Enabled: true, Shed: true} },
-		func(c *simnet.Config) { c.Workload.FlashCrowd = workload.FlashCrowd{Boost: 8, At: 10 * vtime.Second} },
+		func(c *runtime.Config) { c.Recovery = runtime.Recovery{Detect: true} },
+		func(c *runtime.Config) { c.Recovery = runtime.Recovery{Detect: true, Renegotiate: true} },
+		func(c *runtime.Config) {
+			c.Faults = []runtime.Fault{runtime.LinkLoss{From: msg.None, To: msg.None, Rate: 0.1}}
+		},
+		func(c *runtime.Config) { c.Reliability = runtime.Reliability{NoRetry: true} },
+		func(c *runtime.Config) { c.Reliability = runtime.Reliability{BlindRetry: true} },
+		func(c *runtime.Config) { c.TimelineBucket = 30 * vtime.Second },
+		func(c *runtime.Config) { c.Aggregate = true },
+		func(c *runtime.Config) { c.Admission = runtime.Admission{Enabled: true} },
+		func(c *runtime.Config) { c.Admission = runtime.Admission{Enabled: true, Shed: true} },
+		func(c *runtime.Config) { c.Workload.FlashCrowd = workload.FlashCrowd{Boost: 8, At: 10 * vtime.Second} },
 	}
 	seen := map[string]int{a: -1}
 	for i, mutate := range distinct {
@@ -246,8 +303,8 @@ func TestConfigKey(t *testing.T) {
 		}
 		seen[k] = i
 	}
-	uncacheable := []func(*simnet.Config){
-		func(c *simnet.Config) { c.Subscriptions = []*msg.Subscription{} },
+	uncacheable := []func(*runtime.Config){
+		func(c *runtime.Config) { c.Subscriptions = []*msg.Subscription{} },
 	}
 	for i, mutate := range uncacheable {
 		cfg := base()
@@ -258,9 +315,9 @@ func TestConfigKey(t *testing.T) {
 	}
 }
 
-func ptr(c simnet.Config) *simnet.Config { return &c }
+func ptr(c runtime.Config) *runtime.Config { return &c }
 
-// TestConfigKeyCoversAllFields pins the simnet.Config field list so a
+// TestConfigKeyCoversAllFields pins the runtime.Config field list so a
 // new field cannot silently escape the cache key (which would let two
 // different runs share one cached result).
 func TestConfigKeyCoversAllFields(t *testing.T) {
@@ -274,16 +331,16 @@ func TestConfigKeyCoversAllFields(t *testing.T) {
 		"Reliability": true, "TimelineBucket": true, "Aggregate": true,
 		"Admission": true,
 	}
-	rt := reflect.TypeOf(simnet.Config{})
+	rt := reflect.TypeOf(runtime.Config{})
 	for i := 0; i < rt.NumField(); i++ {
 		name := rt.Field(i).Name
 		if !want[name] {
-			t.Errorf("simnet.Config gained field %q: extend configKey (and this list)", name)
+			t.Errorf("runtime.Config gained field %q: extend configKey (and this list)", name)
 		}
 		delete(want, name)
 	}
 	for name := range want {
-		t.Errorf("simnet.Config lost field %q: prune configKey (and this list)", name)
+		t.Errorf("runtime.Config lost field %q: prune configKey (and this list)", name)
 	}
 }
 
@@ -291,7 +348,7 @@ func TestConfigKeyCoversAllFields(t *testing.T) {
 // regardless of scheduling.
 func TestRunAllDeterministicError(t *testing.T) {
 	ex := newExecutor(4, nil, nil)
-	good := simnet.Config{
+	good := runtime.Config{
 		Seed:     1,
 		Scenario: msg.PSD,
 		Strategy: core.MaxEB{},
@@ -299,7 +356,7 @@ func TestRunAllDeterministicError(t *testing.T) {
 	}
 	bad := good
 	bad.Workload.RatePerMin = -1 // workload validation fails
-	if _, err := ex.runAll([]simnet.Config{good, bad, good}); err == nil {
+	if _, err := ex.runAll([]runtime.Config{good, bad, good}); err == nil {
 		t.Fatal("want error from invalid cell")
 	}
 }

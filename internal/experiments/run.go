@@ -8,18 +8,15 @@ import (
 	"bdps/internal/metrics"
 	"bdps/internal/msg"
 	bdpsruntime "bdps/internal/runtime"
-	"bdps/internal/simnet"
 	"bdps/internal/vtime"
-	"bdps/internal/workload"
 )
 
 // Options scales an experiment. The zero value reproduces the paper's
-// full setup; tests and benchmarks shrink Duration and Seeds.
+// full setup; tests and benchmarks shrink Base.Workload.Duration and
+// Seeds.
 type Options struct {
 	// Seeds to average over; default {1, 2, 3}.
 	Seeds []uint64
-	// Duration of the publishing window; default 2 h (paper §6.1).
-	Duration vtime.Millis
 	// Rates is the publishing-rate sweep for Figures 5 and 6; default
 	// {1, 3, 6, 9, 12, 15} msg/min per publisher.
 	Rates []float64
@@ -34,20 +31,16 @@ type Options struct {
 	// endpoints are honored: Float(0) runs as pure PC and Float(1) as
 	// pure EB through the run cache.
 	EBPCWeight *float64
-	// Params are the scheduling parameters for the proposed strategies
-	// (EB, PC, EBPC); FIFO and RL always run with ε = 0, as traditional
-	// strategies have no invalid-message detection.
-	Params core.Params
-	// Multipath, MeasureSamples and LinkModel pass through to the
-	// simulator for ablations.
-	Multipath      int
-	MeasureSamples int
-	LinkModel      simnet.LinkModel
-	// Churn adds a dynamic subscriber population to every cell
-	// (subscribe/unsubscribe floods mutating the routing tables mid-run;
-	// see workload.Churn). Each table source keeps its matcher current
-	// under the mutation, as routing.Table picks it.
-	Churn workload.Churn
+	// Base is the run every cell copies before overwriting the fields it
+	// owns: a figure cell sets seed, scenario, strategy, rate and
+	// params (FIFO and RL run with ε = 0, see core.Params.For); an
+	// ablation sets seed, the congested PSD/EB/rate-12 point and the one
+	// knob it sweeps. Everything else — the publishing window
+	// (Workload.Duration, default 2 h, paper §6.1), the scheduling
+	// parameters (Params, default core.DefaultParams), churn, multipath,
+	// link model, TimeScale on wall-clock backends — reaches every cell
+	// as set here. Tracer and Subscriptions make a cell uncacheable.
+	Base bdpsruntime.Config
 	// Parallelism caps concurrent simulation runs; 0 or negative means
 	// runtime.GOMAXPROCS(0). 1 reproduces the sequential harness. Figure
 	// output is bit-identical at every setting: cells are deterministic
@@ -57,9 +50,6 @@ type Options struct {
 	// discrete-event simulator. Non-deterministic backends (the live TCP
 	// overlay) disable the run cache, so every cell actually executes.
 	Backend bdpsruntime.Transport
-	// TimeScale compresses emulated delays on wall-clock backends (see
-	// runtime.Config.TimeScale); ignored by the simulator.
-	TimeScale float64
 	// Progress, when non-nil, receives one line per completed run. It
 	// may be called from worker goroutines, but never concurrently:
 	// calls are serialized by the harness. Line order under parallelism
@@ -81,8 +71,8 @@ func (o *Options) setDefaults() {
 	if len(o.Seeds) == 0 {
 		o.Seeds = []uint64{1, 2, 3}
 	}
-	if o.Duration == 0 {
-		o.Duration = 2 * vtime.Hour
+	if o.Base.Workload.Duration == 0 {
+		o.Base.Workload.Duration = 2 * vtime.Hour
 	}
 	if len(o.Rates) == 0 {
 		o.Rates = []float64{1, 3, 6, 9, 12, 15}
@@ -93,8 +83,8 @@ func (o *Options) setDefaults() {
 	if o.Fig4Rate == nil {
 		o.Fig4Rate = Float(10)
 	}
-	if o.Params == (core.Params{}) {
-		o.Params = core.DefaultParams()
+	if o.Base.Params == (core.Params{}) {
+		o.Base.Params = core.DefaultParams()
 	}
 	if o.Parallelism <= 0 {
 		o.Parallelism = runtime.GOMAXPROCS(0)
@@ -104,15 +94,9 @@ func (o *Options) setDefaults() {
 	}
 }
 
-// paramsFor returns the scheduling parameters a strategy runs with:
-// traditional baselines (FIFO, RL) drop only expired messages.
+// paramsFor returns the scheduling parameters a strategy runs with.
 func (o *Options) paramsFor(s core.Strategy) core.Params {
-	switch s.(type) {
-	case core.FIFO, core.RL:
-		return core.Params{PD: o.Params.PD, Epsilon: 0}
-	default:
-		return o.Params
-	}
+	return o.Base.Params.For(s)
 }
 
 // Figure4a reproduces Figure 4(a): SSD total earning versus the EBPC

@@ -121,6 +121,9 @@ type Cluster struct {
 	stopped bool
 	// replaced records that RestartNode swapped an incarnation in.
 	replaced bool
+	// retired holds every incarnation RestartNode replaced, so their
+	// counters stay in TotalStats.
+	retired []*Node
 }
 
 // StartCluster listens all brokers on ephemeral loopback ports, then
@@ -313,6 +316,9 @@ func (c *Cluster) RestartNode(id msg.NodeID, onReady func(*Node)) (*Node, error)
 		return nil, err
 	}
 	c.mu.Lock()
+	if prev := c.Nodes[id]; prev != nil {
+		c.retired = append(c.retired, prev)
+	}
 	c.Nodes[id] = n
 	c.addrs[id] = addr
 	c.replaced = true
@@ -498,10 +504,20 @@ func (c *Cluster) Stop() {
 	}
 }
 
-// TotalStats sums the per-node counters.
+// TotalStats sums the per-node counters over every incarnation: the
+// nodes RestartNode replaced are read here, not copied at the swap, so a
+// crashed node still counting its queued losses adds them too.
+// Node(id).Stats() stays per incarnation.
 func (c *Cluster) TotalStats() Stats {
+	c.mu.RLock()
+	nodes := make([]*Node, 0, len(c.Nodes)+len(c.retired))
+	for _, n := range c.Nodes {
+		nodes = append(nodes, n)
+	}
+	nodes = append(nodes, c.retired...)
+	c.mu.RUnlock()
 	var total Stats
-	for _, n := range c.snapshotNodes() {
+	for _, n := range nodes {
 		s := n.Stats()
 		for _, info := range metrics.Counters {
 			*info.Field(&total.Ledger) += *info.Field(&s.Ledger)

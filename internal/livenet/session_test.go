@@ -265,10 +265,15 @@ func testSessionResumeAcrossBrokerRestart(t *testing.T) {
 	tok := s.Token()
 	s.Close()
 	oldEpoch := c.Node(2).Epoch()
+	validBefore := c.TotalStats().ValidDeliveries
 	c.Node(2).Crash()
 	n, err := c.RestartNode(2, nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The cluster's totals keep the replaced incarnation's counters.
+	if v := c.TotalStats().ValidDeliveries; v < validBefore {
+		t.Errorf("TotalStats valid deliveries %d after restart, %d before the crash", v, validBefore)
 	}
 	if st, ok := n.Restarted(); !ok || len(st.Entries) == 0 {
 		t.Fatal("restarted edge recovered no durable entries")

@@ -65,17 +65,12 @@ func AppendHello(dst []byte, role byte, id NodeID, epoch uint32) []byte {
 	return binary.BigEndian.AppendUint32(dst, epoch)
 }
 
-// DecodeHello parses a hello body. The 5-byte epoch-less form of wire
-// generations before crash-restart durability decodes as epoch 0.
+// DecodeHello parses a hello body.
 func DecodeHello(body []byte) (role byte, id NodeID, epoch uint32, err error) {
-	switch len(body) {
-	case 5:
-	case 9:
-		epoch = binary.BigEndian.Uint32(body[5:])
-	default:
+	if len(body) != 9 {
 		return 0, 0, 0, fmt.Errorf("%w: hello body %d bytes", ErrCorrupt, len(body))
 	}
-	return body[0], NodeID(binary.BigEndian.Uint32(body[1:])), epoch, nil
+	return body[0], NodeID(binary.BigEndian.Uint32(body[1:])), binary.BigEndian.Uint32(body[5:]), nil
 }
 
 // AppendHeartbeat appends a heartbeat body: the sending broker's id and
@@ -88,16 +83,12 @@ func AppendHeartbeat(dst []byte, id NodeID, epoch uint32) []byte {
 	return binary.BigEndian.AppendUint32(dst, epoch)
 }
 
-// DecodeHeartbeat parses a heartbeat body (the 4-byte epoch-less legacy
-// form decodes as epoch 0).
+// DecodeHeartbeat parses a heartbeat body.
 func DecodeHeartbeat(body []byte) (NodeID, uint32, error) {
-	switch len(body) {
-	case 4:
-		return NodeID(binary.BigEndian.Uint32(body)), 0, nil
-	case 8:
-		return NodeID(binary.BigEndian.Uint32(body)), binary.BigEndian.Uint32(body[4:]), nil
+	if len(body) != 8 {
+		return 0, 0, fmt.Errorf("%w: heartbeat body %d bytes", ErrCorrupt, len(body))
 	}
-	return 0, 0, fmt.Errorf("%w: heartbeat body %d bytes", ErrCorrupt, len(body))
+	return NodeID(binary.BigEndian.Uint32(body)), binary.BigEndian.Uint32(body[4:]), nil
 }
 
 // AppendUnsubscribe appends an unsubscribe body: the subscription id.

@@ -385,10 +385,9 @@ func TestHelloCodec(t *testing.T) {
 	if err != nil || role != RoleSubscriber || id != 42 || epoch != 7 {
 		t.Errorf("hello round trip: role=%d id=%d epoch=%d err=%v", role, id, epoch, err)
 	}
-	// The pre-epoch 5-byte form still decodes, as epoch 0.
-	role, id, epoch, err = DecodeHello(body[:5])
-	if err != nil || role != RoleSubscriber || id != 42 || epoch != 0 {
-		t.Errorf("legacy hello: role=%d id=%d epoch=%d err=%v", role, id, epoch, err)
+	// Every writer sends the epoch: a body without it is corrupt.
+	if _, _, _, err := DecodeHello(body[:5]); err == nil {
+		t.Error("epoch-less hello should fail")
 	}
 	if _, _, _, err := DecodeHello([]byte{1, 2}); err == nil {
 		t.Error("short hello should fail")
@@ -401,8 +400,8 @@ func TestHeartbeatCodec(t *testing.T) {
 	if err != nil || id != 6 || epoch != 3 {
 		t.Errorf("heartbeat round trip: id=%d epoch=%d err=%v", id, epoch, err)
 	}
-	if id, epoch, err = DecodeHeartbeat(body[:4]); err != nil || id != 6 || epoch != 0 {
-		t.Errorf("legacy heartbeat: id=%d epoch=%d err=%v", id, epoch, err)
+	if _, _, err := DecodeHeartbeat(body[:4]); err == nil {
+		t.Error("epoch-less heartbeat should fail")
 	}
 	if _, _, err := DecodeHeartbeat(body[:3]); err == nil {
 		t.Error("short heartbeat should fail")

@@ -179,7 +179,7 @@ func TestAggregatedEquivalenceRandomized(t *testing.T) {
 				nextID++
 				active[s.ID] = true
 				order = append(order, s.ID)
-				InstallSub(flat, ov, s, Options{})
+				NewInstaller(ov, Options{}).Install(flat, s)
 				agg.Subscribe(s)
 			}
 			indexAll()

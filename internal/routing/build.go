@@ -371,14 +371,8 @@ func (ins *Installer) InstallExcept(tables map[msg.NodeID]*Table, sub *msg.Subsc
 	return installed
 }
 
-// InstallSub is the one-shot form of Installer.Install, for callers
-// installing a single subscription.
-func InstallSub(tables map[msg.NodeID]*Table, ov *topology.Overlay, sub *msg.Subscription, opts Options) int {
-	return NewInstaller(ov, opts).Install(tables, sub)
-}
-
 // RemoveSubAll removes a subscription from every table — the churn
-// counterpart of InstallSub — returning the total entries removed.
+// counterpart of Installer.Install — returning the total entries removed.
 func RemoveSubAll(tables map[msg.NodeID]*Table, id msg.SubID) int {
 	removed := 0
 	for _, t := range tables {

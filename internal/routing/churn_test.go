@@ -238,7 +238,7 @@ func TestInstallRemoveSubAll(t *testing.T) {
 	before := Stats(tables).TotalEntries
 
 	churner := churnSub(7, ov.Edges[1], "A1 < 8")
-	installed := InstallSub(tables, ov, churner, Options{})
+	installed := NewInstaller(ov, Options{}).Install(tables, churner)
 	if installed == 0 {
 		t.Fatal("InstallSub installed nothing")
 	}

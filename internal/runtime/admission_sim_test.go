@@ -43,13 +43,13 @@ func TestAdmissionProtectsSLO(t *testing.T) {
 	if testing.Short() {
 		t.Skip("20-minute emulated flash-crowd runs")
 	}
-	unprotected, err := simnet.Run(overloadCfg())
+	unprotected, err := runtime.Run(overloadCfg(), simnet.Transport{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := overloadCfg()
 	cfg.Admission = runtime.Admission{Enabled: true, Shed: true, MaxQueue: 8}
-	protected, err := simnet.Run(cfg)
+	protected, err := runtime.Run(cfg, simnet.Transport{})
 	if err != nil {
 		t.Fatal(err)
 	}

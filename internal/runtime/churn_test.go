@@ -30,11 +30,11 @@ func churnCfg(rate float64) runtime.Config {
 // population, and be bit-reproducible (the property the experiment run
 // cache depends on).
 func TestSimChurnRun(t *testing.T) {
-	static, err := simnet.Run(churnCfg(0))
+	static, err := runtime.Run(churnCfg(0), simnet.Transport{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	churned, err := simnet.Run(churnCfg(60))
+	churned, err := runtime.Run(churnCfg(60), simnet.Transport{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestSimChurnRun(t *testing.T) {
 		t.Fatalf("churn did not grow the target population: %d vs %d",
 			churned.TotalTargets, static.TotalTargets)
 	}
-	again, err := simnet.Run(churnCfg(60))
+	again, err := runtime.Run(churnCfg(60), simnet.Transport{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,8 +46,9 @@ type Deployment interface {
 
 // Run executes one config on a backend: assemble the plan, deploy it,
 // account the publication side, drive the workload through, and freeze
-// the collector into a Result. This is the single entry point both
-// simnet.Run and the live harness reduce to.
+// the collector into a Result. This is the single entry point for every
+// backend: runtime.Run(cfg, simnet.Transport{}) on the simulator,
+// runtime.Run(cfg, livenet.Transport{}) on the live overlay.
 func Run(cfg Config, t Transport) (Result, error) {
 	p, err := NewPlan(cfg)
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 
 	"bdps/internal/core"
 	"bdps/internal/msg"
+	"bdps/internal/runtime"
 	"bdps/internal/trace"
 	"bdps/internal/vtime"
 	"bdps/internal/workload"
@@ -12,7 +13,7 @@ import (
 
 func TestBrokerCrashLosesMessages(t *testing.T) {
 	base := quickCfg(msg.PSD, core.MaxEB{}, 6)
-	healthy, err := Run(base)
+	healthy, err := run(base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,8 +21,8 @@ func TestBrokerCrashLosesMessages(t *testing.T) {
 	crashed := quickCfg(msg.PSD, core.MaxEB{}, 6)
 	// Kill a layer-2 broker (id 4 is always layer 2 in the default
 	// layered build) halfway through.
-	crashed.Faults = []Fault{BrokerCrash{ID: 4, At: 5 * vtime.Minute}}
-	broken, err := Run(crashed)
+	crashed.Faults = []runtime.Fault{runtime.BrokerCrash{ID: 4, At: 5 * vtime.Minute}}
+	broken, err := run(crashed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,26 +40,26 @@ func TestBrokerCrashLosesMessages(t *testing.T) {
 
 func TestBrokerCrashValidation(t *testing.T) {
 	cfg := quickCfg(msg.PSD, core.MaxEB{}, 3)
-	cfg.Faults = []Fault{BrokerCrash{ID: 99, At: 0}}
-	if _, err := Run(cfg); err == nil {
+	cfg.Faults = []runtime.Fault{runtime.BrokerCrash{ID: 99, At: 0}}
+	if _, err := run(cfg); err == nil {
 		t.Error("crash of unknown broker should fail")
 	}
 }
 
 func TestLinkDownDelaysButRecovers(t *testing.T) {
 	clean := quickCfg(msg.PSD, core.MaxEB{}, 3)
-	healthy, err := Run(clean)
+	healthy, err := run(clean)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	cfg := quickCfg(msg.PSD, core.MaxEB{}, 3)
 	// Take both directions of the first L1→L2 link down for 3 minutes.
-	cfg.Faults = []Fault{
-		LinkDown{From: 0, To: 4, Start: 2 * vtime.Minute, End: 5 * vtime.Minute},
-		LinkDown{From: 4, To: 0, Start: 2 * vtime.Minute, End: 5 * vtime.Minute},
+	cfg.Faults = []runtime.Fault{
+		runtime.LinkDown{From: 0, To: 4, Start: 2 * vtime.Minute, End: 5 * vtime.Minute},
+		runtime.LinkDown{From: 4, To: 0, Start: 2 * vtime.Minute, End: 5 * vtime.Minute},
 	}
-	res, err := Run(cfg)
+	res, err := run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,12 +76,12 @@ func TestLinkDownDelaysButRecovers(t *testing.T) {
 
 func TestLinkDownValidation(t *testing.T) {
 	cfg := quickCfg(msg.PSD, core.MaxEB{}, 3)
-	cfg.Faults = []Fault{LinkDown{From: 0, To: 1, Start: 0, End: 1}}
-	if _, err := Run(cfg); err == nil {
+	cfg.Faults = []runtime.Fault{runtime.LinkDown{From: 0, To: 1, Start: 0, End: 1}}
+	if _, err := run(cfg); err == nil {
 		t.Error("LinkDown on a non-arc should fail (brokers 0 and 1 are both layer 1)")
 	}
-	cfg.Faults = []Fault{LinkDown{From: 0, To: 4, Start: 5, End: 1}}
-	if _, err := Run(cfg); err == nil {
+	cfg.Faults = []runtime.Fault{runtime.LinkDown{From: 0, To: 4, Start: 5, End: 1}}
+	if _, err := run(cfg); err == nil {
 		t.Error("inverted window should fail")
 	}
 }
@@ -90,7 +91,7 @@ func TestTracerSeesFullLifecycle(t *testing.T) {
 	cfg.Workload.Duration = 2 * vtime.Minute
 	buf := &trace.Buffer{}
 	cfg.Tracer = buf
-	res, err := Run(cfg)
+	res, err := run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +130,7 @@ func TestTracerSeesFullLifecycle(t *testing.T) {
 func TestPerSubscriberFairness(t *testing.T) {
 	cfg := quickCfg(msg.PSD, core.MaxEB{}, 6)
 	cfg.PerSubscriber = true
-	res, err := Run(cfg)
+	res, err := run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +138,7 @@ func TestPerSubscriberFairness(t *testing.T) {
 		t.Errorf("fairness = %v, want in (0,1]", res.Fairness)
 	}
 	// Without the flag the metric is absent.
-	res2, err := Run(quickCfg(msg.PSD, core.MaxEB{}, 6))
+	res2, err := run(quickCfg(msg.PSD, core.MaxEB{}, 6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +153,7 @@ func TestPerSubscriberFairness(t *testing.T) {
 
 func TestBothScenarioRuns(t *testing.T) {
 	cfg := quickCfg(msg.Both, core.MaxEB{}, 6)
-	res, err := Run(cfg)
+	res, err := run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +165,7 @@ func TestBothScenarioRuns(t *testing.T) {
 	}
 	// The combined bound is the stricter of the two, so earning cannot
 	// beat pure SSD under identical workload laws.
-	ssd, err := Run(quickCfg(msg.SSD, core.MaxEB{}, 6))
+	ssd, err := run(quickCfg(msg.SSD, core.MaxEB{}, 6))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,11 +36,11 @@ func lossTestOverlay(t testing.TB) *topology.Overlay {
 
 // deliverySet runs one config and returns its delivery multiset keyed by
 // (message, subscriber edge), counting how often each pair delivered.
-func deliverySet(t *testing.T, cfg Config) map[[2]int64]int {
+func deliverySet(t *testing.T, cfg runtime.Config) map[[2]int64]int {
 	t.Helper()
 	buf := &trace.Buffer{}
 	cfg.Tracer = buf
-	if _, err := Run(cfg); err != nil {
+	if _, err := run(cfg); err != nil {
 		t.Fatal(err)
 	}
 	set := make(map[[2]int64]int)
@@ -60,8 +60,8 @@ func deliverySet(t *testing.T, cfg Config) map[[2]int64]int {
 // abandoned; anything the adversary drops, duplicates, or swaps must be
 // invisible in the delivered sets, whatever the schedule.
 func TestLossScheduleDeliveryEquivalence(t *testing.T) {
-	mk := func(seed uint64) Config {
-		return Config{
+	mk := func(seed uint64) runtime.Config {
+		return runtime.Config{
 			Seed:     seed,
 			Scenario: msg.PSD,
 			Strategy: core.MaxEB{},
@@ -93,7 +93,7 @@ func TestLossScheduleDeliveryEquivalence(t *testing.T) {
 				}
 			}
 			lossy := mk(seed)
-			lossy.Faults = []Fault{LinkLoss{
+			lossy.Faults = []runtime.Fault{runtime.LinkLoss{
 				From: msg.None, To: msg.None,
 				Rate: rate, Dup: dup, Reorder: reorder,
 			}}

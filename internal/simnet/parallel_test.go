@@ -8,6 +8,7 @@ import (
 	"bdps/internal/core"
 	"bdps/internal/metrics"
 	"bdps/internal/msg"
+	"bdps/internal/runtime"
 	"bdps/internal/vtime"
 	"bdps/internal/workload"
 )
@@ -17,13 +18,13 @@ import (
 // shared between concurrent runs (the entry and event sync.Pools) must
 // be invisible to the simulation. Run with -race for the full audit.
 func TestConcurrentRunsDeterministic(t *testing.T) {
-	cfg := Config{
+	cfg := runtime.Config{
 		Seed:     1,
 		Scenario: msg.PSD,
 		Strategy: core.MaxEB{},
 		Workload: workload.Config{RatePerMin: 12, Duration: 2 * vtime.Minute},
 	}
-	baseline, err := Run(cfg)
+	baseline, err := run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +36,7 @@ func TestConcurrentRunsDeterministic(t *testing.T) {
 	for i := 0; i < n; i++ {
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = Run(cfg)
+			results[i], errs[i] = run(cfg)
 		}(i)
 	}
 	wg.Wait()
@@ -53,7 +54,7 @@ func TestConcurrentRunsDeterministic(t *testing.T) {
 // scenarios concurrently and checks each against its solo baseline —
 // cross-run contamination through pooled objects would skew one of them.
 func TestConcurrentMixedConfigs(t *testing.T) {
-	configs := []Config{
+	configs := []runtime.Config{
 		{Seed: 1, Scenario: msg.PSD, Strategy: core.MaxEB{},
 			Workload: workload.Config{RatePerMin: 12, Duration: 2 * vtime.Minute}},
 		{Seed: 2, Scenario: msg.SSD, Strategy: core.FIFO{}, Params: core.Params{PD: 2},
@@ -64,7 +65,7 @@ func TestConcurrentMixedConfigs(t *testing.T) {
 	baselines := make([]metrics.Result, len(configs))
 	for i, cfg := range configs {
 		var err error
-		if baselines[i], err = Run(cfg); err != nil {
+		if baselines[i], err = run(cfg); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -74,9 +75,9 @@ func TestConcurrentMixedConfigs(t *testing.T) {
 	for r := 0; r < rounds; r++ {
 		for i, cfg := range configs {
 			wg.Add(1)
-			go func(i int, cfg Config) {
+			go func(i int, cfg runtime.Config) {
 				defer wg.Done()
-				res, err := Run(cfg)
+				res, err := run(cfg)
 				if err != nil {
 					fails <- err.Error()
 					return

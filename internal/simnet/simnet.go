@@ -6,11 +6,8 @@
 // adversary, link-time draws, reorder and base rules, dedup) lives in
 // runtime/link.go, shared with the live backend; this package only turns
 // link transfers and processing delays into events on a virtual clock.
-// One Run reproduces one data point of the paper's evaluation.
-//
-// The historical simnet names (Config, LinkModel, Fault, LinkDown,
-// BrokerCrash) are aliases of their runtime equivalents, so existing
-// callers and configs keep working unchanged.
+// runtime.Run(cfg, simnet.Transport{}) reproduces one data point of the
+// paper's evaluation.
 package simnet
 
 import (
@@ -27,31 +24,6 @@ import (
 	"bdps/internal/topology"
 	"bdps/internal/trace"
 	"bdps/internal/vtime"
-)
-
-// Config describes one simulation run (alias of the unified runtime
-// config; the simulator ignores TimeScale).
-type Config = runtime.Config
-
-// LinkModel selects how per-transfer link rates are drawn.
-type LinkModel = runtime.LinkModel
-
-// Link models.
-const (
-	LinkNormal = runtime.LinkNormal
-	LinkFixed  = runtime.LinkFixed
-	LinkGamma  = runtime.LinkGamma
-)
-
-// Fault is an injected failure; LinkDown, BrokerCrash, LinkLoss,
-// BrokerRestart and SessionDown are the concrete types.
-type (
-	Fault         = runtime.Fault
-	LinkDown      = runtime.LinkDown
-	BrokerCrash   = runtime.BrokerCrash
-	LinkLoss      = runtime.LinkLoss
-	BrokerRestart = runtime.BrokerRestart
-	SessionDown   = runtime.SessionDown
 )
 
 // Transport is the discrete-event backend: deterministic, virtual-time,
@@ -124,9 +96,8 @@ func (s *simSession) record(published, allowed vtime.Millis) {
 	}
 }
 
-// Network is a deployed simulation, stepped by its engine. Most callers
-// use Run; tests use New + Engine for finer control. It implements
-// runtime.Deployment.
+// Network is a deployed simulation, stepped by its engine. It implements
+// runtime.Deployment; Transport.Deploy returns one.
 type Network struct {
 	Engine  *sim.Engine
 	Overlay *topology.Overlay
@@ -136,7 +107,7 @@ type Network struct {
 	Brokers   []*broker.Broker
 	Collector *metrics.Collector
 
-	cfg  Config
+	cfg  runtime.Config
 	subs []*msg.Subscription
 	// links[from] lists the links leaving one broker (a handful: the
 	// node's degree), searched by far end.
@@ -193,8 +164,8 @@ func deploy(p *runtime.Plan) (*Network, error) {
 	}
 
 	// Subscription churn becomes timed events mutating the routing
-	// tables in place — tables with an enabled counting index absorb the
-	// mutations incrementally (no rebuild, no lost fast path).
+	// tables in place; each table keeps its matcher (index or
+	// bound-column scan) current under the mutation, with no rebuild.
 	if len(p.SubEvents) > 0 {
 		if p.Agg != nil {
 			// Aggregated churn: every event goes through the plan's
@@ -254,13 +225,13 @@ func deploy(p *runtime.Plan) (*Network, error) {
 	// without touching the log on either backend, so the recovered
 	// state is the deployed population on both.)
 	for _, f := range p.Cfg.Faults {
-		if r, ok := f.(BrokerRestart); ok {
+		if r, ok := f.(runtime.BrokerRestart); ok {
 			n.walSnaps[r.ID] = p.SnapshotDurable(r.ID)
 		}
 	}
 	for _, f := range p.Cfg.Faults {
 		switch f := f.(type) {
-		case LinkDown:
+		case runtime.LinkDown:
 			l := n.link(f.From, f.To)
 			n.Engine.At(f.Start, func() { l.down = true })
 			n.Engine.At(f.End, func() {
@@ -278,10 +249,10 @@ func deploy(p *runtime.Plan) (*Network, error) {
 					det.ArcRestored(f.From, f.To)
 				})
 			}
-		case LinkLoss:
+		case runtime.LinkLoss:
 			// Nothing to arm: the adversary is consulted inline on every
 			// transmission (kick), gated by its own [Start, End) window.
-		case BrokerCrash:
+		case runtime.BrokerCrash:
 			n.Engine.At(f.At, func() { n.dead[f.ID] = true })
 			if det != nil {
 				arcs := make([][2]msg.NodeID, 0, len(p.Overlay.Graph.Neighbors(f.ID)))
@@ -292,9 +263,9 @@ func deploy(p *runtime.Plan) (*Network, error) {
 					det.ArcsDead(arcs, f.At, f.At+rec.HeartbeatTimeout)
 				})
 			}
-		case BrokerRestart:
+		case runtime.BrokerRestart:
 			n.Engine.At(f.At, func() { n.restartBroker(f.ID) })
-		case SessionDown:
+		case runtime.SessionDown:
 			n.Engine.At(f.Start, func() {
 				n.sessions[f.Sub] = &simSession{limit: runtime.SessionRingLimit}
 			})
@@ -371,26 +342,6 @@ func (n *Network) resumeSession(id msg.SubID) {
 		n.Collector.Count(metrics.ReplayedMsgs, replayed)
 	}
 	delete(n.sessions, id)
-}
-
-// New assembles a ready-to-step network from a config: plan, deployment,
-// publication accounting and scheduled publications in one call, so
-// driving the engine directly yields the same Collector contents as Run
-// (compatibility surface for tests and benchmarks).
-func New(cfg Config) (*Network, error) {
-	p, err := runtime.NewPlan(cfg)
-	if err != nil {
-		return nil, err
-	}
-	n, err := deploy(p)
-	if err != nil {
-		return nil, err
-	}
-	p.AccountPublications()
-	if err := n.Inject(p.Pubs); err != nil {
-		return nil, err
-	}
-	return n, nil
 }
 
 // Subscriptions exposes the generated population (for tests and reports).
@@ -622,10 +573,4 @@ func (n *Network) linkDone(l *link) {
 	}
 	l.scratch = deliver[:0]
 	n.send(l)
-}
-
-// Run executes one configuration on the discrete-event backend through
-// the unified runtime driver and returns the metrics.
-func Run(cfg Config) (metrics.Result, error) {
-	return runtime.Run(cfg, Transport{})
 }

@@ -4,15 +4,22 @@ import (
 	"testing"
 
 	"bdps/internal/core"
+	"bdps/internal/metrics"
 	"bdps/internal/msg"
+	"bdps/internal/runtime"
 	"bdps/internal/topology"
 	"bdps/internal/vtime"
 	"bdps/internal/workload"
 )
 
 // quickCfg is a scaled-down paper setup: same topology, 10-minute window.
-func quickCfg(scenario msg.Scenario, strat core.Strategy, rate float64) Config {
-	return Config{
+// run executes one configuration on the simulator.
+func run(cfg runtime.Config) (metrics.Result, error) {
+	return runtime.Run(cfg, Transport{})
+}
+
+func quickCfg(scenario msg.Scenario, strat core.Strategy, rate float64) runtime.Config {
+	return runtime.Config{
 		Seed:     1,
 		Scenario: scenario,
 		Strategy: strat,
@@ -24,7 +31,7 @@ func quickCfg(scenario msg.Scenario, strat core.Strategy, rate float64) Config {
 }
 
 func TestRunCompletesAndDelivers(t *testing.T) {
-	r, err := Run(quickCfg(msg.PSD, core.MaxEB{}, 6))
+	r, err := run(quickCfg(msg.PSD, core.MaxEB{}, 6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,11 +53,11 @@ func TestRunCompletesAndDelivers(t *testing.T) {
 }
 
 func TestRunDeterministic(t *testing.T) {
-	a, err := Run(quickCfg(msg.SSD, core.MaxEB{}, 6))
+	a, err := run(quickCfg(msg.SSD, core.MaxEB{}, 6))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(quickCfg(msg.SSD, core.MaxEB{}, 6))
+	b, err := run(quickCfg(msg.SSD, core.MaxEB{}, 6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,10 +69,10 @@ func TestRunDeterministic(t *testing.T) {
 }
 
 func TestRunSeedSensitivity(t *testing.T) {
-	a, _ := Run(quickCfg(msg.SSD, core.MaxEB{}, 6))
+	a, _ := run(quickCfg(msg.SSD, core.MaxEB{}, 6))
 	cfg := quickCfg(msg.SSD, core.MaxEB{}, 6)
 	cfg.Seed = 2
-	b, _ := Run(cfg)
+	b, _ := run(cfg)
 	if a.Receptions == b.Receptions && a.Earning == b.Earning &&
 		a.ValidDeliveries == b.ValidDeliveries {
 		t.Error("different seeds should differ somewhere")
@@ -77,7 +84,7 @@ func TestRunLatencyRespectsPhysics(t *testing.T) {
 	// 3 links × 50 KB × ≥1 ms/KB... but with realistic rates ≥ 50·30
 	// ms/link. Valid deliveries can't beat 2 ms (single-broker local) —
 	// here all subscribers sit 3 links deep, so check a loose bound.
-	r, err := Run(quickCfg(msg.PSD, core.MaxEB{}, 3))
+	r, err := run(quickCfg(msg.PSD, core.MaxEB{}, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +100,7 @@ func TestRunLatencyRespectsPhysics(t *testing.T) {
 func TestRunFIFOWithoutEpsilonHasNoHopelessDrops(t *testing.T) {
 	cfg := quickCfg(msg.PSD, core.FIFO{}, 6)
 	cfg.Params = core.Params{PD: 2, Epsilon: 0} // traditional strategy: expiry only
-	r, err := Run(cfg)
+	r, err := run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,11 +110,11 @@ func TestRunFIFOWithoutEpsilonHasNoHopelessDrops(t *testing.T) {
 }
 
 func TestRunCongestionDegradesDelivery(t *testing.T) {
-	lo, err := Run(quickCfg(msg.PSD, core.MaxEB{}, 2))
+	lo, err := run(quickCfg(msg.PSD, core.MaxEB{}, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	hi, err := Run(quickCfg(msg.PSD, core.MaxEB{}, 15))
+	hi, err := run(quickCfg(msg.PSD, core.MaxEB{}, 15))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +129,7 @@ func TestRunEBOutperformsBaselinesUnderLoad(t *testing.T) {
 	run := func(s core.Strategy, eps float64) float64 {
 		cfg := quickCfg(msg.PSD, s, 12)
 		cfg.Params = core.Params{PD: 2, Epsilon: eps}
-		r, err := Run(cfg)
+		r, err := run(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,7 +153,7 @@ func TestRunWithPrebuiltOverlay(t *testing.T) {
 	}
 	cfg := quickCfg(msg.SSD, core.MaxEB{}, 3)
 	cfg.Overlay = ov
-	r, err := Run(cfg)
+	r, err := run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,11 +165,11 @@ func TestRunWithPrebuiltOverlay(t *testing.T) {
 func TestRunMultipathDeliversWithDedup(t *testing.T) {
 	cfg := quickCfg(msg.SSD, core.MaxEB{}, 3)
 	cfg.Multipath = 2
-	r, err := Run(cfg)
+	r, err := run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	single, err := Run(quickCfg(msg.SSD, core.MaxEB{}, 3))
+	single, err := run(quickCfg(msg.SSD, core.MaxEB{}, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,13 +189,13 @@ func TestRunMultipathDeliversWithDedup(t *testing.T) {
 }
 
 func TestRunMeasuredRatesClose(t *testing.T) {
-	exact, err := Run(quickCfg(msg.SSD, core.MaxEB{}, 6))
+	exact, err := run(quickCfg(msg.SSD, core.MaxEB{}, 6))
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := quickCfg(msg.SSD, core.MaxEB{}, 6)
 	cfg.MeasureSamples = 200
-	measured, err := Run(cfg)
+	measured, err := run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,10 +210,10 @@ func TestRunMeasuredRatesClose(t *testing.T) {
 }
 
 func TestRunLinkModels(t *testing.T) {
-	for _, model := range []LinkModel{LinkNormal, LinkFixed, LinkGamma} {
+	for _, model := range []runtime.LinkModel{runtime.LinkNormal, runtime.LinkFixed, runtime.LinkGamma} {
 		cfg := quickCfg(msg.PSD, core.MaxEB{}, 3)
 		cfg.LinkModel = model
-		r, err := Run(cfg)
+		r, err := run(cfg)
 		if err != nil {
 			t.Fatalf("%v: %v", model, err)
 		}
@@ -217,20 +224,25 @@ func TestRunLinkModels(t *testing.T) {
 }
 
 func TestLinkModelString(t *testing.T) {
-	if LinkNormal.String() != "normal" || LinkFixed.String() != "fixed" ||
-		LinkGamma.String() != "gamma" {
+	if runtime.LinkNormal.String() != "normal" || runtime.LinkFixed.String() != "fixed" ||
+		runtime.LinkGamma.String() != "gamma" {
 		t.Error("LinkModel strings wrong")
 	}
-	if LinkModel(9).String() == "" {
+	if runtime.LinkModel(9).String() == "" {
 		t.Error("unknown model should still render")
 	}
 }
 
 func TestNetworkExposesSubscriptions(t *testing.T) {
-	n, err := New(quickCfg(msg.SSD, core.MaxEB{}, 3))
+	p, err := runtime.NewPlan(quickCfg(msg.SSD, core.MaxEB{}, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
+	dep, err := Transport{}.Deploy(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := dep.(*Network)
 	if len(n.Subscriptions()) != 160 {
 		t.Errorf("subs = %d, want 160 (paper population)", len(n.Subscriptions()))
 	}

@@ -7,6 +7,7 @@ import (
 	"bdps/internal/core"
 	"bdps/internal/filter"
 	"bdps/internal/msg"
+	"bdps/internal/runtime"
 	"bdps/internal/stats"
 	"bdps/internal/topology"
 	"bdps/internal/vtime"
@@ -34,7 +35,7 @@ func TestExactTimingTwoBrokerChain(t *testing.T) {
 	}
 	sub := &msg.Subscription{ID: 1, Edge: 2, Filter: &filter.Filter{}}
 
-	res, err := Run(Config{
+	res, err := run(runtime.Config{
 		Seed:     1,
 		Scenario: msg.PSD,
 		Strategy: core.MaxEB{},
@@ -46,7 +47,7 @@ func TestExactTimingTwoBrokerChain(t *testing.T) {
 			SubsPerEdge:   1,
 		},
 		Subscriptions: []*msg.Subscription{sub},
-		LinkModel:     LinkFixed, // deterministic rates = the means
+		LinkModel:     runtime.LinkFixed, // deterministic rates = the means
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -96,7 +97,7 @@ func TestExactTimingQueueingDelay(t *testing.T) {
 		Ingress: []msg.NodeID{0, 0},
 		Edges:   []msg.NodeID{1},
 	}
-	res, err := Run(Config{
+	res, err := run(runtime.Config{
 		Seed:     1,
 		Scenario: msg.PSD,
 		Strategy: core.FIFO{},
@@ -109,7 +110,7 @@ func TestExactTimingQueueingDelay(t *testing.T) {
 			SubsPerEdge:   1,
 		},
 		Subscriptions: subs,
-		LinkModel:     LinkFixed,
+		LinkModel:     runtime.LinkFixed,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -82,8 +82,3 @@ func (s *Stream) Perm(n int) []int { return s.rng.Perm(n) }
 
 // Shuffle pseudo-randomizes the order of n elements using swap.
 func (s *Stream) Shuffle(n int, swap func(i, j int)) { s.rng.Shuffle(n, swap) }
-
-// PickFloat returns a uniformly chosen element of choices.
-func PickFloat(s *Stream, choices []float64) float64 {
-	return choices[s.IntN(len(choices))]
-}

@@ -108,20 +108,6 @@ func TestIntNInRange(t *testing.T) {
 	}
 }
 
-func TestPickFloat(t *testing.T) {
-	s := NewStream(11)
-	choices := []float64{10000, 30000, 60000}
-	seen := make(map[float64]int)
-	for i := 0; i < 3000; i++ {
-		seen[PickFloat(s, choices)]++
-	}
-	for _, c := range choices {
-		if seen[c] < 800 {
-			t.Errorf("choice %v picked only %d/3000 times", c, seen[c])
-		}
-	}
-}
-
 func TestSummaryQuantiles(t *testing.T) {
 	var s Summary
 	for i := 1; i <= 100; i++ {
