@@ -164,7 +164,10 @@ func report(cfg loadCfg, r result) {
 }
 
 // overloadReport prints the drop-cause breakdown and the per-broker SLO
-// attainment table an overload or flash-crowd run is judged by.
+// attainment table an overload or flash-crowd run is judged by. A
+// restarted broker's row counts only its current incarnation; the total
+// row sums every incarnation, so after a restart the rows need not add
+// up to it.
 func overloadReport(r result) {
 	t := r.link
 	fmt.Printf("drop causes: expired %d  hopeless %d  arrival %d  shed %d  admission-rejected %d\n",

@@ -237,7 +237,7 @@ func AblationFairness(opts Options) (*Figure, error) {
 	strategies := []core.Strategy{core.MaxEB{}, core.MaxPC{}, core.FIFO{}, core.RL{}}
 	pts, err := ablationSweep(&opts, strategies, func(s core.Strategy, c *runtime.Config) {
 		c.Strategy = s
-		c.Params = opts.paramsFor(s)
+		c.Params = opts.Base.Params.For(s)
 		c.PerSubscriber = true
 	})
 	if err != nil {

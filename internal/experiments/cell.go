@@ -29,7 +29,7 @@ func (o *Options) config(c Cell) bdpsruntime.Config {
 	cfg.Seed = c.Seed
 	cfg.Scenario = c.Scenario
 	cfg.Strategy = c.Strategy
-	cfg.Params = o.paramsFor(c.Strategy)
+	cfg.Params = o.Base.Params.For(c.Strategy)
 	cfg.Workload.RatePerMin = c.Rate
 	return cfg
 }

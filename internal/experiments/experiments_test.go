@@ -158,13 +158,13 @@ func TestProgressCallback(t *testing.T) {
 func TestParamsForBaselines(t *testing.T) {
 	opts := tinyOpts()
 	opts.setDefaults()
-	if p := opts.paramsFor(core.FIFO{}); p.Epsilon != 0 {
+	if p := opts.Base.Params.For(core.FIFO{}); p.Epsilon != 0 {
 		t.Error("FIFO must run without ε-detection")
 	}
-	if p := opts.paramsFor(core.RL{}); p.Epsilon != 0 {
+	if p := opts.Base.Params.For(core.RL{}); p.Epsilon != 0 {
 		t.Error("RL must run without ε-detection")
 	}
-	if p := opts.paramsFor(core.MaxEB{}); p.Epsilon != core.DefaultEpsilon {
+	if p := opts.Base.Params.For(core.MaxEB{}); p.Epsilon != core.DefaultEpsilon {
 		t.Error("EB should keep the configured ε")
 	}
 }

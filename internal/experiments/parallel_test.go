@@ -159,6 +159,34 @@ func TestAblationCellsCarryBase(t *testing.T) {
 	}
 }
 
+// TestCellsShareNoFaultsArray: every cell copies Options.Base, so all
+// cells of a figure or an ablation share Base.Faults' backing array. A
+// plan sorts its faults; it must sort its own copy, or cells running at
+// once reorder the array under each other (a data race under -race) and
+// the caller's slice comes back reordered. The faults here are out of
+// onset order the way bdps-sim builds them: crashes first, the wildcard
+// LinkLoss (Start 0) last.
+func TestCellsShareNoFaultsArray(t *testing.T) {
+	faults := []runtime.Fault{
+		runtime.BrokerCrash{ID: 4, At: 2 * vtime.Minute},
+		runtime.BrokerCrash{ID: 2, At: vtime.Minute},
+		runtime.LinkLoss{From: msg.None, To: msg.None, Rate: 0.1},
+	}
+	want := append([]runtime.Fault(nil), faults...)
+	opts := tinyOpts()
+	opts.Base.Faults = faults
+	opts.Parallelism = 4
+	if _, err := Figure4a(opts); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := AblationEpsilon(opts); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(opts.Base.Faults, want) {
+		t.Errorf("Base.Faults = %v after the runs, want %v unchanged", opts.Base.Faults, want)
+	}
+}
+
 // TestExecutorSingleFlight: concurrent requests for one config share a
 // single underlying run.
 func TestExecutorSingleFlight(t *testing.T) {

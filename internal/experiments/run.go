@@ -94,11 +94,6 @@ func (o *Options) setDefaults() {
 	}
 }
 
-// paramsFor returns the scheduling parameters a strategy runs with.
-func (o *Options) paramsFor(s core.Strategy) core.Params {
-	return o.Base.Params.For(s)
-}
-
 // Figure4a reproduces Figure 4(a): SSD total earning versus the EBPC
 // weight r, with the flat EB and PC references.
 func Figure4a(opts Options) (*Figure, error) {

@@ -121,9 +121,9 @@ type Cluster struct {
 	stopped bool
 	// replaced records that RestartNode swapped an incarnation in.
 	replaced bool
-	// retired holds every incarnation RestartNode replaced, so their
-	// counters stay in TotalStats.
-	retired []*Node
+	// retired holds the counters of every incarnation RestartNode
+	// replaced, so they stay in TotalStats.
+	retired []*ledger
 }
 
 // StartCluster listens all brokers on ephemeral loopback ports, then
@@ -317,7 +317,7 @@ func (c *Cluster) RestartNode(id msg.NodeID, onReady func(*Node)) (*Node, error)
 	}
 	c.mu.Lock()
 	if prev := c.Nodes[id]; prev != nil {
-		c.retired = append(c.retired, prev)
+		c.retired = append(c.retired, prev.cnt)
 	}
 	c.Nodes[id] = n
 	c.addrs[id] = addr
@@ -505,20 +505,20 @@ func (c *Cluster) Stop() {
 }
 
 // TotalStats sums the per-node counters over every incarnation: the
-// nodes RestartNode replaced are read here, not copied at the swap, so a
-// crashed node still counting its queued losses adds them too.
-// Node(id).Stats() stays per incarnation.
+// counters of the nodes RestartNode replaced are read here, not copied
+// at the swap, so a crashed node still counting its queued losses adds
+// them too. Node(id).Stats() stays per incarnation.
 func (c *Cluster) TotalStats() Stats {
 	c.mu.RLock()
-	nodes := make([]*Node, 0, len(c.Nodes)+len(c.retired))
+	ledgers := make([]*ledger, 0, len(c.Nodes)+len(c.retired))
 	for _, n := range c.Nodes {
-		nodes = append(nodes, n)
+		ledgers = append(ledgers, n.cnt)
 	}
-	nodes = append(nodes, c.retired...)
+	ledgers = append(ledgers, c.retired...)
 	c.mu.RUnlock()
 	var total Stats
-	for _, n := range nodes {
-		s := n.Stats()
+	for _, l := range ledgers {
+		s := l.stats()
 		for _, info := range metrics.Counters {
 			*info.Field(&total.Ledger) += *info.Field(&s.Ledger)
 		}

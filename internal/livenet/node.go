@@ -217,8 +217,10 @@ type Node struct {
 	seenSubs    map[msg.SubID]bool
 	removedSubs tombstones
 	// cnt is the node's ledger, indexed by counter id (atomic: updated
-	// by concurrent read loops and senders); see count.
-	cnt [metrics.NumCounters]atomic.Int64
+	// by concurrent read loops and senders); see count. It is allocated
+	// apart from the node so a Cluster can keep a replaced incarnation's
+	// counters without keeping the node.
+	cnt *ledger
 
 	// Heartbeat liveness state (heartbeat.go), under its own lock so
 	// probe bookkeeping never contends with the data plane.
@@ -340,6 +342,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		peerEpochs:  make(map[msg.NodeID]uint32),
 		linkSenders: make(map[msg.NodeID]*runtime.LinkSend),
 		sessions:    make(map[msg.SubID]*session),
+		cnt:         new(ledger),
 	}
 	n.epoch.Store(cfg.Epoch)
 	if cfg.StateDir != "" {
@@ -426,10 +429,16 @@ func (n *Node) count(id metrics.Counter, k int) {
 }
 
 // Stats returns a snapshot of the node's counters.
-func (n *Node) Stats() Stats {
+func (n *Node) Stats() Stats { return n.cnt.stats() }
+
+// ledger is one incarnation's counters, indexed by counter id.
+type ledger [metrics.NumCounters]atomic.Int64
+
+// stats returns a snapshot of the counters.
+func (l *ledger) stats() Stats {
 	var s Stats
 	for id, info := range metrics.Counters {
-		*info.Field(&s.Ledger) = int(n.cnt[id].Load())
+		*info.Field(&s.Ledger) = int(l[id].Load())
 	}
 	s.Deliveries = s.ValidDeliveries + s.LateDeliveries
 	s.ValidDeliver = s.ValidDeliveries

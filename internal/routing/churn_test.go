@@ -220,7 +220,7 @@ func tableChurnEquivalence(t *testing.T, steps int, mkFilter func(*rand.Rand) st
 }
 
 // TestInstallRemoveSubAll drives the churn helpers over a built overlay:
-// InstallSub must add exactly the entries the bulk build would have, and
+// Installer.Install must add exactly the entries the bulk build would have, and
 // RemoveSubAll must undo them.
 func TestInstallRemoveSubAll(t *testing.T) {
 	ov, err := topology.BuildLayered(topology.LayeredConfig{Seed: 3})
@@ -240,7 +240,7 @@ func TestInstallRemoveSubAll(t *testing.T) {
 	churner := churnSub(7, ov.Edges[1], "A1 < 8")
 	installed := NewInstaller(ov, Options{}).Install(tables, churner)
 	if installed == 0 {
-		t.Fatal("InstallSub installed nothing")
+		t.Fatal("Installer.Install installed nothing")
 	}
 	if got := Stats(tables).TotalEntries; got != before+installed {
 		t.Fatalf("entries = %d, want %d", got, before+installed)

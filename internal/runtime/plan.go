@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"bdps/internal/broker"
@@ -95,6 +96,9 @@ func NewPlan(cfg Config) (*Plan, error) {
 		ov = built
 	}
 
+	// The plan sorts its faults in place (validateFaults); copies of one
+	// Config that share a Faults array must not see that.
+	cfg.Faults = slices.Clone(cfg.Faults)
 	p := &Plan{
 		Cfg:     cfg,
 		Overlay: ov,
