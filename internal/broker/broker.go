@@ -5,12 +5,12 @@
 // and the live TCP runtime both drive the same Process logic and the same
 // queues.
 //
-// Process runs in two regimes. The serial regime — Broker.Process — is
-// what the simulator uses: one caller at a time, no locking. The concurrent regime hands each worker its own
-// Processor (per-worker match/grouping scratch); Processors from one
-// broker may run in parallel for independent publication streams,
-// synchronizing only where state is genuinely shared — per-queue locks
-// around enqueues and a striped dedup set.
+// Each caller processes through its own Processor (per-caller
+// match/grouping scratch); Processors of one broker may run in parallel
+// for independent publication streams, synchronizing only where state
+// is genuinely shared — per-queue locks around enqueues and a striped
+// dedup set. Broker.Process is the broker's own Processor, for a single
+// caller (the simulator).
 package broker
 
 import (
@@ -137,9 +137,9 @@ func (b *Broker) EachQueue(fn func(next msg.NodeID, q *core.Queue)) {
 func (b *Broker) PeakQueue() int {
 	peak := 0
 	b.EachQueue(func(_ msg.NodeID, q *core.Queue) {
-		if q.Peak() > peak {
-			peak = q.Peak()
-		}
+		q.Lock()
+		peak = max(peak, q.Peak())
+		q.Unlock()
 	})
 	return peak
 }
@@ -175,11 +175,10 @@ type Result struct {
 	Duplicate bool
 }
 
-// Process handles one received message in the serial regime (see the
-// package comment); it must not run concurrently with itself or with
-// Processors of the same broker.
+// Process handles one received message through the broker's own
+// Processor; it must not run concurrently with itself.
 func (b *Broker) Process(m *msg.Message, now vtime.Millis) Result {
-	return b.proc.process(m, now)
+	return b.proc.Process(m, now)
 }
 
 // Processor is one worker's view of a broker: the per-message scratch
@@ -190,8 +189,7 @@ func (b *Broker) Process(m *msg.Message, now vtime.Millis) Result {
 // not mutated underneath them; enqueues take each queue's lock and the
 // arrival dedup set stripes internally.
 type Processor struct {
-	b      *Broker
-	locked bool // take per-queue locks around enqueues
+	b *Broker
 
 	matchBuf []*routing.Entry
 	// matchScratch is this worker's private counting-index state, so
@@ -209,7 +207,7 @@ type Processor struct {
 
 // NewProcessor returns a Processor for concurrent use.
 func (b *Broker) NewProcessor() *Processor {
-	return &Processor{b: b, locked: true}
+	return &Processor{b: b}
 }
 
 // denseSubs bounds the id-indexed stamp slice: subscription ids are
@@ -255,10 +253,6 @@ func (s *subStamps) first(id msg.SubID, epoch uint64) bool {
 // already expired — or hopeless when ε-detection is on — are dropped
 // before consuming queue space.
 func (p *Processor) Process(m *msg.Message, now vtime.Millis) Result {
-	return p.process(m, now)
-}
-
-func (p *Processor) process(m *msg.Message, now vtime.Millis) Result {
 	b := p.b
 	res := &p.res
 	res.Deliveries = res.Deliveries[:0]
@@ -314,19 +308,12 @@ func (p *Processor) process(m *msg.Message, now vtime.Millis) Result {
 			continue
 		}
 		q := b.Queue(hop)
-		if p.locked {
-			q.Lock()
-			q.Enqueue(entry, now)
-			if b.pressure > 0 && q.Len() > b.pressure {
-				res.Shed = q.ShedWorst(b.strategy, now, b.params, q.Len()-b.pressure, res.Shed)
-			}
-			q.Unlock()
-		} else {
-			q.Enqueue(entry, now)
-			if b.pressure > 0 && q.Len() > b.pressure {
-				res.Shed = q.ShedWorst(b.strategy, now, b.params, q.Len()-b.pressure, res.Shed)
-			}
+		q.Lock()
+		q.Enqueue(entry, now)
+		if b.pressure > 0 && q.Len() > b.pressure {
+			res.Shed = q.ShedWorst(b.strategy, now, b.params, q.Len()-b.pressure, res.Shed)
 		}
+		q.Unlock()
 		res.EnqueuedHops = append(res.EnqueuedHops, hop)
 	}
 	return *res

@@ -132,12 +132,6 @@ type Cluster struct {
 func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.Plan != nil {
 		cfg.Overlay = cfg.Plan.Overlay
-		cfg.Scenario = cfg.Plan.Cfg.Scenario
-		cfg.Params = cfg.Plan.Cfg.Params
-		cfg.Strategy = cfg.Plan.Cfg.Strategy
-		cfg.Seed = cfg.Plan.Cfg.Seed
-		cfg.Multipath = cfg.Plan.Cfg.Multipath
-		cfg.Aggregate = cfg.Plan.Cfg.Aggregate
 		if cfg.TimeScale <= 0 {
 			cfg.TimeScale = cfg.Plan.Cfg.TimeScale
 		}
@@ -232,8 +226,7 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 			nc.StateDir = filepath.Join(cfg.StateRoot, fmt.Sprintf("broker-%d", id))
 		}
 		if cfg.Plan != nil {
-			nc.Broker = cfg.Plan.Brokers[nid]
-			nc.Preinstalled = cfg.Plan.Subs
+			nc.Plan = cfg.Plan
 		} else {
 			nc.Admission = cfg.Admission
 		}
@@ -277,7 +270,8 @@ func (c *Cluster) Node(id msg.NodeID) *Node {
 
 // RestartNode replaces a crashed broker with a fresh incarnation
 // recovered from its durable state directory: a new node (new listener,
-// new epoch, routing table and send watermarks replayed from the WAL),
+// new epoch, send watermarks and routing table replayed from the WAL,
+// the broker around it built as the plan builds it on a plan cluster),
 // swapped into the cluster, connected out to its neighbors, and
 // re-dialed by them at its new address. The new node counts the
 // distinct subscriptions its log reinstalled (RestartReplayedSubs).
@@ -302,10 +296,6 @@ func (c *Cluster) RestartNode(id msg.NodeID, onReady func(*Node)) (*Node, error)
 		// the hard way first (no checkpoint — recovery works from the log).
 		old.Crash()
 	}
-	// A fresh incarnation builds its own broker and reinstalls the
-	// recovered entries itself (NewNode's dynamic path); the plan's
-	// original broker object died with the old process.
-	nc.Broker = nil
 	n, err := NewNode(nc)
 	if err != nil {
 		return nil, err
@@ -327,15 +317,6 @@ func (c *Cluster) RestartNode(id msg.NodeID, onReady func(*Node)) (*Node, error)
 		addrs[k] = v
 	}
 	c.mu.Unlock()
-	if st, ok := n.Restarted(); ok {
-		subs := make(map[msg.SubID]bool, len(st.Entries))
-		for _, e := range st.Entries {
-			subs[e.Sub.ID] = true
-		}
-		if len(subs) > 0 {
-			n.count(metrics.RestartReplayedSubs, len(subs))
-		}
-	}
 	if onReady != nil {
 		onReady(n)
 	}

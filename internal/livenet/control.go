@@ -68,9 +68,8 @@ func (t *tombstones) len() int { return len(t.cur) + len(t.prev) }
 
 // openStore opens the durable store under cfg.StateDir and, when it
 // holds recorded state, turns this node into a restarted incarnation:
-// epoch = recorded + 1. Dynamic (plan-less) nodes reinstall the
-// recovered routing entries immediately; plan deployments replay them
-// through the transport's repair engine instead (Restarted).
+// epoch = recorded + 1, and the recovered entries become its routing
+// table (NewNode).
 func (n *Node) openStore() error {
 	st, err := durable.Open(n.cfg.StateDir)
 	if err != nil {
@@ -83,17 +82,7 @@ func (n *Node) openStore() error {
 	n.recovered = st.State()
 	n.restarted = true
 	n.epoch.Store(n.recovered.Epoch + 1)
-	if err := st.SetEpoch(n.epoch.Load()); err != nil {
-		return err
-	}
-	if n.cfg.Broker == nil {
-		for i := range n.recovered.Entries {
-			e := &n.recovered.Entries[i]
-			n.table.Add(runtime.RoutingEntry(e))
-			n.seenSubs[e.Sub.ID] = true
-		}
-	}
-	return nil
+	return st.SetEpoch(n.epoch.Load())
 }
 
 // logSub appends every routing entry the table currently holds for one

@@ -39,12 +39,12 @@ import (
 //     count: every entry taken charges its own sampled transfer time
 //     (size × rate, the paper's per-KB link model), and the burst ends
 //     as soon as that accumulated time is something a timer can resolve
-//     (paceQuantum) — or at the Burst cap. The sender sleeps the burst's
-//     transfer time, then flushes it with one write. So a paced link
-//     sends one pick per transfer, as the simulator does, and whatever
-//     arrives during a transfer is scheduled against the backlog at the
-//     next pick; an unpaced link, whose transfer times never add up to
-//     the quantum, keeps bursting to the cap.
+//     (paceQuantum) — or at the Burst cap. The sender sleeps until the
+//     burst is due to end (timer overshoot does not slow the link), then
+//     writes it once. So a paced link sends one pick per transfer, as the
+//     simulator does, and whatever arrives during a transfer is scheduled
+//     at the next pick; an unpaced link, whose transfer times never add
+//     up to the quantum, keeps bursting to the cap.
 //   - The hop itself — sequence numbers, the adversary, link-time draws,
 //     the reorder and base rules on the way out, stale-epoch rejection
 //     and dedup on the way in — is runtime/link.go, the one place its
@@ -564,9 +564,9 @@ func (p *pacer) wait(d time.Duration, stopped <-chan struct{}) bool {
 
 // senderLoop drains one link's queue in bursts: select entries by
 // strategy at one scheduling instant until their accumulated transfer
-// time reaches paceQuantum (or the Burst cap), sleep that transfer time,
-// flush the burst with one write. Injected link outages park the loop
-// until the link comes back up. Every burst goes through the link's
+// time reaches paceQuantum (or the Burst cap), sleep until the transfer
+// is due to end, flush the burst with one write. Injected link outages
+// park the loop until the link comes back up. Every burst goes through the link's
 // sending half (runtime.LinkSend): chains resolved against the adversary
 // as the entries are selected — one delivering attempt each on a clean
 // link — every attempt paced and written (lost ones mangled,
@@ -580,6 +580,10 @@ func (n *Node) senderLoop(to msg.NodeID, pc *peerConn, wake chan struct{}, ls *r
 	var (
 		p  pacer
 		ws wireScratch
+		// due is when the link's transfers so far are owed to end. It
+		// restarts from now after the link idled (zero) or fell more than
+		// paceQuantum behind, so a stall never turns into a catch-up burst.
+		due time.Time
 	)
 
 	// The burst being selected: its scheduling instant, and the link time
@@ -605,6 +609,7 @@ func (n *Node) senderLoop(to msg.NodeID, pc *peerConn, wake chan struct{}, ls *r
 		down := n.linkDown[to]
 		n.mu.RUnlock()
 		if down {
+			due = time.Time{}
 			select {
 			case <-wake:
 				continue
@@ -632,6 +637,7 @@ func (n *Node) senderLoop(to msg.NodeID, pc *peerConn, wake chan struct{}, ls *r
 		}
 		q.Unlock()
 		if len(entries) == 0 {
+			due = time.Time{}
 			select {
 			case <-wake:
 				continue
@@ -643,7 +649,11 @@ func (n *Node) senderLoop(to msg.NodeID, pc *peerConn, wake chan struct{}, ls *r
 		// The burst's transfer: Σ size·rate over the sampled rates, the
 		// link time the simulator would keep the link busy for.
 		start := time.Now()
-		if !p.wait(vtime.ToDuration(tx*n.cfg.TimeScale), n.stopped) {
+		if start.Sub(due) > paceQuantum {
+			due = start
+		}
+		due = due.Add(vtime.ToDuration(tx * n.cfg.TimeScale))
+		if !p.wait(due.Sub(start), n.stopped) {
 			// Stopped mid-transfer: the held burst dies with the node. A
 			// healthy run quiesces before Stop, so this only fires on
 			// crash/abort paths — charge the loss like the queue drain

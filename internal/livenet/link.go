@@ -270,7 +270,11 @@ func (n *Node) ConnectPeers(addrs map[msg.NodeID]string) error {
 		ls.Resume(n.recovered.Marks[e.To])
 		pc := &peerConn{conn: conn}
 		wake := make(chan struct{}, 1)
-		est := &linkEstimate{est: stats.WelfordEstimator{Prior: e.Rate}}
+		prior := e.Rate
+		if n.cfg.Plan != nil {
+			prior = n.cfg.Plan.Beliefs(n.cfg.ID, e.To)
+		}
+		est := &linkEstimate{est: stats.WelfordEstimator{Prior: prior}}
 		n.mu.Lock()
 		n.peers[e.To] = pc
 		n.wake[e.To] = wake

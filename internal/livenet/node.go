@@ -26,18 +26,19 @@
 // multi-process deployments share without coordination; in-process
 // clusters inject a shared, compressed clock instead.
 //
-// Nodes run in two modes. A runtime.Plan deployment hands every node a
-// pre-assembled broker (static routing tables, multipath, dedup).
-// Without a plan, subscriptions are dynamic: a subscriber client sends
-// its subscription to its edge broker, which floods it across the
-// overlay; every broker independently computes the deterministic
-// path(s) from each ingress — K paths when Multipath is set — and
-// installs its routing entries. Messages published before a
-// subscription has propagated may miss it — exactly the transient any
-// real pub/sub overlay has.
+// Nodes run in two modes. A plan node runs one broker of a
+// runtime.Plan (static routing tables, multipath, dedup), rebuilt by
+// the plan's constructor when it is reborn. Without a plan,
+// subscriptions are dynamic: a subscriber client sends its subscription
+// to its edge broker, which floods it across the overlay; every broker
+// independently computes the deterministic path(s) from each ingress —
+// K paths when Multipath is set — and installs its routing entries.
+// Messages published before a subscription has propagated may miss it —
+// exactly the transient any real pub/sub overlay has.
 package livenet
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"net"
@@ -68,14 +69,14 @@ type NodeConfig struct {
 	// Seed drives the link-rate samplers.
 	Seed uint64
 
-	// Broker, when non-nil, is a pre-assembled broker from a
-	// runtime.Plan (static tables, multipath, dedup); Scenario, Params
-	// and Strategy above are then ignored. Nil means the node builds its
-	// own broker with an empty table filled by dynamic floods.
-	Broker *broker.Broker
-	// Preinstalled lists subscriptions already present in Broker's table,
-	// so a re-subscribe flood cannot double-install them.
-	Preinstalled []*msg.Subscription
+	// Plan, when non-nil, makes this a plan node: it runs the plan's
+	// broker (Plan.Brokers[ID]) holding Plan.Subs, installs flooded
+	// subscriptions on Plan.Beliefs, and when reborn from StateDir runs
+	// Plan.NewBroker's build around its recovered table. Overlay,
+	// Multipath and Aggregate are then the plan's; Scenario, Params and
+	// Strategy are ignored. Nil means the node builds its own broker with
+	// an empty table filled by dynamic floods.
+	Plan *runtime.Plan
 	// Multipath > 1 makes dynamic subscription floods install K paths per
 	// ingress, with message dedup at every broker.
 	Multipath int
@@ -132,8 +133,7 @@ type NodeConfig struct {
 	// in an append-only log under this directory (internal/durable),
 	// and a node opening a non-empty directory starts as a restarted
 	// incarnation — epoch bumped, routing table reinstalled from the
-	// log. Plan deployments replay recovered state through the plan's
-	// repair engine instead of trusting it blindly.
+	// log.
 	StateDir string
 
 	// Epoch overrides the node's starting incarnation number. Ignored
@@ -279,6 +279,12 @@ type Stats struct {
 
 // NewNode validates the configuration and builds a node.
 func NewNode(cfg NodeConfig) (*Node, error) {
+	if p := cfg.Plan; p != nil {
+		if p.Brokers[cfg.ID] == nil {
+			return nil, fmt.Errorf("livenet: broker %d is not in the plan", cfg.ID)
+		}
+		cfg.Overlay, cfg.Multipath, cfg.Aggregate = p.Overlay, p.Cfg.Multipath, p.Cfg.Aggregate
+	}
 	if cfg.Overlay == nil {
 		return nil, errors.New("livenet: nil overlay")
 	}
@@ -288,37 +294,8 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	if cfg.Admission.Enabled || cfg.Admission.Shed {
 		cfg.Admission = cfg.Admission.Defaulted()
 	}
-	b := cfg.Broker
-	if b == nil {
-		if cfg.Strategy == nil {
-			return nil, errors.New("livenet: nil strategy")
-		}
-		if cfg.Params == (core.Params{}) {
-			cfg.Params = core.DefaultParams()
-		}
-		means := make(map[msg.NodeID]float64)
-		for _, e := range cfg.Overlay.Graph.Neighbors(cfg.ID) {
-			means[e.To] = e.Rate.Mean
-		}
-		table := routing.NewTable(cfg.ID)
-		pressure := 0
-		if cfg.Admission.Shed {
-			pressure = cfg.Admission.MaxQueue
-		}
-		var err error
-		b, err = broker.New(broker.Config{
-			ID:        cfg.ID,
-			Scenario:  cfg.Scenario,
-			Params:    cfg.Params,
-			Strategy:  cfg.Strategy,
-			Table:     table,
-			LinkMeans: means,
-			Dedup:     cfg.Multipath > 1,
-			Pressure:  pressure,
-		})
-		if err != nil {
-			return nil, err
-		}
+	if cfg.Plan == nil && cfg.Strategy == nil {
+		return nil, errors.New("livenet: nil strategy")
 	}
 	clock := cfg.Clock
 	if clock == nil {
@@ -328,8 +305,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		cfg:         cfg,
 		clock:       clock,
 		sink:        cfg.Sink,
-		b:           b,
-		table:       b.Table(),
 		wake:        make(map[msg.NodeID]chan struct{}),
 		linkDown:    make(map[msg.NodeID]bool),
 		estimates:   make(map[msg.NodeID]*linkEstimate),
@@ -350,24 +325,71 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 			return nil, err
 		}
 	}
-	n.installer = routing.NewInstaller(cfg.Overlay, routing.Options{Multipath: cfg.Multipath})
-	for _, s := range cfg.Preinstalled {
-		n.seenSubs[s.ID] = true
+	// A reborn node's table is the one its log recovered. A plan node
+	// runs the plan's broker or, reborn, the plan's build of it around
+	// that table, as the simulator's restart does.
+	var table *routing.Table
+	if n.restarted {
+		table, n.seenSubs = runtime.RecoverTable(cfg.ID, n.recovered.Entries)
+		if len(n.seenSubs) > 0 {
+			n.count(metrics.RestartReplayedSubs, len(n.seenSubs))
+		}
 	}
+	var err error
+	switch {
+	case cfg.Plan != nil && !n.restarted:
+		n.b = cfg.Plan.Brokers[cfg.ID]
+	case cfg.Plan != nil:
+		n.b, err = cfg.Plan.NewBroker(cfg.ID, table)
+	default:
+		if table == nil {
+			table = routing.NewTable(cfg.ID)
+		}
+		means := make(map[msg.NodeID]float64)
+		for _, e := range cfg.Overlay.Graph.Neighbors(cfg.ID) {
+			means[e.To] = e.Rate.Mean
+		}
+		pressure := 0
+		if cfg.Admission.Shed {
+			pressure = cfg.Admission.MaxQueue
+		}
+		n.b, err = broker.New(broker.Config{
+			ID:        cfg.ID,
+			Scenario:  cfg.Scenario,
+			Params:    cmp.Or(cfg.Params, core.DefaultParams()),
+			Strategy:  cfg.Strategy,
+			Table:     table,
+			LinkMeans: means,
+			Dedup:     cfg.Multipath > 1,
+			Pressure:  pressure,
+		})
+	}
+	if err != nil {
+		if n.store != nil {
+			_ = n.store.Close()
+		}
+		return nil, err
+	}
+	n.table = n.b.Table()
 	if cfg.Aggregate {
 		n.agg = routing.NewAggregator()
-		// Replay the owned slice of the preinstalled population in order.
-		// Covering decisions are per-edge (the delivery-terms key includes
-		// the edge broker), so this reconstructs exactly the central
-		// aggregated build's decision state for this node's subscriptions;
-		// the preinstalled tables already realize it, hence the silent
-		// Readmit instead of Admit.
-		for _, s := range cfg.Preinstalled {
-			if s.Edge == cfg.ID {
+	}
+	rates := routing.RateFunc(nil)
+	if p := cfg.Plan; p != nil {
+		rates = p.Beliefs
+		for _, s := range p.Subs {
+			n.seenSubs[s.ID] = true
+			// Covering decisions are per-edge (the delivery-terms key
+			// includes the edge broker), so replaying the owned slice of
+			// the population in order rebuilds the central aggregated
+			// build's decisions; the deployed tables already realize them,
+			// hence the silent Readmit.
+			if n.agg != nil && s.Edge == cfg.ID {
 				n.agg.Readmit(s)
 			}
 		}
 	}
+	n.installer = routing.NewInstaller(cfg.Overlay, routing.Options{Rates: rates, Multipath: cfg.Multipath})
 	n.nlinks = int32(len(cfg.Overlay.Graph.Neighbors(cfg.ID)))
 	n.burst = cfg.Burst
 	if n.burst <= 0 {
@@ -490,17 +512,7 @@ func (n *Node) Crash() {
 }
 
 // PeakQueue returns the largest occupancy any output queue reached.
-func (n *Node) PeakQueue() int {
-	peak := 0
-	n.b.EachQueue(func(_ msg.NodeID, q *core.Queue) {
-		q.Lock()
-		if p := q.Peak(); p > peak {
-			peak = p
-		}
-		q.Unlock()
-	})
-	return peak
-}
+func (n *Node) PeakQueue() int { return n.b.PeakQueue() }
 
 // load is one node's quiescence snapshot (see Cluster.Quiescent).
 type load struct {

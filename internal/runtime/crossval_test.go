@@ -212,7 +212,7 @@ func TestCrossValidationLossExact(t *testing.T) {
 	}
 }
 
-// TestCrossValidationCongestedSharded holds the live data path to the
+// TestCrossValidationCongested holds the live data path to the
 // simulator where it used to part from it: under congestion. At 20
 // msg/min per ingress the 2→3 trunk is offered a 50 KB transfer (≈ 2.3
 // emulated s) every 1.5 s, so queues build and the scheduler decides
@@ -224,7 +224,7 @@ func TestCrossValidationLossExact(t *testing.T) {
 // checks the measurement side: each transfer is observed on its own, so
 // the trunk's link estimate recovers the configured rate's mean and its
 // spread (a per-burst mean would shrink the spread by √burst).
-func TestCrossValidationCongestedSharded(t *testing.T) {
+func TestCrossValidationCongested(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compressed-timescale live cluster run")
 	}

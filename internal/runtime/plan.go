@@ -171,24 +171,7 @@ func NewPlan(cfg Config) (*Plan, error) {
 
 	for id := 0; id < ov.Graph.N(); id++ {
 		nid := msg.NodeID(id)
-		means := make(map[msg.NodeID]float64)
-		for _, e := range ov.Graph.Neighbors(nid) {
-			means[e.To] = p.Beliefs(nid, e.To).Mean
-		}
-		pressure := 0
-		if cfg.Admission.Shed {
-			pressure = cfg.Admission.MaxQueue
-		}
-		b, err := broker.New(broker.Config{
-			ID:        nid,
-			Scenario:  cfg.Scenario,
-			Params:    cfg.Params,
-			Strategy:  cfg.Strategy,
-			Table:     tables[nid],
-			LinkMeans: means,
-			Dedup:     cfg.Multipath > 1,
-			Pressure:  pressure,
-		})
+		b, err := p.NewBroker(nid, tables[nid])
 		if err != nil {
 			return nil, err
 		}
@@ -238,6 +221,30 @@ func NewPlan(cfg Config) (*Plan, error) {
 	// ledger agrees across them exactly.
 	p.admitWorkload()
 	return p, nil
+}
+
+// NewBroker builds broker id of this plan around a routing table: link
+// means from Beliefs, dedup under multipath, shedding per Cfg.Admission.
+// Deployment and every rejoin, simulated or live, build through it.
+func (p *Plan) NewBroker(id msg.NodeID, t *routing.Table) (*broker.Broker, error) {
+	means := make(map[msg.NodeID]float64)
+	for _, e := range p.Overlay.Graph.Neighbors(id) {
+		means[e.To] = p.Beliefs(id, e.To).Mean
+	}
+	pressure := 0
+	if p.Cfg.Admission.Shed {
+		pressure = p.Cfg.Admission.MaxQueue
+	}
+	return broker.New(broker.Config{
+		ID:        id,
+		Scenario:  p.Cfg.Scenario,
+		Params:    p.Cfg.Params,
+		Strategy:  p.Cfg.Strategy,
+		Table:     t,
+		LinkMeans: means,
+		Dedup:     p.Cfg.Multipath > 1,
+		Pressure:  pressure,
+	})
 }
 
 // validateFaults rejects faults that reference nonexistent overlay

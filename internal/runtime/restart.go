@@ -1,7 +1,6 @@
 package runtime
 
 import (
-	"bdps/internal/broker"
 	"bdps/internal/durable"
 	"bdps/internal/msg"
 	"bdps/internal/routing"
@@ -11,10 +10,11 @@ import (
 // This file is the backend-shared half of crash-restart durability: the
 // conversion between a broker's live routing table and the durable
 // entries its write-ahead log holds, and the warm-rejoin reconstruction
-// of a restarted broker from those entries. The live overlay persists
-// the entries through internal/durable's real file store; the simulator
-// keeps the same entries in memory — one durable-state model, two
-// media — so the recovery ledger (entries replayed, sessions resumed,
+// of a restarted broker from them (RecoverTable inside Plan.NewBroker).
+// Both backends log the deployed table, then every subscription a broker
+// admits or retracts while up — the live overlay in internal/durable's
+// file store, the simulator in memory: one durable-state model, two
+// media, so the recovery ledger (entries replayed, sessions resumed,
 // stale frames rejected) is comparable across backends exactly.
 
 // SessionRingLimit bounds every backend's per-session replay ring:
@@ -63,40 +63,29 @@ func RoutingEntry(e *durable.Entry) *routing.Entry {
 	}
 }
 
-// RestartBroker replaces broker id with a fresh incarnation recovered
-// from the given durable entries: a new routing table holding exactly
-// the WAL state, a new broker instance around it (empty queues — the
-// crash took whatever was in flight), both swapped into the plan so
-// matchers, links and the repair engine all see the rejoined node. It
-// returns the number of distinct subscriptions reinstalled — the
-// RestartReplayedSubs ledger entry. Callers invoke the repair engine's
-// BrokerRestarted afterwards to withdraw the crash evidence and move
-// routes back.
-func (p *Plan) RestartBroker(id msg.NodeID, entries []durable.Entry) (int, error) {
+// RecoverTable rebuilds broker id's routing table from the durable
+// entries its write-ahead log recovered, in log order, and returns it
+// with the set of subscriptions it holds; the set's size is the
+// RestartReplayedSubs ledger entry.
+func RecoverTable(id msg.NodeID, entries []durable.Entry) (*routing.Table, map[msg.SubID]bool) {
 	t := routing.NewTable(id)
 	subs := make(map[msg.SubID]bool, len(entries))
 	for i := range entries {
 		t.Add(RoutingEntry(&entries[i]))
 		subs[entries[i].Sub.ID] = true
 	}
-	means := make(map[msg.NodeID]float64)
-	for _, e := range p.Overlay.Graph.Neighbors(id) {
-		means[e.To] = p.Beliefs(id, e.To).Mean
-	}
-	pressure := 0
-	if p.Cfg.Admission.Shed {
-		pressure = p.Cfg.Admission.MaxQueue
-	}
-	b, err := broker.New(broker.Config{
-		ID:        id,
-		Scenario:  p.Cfg.Scenario,
-		Params:    p.Cfg.Params,
-		Strategy:  p.Cfg.Strategy,
-		Table:     t,
-		LinkMeans: means,
-		Dedup:     p.Cfg.Multipath > 1,
-		Pressure:  pressure,
-	})
+	return t, subs
+}
+
+// RestartBroker replaces broker id with a fresh incarnation recovered
+// from the given durable entries — NewBroker around RecoverTable's table,
+// empty queues — swapped into the plan, and returns the number of
+// distinct subscriptions reinstalled. The simulator calls it, then the
+// repair engine's BrokerRestarted; a live node builds the same broker
+// and the transport swaps it in under the repair engine's lock.
+func (p *Plan) RestartBroker(id msg.NodeID, entries []durable.Entry) (int, error) {
+	t, subs := RecoverTable(id, entries)
+	b, err := p.NewBroker(id, t)
 	if err != nil {
 		return 0, err
 	}

@@ -234,3 +234,49 @@ func TestRestartResumeCrossValidation(t *testing.T) {
 		}
 	}
 }
+
+// TestChurnRestartCrossValidation pins the simulator's modeled WAL to
+// the live node's real one under churn: both log the deployed table and
+// then every subscription the broker admits or retracts while it is up,
+// so the incarnation reborn after the crash replays the same
+// subscriptions on both — the static population plus the churn
+// subscriptions the log held at the crash, including those whose
+// unsubscribe flooded while it was down. No churn event falls within
+// 3 emulated seconds of the crash (60 ms of wall time live), so the
+// live churn driver's scheduling jitter cannot move one across it.
+func TestChurnRestartCrossValidation(t *testing.T) {
+	if testing.Short() {
+		t.Skip("compressed-timescale live cluster run")
+	}
+	mk := func() runtime.Config {
+		cfg := restartConfig(t)
+		cfg.Workload.Churn = workload.Churn{RatePerMin: 16, HalfLife: 30 * vtime.Second}
+		cfg.Faults = restartFaults()[:2] // crash at 35 s, warm restart at 65 s
+		return cfg
+	}
+	p, err := runtime.NewPlan(mk())
+	if err != nil {
+		t.Fatal(err)
+	}
+	crash := restartFaults()[0].(runtime.BrokerCrash).At
+	for _, ev := range p.SubEvents {
+		if math.Abs(ev.At-crash) < 3*vtime.Second {
+			t.Fatalf("churn event at %v is within 3 s of the crash at %v", ev.At, crash)
+		}
+	}
+
+	sim, err := runtime.Run(mk(), simnet.Transport{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	liveCfg := mk()
+	liveCfg.TimeScale = liveRecoveryTimeScale
+	live, err := runtime.Run(liveCfg, livenet.Transport{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameCounters(t, sim, live, metrics.RestartReplayedSubs)
+	if sim.RestartReplayedSubs <= 2*10 {
+		t.Errorf("replayed subs = %d: the log holds no churn admission beyond the 20 deployed", sim.RestartReplayedSubs)
+	}
+}

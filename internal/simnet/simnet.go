@@ -11,6 +11,7 @@
 package simnet
 
 import (
+	"slices"
 	"sync"
 
 	"bdps/internal/broker"
@@ -24,6 +25,7 @@ import (
 	"bdps/internal/topology"
 	"bdps/internal/trace"
 	"bdps/internal/vtime"
+	"bdps/internal/workload"
 )
 
 // Transport is the discrete-event backend: deterministic, virtual-time,
@@ -181,15 +183,13 @@ func deploy(p *runtime.Plan) (*Network, error) {
 					} else {
 						p.Agg.Subscribe(ev.Sub)
 					}
+					n.logChurn(ev)
 				})
 			}
 		} else {
-			tables := make(map[msg.NodeID]*routing.Table, len(p.Brokers))
-			for id, b := range p.Brokers {
-				tables[id] = b.Table()
-			}
 			// One installer for the whole schedule: Dijkstra runs once per
-			// ingress, not once per churn event.
+			// ingress, not once per churn event. p.Tables is current
+			// across restarts.
 			ins := routing.NewInstaller(p.Overlay, routing.Options{
 				Rates: p.Beliefs, Multipath: p.Cfg.Multipath,
 			})
@@ -197,10 +197,11 @@ func deploy(p *runtime.Plan) (*Network, error) {
 				ev := p.SubEvents[i]
 				n.Engine.At(ev.At, func() {
 					if ev.Unsub {
-						routing.RemoveSubAll(tables, ev.Sub.ID)
+						routing.RemoveSubAll(p.Tables, ev.Sub.ID)
 					} else {
-						ins.Install(tables, ev.Sub)
+						ins.Install(p.Tables, ev.Sub)
 					}
+					n.logChurn(ev)
 				})
 			}
 		}
@@ -221,9 +222,7 @@ func deploy(p *runtime.Plan) (*Network, error) {
 
 	// Brokers with a scheduled restart get their WAL modeled now: the
 	// durable snapshot a live deployment checkpoints at deploy time.
-	// (Admissions after deployment — churn events — mutate tables
-	// without touching the log on either backend, so the recovered
-	// state is the deployed population on both.)
+	// Churn events then extend it as the live node's log (logChurn).
 	for _, f := range p.Cfg.Faults {
 		if r, ok := f.(runtime.BrokerRestart); ok {
 			n.walSnaps[r.ID] = p.SnapshotDurable(r.ID)
@@ -273,6 +272,25 @@ func deploy(p *runtime.Plan) (*Network, error) {
 		}
 	}
 	return n, nil
+}
+
+// logChurn records one churn event in the modeled WAL of every
+// restartable broker that is up, as a live node logs the floods it
+// admits and retracts; a dead broker's log keeps what it held.
+func (n *Network) logChurn(ev workload.SubEvent) {
+	for id, wal := range n.walSnaps {
+		if n.dead[id] {
+			continue
+		}
+		if ev.Unsub {
+			n.walSnaps[id] = slices.DeleteFunc(wal, func(e durable.Entry) bool { return e.Sub.ID == ev.Sub.ID })
+			continue
+		}
+		for _, e := range n.p.Tables[id].SubEntries(ev.Sub.ID, nil) {
+			wal = append(wal, runtime.DurableEntry(e))
+		}
+		n.walSnaps[id] = wal
+	}
 }
 
 // restartBroker brings a crashed broker back as a fresh incarnation:
