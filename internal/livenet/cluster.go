@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"path/filepath"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -30,15 +29,17 @@ type ClusterConfig struct {
 	Scenario msg.Scenario
 	Params   core.Params
 	Strategy core.Strategy
-	// TimeScale compresses emulated link delays (see NodeConfig).
+	// TimeScale is every node's link time and Clock their clock time (see
+	// the package comment). A plan cluster defaults TimeScale to the
+	// plan's and Clock to a clock anchored at start on that scale, so the
+	// two agree; a standalone one defaults TimeScale to 1 and Clock to the
+	// absolute wall clock at scale 1.
 	TimeScale float64
+	Clock     *runtime.WallClock
 	Seed      uint64
 
 	// Plan deploys a pre-assembled runtime plan (static mode).
 	Plan *runtime.Plan
-	// Clock is the shared time base; nil means the absolute wall clock
-	// at scale 1 (the historical livenet behavior).
-	Clock runtime.Clock
 	// Sink, when non-nil, receives every node's delivery-side metric
 	// events; it must be safe for concurrent use (runtime.Locked).
 	Sink runtime.Sink
@@ -98,10 +99,7 @@ type ClusterConfig struct {
 type Cluster struct {
 	Nodes map[msg.NodeID]*Node
 	addrs map[msg.NodeID]string
-	clock runtime.Clock
-	// scale is the wall milliseconds per millisecond of clock time, the
-	// scale fault offsets are read on.
-	scale float64
+	clock *runtime.WallClock
 	// subs is a plan cluster's static subscription population, where a
 	// SessionDown finds its subscriber's edge.
 	subs []*msg.Subscription
@@ -170,16 +168,9 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 			setLink(l.From, l.To, cfg.Plan.LinkSpec(l))
 		}
 	} else if cfg.LinkLoss != nil {
-		// Standalone wildcard adversary: enumerate arcs exactly like the
-		// plan (sorted) so the per-link decision streams are seed-stable.
-		arcs := cfg.Overlay.Graph.Arcs()
-		sort.Slice(arcs, func(i, j int) bool {
-			if arcs[i][0] != arcs[j][0] {
-				return arcs[i][0] < arcs[j][0]
-			}
-			return arcs[i][1] < arcs[j][1]
-		})
-		for i, arc := range arcs {
+		// Standalone wildcard adversary: one seed-stable decision stream
+		// per arc, indexed in the sorted enumeration.
+		for i, arc := range cfg.Overlay.Graph.SortedArcs() {
 			belief, _ := cfg.Overlay.Graph.Rate(arc[0], arc[1])
 			setLink(arc[0], arc[1], runtime.LinkSpec{
 				Loss:  runtime.NewLossModel(cfg.Seed, i, *cfg.LinkLoss),
@@ -191,7 +182,6 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 		Nodes:    make(map[msg.NodeID]*Node),
 		addrs:    make(map[msg.NodeID]string),
 		clock:    cfg.Clock,
-		scale:    clockScale(cfg.Clock, cfg.TimeScale),
 		nodeCfgs: make(map[msg.NodeID]NodeConfig),
 	}
 	if cfg.Plan != nil {
@@ -345,7 +335,7 @@ func (c *Cluster) Addr(id msg.NodeID) string {
 
 // Clock returns the cluster's shared time base. Clients that stamp or
 // judge message times (publishers, subscribers) must use it.
-func (c *Cluster) Clock() runtime.Clock { return c.clock }
+func (c *Cluster) Clock() *runtime.WallClock { return c.clock }
 
 // snapshotNodes copies the current node set under the cluster lock so
 // iterating methods never race a concurrent restart's map swap.
@@ -359,13 +349,13 @@ func (c *Cluster) snapshotNodes() []*Node {
 	return nodes
 }
 
-// ArmFaults schedules injected failures on wall timers from now: link
-// outages, broker crashes, broker restarts (through RestartNode, with
-// onRestart as its onReady hook) and, on a plan cluster, subscriber
+// ArmFaults schedules injected failures on the cluster clock from now:
+// link outages, broker crashes, broker restarts (through RestartNode,
+// with onRestart as its onReady hook) and, on a plan cluster, subscriber
 // session outages. LinkLoss is not an event: StartCluster arms it on the
-// links. Offsets are read on the cluster clock's own scale — emulated
-// time on a plan cluster, wall time on the absolute clock. Stop cancels
-// the faults that have not struck and waits for those striking.
+// links. Offsets are clock time (see the package comment), whatever the
+// TimeScale. Stop cancels the faults that have not struck and waits for
+// those striking.
 func (c *Cluster) ArmFaults(faults []runtime.Fault, onRestart func(*Node)) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -375,7 +365,7 @@ func (c *Cluster) ArmFaults(faults []runtime.Fault, onRestart func(*Node)) error
 			err = fmt.Errorf("livenet: fault names broker %d, not in the cluster", id)
 			return
 		}
-		c.timers = append(c.timers, time.AfterFunc(vtime.ToDuration(t*c.scale), func() { c.strike(id, fn) }))
+		c.timers = append(c.timers, c.clock.AfterFunc(t, func() { c.strike(id, fn) }))
 	}
 	for _, f := range faults {
 		switch f := f.(type) {

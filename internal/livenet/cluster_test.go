@@ -52,6 +52,21 @@ func TestArmedFaultsStrikeOnTheClock(t *testing.T) {
 	collectDeliveries(t, s, got, 4, 5*time.Second)
 }
 
+// TestHeartbeatsTickOnTheClock: a standalone node's heartbeats run on
+// its clock — the absolute wall clock, as in a standalone cluster — not
+// on TimeScale, here 1e-6, at which a 50 ms interval would be 50 ns. Over
+// ten intervals of wall time its peer hears about ten probes; at
+// TimeScale's rate it would hear hundreds of thousands.
+func TestHeartbeatsTickOnTheClock(t *testing.T) {
+	const interval = 50 // clock ms
+	_, peer, _ := linkSenderNode(t, NodeConfig{TimeScale: 1e-6, Heartbeat: HeartbeatConfig{Interval: interval}})
+	from := peer.beats.Load()
+	time.Sleep(10 * interval * time.Millisecond)
+	if got := peer.beats.Load() - from; got < 5 || got > 12 {
+		t.Errorf("peer heard %d heartbeats in 10 intervals, want ≈ 10", got)
+	}
+}
+
 // TestStopWaitsForStrikingFault: Stop right behind an armed restart
 // either cancels it or waits for it and stops the new incarnation too,
 // so no broker outlives the cluster.

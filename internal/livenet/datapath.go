@@ -424,14 +424,14 @@ func (w *worker) queueCtl(p *peerConn, frameType byte, body []byte) {
 // The deliveries wait in their sessions' rings, and the message keeps its
 // hold on inflight, until the worker's next flush.
 func (n *Node) process(w *worker, m *msg.Message) {
-	// Processing delay, scaled like link delays. A delay too short for a
+	// Processing delay, in link time. A delay too short for a
 	// sleep to resolve is not slept — time.Sleep would round it up to the
 	// timer granularity and hold the whole connection for that long — but
 	// charged to the instant the message is processed at, which is what
 	// the simulator does with PD: a pure delay, serializing nothing.
 	now := n.clock.Now()
 	if pd := n.b.Params().PD; pd > 0 {
-		if d := vtime.ToDuration(pd * n.cfg.TimeScale); d >= paceQuantum {
+		if d := n.link.Wall(pd); d >= paceQuantum {
 			w.flush(n) // earlier deliveries do not wait out this sleep
 			time.Sleep(d)
 			now = n.clock.Now()
@@ -602,7 +602,7 @@ func (n *Node) senderLoop(to msg.NodeID, pc *peerConn, wake chan struct{}, ls *r
 	more := func(e *core.Entry) bool {
 		var swap bool
 		tx, kb, swap = ls.Resolve(e, now)
-		return swap || (ls.Len() < burst && vtime.ToDuration(tx*n.cfg.TimeScale) < paceQuantum)
+		return swap || (ls.Len() < burst && n.link.Wall(tx) < paceQuantum)
 	}
 	for {
 		n.mu.RLock()
@@ -652,7 +652,7 @@ func (n *Node) senderLoop(to msg.NodeID, pc *peerConn, wake chan struct{}, ls *r
 		if start.Sub(due) > paceQuantum {
 			due = start
 		}
-		due = due.Add(vtime.ToDuration(tx * n.cfg.TimeScale))
+		due = due.Add(n.link.Wall(tx))
 		if !p.wait(due.Sub(start), n.stopped) {
 			// Stopped mid-transfer: the held burst dies with the node. A
 			// healthy run quiesces before Stop, so this only fires on
@@ -677,8 +677,7 @@ func (n *Node) senderLoop(to msg.NodeID, pc *peerConn, wake chan struct{}, ls *r
 		// transfer (or a handful too short to time apart), so the link
 		// estimate sees the per-transfer spread, not a per-burst mean.
 		if kb > 0 {
-			elapsed := vtime.FromDuration(time.Since(start)) / n.cfg.TimeScale
-			est.observe(elapsed / kb)
+			est.observe(n.link.Emulated(time.Since(start)) / kb)
 		}
 		n.busySenders.Add(-1)
 	}

@@ -70,18 +70,12 @@ func runOrderedWorkload(t *testing.T, perPub int) map[msg.NodeID][]uint32 {
 	return got
 }
 
-// TestShardedPerStreamOrderMatchesSerial is the ingress's ordering pin:
+// TestPerStreamOrderMatchesSerial is the ingress's ordering pin:
 // two publication streams, each on its own connection and so on its own
 // read loop, must each arrive at the subscriber exactly once and in
 // publication order. Run with -race this also exercises the concurrent
-// Processor/queue/dedup paths. The subtest keeps the name it had when
-// the ingress worker count was a parameter; the case runs the one
-// configuration there is.
-func TestShardedPerStreamOrderMatchesSerial(t *testing.T) {
-	t.Run("shards=4", testShardedPerStreamOrderMatchesSerial)
-}
-
-func testShardedPerStreamOrderMatchesSerial(t *testing.T) {
+// Processor/queue/dedup paths.
+func TestPerStreamOrderMatchesSerial(t *testing.T) {
 	const perPub = 40
 	got := runOrderedWorkload(t, perPub)
 	if len(got) != 2 {
@@ -100,10 +94,10 @@ func testShardedPerStreamOrderMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestShardedPayloadDelivery pins the zero-copy path end to end: a
+// TestPayloadDelivery pins the zero-copy path end to end: a
 // payload decoded aliasing a pooled frame buffer must arrive intact at
 // the subscriber after transiting two pooled re-encodes.
-func TestShardedPayloadDelivery(t *testing.T) {
+func TestPayloadDelivery(t *testing.T) {
 	c, err := StartCluster(ClusterConfig{
 		Overlay:   tinyOverlay(t),
 		Scenario:  msg.PSD,

@@ -1,10 +1,7 @@
 package livenet
 
 import (
-	"time"
-
 	"bdps/internal/msg"
-	"bdps/internal/runtime"
 	"bdps/internal/vtime"
 )
 
@@ -12,8 +9,8 @@ import (
 // Each node probes every overlay neighbor with a heartbeat frame per
 // Interval and monitors the silence on each inbound link: a neighbor
 // quiet for more than 2×Interval is suspected, one quiet past Timeout is
-// declared dead. All durations are emulated milliseconds; wall time is
-// scaled by the node's TimeScale like every other emulated delay.
+// declared dead. All durations are emulated milliseconds of the node's
+// clock time (see the package comment).
 type HeartbeatConfig struct {
 	// Interval is the probe period; 0 disables heartbeats entirely.
 	Interval vtime.Millis
@@ -76,27 +73,13 @@ func (n *Node) startHeartbeats() {
 	go n.monitorLoop()
 }
 
-// clockScale is the wall milliseconds per millisecond of clock time:
-// the clock's compression, which equals the configured TimeScale on
-// runtime deployments, but not in the throughput-bench mode where
-// TimeScale ≈ 0 zeroes the pacing sleeps while the clock stays
-// wall-true. Heartbeat pacing and fault offsets are read on it: the
-// monitor measures silence on the node's clock.
-func clockScale(clock runtime.Clock, timeScale float64) float64 {
-	if wc, ok := clock.(*runtime.WallClock); ok {
-		return wc.Scale()
-	}
-	return timeScale
-}
-
 // heartbeatLoop probes one neighbor every Interval. Probes skip links
 // taken down by injected faults (the outage must become visible to the
 // far monitor) and never touch the quiescence counters — liveness
 // traffic is control plane, not data plane.
 func (n *Node) heartbeatLoop(to msg.NodeID, pc *peerConn) {
 	defer n.wg.Done()
-	period := vtime.ToDuration(n.cfg.Heartbeat.Interval * clockScale(n.clock, n.cfg.TimeScale))
-	ticker := time.NewTicker(period)
+	ticker := n.clock.NewTicker(n.cfg.Heartbeat.Interval)
 	defer ticker.Stop()
 	body := msg.AppendHeartbeat(nil, n.cfg.ID, n.epoch.Load())
 	for {
@@ -121,8 +104,7 @@ func (n *Node) monitorLoop() {
 	defer n.wg.Done()
 	interval := n.cfg.Heartbeat.Interval
 	timeout := n.cfg.Heartbeat.timeout()
-	period := vtime.ToDuration(interval / 2 * clockScale(n.clock, n.cfg.TimeScale))
-	ticker := time.NewTicker(period)
+	ticker := n.clock.NewTicker(interval / 2)
 	defer ticker.Stop()
 	for {
 		select {

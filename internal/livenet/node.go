@@ -4,14 +4,26 @@
 // binary wire protocol of internal/msg over TCP. The node's message
 // handling — matching, local delivery, per-hop enqueueing, dedup — is
 // the same broker.Broker the simulator drives; this package only
-// realizes time (wall clock, compressed by TimeScale) and movement
-// (paced TCP frames).
+// realizes time and movement (paced TCP frames).
 //
-// Link speeds are emulated by pacing: before writing a message frame the
-// sender sleeps SizeKB × rate × TimeScale milliseconds, with the rate
-// drawn from the link's configured distribution — the paper's delay
-// model on a wall clock. TimeScale < 1 compresses the emulation for
-// demos, tests and sim↔live cross-validation.
+// A node runs on two rates, both emulated milliseconds converted to wall
+// time by runtime.Scale, never by arithmetic here:
+//   - Clock time is the node's *runtime.WallClock (NodeConfig.Clock). It
+//     stamps Now, the instant every deadline is judged at, and paces
+//     heartbeats, armed faults, injection and churn, and Drain's timeout.
+//   - Link time is TimeScale. It paces processing delays (PD) and link
+//     transfers — before writing a message frame the sender sleeps
+//     SizeKB × rate, the rate drawn from the link's configured
+//     distribution: the paper's delay model — cuts the egress bursts, and
+//     turns the measured transfer times back into link estimates.
+//
+// The two are equal on every plan cluster. A standalone node's default
+// clock is the absolute wall clock (Unix epoch, scale 1) that
+// multi-process deployments share without coordination, while its
+// TimeScale compresses the link emulation or, near 0, switches it off
+// (throughput benchmarks). Waits on real time stay on package time: write
+// deadlines, dialRetry's timeout and backoff, the egress gate's poll,
+// WaitIdle's timeout and polls, and Subscriber.Receive.
 //
 // There is one broker-to-broker link, the simulator's: both backends
 // drive the same sending and receiving halves (runtime/link.go), and
@@ -19,12 +31,6 @@
 // a FrameData carrying the link sequence, the sender's lowest still-live
 // sequence and its incarnation epoch, clean link or lossy; FrameMessage
 // is what a publisher hands its ingress broker and nothing else.
-//
-// All scheduling-relevant time flows through one runtime.Clock, so
-// deadline math never touches time.Now directly. The default clock is
-// the absolute wall clock (Unix epoch, scale 1) that standalone
-// multi-process deployments share without coordination; in-process
-// clusters inject a shared, compressed clock instead.
 //
 // Nodes run in two modes. A plan node runs one broker of a
 // runtime.Plan (static routing tables, multipath, dedup), rebuilt by
@@ -63,8 +69,8 @@ type NodeConfig struct {
 	Scenario msg.Scenario
 	Params   core.Params
 	Strategy core.Strategy
-	// TimeScale compresses emulated link delays: real sleep = emulated ms
-	// × TimeScale. 1.0 is real time; tests use ~0.002. Must be > 0.
+	// TimeScale is the link time's scale, wall ms per emulated ms (see the
+	// package comment); tests use ~0.002. Must be > 0.
 	TimeScale float64
 	// Seed drives the link-rate samplers.
 	Seed uint64
@@ -85,9 +91,9 @@ type NodeConfig struct {
 	// edge broker it is, suppressing the subscribe flood when a resident
 	// filter with identical delivery terms already covers the newcomer.
 	Aggregate bool
-	// Clock is the shared time base; nil means the absolute wall clock
-	// at scale 1 (multi-process default).
-	Clock runtime.Clock
+	// Clock is the node's clock time (see the package comment); nil means
+	// the absolute wall clock at scale 1 (multi-process default).
+	Clock *runtime.WallClock
 	// Sink, when non-nil, receives delivery-side metric events (already
 	// serialized by the caller, e.g. a runtime.LockedSink).
 	Sink runtime.Sink
@@ -151,7 +157,8 @@ type NodeConfig struct {
 // Node is one live broker.
 type Node struct {
 	cfg   NodeConfig
-	clock runtime.Clock
+	clock *runtime.WallClock
+	link  runtime.Scale // link time: TimeScale
 	sink  runtime.Sink
 
 	// epoch is this broker incarnation's number, stamped into every
@@ -304,6 +311,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	n := &Node{
 		cfg:         cfg,
 		clock:       clock,
+		link:        runtime.Scale(cfg.TimeScale),
 		sink:        cfg.Sink,
 		wake:        make(map[msg.NodeID]chan struct{}),
 		linkDown:    make(map[msg.NodeID]bool),

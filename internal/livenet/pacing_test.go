@@ -3,6 +3,7 @@ package livenet
 import (
 	"net"
 	"sort"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -27,11 +28,12 @@ type arrival struct {
 
 // recordingPeer stands in for broker 1: it accepts the link node 0
 // dials, and timestamps every frame that carries a message (mangled
-// drops and control frames are read and ignored). It never writes: a
-// dialed link is one-way.
+// drops and control frames are read and ignored; heartbeats are
+// counted). It never writes: a dialed link is one-way.
 type recordingPeer struct {
-	ln net.Listener
-	ch chan arrival
+	ln    net.Listener
+	ch    chan arrival
+	beats atomic.Int64
 }
 
 func newRecordingPeer(t *testing.T) *recordingPeer {
@@ -61,6 +63,9 @@ func newRecordingPeer(t *testing.T) *recordingPeer {
 				if a.seq, a.base, a.epoch, body, derr = msg.DecodeDataHeader(body); derr != nil {
 					continue
 				}
+			case msg.FrameHeartbeat:
+				p.beats.Add(1)
+				continue
 			default:
 				continue
 			}
@@ -177,7 +182,7 @@ func observations(t *testing.T, n *Node) int {
 	return est.est.Count()
 }
 
-// TestShardedSenderPacesTransfers is the tentpole's behaviour pin: with
+// TestSenderPacesTransfers is the paced sender's behaviour pin: with
 // pacing on, the sender puts one transfer on the wire at a time.
 // Eight queued messages of ≈ 20 ms wall each: the first frame arrives
 // after about one transfer — not after all eight, as when a burst was a
@@ -188,7 +193,7 @@ func observations(t *testing.T, n *Node) int {
 // same shape must hold on a lossy link, where a transfer is a whole
 // resolved chain (every lost attempt paced and written as a mangled
 // drop).
-func TestShardedSenderPacesTransfers(t *testing.T) {
+func TestSenderPacesTransfers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock paced transfers")
 	}
@@ -269,11 +274,11 @@ func TestShardedSenderPacesTransfers(t *testing.T) {
 	}
 }
 
-// TestShardedSenderUnpacedBurstsToCap is the other half of the rule: when
+// TestSenderUnpacedBurstsToCap is the other half of the rule: when
 // the transfer times do not add up to anything a timer can resolve, the
 // burst is bounded by the Burst cap alone — the whole backlog leaves as
 // one burst (one link observation).
-func TestShardedSenderUnpacedBurstsToCap(t *testing.T) {
+func TestSenderUnpacedBurstsToCap(t *testing.T) {
 	n, peer, pub := pacedSender(t, 1e-9, nil)
 	queueBacklog(t, n, pub, 8)
 	n.SetLinkDown(1, false)
@@ -285,14 +290,14 @@ func TestShardedSenderUnpacedBurstsToCap(t *testing.T) {
 	}
 }
 
-// TestShardedSenderReordersUnderPacing: a paced burst ends after one
+// TestSenderReordersUnderPacing: a paced burst ends after one
 // transfer unless the adversary swaps the chain behind its successor —
 // then, as in the simulator's kick, the successor rides the same
 // transfer and overtakes it. With certain reordering the frames arrive
 // pairwise swapped, each pair after two transfers' time. The Burst cap
 // cuts no owed reorder either: at a cap of one, each burst is a head and
 // the successor it owes.
-func TestShardedSenderReordersUnderPacing(t *testing.T) {
+func TestSenderReordersUnderPacing(t *testing.T) {
 	t.Run("paced", func(t *testing.T) {
 		if testing.Short() {
 			t.Skip("wall-clock paced transfers")

@@ -42,18 +42,8 @@ func (Transport) Deploy(p *runtime.Plan) (runtime.Deployment, error) {
 			return nil, fmt.Errorf("livenet: subscribe event for subscription %d: %w", ev.Sub.ID, err)
 		}
 	}
-	ts := p.Cfg.TimeScale
-	if ts <= 0 {
-		ts = 1
-	}
-	clock := runtime.NewWallClock(ts)
 	sink := runtime.Locked(p.Metrics)
-	cc := ClusterConfig{
-		Plan:      p,
-		TimeScale: ts,
-		Clock:     clock,
-		Sink:      sink,
-	}
+	cc := ClusterConfig{Plan: p, Sink: sink}
 	// A plan that schedules broker restarts needs durable state to
 	// recover from: provision a throwaway state root for the run (the
 	// deployment removes it on Close).
@@ -87,7 +77,7 @@ func (Transport) Deploy(p *runtime.Plan) (runtime.Deployment, error) {
 		}
 		return nil, err
 	}
-	d := &deployment{plan: p, cluster: c, clock: clock, ts: ts, sink: sink, stateRoot: stateRoot}
+	d := &deployment{plan: p, cluster: c, clock: c.Clock(), sink: sink, stateRoot: stateRoot}
 	if events != nil {
 		d.events = events
 		d.repairDone = make(chan struct{})
@@ -106,7 +96,7 @@ func (Transport) Deploy(p *runtime.Plan) (runtime.Deployment, error) {
 			d.Close()
 			return nil, err
 		}
-		pub.Clock = clock
+		pub.Clock = d.clock
 		d.pubs = append(d.pubs, pub)
 	}
 	return d, nil
@@ -118,7 +108,6 @@ type deployment struct {
 	plan    *runtime.Plan
 	cluster *Cluster
 	clock   *runtime.WallClock
-	ts      float64
 	sink    runtime.Sink
 
 	pubs     []*Publisher
@@ -207,9 +196,7 @@ func (d *deployment) Inject(pubs []*msg.Message) error {
 	copy(order, pubs)
 	sort.SliceStable(order, func(i, j int) bool { return order[i].Published < order[j].Published })
 	for _, m := range order {
-		if wait := m.Published - d.clock.Now(); wait > 0 {
-			time.Sleep(vtime.ToDuration(wait * d.ts))
-		}
+		d.clock.SleepUntil(m.Published, nil)
 		idx := int(m.Publisher)
 		if idx < 0 || idx >= len(d.pubs) {
 			return fmt.Errorf("livenet: publication %d from unknown publisher %d", m.ID, m.Publisher)
@@ -273,12 +260,8 @@ func (d *deployment) armChurn() {
 		defer close(d.churnDone)
 		for i := range d.plan.SubEvents {
 			ev := d.plan.SubEvents[i]
-			if wait := ev.At - d.clock.Now(); wait > 0 {
-				select {
-				case <-time.After(vtime.ToDuration(wait * d.ts)):
-				case <-d.churnStop:
-					return
-				}
+			if !d.clock.SleepUntil(ev.At, d.churnStop) {
+				return
 			}
 			node := d.cluster.Node(ev.Sub.Edge)
 			if node == nil {
@@ -301,7 +284,7 @@ func (d *deployment) Drain() error {
 	// Generous hard ceiling: the whole publishing window plus the
 	// longest allowed delay, in wall time, plus slack for overheads.
 	window := d.plan.Cfg.Workload.Duration + 2*vtime.Minute
-	err := d.cluster.WaitIdle(d.injected, time.Duration(float64(vtime.ToDuration(window))*d.ts)+20*time.Second)
+	err := d.cluster.WaitIdle(d.injected, d.clock.Scale().Wall(window)+20*time.Second)
 	for _, p := range d.pubs {
 		if lost := p.unreportedLoss(); lost > 0 {
 			d.sink.Count(metrics.DropsCrashed, lost)

@@ -114,14 +114,7 @@ func NewPlan(cfg Config) (*Plan, error) {
 		p.Subs = cfg.Workload.Subscriptions(ov.Edges)
 	}
 
-	// Deterministic link enumeration: sorted arcs.
-	arcs := ov.Graph.Arcs()
-	sort.Slice(arcs, func(i, j int) bool {
-		if arcs[i][0] != arcs[j][0] {
-			return arcs[i][0] < arcs[j][0]
-		}
-		return arcs[i][1] < arcs[j][1]
-	})
+	arcs := ov.Graph.SortedArcs()
 	p.Links = make([]Link, len(arcs))
 	for i, arc := range arcs {
 		truth, _ := ov.Graph.Rate(arc[0], arc[1])

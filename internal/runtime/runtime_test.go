@@ -69,6 +69,32 @@ func TestAbsoluteWallClockMatchesUnixMillis(t *testing.T) {
 	}
 }
 
+// TestScaleConverts: Scale is the one emulated↔wall conversion. A round
+// trip at a compressed scale returns what went in, a scale ≤ 0 is real
+// time, and vtime.Inf saturates to the longest Duration.
+func TestScaleConverts(t *testing.T) {
+	s := Scale(0.005)
+	if got := s.Wall(200); got != time.Millisecond {
+		t.Errorf("Wall(200) at 0.005 = %v, want 1ms", got)
+	}
+	for _, m := range []vtime.Millis{0, 0.25, 1234.5, 3 * vtime.Hour} {
+		if got := s.Emulated(s.Wall(m)); math.Abs(got-m) > 1e-3 {
+			t.Errorf("round trip of %v ms at 0.005 = %v", m, got)
+		}
+	}
+	for _, z := range []Scale{0, -2} {
+		if z.Wall(3) != 3*time.Millisecond || z.Emulated(time.Second) != 1000 {
+			t.Errorf("Scale(%v) converts %v and %v, want real time", z, z.Wall(3), z.Emulated(time.Second))
+		}
+	}
+	if got := NewWallClock(0).Scale(); got != 1 {
+		t.Errorf("NewWallClock(0).Scale() = %v, want 1", got)
+	}
+	if got := s.Wall(vtime.Inf); got != math.MaxInt64 {
+		t.Errorf("Wall(Inf) = %v, want the longest Duration", got)
+	}
+}
+
 func planCfg() Config {
 	return Config{
 		Seed:     1,

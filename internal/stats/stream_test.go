@@ -136,28 +136,6 @@ func TestSummaryEmpty(t *testing.T) {
 		!math.IsNaN(s.Min()) || !math.IsNaN(s.Max()) {
 		t.Error("empty summary statistics should be NaN")
 	}
-	edges, counts := s.Histogram(4)
-	if edges != nil || counts != nil {
-		t.Error("empty histogram should be nil")
-	}
-}
-
-func TestSummaryHistogram(t *testing.T) {
-	var s Summary
-	for i := 0; i < 40; i++ {
-		s.Add(float64(i % 4)) // 0,1,2,3 ten times each
-	}
-	edges, counts := s.Histogram(4)
-	if len(edges) != 5 || len(counts) != 4 {
-		t.Fatalf("histogram shape: %d edges, %d counts", len(edges), len(counts))
-	}
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	if total != 40 {
-		t.Errorf("histogram total = %d, want 40", total)
-	}
 }
 
 func TestSummaryAddAfterQuantile(t *testing.T) {

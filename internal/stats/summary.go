@@ -96,33 +96,3 @@ func (s *Summary) Std() float64 {
 	}
 	return w.Std()
 }
-
-// Histogram builds a fixed-width histogram with the given number of bins
-// over [min, max]. It returns bin edges (len bins+1) and counts (len
-// bins). An empty summary returns nils.
-func (s *Summary) Histogram(bins int) (edges []float64, counts []int) {
-	if len(s.xs) == 0 || bins <= 0 {
-		return nil, nil
-	}
-	lo, hi := s.min, s.max
-	if hi == lo {
-		hi = lo + 1
-	}
-	edges = make([]float64, bins+1)
-	counts = make([]int, bins)
-	width := (hi - lo) / float64(bins)
-	for i := range edges {
-		edges[i] = lo + float64(i)*width
-	}
-	for _, x := range s.xs {
-		b := int((x - lo) / width)
-		if b >= bins {
-			b = bins - 1
-		}
-		if b < 0 {
-			b = 0
-		}
-		counts[b]++
-	}
-	return edges, counts
-}

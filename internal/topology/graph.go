@@ -7,7 +7,9 @@
 package topology
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"bdps/internal/msg"
@@ -136,6 +138,17 @@ func (g *Graph) Arcs() [][2]msg.NodeID {
 		}
 	}
 	return out
+}
+
+// SortedArcs returns Arcs ordered by (from, to): the one link
+// enumeration every seeded per-link stream is indexed by, so the
+// simulator and the live backend number the links alike.
+func (g *Graph) SortedArcs() [][2]msg.NodeID {
+	arcs := g.Arcs()
+	slices.SortFunc(arcs, func(x, y [2]msg.NodeID) int {
+		return cmp.Or(cmp.Compare(x[0], y[0]), cmp.Compare(x[1], y[1]))
+	})
+	return arcs
 }
 
 // Degree returns the out-degree of a node.

@@ -3,6 +3,7 @@ package topology
 import (
 	"bytes"
 	"math"
+	"slices"
 	"testing"
 
 	"bdps/internal/msg"
@@ -415,5 +416,24 @@ func TestReadJSONRejectsGarbage(t *testing.T) {
 	}
 	if _, err := ReadJSON(bytes.NewBufferString(`{"nodes":0}`)); err == nil {
 		t.Error("zero nodes should fail")
+	}
+}
+
+// TestSortedArcs: SortedArcs orders every arc by (from, to), whatever
+// order the links went in; Arcs keeps insertion order.
+func TestSortedArcs(t *testing.T) {
+	g := NewGraph(4)
+	r := stats.Normal{Mean: 10, Sigma: 1}
+	for _, l := range [][2]msg.NodeID{{2, 3}, {0, 2}, {0, 1}, {1, 3}} {
+		if err := g.AddLink(l[0], l[1], r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := [][2]msg.NodeID{{0, 1}, {0, 2}, {1, 0}, {1, 3}, {2, 0}, {2, 3}, {3, 1}, {3, 2}}
+	if got := g.SortedArcs(); !slices.Equal(got, want) {
+		t.Errorf("SortedArcs = %v, want %v", got, want)
+	}
+	if got := g.Arcs(); slices.Equal(got, want) {
+		t.Errorf("Arcs = %v, already sorted: the check proves nothing", got)
 	}
 }
