@@ -76,6 +76,10 @@ func runOrderedWorkload(t *testing.T, perPub int) map[msg.NodeID][]uint32 {
 // publication order. Run with -race this also exercises the concurrent
 // Processor/queue/dedup paths.
 func TestPerStreamOrderMatchesSerial(t *testing.T) {
+	t.Run("streams=2", testPerStreamOrderMatchesSerial)
+}
+
+func testPerStreamOrderMatchesSerial(t *testing.T) {
 	const perPub = 40
 	got := runOrderedWorkload(t, perPub)
 	if len(got) != 2 {
