@@ -47,7 +47,6 @@ func (c *completions) DeliveredAt(_ int32, _ float64, _, latency vtime.Millis, _
 }
 
 func (c *completions) Count(metrics.Counter, int) {}
-func (c *completions) Detection(vtime.Millis)     {}
 
 // tail summarizes the recorded completions: how many, the latency
 // percentiles in µs (nearest rank), and the longest gap between two

@@ -40,8 +40,8 @@ type ClusterConfig struct {
 
 	// Plan deploys a pre-assembled runtime plan (static mode).
 	Plan *runtime.Plan
-	// Sink, when non-nil, receives every node's delivery-side metric
-	// events; it must be safe for concurrent use (runtime.Locked).
+	// Sink, when non-nil, is every node's tap (NodeConfig.Sink), safe for
+	// concurrent use. runtime's live transport sets none.
 	Sink runtime.Sink
 	// Multipath > 1 makes dynamic subscription floods install K paths
 	// (static mode takes multipath from the plan instead).
@@ -119,9 +119,9 @@ type Cluster struct {
 	stopped bool
 	// replaced records that RestartNode swapped an incarnation in.
 	replaced bool
-	// retired holds the counters of every incarnation RestartNode
-	// replaced, so they stay in TotalStats.
-	retired []*ledger
+	// retired holds the ledger of every incarnation RestartNode
+	// replaced, so it stays in TotalStats.
+	retired []*metrics.Collector
 }
 
 // StartCluster listens all brokers on ephemeral loopback ports, then
@@ -297,7 +297,7 @@ func (c *Cluster) RestartNode(id msg.NodeID, onReady func(*Node)) (*Node, error)
 	}
 	c.mu.Lock()
 	if prev := c.Nodes[id]; prev != nil {
-		c.retired = append(c.retired, prev.cnt)
+		c.retired = append(c.retired, prev.ledger)
 	}
 	c.Nodes[id] = n
 	c.addrs[id] = addr
@@ -475,28 +475,30 @@ func (c *Cluster) Stop() {
 	}
 }
 
-// TotalStats sums the per-node counters over every incarnation: the
-// counters of the nodes RestartNode replaced are read here, not copied
-// at the swap, so a crashed node still counting its queued losses adds
-// them too. Node(id).Stats() stays per incarnation.
-func (c *Cluster) TotalStats() Stats {
+// Ledgers returns every incarnation's ledger, those RestartNode replaced
+// first. They are read, not copied at the swap, so a crashed node still
+// counting its queued losses adds them too.
+func (c *Cluster) Ledgers() []*metrics.Collector {
 	c.mu.RLock()
-	ledgers := make([]*ledger, 0, len(c.Nodes)+len(c.retired))
+	defer c.mu.RUnlock()
+	ledgers := slices.Clone(c.retired)
 	for _, n := range c.Nodes {
-		ledgers = append(ledgers, n.cnt)
+		ledgers = append(ledgers, n.ledger)
 	}
-	ledgers = append(ledgers, c.retired...)
-	c.mu.RUnlock()
-	var total Stats
-	for _, l := range ledgers {
-		s := l.stats()
+	return ledgers
+}
+
+// TotalStats sums the counters over every incarnation (Ledgers).
+// Node(id).Stats() stays per incarnation.
+func (c *Cluster) TotalStats() Stats {
+	var total metrics.Ledger
+	for _, l := range c.Ledgers() {
+		s := l.Ledger()
 		for _, info := range metrics.Counters {
-			*info.Field(&total.Ledger) += *info.Field(&s.Ledger)
+			*info.Field(&total) += *info.Field(&s)
 		}
-		total.Deliveries += s.Deliveries
-		total.ValidDeliver += s.ValidDeliver
 	}
-	return total
+	return statsOf(total)
 }
 
 // AggregatedEntries sums the per-node aggregated-entry counts (live

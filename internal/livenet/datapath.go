@@ -492,17 +492,12 @@ func (n *Node) process(w *worker, m *msg.Message) {
 }
 
 // accountResult charges a Process result's deliveries and arrival
-// drops to the node counters and the metrics sink. Deliveries bypass
-// count: the sink's DeliveredAt does its own valid/late counting.
+// drops to the node's ledger (and its tap).
 func (n *Node) accountResult(res *broker.Result) {
 	for _, d := range res.Deliveries {
-		if d.Valid {
-			n.cnt[metrics.ValidDeliveries].Add(1)
-		} else {
-			n.cnt[metrics.LateDeliveries].Add(1)
-		}
-		if n.sink != nil {
-			n.sink.DeliveredAt(int32(d.SubID), d.Price, d.Published, d.Latency, d.Valid)
+		n.ledger.DeliveredAt(int32(d.SubID), d.Price, d.Published, d.Latency, d.Valid)
+		if n.cfg.Sink != nil {
+			n.cfg.Sink.DeliveredAt(int32(d.SubID), d.Price, d.Published, d.Latency, d.Valid)
 		}
 	}
 	if res.ArrivalDrops > 0 {

@@ -52,9 +52,10 @@ func (c *Cluster) ServeMetrics(addr string) (*MetricsServer, error) {
 // RenderMetrics renders the exposition text: the cluster-wide total of
 // every ledger counter (bdps_<name>_total, one per metrics.Counters row),
 // then per-broker gauges for the load signals an operator watches during
-// an overload (queue occupancy, peak queue, liveness), then per link the
-// measured rate beside the rate the plan believed, and each broker's
-// view of its neighbors' liveness.
+// an overload (queue occupancy, peak queue, liveness) and a summary of
+// the broker's delivery latencies, then per link the measured rate
+// beside the rate the plan believed, and each broker's view of its
+// neighbors' liveness.
 func (c *Cluster) RenderMetrics() string {
 	var b strings.Builder
 	t := c.TotalStats()
@@ -82,6 +83,14 @@ func (c *Cluster) RenderMetrics() string {
 			up = 0
 		}
 		fmt.Fprintf(&b, "bdps_broker_up{broker=\"%d\"} %d\n", id, up)
+	}
+	fmt.Fprintf(&b, "# HELP bdps_delivery_latency_ms Publish-to-delivery latency of the broker's valid deliveries, in clock ms.\n# TYPE bdps_delivery_latency_ms summary\n")
+	for _, id := range c.nodeIDs() {
+		h := c.Nodes[id].ledger.Latency()
+		for _, q := range [...]float64{0.5, 0.95, 0.99} {
+			fmt.Fprintf(&b, "bdps_delivery_latency_ms{broker=\"%d\",quantile=\"%g\"} %g\n", id, q, h.Quantile(q))
+		}
+		fmt.Fprintf(&b, "bdps_delivery_latency_ms_sum{broker=\"%d\"} %g\nbdps_delivery_latency_ms_count{broker=\"%d\"} %d\n", id, h.Sum(), id, h.Count())
 	}
 
 	fmt.Fprintf(&b, "# HELP bdps_link_rate_ms_per_kb Per-KB transfer time of each outgoing link: the sender's estimate and the plan's belief.\n# TYPE bdps_link_rate_ms_per_kb gauge\n")

@@ -94,8 +94,8 @@ type NodeConfig struct {
 	// Clock is the node's clock time (see the package comment); nil means
 	// the absolute wall clock at scale 1 (multi-process default).
 	Clock *runtime.WallClock
-	// Sink, when non-nil, receives delivery-side metric events (already
-	// serialized by the caller, e.g. a runtime.LockedSink).
+	// Sink, when non-nil, is a tap fed every count and delivery the node
+	// records, concurrently. runtime's live transport sets none.
 	Sink runtime.Sink
 	// Links supplies each outgoing link's spec (runtime.Plan.LinkSpec
 	// derives them from the plan's deterministic link enumeration, so live
@@ -159,7 +159,6 @@ type Node struct {
 	cfg   NodeConfig
 	clock *runtime.WallClock
 	link  runtime.Scale // link time: TimeScale
-	sink  runtime.Sink
 
 	// epoch is this broker incarnation's number, stamped into every
 	// Hello, heartbeat and data frame the node sends. A
@@ -223,11 +222,11 @@ type Node struct {
 	// reason.
 	seenSubs    map[msg.SubID]bool
 	removedSubs tombstones
-	// cnt is the node's ledger, indexed by counter id (atomic: updated
-	// by concurrent read loops and senders); see count. It is allocated
-	// apart from the node so a Cluster can keep a replaced incarnation's
-	// counters without keeping the node.
-	cnt *ledger
+	// ledger is the node's collector, written without a lock by its
+	// read loops and senders; see count. It is allocated apart from the
+	// node so a Cluster can keep a replaced incarnation's ledger without
+	// keeping the node.
+	ledger *metrics.Collector
 
 	// Heartbeat liveness state (heartbeat.go), under its own lock so
 	// probe bookkeeping never contends with the data plane.
@@ -286,7 +285,9 @@ type Stats struct {
 
 // NewNode validates the configuration and builds a node.
 func NewNode(cfg NodeConfig) (*Node, error) {
+	ledger := &metrics.Collector{}
 	if p := cfg.Plan; p != nil {
+		ledger = p.Metrics.Blank()
 		if p.Brokers[cfg.ID] == nil {
 			return nil, fmt.Errorf("livenet: broker %d is not in the plan", cfg.ID)
 		}
@@ -312,7 +313,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		cfg:         cfg,
 		clock:       clock,
 		link:        runtime.Scale(cfg.TimeScale),
-		sink:        cfg.Sink,
 		wake:        make(map[msg.NodeID]chan struct{}),
 		linkDown:    make(map[msg.NodeID]bool),
 		estimates:   make(map[msg.NodeID]*linkEstimate),
@@ -325,7 +325,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		peerEpochs:  make(map[msg.NodeID]uint32),
 		linkSenders: make(map[msg.NodeID]*runtime.LinkSend),
 		sessions:    make(map[msg.SubID]*session),
-		cnt:         new(ledger),
+		ledger:      ledger,
 	}
 	n.epoch.Store(cfg.Epoch)
 	if cfg.StateDir != "" {
@@ -448,31 +448,20 @@ func (n *Node) Stop() {
 	}
 }
 
-// count adds k to one ledger counter: on the node, and on the
-// deployment's sink when there is one. Deliveries are the exception
-// (accountResult): the sink derives their counts from DeliveredAt.
+// count adds k to one ledger counter, and forwards it to the tap when
+// there is one.
 func (n *Node) count(id metrics.Counter, k int) {
-	n.cnt[id].Add(int64(k))
-	if n.sink != nil {
-		n.sink.Count(id, k)
+	n.ledger.Count(id, k)
+	if n.cfg.Sink != nil {
+		n.cfg.Sink.Count(id, k)
 	}
 }
 
 // Stats returns a snapshot of the node's counters.
-func (n *Node) Stats() Stats { return n.cnt.stats() }
+func (n *Node) Stats() Stats { return statsOf(n.ledger.Ledger()) }
 
-// ledger is one incarnation's counters, indexed by counter id.
-type ledger [metrics.NumCounters]atomic.Int64
-
-// stats returns a snapshot of the counters.
-func (l *ledger) stats() Stats {
-	var s Stats
-	for id, info := range metrics.Counters {
-		*info.Field(&s.Ledger) = int(l[id].Load())
-	}
-	s.Deliveries = s.ValidDeliveries + s.LateDeliveries
-	s.ValidDeliver = s.ValidDeliveries
-	return s
+func statsOf(l metrics.Ledger) Stats {
+	return Stats{Ledger: l, Deliveries: l.ValidDeliveries + l.LateDeliveries, ValidDeliver: l.ValidDeliveries}
 }
 
 // AggregatedEntries reports how many of this node's live routing entries

@@ -136,6 +136,23 @@ func TestMetricsEndpoint(t *testing.T) {
 	if total.Deliveries != injected {
 		t.Errorf("delivered %d of %d", total.Deliveries, injected)
 	}
+	// The edge's delivery latency is one summary from its ledger.
+	for _, want := range []string{
+		"# TYPE bdps_delivery_latency_ms summary\n",
+		`bdps_delivery_latency_ms{broker="2",quantile="0.5"} `,
+		`bdps_delivery_latency_ms{broker="2",quantile="0.95"} `,
+		`bdps_delivery_latency_ms{broker="2",quantile="0.99"} `,
+		`bdps_delivery_latency_ms_sum{broker="2"} `,
+		fmt.Sprintf("bdps_delivery_latency_ms_count{broker=\"2\"} %d\n", c.Node(2).Stats().ValidDeliveries),
+		`bdps_delivery_latency_ms_count{broker="0"} 0` + "\n",
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("metrics output missing %q", want)
+		}
+	}
+	if c.Node(2).Stats().ValidDeliveries == 0 {
+		t.Error("no valid delivery at the edge: the latency summary is empty")
+	}
 }
 
 // TestBackpressureBoundsQueues is the slow-subscriber headline check:

@@ -231,8 +231,7 @@ func (s *session) replay(to *peerConn, after uint64, now vtime.Millis) (replayed
 	return replayed, expired
 }
 
-// accountResume charges one session resume to the node counters and the
-// metrics sink.
+// accountResume charges one session resume to the node's ledger.
 func (n *Node) accountResume(replayed, expired int) {
 	n.count(metrics.SessionsResumed, 1)
 	n.count(metrics.DroppedDeadline, expired)

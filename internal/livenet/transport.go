@@ -42,8 +42,7 @@ func (Transport) Deploy(p *runtime.Plan) (runtime.Deployment, error) {
 			return nil, fmt.Errorf("livenet: subscribe event for subscription %d: %w", ev.Sub.ID, err)
 		}
 	}
-	sink := runtime.Locked(p.Metrics)
-	cc := ClusterConfig{Plan: p, Sink: sink}
+	cc := ClusterConfig{Plan: p}
 	// A plan that schedules broker restarts needs durable state to
 	// recover from: provision a throwaway state root for the run (the
 	// deployment removes it on Close).
@@ -77,12 +76,12 @@ func (Transport) Deploy(p *runtime.Plan) (runtime.Deployment, error) {
 		}
 		return nil, err
 	}
-	d := &deployment{plan: p, cluster: c, clock: c.Clock(), sink: sink, stateRoot: stateRoot}
+	d := &deployment{plan: p, cluster: c, clock: c.Clock(), stateRoot: stateRoot}
 	if events != nil {
 		d.events = events
 		d.repairDone = make(chan struct{})
 		d.faultAt = faultInstants(p)
-		det := runtime.NewFailureDetector(p, sink, func(id msg.NodeID, fn func()) {
+		det := runtime.NewFailureDetector(p, func(id msg.NodeID, fn func()) {
 			c.Node(id).MutateTable(fn)
 		})
 		d.det = det
@@ -108,7 +107,6 @@ type deployment struct {
 	plan    *runtime.Plan
 	cluster *Cluster
 	clock   *runtime.WallClock
-	sink    runtime.Sink
 
 	pubs     []*Publisher
 	injected int
@@ -212,7 +210,7 @@ func (d *deployment) Inject(pubs []*msg.Message) error {
 				if we := (*WriteError)(nil); errors.As(err, &we) {
 					lost += we.Lost
 				}
-				d.sink.Count(metrics.DropsCrashed, lost)
+				d.plan.Metrics.Count(metrics.DropsCrashed, lost)
 				continue
 			}
 			return fmt.Errorf("livenet: injecting message %d: %w", m.ID, err)
@@ -277,9 +275,10 @@ func (d *deployment) armChurn() {
 }
 
 // Drain implements runtime.Deployment: wait until the cluster is idle
-// (Cluster.WaitIdle) or a hard timeout passes. Publications a failed
-// write lost after the last Send returned are charged to the crash here,
-// since no later Send reported them.
+// (Cluster.WaitIdle) or a hard timeout passes, then Close, which leaves
+// every count on the plan's collector. Publications a failed write lost
+// after the last Send returned are charged to the crash here, since no
+// later Send reported them.
 func (d *deployment) Drain() error {
 	// Generous hard ceiling: the whole publishing window plus the
 	// longest allowed delay, in wall time, plus slack for overheads.
@@ -287,9 +286,10 @@ func (d *deployment) Drain() error {
 	err := d.cluster.WaitIdle(d.injected, d.clock.Scale().Wall(window)+20*time.Second)
 	for _, p := range d.pubs {
 		if lost := p.unreportedLoss(); lost > 0 {
-			d.sink.Count(metrics.DropsCrashed, lost)
+			d.plan.Metrics.Count(metrics.DropsCrashed, lost)
 		}
 	}
+	d.Close()
 	return err
 }
 
@@ -297,11 +297,14 @@ func (d *deployment) Drain() error {
 func (d *deployment) PeakQueue() int { return d.cluster.PeakQueue() }
 
 // Cluster returns the deployed cluster, so a caller holding the
-// runtime.Deployment can read what the running nodes measured — link
+// runtime.Deployment can read what the nodes measured — link
 // estimates, per-node stats — beside what the plan believed.
 func (d *deployment) Cluster() *Cluster { return d.cluster }
 
-// Close implements runtime.Deployment. A second call does nothing.
+// Close implements runtime.Deployment: it stops the cluster, then merges
+// every incarnation's ledger into the plan's collector (here, not in
+// Cluster.Stop: nodes with a tap over that collector counted there
+// already). A second call does nothing.
 func (d *deployment) Close() error {
 	d.closed.Do(func() {
 		if d.churnStop != nil {
@@ -315,6 +318,9 @@ func (d *deployment) Close() error {
 		// for every heartbeat monitor, so no OnPeerEvent send can race the
 		// close.
 		d.cluster.Stop()
+		for _, l := range d.cluster.Ledgers() {
+			d.plan.Metrics.Merge(l)
+		}
 		if d.events != nil {
 			close(d.events)
 			<-d.repairDone

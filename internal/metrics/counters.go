@@ -2,9 +2,9 @@ package metrics
 
 // The ledger: every count a run produces, declared once. A counter is
 // one Counter id, one Ledger field and one Counters row, in the same
-// position in all three; both backends increment by id (Collector.Count,
-// runtime.Sink.Count, livenet's per-node array) and everything that
-// copies, sums, averages or exports counters loops over Counters.
+// position in all three; both backends increment by id on a Collector
+// (the simulator the plan's, each live node its own) and everything
+// that copies, sums, averages or exports counters loops over Counters.
 //
 // Adding a counter:
 //  1. add its id to the const block, before NumCounters;

@@ -1,76 +1,102 @@
 // Package metrics collects and reports the evaluation metrics of §6.1:
 // delivery rate (eq. 1), total earning (eq. 2) and message number (total
 // broker receptions, the network-traffic proxy), plus the drop taxonomy
-// and latency distributions this reimplementation adds for diagnosis.
+// and latency distributions this reimplementation adds for diagnosis,
+// all in one lock-free, mergeable ledger type: Collector.
 package metrics
 
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"bdps/internal/stats"
 	"bdps/internal/vtime"
 )
 
-// Collector accumulates one simulation run's metrics. It is not
-// goroutine-safe: the simulator is single-threaded by construction, and
-// the live runtime feeds one shared collector through a
-// runtime.LockedSink.
+// Collector accumulates one run's metrics, or one writer's share of
+// them. Count, DeliveredAt and Detection are safe for concurrent
+// writers and take no lock; Merge adds one collector into another. The
+// run driver's methods — EnableTimeline, EnablePerSubscriber,
+// PublishedAt, PublishedToAt, the Pub* bound ledger and
+// AggregatedEntries — are single-writer: call them from one goroutine,
+// before or after the concurrent writers run.
 type Collector struct {
-	counts  [NumCounters]int
-	earning float64
-	latency stats.Summary // valid deliveries only, ms
+	counts  [NumCounters]atomic.Int64
+	earning stats.AtomicFloat
+	latency stats.Histogram // valid deliveries only, ms
 
-	detectionLatency stats.Summary // fault → confirmed detection, ms
-	boundLedger      map[int]*boundCounts
+	// detectionMs sums fault → confirmed-detection latencies; the
+	// Detections counter is their count.
+	detectionMs stats.AtomicFloat
+	boundLedger map[int]*BoundAdmissions
 
 	// Delivery timeline: targets and valid deliveries bucketed by the
-	// message's publication instant (enabled by EnableTimeline).
+	// message's publication instant (enabled by EnableTimeline); tlLen
+	// is how many buckets publications reached.
 	timelineBucket vtime.Millis
+	tlLen          int
 	tlTargets      []int
-	tlValid        []int
+	tlValid        []atomic.Int64
 
-	// Per-subscriber accounting for fairness analysis.
-	subExpected map[int32]int
-	subValid    map[int32]int
+	// Per-subscriber accounting for fairness analysis, indexed by
+	// subscription id (enabled by EnablePerSubscriber).
+	subExpected []int
+	subValid    []atomic.Int64
 }
 
 // Count adds n to one ledger counter — the entry point for every count
 // that is only a count (see Counters for the list).
-func (c *Collector) Count(id Counter, n int) { c.counts[id] += n }
+func (c *Collector) Count(id Counter, n int) { c.counts[id].Add(int64(n)) }
 
 // EnableTimeline arms publication-time bucketing of targets and valid
-// deliveries with the given bucket width — the delivery-rate-over-time
-// view the recovery experiments plot. Call before any accounting.
-func (c *Collector) EnableTimeline(bucket vtime.Millis) {
+// deliveries with the given bucket width over publication instants in
+// [0, span] — the delivery-rate-over-time view the recovery experiments
+// plot. Call before any accounting.
+func (c *Collector) EnableTimeline(bucket, span vtime.Millis) {
 	if bucket > 0 {
 		c.timelineBucket = bucket
+		n := int(span/bucket) + 1
+		c.tlTargets, c.tlValid = make([]int, n), make([]atomic.Int64, n)
 	}
 }
 
-// bucketAt grows (if needed) and returns the bucket index for a
-// publication instant, or -1 when the timeline is off or the instant is
-// invalid.
+// EnablePerSubscriber arms per-subscriber accounting for subscription
+// ids in [0, n); others go untallied. Call before any accounting.
+func (c *Collector) EnablePerSubscriber(n int) {
+	c.subExpected, c.subValid = make([]int, n), make([]atomic.Int64, n)
+}
+
+// Blank returns an empty collector with c's timeline and subscriber
+// space, for a writer whose counts are merged into c later.
+func (c *Collector) Blank() *Collector {
+	b := &Collector{timelineBucket: c.timelineBucket}
+	b.tlTargets, b.tlValid = make([]int, len(c.tlTargets)), make([]atomic.Int64, len(c.tlValid))
+	b.EnablePerSubscriber(len(c.subValid))
+	return b
+}
+
+// bucketAt returns the timeline bucket of a publication instant, or -1
+// when the timeline is off or the instant lies outside it.
 func (c *Collector) bucketAt(published vtime.Millis) int {
 	if c.timelineBucket <= 0 || published < 0 {
 		return -1
 	}
-	i := int(published / c.timelineBucket)
-	for len(c.tlTargets) <= i {
-		c.tlTargets = append(c.tlTargets, 0)
-		c.tlValid = append(c.tlValid, 0)
+	if i := int(published / c.timelineBucket); i < len(c.tlValid) {
+		return i
 	}
-	return i
+	return -1
 }
 
 // PublishedAt records a published message, its interested-subscriber
 // count tsᵢ and its publication instant (which feeds the delivery
 // timeline when one is enabled).
 func (c *Collector) PublishedAt(interested int, at vtime.Millis) {
-	c.counts[Published]++
-	c.counts[TotalTargets] += interested
+	c.counts[Published].Add(1)
+	c.counts[TotalTargets].Add(int64(interested))
 	if i := c.bucketAt(at); i >= 0 {
 		c.tlTargets[i] += interested
+		c.tlLen = max(c.tlLen, i+1)
 	}
 }
 
@@ -78,11 +104,10 @@ func (c *Collector) PublishedAt(interested int, at vtime.Millis) {
 // expectation to each interested subscriber for fairness accounting.
 func (c *Collector) PublishedToAt(interested []int32, at vtime.Millis) {
 	c.PublishedAt(len(interested), at)
-	if c.subExpected == nil {
-		c.subExpected = make(map[int32]int)
-	}
 	for _, id := range interested {
-		c.subExpected[id]++
+		if int(id) < len(c.subExpected) {
+			c.subExpected[id]++
+		}
 	}
 }
 
@@ -92,113 +117,138 @@ func (c *Collector) PublishedToAt(interested []int32, at vtime.Millis) {
 // bucketing) and the subscriber's fairness tally (subID < 0 skips it).
 func (c *Collector) DeliveredAt(subID int32, price float64, published, latency vtime.Millis, valid bool) {
 	if !valid {
-		c.counts[LateDeliveries]++
+		c.counts[LateDeliveries].Add(1)
 		return
 	}
-	c.counts[ValidDeliveries]++
-	c.earning += price
+	c.counts[ValidDeliveries].Add(1)
+	c.earning.Add(price)
 	c.latency.Add(latency)
 	if i := c.bucketAt(published); i >= 0 {
-		c.tlValid[i]++
+		c.tlValid[i].Add(1)
 	}
-	if subID >= 0 {
-		if c.subValid == nil {
-			c.subValid = make(map[int32]int)
-		}
-		c.subValid[subID]++
+	if subID >= 0 && int(subID) < len(c.subValid) {
+		c.subValid[subID].Add(1)
 	}
 }
 
 // Detection records one confirmed failure detection (one dead directed
 // arc) and its detection latency: fault instant → confirmed-dead.
 func (c *Collector) Detection(latency vtime.Millis) {
-	c.counts[Detections]++
-	c.detectionLatency.Add(latency)
+	c.counts[Detections].Add(1)
+	c.detectionMs.Add(latency)
 }
 
-// boundCounts is one bucket of the per-bound admission ledger.
-type boundCounts struct{ admitted, relaxed, rejected int }
-
-// boundBucket quantizes an applicable bound into a ledger bucket key
-// (whole seconds): PSD bounds are continuous, so per-exact-bound
-// counting would make the ledger one entry per publication.
-func boundBucket(bound vtime.Millis) int {
-	return int(bound/vtime.Second + 0.5)
-}
-
-func (c *Collector) boundAt(bound vtime.Millis) *boundCounts {
-	if c.boundLedger == nil {
-		c.boundLedger = make(map[int]*boundCounts)
+// Merge adds into c all that o's concurrent writers recorded (not o's
+// driver-only accounting); o must have c's shape, as c.Blank() does.
+func (c *Collector) Merge(o *Collector) {
+	for id := range o.counts {
+		c.counts[id].Add(o.counts[id].Load())
 	}
-	b := c.boundLedger[boundBucket(bound)]
+	c.earning.Add(o.earning.Load())
+	c.latency.Merge(&o.latency)
+	c.detectionMs.Add(o.detectionMs.Load())
+	for i := range o.tlValid {
+		c.tlValid[i].Add(o.tlValid[i].Load())
+	}
+	for i := range o.subValid {
+		c.subValid[i].Add(o.subValid[i].Load())
+	}
+}
+
+// Latency returns the histogram of valid deliveries' latencies, in ms.
+func (c *Collector) Latency() *stats.Histogram { return &c.latency }
+
+// Ledger returns a snapshot of the counters.
+func (c *Collector) Ledger() Ledger {
+	var l Ledger
+	for id, info := range Counters {
+		*info.Field(&l) = int(c.counts[id].Load())
+	}
+	return l
+}
+
+// boundAt returns the admission ledger bucket of an applicable bound,
+// quantized to whole seconds: PSD bounds are continuous, so
+// per-exact-bound counting would make the ledger one entry per
+// publication.
+func (c *Collector) boundAt(bound vtime.Millis) *BoundAdmissions {
+	if c.boundLedger == nil {
+		c.boundLedger = make(map[int]*BoundAdmissions)
+	}
+	return admissionsAt(c.boundLedger, int(bound/vtime.Second+0.5))
+}
+
+func admissionsAt(ledger map[int]*BoundAdmissions, sec int) *BoundAdmissions {
+	b := ledger[sec]
 	if b == nil {
-		b = &boundCounts{}
-		c.boundLedger[boundBucket(bound)] = b
+		b = &BoundAdmissions{BoundSec: sec}
+		ledger[sec] = b
 	}
 	return b
+}
+
+// sortedBounds lists a bound ledger by bound (nil when it is empty).
+func sortedBounds(ledger map[int]*BoundAdmissions) []BoundAdmissions {
+	if len(ledger) == 0 {
+		return nil
+	}
+	out := make([]BoundAdmissions, 0, len(ledger))
+	for _, b := range ledger {
+		out = append(out, *b)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].BoundSec < out[j].BoundSec })
+	return out
 }
 
 // PubAdmitted records a publication that passed admission with its
 // bound intact.
 func (c *Collector) PubAdmitted(bound vtime.Millis) {
-	c.counts[PubsAdmitted]++
-	c.boundAt(bound).admitted++
+	c.counts[PubsAdmitted].Add(1)
+	c.boundAt(bound).Admitted++
 }
 
 // PubRelaxed records a publication admitted under a relaxed bound.
 func (c *Collector) PubRelaxed(bound vtime.Millis) {
-	c.counts[PubsRelaxed]++
-	c.boundAt(bound).relaxed++
+	c.counts[PubsRelaxed].Add(1)
+	c.boundAt(bound).Relaxed++
 }
 
 // PubRejected records a publication refused at the ingress: no
 // admissible bound within the relax cap under the current load.
 func (c *Collector) PubRejected(bound vtime.Millis) {
-	c.counts[PubsRejected]++
-	c.boundAt(bound).rejected++
+	c.counts[PubsRejected].Add(1)
+	c.boundAt(bound).Rejected++
 }
 
 // AggregatedEntries records the end-of-run count of live routing entries
 // standing for more than one subscription (stamped by the run driver
 // from a table scan).
-func (c *Collector) AggregatedEntries(n int) { c.counts[AggregatedEntries] = n }
+func (c *Collector) AggregatedEntries(n int) { c.counts[AggregatedEntries].Store(int64(n)) }
 
 // Result freezes a collector into the run summary.
 func (c *Collector) Result() Result {
-	r := Result{Earning: c.earning, Fairness: c.fairness()}
-	for id, info := range Counters {
-		*info.Field(&r.Ledger) = c.counts[id]
+	r := Result{
+		Ledger:      c.Ledger(),
+		Earning:     c.earning.Load(),
+		Fairness:    c.fairness(),
+		BoundLedger: sortedBounds(c.boundLedger),
 	}
-	if len(c.boundLedger) > 0 {
-		r.BoundLedger = make([]BoundAdmissions, 0, len(c.boundLedger))
-		for sec, b := range c.boundLedger {
-			r.BoundLedger = append(r.BoundLedger, BoundAdmissions{
-				BoundSec: sec,
-				Admitted: b.admitted,
-				Relaxed:  b.relaxed,
-				Rejected: b.rejected,
-			})
-		}
-		sort.Slice(r.BoundLedger, func(i, j int) bool {
-			return r.BoundLedger[i].BoundSec < r.BoundLedger[j].BoundSec
-		})
-	}
-	if c.latency.Count() > 0 {
-		r.LatencyMeanMs = c.latency.Mean()
+	if n := c.latency.Count(); n > 0 {
+		r.LatencyMeanMs = c.latency.Sum() / float64(n)
 		r.LatencyP50Ms = c.latency.Quantile(0.5)
 		r.LatencyP95Ms = c.latency.Quantile(0.95)
 		r.LatencyMaxMs = c.latency.Max()
 	}
-	if c.detectionLatency.Count() > 0 {
-		r.DetectionLatencyMs = c.detectionLatency.Mean()
+	if r.Detections > 0 {
+		r.DetectionLatencyMs = c.detectionMs.Load() / float64(r.Detections)
 	}
 	if c.timelineBucket > 0 {
-		r.Timeline = make([]TimeBucket, len(c.tlTargets))
-		for i := range c.tlTargets {
+		r.Timeline = make([]TimeBucket, c.tlLen)
+		for i := range r.Timeline {
 			r.Timeline[i] = TimeBucket{
 				Start:   vtime.Millis(i) * c.timelineBucket,
 				Targets: c.tlTargets[i],
-				Valid:   c.tlValid[i],
+				Valid:   int(c.tlValid[i].Load()),
 			}
 		}
 	}
@@ -210,16 +260,13 @@ func (c *Collector) Result() Result {
 // service; 1/n means one subscriber got everything. Returns 0 when
 // per-subscriber accounting was not enabled or nothing was expected.
 func (c *Collector) fairness() float64 {
-	if len(c.subExpected) == 0 {
-		return 0
-	}
 	var sum, sumSq float64
 	n := 0
 	for id, exp := range c.subExpected {
 		if exp == 0 {
 			continue
 		}
-		x := float64(c.subValid[id]) / float64(exp)
+		x := float64(c.subValid[id].Load()) / float64(exp)
 		sum += x
 		sumSq += x * x
 		n++
@@ -264,7 +311,8 @@ type Result struct {
 	BoundLedger []BoundAdmissions
 
 	// Timeline is the delivery-over-time histogram (publication-time
-	// buckets); nil unless the run enabled one.
+	// buckets, up to the last one a publication reached); nil unless the
+	// run enabled one.
 	Timeline []TimeBucket
 }
 
@@ -398,33 +446,23 @@ func Mean(rs []Result) Result {
 // set, averaging each bucket over all results (absent buckets count as
 // zero), sorted by bound.
 func meanBoundLedger(rs []Result) []BoundAdmissions {
-	sums := make(map[int]*[3]float64)
+	sums := make(map[int]*BoundAdmissions)
 	for _, r := range rs {
 		for _, b := range r.BoundLedger {
-			s := sums[b.BoundSec]
-			if s == nil {
-				s = &[3]float64{}
-				sums[b.BoundSec] = s
-			}
-			s[0] += float64(b.Admitted)
-			s[1] += float64(b.Relaxed)
-			s[2] += float64(b.Rejected)
+			s := admissionsAt(sums, b.BoundSec)
+			s.Admitted += b.Admitted
+			s.Relaxed += b.Relaxed
+			s.Rejected += b.Rejected
 		}
 	}
-	if len(sums) == 0 {
-		return nil
-	}
+	out := sortedBounds(sums)
 	n := float64(len(rs))
-	out := make([]BoundAdmissions, 0, len(sums))
-	for sec, s := range sums {
-		out = append(out, BoundAdmissions{
-			BoundSec: sec,
-			Admitted: int(s[0]/n + 0.5),
-			Relaxed:  int(s[1]/n + 0.5),
-			Rejected: int(s[2]/n + 0.5),
-		})
+	for i := range out {
+		b := &out[i]
+		b.Admitted = int(float64(b.Admitted)/n + 0.5)
+		b.Relaxed = int(float64(b.Relaxed)/n + 0.5)
+		b.Rejected = int(float64(b.Rejected)/n + 0.5)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].BoundSec < out[j].BoundSec })
 	return out
 }
 
@@ -432,20 +470,12 @@ func meanBoundLedger(rs []Result) []BoundAdmissions {
 // bucket (over the results sharing the first result's bucket count; runs
 // without a timeline contribute nothing).
 func meanTimeline(rs []Result) []TimeBucket {
-	if len(rs[0].Timeline) == 0 {
+	width := len(rs[0].Timeline)
+	if width == 0 {
 		return nil
 	}
-	width := len(rs[0].Timeline)
-	out := make([]TimeBucket, width)
-	copy(out, rs[0].Timeline)
+	tgt, val := make([]float64, width), make([]float64, width)
 	matched := 0.0
-	for i := range out {
-		out[i].Targets = 0
-		out[i].Valid = 0
-	}
-	var tgt, val []float64
-	tgt = make([]float64, width)
-	val = make([]float64, width)
 	for _, r := range rs {
 		if len(r.Timeline) != width {
 			continue
@@ -456,12 +486,13 @@ func meanTimeline(rs []Result) []TimeBucket {
 			val[i] += float64(b.Valid)
 		}
 	}
-	if matched == 0 {
-		return nil
-	}
+	out := make([]TimeBucket, width)
 	for i := range out {
-		out[i].Targets = int(tgt[i]/matched + 0.5)
-		out[i].Valid = int(val[i]/matched + 0.5)
+		out[i] = TimeBucket{
+			Start:   rs[0].Timeline[i].Start,
+			Targets: int(tgt[i]/matched + 0.5),
+			Valid:   int(val[i]/matched + 0.5),
+		}
 	}
 	return out
 }

@@ -4,7 +4,10 @@ import (
 	"math"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
+
+	"bdps/internal/vtime"
 )
 
 func TestCollectorBasics(t *testing.T) {
@@ -127,5 +130,92 @@ func TestMeanSingle(t *testing.T) {
 	r := Result{Ledger: Ledger{Published: 7}, Earning: 3.5}
 	if m := Mean([]Result{r}); m.Published != 7 || m.Earning != 3.5 {
 		t.Error("Mean of one result should be itself")
+	}
+}
+
+// ledgerEvent is one reception and one delivery, as a writer records
+// them: integer prices and latencies, so sums are exact in any order.
+type ledgerEvent struct {
+	receptions         int
+	sub                int32
+	price              float64
+	published, latency vtime.Millis
+	valid              bool
+}
+
+func ledgerEvents(n int) []ledgerEvent {
+	evs := make([]ledgerEvent, n)
+	for i := range evs {
+		evs[i] = ledgerEvent{
+			receptions: 1 + i%3, sub: int32(i % 17), price: float64(1 + i%4),
+			published: vtime.Millis(i % 80), latency: vtime.Millis(10 + i%1000), valid: i%5 != 0,
+		}
+	}
+	return evs
+}
+
+// feed records events on c.
+func feed(c *Collector, evs []ledgerEvent) {
+	for _, ev := range evs {
+		c.Count(Receptions, ev.receptions)
+		c.DeliveredAt(ev.sub, ev.price, ev.published, ev.latency, ev.valid)
+	}
+}
+
+// shapedCollector is a driver-side collector: a timeline, a subscriber
+// space one id wider than the events use, and the publication side.
+func shapedCollector() *Collector {
+	c := &Collector{}
+	c.EnableTimeline(10, 100)
+	c.EnablePerSubscriber(18)
+	for i := range 40 {
+		c.PublishedToAt([]int32{int32(i % 17), int32((i + 5) % 17), 17}, vtime.Millis(i*2))
+	}
+	c.Detection(250)
+	return c
+}
+
+// TestCollectorConcurrentAndMergedEqualSerial: eight writers on one
+// collector, and eight per-writer collectors merged into the driver's,
+// both end with the serial collector's result — counters, earning,
+// latencies, timeline and fairness.
+func TestCollectorConcurrentAndMergedEqualSerial(t *testing.T) {
+	const writers = 8
+	evs := ledgerEvents(writers * 2000)
+	part := func(w int) []ledgerEvent { return evs[w*2000 : (w+1)*2000] }
+
+	serial := shapedCollector()
+	feed(serial, evs)
+	want := serial.Result()
+	if want.Fairness == 0 || len(want.Timeline) != 8 || want.ValidDeliveries == 0 {
+		t.Fatalf("serial result does not exercise fairness and timeline: %+v", want)
+	}
+
+	shared := shapedCollector()
+	merged := shapedCollector()
+	parts := make([]*Collector, writers)
+	var wg sync.WaitGroup
+	for w := range writers {
+		parts[w] = merged.Blank()
+		wg.Add(2)
+		go func() { defer wg.Done(); feed(shared, part(w)) }()
+		go func() { defer wg.Done(); feed(parts[w], part(w)) }()
+	}
+	wg.Wait()
+	for _, p := range parts {
+		merged.Merge(p)
+	}
+	for name, c := range map[string]*Collector{"concurrent": shared, "merged": merged} {
+		if got := c.Result(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s result differs from serial:\n got %#v\nwant %#v", name, got, want)
+		}
+	}
+}
+
+func TestDeliveredAtAllocates0(t *testing.T) {
+	c := shapedCollector()
+	c.DeliveredAt(1, 1, 5, 100, true)
+	if a := testing.AllocsPerRun(1000, func() { c.DeliveredAt(3, 2, 15, 1234, true) }); a != 0 {
+		t.Errorf("DeliveredAt allocates %v times after the first sample, want 0", a)
 	}
 }

@@ -34,7 +34,7 @@ import (
 // burst when it starts, the live sender after its pacing wait.
 
 // Counts is the ledger a link half charges: *metrics.Collector satisfies
-// it, and so does the live node's counter set.
+// it, and so does the live node's (its collector, then its tap).
 type Counts interface {
 	Count(id metrics.Counter, n int)
 }

@@ -64,8 +64,8 @@ type Plan struct {
 	// overlay floods it through the overlay at the scaled wall instant.
 	SubEvents []workload.SubEvent
 	// Metrics is the run's collector. The Run driver performs the
-	// publication-side accounting; deployments report the delivery side
-	// (directly, or through a LockedSink when concurrent).
+	// publication-side accounting; the simulator feeds the delivery side
+	// directly, live nodes through ledgers their deployment merges in.
 	Metrics *metrics.Collector
 
 	// Agg is the covering-aggregation driver bound to Tables when
@@ -105,9 +105,7 @@ func NewPlan(cfg Config) (*Plan, error) {
 		Brokers: make(map[msg.NodeID]*broker.Broker),
 		Metrics: &metrics.Collector{},
 	}
-	if cfg.TimelineBucket > 0 {
-		p.Metrics.EnableTimeline(cfg.TimelineBucket)
-	}
+	p.Metrics.EnableTimeline(cfg.TimelineBucket, cfg.Workload.Duration)
 	if cfg.Subscriptions != nil {
 		p.Subs = cfg.Subscriptions
 	} else {
@@ -202,6 +200,12 @@ func NewPlan(cfg Config) (*Plan, error) {
 	if cfg.Workload.FlashCrowd.SubBurst > 0 {
 		p.SubEvents = workload.MergeSubEvents(p.SubEvents,
 			cfg.Workload.FlashSubEvents(ov.Edges, first))
+	}
+	if cfg.PerSubscriber {
+		for _, ev := range p.SubEvents {
+			first = max(first, ev.Sub.ID+1)
+		}
+		p.Metrics.EnablePerSubscriber(int(first))
 	}
 
 	if err := p.validateFaults(); err != nil {

@@ -30,9 +30,8 @@ import (
 // each surviving neighbor independently reports the one inbound arc it
 // monitors.
 type FailureDetector struct {
-	mu   sync.Mutex
-	p    *Plan
-	sink Sink
+	mu sync.Mutex
+	p  *Plan
 	// lock serializes a table mutation against broker id's concurrent
 	// matchers; nil means the caller is single-threaded (simulator).
 	lock func(id msg.NodeID, fn func())
@@ -43,13 +42,12 @@ type FailureDetector struct {
 	prev *routing.Installer
 }
 
-// NewFailureDetector builds the detector for one deployed plan. lock is
-// the backend's per-broker table write lock (nil for single-threaded
-// backends).
-func NewFailureDetector(p *Plan, sink Sink, lock func(id msg.NodeID, fn func())) *FailureDetector {
+// NewFailureDetector builds the detector for one deployed plan; it
+// counts on the plan's collector. lock is the backend's per-broker table
+// write lock (nil for single-threaded backends).
+func NewFailureDetector(p *Plan, lock func(id msg.NodeID, fn func())) *FailureDetector {
 	return &FailureDetector{
 		p:    p,
-		sink: sink,
 		lock: lock,
 		dead: make(map[[2]msg.NodeID]bool),
 		prev: routing.NewInstaller(p.Overlay, routing.Options{Rates: p.Beliefs, Multipath: p.Cfg.Multipath}),
@@ -80,7 +78,7 @@ func (d *FailureDetector) ArcsDead(arcs [][2]msg.NodeID, faultAt, detectedAt vti
 		if lat < 0 {
 			lat = 0
 		}
-		d.sink.Detection(lat)
+		d.p.Metrics.Detection(lat)
 	}
 	if fresh > 0 {
 		d.repair()
@@ -252,13 +250,13 @@ func (d *FailureDetector) repair() {
 
 	d.prev = next
 	if rerouted > 0 {
-		d.sink.Count(metrics.ReroutedPaths, rerouted)
+		d.p.Metrics.Count(metrics.ReroutedPaths, rerouted)
 	}
-	d.sink.Count(metrics.BoundsKept, kept)
-	d.sink.Count(metrics.BoundsRelaxed, relaxed)
-	d.sink.Count(metrics.BoundsRejected, rejected)
+	d.p.Metrics.Count(metrics.BoundsKept, kept)
+	d.p.Metrics.Count(metrics.BoundsRelaxed, relaxed)
+	d.p.Metrics.Count(metrics.BoundsRejected, rejected)
 	if reflooded > 0 {
-		d.sink.Count(metrics.RefloodedSubs, reflooded)
+		d.p.Metrics.Count(metrics.RefloodedSubs, reflooded)
 	}
 }
 

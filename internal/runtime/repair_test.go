@@ -50,7 +50,7 @@ func detourPlan(t testing.TB, detourMean float64) *Plan {
 func TestDetectorReroutesOntoSurvivingPath(t *testing.T) {
 	p := detourPlan(t, 90) // detour feasible: Σ rate 180 ms/KB < 10 s bound
 	subs := len(p.Subs)
-	det := NewFailureDetector(p, p.Metrics, nil)
+	det := NewFailureDetector(p, nil)
 
 	if p.Tables[1].Len() == 0 || p.Tables[2].Len() != 0 {
 		t.Fatalf("initial routes should use the primary path: table1=%d table2=%d",
@@ -95,7 +95,7 @@ func TestDetectorReroutesOntoSurvivingPath(t *testing.T) {
 // one repair.
 func TestDetectorDedupsEvidence(t *testing.T) {
 	p := detourPlan(t, 90)
-	det := NewFailureDetector(p, p.Metrics, nil)
+	det := NewFailureDetector(p, nil)
 	det.ArcDead(1, 3, 0, 2000)
 	det.ArcDead(1, 3, 0, 2500)
 	r := p.Metrics.Result()
@@ -112,7 +112,7 @@ func TestDetectorDedupsEvidence(t *testing.T) {
 // graph too.
 func TestDetectorInfersNodeDeath(t *testing.T) {
 	p := detourPlan(t, 90)
-	det := NewFailureDetector(p, p.Metrics, nil)
+	det := NewFailureDetector(p, nil)
 	det.ArcsDead([][2]msg.NodeID{{1, 0}, {1, 3}}, 0, 2000)
 	g := det.survivingGraph()
 	if g.Degree(1) != 0 {
@@ -133,7 +133,7 @@ func TestDetectorInfersNodeDeath(t *testing.T) {
 func TestDetectorRejectsStrandedSubscriptions(t *testing.T) {
 	p := detourPlan(t, 90)
 	subs := len(p.Subs)
-	det := NewFailureDetector(p, p.Metrics, nil)
+	det := NewFailureDetector(p, nil)
 	det.ArcsDead([][2]msg.NodeID{{1, 3}, {2, 3}}, 0, 2000)
 	r := p.Metrics.Result()
 	if r.BoundsRejected != subs {
@@ -207,7 +207,7 @@ func TestApplicableBound(t *testing.T) {
 func BenchmarkRecovery(b *testing.B) {
 	b.Run("detour", func(b *testing.B) {
 		p := detourPlan(b, 90)
-		det := NewFailureDetector(p, p.Metrics, nil)
+		det := NewFailureDetector(p, nil)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			det.ArcDead(1, 3, 0, 2000)
@@ -221,7 +221,7 @@ func BenchmarkRecovery(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		det := NewFailureDetector(p, p.Metrics, nil)
+		det := NewFailureDetector(p, nil)
 		l := p.Links[0]
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

@@ -235,6 +235,89 @@ func TestRestartResumeCrossValidation(t *testing.T) {
 	}
 }
 
+// TestLiveLedgerSumsIncarnations: on a live crash–restart run each node
+// counts into a ledger of its own, and the plan's collector ends with
+// exactly their sum — the retired incarnation of broker 2 included.
+// Every counter row a node counts must match; the rows the run driver
+// and the failure detector write go to the plan's collector directly.
+func TestLiveLedgerSumsIncarnations(t *testing.T) {
+	if testing.Short() {
+		t.Skip("compressed-timescale live cluster run")
+	}
+	cfg := restartConfig(t)
+	cfg.Faults = restartFaults()
+	cfg.TimeScale = liveRecoveryTimeScale
+	p, err := runtime.NewPlan(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dep, err := livenet.Transport{}.Deploy(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dep.Close()
+	p.AccountPublications()
+	if err := dep.Inject(p.Pubs); err != nil {
+		t.Fatal(err)
+	}
+	if err := dep.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if err := dep.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got := p.Metrics.Result()
+
+	ledgers := dep.(interface{ Cluster() *livenet.Cluster }).Cluster().Ledgers()
+	if len(ledgers) != len(p.Brokers)+1 {
+		t.Fatalf("%d ledgers, want one per broker plus broker 2's retired incarnation", len(ledgers))
+	}
+	var sum metrics.Ledger
+	for _, l := range ledgers {
+		row := l.Ledger()
+		for _, info := range metrics.Counters {
+			*info.Field(&sum) += *info.Field(&row)
+		}
+	}
+	// Ledgers lists the retired incarnations first.
+	if retired := ledgers[0].Ledger(); retired.Receptions == 0 || retired.RestartReplayedSubs != 0 {
+		t.Errorf("first ledger is not broker 2's dead incarnation: %d receptions, %d replayed subs",
+			retired.Receptions, retired.RestartReplayedSubs)
+	}
+	if sum.Receptions == 0 || sum.ValidDeliveries == 0 || sum.RestartReplayedSubs == 0 || sum.SessionsResumed == 0 {
+		t.Errorf("the run exercised too little: %+v", sum)
+	}
+	direct := map[metrics.Counter]bool{
+		metrics.Published: true, metrics.TotalTargets: true,
+		metrics.Detections: true, metrics.ReroutedPaths: true, metrics.RefloodedSubs: true,
+		metrics.BoundsKept: true, metrics.BoundsRelaxed: true, metrics.BoundsRejected: true,
+		metrics.PubsAdmitted: true, metrics.PubsRelaxed: true, metrics.PubsRejected: true,
+		metrics.SubsRejected: true, metrics.AggregatedEntries: true,
+	}
+	for id, info := range metrics.Counters {
+		nodes, plan := *info.Field(&sum), *info.Field(&got.Ledger)
+		switch {
+		case direct[metrics.Counter(id)] && nodes != 0:
+			t.Errorf("%s: the nodes counted %d of a row only the driver and detector write", info.Name, nodes)
+		case !direct[metrics.Counter(id)] && nodes != plan:
+			t.Errorf("%s: plan collector %d, sum over the incarnations %d", info.Name, plan, nodes)
+		}
+	}
+
+	// The nodes' ledgers have the plan's timeline: every valid delivery
+	// lands in a bucket.
+	valid := 0
+	for _, b := range got.Timeline {
+		valid += b.Valid
+	}
+	if valid != got.ValidDeliveries {
+		t.Errorf("timeline holds %d valid deliveries, the counter %d", valid, got.ValidDeliveries)
+	}
+	if got.LatencyMeanMs <= 0 || got.LatencyMaxMs < got.LatencyP95Ms {
+		t.Errorf("latencies not merged: mean %v, p95 %v, max %v", got.LatencyMeanMs, got.LatencyP95Ms, got.LatencyMaxMs)
+	}
+}
+
 // TestChurnRestartCrossValidation pins the simulator's modeled WAL to
 // the live node's real one under churn: both log the deployed table and
 // then every subscription the broker admits or retracts while it is up,

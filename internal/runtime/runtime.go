@@ -34,7 +34,8 @@ type Deployment interface {
 	// when the last has been sent.
 	Inject(pubs []*msg.Message) error
 	// Drain runs the deployment to quiescence: all injected messages
-	// delivered, dropped or expired, every queue empty.
+	// delivered, dropped or expired, every queue empty, and every count
+	// on the plan's collector.
 	Drain() error
 	// PeakQueue reports the largest queue occupancy observed; call after
 	// Drain. It stays readable after Close.
@@ -61,9 +62,8 @@ func Run(cfg Config, t Transport) (Result, error) {
 	defer dep.Close()
 
 	// Publication-side accounting is backend-independent: Σ tsᵢ depends
-	// only on the workload and the subscription population. Doing it
-	// before injection also keeps the collector single-writer while
-	// concurrent backends feed the delivery side through a LockedSink.
+	// only on the workload and the subscription population; it is the
+	// collector's single-writer side.
 	p.AccountPublications()
 
 	if err := dep.Inject(p.Pubs); err != nil {

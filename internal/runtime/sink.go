@@ -7,10 +7,9 @@ import (
 	"bdps/internal/vtime"
 )
 
-// Sink receives the delivery-side metric events a deployment produces
-// while running. *metrics.Collector implements it; publication-side
-// accounting (PublishedAt, PublishedToAt) stays with the Run driver,
-// which performs it once before injection on every backend.
+// Sink receives the counts and deliveries a live node records, as a tap
+// beside the node's own ledger (livenet.NodeConfig.Sink).
+// *metrics.Collector implements it, safe for concurrent writers.
 type Sink interface {
 	// Count adds n to one ledger counter (metrics.Counters lists them).
 	Count(id metrics.Counter, n int)
@@ -18,14 +17,11 @@ type Sink interface {
 	// instant, feeding the delivery-rate timeline; published < 0 skips
 	// the timeline.
 	DeliveredAt(subID int32, price float64, published, latency vtime.Millis, valid bool)
-	// Detection records one confirmed failure detection and its latency.
-	Detection(latency vtime.Millis)
 }
 
-// LockedSink serializes a Sink for concurrent backends. The simulator
-// feeds its collector directly (single-threaded by construction); the
-// live overlay wraps the same collector in a LockedSink shared by every
-// node goroutine.
+// LockedSink serializes a Sink that is not safe for concurrent use. The
+// backends need none: the simulator feeds the plan's collector and each
+// live node a collector of its own, and a collector takes no lock.
 type LockedSink struct {
 	mu sync.Mutex
 	s  Sink
@@ -44,10 +40,4 @@ func (l *LockedSink) DeliveredAt(subID int32, price float64, published, latency 
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.s.DeliveredAt(subID, price, published, latency, valid)
-}
-
-func (l *LockedSink) Detection(latency vtime.Millis) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.s.Detection(latency)
 }

@@ -215,7 +215,7 @@ func deploy(p *runtime.Plan) (*Network, error) {
 	// overlay observe, so the two backends account detections identically.
 	var det *runtime.FailureDetector
 	if p.Cfg.Recovery.Detect {
-		det = runtime.NewFailureDetector(p, n.Collector, nil)
+		det = runtime.NewFailureDetector(p, nil)
 	}
 	n.det = det
 	rec := p.Cfg.Recovery

@@ -36,23 +36,6 @@ func (w *Welford) Var() float64 {
 // Std returns the sample standard deviation.
 func (w *Welford) Std() float64 { return math.Sqrt(w.Var()) }
 
-// Merge combines another Welford accumulator into w (parallel variant of
-// the update; Chan et al.).
-func (w *Welford) Merge(o Welford) {
-	if o.n == 0 {
-		return
-	}
-	if w.n == 0 {
-		*w = o
-		return
-	}
-	n := w.n + o.n
-	delta := o.mean - w.mean
-	w.mean += delta * float64(o.n) / float64(n)
-	w.m2 += o.m2 + delta*delta*float64(w.n)*float64(o.n)/float64(n)
-	w.n = n
-}
-
 // WelfordEstimator is a link-rate estimator: it consumes observations of
 // a link's per-kilobyte transmission time — the stand-in for the paper's
 // "tools of network measurement" (§3.2) — and reads back N(μ̂, σ̂²), with

@@ -53,46 +53,6 @@ func TestWelfordMatchesNaive(t *testing.T) {
 	}
 }
 
-func TestWelfordMergeEquivalentToSequential(t *testing.T) {
-	f := func(a, b []float64) bool {
-		clean := func(xs []float64) []float64 {
-			out := xs[:0]
-			for _, x := range xs {
-				if !math.IsNaN(x) && !math.IsInf(x, 0) {
-					out = append(out, math.Mod(x, 1e6))
-				}
-			}
-			return out
-		}
-		a, b = clean(a), clean(b)
-		var w1, w2, all Welford
-		for _, x := range a {
-			w1.Add(x)
-			all.Add(x)
-		}
-		for _, x := range b {
-			w2.Add(x)
-			all.Add(x)
-		}
-		w1.Merge(w2)
-		if w1.Count() != all.Count() {
-			return false
-		}
-		if all.Count() == 0 {
-			return true
-		}
-		scale := math.Max(1, math.Abs(all.Mean()))
-		if math.Abs(w1.Mean()-all.Mean()) > 1e-9*scale {
-			return false
-		}
-		vscale := math.Max(1, all.Var())
-		return math.Abs(w1.Var()-all.Var()) <= 1e-8*vscale
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestWelfordEstimatorPrior(t *testing.T) {
 	prior := Normal{Mean: 75, Sigma: 20}
 	e := &WelfordEstimator{Prior: prior}

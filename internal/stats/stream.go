@@ -62,9 +62,6 @@ func (s *Stream) Uniform(lo, hi float64) float64 {
 // NormFloat64 returns a standard normal variate.
 func (s *Stream) NormFloat64() float64 { return s.rng.NormFloat64() }
 
-// ExpFloat64 returns an exponential variate with rate 1.
-func (s *Stream) ExpFloat64() float64 { return s.rng.ExpFloat64() }
-
 // Exponential returns an exponential variate with the given mean. A mean
 // of +Inf returns +Inf (a source that never fires).
 func (s *Stream) Exponential(mean float64) float64 {
@@ -79,6 +76,3 @@ func (s *Stream) IntN(n int) int { return s.rng.IntN(n) }
 
 // Perm returns a pseudo-random permutation of [0, n).
 func (s *Stream) Perm(n int) []int { return s.rng.Perm(n) }
-
-// Shuffle pseudo-randomizes the order of n elements using swap.
-func (s *Stream) Shuffle(n int, swap func(i, j int)) { s.rng.Shuffle(n, swap) }

@@ -5,14 +5,11 @@ import (
 	"sort"
 )
 
-// Summary accumulates scalar samples (latencies, queue lengths) and
-// reports order statistics. It stores samples; for the experiment sizes in
-// this repository (≤ a few hundred thousand deliveries) exact quantiles
-// are affordable and simpler than a sketch.
+// Summary accumulates scalar samples and reports exact order statistics.
+// It stores every sample: latencies go to a Histogram instead.
 type Summary struct {
 	xs     []float64
 	sorted bool
-	sum    float64
 	min    float64
 	max    float64
 }
@@ -30,19 +27,7 @@ func (s *Summary) Add(x float64) {
 		}
 	}
 	s.xs = append(s.xs, x)
-	s.sum += x
 	s.sorted = false
-}
-
-// Count returns the number of samples.
-func (s *Summary) Count() int { return len(s.xs) }
-
-// Mean returns the sample mean, or NaN if empty.
-func (s *Summary) Mean() float64 {
-	if len(s.xs) == 0 {
-		return math.NaN()
-	}
-	return s.sum / float64(len(s.xs))
 }
 
 // Min returns the smallest sample, or NaN if empty.
@@ -82,17 +67,4 @@ func (s *Summary) Quantile(p float64) float64 {
 	}
 	frac := pos - float64(lo)
 	return s.xs[lo]*(1-frac) + s.xs[hi]*frac
-}
-
-// Std returns the sample standard deviation (unbiased), or 0 with fewer
-// than two samples.
-func (s *Summary) Std() float64 {
-	if len(s.xs) < 2 {
-		return 0
-	}
-	var w Welford
-	for _, x := range s.xs {
-		w.Add(x)
-	}
-	return w.Std()
 }
