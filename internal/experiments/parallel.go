@@ -223,36 +223,18 @@ func normalizeStrategy(s core.Strategy) core.Strategy {
 	return s
 }
 
-// configKey renders a config into a cache key covering every
-// behavior-affecting field, or reports it uncacheable. Traced or
-// explicitly-subscribed runs are never cached: their extra inputs have
-// no cheap canonical form and no experiment repeats them. Faults are
-// cacheable — each fault renders with its dynamic type, and the plan
-// validates and orders them deterministically — which is what lets the
-// recovery ablation's kill-half cells hit the run cache.
-//
-// TestConfigKeyCoversAllFields pins the runtime.Config field list; extend
-// this key when adding fields there.
+// configKey renders a config into a cache key covering every field, or
+// reports it uncacheable. Traced or explicitly-subscribed runs are never
+// cached: their extra inputs have no cheap canonical form and no
+// experiment repeats them. The key is the config's Go syntax (%#v): it
+// spells out the dynamic type of the strategy (FIFO{} and RL{} differ)
+// and of every fault — which is what lets the recovery ablation's
+// kill-half cells hit the run cache — and prints an adopted overlay by
+// address, since experiments reuse one *Overlay across the cells that
+// share it. A field added to runtime.Config joins the key by itself.
 func configKey(cfg *runtime.Config) (string, bool) {
 	if cfg.Tracer != nil || cfg.Subscriptions != nil {
 		return "", false
 	}
-	faults := ""
-	for _, f := range cfg.Faults {
-		faults += fmt.Sprintf("%T%+v;", f, f)
-	}
-	// The strategy needs its dynamic type spelled out (%+v alone prints
-	// both FIFO{} and RL{} as "{}"). An adopted overlay is keyed by
-	// identity: experiments reuse one *Overlay across the cells that
-	// share it. TimeScale is keyed even though the simulator ignores it:
-	// cached results are sim-only and the key must stay injective over
-	// the whole config.
-	return fmt.Sprintf("%d|%d|%T%+v|%+v|%+v|%p|%+v|%d|%d|%d|%g|%s|%t|%g|%d|%+v|%+v|%g|%t|%+v",
-		cfg.Seed, cfg.Scenario, cfg.Strategy, cfg.Strategy,
-		cfg.Params, cfg.Workload, cfg.Overlay, cfg.TopologyCfg,
-		cfg.Multipath, cfg.MeasureSamples, cfg.LinkModel, cfg.MinRate,
-		faults, cfg.PerSubscriber, cfg.TimeScale,
-		cfg.LiveShards, cfg.Recovery, cfg.Reliability, cfg.TimelineBucket,
-		cfg.Aggregate, cfg.Admission,
-	), true
+	return fmt.Sprintf("%#v", *cfg), true
 }

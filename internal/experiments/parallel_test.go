@@ -10,6 +10,7 @@ import (
 	"bdps/internal/msg"
 	"bdps/internal/runtime"
 	"bdps/internal/simnet"
+	"bdps/internal/trace"
 	"bdps/internal/vtime"
 	"bdps/internal/workload"
 )
@@ -345,31 +346,73 @@ func TestConfigKey(t *testing.T) {
 
 func ptr(c runtime.Config) *runtime.Config { return &c }
 
-// TestConfigKeyCoversAllFields pins the runtime.Config field list so a
-// new field cannot silently escape the cache key (which would let two
-// different runs share one cached result).
+// TestConfigKeyCoversAllFields sets each top-level runtime.Config field,
+// one at a time, to a non-zero value and checks that the key changes —
+// so no field, present or future, can escape the cache key and let two
+// different runs share one cached result — or, for the tracer and an
+// explicit population, that the config is refused.
 func TestConfigKeyCoversAllFields(t *testing.T) {
-	want := map[string]bool{
-		"Seed": true, "Scenario": true, "Strategy": true, "Params": true,
-		"Workload": true, "Overlay": true, "TopologyCfg": true,
-		"Multipath": true, "MeasureSamples": true, "LinkModel": true,
-		"MinRate": true, "Faults": true, "Tracer": true,
-		"PerSubscriber": true, "Subscriptions": true,
-		"TimeScale": true, "LiveShards": true, "Recovery": true,
-		"Reliability": true, "TimelineBucket": true, "Aggregate": true,
-		"Admission": true,
+	base, ok := configKey(&runtime.Config{})
+	if !ok {
+		t.Fatal("zero config must be cacheable")
 	}
 	rt := reflect.TypeOf(runtime.Config{})
 	for i := 0; i < rt.NumField(); i++ {
-		name := rt.Field(i).Name
-		if !want[name] {
-			t.Errorf("runtime.Config gained field %q: extend configKey (and this list)", name)
+		f := rt.Field(i)
+		var cfg runtime.Config
+		reflect.ValueOf(&cfg).Elem().Field(i).Set(nonZero(t, f.Type))
+		k, ok := configKey(&cfg)
+		switch {
+		case f.Name == "Tracer" || f.Name == "Subscriptions":
+			if ok {
+				t.Errorf("config with %s set got a key", f.Name)
+			}
+		case !ok:
+			t.Errorf("config with %s set is uncacheable", f.Name)
+		case k == base:
+			t.Errorf("setting %s leaves the key unchanged", f.Name)
 		}
-		delete(want, name)
 	}
-	for name := range want {
-		t.Errorf("runtime.Config lost field %q: prune configKey (and this list)", name)
+}
+
+// nonZero returns a non-zero value of type t: scalars set to one, a
+// struct with its first field set, a one-element slice, a fresh pointee,
+// and for an interface a value from a fixed table.
+func nonZero(t *testing.T, typ reflect.Type) reflect.Value {
+	t.Helper()
+	v := reflect.New(typ).Elem()
+	switch typ.Kind() {
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		v.SetInt(1)
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		v.SetUint(1)
+	case reflect.Float32, reflect.Float64:
+		v.SetFloat(1)
+	case reflect.String:
+		v.SetString("x")
+	case reflect.Pointer:
+		v.Set(reflect.New(typ.Elem()))
+	case reflect.Slice:
+		v.Set(reflect.MakeSlice(typ, 1, 1))
+		v.Index(0).Set(nonZero(t, typ.Elem()))
+	case reflect.Struct:
+		v.Field(0).Set(nonZero(t, typ.Field(0).Type))
+	case reflect.Interface:
+		impl, ok := map[reflect.Type]any{
+			reflect.TypeFor[core.Strategy](): core.MaxEB{},
+			reflect.TypeFor[runtime.Fault](): runtime.BrokerCrash{ID: 1},
+			reflect.TypeFor[trace.Tracer]():  trace.Nop{},
+		}[typ]
+		if !ok {
+			t.Fatalf("no non-zero value for interface %v", typ)
+		}
+		v.Set(reflect.ValueOf(impl))
+	default:
+		t.Fatalf("no non-zero value for %v", typ)
 	}
+	return v
 }
 
 // TestRunAllDeterministicError: the first error by batch index wins,

@@ -45,10 +45,7 @@ func TestNodeChurnStateBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	ov := &topology.Overlay{Graph: g, Ingress: []msg.NodeID{0}, Edges: []msg.NodeID{1}}
-	n, err := NewNode(NodeConfig{
-		ID: 1, Overlay: ov, Scenario: msg.PSD,
-		Strategy: core.MaxEB{}, TimeScale: 1e-6, Seed: 1,
-	})
+	n, err := NewNode(NodeConfig{ID: 1, Plan: barePlan(t, ov, core.MaxEB{}), TimeScale: 1e-6})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package livenet
 
 import (
+	"errors"
 	"fmt"
 	"path/filepath"
 	"slices"
@@ -19,35 +20,37 @@ import (
 // ClusterConfig starts every broker of an overlay in one process, on
 // loopback TCP — the quickest way to run the live system end to end.
 //
-// Two modes: with Plan set, the cluster is a static deployment of a
-// runtime.Plan (pre-assembled brokers, routing tables, multipath, dedup,
-// plan link pacers) and the remaining fields are derived from the plan.
-// Without a plan, brokers start with empty tables and subscriptions
-// flood dynamically.
+// Every node runs a runtime.Plan. With Plan set, the cluster deploys it
+// (pre-assembled brokers and routing tables, its links, its faults and
+// schedule) and ignores Overlay, Scenario, Params, Strategy, Seed,
+// Multipath, Aggregate, LinkLoss, Reliability and Admission: they are
+// the plan's. Without one, StartCluster maps those fields onto one
+// runtime.Config — no subscriptions, LinkLoss as a wildcard fault — and
+// assembles it (runtime.Assemble): brokers start with empty tables and
+// subscriptions flood dynamically.
 type ClusterConfig struct {
 	Overlay  *topology.Overlay
 	Scenario msg.Scenario
 	Params   core.Params
 	Strategy core.Strategy
 	// TimeScale is every node's link time and Clock their clock time (see
-	// the package comment). A plan cluster defaults TimeScale to the
-	// plan's and Clock to a clock anchored at start on that scale, so the
-	// two agree; a standalone one defaults TimeScale to 1 and Clock to the
+	// the package comment). With a Plan, TimeScale defaults to the plan's
+	// and Clock to a clock anchored at start on that scale, so the two
+	// agree; without one, TimeScale defaults to 1 and Clock to the
 	// absolute wall clock at scale 1.
 	TimeScale float64
 	Clock     *runtime.WallClock
 	Seed      uint64
 
-	// Plan deploys a pre-assembled runtime plan (static mode).
+	// Plan deploys a pre-assembled runtime plan.
 	Plan *runtime.Plan
 	// Sink, when non-nil, is every node's tap (NodeConfig.Sink), safe for
 	// concurrent use. runtime's live transport sets none.
 	Sink runtime.Sink
-	// Multipath > 1 makes dynamic subscription floods install K paths
-	// (static mode takes multipath from the plan instead).
+	// Multipath > 1 makes subscription floods install K paths.
 	Multipath int
 	// Aggregate enables covering-based subscription aggregation on every
-	// node (static mode takes it from the plan's config instead).
+	// node.
 	Aggregate bool
 
 	// Deprecated: ignored. Every connection's read loop processes its
@@ -58,27 +61,26 @@ type ClusterConfig struct {
 	// first).
 	Burst int
 
-	// LinkLoss, in standalone (no-plan) mode, injects one loss adversary
-	// spec on every overlay arc — the loadgen's way of driving the same
-	// fault model at full rate. Plan deployments derive per-arc
-	// adversaries from the plan's LinkLoss faults instead and ignore it.
+	// LinkLoss injects one loss adversary on every overlay arc — the
+	// loadgen's way of driving the same fault model at full rate — as a
+	// wildcard runtime.LinkLoss fault (its From and To are ignored),
+	// validated as the plan validates faults.
 	LinkLoss *runtime.LinkLoss
-	// Reliability tunes retransmission and the reorder window in
-	// standalone mode (plan mode takes it from the plan's config).
+	// Reliability tunes retransmission and the reorder window.
 	Reliability runtime.Reliability
 
 	// MaxEgress bounds every node's total output-queue occupancy (see
 	// NodeConfig.MaxEgress); 0 disables backpressure.
 	MaxEgress int
-	// Admission enables node-local online admission control on every
-	// node in standalone mode (see NodeConfig.Admission). Plan
-	// deployments gate admission in the plan instead and ignore it.
+	// Admission arms shedding in every broker and, when Enabled, the
+	// node-local publisher gate on every node (see NodeConfig.Admission).
+	// A deployed Plan gates in its admission sweep instead.
 	Admission runtime.Admission
 
 	// StateRoot, when set, gives every broker a durable state directory
 	// (StateRoot/broker-<id>) — the write-ahead log and snapshots that
-	// let a crashed broker warm-rejoin via RestartNode. Plan deployments
-	// checkpoint each broker's deployed routing table into it at start.
+	// let a crashed broker warm-rejoin via RestartNode. StartCluster
+	// checkpoints each broker's deployed routing table into it.
 	StateRoot string
 
 	// Heartbeat enables per-link failure detection on every node.
@@ -100,7 +102,7 @@ type Cluster struct {
 	Nodes map[msg.NodeID]*Node
 	addrs map[msg.NodeID]string
 	clock *runtime.WallClock
-	// subs is a plan cluster's static subscription population, where a
+	// subs is the plan's static subscription population, where a
 	// SessionDown finds its subscriber's edge.
 	subs []*msg.Subscription
 
@@ -128,20 +130,15 @@ type Cluster struct {
 // connects every overlay link. On error, everything already started is
 // stopped.
 func StartCluster(cfg ClusterConfig) (*Cluster, error) {
-	if cfg.Plan != nil {
-		cfg.Overlay = cfg.Plan.Overlay
-		if cfg.TimeScale <= 0 {
-			cfg.TimeScale = cfg.Plan.Cfg.TimeScale
-		}
-	}
-	if cfg.Overlay == nil {
-		return nil, fmt.Errorf("livenet: nil overlay")
+	p := cfg.Plan
+	if p != nil && cfg.TimeScale <= 0 {
+		cfg.TimeScale = p.Cfg.TimeScale
 	}
 	if cfg.TimeScale <= 0 {
 		cfg.TimeScale = 1
 	}
 	if cfg.Clock == nil {
-		if cfg.Plan != nil {
+		if p != nil {
 			// A plan's publication schedule starts near emulated time 0,
 			// so a plan cluster needs an anchored, compressed clock — the
 			// absolute wall clock would judge every delivery as eons
@@ -151,74 +148,41 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 			cfg.Clock = runtime.AbsoluteWallClock(1)
 		}
 	}
-	// Per-node link specs from the plan's deterministic link enumeration,
-	// so live links draw the same rate sequences the simulator would and
-	// face its exact fault decisions.
-	links := make(map[msg.NodeID]map[msg.NodeID]runtime.LinkSpec)
-	setLink := func(from, to msg.NodeID, spec runtime.LinkSpec) {
-		if links[from] == nil {
-			links[from] = make(map[msg.NodeID]runtime.LinkSpec)
+	var admission runtime.Admission
+	if p == nil {
+		var err error
+		if p, err = cfg.assemble(); err != nil {
+			return nil, err
 		}
-		links[from][to] = spec
-	}
-	rel := cfg.Reliability.Defaulted()
-	if cfg.Plan != nil {
-		rel = cfg.Plan.Cfg.Reliability
-		for _, l := range cfg.Plan.Links {
-			setLink(l.From, l.To, cfg.Plan.LinkSpec(l))
-		}
-	} else if cfg.LinkLoss != nil {
-		// Standalone wildcard adversary: one seed-stable decision stream
-		// per arc, indexed in the sorted enumeration.
-		for i, arc := range cfg.Overlay.Graph.SortedArcs() {
-			belief, _ := cfg.Overlay.Graph.Rate(arc[0], arc[1])
-			setLink(arc[0], arc[1], runtime.LinkSpec{
-				Loss:  runtime.NewLossModel(cfg.Seed, i, *cfg.LinkLoss),
-				Retry: runtime.NewRetryPolicy(rel, belief, cfg.Params.PD),
-			})
-		}
+		admission = p.Cfg.Admission
 	}
 	c := &Cluster{
 		Nodes:    make(map[msg.NodeID]*Node),
 		addrs:    make(map[msg.NodeID]string),
 		clock:    cfg.Clock,
+		subs:     p.Subs,
 		nodeCfgs: make(map[msg.NodeID]NodeConfig),
-	}
-	if cfg.Plan != nil {
-		c.subs = cfg.Plan.Subs
 	}
 	fail := func(err error) (*Cluster, error) {
 		c.Stop()
 		return nil, err
 	}
-	for id := 0; id < cfg.Overlay.Graph.N(); id++ {
+	for id := 0; id < p.Overlay.Graph.N(); id++ {
 		nid := msg.NodeID(id)
 		nc := NodeConfig{
-			ID:            nid,
-			Overlay:       cfg.Overlay,
-			Scenario:      cfg.Scenario,
-			Params:        cfg.Params,
-			Strategy:      cfg.Strategy,
-			TimeScale:     cfg.TimeScale,
-			Seed:          cfg.Seed,
-			Multipath:     cfg.Multipath,
-			Aggregate:     cfg.Aggregate,
-			Clock:         cfg.Clock,
-			Sink:          cfg.Sink,
-			Links:         links[nid],
-			ReorderWindow: rel.Window,
-			Burst:         cfg.Burst,
-			MaxEgress:     cfg.MaxEgress,
-			Heartbeat:     cfg.Heartbeat,
-			OnPeerEvent:   cfg.OnPeerEvent,
+			ID:          nid,
+			TimeScale:   cfg.TimeScale,
+			Plan:        p,
+			Clock:       cfg.Clock,
+			Sink:        cfg.Sink,
+			Burst:       cfg.Burst,
+			MaxEgress:   cfg.MaxEgress,
+			Admission:   admission,
+			Heartbeat:   cfg.Heartbeat,
+			OnPeerEvent: cfg.OnPeerEvent,
 		}
 		if cfg.StateRoot != "" {
 			nc.StateDir = filepath.Join(cfg.StateRoot, fmt.Sprintf("broker-%d", id))
-		}
-		if cfg.Plan != nil {
-			nc.Plan = cfg.Plan
-		} else {
-			nc.Admission = cfg.Admission
 		}
 		c.nodeCfgs[nid] = nc
 		n, err := NewNode(nc)
@@ -250,6 +214,33 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 	return c, nil
 }
 
+// assemble builds the plan a cluster without one runs: its fields as one
+// runtime.Config with no subscriptions and LinkLoss as a wildcard fault.
+func (cfg ClusterConfig) assemble() (*runtime.Plan, error) {
+	if cfg.Overlay == nil {
+		return nil, errors.New("livenet: nil overlay")
+	}
+	rc := runtime.Config{
+		Seed:          cfg.Seed,
+		Scenario:      cfg.Scenario,
+		Strategy:      cfg.Strategy,
+		Params:        cfg.Params,
+		Overlay:       cfg.Overlay,
+		Multipath:     cfg.Multipath,
+		Aggregate:     cfg.Aggregate,
+		Subscriptions: []*msg.Subscription{},
+		TimeScale:     cfg.TimeScale,
+		Reliability:   cfg.Reliability,
+		Admission:     cfg.Admission,
+	}
+	if cfg.LinkLoss != nil {
+		wild := *cfg.LinkLoss
+		wild.From, wild.To = msg.None, msg.None
+		rc.Faults = []runtime.Fault{wild}
+	}
+	return runtime.Assemble(rc)
+}
+
 // Node returns one broker under the cluster lock — the accessor to use
 // while RestartNode may be swapping incarnations concurrently.
 func (c *Cluster) Node(id msg.NodeID) *Node {
@@ -261,7 +252,7 @@ func (c *Cluster) Node(id msg.NodeID) *Node {
 // RestartNode replaces a crashed broker with a fresh incarnation
 // recovered from its durable state directory: a new node (new listener,
 // new epoch, send watermarks and routing table replayed from the WAL,
-// the broker around it built as the plan builds it on a plan cluster),
+// the broker around it built by the plan's constructor),
 // swapped into the cluster, connected out to its neighbors, and
 // re-dialed by them at its new address. The new node counts the
 // distinct subscriptions its log reinstalled (RestartReplayedSubs).
@@ -316,7 +307,7 @@ func (c *Cluster) RestartNode(id msg.NodeID, onReady func(*Node)) (*Node, error)
 	}
 	// Surviving neighbors swap their connections to the reborn broker's
 	// new address; their heartbeat monitors then see it alive again.
-	for _, e := range nc.Overlay.Graph.Neighbors(id) {
+	for _, e := range nc.Plan.Overlay.Graph.Neighbors(id) {
 		if nb := c.Node(e.To); nb != nil && !nb.Stopped() {
 			if err := nb.ReconnectPeer(id, addr); err != nil {
 				return n, err
@@ -351,8 +342,8 @@ func (c *Cluster) snapshotNodes() []*Node {
 
 // ArmFaults schedules injected failures on the cluster clock from now:
 // link outages, broker crashes, broker restarts (through RestartNode,
-// with onRestart as its onReady hook) and, on a plan cluster, subscriber
-// session outages. LinkLoss is not an event: StartCluster arms it on the
+// with onRestart as its onReady hook) and subscriber session outages of
+// the plan's population. LinkLoss is not an event: StartCluster arms it on the
 // links. Offsets are clock time (see the package comment), whatever the
 // TimeScale. Stop cancels the faults that have not struck and waits for
 // those striking.

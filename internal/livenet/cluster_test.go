@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"bdps/internal/core"
+	"bdps/internal/filter"
 	"bdps/internal/msg"
 	"bdps/internal/runtime"
 )
@@ -102,5 +103,92 @@ func TestStopWaitsForStrikingFault(t *testing.T) {
 			t.Fatalf("goroutines leaked after Stop: %d > baseline %d\n%s", grt.NumGoroutine(), baseline, buf[:n])
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestStartClusterRefusesInvalidLinkLoss: a cluster without a plan
+// validates its LinkLoss as the plan validates faults — a certain drop
+// is refused, not armed on every arc.
+func TestStartClusterRefusesInvalidLinkLoss(t *testing.T) {
+	c, err := StartCluster(ClusterConfig{
+		Overlay: tinyOverlay(t), Scenario: msg.PSD, Strategy: core.MaxEB{},
+		TimeScale: 1e-6, Seed: 1,
+		LinkLoss: &runtime.LinkLoss{From: msg.None, To: msg.None, Rate: 1},
+	})
+	if err == nil {
+		c.Stop()
+		t.Fatal("a LinkLoss Rate of 1 was accepted")
+	}
+}
+
+// TestStandaloneClusterChargesItsPlansLoss: a cluster started without a
+// plan runs the plan its fields map onto. Driven like a cluster
+// deploying that plan — same chain, seed, clock and wildcard adversary,
+// one publisher, one match-all subscriber — it charges the same loss
+// ledger: the same adversary decisions on the same link indices, healed
+// by the same retry policy.
+func TestStandaloneClusterChargesItsPlansLoss(t *testing.T) {
+	const n = 200
+	loss := runtime.LinkLoss{From: msg.None, To: msg.None, Rate: 0.1, Dup: 0.02}
+	drive := func(cfg ClusterConfig) Stats {
+		t.Helper()
+		c, err := StartCluster(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Stop()
+		s, err := DialSubscriber(c.Addr(2), &msg.Subscription{ID: 1, Edge: 2, Filter: &filter.Filter{}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		s.Clock = c.Clock()
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+			ing := c.Node(0)
+			ing.mu.RLock()
+			routed := len(ing.table.SubEntries(1, nil)) > 0
+			ing.mu.RUnlock()
+			if routed {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("the subscribe flood never reached the ingress")
+			}
+		}
+		p, err := DialPublisher(c.Addr(0), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer p.Close()
+		p.Clock = c.Clock()
+		publishN(t, p, n)
+		collectDeliveries(t, s, make(map[msg.ID]bool), n, 10*time.Second)
+		if err := c.WaitIdle(n, 10*time.Second); err != nil {
+			t.Fatal(err)
+		}
+		return c.TotalStats()
+	}
+	standalone := drive(ClusterConfig{
+		Overlay: tinyOverlay(t), Scenario: msg.PSD, Strategy: core.MaxEB{},
+		TimeScale: 1e-6, Seed: 7, LinkLoss: &loss,
+	})
+	p, err := runtime.Assemble(runtime.Config{
+		Seed: 7, Scenario: msg.PSD, Strategy: core.MaxEB{}, Overlay: tinyOverlay(t),
+		Subscriptions: []*msg.Subscription{}, Faults: []runtime.Fault{loss}, TimeScale: 1e-6,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// On the standalone's clock: a plan cluster's default, anchored at
+	// TimeScale, would expire the bounds within a wall millisecond.
+	planned := drive(ClusterConfig{Plan: p, Clock: runtime.AbsoluteWallClock(1)})
+	if standalone.FramesLost == 0 || standalone.DupsSuppressed == 0 {
+		t.Fatalf("the adversary did nothing: lost %d, dups suppressed %d", standalone.FramesLost, standalone.DupsSuppressed)
+	}
+	if standalone.FramesLost != planned.FramesLost || standalone.Retransmits != planned.Retransmits ||
+		standalone.DupsSuppressed != planned.DupsSuppressed {
+		t.Errorf("standalone lost %d, retransmitted %d, suppressed %d dups; the plan cluster %d, %d, %d",
+			standalone.FramesLost, standalone.Retransmits, standalone.DupsSuppressed,
+			planned.FramesLost, planned.Retransmits, planned.DupsSuppressed)
 	}
 }

@@ -110,7 +110,7 @@ func (n *Node) readLoop(conn net.Conn) {
 	var lr runtime.LinkRecv
 	var deliver []*msg.Message
 	if role == msg.RoleBroker {
-		lr = runtime.NewLinkRecv(n.cfg.ReorderWindow, nodeCount{n})
+		lr = runtime.NewLinkRecv(n.cfg.Plan.Cfg.Reliability.Window, nodeCount{n})
 	}
 
 	// run processes accepted messages in order, each behind the MaxEgress
@@ -309,8 +309,8 @@ func (n *Node) gate(w *worker) bool {
 	return true
 }
 
-// admitPub is the node-local admission gate for standalone (plan-less)
-// deployments: a publisher message is turned away while the node's
+// admitPub is the node-local admission gate (NodeConfig.Admission): a
+// publisher message is turned away while the node's
 // total output backlog — queued entries plus messages accepted whose
 // read loop has not flushed them yet — sits at or beyond the configured
 // queue threshold. The live analogue of the plan-side saturation

@@ -58,7 +58,7 @@ func (n *Node) startHeartbeats() {
 	}
 	now := n.clock.Now()
 	n.hbMu.Lock()
-	for _, e := range n.cfg.Overlay.Graph.Neighbors(n.cfg.ID) {
+	for _, e := range n.cfg.Plan.Overlay.Graph.Neighbors(n.cfg.ID) {
 		// Every neighbor starts alive as of "now": detection latency is
 		// measured from real silence, not from process start-up.
 		n.lastHeard[e.To] = now

@@ -241,49 +241,49 @@ func (n *Node) acceptLoop() {
 }
 
 // ConnectPeers dials every overlay neighbor at the given addresses and
-// starts one sender goroutine per link. Addresses of non-neighbors are
-// ignored.
+// starts one sender goroutine per link, each running the plan's spec of
+// its link (Plan.LinkSpec, under the Links override) with an estimator
+// seeded by the plan's belief. Addresses of non-neighbors are ignored.
 func (n *Node) ConnectPeers(addrs map[msg.NodeID]string) error {
-	for _, e := range n.cfg.Overlay.Graph.Neighbors(n.cfg.ID) {
-		addr, ok := addrs[e.To]
+	p := n.cfg.Plan
+	for _, l := range p.Links {
+		if l.From != n.cfg.ID {
+			continue
+		}
+		addr, ok := addrs[l.To]
 		if !ok {
-			return fmt.Errorf("livenet: broker %d: no address for neighbor %d", n.cfg.ID, e.To)
+			return fmt.Errorf("livenet: broker %d: no address for neighbor %d", n.cfg.ID, l.To)
 		}
 		conn, err := dialRetry(addr, 40, 50*time.Millisecond)
 		if err != nil {
-			return fmt.Errorf("livenet: broker %d dialing %d: %w", n.cfg.ID, e.To, err)
+			return fmt.Errorf("livenet: broker %d dialing %d: %w", n.cfg.ID, l.To, err)
 		}
 		hello := msg.AppendHello(nil, msg.RoleBroker, n.cfg.ID, n.epoch.Load())
 		if err := msg.WriteFrame(conn, msg.FrameHello, hello); err != nil {
 			conn.Close()
 			return err
 		}
-		spec := n.cfg.Links[e.To]
-		if spec.Sampler == nil {
-			spec.Sampler = runtime.NewSampler(runtime.LinkNormal, e.Rate, 1)
-			spec.Stream = stats.DeriveN(n.cfg.Seed, "livenet/link", int(n.cfg.ID)<<16|int(uint16(e.To)))
+		spec := p.LinkSpec(l)
+		if o, ok := n.cfg.Links[l.To]; ok {
+			spec.Loss, spec.Retry = o.Loss, o.Retry
 		}
 		// Every link runs the one sender: a nil adversary is a clean link.
 		// A restarted incarnation resumes the link sequence from the
 		// checkpointed watermark (zero without one).
-		ls := runtime.NewLinkSend(n.cfg.ID, e.To, spec, nil)
-		ls.Resume(n.recovered.Marks[e.To])
+		ls := runtime.NewLinkSend(n.cfg.ID, l.To, spec, nil)
+		ls.Resume(n.recovered.Marks[l.To])
 		pc := &peerConn{conn: conn}
 		wake := make(chan struct{}, 1)
-		prior := e.Rate
-		if n.cfg.Plan != nil {
-			prior = n.cfg.Plan.Beliefs(n.cfg.ID, e.To)
-		}
-		est := &linkEstimate{est: stats.WelfordEstimator{Prior: prior}}
+		est := &linkEstimate{est: stats.WelfordEstimator{Prior: p.Beliefs(n.cfg.ID, l.To)}}
 		n.mu.Lock()
-		n.peers[e.To] = pc
-		n.wake[e.To] = wake
-		n.estimates[e.To] = est
-		n.linkSenders[e.To] = &ls
+		n.peers[l.To] = pc
+		n.wake[l.To] = wake
+		n.estimates[l.To] = est
+		n.linkSenders[l.To] = &ls
 		n.mu.Unlock()
 
 		n.wg.Add(1)
-		go n.senderLoop(e.To, pc, wake, &ls, est)
+		go n.senderLoop(l.To, pc, wake, &ls, est)
 	}
 	n.startHeartbeats()
 	return nil

@@ -9,6 +9,7 @@ import (
 	"bdps/internal/core"
 	"bdps/internal/filter"
 	"bdps/internal/msg"
+	"bdps/internal/runtime"
 	"bdps/internal/stats"
 	"bdps/internal/topology"
 	"bdps/internal/vtime"
@@ -29,6 +30,21 @@ func tinyOverlay(t testing.TB) *topology.Overlay {
 		Ingress: []msg.NodeID{0},
 		Edges:   []msg.NodeID{2},
 	}
+}
+
+// barePlan assembles the plan a node built directly runs: the overlay's
+// brokers under one strategy, no subscriptions and no schedule — what
+// StartCluster assembles for a cluster without a plan.
+func barePlan(t testing.TB, ov *topology.Overlay, st core.Strategy) *runtime.Plan {
+	t.Helper()
+	p, err := runtime.Assemble(runtime.Config{
+		Seed: 1, Scenario: msg.PSD, Strategy: st, Overlay: ov,
+		Subscriptions: []*msg.Subscription{},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }
 
 func startTinyCluster(t *testing.T, scenario msg.Scenario) *Cluster {
@@ -522,15 +538,15 @@ func TestMetricsLinkGauges(t *testing.T) {
 }
 
 func TestNodeConfigValidation(t *testing.T) {
-	if _, err := NewNode(NodeConfig{}); err == nil {
-		t.Error("nil overlay should fail")
+	if _, err := NewNode(NodeConfig{TimeScale: 1}); err == nil {
+		t.Error("nil plan should fail")
 	}
-	ov := tinyOverlay(t)
-	if _, err := NewNode(NodeConfig{Overlay: ov, TimeScale: 1}); err == nil {
-		t.Error("nil strategy should fail")
-	}
-	if _, err := NewNode(NodeConfig{Overlay: ov, Strategy: core.FIFO{}}); err == nil {
+	p := barePlan(t, tinyOverlay(t), core.FIFO{})
+	if _, err := NewNode(NodeConfig{Plan: p}); err == nil {
 		t.Error("zero TimeScale should fail")
+	}
+	if _, err := NewNode(NodeConfig{ID: 3, Plan: p, TimeScale: 1}); err == nil {
+		t.Error("a broker outside the plan should fail")
 	}
 }
 

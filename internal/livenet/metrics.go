@@ -97,7 +97,7 @@ func (c *Cluster) RenderMetrics() string {
 	const rateLine = "bdps_link_rate_ms_per_kb{from=\"%d\",to=\"%d\",source=\"%s\",stat=\"%s\"} %g\n"
 	for _, id := range c.nodeIDs() {
 		n := c.Node(id)
-		for _, e := range n.cfg.Overlay.Graph.Neighbors(id) {
+		for _, e := range n.cfg.Plan.Overlay.Graph.Neighbors(id) {
 			belief, ok := n.linkBelief(e.To)
 			if !ok {
 				continue
@@ -115,7 +115,7 @@ func (c *Cluster) RenderMetrics() string {
 	fmt.Fprintf(&b, "# HELP bdps_peer_up Whether a broker's heartbeat monitor holds a neighbor alive (1 without heartbeats).\n# TYPE bdps_peer_up gauge\n")
 	for _, id := range c.nodeIDs() {
 		n := c.Node(id)
-		for _, e := range n.cfg.Overlay.Graph.Neighbors(id) {
+		for _, e := range n.cfg.Plan.Overlay.Graph.Neighbors(id) {
 			up := 1
 			if _, dead := n.PeerLiveness(e.To); dead {
 				up = 0

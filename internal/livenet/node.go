@@ -17,13 +17,13 @@
 //     distribution: the paper's delay model — cuts the egress bursts, and
 //     turns the measured transfer times back into link estimates.
 //
-// The two are equal on every plan cluster. A standalone node's default
-// clock is the absolute wall clock (Unix epoch, scale 1) that
-// multi-process deployments share without coordination, while its
-// TimeScale compresses the link emulation or, near 0, switches it off
-// (throughput benchmarks). Waits on real time stay on package time: write
-// deadlines, dialRetry's timeout and backoff, the egress gate's poll,
-// WaitIdle's timeout and polls, and Subscriber.Receive.
+// The two are equal on a cluster deploying a runtime.Plan's schedule. A
+// cluster started without one keeps the absolute wall clock (Unix epoch,
+// scale 1) that multi-process deployments share without coordination,
+// while its TimeScale compresses the link emulation or, near 0, switches
+// it off (throughput benchmarks). Waits on real time stay on package
+// time: write deadlines, dialRetry's timeout and backoff, the egress
+// gate's poll, WaitIdle's timeout and polls, and Subscriber.Receive.
 //
 // There is one broker-to-broker link, the simulator's: both backends
 // drive the same sending and receiving halves (runtime/link.go), and
@@ -32,19 +32,22 @@
 // sequence and its incarnation epoch, clean link or lossy; FrameMessage
 // is what a publisher hands its ingress broker and nothing else.
 //
-// Nodes run in two modes. A plan node runs one broker of a
-// runtime.Plan (static routing tables, multipath, dedup), rebuilt by
-// the plan's constructor when it is reborn. Without a plan,
-// subscriptions are dynamic: a subscriber client sends its subscription
-// to its edge broker, which floods it across the overlay; every broker
-// independently computes the deterministic path(s) from each ingress —
-// K paths when Multipath is set — and installs its routing entries.
-// Messages published before a subscription has propagated may miss it —
-// exactly the transient any real pub/sub overlay has.
+// Every node runs one broker of a runtime.Plan: the plan's broker,
+// rebuilt by the plan's constructor when the node is reborn, its links
+// drawn and faced as the plan's, its estimators seeded with the plan's
+// beliefs. A plan built by runtime.NewPlan brings a static population
+// and its schedule; one built by runtime.Assemble with no subscriptions
+// (StartCluster without a Plan, cmd/bdps-broker) brings neither. Either
+// way subscriptions also arrive dynamically: a subscriber client sends
+// its subscription to its edge broker, which floods it across the
+// overlay; every broker independently computes the deterministic
+// path(s) from each ingress — K paths under the plan's Multipath — and
+// installs its routing entries. Messages published before a
+// subscription has propagated may miss it — exactly the transient any
+// real pub/sub overlay has.
 package livenet
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"net"
@@ -58,54 +61,33 @@ import (
 	"bdps/internal/msg"
 	"bdps/internal/routing"
 	"bdps/internal/runtime"
-	"bdps/internal/topology"
 	"bdps/internal/vtime"
 )
 
 // NodeConfig assembles a live broker.
 type NodeConfig struct {
-	ID       msg.NodeID
-	Overlay  *topology.Overlay
-	Scenario msg.Scenario
-	Params   core.Params
-	Strategy core.Strategy
+	ID msg.NodeID
 	// TimeScale is the link time's scale, wall ms per emulated ms (see the
 	// package comment); tests use ~0.002. Must be > 0.
 	TimeScale float64
-	// Seed drives the link-rate samplers.
-	Seed uint64
 
-	// Plan, when non-nil, makes this a plan node: it runs the plan's
-	// broker (Plan.Brokers[ID]) holding Plan.Subs, installs flooded
-	// subscriptions on Plan.Beliefs, and when reborn from StateDir runs
-	// Plan.NewBroker's build around its recovered table. Overlay,
-	// Multipath and Aggregate are then the plan's; Scenario, Params and
-	// Strategy are ignored. Nil means the node builds its own broker with
-	// an empty table filled by dynamic floods.
+	// Plan is the deployment the node runs broker ID of (required): the
+	// overlay, the broker (Plan.Brokers[ID], holding Plan.Subs; reborn
+	// from StateDir, Plan.NewBroker's build around its recovered table),
+	// the links (Plan.LinkSpec), the beliefs flooded subscriptions are
+	// routed on and link estimators start from, multipath, aggregation
+	// and the reorder window (Plan.Cfg.Reliability.Window).
 	Plan *runtime.Plan
-	// Multipath > 1 makes dynamic subscription floods install K paths per
-	// ingress, with message dedup at every broker.
-	Multipath int
-	// Aggregate enables covering-based subscription aggregation: this
-	// node makes the owner-side covering decision for subscriptions whose
-	// edge broker it is, suppressing the subscribe flood when a resident
-	// filter with identical delivery terms already covers the newcomer.
-	Aggregate bool
 	// Clock is the node's clock time (see the package comment); nil means
 	// the absolute wall clock at scale 1 (multi-process default).
 	Clock *runtime.WallClock
 	// Sink, when non-nil, is a tap fed every count and delivery the node
 	// records, concurrently. runtime's live transport sets none.
 	Sink runtime.Sink
-	// Links supplies each outgoing link's spec (runtime.Plan.LinkSpec
-	// derives them from the plan's deterministic link enumeration, so live
-	// links draw the simulator's rates and face its exact adversary). A
-	// link without a sampler paces at the overlay's truncated-normal rates
-	// on a stream derived from Seed; one without an adversary is clean.
+	// Links is a test override: it replaces the adversary and retry
+	// policy of the plan's link to each neighbor it names (the rate
+	// sampler stays the plan's), for adversaries plan validation refuses.
 	Links map[msg.NodeID]runtime.LinkSpec
-	// ReorderWindow bounds each inbound link's reorder-heal buffer, in
-	// frames (Reliability.Window; its default when ≤ 0).
-	ReorderWindow int
 
 	// Heartbeat enables per-link failure detection (heartbeat.go); the
 	// zero value disables it.
@@ -125,13 +107,13 @@ type NodeConfig struct {
 	// gate.
 	MaxEgress int
 
-	// Admission enables node-local online admission control for
-	// standalone (plan-less) deployments: publisher messages arriving
-	// while the node's total output backlog is at least
+	// Admission, when Enabled, gates publishers at the node: publisher
+	// messages arriving while the node's total output backlog is at least
 	// Admission.MaxQueue entries are rejected at the door and counted in
-	// Stats.PubsRejected. Plan deployments gate admission centrally in
-	// the plan instead (runtime.Plan admission sweep); enabling both
-	// would double-gate.
+	// Stats.PubsRejected. StartCluster sets it, from its plan's defaulted
+	// config, only on a cluster it built the plan for; a deployed
+	// schedule is gated centrally by the plan's admission sweep instead,
+	// and enabling both would double-gate.
 	Admission runtime.Admission
 
 	// StateDir, when non-empty, makes the node durable: subscription
@@ -188,9 +170,9 @@ type Node struct {
 	// sessions holds per-subscriber resumable delivery state — the
 	// attached connection, the delivery sequence numbers and a bounded
 	// replay ring (session.go) — for every locally attached subscriber
-	// and every plan-mode suspended subscription. The map is guarded by
-	// mu and written only with it held exclusively; each session's own
-	// state is under the session's lock.
+	// and every subscription a SessionDown fault suspended. The map is
+	// guarded by mu and written only with it held exclusively; each
+	// session's own state is under the session's lock.
 	sessions map[msg.SubID]*session
 
 	// mu guards the mutable routing-side state below. Read loops hold it
@@ -249,7 +231,8 @@ type Node struct {
 	// The read loops gate on it alone (MaxEgress): it only counts work
 	// that drains without their help, and each loop adds at most one
 	// message's fan-out past the gate before its enqueues show here.
-	// Standalone admission consults it as the node's load signal.
+	// The node-local admission gate consults it as the node's load
+	// signal.
 	egress atomic.Int64
 
 	// Quiescence counters (atomic): frames sent to / received from peer
@@ -285,25 +268,15 @@ type Stats struct {
 
 // NewNode validates the configuration and builds a node.
 func NewNode(cfg NodeConfig) (*Node, error) {
-	ledger := &metrics.Collector{}
-	if p := cfg.Plan; p != nil {
-		ledger = p.Metrics.Blank()
-		if p.Brokers[cfg.ID] == nil {
-			return nil, fmt.Errorf("livenet: broker %d is not in the plan", cfg.ID)
-		}
-		cfg.Overlay, cfg.Multipath, cfg.Aggregate = p.Overlay, p.Cfg.Multipath, p.Cfg.Aggregate
+	p := cfg.Plan
+	if p == nil {
+		return nil, errors.New("livenet: nil plan")
 	}
-	if cfg.Overlay == nil {
-		return nil, errors.New("livenet: nil overlay")
+	if p.Brokers[cfg.ID] == nil {
+		return nil, fmt.Errorf("livenet: broker %d is not in the plan", cfg.ID)
 	}
 	if cfg.TimeScale <= 0 {
 		return nil, fmt.Errorf("livenet: TimeScale %v must be > 0", cfg.TimeScale)
-	}
-	if cfg.Admission.Enabled || cfg.Admission.Shed {
-		cfg.Admission = cfg.Admission.Defaulted()
-	}
-	if cfg.Plan == nil && cfg.Strategy == nil {
-		return nil, errors.New("livenet: nil strategy")
 	}
 	clock := cfg.Clock
 	if clock == nil {
@@ -325,7 +298,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		peerEpochs:  make(map[msg.NodeID]uint32),
 		linkSenders: make(map[msg.NodeID]*runtime.LinkSend),
 		sessions:    make(map[msg.SubID]*session),
-		ledger:      ledger,
+		ledger:      p.Metrics.Blank(),
 	}
 	n.epoch.Store(cfg.Epoch)
 	if cfg.StateDir != "" {
@@ -333,72 +306,38 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 			return nil, err
 		}
 	}
-	// A reborn node's table is the one its log recovered. A plan node
-	// runs the plan's broker or, reborn, the plan's build of it around
-	// that table, as the simulator's restart does.
-	var table *routing.Table
+	// A node runs the plan's broker or, reborn, the plan's build of it
+	// around the table its log recovered, as the simulator's restart does.
+	n.b = p.Brokers[cfg.ID]
 	if n.restarted {
+		var table *routing.Table
 		table, n.seenSubs = runtime.RecoverTable(cfg.ID, n.recovered.Entries)
 		if len(n.seenSubs) > 0 {
 			n.count(metrics.RestartReplayedSubs, len(n.seenSubs))
 		}
-	}
-	var err error
-	switch {
-	case cfg.Plan != nil && !n.restarted:
-		n.b = cfg.Plan.Brokers[cfg.ID]
-	case cfg.Plan != nil:
-		n.b, err = cfg.Plan.NewBroker(cfg.ID, table)
-	default:
-		if table == nil {
-			table = routing.NewTable(cfg.ID)
-		}
-		means := make(map[msg.NodeID]float64)
-		for _, e := range cfg.Overlay.Graph.Neighbors(cfg.ID) {
-			means[e.To] = e.Rate.Mean
-		}
-		pressure := 0
-		if cfg.Admission.Shed {
-			pressure = cfg.Admission.MaxQueue
-		}
-		n.b, err = broker.New(broker.Config{
-			ID:        cfg.ID,
-			Scenario:  cfg.Scenario,
-			Params:    cmp.Or(cfg.Params, core.DefaultParams()),
-			Strategy:  cfg.Strategy,
-			Table:     table,
-			LinkMeans: means,
-			Dedup:     cfg.Multipath > 1,
-			Pressure:  pressure,
-		})
-	}
-	if err != nil {
-		if n.store != nil {
+		var err error
+		if n.b, err = p.NewBroker(cfg.ID, table); err != nil {
 			_ = n.store.Close()
+			return nil, err
 		}
-		return nil, err
 	}
 	n.table = n.b.Table()
-	if cfg.Aggregate {
+	if p.Cfg.Aggregate {
 		n.agg = routing.NewAggregator()
 	}
-	rates := routing.RateFunc(nil)
-	if p := cfg.Plan; p != nil {
-		rates = p.Beliefs
-		for _, s := range p.Subs {
-			n.seenSubs[s.ID] = true
-			// Covering decisions are per-edge (the delivery-terms key
-			// includes the edge broker), so replaying the owned slice of
-			// the population in order rebuilds the central aggregated
-			// build's decisions; the deployed tables already realize them,
-			// hence the silent Readmit.
-			if n.agg != nil && s.Edge == cfg.ID {
-				n.agg.Readmit(s)
-			}
+	for _, s := range p.Subs {
+		n.seenSubs[s.ID] = true
+		// Covering decisions are per-edge (the delivery-terms key
+		// includes the edge broker), so replaying the owned slice of
+		// the population in order rebuilds the central aggregated
+		// build's decisions; the deployed tables already realize them,
+		// hence the silent Readmit.
+		if n.agg != nil && s.Edge == cfg.ID {
+			n.agg.Readmit(s)
 		}
 	}
-	n.installer = routing.NewInstaller(cfg.Overlay, routing.Options{Rates: rates, Multipath: cfg.Multipath})
-	n.nlinks = int32(len(cfg.Overlay.Graph.Neighbors(cfg.ID)))
+	n.installer = routing.NewInstaller(p.Overlay, routing.Options{Rates: p.Beliefs, Multipath: p.Cfg.Multipath})
+	n.nlinks = int32(len(p.Overlay.Graph.Neighbors(cfg.ID)))
 	n.burst = cfg.Burst
 	if n.burst <= 0 {
 		n.burst = defaultBurst

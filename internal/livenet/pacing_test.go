@@ -121,8 +121,7 @@ func linkSenderNode(t *testing.T, cfg NodeConfig) (*Node, *recordingPeer, *Publi
 		t.Fatal(err)
 	}
 	cfg.ID = 0
-	cfg.Overlay = &topology.Overlay{Graph: g, Ingress: []msg.NodeID{0}, Edges: []msg.NodeID{1}}
-	cfg.Scenario, cfg.Strategy, cfg.Seed = msg.PSD, core.RL{}, 1
+	cfg.Plan = barePlan(t, &topology.Overlay{Graph: g, Ingress: []msg.NodeID{0}, Edges: []msg.NodeID{1}}, core.RL{})
 	n, err := NewNode(cfg)
 	if err != nil {
 		t.Fatal(err)

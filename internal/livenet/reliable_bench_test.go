@@ -47,10 +47,7 @@ func BenchmarkLink(b *testing.B) {
 		{"clean", nil},
 		{"lossy", &runtime.LinkLoss{Rate: 0.2, Dup: 0.1, Reorder: 0.1}},
 	} {
-		n, err := NewNode(NodeConfig{
-			ID: 1, Overlay: tinyOverlay(b), Scenario: msg.PSD,
-			Strategy: core.MaxEB{}, TimeScale: 1,
-		})
+		n, err := NewNode(NodeConfig{ID: 1, Plan: barePlan(b, tinyOverlay(b), core.MaxEB{}), TimeScale: 1})
 		if err != nil {
 			b.Fatal(err)
 		}

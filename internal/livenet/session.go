@@ -74,7 +74,7 @@ type session struct {
 	sub *msg.Subscription
 
 	mu sync.Mutex
-	// peer is the attached subscriber connection; nil for a plan-mode
+	// peer is the attached subscriber connection; nil for a modeled
 	// session (SessionSuspend), which has no wire and retains sequence
 	// and deadline data only.
 	peer *peerConn
@@ -82,7 +82,7 @@ type session struct {
 	// sent is the last sequence handed to the wire (or given up on): the
 	// deliveries in (sent, seq] sit in the ring waiting for flush.
 	sent uint64
-	// lastAck is the plan-mode resume token: the sequence last delivered
+	// lastAck is the modeled resume token: the sequence last delivered
 	// before a scheduled suspension (real clients carry their token
 	// themselves).
 	lastAck uint64
@@ -195,7 +195,7 @@ func (s *session) flushLocked(w *worker) {
 // local client connection — zero modeled delay, σ = 0 — so the admission
 // CDF degenerates to "slack ≥ 0". A delivery whose bound still holds is
 // written to `to` and counted replayed; an expired one is counted
-// instead of arriving late. A nil `to` (plan mode) does the accounting
+// instead of arriving late. A nil `to` (a modeled session) does the accounting
 // without any wire writes. Deliveries still waiting for their flush are
 // past any token a client can hold, so a replay onto a wire sends them
 // too and moves the sent mark to seq: a resume landing between deliver
@@ -268,7 +268,7 @@ func (n *Node) handleResume(id msg.SubID, lastSeq uint64, peer *peerConn) {
 }
 
 // SessionSuspend begins broker-side delivery retention for one static
-// subscription: the plan-mode half of a SessionDown fault, standing in
+// subscription: the modeled half of a SessionDown fault, standing in
 // for a real subscriber losing its connection. The current delivery
 // sequence becomes the resume token SessionResume gates against.
 func (n *Node) SessionSuspend(sub *msg.Subscription) {
@@ -280,7 +280,7 @@ func (n *Node) SessionSuspend(sub *msg.Subscription) {
 	s.mu.Unlock()
 }
 
-// SessionResume ends a plan-mode session outage with the accounting a
+// SessionResume ends a modeled session outage with the accounting a
 // real client's FrameResume produces — session resumed, retained
 // deliveries past the token replayed while their bound still holds,
 // expired ones charged to DroppedDeadline — without any wire writes.

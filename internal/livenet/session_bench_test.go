@@ -26,10 +26,7 @@ func (discardConn) Close() error                     { return nil }
 // on its deadline and writing the retained frames — handleResume, minus
 // the socket.
 func BenchmarkSessionResume(b *testing.B) {
-	n, err := NewNode(NodeConfig{
-		ID: 2, Overlay: tinyOverlay(b), Scenario: msg.PSD,
-		Strategy: core.MaxEB{}, TimeScale: 1,
-	})
+	n, err := NewNode(NodeConfig{ID: 2, Plan: barePlan(b, tinyOverlay(b), core.MaxEB{}), TimeScale: 1})
 	if err != nil {
 		b.Fatal(err)
 	}

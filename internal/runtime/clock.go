@@ -44,7 +44,7 @@ func (s Scale) factor() float64 {
 // same scale.
 //
 // The zero epoch means the Unix epoch, which at Scale 1 makes Now the
-// plain wall clock in milliseconds — the time base standalone live
+// plain wall clock in milliseconds — the time base multi-process live
 // deployments (one process per broker, real time) share without
 // coordination. Anchored clocks (NewWallClock) are for in-process
 // deployments where all participants hold the same *WallClock.

@@ -178,14 +178,6 @@ type Admission struct {
 	RateHalfLife vtime.Millis
 }
 
-// Defaulted returns the config with zero fields replaced by their
-// defaults — for callers outside the plan pipeline (standalone live
-// clusters).
-func (a Admission) Defaulted() Admission {
-	(&a).setDefaults()
-	return a
-}
-
 func (a *Admission) setDefaults() {
 	if a.MaxQueue <= 0 {
 		a.MaxQueue = 256
@@ -279,14 +271,6 @@ type Reliability struct {
 	Window int
 }
 
-// Defaulted returns the config with zero fields replaced by their
-// defaults — for callers outside the plan pipeline (standalone live
-// clusters), whose configs never pass through Config.setDefaults.
-func (r Reliability) Defaulted() Reliability {
-	(&r).setDefaults()
-	return r
-}
-
 func (r *Reliability) setDefaults() {
 	if r.MaxAttempts <= 0 {
 		r.MaxAttempts = 16
@@ -317,8 +301,8 @@ func (LinkDown) isFault() {}
 
 // ParseLinkDown reads an outage spec "from:to:start:end": broker ids,
 // then Go durations into the run, e.g. "2:6:30s:80s". The offsets are
-// read on the run's clock — emulated time on a plan deployment, wall
-// time on a standalone live cluster.
+// read on the run's clock — emulated time on a deployed schedule, wall
+// time on a live cluster started without a plan.
 func ParseLinkDown(s string) (LinkDown, error) {
 	parts := strings.Split(s, ":")
 	if len(parts) != 4 {

@@ -75,11 +75,26 @@ type Plan struct {
 	Agg *routing.AggTables
 }
 
-// NewPlan assembles a deployment: builds (or adopts) the overlay,
-// generates subscriptions, computes link beliefs and routing tables,
-// instantiates brokers, generates the publication schedule and validates
-// injected faults.
+// NewPlan assembles a deployment (Assemble), then adds its schedule: the
+// publications, the churn and flash-crowd subscription events,
+// per-subscriber shaping of the collector and the admission sweep.
 func NewPlan(cfg Config) (*Plan, error) {
+	p, err := Assemble(cfg)
+	if err != nil {
+		return nil, err
+	}
+	p.schedule()
+	return p, nil
+}
+
+// Assemble builds the part of a plan that does not depend on time:
+// defaults, the overlay (built or adopted), the subscription population
+// (Cfg.Subscriptions, or the workload's when that is nil), the links,
+// the link beliefs, the routing tables and the brokers, and it validates
+// the injected faults. Its plan has no schedule — no publications, no
+// subscription events — so a live cluster whose subscriptions arrive
+// from its clients (Subscriptions empty, not nil) deploys it as it is.
+func Assemble(cfg Config) (*Plan, error) {
 	if err := cfg.setDefaults(); err != nil {
 		return nil, err
 	}
@@ -169,6 +184,16 @@ func NewPlan(cfg Config) (*Plan, error) {
 		p.Brokers[nid] = b
 	}
 
+	if err := p.validateFaults(); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// schedule adds what NewPlan adds to Assemble: the publications, the
+// subscription events, per-subscriber shaping and the admission sweep.
+func (p *Plan) schedule() {
+	cfg, ov := &p.Cfg, p.Overlay
 	for i, ingress := range ov.Ingress {
 		pub := cfg.Workload.NewPublisher(i, ingress)
 		for {
@@ -208,16 +233,11 @@ func NewPlan(cfg Config) (*Plan, error) {
 		p.Metrics.EnablePerSubscriber(int(first))
 	}
 
-	if err := p.validateFaults(); err != nil {
-		return nil, err
-	}
-
 	// Overload protection last: the admission sweep filters rejected
 	// publications and subscription events out of the finished schedules,
 	// so every backend deploys the already-admitted plan and the SLO
 	// ledger agrees across them exactly.
 	p.admitWorkload()
-	return p, nil
 }
 
 // NewBroker builds broker id of this plan around a routing table: link

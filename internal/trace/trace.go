@@ -1,13 +1,12 @@
 // Package trace provides structured event tracing for the simulator: a
 // per-message timeline of publish, arrival, enqueue, send, delivery and
-// drop events, usable for debugging scheduling decisions and for
-// latency-budget decomposition (how much of a message's end-to-end delay
-// was queueing vs transmission vs processing).
+// drop events, streamed as JSON lines or kept in memory, for debugging
+// scheduling decisions and for decomposing a message's end-to-end delay
+// offline (queueing vs transmission vs processing).
 package trace
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 
 	"bdps/internal/vtime"
@@ -67,17 +66,6 @@ func (b *Buffer) Count(k Kind) int {
 	return n
 }
 
-// ByMessage returns a message's events in emission order.
-func (b *Buffer) ByMessage(msgID uint64) []Event {
-	var out []Event
-	for _, e := range b.Events {
-		if e.MsgID == msgID {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // JSONL streams events as JSON lines to a writer. Emit errors are
 // remembered and reported by Err (tracing must not disturb a run).
 type JSONL struct {
@@ -102,62 +90,3 @@ func (j *JSONL) Emit(e Event) {
 
 // Err returns the first write error, if any.
 func (j *JSONL) Err() error { return j.err }
-
-// Timeline summarizes one message's latency budget from its events:
-// total time spent waiting in queues, in transmission, and in broker
-// processing, per the delay model of §3.2.
-type Timeline struct {
-	PublishT  vtime.Millis
-	DeliverT  vtime.Millis // first delivery (NaN-free: 0 when undelivered)
-	Queueing  vtime.Millis // Σ (send − enqueue)
-	Transmit  vtime.Millis // Σ (arrive − send)
-	Delivered bool
-	Dropped   bool
-}
-
-// BuildTimeline folds a message's events into its latency budget. Events
-// must be in emission (time) order, as Buffer.ByMessage returns them.
-func BuildTimeline(events []Event) Timeline {
-	var tl Timeline
-	var lastEnqueue, lastSend vtime.Millis
-	haveEnqueue, haveSend := false, false
-	for _, e := range events {
-		switch e.Kind {
-		case Publish:
-			tl.PublishT = e.T
-		case Enqueue:
-			lastEnqueue, haveEnqueue = e.T, true
-		case Send:
-			if haveEnqueue {
-				tl.Queueing += e.T - lastEnqueue
-				haveEnqueue = false
-			}
-			lastSend, haveSend = e.T, true
-		case Arrive:
-			if haveSend {
-				tl.Transmit += e.T - lastSend
-				haveSend = false
-			}
-		case Deliver:
-			if !tl.Delivered {
-				tl.DeliverT = e.T
-				tl.Delivered = true
-			}
-		case Drop:
-			tl.Dropped = true
-		}
-	}
-	return tl
-}
-
-// String implements fmt.Stringer.
-func (t Timeline) String() string {
-	state := "in flight"
-	if t.Delivered {
-		state = fmt.Sprintf("delivered at %.0fms", t.DeliverT)
-	} else if t.Dropped {
-		state = "dropped"
-	}
-	return fmt.Sprintf("queueing %.0fms, transmit %.0fms, %s",
-		t.Queueing, t.Transmit, state)
-}
