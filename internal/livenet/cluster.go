@@ -507,9 +507,7 @@ func (c *Cluster) AggregatedEntries() int {
 func (c *Cluster) PeakQueue() int {
 	peak := 0
 	for _, n := range c.snapshotNodes() {
-		if p := n.PeakQueue(); p > peak {
-			peak = p
-		}
+		peak = max(peak, n.PeakQueue())
 	}
 	return peak
 }

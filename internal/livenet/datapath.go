@@ -466,13 +466,17 @@ func (n *Node) process(w *worker, m *msg.Message) {
 	}
 	n.mu.RUnlock()
 
+	n.charge.Result(n.cfg.ID, m, &res, now)
 	if res.Duplicate {
-		n.count(metrics.Duplicates, 1)
 		m.ReleaseN(links + 1)
 		w.held++
 		return
 	}
-	n.accountResult(&res)
+	// Net occupancy change of this Process call: entries enqueued minus
+	// entries the pressure threshold shed back out.
+	if d := len(res.EnqueuedHops) - len(res.Shed); d != 0 {
+		n.egress.Add(int64(d))
+	}
 	w.m, w.frame = m, nil
 	for _, o := range w.outs {
 		if o.sess.deliver(w, o.allowed) {
@@ -489,31 +493,6 @@ func (n *Node) process(w *worker, m *msg.Message) {
 		}
 	}
 	w.held++
-}
-
-// accountResult charges a Process result's deliveries and arrival
-// drops to the node's ledger (and its tap).
-func (n *Node) accountResult(res *broker.Result) {
-	for _, d := range res.Deliveries {
-		n.ledger.DeliveredAt(int32(d.SubID), d.Price, d.Published, d.Latency, d.Valid)
-		if n.cfg.Sink != nil {
-			n.cfg.Sink.DeliveredAt(int32(d.SubID), d.Price, d.Published, d.Latency, d.Valid)
-		}
-	}
-	if res.ArrivalDrops > 0 {
-		n.count(metrics.DropsArrival, res.ArrivalDrops)
-	}
-	// Net occupancy change of this Process call: entries enqueued minus
-	// entries the pressure threshold shed back out.
-	if d := len(res.EnqueuedHops) - len(res.Shed); d != 0 {
-		n.egress.Add(int64(d))
-	}
-	if len(res.Shed) > 0 {
-		n.count(metrics.DropsShed, len(res.Shed))
-		for _, e := range res.Shed {
-			releaseEntry(e)
-		}
-	}
 }
 
 // pacer is one sender goroutine's pacing timer: created by the first
@@ -622,9 +601,11 @@ func (n *Node) senderLoop(to msg.NodeID, pc *peerConn, wake chan struct{}, ls *r
 		q.Lock()
 		var drops []core.Drop
 		entries, drops = q.PopBurstWhile(strategy, now, params, burst+1, entries[:0], more)
-		n.accountDrops(drops)
+		n.charge.Drops(n.cfg.ID, drops, now)
+		if k := len(entries) + len(drops); k > 0 {
+			n.egress.Add(-int64(k))
+		}
 		if len(entries) > 0 {
-			n.egress.Add(-int64(len(entries)))
 			// Set inside the pop critical section, so a quiescence poll
 			// cannot see the queue empty before the transfer is visible
 			// as in-progress.
@@ -655,7 +636,7 @@ func (n *Node) senderLoop(to msg.NodeID, pc *peerConn, wake chan struct{}, ls *r
 			// in Crash does.
 			n.count(metrics.DropsCrashed, len(entries))
 			for _, e := range entries {
-				releaseEntry(e)
+				runtime.ReleaseEntry(e)
 			}
 			n.busySenders.Add(-1)
 			return
@@ -665,7 +646,7 @@ func (n *Node) senderLoop(to msg.NodeID, pc *peerConn, wake chan struct{}, ls *r
 		ls.Account(nodeCount{n})
 		n.writeBurstReliable(pc, chains, &ws)
 		for _, e := range entries {
-			releaseEntry(e)
+			runtime.ReleaseEntry(e)
 		}
 
 		// The measured rate of this transfer. Under pacing a burst is one
@@ -676,29 +657,4 @@ func (n *Node) senderLoop(to msg.NodeID, pc *peerConn, wake chan struct{}, ls *r
 		}
 		n.busySenders.Add(-1)
 	}
-}
-
-// accountDrops charges pruned entries to the drop counters and releases
-// them (and their message references) back to the pools.
-func (n *Node) accountDrops(drops []core.Drop) {
-	if len(drops) > 0 {
-		n.egress.Add(-int64(len(drops)))
-	}
-	for _, d := range drops {
-		if d.Reason == core.DropExpired {
-			n.count(metrics.DropsExpired, 1)
-		} else {
-			n.count(metrics.DropsHopeless, 1)
-		}
-		releaseEntry(d.Entry)
-	}
-}
-
-// releaseEntry returns a consumed queue entry — and the reference it
-// holds on its (possibly pooled) message — to their pools.
-func releaseEntry(e *core.Entry) {
-	if m, ok := e.Data.(*msg.Message); ok {
-		m.Release()
-	}
-	e.Release()
 }

@@ -30,7 +30,11 @@
 // this package adds the framing (reliable.go). Every relayed message is
 // a FrameData carrying the link sequence, the sender's lowest still-live
 // sequence and its incarnation epoch, clean link or lossy; FrameMessage
-// is what a publisher hands its ingress broker and nothing else.
+// is what a publisher hands its ingress broker and nothing else. The
+// broker's ledger charges are shared the same way (runtime/charge.go):
+// Process results, pruned entries and session resumes reach the node's
+// ledger and tap through runtime.Charge, and this package keeps only the
+// egress occupancy the MaxEgress gate reads and the session frames.
 //
 // Every node runs one broker of a runtime.Plan: the plan's broker,
 // rebuilt by the plan's constructor when the node is reborn, its links
@@ -209,6 +213,8 @@ type Node struct {
 	// node so a Cluster can keep a replaced incarnation's ledger without
 	// keeping the node.
 	ledger *metrics.Collector
+	// charge charges broker outcomes to the ledger (runtime/charge.go).
+	charge runtime.Charge
 
 	// Heartbeat liveness state (heartbeat.go), under its own lock so
 	// probe bookkeeping never contends with the data plane.
@@ -300,6 +306,7 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		sessions:    make(map[msg.SubID]*session),
 		ledger:      p.Metrics.Blank(),
 	}
+	n.charge = runtime.NewCharge(nodeCount{n}, nil)
 	n.epoch.Store(cfg.Epoch)
 	if cfg.StateDir != "" {
 		if err := n.openStore(); err != nil {
@@ -434,8 +441,7 @@ func (n *Node) Crash() {
 	n.b.EachQueue(func(_ msg.NodeID, q *core.Queue) {
 		q.Lock()
 		for q.Len() > 0 {
-			e := q.RemoveAt(q.Len() - 1)
-			releaseEntry(e)
+			runtime.ReleaseEntry(q.RemoveAt(q.Len() - 1))
 			lost++
 		}
 		q.Unlock()

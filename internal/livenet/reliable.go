@@ -4,6 +4,7 @@ import (
 	"bdps/internal/metrics"
 	"bdps/internal/msg"
 	"bdps/internal/runtime"
+	"bdps/internal/vtime"
 )
 
 // This file is the live broker-to-broker link's I/O. The hop's contract —
@@ -21,11 +22,20 @@ import (
 // delivering attempt. Nothing flows back on a link: the sender learns of
 // a dead neighbor from its failed write.
 
-// nodeCount charges a link half's counters to the node's ledger.
+// nodeCount is the node's ledger as the shared halves charge it: its
+// collector, then its tap (runtime.Sink).
 type nodeCount struct{ n *Node }
 
 // Count implements runtime.Counts.
 func (c nodeCount) Count(id metrics.Counter, k int) { c.n.count(id, k) }
+
+// DeliveredAt implements runtime.Sink.
+func (c nodeCount) DeliveredAt(subID int32, price float64, published, latency vtime.Millis, valid bool) {
+	c.n.ledger.DeliveredAt(subID, price, published, latency, valid)
+	if c.n.cfg.Sink != nil {
+		c.n.cfg.Sink.DeliveredAt(subID, price, published, latency, valid)
+	}
+}
 
 // wireScratch is one sender's burst assembly buffer and, per chain, where
 // its frames sit in it.

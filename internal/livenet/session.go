@@ -4,7 +4,6 @@ import (
 	"net"
 	"sync"
 
-	"bdps/internal/metrics"
 	"bdps/internal/msg"
 	"bdps/internal/runtime"
 	"bdps/internal/vtime"
@@ -35,15 +34,10 @@ import (
 const sessionRingDefault = runtime.SessionRingLimit
 
 // tableSub returns the subscription one of this broker's routing
-// entries names, or nil if no entry routes it. Caller holds n.mu; the
-// scan is linear in the table — resumes are control-plane rare.
+// entries names, or nil if no entry routes it. Caller holds n.mu.
 func (n *Node) tableSub(id msg.SubID) *msg.Subscription {
-	for _, src := range n.table.Sources() {
-		for _, e := range n.table.Entries(src) {
-			if e.Sub.ID == id {
-				return e.Sub
-			}
-		}
+	if es := n.table.SubEntries(id, nil); len(es) > 0 {
+		return es[0].Sub
 	}
 	return nil
 }
@@ -191,16 +185,16 @@ func (s *session) flushLocked(w *worker) {
 }
 
 // replay walks the retained deliveries past the resume token, oldest
-// first, through the deadline gate: at the edge the residual path is the
-// local client connection — zero modeled delay, σ = 0 — so the admission
-// CDF degenerates to "slack ≥ 0". A delivery whose bound still holds is
-// written to `to` and counted replayed; an expired one is counted
-// instead of arriving late. A nil `to` (a modeled session) does the accounting
-// without any wire writes. Deliveries still waiting for their flush are
-// past any token a client can hold, so a replay onto a wire sends them
-// too and moves the sent mark to seq: a resume landing between deliver
-// and flush puts every retained frame on the new connection once, in
-// order, and leaves the flush nothing to repeat. Caller holds s.mu.
+// first, through the deadline gate (runtime.ReplayExpired). A delivery
+// whose bound still holds is written to `to` and counted replayed; an
+// expired one is counted instead of arriving late. A nil `to` (a modeled
+// session) does the counting without any wire writes; the caller
+// charges both counts (runtime.Charge.Resume). Deliveries still waiting
+// for their flush are past any token a client can hold, so a replay onto
+// a wire sends them too and moves the sent mark to seq: a resume landing
+// between deliver and flush puts every retained frame on the new
+// connection once, in order, and leaves the flush nothing to repeat.
+// Caller holds s.mu.
 func (s *session) replay(to *peerConn, after uint64, now vtime.Millis) (replayed, expired int) {
 	if to != nil {
 		s.sent = s.seq
@@ -211,7 +205,7 @@ func (s *session) replay(to *peerConn, after uint64, now vtime.Millis) (replayed
 		if d.seq <= after {
 			continue // already delivered before the disconnect
 		}
-		if d.allowed <= 0 || now-d.published > d.allowed {
+		if runtime.ReplayExpired(d.published, d.allowed, now) {
 			expired++
 			continue
 		}
@@ -229,13 +223,6 @@ func (s *session) replay(to *peerConn, after uint64, now vtime.Millis) (replayed
 		replayed++
 	}
 	return replayed, expired
-}
-
-// accountResume charges one session resume to the node's ledger.
-func (n *Node) accountResume(replayed, expired int) {
-	n.count(metrics.SessionsResumed, 1)
-	n.count(metrics.DroppedDeadline, expired)
-	n.count(metrics.ReplayedMsgs, replayed)
 }
 
 // handleResume reattaches a reconnected subscriber and replays the
@@ -264,7 +251,7 @@ func (n *Node) handleResume(id msg.SubID, lastSeq uint64, peer *peerConn) {
 	sess.peer = peer
 	replayed, expired := sess.replay(peer, lastSeq, n.clock.Now())
 	sess.mu.Unlock()
-	n.accountResume(replayed, expired)
+	n.charge.Resume(replayed, expired)
 }
 
 // SessionSuspend begins broker-side delivery retention for one static
@@ -301,5 +288,5 @@ func (n *Node) SessionResume(id msg.SubID) {
 		delete(n.sessions, id)
 	}
 	n.mu.Unlock()
-	n.accountResume(replayed, expired)
+	n.charge.Resume(replayed, expired)
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -80,7 +81,14 @@ func (Transport) Deploy(p *runtime.Plan) (runtime.Deployment, error) {
 	if events != nil {
 		d.events = events
 		d.repairDone = make(chan struct{})
-		d.faultAt = faultInstants(p)
+		// An arc's onset is the first fault silencing it, written last.
+		d.faultAt = make(map[[2]msg.NodeID]vtime.Millis)
+		for _, f := range slices.Backward(p.Cfg.Faults) {
+			arcs, at := p.Silences(f)
+			for _, arc := range arcs {
+				d.faultAt[arc] = at
+			}
+		}
 		det := runtime.NewFailureDetector(p, func(id msg.NodeID, fn func()) {
 			c.Node(id).MutateTable(fn)
 		})
@@ -130,31 +138,6 @@ type deployment struct {
 	events     chan PeerEvent
 	repairDone chan struct{}
 	faultAt    map[[2]msg.NodeID]vtime.Millis
-}
-
-// faultInstants maps each directed arc an injected fault silences to the
-// fault's onset: a broker crash silences every arc out of the dead
-// broker; a link outage silences the arc itself. Detection latency is
-// the gap between this instant and the monitor's confirmation.
-func faultInstants(p *runtime.Plan) map[[2]msg.NodeID]vtime.Millis {
-	at := make(map[[2]msg.NodeID]vtime.Millis)
-	for _, f := range p.Cfg.Faults {
-		switch f := f.(type) {
-		case runtime.BrokerCrash:
-			for _, e := range p.Overlay.Graph.Neighbors(f.ID) {
-				arc := [2]msg.NodeID{f.ID, e.To}
-				if _, ok := at[arc]; !ok {
-					at[arc] = f.At
-				}
-			}
-		case runtime.LinkDown:
-			arc := [2]msg.NodeID{f.From, f.To}
-			if _, ok := at[arc]; !ok {
-				at[arc] = f.Start
-			}
-		}
-	}
-	return at
 }
 
 // repairLoop consumes liveness events and drives the failure detector:

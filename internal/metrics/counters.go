@@ -68,8 +68,9 @@ type Ledger struct {
 	DropsHopeless int
 	DropsArrival  int
 	DropsCrashed  int
-	// Duplicates is counted by the live brokers only (multipath copies
-	// the dedup set discarded); the simulator leaves it zero.
+	// Duplicates counts the multipath copies a broker's dedup set
+	// discarded, on both backends (runtime.Charge.Result); it stays zero
+	// on single-path runs.
 	Duplicates int
 
 	// Recovery counters (self-healing control plane); all zero on runs

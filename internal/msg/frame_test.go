@@ -241,7 +241,9 @@ func TestDecoderSteadyStateAllocs(t *testing.T) {
 	for i := 0; i < 100; i++ { // warm pools and intern table
 		decodeOne()
 	}
-	if avg := testing.AllocsPerRun(200, decodeOne); avg > 0 {
+	// Under -race the decodes still run; only the count is left unjudged,
+	// since the race runtime makes sync.Pool drop objects.
+	if avg := testing.AllocsPerRun(200, decodeOne); avg > 0 && !raceEnabled {
 		t.Errorf("steady-state decode allocates %.2f objects/op, want 0", avg)
 	}
 }

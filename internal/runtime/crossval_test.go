@@ -340,6 +340,10 @@ func TestLiveMultipathViaRuntime(t *testing.T) {
 		t.Errorf("deliveries (%d) exceed targets (%d): live dedup broken",
 			mp.ValidDeliveries, mp.TotalTargets)
 	}
+	// The copies the dedup discarded are on the ledger.
+	if mp.Duplicates == 0 {
+		t.Error("multipath live run counted no suppressed duplicates")
+	}
 }
 
 // TestLiveBrokerCrashViaRuntime drives an injected broker crash through

@@ -278,14 +278,18 @@ func (p *Plan) validateFaults() error {
 			horizon = p.Cfg.Workload.Duration + dl
 		}
 	}
+	// windows lists the outage windows of each arc and each session, by
+	// what an overlap error names.
 	type window struct{ start, end vtime.Millis }
-	outages := make(map[[2]msg.NodeID][]window)
+	windows := make(map[string][]window)
 	lossArcs := make(map[[2]msg.NodeID]bool)
 	lossWild := false
 	crashAt := make(map[msg.NodeID]vtime.Millis)
 	restarted := make(map[msg.NodeID]bool)
-	sessions := make(map[msg.SubID][]window)
 	for _, f := range p.Cfg.Faults {
+		if at, _, _, _ := faultKey(f); at > horizon {
+			return fmt.Errorf("%T at %v starts past the run horizon %v", f, at, horizon)
+		}
 		switch f := f.(type) {
 		case LinkDown:
 			if _, ok := p.Overlay.Graph.Rate(f.From, f.To); !ok {
@@ -294,16 +298,11 @@ func (p *Plan) validateFaults() error {
 			if f.End <= f.Start {
 				return fmt.Errorf("runtime: LinkDown window [%v,%v) has non-positive duration", f.Start, f.End)
 			}
-			if f.Start > horizon {
-				return fmt.Errorf("runtime: LinkDown at %v starts past the run horizon %v", f.Start, horizon)
-			}
-			outages[[2]msg.NodeID{f.From, f.To}] = append(outages[[2]msg.NodeID{f.From, f.To}], window{f.Start, f.End})
+			on := fmt.Sprintf("LinkDown windows on arc %d->%d", f.From, f.To)
+			windows[on] = append(windows[on], window{f.Start, f.End})
 		case BrokerCrash:
 			if _, ok := p.Brokers[f.ID]; !ok {
 				return fmt.Errorf("runtime: BrokerCrash on unknown broker %d", f.ID)
-			}
-			if f.At > horizon {
-				return fmt.Errorf("runtime: BrokerCrash at %v falls past the run horizon %v", f.At, horizon)
 			}
 			if _, dup := crashAt[f.ID]; dup {
 				return fmt.Errorf("runtime: duplicate BrokerCrash on broker %d", f.ID)
@@ -320,9 +319,6 @@ func (p *Plan) validateFaults() error {
 			if f.At <= at {
 				return fmt.Errorf("runtime: BrokerRestart of broker %d at %v not after its crash at %v", f.ID, f.At, at)
 			}
-			if f.At > horizon {
-				return fmt.Errorf("runtime: BrokerRestart at %v falls past the run horizon %v", f.At, horizon)
-			}
 			if restarted[f.ID] {
 				return fmt.Errorf("runtime: duplicate BrokerRestart on broker %d", f.ID)
 			}
@@ -334,10 +330,8 @@ func (p *Plan) validateFaults() error {
 			if f.End <= f.Start {
 				return fmt.Errorf("runtime: SessionDown window [%v,%v) has non-positive duration", f.Start, f.End)
 			}
-			if f.Start > horizon {
-				return fmt.Errorf("runtime: SessionDown at %v starts past the run horizon %v", f.Start, horizon)
-			}
-			sessions[f.Sub] = append(sessions[f.Sub], window{f.Start, f.End})
+			on := fmt.Sprintf("SessionDown windows on subscription %d", f.Sub)
+			windows[on] = append(windows[on], window{f.Start, f.End})
 		case LinkLoss:
 			wild := f.From == msg.None && f.To == msg.None
 			if !wild {
@@ -352,9 +346,6 @@ func (p *Plan) validateFaults() error {
 			}
 			if f.Start < 0 || (f.End > 0 && f.End <= f.Start) {
 				return fmt.Errorf("runtime: LinkLoss window [%v,%v) has non-positive duration", f.Start, f.End)
-			}
-			if f.Start > horizon {
-				return fmt.Errorf("runtime: LinkLoss at %v starts past the run horizon %v", f.Start, horizon)
 			}
 			// One adversary per arc: overlapping loss models would make the
 			// deterministic per-(link, seq, attempt) decision hash ambiguous.
@@ -374,21 +365,12 @@ func (p *Plan) validateFaults() error {
 			return fmt.Errorf("runtime: unknown fault type %T", f)
 		}
 	}
-	for arc, ws := range outages {
+	for on, ws := range windows {
 		sort.Slice(ws, func(i, j int) bool { return ws[i].start < ws[j].start })
 		for i := 1; i < len(ws); i++ {
 			if ws[i].start < ws[i-1].end {
-				return fmt.Errorf("runtime: overlapping LinkDown windows on arc %d->%d ([%v,%v) and [%v,%v))",
-					arc[0], arc[1], ws[i-1].start, ws[i-1].end, ws[i].start, ws[i].end)
-			}
-		}
-	}
-	for sub, ws := range sessions {
-		sort.Slice(ws, func(i, j int) bool { return ws[i].start < ws[j].start })
-		for i := 1; i < len(ws); i++ {
-			if ws[i].start < ws[i-1].end {
-				return fmt.Errorf("runtime: overlapping SessionDown windows on subscription %d ([%v,%v) and [%v,%v))",
-					sub, ws[i-1].start, ws[i-1].end, ws[i].start, ws[i].end)
+				return fmt.Errorf("runtime: overlapping %s ([%v,%v) and [%v,%v))",
+					on, ws[i-1].start, ws[i-1].end, ws[i].start, ws[i].end)
 			}
 		}
 	}

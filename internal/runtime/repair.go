@@ -54,6 +54,23 @@ func NewFailureDetector(p *Plan, lock func(id msg.NodeID, fn func())) *FailureDe
 	}
 }
 
+// Silences returns the directed arcs fault f silences and the instant it
+// strikes: a broker crash silences every arc out of the dead broker, a
+// link outage its own arc, any other fault none. Each backend schedules
+// its own detection of them; this is what both detect.
+func (p *Plan) Silences(f Fault) (arcs [][2]msg.NodeID, at vtime.Millis) {
+	switch f := f.(type) {
+	case BrokerCrash:
+		for _, e := range p.Overlay.Graph.Neighbors(f.ID) {
+			arcs = append(arcs, [2]msg.NodeID{f.ID, e.To})
+		}
+		return arcs, f.At
+	case LinkDown:
+		return [][2]msg.NodeID{{f.From, f.To}}, f.Start
+	}
+	return nil, 0
+}
+
 // ArcDead reports one directed arc as confirmed dead. faultAt is when
 // the underlying fault struck and detectedAt when the detector confirmed
 // it; the difference is the detection latency.

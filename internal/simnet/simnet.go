@@ -2,10 +2,13 @@
 // layer (internal/runtime): a thin Transport that realizes a
 // runtime.Plan on the deterministic event engine. All deployment wiring
 // — topology, routing tables, brokers, workload, fault validation,
-// metrics — lives in the plan, and the hop's contract (sequence numbers,
+// metrics — lives in the plan. The hop's contract (sequence numbers,
 // adversary, link-time draws, reorder and base rules, dedup) lives in
-// runtime/link.go, shared with the live backend; this package only turns
-// link transfers and processing delays into events on a virtual clock.
+// runtime/link.go and the charging of broker outcomes to the ledger
+// (deliveries, duplicates, arrival, queue and shed drops, session
+// resumes) in runtime/charge.go, both shared with the live backend; this
+// package only turns link transfers and processing delays into events on
+// a virtual clock.
 // runtime.Run(cfg, simnet.Transport{}) reproduces one data point of the
 // paper's evaluation.
 package simnet
@@ -22,7 +25,6 @@ import (
 	"bdps/internal/routing"
 	"bdps/internal/runtime"
 	"bdps/internal/sim"
-	"bdps/internal/topology"
 	"bdps/internal/trace"
 	"bdps/internal/vtime"
 	"bdps/internal/workload"
@@ -101,26 +103,25 @@ func (s *simSession) record(published, allowed vtime.Millis) {
 // Network is a deployed simulation, stepped by its engine. It implements
 // runtime.Deployment; Transport.Deploy returns one.
 type Network struct {
-	Engine  *sim.Engine
-	Overlay *topology.Overlay
+	Engine *sim.Engine
 	// Brokers is indexed by broker id, like every per-broker slice below:
 	// a plan's brokers are the overlay graph's nodes 0..N-1, and the
 	// per-reception path reads these on every event.
 	Brokers   []*broker.Broker
 	Collector *metrics.Collector
 
-	cfg  runtime.Config
-	subs []*msg.Subscription
 	// links[from] lists the links leaving one broker (a handful: the
 	// node's degree), searched by far end.
 	links  [][]*link
 	dead   []bool
 	tracer trace.Tracer
+	charge runtime.Charge
 
-	// Crash-restart durability: the plan (whose broker/table maps a
-	// restart swaps), the repair engine, per-broker incarnation epochs,
-	// the deploy-time durable snapshots modeling each restartable
-	// broker's WAL, and the suspended subscriber sessions.
+	// The plan (its config, its population, and the broker/table maps a
+	// restart swaps), then crash-restart durability: the repair engine,
+	// per-broker incarnation epochs, the deploy-time durable snapshots
+	// modeling each restartable broker's WAL, and the suspended
+	// subscriber sessions.
 	p        *runtime.Plan
 	det      *runtime.FailureDetector
 	epochs   []uint32
@@ -135,14 +136,12 @@ func deploy(p *runtime.Plan) (*Network, error) {
 	nodes := p.Overlay.Graph.N()
 	n := &Network{
 		Engine:    sim.New(),
-		Overlay:   p.Overlay,
 		Brokers:   make([]*broker.Broker, nodes),
 		Collector: p.Metrics,
-		cfg:       p.Cfg,
-		subs:      p.Subs,
 		links:     make([][]*link, nodes),
 		dead:      make([]bool, nodes),
 		tracer:    p.Cfg.Tracer,
+		charge:    runtime.NewCharge(p.Metrics, p.Cfg.Tracer),
 		p:         p,
 		epochs:    make([]uint32, nodes),
 		walSnaps:  make(map[msg.NodeID][]durable.Entry),
@@ -211,8 +210,9 @@ func deploy(p *runtime.Plan) (*Network, error) {
 	// With recovery enabled, each fault also schedules the detection
 	// event a live heartbeat monitor would produce: confirmation exactly
 	// HeartbeatTimeout after the fault struck, one detection per directed
-	// arc silenced — which is what the per-neighbor monitors of the live
-	// overlay observe, so the two backends account detections identically.
+	// arc it silenced (Plan.Silences) — which is what the per-neighbor
+	// monitors of the live overlay observe, so the two backends account
+	// detections identically.
 	var det *runtime.FailureDetector
 	if p.Cfg.Recovery.Detect {
 		det = runtime.NewFailureDetector(p, nil)
@@ -237,31 +237,11 @@ func deploy(p *runtime.Plan) (*Network, error) {
 				l.down = false
 				n.kick(f.From, f.To)
 			})
-			if det != nil && f.End > f.Start+rec.HeartbeatTimeout {
-				// Outages shorter than the timeout never reach the dead
-				// state — the monitor sees a heartbeat again in time.
-				arc := [2]msg.NodeID{f.From, f.To}
-				n.Engine.At(f.Start+rec.HeartbeatTimeout, func() {
-					det.ArcsDead([][2]msg.NodeID{arc}, f.Start, f.Start+rec.HeartbeatTimeout)
-				})
-				n.Engine.At(f.End+rec.HeartbeatInterval, func() {
-					det.ArcRestored(f.From, f.To)
-				})
-			}
 		case runtime.LinkLoss:
 			// Nothing to arm: the adversary is consulted inline on every
 			// transmission (kick), gated by its own [Start, End) window.
 		case runtime.BrokerCrash:
 			n.Engine.At(f.At, func() { n.dead[f.ID] = true })
-			if det != nil {
-				arcs := make([][2]msg.NodeID, 0, len(p.Overlay.Graph.Neighbors(f.ID)))
-				for _, e := range p.Overlay.Graph.Neighbors(f.ID) {
-					arcs = append(arcs, [2]msg.NodeID{f.ID, e.To})
-				}
-				n.Engine.At(f.At+rec.HeartbeatTimeout, func() {
-					det.ArcsDead(arcs, f.At, f.At+rec.HeartbeatTimeout)
-				})
-			}
 		case runtime.BrokerRestart:
 			n.Engine.At(f.At, func() { n.restartBroker(f.ID) })
 		case runtime.SessionDown:
@@ -269,6 +249,24 @@ func deploy(p *runtime.Plan) (*Network, error) {
 				n.sessions[f.Sub] = &simSession{limit: runtime.SessionRingLimit}
 			})
 			n.Engine.At(f.End, func() { n.resumeSession(f.Sub) })
+		}
+		if det == nil {
+			continue
+		}
+		// An outage shorter than the timeout never reaches the dead state
+		// — the monitor hears a heartbeat again in time — and one that
+		// does is restored a heartbeat interval after it ends.
+		arcs, at := p.Silences(f)
+		confirmed := at + rec.HeartbeatTimeout
+		outage, isOutage := f.(runtime.LinkDown)
+		if len(arcs) == 0 || (isOutage && outage.End <= confirmed) {
+			continue
+		}
+		n.Engine.At(confirmed, func() { det.ArcsDead(arcs, at, confirmed) })
+		if isOutage {
+			n.Engine.At(outage.End+rec.HeartbeatInterval, func() {
+				det.ArcRestored(outage.From, outage.To)
+			})
 		}
 	}
 	return n, nil
@@ -319,7 +317,7 @@ func (n *Network) restartBroker(id msg.NodeID) {
 	for _, out := range n.links {
 		for _, l := range out {
 			if l.to == id {
-				l.recv = runtime.NewLinkRecv(n.cfg.Reliability.Window, n.Collector)
+				l.recv = runtime.NewLinkRecv(n.p.Cfg.Reliability.Window, n.Collector)
 			}
 		}
 	}
@@ -332,38 +330,31 @@ func (n *Network) restartBroker(id msg.NodeID) {
 }
 
 // resumeSession ends one suspended subscriber session: the resume
-// accounting of a live client redialing with its token — session
-// resumed, retained deliveries past the token replayed while their
-// bound still holds, expired ones charged to DroppedDeadline.
+// accounting of a live client redialing with its token — retained
+// deliveries past the token replayed unless runtime.ReplayExpired.
 func (n *Network) resumeSession(id msg.SubID) {
 	s, ok := n.sessions[id]
 	if !ok {
 		return
 	}
 	now := n.Engine.Now()
-	n.Collector.Count(metrics.SessionsResumed, 1)
 	replayed, expired := 0, 0
 	for _, d := range s.ring {
 		if d.seq <= s.lastAck {
 			continue
 		}
-		if d.allowed <= 0 || now-d.published > d.allowed {
+		if runtime.ReplayExpired(d.published, d.allowed, now) {
 			expired++
-			continue
+		} else {
+			replayed++
 		}
-		replayed++
 	}
-	if expired > 0 {
-		n.Collector.Count(metrics.DroppedDeadline, expired)
-	}
-	if replayed > 0 {
-		n.Collector.Count(metrics.ReplayedMsgs, replayed)
-	}
+	n.charge.Resume(replayed, expired)
 	delete(n.sessions, id)
 }
 
 // Subscriptions exposes the generated population (for tests and reports).
-func (n *Network) Subscriptions() []*msg.Subscription { return n.subs }
+func (n *Network) Subscriptions() []*msg.Subscription { return n.p.Subs }
 
 // Inject implements runtime.Deployment: every publication becomes one
 // event at its virtual Published instant. Events live in one slab
@@ -389,9 +380,7 @@ func (n *Network) Drain() error {
 func (n *Network) PeakQueue() int {
 	peak := 0
 	for _, b := range n.Brokers {
-		if p := b.PeakQueue(); p > peak {
-			peak = p
-		}
+		peak = max(peak, b.PeakQueue())
 	}
 	return peak
 }
@@ -451,7 +440,7 @@ func (n *Network) arrive(m *msg.Message, at msg.NodeID) {
 		MsgID: uint64(m.ID), Broker: int32(at)})
 	ev := procPool.Get().(*procEvent)
 	ev.n, ev.m, ev.at = n, m, at
-	n.Engine.AfterRun(n.cfg.Params.PD, ev)
+	n.Engine.AfterRun(n.p.Cfg.Params.PD, ev)
 }
 
 // process runs the broker logic and kicks any links that gained work.
@@ -460,34 +449,18 @@ func (n *Network) process(m *msg.Message, at msg.NodeID) {
 		n.Collector.Count(metrics.DropsCrashed, 1)
 		return
 	}
-	b := n.Brokers[at]
-	res := b.Process(m, n.Engine.Now())
+	now := n.Engine.Now()
+	res := n.Brokers[at].Process(m, now)
+	n.charge.Result(at, m, &res, now)
 	for _, d := range res.Deliveries {
-		n.Collector.DeliveredAt(int32(d.SubID), d.Price, d.Published, d.Latency, d.Valid)
-		n.tracer.Emit(trace.Event{T: n.Engine.Now(), Kind: trace.Deliver,
-			MsgID: uint64(m.ID), Broker: int32(at), Peer: int32(d.SubID)})
 		if s, ok := n.sessions[d.SubID]; ok {
 			// A suspended session retains the delivery for the resume
 			// replay, exactly as the live edge broker's session ring does.
 			s.record(d.Published, d.Allowed)
 		}
 	}
-	if res.ArrivalDrops > 0 {
-		n.Collector.Count(metrics.DropsArrival, res.ArrivalDrops)
-	}
-	if len(res.Shed) > 0 {
-		// Pressure shedding: the broker evicted its worst-scored entries
-		// while enqueuing; account and release them here (entry ownership
-		// stays with the network, as with queue-drop accounting in kick).
-		n.Collector.Count(metrics.DropsShed, len(res.Shed))
-		for _, e := range res.Shed {
-			n.tracer.Emit(trace.Event{T: n.Engine.Now(), Kind: trace.Drop,
-				MsgID: e.MsgID, Broker: int32(at), Note: "shed"})
-			e.Release()
-		}
-	}
 	for _, hop := range res.EnqueuedHops {
-		n.tracer.Emit(trace.Event{T: n.Engine.Now(), Kind: trace.Enqueue,
+		n.tracer.Emit(trace.Event{T: now, Kind: trace.Enqueue,
 			MsgID: uint64(m.ID), Broker: int32(at), Peer: int32(hop)})
 		n.kick(at, hop)
 	}
@@ -528,21 +501,7 @@ func (n *Network) send(l *link) {
 	now := n.Engine.Now()
 	pop := func() *core.Entry {
 		e, drops := l.q.PopNext(b.Strategy(), now, b.Params())
-		for _, d := range drops {
-			reason := "expired"
-			if d.Reason == core.DropHopeless {
-				reason = "hopeless"
-			}
-			n.tracer.Emit(trace.Event{T: now, Kind: trace.Drop,
-				MsgID: d.Entry.MsgID, Broker: int32(from), Note: reason})
-			switch d.Reason {
-			case core.DropExpired:
-				n.Collector.Count(metrics.DropsExpired, 1)
-			case core.DropHopeless:
-				n.Collector.Count(metrics.DropsHopeless, 1)
-			}
-			d.Entry.Release()
-		}
+		n.charge.Drops(from, drops, now)
 		return e
 	}
 	e := pop()

@@ -188,6 +188,36 @@ func TestRunMultipathDeliversWithDedup(t *testing.T) {
 	}
 }
 
+// TestRunMultipathCountsDuplicates pins the simulator's half of the
+// Duplicates row: every multipath copy a broker's dedup suppresses is
+// counted, as a live broker counts it, the same number on every run of
+// a seed; a single-path run has no copies to suppress.
+func TestRunMultipathCountsDuplicates(t *testing.T) {
+	multi := func() metrics.Result {
+		cfg := quickCfg(msg.PSD, core.MaxEB{}, 6)
+		cfg.Multipath = 2
+		r, err := run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	a, b := multi(), multi()
+	if a.Duplicates == 0 {
+		t.Fatal("multipath run suppressed copies but counted no duplicates")
+	}
+	if a.Duplicates != b.Duplicates {
+		t.Errorf("duplicates differ across runs of one seed: %d vs %d", a.Duplicates, b.Duplicates)
+	}
+	single, err := run(quickCfg(msg.PSD, core.MaxEB{}, 6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if single.Duplicates != 0 {
+		t.Errorf("single-path run counted %d duplicates, want 0", single.Duplicates)
+	}
+}
+
 func TestRunMeasuredRatesClose(t *testing.T) {
 	exact, err := run(quickCfg(msg.SSD, core.MaxEB{}, 6))
 	if err != nil {
