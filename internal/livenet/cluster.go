@@ -507,7 +507,9 @@ func (c *Cluster) AggregatedEntries() int {
 func (c *Cluster) PeakQueue() int {
 	peak := 0
 	for _, n := range c.snapshotNodes() {
-		peak = max(peak, n.PeakQueue())
+		if p := n.PeakQueue(); p > peak {
+			peak = p
+		}
 	}
 	return peak
 }

@@ -31,7 +31,7 @@ func NewCharge(led Sink, tr trace.Tracer) Charge { return Charge{led: led, trace
 // Result charges what broker at's Process did with m at instant now:
 // each delivery, a suppressed duplicate, the arrival drops, and the
 // shed entries, which it releases.
-func (c Charge) Result(at msg.NodeID, m *msg.Message, res *broker.Result, now vtime.Millis) {
+func (c *Charge) Result(at msg.NodeID, m *msg.Message, res *broker.Result, now vtime.Millis) {
 	if res.Duplicate {
 		c.led.Count(metrics.Duplicates, 1)
 	}
@@ -56,7 +56,7 @@ func (c Charge) Result(at msg.NodeID, m *msg.Message, res *broker.Result, now vt
 
 // Drops charges the entries a queue of broker at pruned at now, each to
 // DropsExpired or DropsHopeless by its reason, and releases them.
-func (c Charge) Drops(at msg.NodeID, drops []core.Drop, now vtime.Millis) {
+func (c *Charge) Drops(at msg.NodeID, drops []core.Drop, now vtime.Millis) {
 	for _, d := range drops {
 		id, note := metrics.DropsExpired, "expired"
 		if d.Reason == core.DropHopeless {
@@ -67,7 +67,7 @@ func (c Charge) Drops(at msg.NodeID, drops []core.Drop, now vtime.Millis) {
 	}
 }
 
-func (c Charge) drop(at msg.NodeID, e *core.Entry, now vtime.Millis, note string) {
+func (c *Charge) drop(at msg.NodeID, e *core.Entry, now vtime.Millis, note string) {
 	if c.tracer != nil {
 		c.tracer.Emit(trace.Event{T: now, Kind: trace.Drop,
 			MsgID: e.MsgID, Broker: int32(at), Note: note})
@@ -77,7 +77,7 @@ func (c Charge) drop(at msg.NodeID, e *core.Entry, now vtime.Millis, note string
 
 // Resume charges one session resume: the retained deliveries it
 // replayed, and those ReplayExpired refused, as DroppedDeadline.
-func (c Charge) Resume(replayed, expired int) {
+func (c *Charge) Resume(replayed, expired int) {
 	c.led.Count(metrics.SessionsResumed, 1)
 	c.led.Count(metrics.DroppedDeadline, expired)
 	c.led.Count(metrics.ReplayedMsgs, replayed)

@@ -69,30 +69,24 @@ type link struct {
 }
 
 // simSession is the simulator's model of one suspended subscriber
-// session: the broker-side delivery sequence plus the bounded replay
-// ring the live edge broker retains — sequence and deadline data only,
-// since nothing is rewritten to a wire here. lastAck is the resume
-// token's sequence (the last delivery before the suspension).
+// session: the bounded replay ring the live edge broker retains, with
+// oldest-first eviction — deadline data only, since nothing is rewritten
+// to a wire here. A session starts at its suspension and ends at its
+// resume, so everything it retains lies past the resume token.
 type simSession struct {
-	seq     uint64
-	lastAck uint64
-	ring    []simDelivery
-	limit   int
+	ring []simDelivery
 }
 
-// simDelivery is one retained delivery: its session sequence and the
-// deadline data the resume gate needs.
+// simDelivery is one retained delivery's deadline data, what the resume
+// gate reads.
 type simDelivery struct {
-	seq                uint64
 	published, allowed vtime.Millis
 }
 
-// record mirrors the live session ring: next sequence, bounded
-// retention with oldest-first eviction.
+// record retains one delivery.
 func (s *simSession) record(published, allowed vtime.Millis) {
-	s.seq++
-	d := simDelivery{seq: s.seq, published: published, allowed: allowed}
-	if len(s.ring) >= s.limit {
+	d := simDelivery{published: published, allowed: allowed}
+	if len(s.ring) >= runtime.SessionRingLimit {
 		copy(s.ring, s.ring[1:])
 		s.ring[len(s.ring)-1] = d
 	} else {
@@ -246,7 +240,7 @@ func deploy(p *runtime.Plan) (*Network, error) {
 			n.Engine.At(f.At, func() { n.restartBroker(f.ID) })
 		case runtime.SessionDown:
 			n.Engine.At(f.Start, func() {
-				n.sessions[f.Sub] = &simSession{limit: runtime.SessionRingLimit}
+				n.sessions[f.Sub] = &simSession{}
 			})
 			n.Engine.At(f.End, func() { n.resumeSession(f.Sub) })
 		}
@@ -340,9 +334,6 @@ func (n *Network) resumeSession(id msg.SubID) {
 	now := n.Engine.Now()
 	replayed, expired := 0, 0
 	for _, d := range s.ring {
-		if d.seq <= s.lastAck {
-			continue
-		}
 		if runtime.ReplayExpired(d.published, d.allowed, now) {
 			expired++
 		} else {
@@ -380,7 +371,9 @@ func (n *Network) Drain() error {
 func (n *Network) PeakQueue() int {
 	peak := 0
 	for _, b := range n.Brokers {
-		peak = max(peak, b.PeakQueue())
+		if p := b.PeakQueue(); p > peak {
+			peak = p
+		}
 	}
 	return peak
 }
