@@ -9,8 +9,9 @@
 // match/grouping scratch); Processors of one broker may run in parallel
 // for independent publication streams, synchronizing only where state
 // is genuinely shared — per-queue locks around enqueues and a striped
-// dedup set. Broker.Process is the broker's own Processor, for a single
-// caller (the simulator).
+// dedup set. Broker.ProcessWith lends one caller-owned Processor to many
+// brokers: the simulator's single goroutine serves all of its brokers
+// from one.
 package broker
 
 import (
@@ -59,10 +60,6 @@ type Broker struct {
 	dedup    bool
 	seen     dedupSet
 	pressure int
-
-	// proc is the broker-owned scratch behind the serial Process entry
-	// point. Concurrent drivers get their own via NewProcessor.
-	proc Processor
 }
 
 // New builds a broker from its configuration.
@@ -87,7 +84,6 @@ func New(cfg Config) (*Broker, error) {
 	if b.dedup {
 		b.seen.init()
 	}
-	b.proc.b = b
 	return b, nil
 }
 
@@ -175,10 +171,12 @@ type Result struct {
 	Duplicate bool
 }
 
-// Process handles one received message through the broker's own
-// Processor; it must not run concurrently with itself.
-func (b *Broker) Process(m *msg.Message, now vtime.Millis) Result {
-	return b.proc.Process(m, now)
+// ProcessWith handles one received message through a caller-owned
+// Processor, rebinding it to this broker first: one goroutine driving
+// many brokers keeps one set of scratch buffers for all of them.
+func (b *Broker) ProcessWith(p *Processor, m *msg.Message, now vtime.Millis) Result {
+	p.b = b
+	return p.Process(m, now)
 }
 
 // Processor is one worker's view of a broker: the per-message scratch
@@ -187,7 +185,10 @@ func (b *Broker) Process(m *msg.Message, now vtime.Millis) Result {
 // to the shared broker state. Processors of one broker may Process
 // concurrently — for distinct messages — as long as the routing table is
 // not mutated underneath them; enqueues take each queue's lock and the
-// arrival dedup set stripes internally.
+// arrival dedup set stripes internally. The scratch holds nothing of one
+// broker between messages (its stamps are epochs), so a caller-owned
+// Processor may also serve several brokers from one goroutine, one
+// message at a time, through Broker.ProcessWith.
 type Processor struct {
 	b *Broker
 

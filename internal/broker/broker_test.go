@@ -2,6 +2,7 @@ package broker
 
 import (
 	"runtime/debug"
+	"slices"
 	"testing"
 
 	"bdps/internal/core"
@@ -71,8 +72,9 @@ func TestNewValidation(t *testing.T) {
 
 func TestProcessDeliversLocallyAndEnqueues(t *testing.T) {
 	b := testBroker(t, msg.SSD, false)
+	p := b.NewProcessor()
 	m := message(3, 0)
-	res := b.Process(m, 1000)
+	res := p.Process(m, 1000)
 
 	if len(res.Deliveries) != 1 {
 		t.Fatalf("deliveries = %d, want 1", len(res.Deliveries))
@@ -108,7 +110,8 @@ func TestProcessDeliversLocallyAndEnqueues(t *testing.T) {
 
 func TestProcessNonMatchingMessage(t *testing.T) {
 	b := testBroker(t, msg.SSD, false)
-	res := b.Process(message(7, 0), 1000) // A1=7 fails "A1<5"
+	p := b.NewProcessor()
+	res := p.Process(message(7, 0), 1000) // A1=7 fails "A1<5"
 	if len(res.Deliveries) != 0 || len(res.EnqueuedHops) != 0 || res.ArrivalDrops != 0 {
 		t.Errorf("non-matching message produced work: %+v", res)
 	}
@@ -116,9 +119,10 @@ func TestProcessNonMatchingMessage(t *testing.T) {
 
 func TestProcessWrongIngressIgnored(t *testing.T) {
 	b := testBroker(t, msg.SSD, false)
+	p := b.NewProcessor()
 	m := message(3, 0)
 	m.Ingress = 5 // table only has source 0
-	res := b.Process(m, 1000)
+	res := p.Process(m, 1000)
 	if len(res.Deliveries) != 0 || len(res.EnqueuedHops) != 0 {
 		t.Errorf("wrong-ingress message produced work: %+v", res)
 	}
@@ -126,9 +130,10 @@ func TestProcessWrongIngressIgnored(t *testing.T) {
 
 func TestProcessPSDUsesPublisherBound(t *testing.T) {
 	b := testBroker(t, msg.PSD, false)
+	p := b.NewProcessor()
 	m := message(3, 0)
 	m.Allowed = 20 * vtime.Second
-	res := b.Process(m, 1000)
+	res := p.Process(m, 1000)
 	if len(res.Deliveries) != 1 {
 		t.Fatalf("deliveries = %d", len(res.Deliveries))
 	}
@@ -148,8 +153,9 @@ func TestProcessPSDUsesPublisherBound(t *testing.T) {
 
 func TestProcessLateLocalDelivery(t *testing.T) {
 	b := testBroker(t, msg.SSD, false)
+	p := b.NewProcessor()
 	// Sub 1 allows 10 s; arrival at 11 s is late.
-	res := b.Process(message(3, 0), 11*vtime.Second)
+	res := p.Process(message(3, 0), 11*vtime.Second)
 	found := false
 	for _, d := range res.Deliveries {
 		if d.SubID == 1 {
@@ -166,8 +172,9 @@ func TestProcessLateLocalDelivery(t *testing.T) {
 
 func TestProcessArrivalDropExpired(t *testing.T) {
 	b := testBroker(t, msg.SSD, false)
+	p := b.NewProcessor()
 	// At t = 61 s every remote deadline (30 s, 60 s) has passed.
-	res := b.Process(message(3, 0), 61*vtime.Second)
+	res := p.Process(message(3, 0), 61*vtime.Second)
 	if res.ArrivalDrops != 2 {
 		t.Errorf("arrival drops = %d, want 2 (both hops)", res.ArrivalDrops)
 	}
@@ -178,11 +185,12 @@ func TestProcessArrivalDropExpired(t *testing.T) {
 
 func TestProcessArrivalDropHopeless(t *testing.T) {
 	b := testBroker(t, msg.SSD, false)
+	p := b.NewProcessor()
 	// At t = 29.9 s, sub 4 via hop 3 has 98 ms of slack against a
 	// N(70,20) ms/KB single-hop residual for 50 KB: success ≈ 3e-4 < ε,
 	// hopeless → the hop-3 intent drops. Hop 2 survives through sub 3
 	// (60 s deadline) even though sub 2 (30 s) is hopeless too.
-	res := b.Process(message(3, 0), 29900)
+	res := p.Process(message(3, 0), 29900)
 	if len(res.EnqueuedHops) != 1 || res.EnqueuedHops[0] != 2 {
 		t.Errorf("enqueued hops = %v, want [2]", res.EnqueuedHops)
 	}
@@ -193,12 +201,13 @@ func TestProcessArrivalDropHopeless(t *testing.T) {
 
 func TestProcessDedup(t *testing.T) {
 	b := testBroker(t, msg.SSD, true)
+	p := b.NewProcessor()
 	m := message(3, 0)
-	first := b.Process(m, 1000)
+	first := p.Process(m, 1000)
 	if first.Duplicate {
 		t.Fatal("first arrival flagged duplicate")
 	}
-	second := b.Process(m, 2000)
+	second := p.Process(m, 2000)
 	if !second.Duplicate {
 		t.Fatal("second arrival not deduplicated")
 	}
@@ -207,8 +216,9 @@ func TestProcessDedup(t *testing.T) {
 	}
 	// Without dedup the same message processes twice.
 	b2 := testBroker(t, msg.SSD, false)
-	b2.Process(m, 1000)
-	again := b2.Process(m, 2000)
+	p2 := b2.NewProcessor()
+	p2.Process(m, 1000)
+	again := p2.Process(m, 2000)
 	if again.Duplicate || len(again.Deliveries) != 1 {
 		t.Error("dedup off: reprocessing expected")
 	}
@@ -216,6 +226,7 @@ func TestProcessDedup(t *testing.T) {
 
 func TestQueueReuseAndPeak(t *testing.T) {
 	b := testBroker(t, msg.SSD, false)
+	p := b.NewProcessor()
 	q := b.Queue(2)
 	if b.Queue(2) != q {
 		t.Error("Queue must return the same instance per neighbor")
@@ -223,8 +234,8 @@ func TestQueueReuseAndPeak(t *testing.T) {
 	if q.LinkMean != 70 {
 		t.Errorf("queue link mean = %v, want 70", q.LinkMean)
 	}
-	b.Process(message(3, 0), 0)
-	b.Process(message(2, 0), 0)
+	p.Process(message(3, 0), 0)
+	p.Process(message(2, 0), 0)
 	if b.PeakQueue() != 2 {
 		t.Errorf("peak = %d, want 2", b.PeakQueue())
 	}
@@ -242,28 +253,68 @@ func TestBuildEntrySkipsUnboundedTargets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := b.Process(message(3, 0), 0)
+	res := b.NewProcessor().Process(message(3, 0), 0)
 	if len(res.EnqueuedHops) != 0 || res.ArrivalDrops != 1 {
 		t.Errorf("unbounded-target entry should drop at arrival: %+v", res)
 	}
 }
 
+// TestProcessWithServesManyBrokers: one Processor lent to two brokers,
+// messages interleaved between them, decides for each exactly what a
+// Processor of its own decides for a twin broker — and each broker keeps
+// its own dedup state.
+func TestProcessWithServesManyBrokers(t *testing.T) {
+	mk := func() [2]*Broker { return [2]*Broker{testBroker(t, msg.SSD, false), testBroker(t, msg.PSD, true)} }
+	lent, twins := mk(), mk()
+	own := [2]*Processor{twins[0].NewProcessor(), twins[1].NewProcessor()}
+	var shared Processor
+	var msgs []*msg.Message
+	for i, a1 := range []float64{3, 7, 2, 4, 9, 1} {
+		m := message(a1, vtime.Millis(i)*vtime.Second)
+		m.ID, m.Allowed = msg.ID(i), 20*vtime.Second
+		msgs = append(msgs, m)
+	}
+	msgs = append(msgs, msgs[0]) // a repeat: a duplicate at the dedup broker alone
+	for i, m := range msgs {
+		now := m.Published + 500
+		for k := range lent {
+			got := lent[k].ProcessWith(&shared, m, now)
+			want := own[k].Process(m, now)
+			if !slices.Equal(got.Deliveries, want.Deliveries) || !slices.Equal(got.EnqueuedHops, want.EnqueuedHops) ||
+				got.ArrivalDrops != want.ArrivalDrops || got.Duplicate != want.Duplicate {
+				t.Fatalf("message %d at broker %d: lent processor %+v, own %+v", i, k, got, want)
+			}
+			if dup := i == len(msgs)-1 && k == 1; got.Duplicate != dup {
+				t.Errorf("message %d at broker %d: duplicate = %v, want %v", i, k, got.Duplicate, dup)
+			}
+		}
+	}
+	for k := range lent {
+		for _, hop := range []msg.NodeID{2, 3} {
+			if got, want := lent[k].Queue(hop).Len(), twins[k].Queue(hop).Len(); got != want || got == 0 {
+				t.Errorf("broker %d queue to %d holds %d, its twin %d", k, hop, got, want)
+			}
+		}
+	}
+}
+
 // TestProcessScratchReuse pins the reused-Result contract: a Result is
-// valid until the broker's next Process call, and back-to-back calls
+// valid until its Processor's next Process call, and back-to-back calls
 // produce independent, correct decisions (the scratch buffers must not
 // leak state between messages).
 func TestProcessScratchReuse(t *testing.T) {
 	b := testBroker(t, msg.SSD, false)
-	first := b.Process(message(3, 0), 1000)
+	p := b.NewProcessor()
+	first := p.Process(message(3, 0), 1000)
 	if len(first.Deliveries) != 1 || len(first.EnqueuedHops) != 2 {
 		t.Fatalf("first = %+v", first)
 	}
 	// A non-matching message must come back empty, not show stale hops.
-	second := b.Process(message(7, 0), 1000)
+	second := p.Process(message(7, 0), 1000)
 	if len(second.Deliveries) != 0 || len(second.EnqueuedHops) != 0 {
 		t.Fatalf("second reused stale scratch: %+v", second)
 	}
-	third := b.Process(message(2, 0), 2000)
+	third := p.Process(message(2, 0), 2000)
 	if len(third.Deliveries) != 1 || len(third.EnqueuedHops) != 2 {
 		t.Fatalf("third = %+v", third)
 	}
@@ -294,6 +345,7 @@ func TestProcessSteadyStateAllocs(t *testing.T) {
 		t.Skip("AllocsPerRun is nondeterministic under -race (instrumentation allocates)")
 	}
 	b := testBroker(t, msg.SSD, false)
+	p := b.NewProcessor()
 	m := message(3, 0)
 	drain := func() {
 		for _, hop := range []msg.NodeID{2, 3} {
@@ -308,7 +360,7 @@ func TestProcessSteadyStateAllocs(t *testing.T) {
 		}
 	}
 	for i := 0; i < 10; i++ {
-		b.Process(m, 0)
+		p.Process(m, 0)
 		drain()
 	}
 	// Disable GC around the measurement: a collection mid-run clears
@@ -316,7 +368,7 @@ func TestProcessSteadyStateAllocs(t *testing.T) {
 	// allocation (a real flake under -race, where GC pressure is high).
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	allocs := testing.AllocsPerRun(200, func() {
-		b.Process(m, 0)
+		p.Process(m, 0)
 		drain()
 	})
 	// The steady-state budget is zero; allow a fraction for pool variance.
@@ -349,8 +401,9 @@ func TestProcessAggregatedMemberFanout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	p := b.NewProcessor()
 
-	res := b.Process(message(3, 0), 1000)
+	res := p.Process(message(3, 0), 1000)
 	got := make(map[msg.SubID]int)
 	for _, d := range res.Deliveries {
 		got[d.SubID]++
@@ -366,7 +419,7 @@ func TestProcessAggregatedMemberFanout(t *testing.T) {
 
 	// Detach one member: the next message no longer fans out to it.
 	tb.Detach(rep.ID, 5)
-	res = b.Process(message(3, 0), 2000)
+	res = p.Process(message(3, 0), 2000)
 	got = make(map[msg.SubID]int)
 	for _, d := range res.Deliveries {
 		got[d.SubID]++

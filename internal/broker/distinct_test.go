@@ -35,11 +35,12 @@ func observe(t *testing.T, tb *routing.Table) outcome {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := b.Process(message(3, 0), 1000)
+	p := b.NewProcessor()
+	res := p.Process(message(3, 0), 1000)
 	out := outcome{
 		deliveries: slices.Clone(res.Deliveries),
 		targets:    map[msg.NodeID][]core.Target{},
-		stamped:    b.proc.stamp,
+		stamped:    p.stamp,
 	}
 	slices.SortFunc(out.deliveries, func(a, b Delivery) int { return int(a.SubID - b.SubID) })
 	for _, hop := range res.EnqueuedHops {

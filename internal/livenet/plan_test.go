@@ -68,8 +68,9 @@ func TestRestartedPlanNodeIsPlanBroker(t *testing.T) {
 	// reborn broker forwards stays queued toward 2 until shedding caps it.
 	n.Stop()
 	shed := 0
+	proc := n.b.NewProcessor()
 	for _, m := range p.Pubs {
-		shed += len(n.b.Process(m, m.Published).Shed)
+		shed += len(proc.Process(m, m.Published).Shed)
 	}
 	q := n.b.Queue(2)
 	if shed == 0 || q.Len() != 8 {

@@ -43,6 +43,12 @@ func NumAttrs(kv map[string]float64) AttrSet {
 // Reset empties the set, keeping the backing array for reuse.
 func (s *AttrSet) Reset() { s.attrs = s.attrs[:0] }
 
+// UseBuffer empties the set and makes buf's array its backing store, so
+// Set fills buf without allocating while it has capacity; the set then
+// aliases buf. Slab allocators hand each set a capacity-capped window of
+// one shared array.
+func (s *AttrSet) UseBuffer(buf []Attr) { s.attrs = buf[:0] }
+
 // Grow ensures capacity for n attributes, so a decoder that knows the
 // count up front pays one backing allocation instead of append growth.
 func (s *AttrSet) Grow(n int) {

@@ -45,11 +45,6 @@ func Build(ov *topology.Overlay, subs []*msg.Subscription, opts Options) (map[ms
 	}
 
 	nodes := ov.Graph.N()
-	tables := make(map[msg.NodeID]*Table, nodes)
-	for id := 0; id < nodes; id++ {
-		tables[msg.NodeID(id)] = NewTable(msg.NodeID(id))
-	}
-
 	edgeSet := make(map[msg.NodeID]bool, len(ov.Edges))
 	for _, e := range ov.Edges {
 		edgeSet[e] = true
@@ -76,6 +71,9 @@ func Build(ov *topology.Overlay, subs []*msg.Subscription, opts Options) (map[ms
 	subsAt := make([]int, nodes)
 	refCap := make(map[[2]msg.NodeID]int) // (broker, edge) → entries per subscription
 	var parts []stats.Normal
+	// Every (ingress, edge) pair's route list is carved from one buffer
+	// sized for k routes per pair.
+	routeBuf := make([]route, 0, len(ov.Ingress)*len(perEdge)*k)
 	for si, src := range ov.Ingress {
 		routes[si] = make([][]route, nodes)
 		// One Dijkstra per ingress covers all single-path routes.
@@ -98,7 +96,9 @@ func Build(ov *topology.Overlay, subs []*msg.Subscription, opts Options) (map[ms
 			if len(paths) == 0 {
 				return nil, fmt.Errorf("routing: no path %d->%d for subscription %d", src, edge, sub.ID)
 			}
-			rs := make([]route, len(paths))
+			n := len(routeBuf)
+			routeBuf = routeBuf[:n+len(paths)]
+			rs := routeBuf[n : n+len(paths) : n+len(paths)]
 			for i, path := range paths {
 				rs[i], parts = newRoute(path, rates, parts)
 				for _, at := range path {
@@ -117,7 +117,7 @@ func Build(ov *topology.Overlay, subs []*msg.Subscription, opts Options) (map[ms
 		for edge, rs := range routes[si] {
 			for _, r := range rs {
 				for i, at := range r.path {
-					r.refs[i] = refCap[[2]msg.NodeID{at, msg.NodeID(edge)}]
+					r.at[i].refs = refCap[[2]msg.NodeID{at, msg.NodeID(edge)}]
 				}
 			}
 		}
@@ -141,29 +141,42 @@ func Build(ov *topology.Overlay, subs []*msg.Subscription, opts Options) (map[ms
 	// Install in the historical Add order (ingress, subscription, path,
 	// position) into tables sized by the counts: a table's entries are
 	// carved from one slab (contiguous in scan order per ingress), its
-	// back-references from another, every source's state and scan from
-	// three slabs shared by all tables, and no list grows.
+	// back-references from another, every source's state, entry list and
+	// scan from four slabs shared by all tables (each window capped, so
+	// a later Add grows a copy), and no list grows.
+	tables := make(map[msg.NodeID]*Table, nodes)
 	slabs := make([]tableSlab, nodes)
 	sources := make([]sourceState, 0, nonEmpty)
+	entries, refs, lists := make([]Entry, all), make([]entryRef, all), make([]*Entry, all)
+	off := 0
 	for at := range slabs {
+		id := msg.NodeID(at)
 		counts := perSource[at*len(ov.Ingress) : (at+1)*len(ov.Ingress)]
-		total := 0
+		total, srcs := 0, 0
 		for _, c := range counts {
 			total += c
+			srcs += min(c, 1)
 		}
 		if total == 0 {
+			tables[id] = NewTable(id)
 			continue
 		}
-		slabs[at] = tableSlab{entries: make([]Entry, 0, total), refs: make([]entryRef, 0, total)}
-		t := tables[msg.NodeID(at)]
-		t.bySub = make(map[msg.SubID][]entryRef, subsAt[at])
+		end := off + total
+		slabs[at] = tableSlab{entries: entries[off:off:end], refs: refs[off:off:end]}
+		t := &Table{
+			broker:   id,
+			bySource: make(map[msg.NodeID]*sourceState, srcs),
+			bySub:    make(map[msg.SubID][]entryRef, subsAt[at]),
+		}
+		tables[id] = t
 		for si, c := range counts {
 			if c > 0 {
 				sources = append(sources, sourceState{
-					entries: make([]*Entry, 0, c),
+					entries: lists[off : off : off+c],
 					scan:    rows.Carve(c, &bounds, &states),
 				})
 				t.bySource[ov.Ingress[si]] = &sources[len(sources)-1]
+				off += c
 			}
 		}
 	}
@@ -174,8 +187,8 @@ func Build(ov *topology.Overlay, subs []*msg.Subscription, opts Options) (map[ms
 					slab := &slabs[at]
 					slab.entries = append(slab.entries, Entry{})
 					e := &slab.entries[len(slab.entries)-1]
-					e.set(r.path, i, sub, src, pathID, r.rate[i])
-					st, _ := tables[at].add(e, slab, r.refs[i])
+					e.set(r.path, i, sub, src, pathID, r.at[i].rate)
+					st, _ := tables[at].add(e, slab, r.at[i].refs)
 					st.scan.AddRow(&rows, j)
 				}
 			}
@@ -197,14 +210,18 @@ func Build(ov *topology.Overlay, subs []*msg.Subscription, opts Options) (map[ms
 }
 
 // route is one delivery path of a bulk build, with what the table at
-// each position needs to know: rate[i] is the believed rate of the
-// residual path path[i..end], refs[i] the number of entries one
+// each position needs to know: at[i].rate is the believed rate of the
+// residual path path[i..end], at[i].refs the number of entries one
 // subscription of the path's edge holds in that table (over all
 // ingresses and paths).
 type route struct {
 	path []msg.NodeID
-	rate []stats.Normal
-	refs []int
+	at   []routeHop
+}
+
+type routeHop struct {
+	rate stats.Normal
+	refs int
 }
 
 // newRoute computes a path's residual rates through the caller's link
@@ -216,9 +233,9 @@ func newRoute(path []msg.NodeID, rates RateFunc, parts []stats.Normal) (route, [
 	for j := 0; j+1 < len(path); j++ {
 		parts = append(parts, rates(path[j], path[j+1]))
 	}
-	r := route{path: path, rate: make([]stats.Normal, len(path)), refs: make([]int, len(path))}
+	r := route{path: path, at: make([]routeHop, len(path))}
 	for i := range parts {
-		r.rate[i] = stats.SumNormal(parts[i:]...)
+		r.at[i].rate = stats.SumNormal(parts[i:]...)
 	}
 	return r, parts
 }
@@ -387,20 +404,20 @@ func pathVia(dist []float64, prev []msg.NodeID, src, dst msg.NodeID) ([]msg.Node
 	if dist[dst] > unreachable {
 		return nil, false
 	}
-	var rev []msg.NodeID
-	for at := dst; ; at = prev[at] {
-		rev = append(rev, at)
-		if at == src {
-			break
-		}
+	// Walk back once to size the path, then fill it back to front.
+	n := 1
+	for at := dst; at != src; at = prev[at] {
 		if prev[at] == msg.None {
 			return nil, false
 		}
+		n++
 	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
+	path := make([]msg.NodeID, n)
+	for at := dst; n > 0; at = prev[at] {
+		n--
+		path[n] = at
 	}
-	return rev, true
+	return path, true
 }
 
 // installPath writes one entry per broker along the path.

@@ -194,14 +194,31 @@ func Assemble(cfg Config) (*Plan, error) {
 // subscription events, per-subscriber shaping and the admission sweep.
 func (p *Plan) schedule() {
 	cfg, ov := &p.Cfg, p.Overlay
+	// The publications and their attributes are carved from two slabs of
+	// exactly the run's size: a counting pass replays each publisher's
+	// stream to size them, a second pass fills them.
+	const perMsg = workload.AttrsPerMessage
+	var scratch msg.Message
+	scratchAttrs := make([]msg.Attr, perMsg)
+	counts := make([]int, len(ov.Ingress))
+	total := 0
 	for i, ingress := range ov.Ingress {
 		pub := cfg.Workload.NewPublisher(i, ingress)
-		for {
-			m, ok := pub.Next()
-			if !ok {
-				break
-			}
-			p.Pubs = append(p.Pubs, m)
+		for pub.NextInto(&scratch, scratchAttrs) {
+			counts[i]++
+		}
+		total += counts[i]
+	}
+	msgs := make([]msg.Message, total)
+	attrs := make([]msg.Attr, total*perMsg)
+	p.Pubs = make([]*msg.Message, total)
+	k := 0
+	for i, ingress := range ov.Ingress {
+		pub := cfg.Workload.NewPublisher(i, ingress)
+		for range counts[i] {
+			pub.NextInto(&msgs[k], attrs[k*perMsg:(k+1)*perMsg:(k+1)*perMsg])
+			p.Pubs[k] = &msgs[k]
+			k++
 		}
 	}
 

@@ -168,10 +168,10 @@ func TestPlanMultipathBuildsDedupBrokers(t *testing.T) {
 	}
 	// Dedup is observable: processing the same message twice must report
 	// the second as a duplicate.
-	b := p.Brokers[0]
+	proc := p.Brokers[0].NewProcessor()
 	m := p.Pubs[0]
-	b.Process(m, m.Published)
-	if res := b.Process(m, m.Published); !res.Duplicate {
+	proc.Process(m, m.Published)
+	if res := proc.Process(m, m.Published); !res.Duplicate {
 		t.Error("multipath plan brokers must dedup repeated arrivals")
 	}
 }

@@ -11,6 +11,12 @@
 // a virtual clock.
 // runtime.Run(cfg, simnet.Transport{}) reproduces one data point of the
 // paper's evaluation.
+//
+// The engine runs one event at a time, so a network processes every
+// broker's arrivals through one shared broker.Processor (each broker
+// keeps its own queues and dedup state), and its links are one slab,
+// each link its own completion event: what a cell allocates beyond its
+// plan is per message, not per broker or link.
 package simnet
 
 import (
@@ -47,8 +53,8 @@ func (Transport) Deploy(p *runtime.Plan) (runtime.Deployment, error) { return de
 
 // link is one directed overlay link at runtime: the two halves of the
 // hop both backends run (runtime/link.go), plus this backend's I/O. At
-// most one transfer is in flight per link, so the completion event is a
-// single closure built at assembly time and reused for every transfer.
+// most one transfer is in flight per link, so the link itself is its
+// completion event (Run), scheduled for every transfer.
 // burst is the transfer's ordered chains (the sending half's scratch,
 // untouched until the next transfer starts) and epoch the sender's
 // incarnation when it left: a transfer still in flight when its sender
@@ -56,11 +62,11 @@ func (Transport) Deploy(p *runtime.Plan) (runtime.Deployment, error) { return de
 // toward to, looked up on the first send and again after a restart
 // swaps the broker.
 type link struct {
+	n        *Network
 	from, to msg.NodeID
 	busy     bool
 	down     bool
 	q        *core.Queue
-	onDone   func()
 	send     runtime.LinkSend
 	recv     runtime.LinkRecv
 	burst    []runtime.Chain
@@ -105,11 +111,16 @@ type Network struct {
 	Collector *metrics.Collector
 
 	// links[from] lists the links leaving one broker (a handful: the
-	// node's degree), searched by far end.
-	links  [][]*link
+	// node's degree), searched by far end; every node's list is a window
+	// of one slab.
+	links  [][]link
 	dead   []bool
 	tracer trace.Tracer
 	charge runtime.Charge
+	// proc is the one broker.Processor of the network: the engine runs
+	// one event at a time, so every broker processes through the same
+	// scratch.
+	proc broker.Processor
 
 	// The plan (its config, its population, and the broker/table maps a
 	// restart swaps), then crash-restart durability: the repair engine,
@@ -132,7 +143,7 @@ func deploy(p *runtime.Plan) (*Network, error) {
 		Engine:    sim.New(),
 		Brokers:   make([]*broker.Broker, nodes),
 		Collector: p.Metrics,
-		links:     make([][]*link, nodes),
+		links:     make([][]link, nodes),
 		dead:      make([]bool, nodes),
 		tracer:    p.Cfg.Tracer,
 		charge:    runtime.NewCharge(p.Metrics, p.Cfg.Tracer),
@@ -147,15 +158,23 @@ func deploy(p *runtime.Plan) (*Network, error) {
 	for id, b := range p.Brokers {
 		n.Brokers[id] = b
 	}
+	// The links, grouped by sender in plan order, in one slab: each
+	// node's window is sized by its out-degree before any is filled.
+	slab := make([]link, len(p.Links))
+	next := make([]int, nodes+1)
 	for _, pl := range p.Links {
-		l := &link{
-			from: pl.From,
-			to:   pl.To,
-			send: runtime.NewLinkSend(pl.From, pl.To, p.LinkSpec(pl), p.Cfg.Tracer),
-			recv: runtime.NewLinkRecv(p.Cfg.Reliability.Window, n.Collector),
-		}
-		l.onDone = func() { n.linkDone(l) }
-		n.links[pl.From] = append(n.links[pl.From], l)
+		next[pl.From+1]++
+	}
+	for id := range nodes {
+		next[id+1] += next[id]
+		n.links[id] = slab[next[id]:next[id]:next[id+1]]
+	}
+	for _, pl := range p.Links {
+		out := append(n.links[pl.From], link{n: n, from: pl.From, to: pl.To})
+		l := &out[len(out)-1]
+		l.send = runtime.NewLinkSend(pl.From, pl.To, p.LinkSpec(pl), p.Cfg.Tracer)
+		l.recv = runtime.NewLinkRecv(p.Cfg.Reliability.Window, n.Collector)
+		n.links[pl.From] = out
 	}
 
 	// Subscription churn becomes timed events mutating the routing
@@ -309,14 +328,14 @@ func (n *Network) restartBroker(id msg.NodeID) {
 		n.Collector.Count(metrics.RestartReplayedSubs, subs)
 	}
 	for _, out := range n.links {
-		for _, l := range out {
-			if l.to == id {
-				l.recv = runtime.NewLinkRecv(n.p.Cfg.Reliability.Window, n.Collector)
+		for i := range out {
+			if out[i].to == id {
+				out[i].recv = runtime.NewLinkRecv(n.p.Cfg.Reliability.Window, n.Collector)
 			}
 		}
 	}
-	for _, l := range n.links[id] {
-		l.q = nil
+	for i := range n.links[id] {
+		n.links[id][i].q = nil
 	}
 	if n.det != nil {
 		n.det.BrokerRestarted(id, nil)
@@ -443,7 +462,7 @@ func (n *Network) process(m *msg.Message, at msg.NodeID) {
 		return
 	}
 	now := n.Engine.Now()
-	res := n.Brokers[at].Process(m, now)
+	res := n.Brokers[at].ProcessWith(&n.proc, m, now)
 	n.charge.Result(at, m, &res, now)
 	for _, d := range res.Deliveries {
 		if s, ok := n.sessions[d.SubID]; ok {
@@ -461,9 +480,10 @@ func (n *Network) process(m *msg.Message, at msg.NodeID) {
 
 // link returns the directed link between two brokers, or nil.
 func (n *Network) link(from, to msg.NodeID) *link {
-	for _, l := range n.links[from] {
-		if l.to == to {
-			return l
+	out := n.links[from]
+	for i := range out {
+		if out[i].to == to {
+			return &out[i]
 		}
 	}
 	return nil
@@ -512,8 +532,11 @@ func (n *Network) send(l *link) {
 	l.burst, l.epoch = l.send.Order(), n.epochs[from]
 	l.send.Account(n.Collector)
 	l.busy = true
-	n.Engine.After(tx, l.onDone)
+	n.Engine.AfterRun(tx, l)
 }
+
+// Run implements sim.Runner: the link's transfer in flight completes.
+func (l *link) Run() { l.n.linkDone(l) }
 
 // linkDone completes one transfer: its surviving frames — the delivering
 // copy of each delivered chain, and its duplicate — run through the

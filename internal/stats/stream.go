@@ -13,13 +13,22 @@ import (
 //   - runs with the same master seed are bit-reproducible, and
 //   - changing one strategy or component does not perturb the random
 //     draws of any other (paired comparisons across strategies).
+//
+// A Stream is one object: its generator and the Rand drawing from it are
+// embedded, the Rand's source pointing at the embedded PCG. It must
+// therefore not be copied; use it through the pointer its constructor
+// returns.
 type Stream struct {
-	rng *rand.Rand
+	pcg rand.PCG
+	rng rand.Rand
 }
 
 // NewStream returns a stream seeded directly by seed.
 func NewStream(seed uint64) *Stream {
-	return &Stream{rng: rand.New(rand.NewPCG(seed, splitMix64(seed+0x9e3779b97f4a7c15)))}
+	s := new(Stream)
+	s.pcg.Seed(seed, splitMix64(seed+0x9e3779b97f4a7c15))
+	s.rng = *rand.New(&s.pcg)
+	return s
 }
 
 // Derive returns an independent sub-stream identified by label. The same

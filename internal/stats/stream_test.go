@@ -145,3 +145,52 @@ func TestSummaryAddAfterQuantile(t *testing.T) {
 		t.Errorf("median after interleaved add = %v, want 2", got)
 	}
 }
+
+// TestStreamDrawsPinned pins the first draws of two derived streams, of
+// each kind the system uses, to the values the streams drew when each
+// was three objects (a Stream pointing at a separately allocated Rand
+// and PCG): embedding them changed no draw.
+func TestStreamDrawsPinned(t *testing.T) {
+	for _, c := range []struct {
+		seed            uint64
+		label           string
+		n               int
+		unif, norm, exp [8]float64
+	}{
+		{1, "simnet/link", 0,
+			[8]float64{0.9887637877592903, 0.3081494136178199, 0.20756077247398763, 0.7750609281453354, 0.6431972439416563, 0.0751446524576802, 0.007183260012846304, 0.5391892141547043},
+			[8]float64{-0.22427639827033197, 0.6211729047448791, 1.8122354898054067, -1.4437319079044235, 0.6636330424387243, -0.44201016414949734, 1.4631207307467253, -0.3413210769815027},
+			[8]float64{4.522284630734074, 0.19905972178728026, 0.5800539713621009, 0.62057573217579, 0.16060733486047174, 1.4780270286005757, 1.2881304827632913, 0.20134444703925508}},
+		{7, "workload/pub", 3,
+			[8]float64{0.7175228353478773, 0.5749445140092994, 0.7654052336138083, 0.4708923005979144, 0.27175582426280953, 0.27629819605933503, 0.11908433275669628, 0.4020072263835487},
+			[8]float64{2.2091597073512714, 0.18414913837653146, 0.3164051645194064, -0.39471652629526494, 0.7779277441426117, 1.4879543950222658, -0.06977926923750655, 0.7795640097180274},
+			[8]float64{2.086284627142032, 0.17390662848773386, 0.0943468466102158, 1.332594491720398, 0.23653502426159032, 0.4608833034749792, 1.6903943985823497, 0.24032463730690418}},
+	} {
+		for _, k := range []struct {
+			name string
+			want [8]float64
+			draw func(*Stream) float64
+		}{
+			{"Float64", c.unif, (*Stream).Float64},
+			{"NormFloat64", c.norm, (*Stream).NormFloat64},
+			{"ExpFloat64", c.exp, func(s *Stream) float64 { return s.Exponential(1) }},
+		} {
+			s := DeriveN(c.seed, c.label, c.n)
+			for i, want := range k.want {
+				if got := k.draw(s); got != want {
+					t.Errorf("DeriveN(%d, %q, %d) %s draw %d = %v, want %v", c.seed, c.label, c.n, k.name, i, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestStreamIsOneObject: deriving a stream allocates the Stream alone.
+func TestStreamIsOneObject(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not judged under the race detector")
+	}
+	if n := testing.AllocsPerRun(100, func() { DeriveN(1, "simnet/link", 3).Float64() }); n != 1 {
+		t.Errorf("DeriveN allocated %v objects, want 1", n)
+	}
+}

@@ -1,7 +1,6 @@
 package topology
 
 import (
-	"container/heap"
 	"math"
 
 	"bdps/internal/msg"
@@ -30,9 +29,10 @@ func (g *Graph) ShortestPaths(src msg.NodeID) (dist []float64, prev []msg.NodeID
 	}
 	dist[src] = 0
 
-	pq := &nodeHeap{{id: src, dist: 0}}
-	for pq.Len() > 0 {
-		it := heap.Pop(pq).(nodeItem)
+	pq := make(nodeHeap, 0, n)
+	pq.push(nodeItem{id: src, dist: 0})
+	for len(pq) > 0 {
+		it := pq.pop()
 		if it.dist > dist[it.id] {
 			continue // stale entry
 		}
@@ -42,7 +42,7 @@ func (g *Graph) ShortestPaths(src msg.NodeID) (dist []float64, prev []msg.NodeID
 			case nd < dist[e.To]:
 				dist[e.To] = nd
 				prev[e.To] = it.id
-				heap.Push(pq, nodeItem{id: e.To, dist: nd})
+				pq.push(nodeItem{id: e.To, dist: nd})
 			case nd == dist[e.To] && it.id < prev[e.To]:
 				prev[e.To] = it.id
 			}
@@ -224,9 +224,10 @@ func (g *Graph) constrainedPath(src, dst msg.NodeID, banned map[[2]msg.NodeID]bo
 		return nil, false
 	}
 	dist[src] = 0
-	pq := &nodeHeap{{id: src, dist: 0}}
-	for pq.Len() > 0 {
-		it := heap.Pop(pq).(nodeItem)
+	pq := make(nodeHeap, 0, n)
+	pq.push(nodeItem{id: src, dist: 0})
+	for len(pq) > 0 {
+		it := pq.pop()
 		if it.dist > dist[it.id] {
 			continue
 		}
@@ -237,7 +238,7 @@ func (g *Graph) constrainedPath(src, dst msg.NodeID, banned map[[2]msg.NodeID]bo
 			nd := it.dist + e.Rate.Mean
 			if nd < dist[e.To] || (nd == dist[e.To] && it.id < prev[e.To]) {
 				if nd < dist[e.To] {
-					heap.Push(pq, nodeItem{id: e.To, dist: nd})
+					pq.push(nodeItem{id: e.To, dist: nd})
 				}
 				dist[e.To] = nd
 				prev[e.To] = it.id
@@ -248,7 +249,10 @@ func (g *Graph) constrainedPath(src, dst msg.NodeID, banned map[[2]msg.NodeID]bo
 }
 
 // nodeItem and nodeHeap implement the Dijkstra priority queue with
-// deterministic (dist, id) ordering.
+// deterministic (dist, id) ordering: a binary min-heap on the slice
+// itself, so pushes and pops box nothing. A node is pushed again only at
+// a strictly smaller distance, so no two items compare equal and the
+// pop sequence is the order's alone, whatever the heap's shape.
 type nodeItem struct {
 	id   msg.NodeID
 	dist float64
@@ -256,19 +260,48 @@ type nodeItem struct {
 
 type nodeHeap []nodeItem
 
-func (h nodeHeap) Len() int { return len(h) }
-func (h nodeHeap) Less(i, j int) bool {
+func (h nodeHeap) less(i, j int) bool {
 	if h[i].dist != h[j].dist {
 		return h[i].dist < h[j].dist
 	}
 	return h[i].id < h[j].id
 }
-func (h nodeHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *nodeHeap) Push(x any)   { *h = append(*h, x.(nodeItem)) }
-func (h *nodeHeap) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+
+// push adds an item and sifts it up.
+func (h *nodeHeap) push(it nodeItem) {
+	*h = append(*h, it)
+	q := *h
+	for i := len(q) - 1; i > 0; {
+		up := (i - 1) / 2
+		if !q.less(i, up) {
+			break
+		}
+		q[i], q[up] = q[up], q[i]
+		i = up
+	}
+}
+
+// pop removes and returns the least item; the heap must not be empty.
+func (h *nodeHeap) pop() nodeItem {
+	q := *h
+	n := len(q) - 1
+	top := q[0]
+	q[0] = q[n]
+	q = q[:n]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && q.less(r, c) {
+			c = r
+		}
+		if !q.less(c, i) {
+			break
+		}
+		q[i], q[c] = q[c], q[i]
+		i = c
+	}
+	*h = q
+	return top
 }

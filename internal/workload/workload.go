@@ -244,11 +244,28 @@ func (p *Publisher) advance() {
 	}
 }
 
+// AttrsPerMessage is how many attributes a generated message carries:
+// the paper's two numeric attributes, A1 and A2.
+const AttrsPerMessage = 2
+
 // Next returns the next message, or ok=false when the publishing window
 // has closed. The message's Published field holds its publication time.
+// Each message is allocated on its own; NextInto fills caller storage.
 func (p *Publisher) Next() (*msg.Message, bool) {
-	if p.next > p.cfg.Duration {
+	m := new(msg.Message)
+	if !p.NextInto(m, make([]msg.Attr, AttrsPerMessage)) {
 		return nil, false
+	}
+	return m, true
+}
+
+// NextInto is Next into caller storage: it overwrites *m with the next
+// message, whose attribute set uses attrs (room for AttrsPerMessage) as
+// its backing store, or returns false, touching neither, when the
+// publishing window has closed. The draws are Next's.
+func (p *Publisher) NextInto(m *msg.Message, attrs []msg.Attr) bool {
+	if p.next > p.cfg.Duration {
+		return false
 	}
 	attrHi := p.cfg.AttrHi
 	if p.cfg.HotspotFraction > 0 && p.stream.Float64() < p.cfg.HotspotFraction {
@@ -260,21 +277,20 @@ func (p *Publisher) Next() (*msg.Message, bool) {
 		// the flash-crowd subscribers came for.
 		attrHi = p.cfg.AttrLo + p.cfg.HotspotWidth*(p.cfg.AttrHi-p.cfg.AttrLo)
 	}
-	m := &msg.Message{
+	*m = msg.Message{
 		ID:        msg.MakeID(p.id, p.seq),
 		Publisher: p.id,
 		Ingress:   p.ingress,
 		Published: p.next,
 		SizeKB:    p.cfg.SizeKB,
-		Attrs: msg.NewAttrSet(
-			msg.Attr{Name: "A1", Val: filter.Num(p.stream.Uniform(p.cfg.AttrLo, attrHi))},
-			msg.Attr{Name: "A2", Val: filter.Num(p.stream.Uniform(p.cfg.AttrLo, attrHi))},
-		),
 	}
+	m.Attrs.UseBuffer(attrs)
+	m.Attrs.Set("A1", filter.Num(p.stream.Uniform(p.cfg.AttrLo, attrHi)))
+	m.Attrs.Set("A2", filter.Num(p.stream.Uniform(p.cfg.AttrLo, attrHi)))
 	if p.cfg.Scenario == msg.PSD || p.cfg.Scenario == msg.Both {
 		m.Allowed = p.stream.Uniform(float64(p.cfg.PSDDelayLo), float64(p.cfg.PSDDelayHi))
 	}
 	p.seq++
 	p.advance()
-	return m, true
+	return true
 }

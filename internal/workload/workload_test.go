@@ -212,6 +212,41 @@ func TestPublisherSSDNoAllowed(t *testing.T) {
 	}
 }
 
+// TestNextIntoFillsASlab: publications filled into one message slab
+// and capacity-capped windows of one attribute slab, as a plan's
+// schedule carves them, are the messages Next returns from the same
+// stream, and no message's attributes alias another's.
+func TestNextIntoFillsASlab(t *testing.T) {
+	c := Config{Seed: 3, Scenario: msg.Both, RatePerMin: 30, Duration: 5 * vtime.Minute, HotspotFraction: 0.3}
+	ref, pub := c.NewPublisher(2, 7), c.NewPublisher(2, 7)
+	var want []*msg.Message
+	for m, ok := ref.Next(); ok; m, ok = ref.Next() {
+		want = append(want, m)
+	}
+	if len(want) < 100 {
+		t.Fatalf("only %d publications", len(want))
+	}
+	msgs := make([]msg.Message, len(want))
+	attrs := make([]msg.Attr, len(want)*AttrsPerMessage)
+	for k := range msgs {
+		if !pub.NextInto(&msgs[k], attrs[k*AttrsPerMessage:(k+1)*AttrsPerMessage:(k+1)*AttrsPerMessage]) {
+			t.Fatalf("NextInto closed after %d of %d publications", k, len(want))
+		}
+	}
+	var spare msg.Message
+	if pub.NextInto(&spare, make([]msg.Attr, AttrsPerMessage)) {
+		t.Fatal("NextInto outlived Next")
+	}
+	for k := range msgs {
+		got, w := &msgs[k], want[k]
+		if got.ID != w.ID || got.Publisher != w.Publisher || got.Ingress != w.Ingress ||
+			got.Published != w.Published || got.Allowed != w.Allowed || got.SizeKB != w.SizeKB ||
+			got.Attrs.String() != w.Attrs.String() {
+			t.Fatalf("publication %d: NextInto %v %v, Next %v %v", k, got, got.Attrs, w, w.Attrs)
+		}
+	}
+}
+
 func TestPublishersIndependentStreams(t *testing.T) {
 	c := Config{Seed: 9, Duration: vtime.Hour}
 	p0 := c.NewPublisher(0, 0)

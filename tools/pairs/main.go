@@ -10,8 +10,12 @@
 // Then it prints, per workload and end-to-end metric of BENCHMARK.json:
 // both sides' medians, the change of the median, how many pairs moved
 // each way, the base's interquartile range against the metric's bound,
-// and a verdict (see classify). It exits 1 when a verdict is
-// "regression", 2 when the measurement itself failed.
+// and a verdict (see classify). Above that table it prints each pair's
+// covariates, read from the two run files: the 1-minute load average at
+// the start and end of each run, the CPUs busy when it started and its
+// noisy stamp; a pair whose two runs started more than 0.5 load apart
+// is flagged. It exits 1 when a verdict is "regression", 2 when the
+// measurement itself failed.
 //
 // HEAD means the committed tree: commit the change before measuring it.
 // The worktrees (and their build caches) live under the system temporary
@@ -51,12 +55,22 @@ type metricSpec struct {
 
 // runFile is the part of a bench result file pairs reads.
 type runFile struct {
+	Env       runEnv `json:"env"`
 	Workloads []struct {
 		Name    string `json:"name"`
 		Metrics map[string]struct {
 			Value float64 `json:"value"`
 		} `json:"metrics"`
 	} `json:"workloads"`
+}
+
+// runEnv is the environment stamp of a run file: the box's state around
+// the run, not the program's.
+type runEnv struct {
+	LoadStart float64 `json:"load1_start"`
+	LoadEnd   float64 `json:"load1_end"`
+	BusyStart float64 `json:"busy_cpus_start"`
+	Noisy     bool    `json:"noisy"`
 }
 
 func run(args []string, stdout, stderr io.Writer) int {
@@ -88,7 +102,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// measure runs the pairs and returns one row per workload and metric.
+// measure runs the pairs, prints the covariates of every pair and
+// returns one row per workload and metric.
 func measure(base, workloads string, n int, seed uint64, seconds float64, stdout, stderr io.Writer) ([]row, error) {
 	root, err := git("", "rev-parse", "--show-toplevel")
 	if err != nil {
@@ -178,6 +193,7 @@ func measure(base, workloads string, n int, seed uint64, seconds float64, stdout
 	fmt.Fprintln(stdout)
 
 	var rows []row
+	var covs []covariate
 	for _, w := range names {
 		runs := [2][]*runFile{}
 		for s := range runs {
@@ -189,6 +205,7 @@ func measure(base, workloads string, n int, seed uint64, seconds float64, stdout
 				runs[s] = append(runs[s], f)
 			}
 		}
+		covs = append(covs, covariates(w, runs)...)
 		for _, m := range spec.EndToEnd {
 			var pairs []pair
 			for i := range runs[0] {
@@ -203,6 +220,8 @@ func measure(base, workloads string, n int, seed uint64, seconds float64, stdout
 			}
 		}
 	}
+	printCovariates(stdout, covs)
+	fmt.Fprintln(stdout)
 	return rows, nil
 }
 
@@ -360,6 +379,56 @@ func printRows(w io.Writer, rows []row) {
 			r.workload, r.metric.Name, r.baseMed, r.headMed, 100*r.delta(),
 			fmt.Sprintf("%d/%d", r.better, r.n), fmt.Sprintf("%d/%d", r.worse, r.n),
 			100*r.spread(), 100*r.metric.Bound, r.verdict)
+	}
+}
+
+// loadApart is the difference of two runs' starting 1-minute load
+// averages beyond which a pair is flagged: its two sides ran on
+// differently loaded boxes.
+const loadApart = 0.5
+
+// covariate is one pair's environment, both sides.
+type covariate struct {
+	workload string
+	pair     int // 1-based
+	env      [2]runEnv
+}
+
+// flagged reports whether the pair's two runs started too far apart in
+// load to compare as like for like.
+func (c covariate) flagged() bool {
+	return math.Abs(c.env[0].LoadStart-c.env[1].LoadStart) > loadApart
+}
+
+// covariates lists one workload's pairs' environments; runs[side] holds
+// that side's run files pair by pair.
+func covariates(workload string, runs [2][]*runFile) []covariate {
+	var out []covariate
+	for i := range runs[0] {
+		if i >= len(runs[1]) {
+			break
+		}
+		out = append(out, covariate{workload, i + 1, [2]runEnv{runs[0][i].Env, runs[1][i].Env}})
+	}
+	return out
+}
+
+func printCovariates(w io.Writer, covs []covariate) {
+	fmt.Fprintf(w, "%-13s %4s  %-27s  %-27s  %s\n", "workload", "pair",
+		"base load1 start→end busy", "head load1 start→end busy", "flag")
+	side := func(e runEnv) string {
+		s := fmt.Sprintf("%5.2f→%5.2f %5.2f", e.LoadStart, e.LoadEnd, e.BusyStart)
+		if e.Noisy {
+			s += " noisy"
+		}
+		return s
+	}
+	for _, c := range covs {
+		flag := ""
+		if c.flagged() {
+			flag = fmt.Sprintf("load1 start %+.2f", c.env[1].LoadStart-c.env[0].LoadStart)
+		}
+		fmt.Fprintf(w, "%-13s %4d  %-27s  %-27s  %s\n", c.workload, c.pair, side(c.env[0]), side(c.env[1]), flag)
 	}
 }
 

@@ -1,6 +1,12 @@
 package main
 
-import "testing"
+import (
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
 
 // TestClassify pins the verdict rule: a win or a regression needs ten
 // pairs or more, nine in ten of them moved that way, and medians apart
@@ -50,6 +56,56 @@ func TestClassify(t *testing.T) {
 	} {
 		if got := classify("w", tc.metric, tc.pairs).verdict; got != tc.want {
 			t.Errorf("%s: %s, want %s", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestCovariatesFromRunFiles reads canned run files as the benchmark
+// writes them and prints each pair's environment, flagging the pair
+// whose two runs started more than 0.5 load apart.
+func TestCovariatesFromRunFiles(t *testing.T) {
+	dir := t.TempDir()
+	canned := func(name string, start, end, busy float64, noisy bool) *runFile {
+		path := filepath.Join(dir, name)
+		body := fmt.Sprintf(`{"schema": 1, "env": {"nproc": 2, "load1_start": %g, "load1_end": %g, "busy_cpus_start": %g, "noisy": %t},
+ "workloads": [{"name": "chain_small", "metrics": {"p50_us": {"value": 30, "unit": "us"}}}]}`, start, end, busy, noisy)
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		f, err := readRun(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	runs := [2][]*runFile{
+		{canned("base-0.json", 0.20, 0.90, 0.10, false), canned("base-1.json", 1.30, 1.10, 0.75, true)},
+		{canned("head-0.json", 0.60, 1.00, 0.05, false), canned("head-1.json", 0.70, 0.60, 0.20, false)},
+	}
+	covs := covariates("chain_small", runs)
+	if len(covs) != 2 {
+		t.Fatalf("%d covariate rows, want 2", len(covs))
+	}
+	if covs[0].flagged() || !covs[1].flagged() {
+		t.Errorf("flags = %v, %v; want the second pair alone (load1 start 1.30 vs 0.70)", covs[0].flagged(), covs[1].flagged())
+	}
+	var out strings.Builder
+	printCovariates(&out, covs)
+	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
+	if len(lines) != 3 {
+		t.Fatalf("want a header and two rows:\n%s", out.String())
+	}
+	for _, want := range []string{"0.20→ 0.90", "0.60→ 1.00", "0.10", "0.05"} {
+		if !strings.Contains(lines[1], want) {
+			t.Errorf("pair 1 row lacks %q:\n%s", want, lines[1])
+		}
+	}
+	if strings.Contains(lines[1], "noisy") || strings.Contains(lines[1], "load1 start") {
+		t.Errorf("pair 1 is neither noisy nor flagged:\n%s", lines[1])
+	}
+	for _, want := range []string{"1.30→ 1.10", "0.75 noisy", "0.70→ 0.60", "load1 start -0.60"} {
+		if !strings.Contains(lines[2], want) {
+			t.Errorf("pair 2 row lacks %q:\n%s", want, lines[2])
 		}
 	}
 }
