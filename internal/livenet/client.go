@@ -49,11 +49,11 @@ type Publisher struct {
 	Clock runtime.Clock
 }
 
-// pendingCap bounds a publisher's pending bytes: the ingress
-// FrameReader's buffer size, so one write fills at most one read there.
-// A caller that finds it full waits for the writer, which is how TCP
-// backpressure reaches the publishing goroutine.
-const pendingCap = 64 << 10
+// pendingCap bounds a publisher's pending bytes: the most one read of
+// the ingress FrameReader takes, so one write fills at most one read
+// there. A caller that finds it full waits for the writer, which is how
+// TCP backpressure reaches the publishing goroutine.
+const pendingCap = msg.BatchBufSize
 
 // WriteError is a publisher's failed background write, returned by the
 // first call after it (Publish, Send or Close). Lost counts the accepted
@@ -373,9 +373,11 @@ func (s *Subscriber) Token() ResumeToken {
 
 func (s *Subscriber) readLoop() {
 	defer close(s.ch)
-	// Frames read through one pooled buffer and an interning decoder:
-	// the per-delivery cost is the Message handed to the consumer (who
-	// keeps it), not the wire machinery.
+	// Frames read through one reused body buffer and an interning
+	// decoder: the per-delivery cost is the Message handed to the
+	// consumer (who keeps it), not the wire machinery. An idle
+	// subscription holds the reader's 2 KiB; a batch buffer only while
+	// deliveries are queued on the connection.
 	fr := msg.NewFrameReader(s.conn)
 	var fb msg.FrameBuf
 	var dec msg.Decoder

@@ -267,3 +267,51 @@ func TestLiveMultipathDedupDynamicFlood(t *testing.T) {
 		t.Errorf("duplicates = %d, want %d: the edge must suppress exactly the second copy of each", total.Duplicates, n)
 	}
 }
+
+// TestIdleReadLoopHeap pins what an idle connection costs: the paper's
+// 32-broker overlay, started with no subscriptions and carrying no
+// traffic, holds at most 8 KiB of live heap per read loop — everything
+// the started cluster owns, over its read loops. A read loop holds a
+// batch buffer only while frames are queued on its connection.
+func TestIdleReadLoopHeap(t *testing.T) {
+	ov, err := topology.BuildLayered(topology.LayeredConfig{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	readLoops := 0
+	for id := 0; id < ov.Graph.N(); id++ {
+		readLoops += len(ov.Graph.Neighbors(msg.NodeID(id)))
+	}
+	before := liveHeap()
+	c, err := StartCluster(ClusterConfig{
+		Overlay:   ov,
+		Scenario:  msg.PSD,
+		Strategy:  core.MaxEB{},
+		TimeScale: 0.001,
+		Seed:      1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+	for deadline := time.Now().Add(5 * time.Second); nodeGoroutines()["readLoop"] < readLoops; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d read loops running, want %d", nodeGoroutines()["readLoop"], readLoops)
+		}
+	}
+	per := (int64(liveHeap()) - int64(before)) / int64(readLoops)
+	t.Logf("%d read loops, %d bytes of live heap each", readLoops, per)
+	if per > 8<<10 {
+		t.Errorf("an idle cluster holds %d bytes of live heap per read loop, want ≤ 8 KiB", per)
+	}
+}
+
+// liveHeap collects twice, so pooled objects, which survive one cycle
+// in the victim cache, are gone, and returns the live heap in bytes.
+func liveHeap() uint64 {
+	grt.GC()
+	grt.GC()
+	var ms grt.MemStats
+	grt.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}

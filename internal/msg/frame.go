@@ -1,7 +1,6 @@
 package msg
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -18,7 +17,9 @@ import (
 // whose payloads alias the frame buffer, and single-buffer frame
 // assembly (BeginFrame/EndFrame) for batched writev egress. The
 // allocating entry points in codec.go (ReadFrame, DecodeMessage) remain
-// the simple path; the live data plane uses this one.
+// the simple path; the live data plane uses this one. An idle
+// connection's FrameReader holds 2 KiB; it borrows a 64 KiB batch
+// buffer from a pool only while frames are queued on the connection.
 
 // maxPooledFrame bounds the frame buffers kept by the pool. Oversized
 // bodies (jumbo payloads) still decode, but their buffers are dropped
@@ -59,34 +60,71 @@ func (fb *FrameBuf) grow(n int) []byte {
 	return fb.b
 }
 
-// FrameReader reads frames from one connection through a reusable
-// header scratch and pooled body buffers: zero steady-state allocations
-// per frame. It is not safe for concurrent use (one reader goroutine
-// per connection, as the live runtime runs).
+// BatchBufSize is the most one read of a FrameReader takes from its
+// connection: the buffer a connection borrows while frames are queued.
+// A writer that sends at most this much at once fills at most one read.
+const BatchBufSize = 64 << 10
+
+// idleBufSize is the buffer a FrameReader holds inline: it fits one data
+// frame of every live workload's one-at-a-time phase, and leaves room
+// for the reader's other fields and the allocator's 8-byte header so
+// that a FrameReader takes exactly 2 KiB, one malloc size class, on
+// 64-bit platforms (TestFrameReaderIsOneSizeClass).
+const idleBufSize = 2<<10 - 64
+
+// batchPool lends batch buffers to readers with frames queued. Like
+// framePool it is emptied by the collector, so a burst's buffers do not
+// outlive it.
+var batchPool = sync.Pool{New: func() any { return new([BatchBufSize]byte) }}
+
+// FrameReader reads frames from one connection through pooled body
+// buffers: zero steady-state allocations per frame. An idle connection
+// holds only the reader's inline buffer. A read that fills it with a
+// frame cut at its end means more frames are queued in the kernel, so
+// the next read borrows a BatchBufSize buffer from a pool, and the
+// reader gives it back as soon as it has drained, before it blocks
+// again. A body larger than the
+// buffer in use is read straight into its FrameBuf. It is not safe for
+// concurrent use (one reader goroutine per connection, as the live
+// runtime runs).
 type FrameReader struct {
-	r   *bufio.Reader
-	hdr [8]byte
+	rd    io.Reader
+	r, w  int                 // buf()[r:w] is read and not yet consumed
+	batch *[BatchBufSize]byte // borrowed while frames are queued, else nil
+	err   error               // the last read's error, returned once the bytes before it are consumed
+	idle  [idleBufSize]byte
 }
 
-// NewFrameReader wraps a connection. The buffered layer is what lets
-// the ingress path batch: after one frame is read, Buffered reports
-// whether more frames are already in userspace.
-func NewFrameReader(r io.Reader) *FrameReader {
-	return &FrameReader{r: bufio.NewReaderSize(r, 64<<10)}
-}
+// NewFrameReader wraps a connection in a 2 KiB reader, all that an idle
+// connection holds. The buffered layer is what lets the ingress path
+// batch: after one frame is read, Buffered reports whether more frames
+// are already in userspace.
+func NewFrameReader(r io.Reader) *FrameReader { return &FrameReader{rd: r} }
 
 // Buffered reports how many bytes are already readable without a
 // syscall.
-func (fr *FrameReader) Buffered() int { return fr.r.Buffered() }
+func (fr *FrameReader) Buffered() int { return fr.w - fr.r }
+
+// buf is the buffer in use: the batch while one is borrowed.
+func (fr *FrameReader) buf() []byte {
+	if fr.batch != nil {
+		return fr.batch[:]
+	}
+	return fr.idle[:]
+}
 
 // Next reads one frame into fb and returns the frame type and the body
 // (aliasing fb's buffer). Ownership of the buffer content passes to the
 // caller until fb is reused or released.
 func (fr *FrameReader) Next(fb *FrameBuf) (frameType byte, body []byte, err error) {
-	hdr := fr.hdr[:]
-	if _, err := io.ReadFull(fr.r, hdr); err != nil {
+	if err := fr.fill(frameHdrLen); err != nil {
+		if err == io.EOF && fr.w > fr.r {
+			err = io.ErrUnexpectedEOF
+		}
 		return 0, nil, err
 	}
+	hdr := fr.buf()[fr.r : fr.r+frameHdrLen]
+	fr.r += frameHdrLen
 	if binary.BigEndian.Uint16(hdr) != wireMagic {
 		return 0, nil, ErrBadMagic
 	}
@@ -99,13 +137,66 @@ func (fr *FrameReader) Next(fb *FrameBuf) (frameType byte, body []byte, err erro
 		return 0, nil, fmt.Errorf("%w: body %d bytes", ErrTooLarge, n)
 	}
 	body = fb.grow(int(n))
-	if _, err := io.ReadFull(fr.r, body); err != nil {
+	if len(body) <= len(fr.buf()) {
+		err = fr.fill(len(body))
+		fr.r += copy(body, fr.buf()[fr.r:fr.w])
+	} else {
+		k := copy(body, fr.buf()[fr.r:fr.w])
+		fr.r = fr.w
+		fr.settle()
+		if err = fr.takeErr(); err == nil {
+			_, err = io.ReadFull(fr.rd, body[k:])
+		}
+	}
+	if err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
 		return 0, nil, err
 	}
+	fr.settle()
 	return frameType, body, nil
+}
+
+// fill reads until need bytes, at most the buffer in use, are buffered.
+func (fr *FrameReader) fill(need int) error {
+	for fr.w-fr.r < need {
+		if fr.err != nil {
+			return fr.takeErr()
+		}
+		unread := fr.buf()[fr.r:fr.w]
+		if fr.batch == nil && fr.w == len(fr.idle) && len(unread) > 0 {
+			// The last read filled the idle buffer and a frame runs past
+			// its end: more frames are queued.
+			fr.batch = batchPool.Get().(*[BatchBufSize]byte)
+		}
+		buf := fr.buf()
+		fr.r, fr.w = 0, copy(buf, unread)
+		n, err := fr.rd.Read(buf[fr.w:])
+		fr.w += n
+		fr.err = err
+	}
+	return nil
+}
+
+// settle returns a drained batch buffer to its pool and rewinds the
+// idle one.
+func (fr *FrameReader) settle() {
+	if fr.r < fr.w {
+		return
+	}
+	if fr.batch != nil {
+		batchPool.Put(fr.batch)
+		fr.batch = nil
+	}
+	fr.r, fr.w = 0, 0
+}
+
+// takeErr returns the pending read error and clears it.
+func (fr *FrameReader) takeErr() error {
+	err := fr.err
+	fr.err = nil
+	return err
 }
 
 // frameHdrLen is the fixed frame header size.

@@ -17,6 +17,14 @@
 // is flagged. It exits 1 when a verdict is "regression", 2 when the
 // measurement itself failed.
 //
+// With --aa it measures one revision (--base, HEAD by default) against
+// itself, from one worktree: what the rule calls with no code change.
+// Under A/A a pair's two runs are interchangeable, so every one of the
+// 2^n ways of labelling each pair's runs base and head is as likely as
+// the one run; the table's last column is how many of them the verdict
+// rule calls a win or a regression — the false-claim rate of that metric
+// at n pairs, on this box and in this session.
+//
 // HEAD means the committed tree: commit the change before measuring it.
 // The worktrees (and their build caches) live under the system temporary
 // directory ($TMPDIR) and are removed on exit.
@@ -81,21 +89,25 @@ func run(args []string, stdout, stderr io.Writer) int {
 	n := fs.Int("n", 10, "pairs per workload")
 	seed := fs.Uint64("seed", 1, "the benchmark's input seed")
 	seconds := fs.Float64("seconds", 0, "seconds one workload run measures (default: BENCHMARK.json's run_seconds)")
+	aa := fs.Bool("aa", false, fmt.Sprintf("measure --base (default HEAD) against itself and count the false claims (n ≤ %d)", maxAAPairs))
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if *base == "" || *n < 1 || *seconds < 0 || fs.NArg() > 0 {
+	if *aa && *base == "" {
+		*base = "HEAD"
+	}
+	if *base == "" || *n < 1 || *aa && *n > maxAAPairs || *seconds < 0 || fs.NArg() > 0 {
 		fs.Usage()
 		return 2
 	}
-	rows, err := measure(*base, *workloads, *n, *seed, *seconds, stdout, stderr)
+	rows, err := measure(*base, *aa, *workloads, *n, *seed, *seconds, stdout, stderr)
 	if err != nil {
 		fmt.Fprintln(stderr, "pairs:", err)
 		return 2
 	}
 	printRows(stdout, rows)
 	for _, r := range rows {
-		if r.verdict == regression {
+		if r.verdict == regression && !*aa {
 			return 1
 		}
 	}
@@ -103,8 +115,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // measure runs the pairs, prints the covariates of every pair and
-// returns one row per workload and metric.
-func measure(base, workloads string, n int, seed uint64, seconds float64, stdout, stderr io.Writer) ([]row, error) {
+// returns one row per workload and metric. With aa, both sides run the
+// base revision's one worktree.
+func measure(base string, aa bool, workloads string, n int, seed uint64, seconds float64, stdout, stderr io.Writer) ([]row, error) {
 	root, err := git("", "rev-parse", "--show-toplevel")
 	if err != nil {
 		return nil, err
@@ -113,9 +126,11 @@ func measure(base, workloads string, n int, seed uint64, seconds float64, stdout
 	if err != nil {
 		return nil, err
 	}
-	headRev, err := git(root, "rev-parse", "--verify", "HEAD^{commit}")
-	if err != nil {
-		return nil, err
+	headRev := baseRev
+	if !aa {
+		if headRev, err = git(root, "rev-parse", "--verify", "HEAD^{commit}"); err != nil {
+			return nil, err
+		}
 	}
 	tmp, err := os.MkdirTemp("", "pairs-")
 	if err != nil {
@@ -124,7 +139,11 @@ func measure(base, workloads string, n int, seed uint64, seconds float64, stdout
 	defer os.RemoveAll(tmp)
 
 	sides := [2]string{filepath.Join(tmp, "base"), filepath.Join(tmp, "head")}
-	for i, rev := range [2]string{baseRev, headRev} {
+	revs, checkouts := [2]string{baseRev, headRev}, 2
+	if aa {
+		sides[1], checkouts = sides[0], 1 // one worktree serves both sides
+	}
+	for i, rev := range revs[:checkouts] {
 		if _, err := git(root, "worktree", "add", "--detach", sides[i], rev); err != nil {
 			return nil, err
 		}
@@ -206,23 +225,62 @@ func measure(base, workloads string, n int, seed uint64, seconds float64, stdout
 			}
 		}
 		covs = append(covs, covariates(w, runs)...)
-		for _, m := range spec.EndToEnd {
-			var pairs []pair
-			for i := range runs[0] {
-				a, okA := value(runs[0][i], w, m.Name)
-				b, okB := value(runs[1][i], w, m.Name)
-				if okA && okB {
-					pairs = append(pairs, pair{a, b})
-				}
-			}
-			if len(pairs) > 0 {
-				rows = append(rows, classify(w, m, pairs))
-			}
-		}
+		rows = append(rows, workloadRows(w, spec.EndToEnd, runs, aa)...)
 	}
 	printCovariates(stdout, covs)
 	fmt.Fprintln(stdout)
 	return rows, nil
+}
+
+// workloadRows classifies one workload's pairs, metric by metric;
+// runs[side] holds that side's run files pair by pair. With aa each row
+// also counts its false claims (see relabelClaims).
+func workloadRows(workload string, metrics []metricSpec, runs [2][]*runFile, aa bool) []row {
+	var rows []row
+	for _, m := range metrics {
+		var pairs []pair
+		for i := range runs[0] {
+			a, okA := value(runs[0][i], workload, m.Name)
+			b, okB := value(runs[1][i], workload, m.Name)
+			if okA && okB {
+				pairs = append(pairs, pair{a, b})
+			}
+		}
+		if len(pairs) == 0 {
+			continue
+		}
+		r := classify(workload, m, pairs)
+		if aa {
+			r.claims, r.labellings = relabelClaims(workload, m, pairs)
+		}
+		rows = append(rows, r)
+	}
+	return rows
+}
+
+// maxAAPairs bounds n under --aa: relabelClaims classifies all 2^n
+// labellings.
+const maxAAPairs = 16
+
+// relabelClaims classifies every labelling of the pairs' runs — each
+// pair's two values as run or swapped — and counts those the verdict
+// rule calls a win or a regression. For runs of one revision these are
+// the false claims among equally likely outcomes.
+func relabelClaims(workload string, m metricSpec, pairs []pair) (claims, labellings int) {
+	swapped := make([]pair, len(pairs))
+	labellings = 1 << len(pairs)
+	for mask := 0; mask < labellings; mask++ {
+		for i, p := range pairs {
+			if mask>>i&1 == 1 {
+				p.a, p.b = p.b, p.a
+			}
+			swapped[i] = p
+		}
+		if v := classify(workload, m, swapped).verdict; v == win || v == regression {
+			claims++
+		}
+	}
+	return claims, labellings
 }
 
 // benchRun runs one workload through a checkout's own bench/run.sh and
@@ -301,6 +359,9 @@ type row struct {
 	n              int
 	better, worse  int // pairs in which the change moved each way
 	verdict        string
+	// claims of labellings are the false claims an A/A row counts
+	// (relabelClaims); labellings is 0 on a row of two revisions.
+	claims, labellings int
 }
 
 // classify applies the rule a claim is judged by. A win (or a
@@ -372,13 +433,22 @@ func (r row) spread() float64 {
 }
 
 func printRows(w io.Writer, rows []row) {
-	fmt.Fprintf(w, "%-13s %-15s %12s %12s %8s %7s %7s %9s %6s  %s\n",
+	aa := len(rows) > 0 && rows[0].labellings > 0
+	head := fmt.Sprintf("%-13s %-15s %12s %12s %8s %7s %7s %9s %6s  %-10s",
 		"workload", "metric", "base", "head", "delta", "better", "worse", "base IQR", "bound", "verdict")
+	if aa {
+		head += "  false claims"
+	}
+	fmt.Fprintln(w, strings.TrimRight(head, " "))
 	for _, r := range rows {
-		fmt.Fprintf(w, "%-13s %-15s %12.6g %12.6g %+7.1f%% %7s %7s %8.1f%% %5.0f%%  %s\n",
+		line := fmt.Sprintf("%-13s %-15s %12.6g %12.6g %+7.1f%% %7s %7s %8.1f%% %5.0f%%  %-10s",
 			r.workload, r.metric.Name, r.baseMed, r.headMed, 100*r.delta(),
 			fmt.Sprintf("%d/%d", r.better, r.n), fmt.Sprintf("%d/%d", r.worse, r.n),
 			100*r.spread(), 100*r.metric.Bound, r.verdict)
+		if aa {
+			line += fmt.Sprintf("  %d/%d (%.1f%%)", r.claims, r.labellings, 100*float64(r.claims)/float64(r.labellings))
+		}
+		fmt.Fprintln(w, strings.TrimRight(line, " "))
 	}
 }
 

@@ -109,3 +109,70 @@ func TestCovariatesFromRunFiles(t *testing.T) {
 		}
 	}
 }
+
+// TestAAFromRunFiles reads canned run files of one revision, ten pairs,
+// and counts each metric's false claims over the 2^10 labellings of its
+// pairs: none for a count that repeats or for noise inside the bound;
+// for a metric whose second run read 40% higher in every pair — the box
+// drifted — the ten labellings with at most one pair swapped read a
+// regression and the ten with at most one left read a win, 22 in all.
+func TestAAFromRunFiles(t *testing.T) {
+	dir := t.TempDir()
+	metrics := []metricSpec{
+		{Name: "allocs_per_msg", Better: "lower", Bound: 0.1},
+		{Name: "p50_us", Better: "lower", Bound: 0.25},
+		{Name: "msgs_per_s", Better: "higher", Bound: 0.25},
+	}
+	var runs [2][]*runFile
+	for i := 0; i < 10; i++ {
+		for side := 0; side < 2; side++ {
+			jitter := float64(i%3) - 1
+			p50 := 30 + jitter + float64(side)
+			rate := (100 + jitter) * (1 + 0.4*float64(side))
+			path := filepath.Join(dir, fmt.Sprintf("%d-%d.json", side, i))
+			body := fmt.Sprintf(`{"schema": 1, "env": {"nproc": 2, "load1_start": 0.2, "load1_end": 0.3, "busy_cpus_start": 0.1, "noisy": false},
+ "workloads": [{"name": "chain_small", "metrics": {"allocs_per_msg": {"value": 3.0013, "unit": "count"},
+  "p50_us": {"value": %g, "unit": "us"}, "msgs_per_s": {"value": %g, "unit": "msgs/s"}}}]}`, p50, rate)
+			if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			f, err := readRun(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runs[side] = append(runs[side], f)
+		}
+	}
+	rows := workloadRows("chain_small", metrics, runs, true)
+	if len(rows) != 3 {
+		t.Fatalf("%d rows, want 3", len(rows))
+	}
+	for i, want := range []struct {
+		verdict string
+		better  int
+		worse   int
+		claims  int
+	}{
+		{level, 0, 0, 0},
+		{level, 0, 10, 0},
+		{win, 10, 0, 22},
+	} {
+		r := rows[i]
+		if r.verdict != want.verdict || r.better != want.better || r.worse != want.worse ||
+			r.claims != want.claims || r.labellings != 1024 {
+			t.Errorf("%s: %s, %d better, %d worse, %d/%d false claims; want %s, %d, %d, %d/1024",
+				r.metric.Name, r.verdict, r.better, r.worse, r.claims, r.labellings,
+				want.verdict, want.better, want.worse, want.claims)
+		}
+	}
+	var out strings.Builder
+	printRows(&out, rows)
+	if !strings.Contains(out.String(), "false claims") || !strings.Contains(out.String(), "22/1024 (2.1%)") {
+		t.Errorf("A/A table lacks its false-claim column:\n%s", out.String())
+	}
+	out.Reset()
+	printRows(&out, []row{classify("w", metrics[1], []pair{{1, 1}})})
+	if strings.Contains(out.String(), "false claims") {
+		t.Errorf("a table of two revisions has a false-claim column:\n%s", out.String())
+	}
+}
