@@ -138,14 +138,21 @@ func (fr *FrameReader) Next(fb *FrameBuf) (frameType byte, body []byte, err erro
 	}
 	body = fb.grow(int(n))
 	if len(body) <= len(fr.buf()) {
-		err = fr.fill(len(body))
-		fr.r += copy(body, fr.buf()[fr.r:fr.w])
+		if err = fr.fill(len(body)); err == nil {
+			fr.r += copy(body, fr.buf()[fr.r:fr.w])
+		}
 	} else {
 		k := copy(body, fr.buf()[fr.r:fr.w])
 		fr.r = fr.w
 		fr.settle()
-		if err = fr.takeErr(); err == nil {
-			_, err = io.ReadFull(fr.rd, body[k:])
+		err = fr.takeErr()
+		for k < len(body) && err == nil {
+			var n int
+			n, err = fr.rd.Read(body[k:])
+			k += n
+		}
+		if k == len(body) {
+			fr.err, err = err, nil // held for the next call, as behind buffered bytes
 		}
 	}
 	if err != nil {
