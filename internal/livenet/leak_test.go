@@ -108,18 +108,9 @@ func testClusterStopNoGoroutineLeak(t *testing.T) {
 // method, by method name — what the running nodes cost, whatever else
 // the test binary has going.
 func nodeGoroutines() map[string]int {
-	buf := make([]byte, 1<<16)
-	for {
-		n := grt.Stack(buf, true)
-		if n < len(buf) {
-			buf = buf[:n]
-			break
-		}
-		buf = make([]byte, 2*len(buf))
-	}
 	const prefix = "bdps/internal/livenet.(*Node)."
 	tally := make(map[string]int)
-	for _, g := range strings.Split(string(buf), "\n\n") {
+	for _, g := range goroutineStacks() {
 		// The entry frame is the last function line above "created by"
 		// (file lines are tab-indented).
 		entry := ""
@@ -136,6 +127,18 @@ func nodeGoroutines() map[string]int {
 		}
 	}
 	return tally
+}
+
+// goroutineStacks returns every goroutine's stack trace.
+func goroutineStacks() []string {
+	buf := make([]byte, 1<<16)
+	for {
+		n := grt.Stack(buf, true)
+		if n < len(buf) {
+			return strings.Split(string(buf[:n]), "\n\n")
+		}
+		buf = make([]byte, 2*len(buf))
+	}
 }
 
 // TestLiveMultipathDedupDynamicFlood covers multipath in the dynamic
@@ -294,9 +297,19 @@ func TestIdleReadLoopHeap(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Stop()
-	for deadline := time.Now().Add(5 * time.Second); nodeGoroutines()["readLoop"] < readLoops; time.Sleep(10 * time.Millisecond) {
+	// Measure once every read loop has its reader and waits in it.
+	waiting := func() int {
+		n := 0
+		for _, g := range goroutineStacks() {
+			if strings.Contains(g, "msg.(*FrameReader).Next") && strings.Contains(g, "livenet.(*Node).readLoop") {
+				n++
+			}
+		}
+		return n
+	}
+	for deadline := time.Now().Add(5 * time.Second); waiting() < readLoops; time.Sleep(10 * time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d read loops running, want %d", nodeGoroutines()["readLoop"], readLoops)
+			t.Fatalf("%d read loops waiting in their readers, want %d", waiting(), readLoops)
 		}
 	}
 	per := (int64(liveHeap()) - int64(before)) / int64(readLoops)

@@ -83,10 +83,9 @@ var batchPool = sync.Pool{New: func() any { return new([BatchBufSize]byte) }}
 // frame cut at its end means more frames are queued in the kernel, so
 // the next read borrows a BatchBufSize buffer from a pool, and the
 // reader gives it back as soon as it has drained, before it blocks
-// again. A body larger than the
-// buffer in use is read straight into its FrameBuf. It is not safe for
-// concurrent use (one reader goroutine per connection, as the live
-// runtime runs).
+// again. A body larger than the buffer in use is read straight into its
+// FrameBuf. It is not safe for concurrent use (one reader goroutine per
+// connection, as the live runtime runs).
 type FrameReader struct {
 	rd    io.Reader
 	r, w  int                 // buf()[r:w] is read and not yet consumed
