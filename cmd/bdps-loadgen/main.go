@@ -37,7 +37,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -592,14 +591,10 @@ func run(cfg loadCfg) (result, error) {
 				if _, err := p.Publish(0, attrs, cfg.sizeKB, 60*vtime.Second, body); err != nil {
 					if cfg.faulty() {
 						// A crashed ingress takes its publisher connections
-						// with it; charge the rest of the stream, and what
-						// the failed write had already accepted, to the
-						// fault instead of aborting the measurement.
-						lost := int64(k - j)
-						if we := (*livenet.WriteError)(nil); errors.As(err, &we) {
-							lost += int64(we.Lost)
-						}
-						sendFailed.Add(lost)
+						// with it; charge the rest of the stream to the
+						// fault instead of aborting the measurement (what
+						// the failed write had accepted is its Lost).
+						sendFailed.Add(int64(k - j))
 						return
 					}
 					errOnce.Do(func() { firstErr = err })
@@ -639,6 +634,9 @@ func run(cfg loadCfg) (result, error) {
 	}
 
 	total := c.TotalStats()
+	for _, p := range publishers {
+		sendFailed.Add(int64(p.Lost())) // accepted, then taken by a failed write
+	}
 	if !cfg.faulty() && !cfg.protected() && total.Deliveries < cfg.n*cfg.subs {
 		fmt.Fprintf(os.Stderr, "warning: delivered %d of %d expected\n", total.Deliveries, cfg.n*cfg.subs)
 	}

@@ -17,7 +17,8 @@ import (
 // buffer and return, and one writer goroutine per publisher hands
 // everything that has accumulated to the connection in one write. A
 // burst of publications from one goroutine therefore costs a few system
-// calls rather than one each.
+// calls rather than one each. A failed write stops it: every later call
+// returns that error, and Lost counts the accepted publications it took.
 type Publisher struct {
 	id   msg.NodeID
 	conn net.Conn
@@ -31,11 +32,10 @@ type Publisher struct {
 	pending, spare []byte
 	room           sync.Cond // signalled when the writer takes pending
 	closed         bool
-	// err is the write error that stopped the writer (sticky); lost is
-	// how many accepted publications it took with it, reported once.
-	err      error
-	lost     int
-	reported bool
+	// err is the write error that stopped the writer and lost how many
+	// accepted publications it took with it; both are sticky.
+	err  error
+	lost int
 
 	wake chan struct{} // 1 slot: pending went non-empty, or Close
 	done chan struct{} // closed when the writer has exited
@@ -54,23 +54,6 @@ type Publisher struct {
 // there. A caller that finds it full waits for the writer, which is how
 // TCP backpressure reaches the publishing goroutine.
 const pendingCap = msg.BatchBufSize
-
-// WriteError is a publisher's failed background write, returned by the
-// first call after it (Publish, Send or Close). Lost counts the accepted
-// publications the failure took with it: those whose frames did not
-// leave whole and those still pending. Every accepted publication is
-// either written whole or counted here exactly once; later calls return
-// Err alone.
-type WriteError struct {
-	Err  error
-	Lost int
-}
-
-func (e *WriteError) Error() string {
-	return fmt.Sprintf("livenet: publisher write failed, %d publications lost: %v", e.Lost, e.Err)
-}
-
-func (e *WriteError) Unwrap() error { return e.Err }
 
 // DialPublisher connects publisher `id` to its ingress broker. The id
 // doubles as the publisher index for message-id allocation; the ingress
@@ -109,8 +92,8 @@ func newPublisher(conn net.Conn, id msg.NodeID) *Publisher {
 // (0 in SSD). The publication timestamp is stamped here from the
 // publisher's clock. The call returns once the frame is in the pending
 // buffer (the payload is copied, so the caller may reuse it), waiting
-// only while the buffer is full. A failed write surfaces on the next
-// call or on Close as a *WriteError.
+// only while the buffer is full. A failed write is returned by every
+// later call and by Close; Lost counts what it took.
 func (p *Publisher) Publish(ingress msg.NodeID, attrs msg.AttrSet, sizeKB float64, allowed vtime.Millis, payload []byte) (msg.ID, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -177,14 +160,10 @@ func (p *Publisher) wakeWriter() {
 }
 
 // failure is the error a call must return, or nil while the publisher
-// accepts publications: the write error with its loss count the first
-// time, the bare error after that, net.ErrClosed once closed. Called
-// with p.mu held.
+// accepts publications: the write error, or net.ErrClosed once closed.
+// Called with p.mu held.
 func (p *Publisher) failure() error {
 	switch {
-	case p.err != nil && !p.reported:
-		p.reported = true
-		return &WriteError{Err: p.err, Lost: p.lost}
 	case p.err != nil:
 		return p.err
 	case p.closed:
@@ -193,15 +172,15 @@ func (p *Publisher) failure() error {
 	return nil
 }
 
-// unreportedLoss returns the loss count of a failed write that no call
-// has reported yet, and marks it reported.
-func (p *Publisher) unreportedLoss() int {
+// Lost is how many accepted publications a failed write took with it:
+// those whose frames did not leave whole and those still pending. It is
+// 0 until a write fails, does not change after, and is final once Close
+// has returned. Every accepted publication is either written whole or
+// counted here.
+func (p *Publisher) Lost() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if we, ok := p.failure().(*WriteError); ok {
-		return we.Lost
-	}
-	return 0
+	return p.lost
 }
 
 // writeLoop is the publisher's writer: it takes whatever is pending,
@@ -244,8 +223,8 @@ func (p *Publisher) writeLoop() {
 
 // Close flushes what is pending, waits for the writer, and closes the
 // connection. Callers waiting for room are refused with net.ErrClosed.
-// A write error not yet reported — including one of the final flush —
-// is returned as a *WriteError; a second Close only reports errors.
+// It returns the write error, the final flush's included, if a write
+// failed (Lost counts what it took); a second Close only reports errors.
 func (p *Publisher) Close() error {
 	p.mu.Lock()
 	first := !p.closed
@@ -261,7 +240,7 @@ func (p *Publisher) Close() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.err != nil {
-		return p.failure()
+		return p.err
 	}
 	return cerr
 }

@@ -86,15 +86,6 @@ func publishedIDs(t *testing.T, b []byte) []msg.ID {
 	return ids
 }
 
-// lostIn returns the loss count err reports (0 unless a *WriteError).
-func lostIn(err error) int {
-	var we *WriteError
-	if errors.As(err, &we) {
-		return we.Lost
-	}
-	return 0
-}
-
 // TestPublisherCoalescesBurst: while the writer is held in its first
 // write, a burst from one goroutine accumulates and leaves in one more
 // write, byte for byte in publication order.
@@ -212,14 +203,15 @@ func TestPublisherBackpressure(t *testing.T) {
 	}
 	peer.Close() // the write the writer is stuck in fails now
 	err := <-closed
-	if lost := lostIn(err); int64(lost) != accepted.Load() {
+	if lost := p.Lost(); err == nil || int64(lost) != accepted.Load() {
 		t.Errorf("Close = %v: lost %d, want all %d accepted (the peer read nothing)", err, lost, accepted.Load())
 	}
 }
 
 // TestPublisherLossLedger: a connection failing after k bytes, for
-// several k. Every accepted publication either arrives whole or is in
-// exactly one reported Lost count.
+// several k. Every accepted publication either arrives whole or is
+// counted in Lost once Close has returned, and every call after the
+// failure returns it.
 func TestPublisherLossLedger(t *testing.T) {
 	frameLen := len(mustFrame(t))
 	for _, k := range []int{0, 1, frameLen - 1, frameLen, 3*frameLen + 5, 40 * frameLen, 1 << 20} {
@@ -227,20 +219,23 @@ func TestPublisherLossLedger(t *testing.T) {
 			c := newRecConn()
 			c.failAfter = k
 			p := newPublisher(c, 2)
-			accepted, lost := 0, 0
+			accepted := 0
+			var pubErr error
 			for i := 0; i < 200; i++ {
 				_, err := p.Publish(0, pubAttrs, 1, vtime.Second, []byte("x"))
 				if err == nil {
 					accepted++
+				} else if pubErr == nil {
+					pubErr = err
+				} else if err != pubErr {
+					t.Fatalf("Publish returned %v after %v: the write error is not sticky", err, pubErr)
 				}
-				lost += lostIn(err)
 				if i%7 == 0 {
 					goruntime.Gosched() // let the writer take partial batches
 				}
 			}
-			lost += p.unreportedLoss() // what the runtime's Drain charges
 			err := p.Close()
-			lost += lostIn(err)
+			lost := p.Lost() // what the runtime's Drain charges
 			_, got := c.snapshot()
 			received := msg.CompleteFrames(got)
 			if accepted != received+lost {

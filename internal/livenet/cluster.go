@@ -22,16 +22,16 @@ import (
 //
 // Every node runs a runtime.Plan. With Plan set, the cluster deploys it
 // (pre-assembled brokers and routing tables, its links, its faults and
-// schedule) and ignores Overlay, Scenario, Params, Strategy, Seed,
-// Multipath, Aggregate, LinkLoss, Reliability and Admission: they are
-// the plan's. Without one, StartCluster maps those fields onto one
-// runtime.Config — no subscriptions, LinkLoss as a wildcard fault — and
-// assembles it (runtime.Assemble): brokers start with empty tables and
-// subscriptions flood dynamically.
+// schedule) and ignores Overlay, Scenario, Strategy, Seed, Aggregate,
+// LinkLoss and Admission: they are the plan's. Without one, StartCluster
+// maps those fields onto one runtime.Config — default parameters, no
+// subscriptions, LinkLoss as a wildcard fault — and assembles it
+// (runtime.Assemble): brokers start with empty tables and subscriptions
+// flood dynamically. A cluster that needs any other part of a
+// runtime.Config deploys the plan runtime.Assemble builds from it.
 type ClusterConfig struct {
 	Overlay  *topology.Overlay
 	Scenario msg.Scenario
-	Params   core.Params
 	Strategy core.Strategy
 	// TimeScale is every node's link time and Clock their clock time (see
 	// the package comment). With a Plan, TimeScale defaults to the plan's
@@ -47,8 +47,6 @@ type ClusterConfig struct {
 	// Sink, when non-nil, is every node's tap (NodeConfig.Sink), safe for
 	// concurrent use. runtime's live transport sets none.
 	Sink runtime.Sink
-	// Multipath > 1 makes subscription floods install K paths.
-	Multipath int
 	// Aggregate enables covering-based subscription aggregation on every
 	// node.
 	Aggregate bool
@@ -66,8 +64,6 @@ type ClusterConfig struct {
 	// wildcard runtime.LinkLoss fault (its From and To are ignored),
 	// validated as the plan validates faults.
 	LinkLoss *runtime.LinkLoss
-	// Reliability tunes retransmission and the reorder window.
-	Reliability runtime.Reliability
 
 	// MaxEgress bounds every node's total output-queue occupancy (see
 	// NodeConfig.MaxEgress); 0 disables backpressure.
@@ -224,13 +220,10 @@ func (cfg ClusterConfig) assemble() (*runtime.Plan, error) {
 		Seed:          cfg.Seed,
 		Scenario:      cfg.Scenario,
 		Strategy:      cfg.Strategy,
-		Params:        cfg.Params,
 		Overlay:       cfg.Overlay,
-		Multipath:     cfg.Multipath,
 		Aggregate:     cfg.Aggregate,
 		Subscriptions: []*msg.Subscription{},
 		TimeScale:     cfg.TimeScale,
-		Reliability:   cfg.Reliability,
 		Admission:     cfg.Admission,
 	}
 	if cfg.LinkLoss != nil {

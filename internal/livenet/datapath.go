@@ -632,12 +632,8 @@ func (n *Node) senderLoop(to msg.NodeID, pc *peerConn, wake chan struct{}, ls *r
 		if !p.wait(due.Sub(start), n.stopped) {
 			// Stopped mid-transfer: the held burst dies with the node. A
 			// healthy run quiesces before Stop, so this only fires on
-			// crash/abort paths — charge the loss like the queue drain
-			// in Crash does.
-			n.count(metrics.DropsCrashed, len(entries))
-			for _, e := range entries {
-				runtime.ReleaseEntry(e)
-			}
+			// crash/abort paths — charged like the queue drain in Crash.
+			n.charge.Crashed(n.cfg.ID, entries, nil, 0, n.clock.Now())
 			n.busySenders.Add(-1)
 			return
 		}

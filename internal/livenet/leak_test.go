@@ -11,6 +11,7 @@ import (
 	"bdps/internal/core"
 	"bdps/internal/filter"
 	"bdps/internal/msg"
+	"bdps/internal/runtime"
 	"bdps/internal/stats"
 	"bdps/internal/topology"
 	"bdps/internal/vtime"
@@ -158,14 +159,15 @@ func TestLiveMultipathDedupDynamicFlood(t *testing.T) {
 		}
 	}
 	ov := &topology.Overlay{Graph: g, Ingress: []msg.NodeID{0}, Edges: []msg.NodeID{3}}
-	c, err := StartCluster(ClusterConfig{
-		Overlay:   ov,
-		Scenario:  msg.PSD,
-		Strategy:  core.MaxEB{},
-		TimeScale: 1e-9, // pacing off: both copies race to the edge
-		Seed:      1,
-		Multipath: 2,
+	plan, err := runtime.Assemble(runtime.Config{
+		Seed: 1, Scenario: msg.PSD, Strategy: core.MaxEB{}, Overlay: ov, Multipath: 2,
+		Subscriptions: []*msg.Subscription{},
+		TimeScale:     1e-9, // pacing off: both copies race to the edge
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := StartCluster(ClusterConfig{Plan: plan, Clock: runtime.AbsoluteWallClock(1)})
 	if err != nil {
 		t.Fatal(err)
 	}

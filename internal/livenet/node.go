@@ -32,9 +32,11 @@
 // sequence and its incarnation epoch, clean link or lossy; FrameMessage
 // is what a publisher hands its ingress broker and nothing else. The
 // broker's ledger charges are shared the same way (runtime/charge.go):
-// Process results, pruned entries and session resumes reach the node's
-// ledger and tap through runtime.Charge, and this package keeps only the
-// egress occupancy the MaxEgress gate reads and the session frames.
+// Process results, pruned entries, session resumes and crash losses —
+// the queues a crash empties, a burst stopped mid-transfer, the frames
+// a failed write took — reach the node's ledger and tap through
+// runtime.Charge, and this package keeps only the egress occupancy the
+// MaxEgress gate reads and the session frames.
 //
 // Every node runs one broker of a runtime.Plan: the plan's broker,
 // rebuilt by the plan's constructor when the node is reborn, its links
@@ -429,28 +431,17 @@ func (n *Node) Stopped() bool {
 	}
 }
 
-// Crash stops the node as an injected broker failure and accounts
-// everything still sitting in its output queues as crash losses — the
-// live counterpart of the simulator charging arrivals at a dead broker
-// to DroppedCrashed. Messages lost in flight toward a crashed peer are
-// charged by the sender when its write fails.
+// Crash stops the node as an injected broker failure and charges
+// everything still sitting in its output queues to the crash
+// (runtime.Charge.CrashQueues), as the simulator's crash event does.
+// Messages lost in flight toward a crashed peer are charged by the
+// sender when its write fails.
 func (n *Node) Crash() {
 	n.Stop()
-	lost := 0
 	n.mu.Lock()
-	n.b.EachQueue(func(_ msg.NodeID, q *core.Queue) {
-		q.Lock()
-		for q.Len() > 0 {
-			runtime.ReleaseEntry(q.RemoveAt(q.Len() - 1))
-			lost++
-		}
-		q.Unlock()
-	})
+	lost := n.charge.CrashQueues(n.b, n.clock.Now())
 	n.mu.Unlock()
-	if lost > 0 {
-		n.egress.Add(-int64(lost))
-		n.count(metrics.DropsCrashed, lost)
-	}
+	n.egress.Add(-int64(lost))
 }
 
 // PeakQueue returns the largest occupancy any output queue reached.

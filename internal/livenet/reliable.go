@@ -103,7 +103,5 @@ func (n *Node) writeBurstReliable(pc *peerConn, chains []runtime.Chain, ws *wire
 		}
 	}
 	n.sentPeers.Add(sent)
-	if lost > 0 {
-		n.count(metrics.DropsCrashed, lost)
-	}
+	n.charge.Crashed(n.cfg.ID, nil, nil, lost, n.clock.Now())
 }

@@ -806,8 +806,15 @@ func testWorkerFlushesBeforeProcessingSleep(t *testing.T) {
 	const scale = 0.002
 	params := core.DefaultParams()
 	params.PD = vtime.FromDuration(sleep) / scale
+	p, err := runtime.Assemble(runtime.Config{
+		Seed: 1, Scenario: msg.PSD, Strategy: core.MaxEB{}, Params: params,
+		Overlay: tinyOverlay(t), Subscriptions: []*msg.Subscription{}, TimeScale: scale,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	w, r := packetPair(t)
-	c, n, sess := startEdge(t, ClusterConfig{TimeScale: scale, Params: params})
+	c, n, sess := startEdge(t, ClusterConfig{Plan: p, TimeScale: scale, Clock: runtime.AbsoluteWallClock(1)})
 	sess.attach(&peerConn{conn: w})
 
 	// A three-message batch: sleep, deliver 1; flush, sleep, deliver 2;

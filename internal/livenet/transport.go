@@ -1,7 +1,6 @@
 package livenet
 
 import (
-	"errors"
 	"fmt"
 	"os"
 	"slices"
@@ -9,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"bdps/internal/metrics"
 	"bdps/internal/msg"
 	"bdps/internal/runtime"
 	"bdps/internal/vtime"
@@ -116,9 +114,11 @@ type deployment struct {
 	cluster *Cluster
 	clock   *runtime.WallClock
 
-	pubs     []*Publisher
-	injected int
-	closed   sync.Once
+	pubs []*Publisher
+	// injected counts the publications sent, refused those a dead
+	// ingress refused.
+	injected, refused int
+	closed            sync.Once
 
 	// det is the shared failure detector (nil when recovery is off); a
 	// broker restart notifies it from the cluster's restart hook.
@@ -187,13 +187,8 @@ func (d *deployment) Inject(pubs []*msg.Message) error {
 				// An injected crash can take an ingress broker (and with
 				// it the publisher connection) down mid-run; the
 				// simulator charges such publications to the crash, so
-				// the live run does too instead of aborting: the refused
-				// one and those the failed write had already accepted.
-				lost := 1
-				if we := (*WriteError)(nil); errors.As(err, &we) {
-					lost += we.Lost
-				}
-				d.plan.Metrics.Count(metrics.DropsCrashed, lost)
+				// the live run does too instead of aborting (in Drain).
+				d.refused++
 				continue
 			}
 			return fmt.Errorf("livenet: injecting message %d: %w", m.ID, err)
@@ -259,20 +254,21 @@ func (d *deployment) armChurn() {
 
 // Drain implements runtime.Deployment: wait until the cluster is idle
 // (Cluster.WaitIdle) or a hard timeout passes, then Close, which leaves
-// every count on the plan's collector. Publications a failed write lost
-// after the last Send returned are charged to the crash here, since no
-// later Send reported them.
+// every count on the plan's collector, and charge the crash what the
+// publishers lost: the publications a dead ingress refused and those its
+// failed writes took (Publisher.Lost, final once closed).
 func (d *deployment) Drain() error {
 	// Generous hard ceiling: the whole publishing window plus the
 	// longest allowed delay, in wall time, plus slack for overheads.
 	window := d.plan.Cfg.Workload.Duration + 2*vtime.Minute
 	err := d.cluster.WaitIdle(d.injected, d.clock.Scale().Wall(window)+20*time.Second)
-	for _, p := range d.pubs {
-		if lost := p.unreportedLoss(); lost > 0 {
-			d.plan.Metrics.Count(metrics.DropsCrashed, lost)
-		}
-	}
 	d.Close()
+	lost := d.refused
+	for _, p := range d.pubs {
+		lost += p.Lost()
+	}
+	charge := runtime.NewCharge(d.plan.Metrics, nil)
+	charge.Crashed(msg.None, nil, nil, lost, d.clock.Now())
 	return err
 }
 

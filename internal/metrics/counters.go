@@ -129,7 +129,7 @@ var Counters = [NumCounters]CounterInfo{
 	DropsExpired:    {"drops_expired", "Queue entries dropped past their deadline.", func(l *Ledger) *int { return &l.DropsExpired }},
 	DropsHopeless:   {"drops_hopeless", "Queue entries dropped as unmeetable.", func(l *Ledger) *int { return &l.DropsHopeless }},
 	DropsArrival:    {"drops_arrival", "Messages dropped on arrival.", func(l *Ledger) *int { return &l.DropsArrival }},
-	DropsCrashed:    {"drops_crashed", "Messages lost to broker crashes.", func(l *Ledger) *int { return &l.DropsCrashed }},
+	DropsCrashed:    {"drops_crashed", "Message copies queued, in transfer or arriving at a dead broker, plus publications a dead ingress refused or lost.", func(l *Ledger) *int { return &l.DropsCrashed }},
 	Duplicates:      {"duplicates", "Duplicate receptions suppressed.", func(l *Ledger) *int { return &l.Duplicates }},
 
 	Detections:     {"detections", "Confirmed failure detections (per dead arc).", func(l *Ledger) *int { return &l.Detections }},

@@ -7,6 +7,7 @@ import (
 	"bdps/internal/core"
 	"bdps/internal/metrics"
 	"bdps/internal/msg"
+	"bdps/internal/routing"
 	"bdps/internal/trace"
 	"bdps/internal/vtime"
 )
@@ -49,6 +50,7 @@ func TestChargeCountsEachOutcomeOnce(t *testing.T) {
 	shedB, mB := pooledEntry(12)
 	expired, mE := pooledEntry(13)
 	hopeless, mH := pooledEntry(14)
+	crashed, mC := pooledEntry(15)
 
 	m := &msg.Message{ID: 7}
 	c.Result(at, m, &broker.Result{
@@ -64,6 +66,9 @@ func TestChargeCountsEachOutcomeOnce(t *testing.T) {
 		{Entry: expired, Reason: core.DropExpired},
 		{Entry: hopeless, Reason: core.DropHopeless},
 	}, now)
+	c.Crashed(at, []*core.Entry{crashed}, nil, 0, now)
+	c.Crashed(at, nil, &msg.Message{ID: 16}, 0, now) // arriving dead
+	c.Crashed(at, nil, nil, 5, now)                  // refused publications
 
 	want := map[metrics.Counter]int{
 		metrics.ValidDeliveries: 1,
@@ -73,6 +78,7 @@ func TestChargeCountsEachOutcomeOnce(t *testing.T) {
 		metrics.DropsShed:       2,
 		metrics.DropsExpired:    1,
 		metrics.DropsHopeless:   1,
+		metrics.DropsCrashed:    7,
 	}
 	got := led.Ledger()
 	for id, info := range metrics.Counters {
@@ -91,6 +97,8 @@ func TestChargeCountsEachOutcomeOnce(t *testing.T) {
 		{T: now, Kind: trace.Drop, MsgID: 12, Broker: 4, Note: "shed"},
 		{T: now, Kind: trace.Drop, MsgID: 13, Broker: 4, Note: "expired"},
 		{T: now, Kind: trace.Drop, MsgID: 14, Broker: 4, Note: "hopeless"},
+		{T: now, Kind: trace.Drop, MsgID: 15, Broker: 4, Note: "crashed"},
+		{T: now, Kind: trace.Drop, MsgID: 16, Broker: 4, Note: "crashed"},
 	}
 	if len(tr.Events) != len(wantEvents) {
 		t.Fatalf("traced %d events, want %d: %+v", len(tr.Events), len(wantEvents), tr.Events)
@@ -105,6 +113,47 @@ func TestChargeCountsEachOutcomeOnce(t *testing.T) {
 	releasedOnce(t, mB, 12)
 	releasedOnce(t, mE, 13)
 	releasedOnce(t, mH, 14)
+	releasedOnce(t, mC, 15)
+}
+
+// TestChargeCrashQueues: a crashed broker's queues are emptied in
+// neighbor order, each entry charged, traced and released once.
+func TestChargeCrashQueues(t *testing.T) {
+	b, err := broker.New(broker.Config{ID: 4, Strategy: core.MaxEB{}, Table: routing.NewTable(4)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ms []*msg.Message
+	for i, to := range []msg.NodeID{7, 2, 7} {
+		e, m := pooledEntry(msg.ID(21 + i))
+		b.Queue(to).Enqueue(e, 0)
+		ms = append(ms, m)
+	}
+	led := &metrics.Collector{}
+	var tr trace.Buffer
+	c := NewCharge(led, &tr)
+	if lost := c.CrashQueues(b, 500); lost != 3 {
+		t.Errorf("CrashQueues charged %d entries, want 3", lost)
+	}
+	if got := led.Ledger().DropsCrashed; got != 3 {
+		t.Errorf("DropsCrashed = %d, want 3", got)
+	}
+	if b.Queue(2).Len()+b.Queue(7).Len() != 0 {
+		t.Error("queues not emptied")
+	}
+	var order []uint64
+	for _, ev := range tr.Events {
+		if ev.Kind != trace.Drop || ev.Note != "crashed" || ev.Broker != 4 || ev.T != 500 {
+			t.Errorf("event %+v, want a crashed Drop at broker 4 at 500", ev)
+		}
+		order = append(order, ev.MsgID)
+	}
+	if len(order) != 3 || order[0] != 22 {
+		t.Errorf("traced messages %v, want queue 2's 22 first, then queue 7's", order)
+	}
+	for i, m := range ms {
+		releasedOnce(t, m, msg.ID(21+i))
+	}
 }
 
 // TestChargeResume pins the resume charge and the replay gate it counts

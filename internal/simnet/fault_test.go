@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"fmt"
 	"testing"
 
 	"bdps/internal/core"
@@ -43,6 +44,81 @@ func TestBrokerCrashValidation(t *testing.T) {
 	cfg.Faults = []runtime.Fault{runtime.BrokerCrash{ID: 99, At: 0}}
 	if _, err := run(cfg); err == nil {
 		t.Error("crash of unknown broker should fail")
+	}
+}
+
+// TestSimCrashConservesEntries: at every broker, every Enqueue ends in
+// exactly one Send or one queue-kind Drop (expired, hopeless, shed,
+// crashed), with a crash alone and with a crash and restart. The crash
+// charges what was queued at the dead broker at its instant, so
+// DropsCrashed is that many plus the messages that reached the broker
+// dead, each also a "crashed" Drop.
+func TestSimCrashConservesEntries(t *testing.T) {
+	const dead, at = msg.NodeID(4), 5 * vtime.Minute
+	for _, rate := range []float64{6, 18} {
+		for _, restart := range []bool{false, true} {
+			t.Run(fmt.Sprintf("rate=%v/restart=%v", rate, restart), func(t *testing.T) {
+				cfg := quickCfg(msg.PSD, core.MaxEB{}, rate)
+				cfg.Faults = []runtime.Fault{runtime.BrokerCrash{ID: dead, At: at}}
+				if restart {
+					cfg.Faults = append(cfg.Faults, runtime.BrokerRestart{ID: dead, At: 7 * vtime.Minute})
+				}
+				buf := &trace.Buffer{}
+				cfg.Tracer = buf
+				res, err := run(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				type key struct {
+					broker int32
+					msg    uint64
+				}
+				open := map[key]int{}
+				queuedAtCrash, crashedEntries, crashedArrivals := -1, 0, 0
+				for _, e := range buf.Events {
+					if queuedAtCrash < 0 && e.T >= at {
+						queuedAtCrash = 0
+						for k, n := range open {
+							if k.broker == int32(dead) {
+								queuedAtCrash += n
+							}
+						}
+					}
+					k := key{e.Broker, e.MsgID}
+					switch {
+					case e.Kind == trace.Enqueue:
+						open[k]++
+					case e.Kind == trace.Send,
+						e.Kind == trace.Drop && (e.Note == "expired" || e.Note == "hopeless" || e.Note == "shed"):
+						if open[k] == 0 {
+							t.Fatalf("%s %q of message %d at broker %d with no queued entry", e.Kind, e.Note, e.MsgID, e.Broker)
+						}
+						open[k]--
+					case e.Kind == trace.Drop && e.Note == "crashed":
+						if open[k] == 0 {
+							crashedArrivals++ // reached the broker dead: no entry
+							continue
+						}
+						open[k]--
+						crashedEntries++
+					}
+				}
+				for k, n := range open {
+					if n != 0 {
+						t.Errorf("broker %d: %d entries of message %d never sent or dropped", k.broker, n, k.msg)
+					}
+				}
+				if crashedEntries != queuedAtCrash {
+					t.Errorf("crash charged %d entries, %d were queued at broker %d at %v", crashedEntries, queuedAtCrash, dead, at)
+				}
+				if res.DropsCrashed != queuedAtCrash+crashedArrivals {
+					t.Errorf("DropsCrashed = %d, want %d queued + %d arriving dead", res.DropsCrashed, queuedAtCrash, crashedArrivals)
+				}
+				if rate == 18 && queuedAtCrash == 0 {
+					t.Error("nothing was queued at the crash: the drain is untested")
+				}
+			})
+		}
 	}
 }
 

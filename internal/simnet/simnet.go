@@ -6,9 +6,10 @@
 // adversary, link-time draws, reorder and base rules, dedup) lives in
 // runtime/link.go and the charging of broker outcomes to the ledger
 // (deliveries, duplicates, arrival, queue and shed drops, session
-// resumes) in runtime/charge.go, both shared with the live backend; this
-// package only turns link transfers and processing delays into events on
-// a virtual clock.
+// resumes, and crash losses: the queues a crash empties and the messages
+// reaching a dead broker) in runtime/charge.go, both shared with the
+// live backend; this package only turns link transfers and processing
+// delays into events on a virtual clock.
 // runtime.Run(cfg, simnet.Transport{}) reproduces one data point of the
 // paper's evaluation.
 //
@@ -254,7 +255,10 @@ func deploy(p *runtime.Plan) (*Network, error) {
 			// Nothing to arm: the adversary is consulted inline on every
 			// transmission (kick), gated by its own [Start, End) window.
 		case runtime.BrokerCrash:
-			n.Engine.At(f.At, func() { n.dead[f.ID] = true })
+			n.Engine.At(f.At, func() {
+				n.dead[f.ID] = true
+				n.charge.CrashQueues(n.Brokers[f.ID], f.At)
+			})
 		case runtime.BrokerRestart:
 			n.Engine.At(f.At, func() { n.restartBroker(f.ID) })
 		case runtime.SessionDown:
@@ -442,9 +446,7 @@ func (n *Network) inject(m *msg.Message) {
 // Arrivals at crashed brokers are lost.
 func (n *Network) arrive(m *msg.Message, at msg.NodeID) {
 	if n.dead[at] {
-		n.Collector.Count(metrics.DropsCrashed, 1)
-		n.tracer.Emit(trace.Event{T: n.Engine.Now(), Kind: trace.Drop,
-			MsgID: uint64(m.ID), Broker: int32(at), Note: "crashed"})
+		n.charge.Crashed(at, nil, m, 0, n.Engine.Now())
 		return
 	}
 	n.Collector.Count(metrics.Receptions, 1)
@@ -458,7 +460,7 @@ func (n *Network) arrive(m *msg.Message, at msg.NodeID) {
 // process runs the broker logic and kicks any links that gained work.
 func (n *Network) process(m *msg.Message, at msg.NodeID) {
 	if n.dead[at] {
-		n.Collector.Count(metrics.DropsCrashed, 1)
+		n.charge.Crashed(at, nil, m, 0, n.Engine.Now())
 		return
 	}
 	now := n.Engine.Now()
