@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"bdps/internal/core"
 	"bdps/internal/filter"
 	"bdps/internal/msg"
 	"bdps/internal/vtime"
@@ -385,4 +386,69 @@ func BenchmarkPublisherBurst(b *testing.B) {
 	}
 	<-drained
 	b.ReportMetric(float64(writes.Load()-w0)/float64(b.N), "writes/op")
+}
+
+// TestSubscriberDeliveryAllocs: a delivery costs the subscriber next to
+// nothing. A thousand publications, one at a time, cross the 3-chain to
+// a match-all subscriber on its edge — the path of chain_small's
+// latency phase, on which the publisher and the brokers allocate
+// nothing — and the whole process may allocate at most a quarter of an
+// object per delivery (3 when each delivery was its own Message,
+// attribute array and payload copy).
+func TestSubscriberDeliveryAllocs(t *testing.T) {
+	c, err := StartCluster(ClusterConfig{
+		Overlay:   tinyOverlay(t),
+		Scenario:  msg.PSD,
+		Strategy:  core.MaxEB{},
+		TimeScale: 1e-9, // pacing off
+		Seed:      1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+	s, err := DialSubscriber(c.Addr(2), &msg.Subscription{ID: 1, Edge: 2, Filter: &filter.Filter{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	time.Sleep(100 * time.Millisecond) // subscription flood
+	p, err := DialPublisher(c.Addr(0), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+
+	attrs := msg.NumAttrs(map[string]float64{"A1": 1, "A2": 2})
+	payload := make([]byte, 16)
+	timeout := time.NewTimer(10 * time.Second)
+	defer timeout.Stop()
+	deliver := func(n int) {
+		for i := 0; i < n; i++ {
+			if _, err := p.Publish(0, attrs, 1, 60*vtime.Second, payload); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case m := <-s.C():
+				if len(m.Payload) != len(payload) {
+					t.Fatalf("delivery %d carries %d payload bytes, want %d", i, len(m.Payload), len(payload))
+				}
+			case <-timeout.C:
+				t.Fatalf("delivery %d of %d did not arrive", i, n)
+			}
+		}
+	}
+	// Warm the pools, the decoders and the edge session's ring, whose
+	// slots each grow a frame buffer on first use.
+	deliver(sessionRingDefault + 16)
+	const n = 1000
+	var before, after goruntime.MemStats
+	goruntime.ReadMemStats(&before)
+	deliver(n)
+	goruntime.ReadMemStats(&after)
+	per := float64(after.Mallocs-before.Mallocs) / n
+	t.Logf("%.3f allocations per delivery", per)
+	if per > 0.25 && !raceEnabled {
+		t.Errorf("a delivery allocates %.3f objects, want ≤ 0.25", per)
+	}
 }

@@ -15,11 +15,14 @@ import (
 // buffers, a per-connection FrameReader that reads into them without
 // per-frame allocation, a Decoder that decodes into pooled Messages
 // whose payloads alias the frame buffer, and single-buffer frame
-// assembly (BeginFrame/EndFrame) for batched writev egress. The
+// assembly (BeginFrame/EndFrame) for batched writev egress. The same
+// Decoder's parser also fills messages a consumer keeps, carved from a
+// Slab (slab.go): what a subscriber's read loop hands its consumer. The
 // allocating entry points in codec.go (ReadFrame, DecodeMessage) remain
-// the simple path; the live data plane uses this one. An idle
-// connection's FrameReader holds 2 KiB; it borrows a 64 KiB batch
-// buffer from a pool only while frames are queued on the connection.
+// the simple path and the fuzzers' reference; the live data plane uses
+// this one. An idle connection's FrameReader holds 2 KiB; it borrows a
+// 64 KiB batch buffer from a pool only while frames are queued on the
+// connection.
 
 // maxPooledFrame bounds the frame buffers kept by the pool. Oversized
 // bodies (jumbo payloads) still decode, but their buffers are dropped
@@ -407,9 +410,28 @@ func (d *Decoder) intern(b []byte) string {
 // DecodeMessageInto decodes a message body into m, reusing m's
 // attribute backing array. When fb is non-nil and the message carries a
 // payload, the payload aliases fb's buffer and m takes ownership of fb
-// (released by m's last Release); otherwise ownership stays with the
-// caller. The returned boolean reports whether m took ownership.
+// (released by m's last Release); otherwise the payload aliases body,
+// which stays the caller's. The returned boolean reports whether m took
+// ownership.
 func (d *Decoder) DecodeMessageInto(m *Message, body []byte, fb *FrameBuf) (tookFrame bool, err error) {
+	payload, err := d.decode(m, body, nil)
+	if err != nil {
+		return false, err
+	}
+	m.Payload = payload
+	if payload != nil && fb != nil {
+		m.frame = fb
+		return true, nil
+	}
+	return false, nil
+}
+
+// decode is the one parser behind DecodeMessageInto and DecodeSlab: it
+// fills m's header fields and attributes and returns the payload, nil
+// when empty, aliasing body. The attributes go into m's own backing
+// array, grown to their count, or into a window carved from s when s is
+// non-nil.
+func (d *Decoder) decode(m *Message, body []byte, s *Slab) (payload []byte, err error) {
 	r := reader{buf: body}
 	m.ID = ID(r.u64())
 	m.Publisher = NodeID(r.u32())
@@ -420,12 +442,16 @@ func (d *Decoder) DecodeMessageInto(m *Message, body []byte, fb *FrameBuf) (took
 	m.Attrs.Reset()
 	n := int(r.u16())
 	if n > MaxAttrs {
-		return false, fmt.Errorf("%w: %d attributes", ErrTooLarge, n)
+		return nil, fmt.Errorf("%w: %d attributes", ErrTooLarge, n)
 	}
 	if n > 0 && len(body) >= n*3 {
 		// Reserve the exact count in one step (bounded by the body
-		// length check above: each attr costs at least 3 wire bytes).
-		m.Attrs.Grow(n)
+		// length: each attr costs at least 3 wire bytes).
+		if s != nil {
+			m.Attrs.UseBuffer(s.attrWindow(n))
+		} else {
+			m.Attrs.Grow(n)
+		}
 	}
 	for i := 0; i < n && r.err == nil; i++ {
 		nameLen := int(r.u8())
@@ -437,35 +463,26 @@ func (d *Decoder) DecodeMessageInto(m *Message, body []byte, fb *FrameBuf) (took
 		case 1:
 			strLen := int(r.u16())
 			if strLen > MaxStrLen {
-				return false, fmt.Errorf("%w: string value %d bytes", ErrTooLarge, strLen)
+				return nil, fmt.Errorf("%w: string value %d bytes", ErrTooLarge, strLen)
 			}
 			m.Attrs.Set(d.intern(name), filter.Str(d.intern(r.bytes(strLen))))
 		default:
-			return false, fmt.Errorf("%w: unknown attr kind %d", ErrCorrupt, kind)
+			return nil, fmt.Errorf("%w: unknown attr kind %d", ErrCorrupt, kind)
 		}
 	}
 	payloadLen := int(r.u32())
 	if payloadLen > MaxPayloadLen {
-		return false, fmt.Errorf("%w: payload %d bytes", ErrTooLarge, payloadLen)
+		return nil, fmt.Errorf("%w: payload %d bytes", ErrTooLarge, payloadLen)
 	}
-	payload := r.bytes(payloadLen)
+	payload = r.bytes(payloadLen)
 	if r.err != nil {
-		return false, r.err
+		return nil, r.err
 	}
 	if r.pos != len(body) {
-		return false, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(body)-r.pos)
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(body)-r.pos)
 	}
-	if payloadLen > 0 {
-		m.Payload = payload
-		if fb != nil {
-			m.frame = fb
-			return true, nil
-		}
-		// No frame to alias: the payload must survive the caller's buffer
-		// reuse, so copy it (cold path; the live reader always passes fb).
-		m.Payload = append([]byte(nil), payload...)
-	} else {
-		m.Payload = nil
+	if payloadLen == 0 {
+		return nil, nil
 	}
-	return false, nil
+	return payload, nil
 }

@@ -82,24 +82,51 @@ func FuzzCodec(f *testing.F) {
 	// A header claiming a huge body: must be refused, not allocated.
 	f.Add([]byte{0xBD, 0x75, wireVersion, FrameMessage, 0xFF, 0xFF, 0xFF, 0xFF})
 
+	// One slab and decoder serve every input, as one subscriber's read
+	// loop serves its connection; prev is the last message carved from
+	// it, which no later decode may change.
+	var (
+		sd       Decoder
+		slab     Slab
+		prev     *Message
+		prevBody []byte
+	)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// The zero-copy decoder must accept exactly what the allocating
-		// one accepts, and produce the same canonical re-encoding.
+		// The zero-copy and slab decoders must accept exactly what the
+		// allocating one accepts, and produce the same canonical
+		// re-encoding.
 		var d Decoder
 		pm := GetMessage()
 		_, zerr := d.DecodeMessageInto(pm, data, nil)
+		sm, serr := sd.DecodeSlab(&slab, data)
 		dm0, merr := DecodeMessage(data)
-		if (zerr == nil) != (merr == nil) {
-			t.Fatalf("decoders disagree: DecodeMessageInto=%v DecodeMessage=%v", zerr, merr)
+		if (zerr == nil) != (merr == nil) || (serr == nil) != (merr == nil) {
+			t.Fatalf("decoders disagree: DecodeMessageInto=%v DecodeSlab=%v DecodeMessage=%v", zerr, serr, merr)
 		}
 		if merr == nil {
-			za, err1 := AppendMessage(nil, pm)
-			ma, err2 := AppendMessage(nil, dm0)
-			if err1 != nil || err2 != nil || !bytes.Equal(za, ma) {
-				t.Fatalf("zero-copy decode re-encodes differently:\n%x\n%x", za, ma)
+			ma, err := AppendMessage(nil, dm0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, m := range []*Message{pm, sm} {
+				if za, err := AppendMessage(nil, m); err != nil || !bytes.Equal(za, ma) {
+					t.Fatalf("zero-copy or slab decode re-encodes differently:\n%x\n%x", za, ma)
+				}
+			}
+			if cap(sm.Payload) != len(sm.Payload) {
+				t.Fatalf("slab payload window has %d bytes of spare capacity", cap(sm.Payload)-len(sm.Payload))
 			}
 		}
 		pm.Release()
+		if prev != nil {
+			if pa, err := AppendMessage(nil, prev); err != nil || !bytes.Equal(pa, prevBody) {
+				t.Fatalf("a later slab decode changed an earlier message:\n%x\n%x", pa, prevBody)
+			}
+		}
+		if serr == nil {
+			prev = sm
+			prevBody, _ = AppendMessage(nil, sm)
+		}
 
 		// Message: decode, and on success require a stable canonical
 		// re-encoding (decode∘encode must be idempotent).

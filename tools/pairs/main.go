@@ -1,7 +1,7 @@
 // Command pairs classifies a change against a base revision on the
 // repository benchmark, in alternating pairs:
 //
-//	go run ./tools/pairs --base <rev> [--workloads a,b] [--n 10] [--seed S] [--seconds T]
+//	go run ./tools/pairs --base <rev> [--workloads a,b] [--n 10] [--seed S] [--seconds T] [--confirm] [--aa]
 //
 // It checks out the base revision and HEAD into temporary git worktrees,
 // runs each side through that side's own bench/run.sh — n pairs per
@@ -17,13 +17,21 @@
 // is flagged. It exits 1 when a verdict is "regression", 2 when the
 // measurement itself failed.
 //
+// With --confirm it runs two independent sets of n pairs back to back
+// and classifies each set alone: a win or a regression counts only when
+// both sets call it, a call that one set makes and the other does not
+// reads "unconfirmed", and the row's medians and counts are those of all
+// 2n pairs. A verdict of one n-pair set can be a run of luck on a noisy
+// box; two that agree are much less likely to be.
+//
 // With --aa it measures one revision (--base, HEAD by default) against
 // itself, from one worktree: what the rule calls with no code change.
 // Under A/A a pair's two runs are interchangeable, so every one of the
 // 2^n ways of labelling each pair's runs base and head is as likely as
 // the one run; the table's last column is how many of them the verdict
 // rule calls a win or a regression — the false-claim rate of that metric
-// at n pairs, on this box and in this session.
+// at n pairs, on this box and in this session. With --confirm as well it
+// counts the labellings of both sets that the two sets call alike.
 //
 // HEAD means the committed tree: commit the change before measuring it.
 // The worktrees (and their build caches) live under the system temporary
@@ -90,6 +98,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	seed := fs.Uint64("seed", 1, "the benchmark's input seed")
 	seconds := fs.Float64("seconds", 0, "seconds one workload run measures (default: BENCHMARK.json's run_seconds)")
 	aa := fs.Bool("aa", false, fmt.Sprintf("measure --base (default HEAD) against itself and count the false claims (n ≤ %d)", maxAAPairs))
+	confirm := fs.Bool("confirm", false, "run two sets of n pairs back to back; a win or a regression needs both")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -100,24 +109,34 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fs.Usage()
 		return 2
 	}
-	rows, err := measure(*base, *aa, *workloads, *n, *seed, *seconds, stdout, stderr)
+	sets := 1
+	if *confirm {
+		sets = 2
+	}
+	rows, err := measure(*base, *aa, sets, *workloads, *n, *seed, *seconds, stdout, stderr)
 	if err != nil {
 		fmt.Fprintln(stderr, "pairs:", err)
 		return 2
 	}
 	printRows(stdout, rows)
+	return exitCode(rows, *aa)
+}
+
+// exitCode is 1 when a row of two revisions reads a regression (with
+// --confirm, a confirmed one), else 0.
+func exitCode(rows []row, aa bool) int {
 	for _, r := range rows {
-		if r.verdict == regression && !*aa {
+		if r.verdict == regression && !aa {
 			return 1
 		}
 	}
 	return 0
 }
 
-// measure runs the pairs, prints the covariates of every pair and
-// returns one row per workload and metric. With aa, both sides run the
-// base revision's one worktree.
-func measure(base string, aa bool, workloads string, n int, seed uint64, seconds float64, stdout, stderr io.Writer) ([]row, error) {
+// measure runs sets of n pairs, one set after the other, prints the
+// covariates of every pair and returns one row per workload and metric.
+// With aa, both sides run the base revision's one worktree.
+func measure(base string, aa bool, sets int, workloads string, n int, seed uint64, seconds float64, stdout, stderr io.Writer) ([]row, error) {
 	root, err := git("", "rev-parse", "--show-toplevel")
 	if err != nil {
 		return nil, err
@@ -179,7 +198,7 @@ func measure(base string, aa bool, workloads string, n int, seed uint64, seconds
 	for _, w := range names {
 		files[w] = new([2][]string)
 	}
-	for i := 0; i < n; i++ {
+	for i := 0; i < sets*n; i++ {
 		for _, w := range names {
 			order := [2]int{0, 1}
 			if i%2 == 1 {
@@ -187,7 +206,7 @@ func measure(base string, aa bool, workloads string, n int, seed uint64, seconds
 			}
 			for _, s := range order {
 				out := filepath.Join(runsDir, fmt.Sprintf("%s-%s-%d.json", [2]string{"base", "head"}[s], w, i))
-				fmt.Fprintf(stderr, "pairs: pair %d/%d %s %s\n", i+1, n, w, [2]string{"base", "head"}[s])
+				fmt.Fprintf(stderr, "pairs: pair %d/%d %s %s\n", i+1, sets*n, w, [2]string{"base", "head"}[s])
 				if err := benchRun(sides[s], w, seed, seconds, out); err != nil {
 					return nil, err
 				}
@@ -225,7 +244,7 @@ func measure(base string, aa bool, workloads string, n int, seed uint64, seconds
 			}
 		}
 		covs = append(covs, covariates(w, runs)...)
-		rows = append(rows, workloadRows(w, spec.EndToEnd, runs, aa)...)
+		rows = append(rows, workloadRows(w, spec.EndToEnd, runs, sets, aa)...)
 	}
 	printCovariates(stdout, covs)
 	fmt.Fprintln(stdout)
@@ -233,9 +252,11 @@ func measure(base string, aa bool, workloads string, n int, seed uint64, seconds
 }
 
 // workloadRows classifies one workload's pairs, metric by metric;
-// runs[side] holds that side's run files pair by pair. With aa each row
-// also counts its false claims (see relabelClaims).
-func workloadRows(workload string, metrics []metricSpec, runs [2][]*runFile, aa bool) []row {
+// runs[side] holds that side's run files pair by pair, sets equal sets
+// of them one after the other. With two sets a row's verdict is the two
+// sets' confirmed verdict. With aa each row also counts its false claims
+// (see relabelClaims).
+func workloadRows(workload string, metrics []metricSpec, runs [2][]*runFile, sets int, aa bool) []row {
 	var rows []row
 	for _, m := range metrics {
 		var pairs []pair
@@ -250,12 +271,46 @@ func workloadRows(workload string, metrics []metricSpec, runs [2][]*runFile, aa 
 			continue
 		}
 		r := classify(workload, m, pairs)
+		// A false claim under A/A is a labelling that every set calls a
+		// win, or every set a regression; the sets' labellings are
+		// independent.
+		per, wins, regressions := len(pairs)/sets, 1, 1
 		if aa {
-			r.claims, r.labellings = relabelClaims(workload, m, pairs)
+			r.labellings = 1
+		}
+		for i := 0; i < sets; i++ {
+			set := pairs[i*per : (i+1)*per]
+			if sets > 1 {
+				r.sets = append(r.sets, classify(workload, m, set).verdict)
+			}
+			if aa {
+				w, g, l := relabelClaims(workload, m, set)
+				wins, regressions, r.labellings = wins*w, regressions*g, r.labellings*l
+			}
+		}
+		if aa {
+			r.claims = wins + regressions
+		}
+		if sets == 2 {
+			r.verdict = confirmed(r.sets[0], r.sets[1])
 		}
 		rows = append(rows, r)
 	}
 	return rows
+}
+
+// confirmed is the verdict of two independent sets of pairs: a win or a
+// regression that both call, unconfirmed when only one calls it or they
+// call opposite ones, else level when both are level and unresolved
+// otherwise.
+func confirmed(v1, v2 string) string {
+	switch {
+	case v1 == v2:
+		return v1
+	case v1 == win || v1 == regression || v2 == win || v2 == regression:
+		return unconfirmed
+	}
+	return unresolved
 }
 
 // maxAAPairs bounds n under --aa: relabelClaims classifies all 2^n
@@ -264,9 +319,9 @@ const maxAAPairs = 16
 
 // relabelClaims classifies every labelling of the pairs' runs — each
 // pair's two values as run or swapped — and counts those the verdict
-// rule calls a win or a regression. For runs of one revision these are
-// the false claims among equally likely outcomes.
-func relabelClaims(workload string, m metricSpec, pairs []pair) (claims, labellings int) {
+// rule calls a win and those it calls a regression. For runs of one
+// revision these are the false claims among equally likely outcomes.
+func relabelClaims(workload string, m metricSpec, pairs []pair) (wins, regressions, labellings int) {
 	swapped := make([]pair, len(pairs))
 	labellings = 1 << len(pairs)
 	for mask := 0; mask < labellings; mask++ {
@@ -276,11 +331,14 @@ func relabelClaims(workload string, m metricSpec, pairs []pair) (claims, labelli
 			}
 			swapped[i] = p
 		}
-		if v := classify(workload, m, swapped).verdict; v == win || v == regression {
-			claims++
+		switch classify(workload, m, swapped).verdict {
+		case win:
+			wins++
+		case regression:
+			regressions++
 		}
 	}
-	return claims, labellings
+	return wins, regressions, labellings
 }
 
 // benchRun runs one workload through a checkout's own bench/run.sh and
@@ -339,10 +397,11 @@ func git(dir string, args ...string) (string, error) {
 
 // Verdicts.
 const (
-	win        = "win"
-	level      = "level"
-	regression = "regression"
-	unresolved = "unresolved"
+	win         = "win"
+	level       = "level"
+	regression  = "regression"
+	unresolved  = "unresolved"
+	unconfirmed = "unconfirmed"
 )
 
 // pair is one metric's value on the base (a) and the change (b) in one
@@ -359,6 +418,8 @@ type row struct {
 	n              int
 	better, worse  int // pairs in which the change moved each way
 	verdict        string
+	// sets holds each set's own verdict under --confirm, else nil.
+	sets []string
 	// claims of labellings are the false claims an A/A row counts
 	// (relabelClaims); labellings is 0 on a row of two revisions.
 	claims, labellings int
@@ -434,17 +495,24 @@ func (r row) spread() float64 {
 
 func printRows(w io.Writer, rows []row) {
 	aa := len(rows) > 0 && rows[0].labellings > 0
-	head := fmt.Sprintf("%-13s %-15s %12s %12s %8s %7s %7s %9s %6s  %-10s",
+	confirm := len(rows) > 0 && rows[0].sets != nil
+	head := fmt.Sprintf("%-13s %-15s %12s %12s %8s %7s %7s %9s %6s  %-11s",
 		"workload", "metric", "base", "head", "delta", "better", "worse", "base IQR", "bound", "verdict")
+	if confirm {
+		head += fmt.Sprintf("  %-23s", "sets")
+	}
 	if aa {
 		head += "  false claims"
 	}
 	fmt.Fprintln(w, strings.TrimRight(head, " "))
 	for _, r := range rows {
-		line := fmt.Sprintf("%-13s %-15s %12.6g %12.6g %+7.1f%% %7s %7s %8.1f%% %5.0f%%  %-10s",
+		line := fmt.Sprintf("%-13s %-15s %12.6g %12.6g %+7.1f%% %7s %7s %8.1f%% %5.0f%%  %-11s",
 			r.workload, r.metric.Name, r.baseMed, r.headMed, 100*r.delta(),
 			fmt.Sprintf("%d/%d", r.better, r.n), fmt.Sprintf("%d/%d", r.worse, r.n),
 			100*r.spread(), 100*r.metric.Bound, r.verdict)
+		if confirm {
+			line += fmt.Sprintf("  %-23s", strings.Join(r.sets, "+"))
+		}
 		if aa {
 			line += fmt.Sprintf("  %d/%d (%.1f%%)", r.claims, r.labellings, 100*float64(r.claims)/float64(r.labellings))
 		}

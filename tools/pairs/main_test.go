@@ -127,23 +127,14 @@ func TestAAFromRunFiles(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		for side := 0; side < 2; side++ {
 			jitter := float64(i%3) - 1
-			p50 := 30 + jitter + float64(side)
-			rate := (100 + jitter) * (1 + 0.4*float64(side))
-			path := filepath.Join(dir, fmt.Sprintf("%d-%d.json", side, i))
-			body := fmt.Sprintf(`{"schema": 1, "env": {"nproc": 2, "load1_start": 0.2, "load1_end": 0.3, "busy_cpus_start": 0.1, "noisy": false},
- "workloads": [{"name": "chain_small", "metrics": {"allocs_per_msg": {"value": 3.0013, "unit": "count"},
-  "p50_us": {"value": %g, "unit": "us"}, "msgs_per_s": {"value": %g, "unit": "msgs/s"}}}]}`, p50, rate)
-			if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			f, err := readRun(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			runs[side] = append(runs[side], f)
+			runs[side] = append(runs[side], cannedRun(t, filepath.Join(dir, fmt.Sprintf("%d-%d.json", side, i)), map[string]float64{
+				"allocs_per_msg": 3.0013,
+				"p50_us":         30 + jitter + float64(side),
+				"msgs_per_s":     (100 + jitter) * (1 + 0.4*float64(side)),
+			}))
 		}
 	}
-	rows := workloadRows("chain_small", metrics, runs, true)
+	rows := workloadRows("chain_small", metrics, runs, 1, true)
 	if len(rows) != 3 {
 		t.Fatalf("%d rows, want 3", len(rows))
 	}
@@ -174,5 +165,106 @@ func TestAAFromRunFiles(t *testing.T) {
 	printRows(&out, []row{classify("w", metrics[1], []pair{{1, 1}})})
 	if strings.Contains(out.String(), "false claims") {
 		t.Errorf("a table of two revisions has a false-claim column:\n%s", out.String())
+	}
+}
+
+// cannedRun writes a chain_small run file with the given metric values
+// at path, as the benchmark writes one, and reads it back.
+func cannedRun(t *testing.T, path string, metrics map[string]float64) *runFile {
+	t.Helper()
+	var vals []string
+	for name, v := range metrics {
+		vals = append(vals, fmt.Sprintf("%q: {\"value\": %g}", name, v))
+	}
+	body := fmt.Sprintf(`{"schema": 1, "env": {"nproc": 2, "load1_start": 0.2, "load1_end": 0.3, "busy_cpus_start": 0.1, "noisy": false},
+ "workloads": [{"name": "chain_small", "metrics": {%s}}]}`, strings.Join(vals, ", "))
+	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := readRun(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// TestConfirmFromRunFiles reads canned run files of two revisions, two
+// sets of ten pairs, as --confirm runs them: a metric both sets call a
+// win is a win; one whose second set flips to a regression is
+// unconfirmed; one level in both stays level. The exit code is 1 for a
+// regression that a plain run or both sets call, and 0 for an
+// unconfirmed one or any A/A row. Read as A/A, a metric whose second run
+// read 40% higher in every pair makes 11 false wins and 11 false
+// regressions among each set's 2^10 labellings (TestAAFromRunFiles), and
+// the two sets agree on 11·11 + 11·11 of their 2^20.
+func TestConfirmFromRunFiles(t *testing.T) {
+	dir := t.TempDir()
+	metrics := []metricSpec{
+		{Name: "allocs_per_msg", Better: "lower", Bound: 0.1},
+		{Name: "p50_us", Better: "lower", Bound: 0.25},
+		{Name: "p99_us", Better: "lower", Bound: 0.25},
+		{Name: "msgs_per_s", Better: "higher", Bound: 0.25},
+	}
+	var runs [2][]*runFile
+	for i := 0; i < 20; i++ {
+		jitter := float64(i%3) - 1
+		flip := 1.0
+		if i >= 10 {
+			flip = -1 // the second set's change moves p50 the other way
+		}
+		for side := 0; side < 2; side++ {
+			s := float64(side)
+			runs[side] = append(runs[side], cannedRun(t, filepath.Join(dir, fmt.Sprintf("%d-%d.json", side, i)), map[string]float64{
+				"allocs_per_msg": 3 - 2.87*s + jitter/1000,
+				"p50_us":         30 + jitter - 12*s*flip,
+				"p99_us":         90 + jitter,
+				"msgs_per_s":     (100 + jitter) * (1 + 0.4*s),
+			}))
+		}
+	}
+	rows := workloadRows("chain_small", metrics, runs, 2, false)
+	for i, want := range []struct {
+		verdict string
+		sets    string
+	}{
+		{win, "win+win"},
+		{unconfirmed, "win+regression"},
+		{level, "level+level"},
+		{win, "win+win"},
+	} {
+		if r := rows[i]; r.verdict != want.verdict || strings.Join(r.sets, "+") != want.sets || r.n != 20 {
+			t.Errorf("%s: %s (%s) over %d pairs, want %s (%s) over 20", r.metric.Name, r.verdict, strings.Join(r.sets, "+"), r.n, want.verdict, want.sets)
+		}
+	}
+	var out strings.Builder
+	printRows(&out, rows)
+	if !strings.Contains(out.String(), "win+regression") {
+		t.Errorf("the --confirm table lacks its sets column:\n%s", out.String())
+	}
+
+	// Exit codes: a plain run's regression still exits 1; an unconfirmed
+	// row does not; a confirmed regression does; A/A rows never do.
+	plain := workloadRows("chain_small", metrics[1:2], [2][]*runFile{runs[0][10:], runs[1][10:]}, 1, false)[0]
+	if plain.verdict != regression || plain.sets != nil {
+		t.Fatalf("the second set alone reads %s (sets %v), want a regression", plain.verdict, plain.sets)
+	}
+	for _, tc := range []struct {
+		rows []row
+		aa   bool
+		want int
+	}{
+		{[]row{rows[0], plain}, false, 1},
+		{rows, false, 0},
+		{[]row{{verdict: regression, sets: []string{regression, regression}}}, false, 1},
+		{[]row{plain}, true, 0},
+	} {
+		if got := exitCode(tc.rows, tc.aa); got != tc.want {
+			t.Errorf("exit code %d for %v (aa %v), want %d", got, tc.rows, tc.aa, tc.want)
+		}
+	}
+
+	aa := workloadRows("chain_small", metrics[3:], runs, 2, true)[0]
+	if aa.claims != 242 || aa.labellings != 1<<20 {
+		t.Errorf("A/A msgs_per_s: %d/%d false claims, want 242/%d", aa.claims, aa.labellings, 1<<20)
 	}
 }

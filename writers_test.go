@@ -73,6 +73,23 @@ var deliveryWriters = []string{
 	"internal/runtime/sink.go:LockedSink.DeliveredAt",
 }
 
+// timerCalls counts, per non-test livenet function, its calls of
+// package time's Sleep, After, NewTimer, NewTicker or AfterFunc: the
+// waits on real time that the package comment names (dialRetry's
+// backoff, the egress gate's poll, WaitIdle's polls, Subscriber.Receive)
+// and the link-time waits converted by runtime.Scale (the PD sleep, the
+// pacer). Every other wait of a node is on its runtime.WallClock.
+var timerCalls = map[string]int{
+	"internal/livenet/client.go:Subscriber.Receive": 1,
+	"internal/livenet/cluster.go:Cluster.WaitIdle":  1,
+	"internal/livenet/datapath.go:Node.gate":        1,
+	"internal/livenet/datapath.go:Node.process":     1,
+	"internal/livenet/datapath.go:pacer.wait":       1,
+	"internal/livenet/link.go:dialRetry":            1,
+}
+
+var timerFuncs = []string{"Sleep", "After", "NewTimer", "NewTicker", "AfterFunc"}
+
 // collectorWriters maps each metrics.Collector method that counts a
 // ledger row to the rows it counts; arity tells AggregatedEntries(n)
 // from the zero-argument readers of the same name.
@@ -93,8 +110,9 @@ var collectorWriters = map[string]struct {
 // TestOneWriterPerCounter holds the root module's non-test code to the
 // one-of-each facts: every ledger row is written only where
 // counterWriters says, runtime.Plan.NewBroker is the only caller of
-// broker.New, and the live backend converts time only through its
-// runtime.Scale and clock (no vtime.ToDuration or FromDuration).
+// broker.New, the live backend converts time only through its
+// runtime.Scale and clock (no vtime.ToDuration or FromDuration), and it
+// starts a timer of package time only where timerCalls says.
 func TestOneWriterPerCounter(t *testing.T) {
 	rows := counterRows(t)
 	for name := range counterWriters {
@@ -103,6 +121,7 @@ func TestOneWriterPerCounter(t *testing.T) {
 		}
 	}
 	found := map[string][]string{}
+	timers := map[string]int{}
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -125,6 +144,7 @@ func TestOneWriterPerCounter(t *testing.T) {
 		metricsPkg := importName(f, "bdps/internal/metrics")
 		brokerPkg := importName(f, "bdps/internal/broker")
 		vtimePkg := importName(f, "bdps/internal/vtime")
+		timePkg := importName(f, "time")
 		livenet := strings.HasPrefix(path, "internal/livenet/")
 		for _, decl := range f.Decls {
 			fn := funcName(decl)
@@ -146,6 +166,10 @@ func TestOneWriterPerCounter(t *testing.T) {
 						t.Errorf("%s: %s calls broker.New; only runtime.Plan.NewBroker may", fset.Position(n.Pos()), fn)
 					case livenet && pkg.Name == vtimePkg && (n.Sel.Name == "ToDuration" || n.Sel.Name == "FromDuration"):
 						t.Errorf("%s: %s calls vtime.%s; the live backend converts through runtime.Scale", fset.Position(n.Pos()), fn, n.Sel.Name)
+					case livenet && pkg.Name == timePkg && slices.Contains(timerFuncs, n.Sel.Name):
+						if timers[site]++; timers[site] > timerCalls[site] {
+							t.Errorf("%s: %s calls time.%s; timerCalls allows it %d such calls", fset.Position(n.Pos()), fn, n.Sel.Name, timerCalls[site])
+						}
 					}
 				case *ast.CallExpr:
 					sel, ok := n.Fun.(*ast.SelectorExpr)
@@ -170,6 +194,11 @@ func TestOneWriterPerCounter(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	for site, want := range timerCalls {
+		if timers[site] < want {
+			t.Errorf("timerCalls allows %s %d timer calls; it makes %d", site, want, timers[site])
+		}
 	}
 	for _, row := range rows {
 		for _, site := range counterWriters[row] {
